@@ -23,6 +23,7 @@ from .cochains import Cochain, increasing_tuples, tuple_position
 from .errors import PreconditionError, UsageError
 from .linalg import (
     Matrix,
+    ZERO,
     basis_vector,
     frac,
     vec_add,
@@ -126,8 +127,14 @@ class Representation:
                 if a.rows != self.vdim or a.cols != self.vdim:
                     raise UsageError("action matrices must be vdim x vdim")
 
-    def action_matrix(self, which: int, i: int) -> Matrix:
-        return self.actions[which - 1][i]
+    def action(self, which: int, x) -> Matrix:
+        """Matrix of the action of an arbitrary coordinate vector x of the base."""
+        table = self.actions[which - 1]
+        out = (ZERO,) * (self.vdim * self.vdim)
+        for i, xi in enumerate(x):
+            if xi:
+                out = tuple(o + xi * e for o, e in zip(out, table[i].entries))
+        return Matrix(self.vdim, self.vdim, out)
 
     def act(self, which: int, x, v) -> tuple:
         """x . v for an arbitrary coordinate vector x of the base."""
@@ -229,12 +236,19 @@ def _bracket_matrix(dim: int, brackets: dict) -> Matrix:
 def _bracket_apply(bracket: Matrix, dim: int, u, v) -> tuple:
     if len(u) != dim or len(v) != dim:
         raise UsageError("bracket arguments must have the algebra dimension")
-    out = zero_vector(dim)
-    for k, (i, j) in enumerate(increasing_tuples(dim, 2)):
-        c = u[i] * v[j] - u[j] * v[i]
-        if c:
-            out = vec_add(out, vec_scale(c, bracket.col(k)))
-    return out
+    pos = tuple_position(dim, 2)
+    out = [ZERO] * dim
+    for i, ui in enumerate(u):
+        if not ui:
+            continue
+        for j, vj in enumerate(v):
+            if not vj or i == j:
+                continue
+            c = ui * vj if i < j else -(ui * vj)
+            for k, b in enumerate(bracket.col(pos[(min(i, j), max(i, j))])):
+                if b:
+                    out[k] += c * b
+    return tuple(out)
 
 
 def _column_bracket(bracket: Matrix, dim: int, i: int, j: int) -> tuple:
@@ -316,58 +330,48 @@ def _compatibility_check(s: CompatibleHomLieAlgebra) -> CheckResult:
 
 
 def _representation_checks(v: Representation):
+    # Each identity is a vdim x vdim matrix per basis element or pair; column a
+    # is the defect on the module basis vector e_a.
     base = v.base
     dim = base.dim
+    pairs = increasing_tuples(dim, 2)
+    beta = v.beta
+    # twisted[b][i] = rho_b(alpha e_i)
+    twisted = [[v.action(b, base.alpha.col(i)) for i in range(dim)]
+               for b in range(1, len(v.actions) + 1)]
     checks = []
     labels = _labels(len(v.actions))
     for which0, label in enumerate(labels):
         b = which0 + 1
+        table = v.actions[which0]
+        tw = twisted[which0]
         bracket = base.brackets[which0]
         twist_witnesses = []
-        module_witnesses = []
         for i in range(dim):
-            for a in range(v.vdim):
-                va = basis_vector(v.vdim, a)
-                lhs = v.beta.apply(v.act(b, basis_vector(dim, i), va))
-                rhs = v.act(b, base.alpha.col(i), v.beta.apply(va))
-                defect = vec_sub(lhs, rhs)
-                if not vec_is_zero(defect):
-                    twist_witnesses.append(((i, a), defect))
-        for (i, j) in increasing_tuples(dim, 2):
-            for a in range(v.vdim):
-                va = basis_vector(v.vdim, a)
-                ei = basis_vector(dim, i)
-                ej = basis_vector(dim, j)
-                lhs = v.act(b, _column_bracket(bracket, dim, i, j), v.beta.apply(va))
-                rhs = vec_sub(
-                    v.act(b, base.alpha.col(i), v.act(b, ej, va)),
-                    v.act(b, base.alpha.col(j), v.act(b, ei, va)),
-                )
-                defect = vec_sub(lhs, rhs)
-                if not vec_is_zero(defect):
-                    module_witnesses.append(((i, j, a), defect))
+            _matrix_witnesses(twist_witnesses, (i,), beta @ table[i] - tw[i] @ beta)
+        module_witnesses = []
+        for k, (i, j) in enumerate(pairs):
+            defect = v.action(b, bracket.col(k)) @ beta - tw[i] @ table[j] + tw[j] @ table[i]
+            _matrix_witnesses(module_witnesses, (i, j), defect)
         checks.append(CheckResult(f"action_twist{label}", tuple(twist_witnesses)))
         checks.append(CheckResult(f"action_module{label}", tuple(module_witnesses)))
     if len(v.actions) == 2:
+        (a1, a2), (t1, t2) = v.actions, twisted
         witnesses = []
-        for (i, j) in increasing_tuples(dim, 2):
-            for a in range(v.vdim):
-                va = basis_vector(v.vdim, a)
-                ei = basis_vector(dim, i)
-                ej = basis_vector(dim, j)
-                ai = base.alpha.col(i)
-                aj = base.alpha.col(j)
-                lhs = vec_add(
-                    v.act(2, _column_bracket(base.bracket1, dim, i, j), v.beta.apply(va)),
-                    v.act(1, _column_bracket(base.bracket2, dim, i, j), v.beta.apply(va)),
-                )
-                rhs = vec_sub(v.act(1, ai, v.act(2, ej, va)), v.act(2, aj, v.act(1, ei, va)))
-                rhs = vec_add(rhs, vec_sub(v.act(2, ai, v.act(1, ej, va)), v.act(1, aj, v.act(2, ei, va))))
-                defect = vec_sub(lhs, rhs)
-                if not vec_is_zero(defect):
-                    witnesses.append(((i, j, a), defect))
+        for k, (i, j) in enumerate(pairs):
+            mixed = v.action(2, base.bracket1.col(k)) + v.action(1, base.bracket2.col(k))
+            defect = (mixed @ beta - t1[i] @ a2[j] + t2[j] @ a1[i]
+                      - t2[i] @ a1[j] + t1[j] @ a2[i])
+            _matrix_witnesses(witnesses, (i, j), defect)
         checks.append(CheckResult("action_mixed", tuple(witnesses)))
     return checks
+
+
+def _matrix_witnesses(witnesses: list, indices: tuple, defect: Matrix):
+    for a in range(defect.cols):
+        column = defect.col(a)
+        if not vec_is_zero(column):
+            witnesses.append((indices + (a,), column))
 
 
 def adjoint_representation(s) -> Representation:

@@ -69,6 +69,9 @@ class ZeroCochain:
     def target_dim(self) -> int:
         return len(self.vector)
 
+    def flatten(self) -> tuple:
+        return self.vector
+
     def is_zero(self) -> bool:
         return vec_is_zero(self.vector)
 

@@ -18,12 +18,30 @@ built from the two single-bracket coboundaries d1 and d2; these
 anticommute, which makes the square zero.  Degree 0 consists of the
 twist-fixed vectors on which both actions agree, with d(v) = x .1 v.
 
-Dimension reports assemble the coboundary matrices column by column on
-exact bases and compute kernels, images and quotients by exact rank.
+Cochains are handled in flat coordinates: an arity-n cochain into a
+t-dimensional module is the row-major entry tuple of its t x C(d,n)
+coefficient matrix, a degree-0 cochain is its vector, and a two-bracket
+cochain lays its n components end to end.  Each public call builds the
+single-bracket coboundary C^n -> C^(n+1) once per bracket and degree, as a
+sparse exact map on these coordinates.  Its action term is made of the
+blocks +-rho(alpha^(n-1) e_j).  Its bracket term is F -> F . K, where the
+C(d,n) x C(d,n+1) matrix K pairs the bracket columns with the minors of
+alpha: column X of K expands the alternating sum of the wedges
+[e_i, e_j] ^ alpha e_k ^ ... over the pairs (i, j) of the (n+1)-tuple X in
+the n-tuple basis.  The two-bracket differential puts d1 b and d2 b into
+neighbouring blocks for every single-bracket basis cochain b, so its matrix
+is block-bidiagonal.
+
+Dimension reports apply these maps to exact equivariant bases, take kernels
+and images by exact elimination, and choose the cohomology representatives
+as the cocycle pivot columns of one reduced echelon form of
+[coboundaries | cocycles].
 """
 
 from __future__ import annotations
 
+import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -45,13 +63,12 @@ from .cochains import (
 from .errors import ContractError, PreconditionError, UsageError
 from .linalg import (
     Matrix,
+    ONE,
     ZERO,
-    basis_vector,
     kernel_basis,
     quotient_dimension,
     rref,
     solve,
-    span_rank,
     vec_is_zero,
     vstack,
     zero_vector,
@@ -159,42 +176,115 @@ def ce_coboundary(l: HomLieAlgebra, v: Representation, f, check: bool = True):
         _validate_structures(l, v)
         if not is_equivariant(f, l.alpha, v.beta):
             raise PreconditionError("cochain is not twist-equivariant")
-    return _ce_apply(l.dim, l.alpha, l.bracket_cochain(), v, 1, f)
+    n = 0 if isinstance(f, ZeroCochain) else f.arity
+    _check_shape(f, l.dim, v.vdim)
+    return Cochain.from_flat(n + 1, l.dim, v.vdim, _coboundary_map(l, v, 1, n)(f.flatten()))
 
 
-def _ce_apply(dim: int, alpha: Matrix, bracket: Cochain, v: Representation, which: int, f):
-    if isinstance(f, ZeroCochain):
-        cols = [v.act(which, basis_vector(dim, i), f.vector) for i in range(dim)]
-        return Cochain(1, dim, v.vdim, Matrix.from_columns(cols, v.vdim))
-    n = f.arity
-    out_cols = comb(dim, n + 1)
-    alpha_prev = alpha.power(n - 1)
-    columns = []
-    for X in increasing_tuples(dim, n + 1):
-        total = list(zero_vector(v.vdim))
-        for pos in range(n + 1):
-            inner = f.column(X[:pos] + X[pos + 1 :])
-            if vec_is_zero(inner):
+def _check_shape(f, dim: int, vdim: int):
+    if f.target_dim != vdim or (isinstance(f, Cochain) and f.source_dim != dim):
+        raise UsageError("cochain shape does not match the algebra and module")
+
+
+def _coboundary_map(struct, v: Representation, which: int, n: int):
+    """The coboundary C^n -> C^(n+1) of bracket `which` with action table
+    `which`, as a function on flat coordinates.
+
+    It is built once as sparse exact columns: the unit cochain at module
+    index q on the n-tuple I maps to
+      - (-1)^pos rho(alpha^(n-1) e_j)[r, q] at module index r on the
+        (n+1)-tuple X = I with j inserted at position pos (action term);
+      - K[I, X] at module index q on X (bracket term, see `_bracket_term`).
+    In degree 0 the action blocks are the plain action matrices.
+    """
+    dim, vdim = struct.dim, v.vdim
+    tuples_in = increasing_tuples(dim, n)
+    n_in, n_out = len(tuples_in), comb(dim, n + 1)
+    rows = vdim * n_out
+    columns = [{} for _ in range(vdim * n_in)]
+    if n_out:
+        out_pos = tuple_position(dim, n + 1)
+        bracket_rows = _bracket_term(struct, which, n) if n else [{}]
+        alpha_prev = struct.alpha.power(max(n - 1, 0))
+        blocks = [v.action(which, alpha_prev.col(j)).entries for j in range(dim)]
+        for k, I in enumerate(tuples_in):
+            inserted = []
+            for j in range(dim):
+                if j not in I:
+                    pos = bisect_left(I, j)
+                    inserted.append((j, out_pos[I[:pos] + (j,) + I[pos:]], pos % 2))
+            for q in range(vdim):
+                col = columns[q * n_in + k]
+                for x, value in bracket_rows[k].items():
+                    col[q * n_out + x] = value
+                for j, x, odd in inserted:
+                    block = blocks[j]
+                    for r in range(vdim):
+                        value = block[r * vdim + q]
+                        if value:
+                            key = r * n_out + x
+                            col[key] = col.get(key, ZERO) + (-value if odd else value)
+    columns = [[(r, value) for r, value in col.items() if value] for col in columns]
+
+    def apply(flat) -> tuple:
+        out = [ZERO] * rows
+        for coeff, col in zip(flat, columns):
+            if coeff:
+                for r, value in col:
+                    out[r] += coeff * value
+        return tuple(out)
+
+    return apply
+
+
+def _bracket_term(struct, which: int, n: int):
+    """Rows of the bracket-term matrix K (n >= 1), one sparse {X index: entry}
+    per n-tuple I.  K[I, X] is the coefficient of e_I in
+
+        sum_(pi<pj) (-1)^(pi+pj) [e_(x_pi), e_(x_pj)] ^ alpha e_(x_k) ^ ...,
+
+    with k running over the other positions of X in order; it equals the
+    value of the alternating extension of e_I on the bracket-term arguments.
+    """
+    dim = struct.dim
+    bracket = struct.brackets[which - 1]
+    in_pos = tuple_position(dim, n)
+    pair_pos = tuple_position(dim, 2)
+    alpha_cols = [_sparse(struct.alpha.col(j)) for j in range(dim)]
+    rest_forms = {}  # (n-1)-tuple -> alpha e_(x_1) ^ ... ^ alpha e_(x_(n-1))
+    rows = [{} for _ in range(len(in_pos))]
+    for x, X in enumerate(increasing_tuples(dim, n + 1)):
+        for pi, pj in itertools.combinations(range(n + 1), 2):
+            rest = X[:pi] + X[pi + 1 : pj] + X[pj + 1 :]
+            if rest not in rest_forms:
+                form = {(): ONE}
+                for j in reversed(rest):
+                    form = _wedge_front(alpha_cols[j], form)
+                rest_forms[rest] = form
+            first = _sparse(bracket.col(pair_pos[(X[pi], X[pj])]))
+            odd = (pi + pj) % 2
+            for I, value in _wedge_front(first, rest_forms[rest]).items():
+                row = rows[in_pos[I]]
+                row[x] = row.get(x, ZERO) + (-value if odd else value)
+    return rows
+
+
+def _sparse(vec) -> dict:
+    return {i: a for i, a in enumerate(vec) if a}
+
+
+def _wedge_front(vec: dict, form: dict) -> dict:
+    """vec ^ form for a sparse vector {i: c} and a sparse form {increasing tuple: c}."""
+    out = {}
+    for J, value in form.items():
+        for i, c in vec.items():
+            if i in J:
                 continue
-            term = v.act(which, alpha_prev.col(X[pos]), inner)
-            if pos % 2 == 0:
-                total = [a + b for a, b in zip(total, term)]
-            else:
-                total = [a - b for a, b in zip(total, term)]
-        for pi in range(n + 1):
-            for pj in range(pi + 1, n + 1):
-                first = bracket.column((X[pi], X[pj]))
-                rest = [alpha.col(X[k]) for k in range(n + 1) if k not in (pi, pj)]
-                term = f.evaluate([first] + rest)
-                if vec_is_zero(term):
-                    continue
-                if (pi + pj) % 2 == 0:
-                    total = [a + b for a, b in zip(total, term)]
-                else:
-                    total = [a - b for a, b in zip(total, term)]
-        columns.append(tuple(total))
-    assert len(columns) == out_cols
-    return Cochain(n + 1, dim, v.vdim, Matrix.from_columns(columns, v.vdim))
+            pos = bisect_left(J, i)
+            key = J[:pos] + (i,) + J[pos:]
+            term = c * value
+            out[key] = out.get(key, ZERO) + (-term if pos % 2 else term)
+    return out
 
 
 def _c0_compatible_basis(c: CompatibleHomLieAlgebra, v: Representation):
@@ -230,98 +320,83 @@ def compatible_coboundary(c: CompatibleHomLieAlgebra, v: Representation,
             for comp in f.components:
                 if not is_equivariant(comp, c.alpha, v.beta):
                     raise PreconditionError("component is not twist-equivariant")
-    if f.degree == 0:
-        out = _ce_apply(c.dim, c.alpha, c.bracket_cochain(1), v, 1, f.components[0])
-        return CompatibleCochain(1, (out,))
-    d1 = [_ce_apply(c.dim, c.alpha, c.bracket_cochain(1), v, 1, comp) for comp in f.components]
-    d2 = [_ce_apply(c.dim, c.alpha, c.bracket_cochain(2), v, 2, comp) for comp in f.components]
     n = f.degree
-    parts = [d1[0]]
-    for i in range(1, n):
-        parts.append(d1[i] + d2[i - 1])
-    parts.append(d2[n - 1])
+    for comp in f.components:
+        _check_shape(comp, c.dim, v.vdim)
+    d1 = _coboundary_map(c, v, 1, n)
+    if n == 0:
+        return CompatibleCochain(1, (Cochain.from_flat(1, c.dim, v.vdim, d1(f.flatten())),))
+    d2 = _coboundary_map(c, v, 2, n)
+    parts = [Cochain.zero(n + 1, c.dim, v.vdim)] * (n + 1)
+    for i, comp in enumerate(f.components):
+        if comp.is_zero():
+            continue
+        flat = comp.flatten()
+        parts[i] = parts[i] + Cochain.from_flat(n + 1, c.dim, v.vdim, d1(flat))
+        parts[i + 1] = parts[i + 1] + Cochain.from_flat(n + 1, c.dim, v.vdim, d2(flat))
     return CompatibleCochain(n + 1, tuple(parts))
 
 
-def _space_basis(struct, v: Representation, degree: int, flavor: str):
-    if flavor == PLAIN:
-        return hom_cochain_basis(struct.alpha, v.beta, degree)
-    if degree == 0:
-        return _c0_compatible_basis(struct, v)
-    single = hom_cochain_basis(struct.alpha, v.beta, degree)
-    basis = []
-    for slot in range(degree):
-        for f in single:
-            comps = [Cochain.zero(degree, struct.dim, v.vdim) for _ in range(degree)]
-            comps[slot] = f
-            basis.append(CompatibleCochain(degree, tuple(comps)))
-    return basis
+def _basis_and_images(struct, v: Representation, n: int, flavor: str):
+    """Flat exact basis of the degree-n cochain group and the flat coboundary
+    of each basis element.
+
+    The two-bracket basis places each single-bracket basis cochain b in one
+    slot; its image carries d1 b in the same slot and d2 b in the next.
+    """
+    if flavor == COMPATIBLE and n == 0:
+        singles = [z.vector for z in _c0_compatible_basis(struct, v)]
+    else:
+        singles = [b.flatten() for b in hom_cochain_basis(struct.alpha, v.beta, n)]
+    d1 = _coboundary_map(struct, v, 1, n)
+    if flavor == PLAIN or n == 0:
+        return singles, [d1(b) for b in singles]
+    d2 = _coboundary_map(struct, v, 2, n)
+    pairs = [d1(b) + d2(b) for b in singles]
+    zero_in = (ZERO,) * (v.vdim * comb(struct.dim, n))
+    zero_out = (ZERO,) * (v.vdim * comb(struct.dim, n + 1))
+    basis, images = [], []
+    for slot in range(n):
+        for b, pair in zip(singles, pairs):
+            basis.append(zero_in * slot + b + zero_in * (n - 1 - slot))
+            images.append(zero_out * slot + pair + zero_out * (n - 1 - slot))
+    return basis, images
 
 
-def _flatten_item(item) -> tuple:
-    if isinstance(item, ZeroCochain):
-        return item.vector
-    if isinstance(item, Cochain):
-        return item.flatten()
-    return item.flatten()
+def _combination(coords, vectors, size: int) -> tuple:
+    """sum_k coords[k] * vectors[k], as a tuple of the given length."""
+    out = [ZERO] * size
+    for x, vec in zip(coords, vectors):
+        if x:
+            for k, a in enumerate(vec):
+                if a:
+                    out[k] += x * a
+    return tuple(out)
 
 
-def _ambient_dim(dim: int, vdim: int, degree: int, flavor: str) -> int:
-    if degree == 0:
-        return vdim
-    per = vdim * comb(dim, degree)
-    return per if flavor == PLAIN else degree * per
-
-
-def _combine(basis, coords):
-    out = None
-    for x, item in zip(coords, basis):
-        if x == 0:
-            continue
-        piece = item.scale(x)
-        out = piece if out is None else out + piece
-    if out is None:
-        template = basis[0]
-        if isinstance(template, ZeroCochain):
-            return ZeroCochain(zero_vector(template.target_dim))
-        if isinstance(template, Cochain):
-            return Cochain.zero(template.arity, template.source_dim, template.target_dim)
-        return CompatibleCochain.zero(template.degree,
-                                      template.components[0].source_dim
-                                      if template.degree else len(template.components[0].vector),
-                                      _item_target(template))
-    return out
-
-
-def _item_target(item):
-    if isinstance(item, ZeroCochain):
-        return item.target_dim
-    if isinstance(item, Cochain):
-        return item.target_dim
-    comp = item.components[0]
-    return comp.target_dim if isinstance(comp, Cochain) else comp.target_dim
-
-
-def _unflatten(flat, dim: int, vdim: int, degree: int, flavor: str):
+def _from_flat(flat, dim: int, vdim: int, degree: int, flavor: str):
+    """The cochain with the given flat coordinates (the inverse of `flatten`)."""
     if degree == 0:
         return ZeroCochain(tuple(flat))
-    per = vdim * comb(dim, degree)
     if flavor == PLAIN:
         return Cochain.from_flat(degree, dim, vdim, flat)
-    comps = tuple(
+    per = vdim * comb(dim, degree)
+    return CompatibleCochain(degree, tuple(
         Cochain.from_flat(degree, dim, vdim, flat[k * per : (k + 1) * per])
         for k in range(degree)
-    )
-    return CompatibleCochain(degree, comps)
+    ))
 
 
 def cohomology_dimensions(struct, v: Representation, n: int, flavor: str = None) -> CohomologyReport:
     """Cocycle, coboundary and cohomology dimensions at degree n, with exact bases.
 
-    The coboundary matrices are assembled column by column from the defining
-    formulas on the equivariant bases; the quotient dimension asserts that
-    coboundaries really land among cocycles and raises ContractError
-    otherwise.
+    The coboundary maps of degrees n-1 and n are built once and applied to
+    the exact equivariant bases.  The cocycles are the kernel basis of the
+    degree-n matrix, the coboundary basis is the reduced row basis of the
+    degree-(n-1) images.  The cohomology representatives are the cocycles
+    whose columns are pivots in the reduced echelon form of
+    [coboundaries | cocycles]; that form also asserts that the coboundaries
+    lie among the cocycles, and raises ContractError otherwise.
     """
     if n < 0:
         raise UsageError("negative degree")
@@ -333,72 +408,36 @@ def cohomology_dimensions(struct, v: Representation, n: int, flavor: str = None)
         raise UsageError("compatible flavor needs a two-bracket algebra")
     _validate_structures(struct, v)
 
-    def apply_delta(item):
-        if flavor == PLAIN:
-            return ce_coboundary(struct, v, item, check=False)
-        if isinstance(item, ZeroCochain):
-            item = CompatibleCochain(0, (item,))
-        return compatible_coboundary(struct, v, item, check=False)
+    basis, images = _basis_and_images(struct, v, n, flavor)
+    kernel = kernel_basis(Matrix.from_columns(images, len(images[0]))) if images else []
+    cocycles = [_combination(kv, basis, len(basis[0])) for kv in kernel]
 
-    basis_n = _space_basis(struct, v, n, flavor)
-    dim_cochains = len(basis_n)
-    ambient_next = _ambient_dim(struct.dim, v.vdim, n + 1, flavor)
-    delta_cols = [_flatten_item(apply_delta(item)) for item in basis_n]
-    delta_matrix = (
-        Matrix.from_columns(delta_cols, ambient_next)
-        if delta_cols
-        else Matrix.zero(ambient_next, 0)
-    )
-    kernel = kernel_basis(delta_matrix)
-    cocycle_vectors = []
-    cocycle_items = []
-    for kv in kernel:
-        cocycle_items.append(_combine(basis_n, kv))
-        cocycle_vectors.append(_flatten_item(cocycle_items[-1]))
-
-    boundary_vectors = []
+    boundaries = []
     if n >= 1:
-        basis_prev = _space_basis(struct, v, n - 1, flavor)
-        ambient_here = _ambient_dim(struct.dim, v.vdim, n, flavor)
-        images = [_flatten_item(apply_delta(item)) for item in basis_prev]
-        if images:
-            reduced, pivots = rref(Matrix.from_rows(images))
-            boundary_vectors = [reduced.row(i) for i in range(len(pivots))]
-    coboundary_items = [
-        _unflatten(w, struct.dim, v.vdim, n, flavor) for w in boundary_vectors
-    ]
+        _, images_prev = _basis_and_images(struct, v, n - 1, flavor)
+        if images_prev:
+            reduced, pivots = rref(Matrix.from_rows(images_prev))
+            boundaries = [reduced.row(i) for i in range(len(pivots))]
 
-    dim_cocycles = len(cocycle_vectors)
-    dim_coboundaries = len(boundary_vectors)
-    if dim_cocycles:
-        dim_cohomology = quotient_dimension(cocycle_vectors, boundary_vectors)
-    else:
-        if dim_coboundaries:
-            raise ContractError("coboundaries exist but cocycles do not")
-        dim_cohomology = 0
+    columns = boundaries + cocycles
+    pivots = rref(Matrix.from_columns(columns, len(columns[0])))[1] if columns else ()
+    if len(pivots) != len(cocycles):
+        raise ContractError("coboundaries do not lie in the cocycle space")
+    representatives = [cocycles[p - len(boundaries)] for p in pivots if p >= len(boundaries)]
 
-    representatives = []
-    rep_rows = list(boundary_vectors)
-    current = span_rank(rep_rows)
-    for item, w in zip(cocycle_items, cocycle_vectors):
-        if len(representatives) == dim_cohomology:
-            break
-        r = span_rank(rep_rows + [w])
-        if r > current:
-            representatives.append(item)
-            rep_rows.append(w)
-            current = r
+    def items(vectors):
+        return tuple(_from_flat(w, struct.dim, v.vdim, n, flavor) for w in vectors)
 
     return CohomologyReport(
         degree=n,
         flavor=flavor,
-        dim_cochains=dim_cochains,
-        dim_cocycles=dim_cocycles,
-        dim_coboundaries=dim_coboundaries,
-        dim_cohomology=dim_cohomology,
-        cocycle_basis=tuple(cocycle_items),
-        coboundary_basis=tuple(coboundary_items),
-        cohomology_basis=tuple(representatives),
+        dim_cochains=len(basis),
+        dim_cocycles=len(cocycles),
+        dim_coboundaries=len(boundaries),
+        dim_cohomology=len(representatives),
+        cocycle_basis=items(cocycles),
+        coboundary_basis=items(boundaries),
+        cohomology_basis=items(representatives),
         source_dim=struct.dim,
         target_dim=v.vdim,
     )
@@ -410,9 +449,8 @@ def class_coordinates(report: CohomologyReport, item) -> tuple:
     Cohomologous inputs give identical coordinates; inputs outside the
     cocycle space are rejected.
     """
-    w = _flatten_item(item)
-    columns = [_flatten_item(b) for b in report.coboundary_basis]
-    columns += [_flatten_item(h) for h in report.cohomology_basis]
+    w = item.flatten()
+    columns = [b.flatten() for b in report.coboundary_basis + report.cohomology_basis]
     if not columns:
         if vec_is_zero(w):
             return ()

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .algebra import (
     CheckResult,
@@ -32,7 +33,6 @@ from .algebra import (
 )
 from .cochains import (
     Cochain,
-    hom_cochain_basis,
     increasing_tuples,
     is_equivariant,
     is_mc_pair,
@@ -41,6 +41,9 @@ from .cochains import (
 from .cohomology import (
     COMPATIBLE,
     CompatibleCochain,
+    _basis_and_images,
+    _combination,
+    _from_flat,
     ce_coboundary,
     class_coordinates,
     cohomology_dimensions,
@@ -353,9 +356,6 @@ class ObstructionCochain:
 
     cochain: CompatibleCochain
 
-    def is_trivial_cocycle(self) -> bool:
-        return self.cochain.is_zero()
-
 
 def obstruction(d: OrderPDeformation) -> ObstructionCochain:
     """The degree-3 cochain whose class must vanish for the deformation to
@@ -385,35 +385,13 @@ def is_extensible(d: OrderPDeformation):
     """
     ob = obstruction(d).cochain
     c = d.base
-    singles = hom_cochain_basis(c.alpha, c.alpha, 2)
-    basis = []
-    for slot in range(2):
-        for f in singles:
-            comps = [Cochain.zero(2, c.dim, c.dim), Cochain.zero(2, c.dim, c.dim)]
-            comps[slot] = f
-            basis.append(CompatibleCochain(2, tuple(comps)))
-    rep = adjoint_representation(c)
+    basis, images = _basis_and_images(c, adjoint_representation(c), 2, COMPATIBLE)
     rhs = ob.flatten()
-    if not basis:
-        if ob.is_zero():
-            pair = (Cochain.zero(2, c.dim, c.dim), Cochain.zero(2, c.dim, c.dim))
-        else:
-            return None
-    else:
-        columns = [
-            compatible_coboundary(c, rep, item, check=False).flatten() for item in basis
-        ]
-        system = Matrix.from_columns(columns, len(rhs))
-        x = solve(system, rhs)
-        if x is None:
-            return None
-        top1 = Cochain.zero(2, c.dim, c.dim)
-        top2 = Cochain.zero(2, c.dim, c.dim)
-        for coord, item in zip(x, basis):
-            if coord:
-                top1 = top1 + item.components[0].scale(coord)
-                top2 = top2 + item.components[1].scale(coord)
-        pair = (top1, top2)
+    x = solve(Matrix.from_columns(images, len(rhs)), rhs)
+    if x is None:
+        return None
+    size = 2 * c.dim * comb(c.dim, 2)
+    pair = _from_flat(_combination(x, basis, size), c.dim, c.dim, 2, COMPATIBLE).components
     extended = d.extended(*pair)
     if not verify_order_p(extended).passed:
         raise ContractError("extension coefficients fail the order-(p+1) identities")

@@ -128,10 +128,13 @@ class Matrix:
             raise UsageError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         out = []
         for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                cj = other.col(j)
-                out.append(sum((a * b for a, b in zip(ri, cj)), ZERO))
+            acc = [ZERO] * other.cols
+            for k, a in enumerate(self.row(i)):
+                if a:
+                    for j, b in enumerate(other.row(k)):
+                        if b:
+                            acc[j] += a * b
+            out.extend(acc)
         return Matrix(self.rows, other.cols, tuple(out))
 
     def apply(self, vec) -> tuple:
@@ -142,16 +145,15 @@ class Matrix:
             for i in range(self.rows)
         )
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)))
-
     def power(self, k: int) -> "Matrix":
         if self.rows != self.cols:
             raise UsageError("power of a non-square matrix")
         if k < 0:
             raise UsageError("negative matrix power")
-        result = Matrix.identity(self.rows)
-        for _ in range(k):
+        if k == 0:
+            return Matrix.identity(self.rows)
+        result = self
+        for _ in range(k - 1):
             result = result @ self
         return result
 
@@ -332,9 +334,3 @@ def determinant_of(rows) -> Fraction:
                 for k in range(c, n):
                     m[r][k] -= f * m[c][k]
     return det
-
-
-def determinant(m: Matrix) -> Fraction:
-    if not m.is_square():
-        raise UsageError("determinant of a non-square matrix")
-    return determinant_of([m.row(i) for i in range(m.rows)])

@@ -2,7 +2,8 @@
 
 The naive oracles deliberately use different algorithms from the library
 (factorial permutation enumeration instead of shuffle combinations, direct
-cyclic sums instead of coefficient tables) so that agreement is meaningful.
+cyclic sums instead of coefficient tables, one basis vector at a time
+instead of assembled matrices) so that agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -11,9 +12,17 @@ import itertools
 from fractions import Fraction
 from math import comb
 
-from homlie import Cochain, HomLieAlgebra, Matrix, hom_cochain_basis
-from homlie.cochains import increasing_tuples
-from homlie.linalg import basis_vector, vec_add, vec_scale, zero_vector
+from homlie import (
+    Cochain,
+    CompatibleCochain,
+    HomLieAlgebra,
+    Matrix,
+    ZeroCochain,
+    hom_cochain_basis,
+)
+from homlie.algebra import CheckResult
+from homlie.cochains import increasing_tuples, tuple_position
+from homlie.linalg import basis_vector, vec_add, vec_is_zero, vec_scale, vec_sub, zero_vector
 
 
 def rand_frac(rng, span=3):
@@ -99,3 +108,104 @@ def naive_nr_bracket(p: Cochain, q: Cochain, alpha: Matrix) -> Cochain:
     if (m * n) % 2:
         return first + second
     return first - second
+
+
+def naive_coboundary(dim: int, alpha: Matrix, bracket: Cochain, v, which: int, f):
+    """Single-bracket coboundary evaluated column by column from the defining
+    formula, with the bracket term through the alternating extension of f."""
+    if isinstance(f, ZeroCochain):
+        cols = [v.act(which, basis_vector(dim, i), f.vector) for i in range(dim)]
+        return Cochain(1, dim, v.vdim, Matrix.from_columns(cols, v.vdim))
+    n = f.arity
+    alpha_prev = alpha.power(n - 1)
+    columns = []
+    for X in increasing_tuples(dim, n + 1):
+        total = zero_vector(v.vdim)
+        for pos in range(n + 1):
+            inner = f.column(X[:pos] + X[pos + 1 :])
+            term = v.act(which, alpha_prev.col(X[pos]), inner)
+            total = vec_add(total, term) if pos % 2 == 0 else vec_sub(total, term)
+        for pi in range(n + 1):
+            for pj in range(pi + 1, n + 1):
+                first = bracket.column((X[pi], X[pj]))
+                rest = [alpha.col(X[k]) for k in range(n + 1) if k not in (pi, pj)]
+                term = f.evaluate([first] + rest)
+                total = vec_add(total, term) if (pi + pj) % 2 == 0 else vec_sub(total, term)
+        columns.append(total)
+    return Cochain(n + 1, dim, v.vdim, Matrix.from_columns(columns, v.vdim))
+
+
+def naive_compatible_coboundary(c, v, f: CompatibleCochain) -> CompatibleCochain:
+    """(d1 f_1, ..., d1 f_i + d2 f_(i-1), ..., d2 f_n) from the naive single coboundaries."""
+    def d(which, comp):
+        return naive_coboundary(c.dim, c.alpha, c.bracket_cochain(which), v, which, comp)
+
+    if f.degree == 0:
+        return CompatibleCochain(1, (d(1, f.components[0]),))
+    d1 = [d(1, comp) for comp in f.components]
+    d2 = [d(2, comp) for comp in f.components]
+    parts = [d1[0]] + [d1[i] + d2[i - 1] for i in range(1, f.degree)] + [d2[-1]]
+    return CompatibleCochain(f.degree + 1, tuple(parts))
+
+
+def naive_representation_checks(v):
+    """The representation identities on every basis vector of the module,
+    one action at a time, in the report order of verify_structure."""
+    base = v.base
+    dim = base.dim
+    pos = tuple_position(dim, 2)
+
+    def bracket_col(bracket, i, j):
+        return bracket.col(pos[(i, j)])
+
+    checks = []
+    labels = [""] if len(v.actions) == 1 else ["[1]", "[2]"]
+    for which0, label in enumerate(labels):
+        b = which0 + 1
+        bracket = base.brackets[which0]
+        twist_witnesses = []
+        module_witnesses = []
+        for i in range(dim):
+            for a in range(v.vdim):
+                va = basis_vector(v.vdim, a)
+                lhs = v.beta.apply(v.act(b, basis_vector(dim, i), va))
+                rhs = v.act(b, base.alpha.col(i), v.beta.apply(va))
+                defect = vec_sub(lhs, rhs)
+                if not vec_is_zero(defect):
+                    twist_witnesses.append(((i, a), defect))
+        for (i, j) in increasing_tuples(dim, 2):
+            for a in range(v.vdim):
+                va = basis_vector(v.vdim, a)
+                ei = basis_vector(dim, i)
+                ej = basis_vector(dim, j)
+                lhs = v.act(b, bracket_col(bracket, i, j), v.beta.apply(va))
+                rhs = vec_sub(
+                    v.act(b, base.alpha.col(i), v.act(b, ej, va)),
+                    v.act(b, base.alpha.col(j), v.act(b, ei, va)),
+                )
+                defect = vec_sub(lhs, rhs)
+                if not vec_is_zero(defect):
+                    module_witnesses.append(((i, j, a), defect))
+        checks.append(CheckResult(f"action_twist{label}", tuple(twist_witnesses)))
+        checks.append(CheckResult(f"action_module{label}", tuple(module_witnesses)))
+    if len(v.actions) == 2:
+        witnesses = []
+        for (i, j) in increasing_tuples(dim, 2):
+            for a in range(v.vdim):
+                va = basis_vector(v.vdim, a)
+                ei = basis_vector(dim, i)
+                ej = basis_vector(dim, j)
+                ai = base.alpha.col(i)
+                aj = base.alpha.col(j)
+                lhs = vec_add(
+                    v.act(2, bracket_col(base.bracket1, i, j), v.beta.apply(va)),
+                    v.act(1, bracket_col(base.bracket2, i, j), v.beta.apply(va)),
+                )
+                rhs = vec_sub(v.act(1, ai, v.act(2, ej, va)), v.act(2, aj, v.act(1, ei, va)))
+                rhs = vec_add(rhs, vec_sub(v.act(2, ai, v.act(1, ej, va)),
+                                           v.act(1, aj, v.act(2, ei, va))))
+                defect = vec_sub(lhs, rhs)
+                if not vec_is_zero(defect):
+                    witnesses.append(((i, j, a), defect))
+        checks.append(CheckResult("action_mixed", tuple(witnesses)))
+    return checks

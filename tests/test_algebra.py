@@ -29,7 +29,7 @@ from homlie import (
 from homlie import fixtures
 from homlie.linalg import basis_vector
 
-from helpers import rand_frac
+from helpers import naive_representation_checks, rand_frac, rand_matrix, rand_skew_bracket
 
 F = Fraction
 
@@ -120,6 +120,49 @@ def test_invalid_representation_reported():
     )
     report = verify_structure(bad)
     assert not report.check("action_module").passed
+
+
+def _all_fixture_algebras():
+    return (fixtures.ab1(), fixtures.compatible_ab1(), fixtures.g4a(), fixtures.g4a(0),
+            fixtures.g2a(), fixtures.d2(), fixtures.h3(), fixtures.compatible_h3(),
+            fixtures.twisted_h3(), fixtures.twisted_compatible_h3())
+
+
+def test_adjoint_witnesses_match_naive_oracle():
+    reps = [adjoint_representation(alg) for alg in _all_fixture_algebras()]
+    reps.append(fixtures.d2_extension_rep())
+    for rep in reps:
+        assert verify_structure(rep).checks == tuple(naive_representation_checks(rep))
+
+
+def test_broken_representation_witnesses_match_naive_oracle():
+    # Random action tables over a non-diagonal twist with a non-identity
+    # beta break every identity on many basis tuples.
+    rng = random.Random(13)
+    alpha = rand_matrix(rng, 3, 3)
+    assert any(alpha.entry(i, j) for i in range(3) for j in range(3) if i != j)
+    bases = (
+        HomLieAlgebra(3, alpha, rand_skew_bracket(rng, 3)),
+        CompatibleHomLieAlgebra(3, alpha, rand_skew_bracket(rng, 3), rand_skew_bracket(rng, 3)),
+    )
+    for base in bases:
+        beta = rand_matrix(rng, 2, 2)
+        assert beta != Matrix.identity(2)
+        tables = tuple(tuple(rand_matrix(rng, 2, 2) for _ in range(3)) for _ in base.brackets)
+        rep = Representation(base, 2, beta, tables)
+        report = verify_structure(rep)
+        assert report.checks == tuple(naive_representation_checks(rep))
+        assert all(len(check.witnesses) >= 2 for check in report.checks)
+    # A valid module broken in one entry of the first action of e2: two
+    # witnesses each in the twist, module and mixed identities.
+    c = fixtures.twisted_compatible_h3()
+    adj = adjoint_representation(c)
+    first = list(adj.actions[0])
+    first[1] = first[1] + Matrix.from_rows([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
+    broken = Representation(c, 3, adj.beta, (tuple(first), adj.actions[1]))
+    report = verify_structure(broken)
+    assert [len(check.witnesses) for check in report.checks] == [2, 2, 0, 0, 2]
+    assert report.checks == tuple(naive_representation_checks(broken))
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,8 @@ def test_witnesses_reevaluate_from_machine_report():
 def test_console_entry_point_machine_bytes():
     argv = ["verify", str(ROOT / "fixtures/g4a.json"), "--format", "machine"]
     result = subprocess.run(
-        [sys.executable, "-m", "homlie.cli", *argv], capture_output=True, text=True
+        [sys.executable, "-m", "homlie.cli", *argv], capture_output=True, text=True,
+        cwd=ROOT / "src",  # `-m` imports the package from the working directory
     )
     assert result.returncode == 1
     expected = (GOLDEN / "verify_g4a.json").read_text(encoding="utf-8")
@@ -170,7 +171,8 @@ def test_console_entry_point_machine_bytes():
 def test_human_format_mentions_checks():
     argv = ["verify", str(ROOT / "fixtures/g4a.json")]
     result = subprocess.run(
-        [sys.executable, "-m", "homlie.cli", *argv], capture_output=True, text=True
+        [sys.executable, "-m", "homlie.cli", *argv], capture_output=True, text=True,
+        cwd=ROOT / "src",  # `-m` imports the package from the working directory
     )
     assert result.returncode == 1
     assert "multiplicativity" in result.stdout

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -7,7 +8,10 @@ from homlie import (
     Cochain,
     CompatibleCochain,
     CompatibleHomLieAlgebra,
+    HomLieAlgebra,
+    LinearOperator,
     Matrix,
+    NIJENHUIS,
     PreconditionError,
     Representation,
     ZeroCochain,
@@ -19,6 +23,7 @@ from homlie import (
     compatible_coboundary,
     derivation_space,
     hom_cochain_basis,
+    induced_bracket,
     is_equivariant,
     lift_to_product,
     nr_bracket,
@@ -28,10 +33,21 @@ from homlie import (
     verify_structure,
 )
 from homlie import fixtures
-from homlie.cohomology import COMPATIBLE, PLAIN, _c0_compatible_basis
-from homlie.linalg import basis_vector, kernel_basis, vec_is_zero
+from homlie.cohomology import (
+    COMPATIBLE,
+    PLAIN,
+    _basis_and_images,
+    _c0_compatible_basis,
+    _from_flat,
+)
+from homlie.linalg import basis_vector, kernel_basis, span_rank, vec_is_zero
 
-from helpers import rand_equivariant_cochain, rand_frac
+from helpers import (
+    naive_compatible_coboundary,
+    naive_coboundary,
+    rand_equivariant_cochain,
+    rand_frac,
+)
 
 F = Fraction
 
@@ -201,6 +217,147 @@ def test_lift_intertwines_coboundary_and_bracket():
             sign = 1 if (n - 1) % 2 == 0 else -1
             rhs = nr_bracket(pi1, lifted, semi.alpha).scale(sign)
             assert lhs.flatten() == rhs.flatten()
+
+
+# ---------------------------------------------------------------------------
+# coboundary maps against the column-by-column oracle
+# ---------------------------------------------------------------------------
+
+def h5_nijenhuis_pair():
+    """h5 ([x_i, y_i] = +-z, identity twist) paired with the bracket induced
+    by the Nijenhuis operator diag(1, 1, 2, 3, 1)."""
+    h5 = HomLieAlgebra.from_brackets(
+        5, Matrix.identity(5), {(0, 2): [0, 0, 0, 0, 1], (1, 3): [0, 0, 0, 0, -1]}
+    )
+    op = LinearOperator(Matrix.diagonal([1, 1, 2, 3, 1]), NIJENHUIS)
+    return CompatibleHomLieAlgebra(5, h5.alpha, h5.bracket, induced_bracket(h5, op).bracket)
+
+
+def random_compatible_cochain(rng, c, rep, n):
+    """Random element of the degree-n two-bracket group; for n >= 2 one
+    seeded component is zero."""
+    if n == 0:
+        vector = tuple(F(0) for _ in range(rep.vdim))
+        for z in _c0_compatible_basis(c, rep):
+            vector = tuple(a + rand_frac(rng) * b for a, b in zip(vector, z.vector))
+        return CompatibleCochain(0, (ZeroCochain(vector),))
+    comps = [rand_equivariant_cochain(rng, c.alpha, rep.beta, n) or Cochain.zero(n, c.dim, rep.vdim)
+             for _ in range(n)]
+    if n >= 2:
+        comps[rng.randrange(n)] = Cochain.zero(n, c.dim, rep.vdim)
+    return CompatibleCochain(n, tuple(comps))
+
+
+def test_ce_coboundary_matches_naive_oracle():
+    rng = random.Random(21)
+    tc = fixtures.twisted_compatible_h3()
+    tc_rep = adjoint_representation(tc).part(2)
+    cases = [
+        (fixtures.h3(), adjoint_representation(fixtures.h3())),
+        (fixtures.twisted_h3(), adjoint_representation(fixtures.twisted_h3())),
+        (fixtures.d2().part(1), adjoint_representation(fixtures.d2()).part(1)),
+        (tc.part(2), tc_rep),
+    ]
+    for alg, rep in cases:
+        for n in range(alg.dim + 1):
+            for _ in range(3):
+                f = rand_equivariant_cochain(rng, alg.alpha, rep.beta, n)
+                if f is None:
+                    continue
+                want = naive_coboundary(alg.dim, alg.alpha, alg.bracket_cochain(), rep, 1, f)
+                assert ce_coboundary(alg, rep, f).flatten() == want.flatten()
+
+
+def test_compatible_coboundary_matches_naive_oracle():
+    rng = random.Random(22)
+    cases = [
+        (fixtures.d2(), None),
+        (fixtures.d2(), fixtures.d2_extension_rep()),
+        (fixtures.compatible_h3(), None),
+        (fixtures.twisted_compatible_h3(), None),
+    ]
+    for c, rep in cases:
+        rep = rep or adjoint_representation(c)
+        for n in range(c.dim + 1):
+            for _ in range(3):
+                f = random_compatible_cochain(rng, c, rep, n)
+                got = compatible_coboundary(c, rep, f)
+                assert got.flatten() == naive_compatible_coboundary(c, rep, f).flatten()
+
+
+def test_assembled_images_match_naive_oracle():
+    c = fixtures.twisted_compatible_h3()
+    rep = adjoint_representation(c)
+    for n in range(4):
+        basis, images = _basis_and_images(c, rep, n, COMPATIBLE)
+        for b, image in zip(basis, images):
+            item = _from_flat(b, c.dim, rep.vdim, n, COMPATIBLE)
+            if n == 0:
+                item = CompatibleCochain(0, (item,))
+            assert image == naive_compatible_coboundary(c, rep, item).flatten()
+
+
+def ambient_matrix(c, rep, n):
+    """The two-bracket coboundary on all flat degree-n coordinates, from unit cochains."""
+    size = max(n, 1) * rep.vdim * comb(c.dim, n)
+    columns = []
+    for k in range(size):
+        unit = _from_flat(basis_vector(size, k), c.dim, rep.vdim, n, COMPATIBLE)
+        if n == 0:
+            unit = CompatibleCochain(0, (unit,))
+        columns.append(compatible_coboundary(c, rep, unit, check=False).flatten())
+    return Matrix.from_columns(columns, len(columns[0]))
+
+
+def test_delta_squared_on_assembled_matrices_h5_pair():
+    c = h5_nijenhuis_pair()
+    assert verify_structure(c).passed
+    rep = adjoint_representation(c)
+    for n in range(4):
+        _, images = _basis_and_images(c, rep, n, COMPATIBLE)
+        assert images
+        delta = Matrix.from_columns(images, len(images[0]))
+        assert n == 0 or not delta.is_zero()  # degree 0 is the centre
+        assert (ambient_matrix(c, rep, n + 1) @ delta).is_zero()
+
+
+def greedy_representatives(report):
+    """The cocycles that raise the rank of the coboundaries, taken in order."""
+    rows = [b.flatten() for b in report.coboundary_basis]
+    current = span_rank(rows)
+    chosen = []
+    for z in report.cocycle_basis:
+        if len(chosen) == report.dim_cohomology:
+            break
+        r = span_rank(rows + [z.flatten()])
+        if r > current:
+            chosen.append(z)
+            rows.append(z.flatten())
+            current = r
+    return tuple(chosen)
+
+
+def test_pivot_representatives_match_greedy_choice():
+    h5_pair = h5_nijenhuis_pair()
+    trivial = Representation(h5_pair, 1, Matrix.identity(1),
+                             tuple((Matrix.zero(1, 1),) * 5 for _ in range(2)))
+    cases = [
+        (fixtures.h3(), None, PLAIN, 4),
+        (fixtures.twisted_h3(), None, PLAIN, 4),
+        (fixtures.d2(), None, COMPATIBLE, 3),
+        (fixtures.compatible_h3(), None, COMPATIBLE, 4),
+        (fixtures.twisted_compatible_h3(), None, COMPATIBLE, 4),
+        (fixtures.d2(), fixtures.d2_extension_rep(), COMPATIBLE, 3),
+        (h5_pair, trivial, COMPATIBLE, 3),
+    ]
+    seen_classes = 0
+    for alg, rep, flavor, top in cases:
+        rep = rep or adjoint_representation(alg)
+        for n in range(top):
+            report = cohomology_dimensions(alg, rep, n, flavor)
+            assert report.cohomology_basis == greedy_representatives(report)
+            seen_classes += report.dim_cohomology
+    assert seen_classes > 0
 
 
 # ---------------------------------------------------------------------------

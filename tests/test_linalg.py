@@ -126,3 +126,25 @@ def test_matrix_shapes_guarded():
         Matrix.from_rows([[1, 2], [3]])
     with pytest.raises(UsageError):
         Matrix.identity(2) @ Matrix.identity(3)
+
+
+def test_matrix_power():
+    rng = random.Random(11)
+    a = rand_matrix(rng, 3, 3)
+    assert a.power(0) == Matrix.identity(3)
+    assert a.power(1) == a
+    assert a.power(3) == a @ a @ a
+    with pytest.raises(UsageError):
+        a.power(-1)
+    with pytest.raises(UsageError):
+        rand_matrix(rng, 2, 3).power(2)
+
+
+def test_matmul_matches_row_column_sums():
+    rng = random.Random(12)
+    for _ in range(20):
+        n, k, m = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        a, b = rand_matrix(rng, n, k), rand_matrix(rng, k, m)
+        expected = [[sum((a.entry(i, t) * b.entry(t, j) for t in range(k)), F(0))
+                     for j in range(m)] for i in range(n)]
+        assert a @ b == Matrix.from_rows(expected)
