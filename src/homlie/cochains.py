@@ -20,11 +20,23 @@ equivariant cochains carries a graded Lie bracket
 
 whose Maurer-Cartan elements in arity 2 are exactly the twisted Lie
 brackets on the space.
+
+On coefficient matrices the insertion product is one exact product,
+
+    coeffs(P <> Q) = coeffs(P) . K,    K = insertion_matrix(Q, alpha, arity(P)),
+
+where column X of the C(d, m+1) x C(d, m+n+1) matrix K is the sum over the
+shuffles s of sign(s) Q(e_(x_s(1)), ..., e_(x_s(n+1))) ^ alpha^n e_(x_s(n+2))
+^ ... ^ alpha^n e_(x_s(m+n+1)), expanded in the (m+1)-tuple basis.  The
+coefficient of e_I in that wedge is the minor by which the alternating
+extension of P weighs its column I.  The bracket term of the coboundary
+in `cohomology` is -K for Q the bracket cochain.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -33,6 +45,7 @@ from math import comb
 from .errors import PreconditionError, UsageError
 from .linalg import (
     Matrix,
+    ONE,
     ZERO,
     determinant_of,
     kernel_basis,
@@ -241,35 +254,73 @@ def _shuffle_sign(positions) -> int:
     return -1 if sum(p - k for k, p in enumerate(positions)) % 2 else 1
 
 
+def _sparse(vec) -> dict:
+    return {i: a for i, a in enumerate(vec) if a}
+
+
+def _wedge_front(vec: dict, form: dict) -> dict:
+    """vec ^ form for a sparse vector {i: c} and a sparse form {increasing tuple: c}."""
+    out = {}
+    for J, value in form.items():
+        for i, c in vec.items():
+            if i in J:
+                continue
+            pos = bisect_left(J, i)
+            key = J[:pos] + (i,) + J[pos:]
+            term = -c * value if pos % 2 else c * value
+            out[key] = out[key] + term if key in out else term
+    return out
+
+
+def insertion_matrix(q: Cochain, alpha: Matrix, arity: int) -> Matrix:
+    """The C(d, arity) x C(d, arity + deg Q) matrix K with P <> Q = P . K
+    on coefficient matrices, for every arity-`arity` cochain P.
+
+    Column X of K is sum_S sign(S) Q(e_(X_S)) ^ alpha^n e_(x_k) ^ ... over
+    the shuffles S of X, with k running over the other positions of X in
+    order and n = deg Q, expanded in the arity-tuple basis.  The
+    coefficient of e_I in that wedge is the minor by which the alternating
+    extension of P weighs its column I.
+    """
+    d = q.source_dim
+    out_arity = arity + q.arity - 1
+    rows, cols = comb(d, arity), comb(d, out_arity)
+    alpha_n = alpha.power(q.arity - 1)
+    alpha_cols = [_sparse(alpha_n.col(j)) for j in range(d)]
+    q_cols = [_sparse(q.coeffs.col(k)) for k in range(q.coeffs.cols)]
+    q_pos = tuple_position(d, q.arity)
+    in_pos = tuple_position(d, arity)
+    rest_forms = {}  # rest of X -> alpha^n e_(x_k) ^ ...
+    entries = {}  # flat index -> entry
+    for x, X in enumerate(increasing_tuples(d, out_arity)):
+        for S in itertools.combinations(range(out_arity), q.arity):
+            rest = tuple(X[t] for t in range(out_arity) if t not in S)
+            form = rest_forms.get(rest)
+            if form is None:
+                form = {(): ONE}
+                for j in reversed(rest):
+                    form = _wedge_front(alpha_cols[j], form)
+                rest_forms[rest] = form
+            negative = _shuffle_sign(S) < 0
+            first = q_cols[q_pos[tuple(X[s] for s in S)]]
+            for I, value in _wedge_front(first, form).items():
+                if negative:
+                    value = -value
+                k = in_pos[I] * cols + x
+                entries[k] = entries[k] + value if k in entries else value
+    return Matrix(rows, cols, tuple(entries.get(k, ZERO) for k in range(rows * cols)))
+
+
 def nr_diamond(p: Cochain, q: Cochain, alpha: Matrix) -> Cochain:
-    """The insertion product P <> Q over all (arity(Q), deg P)-shuffles."""
+    """The insertion product P <> Q over all (arity(Q), deg P)-shuffles, as
+    the one exact product P . insertion_matrix(Q, alpha, arity(P))."""
     d = p.source_dim
     if p.target_dim != d or q.source_dim != d or q.target_dim != d:
         raise UsageError("insertion product needs endomorphism cochains on one space")
     if alpha.rows != d or alpha.cols != d:
         raise UsageError("twist dimension mismatch")
-    m = p.arity - 1
-    n = q.arity - 1
-    out_arity = m + n + 1
-    result_cols = comb(d, out_arity)
-    if result_cols == 0:
-        return Cochain.zero(out_arity, d, d)
-    alpha_n = alpha.power(n)
-    alpha_cols = [alpha_n.col(j) for j in range(d)]
-    columns = []
-    for X in increasing_tuples(d, out_arity):
-        total = list(zero_vector(d))
-        for S in itertools.combinations(range(out_arity), q.arity):
-            sign = _shuffle_sign(S)
-            inner = q.column(tuple(X[s] for s in S))
-            rest = [alpha_cols[X[t]] for t in range(out_arity) if t not in S]
-            val = p.evaluate([inner] + rest)
-            if sign == 1:
-                total = [a + b for a, b in zip(total, val)]
-            else:
-                total = [a - b for a, b in zip(total, val)]
-        columns.append(tuple(total))
-    return Cochain(out_arity, d, d, Matrix.from_columns(columns, d))
+    out_arity = p.arity + q.arity - 1
+    return Cochain(out_arity, d, d, p.coeffs @ insertion_matrix(q, alpha, p.arity))
 
 
 def nr_bracket(p: Cochain, q: Cochain, alpha: Matrix) -> Cochain:

@@ -24,13 +24,13 @@ coefficient matrix, a degree-0 cochain is its vector, and a two-bracket
 cochain lays its n components end to end.  Each public call builds the
 single-bracket coboundary C^n -> C^(n+1) once per bracket and degree, as a
 sparse exact map on these coordinates.  Its action term is made of the
-blocks +-rho(alpha^(n-1) e_j).  Its bracket term is F -> F . K, where the
-C(d,n) x C(d,n+1) matrix K pairs the bracket columns with the minors of
-alpha: column X of K expands the alternating sum of the wedges
-[e_i, e_j] ^ alpha e_k ^ ... over the pairs (i, j) of the (n+1)-tuple X in
-the n-tuple basis.  The two-bracket differential puts d1 b and d2 b into
-neighbouring blocks for every single-bracket basis cochain b, so its matrix
-is block-bidiagonal.
+blocks +-rho(alpha^(n-1) e_j).  Its bracket term is F -> -F . K, where
+K = insertion_matrix(bracket, alpha, n) is the C(d,n) x C(d,n+1) matrix of
+the insertion product F -> F <> [ , ] (see `cochains`): column X of K
+expands the signed sum of the wedges [e_i, e_j] ^ alpha e_k ^ ... over the
+pairs (i, j) of the (n+1)-tuple X in the n-tuple basis.  The two-bracket
+differential puts d1 b and d2 b into neighbouring blocks for every
+single-bracket basis cochain b, so its matrix is block-bidiagonal.
 
 Dimension reports apply these maps to exact equivariant bases, take kernels
 and images by exact elimination, and choose the cohomology representatives
@@ -40,7 +40,6 @@ as the cocycle pivot columns of one reduced echelon form of
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,13 +56,13 @@ from .cochains import (
     ZeroCochain,
     hom_cochain_basis,
     increasing_tuples,
+    insertion_matrix,
     is_equivariant,
     tuple_position,
 )
 from .errors import ContractError, PreconditionError, UsageError
 from .linalg import (
     Matrix,
-    ONE,
     ZERO,
     kernel_basis,
     quotient_dimension,
@@ -194,7 +193,9 @@ def _coboundary_map(struct, v: Representation, which: int, n: int):
     index q on the n-tuple I maps to
       - (-1)^pos rho(alpha^(n-1) e_j)[r, q] at module index r on the
         (n+1)-tuple X = I with j inserted at position pos (action term);
-      - K[I, X] at module index q on X (bracket term, see `_bracket_term`).
+      - -K[I, X] at module index q on X (bracket term), where K is the
+        insertion matrix of the bracket cochain: F -> -F . K is
+        -(F <> [ , ]).
     In degree 0 the action blocks are the plain action matrices.
     """
     dim, vdim = struct.dim, v.vdim
@@ -204,7 +205,12 @@ def _coboundary_map(struct, v: Representation, which: int, n: int):
     columns = [{} for _ in range(vdim * n_in)]
     if n_out:
         out_pos = tuple_position(dim, n + 1)
-        bracket_rows = _bracket_term(struct, which, n) if n else [{}]
+        bracket_rows = [{}]
+        if n:
+            bracket = Cochain(2, dim, dim, struct.brackets[which - 1])
+            k_term = insertion_matrix(bracket, struct.alpha, n)
+            bracket_rows = [{x: -a for x, a in enumerate(k_term.row(k)) if a}
+                            for k in range(n_in)]
         alpha_prev = struct.alpha.power(max(n - 1, 0))
         blocks = [v.action(which, alpha_prev.col(j)).entries for j in range(dim)]
         for k, I in enumerate(tuples_in):
@@ -235,56 +241,6 @@ def _coboundary_map(struct, v: Representation, which: int, n: int):
         return tuple(out)
 
     return apply
-
-
-def _bracket_term(struct, which: int, n: int):
-    """Rows of the bracket-term matrix K (n >= 1), one sparse {X index: entry}
-    per n-tuple I.  K[I, X] is the coefficient of e_I in
-
-        sum_(pi<pj) (-1)^(pi+pj) [e_(x_pi), e_(x_pj)] ^ alpha e_(x_k) ^ ...,
-
-    with k running over the other positions of X in order; it equals the
-    value of the alternating extension of e_I on the bracket-term arguments.
-    """
-    dim = struct.dim
-    bracket = struct.brackets[which - 1]
-    in_pos = tuple_position(dim, n)
-    pair_pos = tuple_position(dim, 2)
-    alpha_cols = [_sparse(struct.alpha.col(j)) for j in range(dim)]
-    rest_forms = {}  # (n-1)-tuple -> alpha e_(x_1) ^ ... ^ alpha e_(x_(n-1))
-    rows = [{} for _ in range(len(in_pos))]
-    for x, X in enumerate(increasing_tuples(dim, n + 1)):
-        for pi, pj in itertools.combinations(range(n + 1), 2):
-            rest = X[:pi] + X[pi + 1 : pj] + X[pj + 1 :]
-            if rest not in rest_forms:
-                form = {(): ONE}
-                for j in reversed(rest):
-                    form = _wedge_front(alpha_cols[j], form)
-                rest_forms[rest] = form
-            first = _sparse(bracket.col(pair_pos[(X[pi], X[pj])]))
-            odd = (pi + pj) % 2
-            for I, value in _wedge_front(first, rest_forms[rest]).items():
-                row = rows[in_pos[I]]
-                row[x] = row.get(x, ZERO) + (-value if odd else value)
-    return rows
-
-
-def _sparse(vec) -> dict:
-    return {i: a for i, a in enumerate(vec) if a}
-
-
-def _wedge_front(vec: dict, form: dict) -> dict:
-    """vec ^ form for a sparse vector {i: c} and a sparse form {increasing tuple: c}."""
-    out = {}
-    for J, value in form.items():
-        for i, c in vec.items():
-            if i in J:
-                continue
-            pos = bisect_left(J, i)
-            key = J[:pos] + (i,) + J[pos:]
-            term = c * value
-            out[key] = out.get(key, ZERO) + (-term if pos % 2 else term)
-    return out
 
 
 def _c0_compatible_basis(c: CompatibleHomLieAlgebra, v: Representation):

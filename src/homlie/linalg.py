@@ -1,15 +1,20 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-Everything here is deterministic: entries are `fractions.Fraction`, pivots
-are always the first nonzero entry in column order, and all values are
-immutable after construction.  Ranks, kernels and solutions are therefore
-reproducible bit for bit, which the cohomology computations rely on.
+Matrices are immutable, with `fractions.Fraction` entries.  Elimination is
+fraction-free: `rref` works on sparse integer rows (denominators cleared,
+content gcd divided out after every update) and `determinant_of` uses
+Bareiss's integer-preserving elimination; Fractions appear again only in
+the results.  The reduced row echelon form is unique, so `rref`,
+`kernel_basis`, `solve` and `span_basis` return the same output bit for
+bit whichever rows supply the pivots, which the cohomology computations
+rely on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import ContractError, UsageError
 
@@ -126,14 +131,14 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise UsageError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        nonzero = [[(j, b) for j, b in enumerate(other.row(k)) if b] for k in range(other.rows)]
         out = []
         for i in range(self.rows):
             acc = [ZERO] * other.cols
-            for k, a in enumerate(self.row(i)):
+            for a, row in zip(self.row(i), nonzero):
                 if a:
-                    for j, b in enumerate(other.row(k)):
-                        if b:
-                            acc[j] += a * b
+                    for j, b in row:
+                        acc[j] += a * b
             out.extend(acc)
         return Matrix(self.rows, other.cols, tuple(out))
 
@@ -203,37 +208,82 @@ def hstack(matrices) -> Matrix:
     return Matrix(rows, sum(m.cols for m in matrices), tuple(out))
 
 
+def _integer_row(values) -> dict:
+    """The nonzero entries of a rational row as a sparse primitive integer row
+    {col: int}: denominators cleared by their lcm, content gcd divided out.
+    Only the row's direction is kept, which is all elimination needs."""
+    row = {j: a for j, a in enumerate(values) if a}
+    if not row:
+        return row
+    den = lcm(*(a.denominator for a in row.values()))
+    row = {j: a.numerator * (den // a.denominator) for j, a in row.items()}
+    return _primitive(row)
+
+
+def _primitive(row: dict) -> dict:
+    g = gcd(*row.values())
+    if g == 1:
+        return row
+    return {j: a // g for j, a in row.items()}
+
+
+def _eliminate(row: dict, pivot_row: dict, c: int) -> dict:
+    """The primitive integer row proportional to row - (row[c] / pivot_row[c]) pivot_row,
+    whose entry in column c is zero."""
+    a, p = row[c], pivot_row[c]
+    g = gcd(a, p)
+    a, p = a // g, p // g
+    out = {j: p * x for j, x in row.items()}
+    for j, x in pivot_row.items():
+        value = out.get(j, 0) - a * x
+        if value:
+            out[j] = value
+        else:
+            out.pop(j, None)
+    return _primitive(out) if out else out
+
+
 def rref(m: Matrix):
     """Reduced row echelon form and pivot columns.
 
-    The pivot in each step is the first nonzero entry scanning rows top to
-    bottom within the leftmost eligible column, so the result is the unique
-    RREF and the pivot list is deterministic.
+    The elimination is fraction-free on sparse integer rows: each row is a
+    {col: int} dict with its denominators cleared and its content gcd divided
+    out after every update.  Columns are taken left to right; the pivot of a
+    column is the remaining row with the fewest nonzeros that has an entry
+    there, the lowest row index on ties.  Forward elimination is followed by
+    back-substitution, and each stored entry becomes one Fraction over its
+    row's pivot at the end.  The RREF is unique, so the result does not
+    depend on the pivot rows chosen.
     """
-    work = [list(m.row(i)) for i in range(m.rows)]
-    pivots = []
-    r = 0
-    for c in range(m.cols):
-        if r == m.rows:
+    cols = m.cols
+    remaining = [_integer_row(m.entries[i * cols : (i + 1) * cols]) for i in range(m.rows)]
+    remaining = [row for row in remaining if row]
+    echelon = []  # (pivot column, row), in column order
+    for c in range(cols):
+        if not remaining:
             break
-        pivot_row = None
-        for k in range(r, m.rows):
-            if work[k][c] != 0:
-                pivot_row = k
-                break
-        if pivot_row is None:
+        best = None
+        for k, row in enumerate(remaining):
+            if c in row and (best is None or len(row) < len(remaining[best])):
+                best = k
+        if best is None:
             continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = ONE / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for k in range(m.rows):
-            if k != r and work[k][c] != 0:
-                f = work[k][c]
-                work[k] = [a - f * b for a, b in zip(work[k], work[r])]
-        pivots.append(c)
-        r += 1
-    flat = tuple(x for row in work for x in row)
-    return Matrix(m.rows, m.cols, flat), tuple(pivots)
+        pivot_row = remaining.pop(best)
+        remaining = [_eliminate(row, pivot_row, c) if c in row else row for row in remaining]
+        remaining = [row for row in remaining if row]
+        echelon.append((c, pivot_row))
+    for k in range(len(echelon) - 1, 0, -1):
+        c, pivot_row = echelon[k]
+        for i in range(k):
+            ci, row = echelon[i]
+            if c in row:
+                echelon[i] = (ci, _eliminate(row, pivot_row, c))
+    entries = [ZERO] * (m.rows * cols)
+    for r, (c, row) in enumerate(echelon):
+        p = row[c]
+        for j, value in row.items():
+            entries[r * cols + j] = Fraction(value, p)
+    return Matrix(m.rows, cols, tuple(entries)), tuple(c for c, _ in echelon)
 
 
 def rank(m: Matrix) -> int:
@@ -309,28 +359,37 @@ def quotient_dimension(span_big, span_small) -> int:
 
 
 def determinant_of(rows) -> Fraction:
-    """Determinant of a small square matrix given as nested lists of Fractions."""
+    """Determinant of a small square matrix given as nested lists of Fractions.
+
+    Each row is cleared to integers by the lcm of its denominators, and the
+    integer determinant is taken by Bareiss's fraction-free elimination,
+    whose divisions by the previous pivot are exact.
+    """
     n = len(rows)
     if n == 0:
         return ONE
-    m = [list(r) for r in rows]
-    det = ONE
-    for c in range(n):
-        pivot = None
-        for r in range(c, n):
-            if m[r][c] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return ZERO
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = ONE / m[c][c]
+    work = []
+    scale = 1
+    for row in rows:
+        row = [frac(a) for a in row]
+        den = lcm(*(a.denominator for a in row))
+        work.append([a.numerator * (den // a.denominator) for a in row])
+        scale *= den
+    sign = 1
+    previous = 1
+    for c in range(n - 1):
+        if not work[c][c]:
+            swap = next((r for r in range(c + 1, n) if work[r][c]), None)
+            if swap is None:
+                return ZERO
+            work[c], work[swap] = work[swap], work[c]
+            sign = -sign
+        pivot = work[c][c]
+        top = work[c]
         for r in range(c + 1, n):
-            if m[r][c] != 0:
-                f = m[r][c] * inv
-                for k in range(c, n):
-                    m[r][k] -= f * m[c][k]
-    return det
+            row = work[r]
+            lead = row[c]
+            for k in range(c + 1, n):
+                row[k] = (row[k] * pivot - lead * top[k]) // previous
+        previous = pivot
+    return Fraction(sign * work[n - 1][n - 1], scale)

@@ -55,6 +55,30 @@ def rand_equivariant_cochain(rng, alpha, beta, arity):
     return out
 
 
+def naive_rref(m: Matrix):
+    """Dense Fraction Gauss-Jordan elimination: the pivot of each column is
+    the first nonzero entry scanning the remaining rows top to bottom."""
+    work = [list(m.row(i)) for i in range(m.rows)]
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        if r == m.rows:
+            break
+        pivot_row = next((k for k in range(r, m.rows) if work[k][c] != 0), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        inv = 1 / work[r][c]
+        work[r] = [x * inv for x in work[r]]
+        for k in range(m.rows):
+            if k != r and work[k][c] != 0:
+                f = work[k][c]
+                work[k] = [a - f * b for a, b in zip(work[k], work[r])]
+        pivots.append(c)
+        r += 1
+    return Matrix(m.rows, m.cols, tuple(x for row in work for x in row)), tuple(pivots)
+
+
 def naive_jacobiator_defects(alg: HomLieAlgebra):
     """Cyclic Jacobi defects on all basis triples, by direct evaluation."""
     out = []

@@ -25,6 +25,7 @@ from homlie.linalg import basis_vector, vec_is_zero
 from helpers import (
     naive_jacobiator_defects,
     naive_nr_bracket,
+    naive_nr_diamond,
     rand_equivariant_cochain,
     rand_matrix,
     rand_skew_bracket,
@@ -234,6 +235,24 @@ def test_bracket_against_permutation_oracle():
         fast = nr_bracket(p, q, alpha)
         slow = naive_nr_bracket(p, q, alpha)
         assert fast.flatten() == slow.flatten()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_diamond_against_permutation_oracle_in_every_arity(d):
+    # The insertion matrix against factorial brute force, for every arity
+    # pair up to d, on random (not equivariant) cochains and a twist with
+    # nonzero off-diagonal rational entries.
+    rng = random.Random(100 + d)
+    alpha = rand_matrix(rng, d, d)
+    while all(alpha.entry(i, j) == 0 for i in range(d) for j in range(d) if i != j):
+        alpha = rand_matrix(rng, d, d)
+    for ap in range(1, d + 1):
+        for aq in range(1, d + 1):
+            p = Cochain(ap, d, d, rand_matrix(rng, d, comb(d, ap)))
+            q = Cochain(aq, d, d, rand_matrix(rng, d, comb(d, aq)))
+            fast = nr_diamond(p, q, alpha)
+            assert fast.arity == ap + aq - 1
+            assert fast.flatten() == naive_nr_diamond(p, q, alpha).flatten()
 
 
 def test_graded_antisymmetry_on_random_equivariant_pairs():

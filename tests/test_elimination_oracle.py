@@ -1,0 +1,161 @@
+"""Property tests of the exact elimination kernel against test-only oracles.
+
+`rref` must equal the dense Fraction Gauss-Jordan elimination of
+`helpers.naive_rref` as an exact (matrix, pivots) pair, and its rank must
+equal the rank sympy computes over QQ.  The generated matrices cover
+empty shapes, zero and repeated rows, tall and wide shapes, large
+denominators and entries of more than 4300 digits.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st
+
+from homlie import Matrix, kernel_basis, rref, solve
+from homlie.linalg import rank, span_basis, vec_is_zero
+
+from helpers import naive_rref
+
+ZERO = Fraction(0)
+HUGE = 10 ** 4400  # 4401 digits, above the default int/str conversion limit
+
+# Hypothesis prints the drawn arguments, and a Fraction of more than 4300
+# digits has no repr under the default limit, so the strategies draw small
+# recipes and `build` turns them into matrices.
+small = st.tuples(st.just("q"), st.integers(-5, 5), st.integers(1, 6))
+large_denominator = st.tuples(st.just("q"), st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 40))
+huge = st.tuples(st.sampled_from(["huge numerator", "huge denominator"]),
+                 st.sampled_from([-2, -1, 1, 3]), st.integers(-9, 9), st.integers(1, 9))
+entries = st.one_of(st.just(("0",)), st.just(("0",)), small, small, large_denominator, huge)
+
+shapes = st.one_of(
+    st.tuples(st.integers(0, 5), st.integers(0, 5)),  # includes 0 x n and n x 0
+    st.tuples(st.integers(6, 10), st.integers(1, 3)),  # tall
+    st.tuples(st.integers(1, 3), st.integers(6, 10)),  # wide
+)
+
+
+def entry(code) -> Fraction:
+    kind = code[0]
+    if kind == "0":
+        return ZERO
+    if kind == "q":
+        return Fraction(code[1], code[2])
+    k, j, d = code[1:]
+    if kind == "huge numerator":
+        return Fraction(k * HUGE + j, d)
+    return Fraction(j, abs(k) * HUGE + d)
+
+
+@st.composite
+def recipes(draw):
+    """(cols, rows): each row is a list of entry codes, "zero", or
+    ("repeat", i, factor) for factor times an earlier drawn row."""
+    count, cols = draw(shapes)
+    rows = [draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(count)]
+    for repeat, where, factor in draw(st.lists(
+            st.tuples(st.booleans(), st.integers(0, 20), st.sampled_from([1, -1, 2, "1/3"])),
+            max_size=3)):
+        at = where % (len(rows) + 1)
+        if repeat and count:
+            rows.insert(at, ("repeat", where % count, factor))
+        else:
+            rows.insert(at, "zero")
+    return cols, rows
+
+
+def build(recipe) -> Matrix:
+    cols, rows = recipe
+    drawn = [[entry(code) for code in row] for row in rows if isinstance(row, list)]
+    fresh = iter(drawn)
+    out = []
+    for row in rows:
+        if row == "zero":
+            out.append([ZERO] * cols)
+        elif isinstance(row, tuple):
+            factor = Fraction(row[2])
+            out.append([factor * x for x in drawn[row[1]]])
+        else:
+            out.append(next(fresh))
+    return Matrix(len(out), cols, tuple(x for row in out for x in row))
+
+
+def vector(codes) -> tuple:
+    return tuple(entry(code) for code in codes)
+
+
+EXAMPLES = (
+    (3, []),  # 0 x 3
+    (0, [[], [], []]),  # 3 x 0
+    (2, [[("huge numerator", 1, 1, 7), ("huge denominator", 1, 1, 1)],
+         ("repeat", 0, 2)]),
+)
+
+
+def with_examples(test):
+    for recipe in EXAMPLES:
+        test = example(recipe)(test)
+    return test
+
+
+@settings(max_examples=100, deadline=None)
+@with_examples
+@given(recipes())
+def test_rref_equals_dense_oracle(recipe):
+    m = build(recipe)
+    assert rref(m) == naive_rref(m)
+
+
+@settings(max_examples=100, deadline=None)
+@with_examples
+@given(recipes())
+def test_kernel_basis_is_annihilated(recipe):
+    m = build(recipe)
+    basis = kernel_basis(m)
+    assert len(basis) == m.cols - len(naive_rref(m)[1])
+    for v in basis:
+        assert vec_is_zero(m.apply(v))
+
+
+@settings(max_examples=60, deadline=None)
+@given(recipes(), st.data())
+def test_solve_satisfies_its_system(recipe, data):
+    m = build(recipe)
+    x = vector(data.draw(st.lists(entries, min_size=m.cols, max_size=m.cols)))
+    b = m.apply(x)
+    found = solve(m, b)
+    assert found is not None
+    assert m.apply(found) == b
+    # An arbitrary right-hand side is solvable exactly when it adds no rank.
+    b = vector(data.draw(st.lists(entries, min_size=m.rows, max_size=m.rows)))
+    augmented = Matrix(m.rows, m.cols + 1, tuple(
+        x for i in range(m.rows) for x in m.row(i) + (b[i],)))
+    found = solve(m, b)
+    assert (found is None) == (len(naive_rref(augmented)[1]) > len(naive_rref(m)[1]))
+    if found is not None:
+        assert m.apply(found) == b
+
+
+@settings(max_examples=100, deadline=None)
+@given(recipes())
+def test_span_basis_is_the_nonzero_oracle_rows(recipe):
+    m = build(recipe)
+    reduced, pivots = naive_rref(m)
+    vectors = [m.row(i) for i in range(m.rows)]
+    assert span_basis(vectors) == [reduced.row(i) for i in range(len(pivots))]
+
+
+@settings(max_examples=100, deadline=None)
+@with_examples
+@given(recipes())
+def test_rank_equals_sympy(recipe):
+    m = build(recipe)
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    qq = sympy.QQ
+    rows = [[qq(a.numerator, a.denominator) for a in m.row(i)] for i in range(m.rows)]
+    assert rank(m) == DomainMatrix(rows, (m.rows, m.cols), qq).rank()

@@ -148,3 +148,25 @@ def test_matmul_matches_row_column_sums():
         expected = [[sum((a.entry(i, t) * b.entry(t, j) for t in range(k)), F(0))
                      for j in range(m)] for i in range(n)]
         assert a @ b == Matrix.from_rows(expected)
+
+
+def test_determinant_matches_permutation_expansion():
+    import itertools
+    from math import prod
+
+    from homlie.linalg import determinant_of
+
+    from helpers import perm_sign
+
+    rng = random.Random(14)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        rows = [list(rand_vector(rng, n)) for _ in range(n)]
+        if rng.random() < 0.3:
+            rows[0][0] = F(0)  # forces a row swap or an early zero
+        expected = sum((perm_sign(p) * prod(rows[i][p[i]] for i in range(n))
+                        for p in itertools.permutations(range(n))), F(0))
+        assert determinant_of(rows) == expected
+    assert determinant_of([]) == 1
+    assert determinant_of([[F(1), F(2)], [F(2), F(4)]]) == 0
+
