@@ -24,7 +24,7 @@ from .cohomology import cohomology_dimensions, derivation_space
 from .deformations import OrderPDeformation, is_extensible, obstruction, verify_order_p
 from .documents import AlgebraDocument, ParseError, _table_json, parse
 from .errors import PreconditionError, UsageError
-from .extensions import ExtensionCocycle, build_extension, ext_class, extract_cocycle
+from .extensions import ExtensionCocycle, build_extension, ext_class
 
 REPORT_VERSION = "1"
 
@@ -220,14 +220,12 @@ def _cmd_extension_classify(doc: AlgebraDocument, args):
     try:
         extension = build_extension(algebra, rep, cocycle)
         coords = ext_class(extension)
-        induced_rep, _ = extract_cocycle(extension)
-        h2 = cohomology_dimensions(algebra, induced_rep, 2)
     except PreconditionError as exc:
         return 1, _precondition_json(exc)
     return 0, {
         "class_coordinates": [str(x) for x in coords],
         "class_is_zero": all(x == 0 for x in coords),
-        "dim_cohomology": h2.dim_cohomology,
+        "dim_cohomology": len(coords),  # one coordinate per class basis element
     }
 
 

@@ -35,7 +35,10 @@ single-bracket basis cochain b, so its matrix is block-bidiagonal.
 Dimension reports apply these maps to exact equivariant bases, take kernels
 and images by exact elimination, and choose the cohomology representatives
 as the cocycle pivot columns of one reduced echelon form of
-[coboundaries | cocycles].
+[coboundaries | cocycles].  The derivation space is the degree-1 report of
+the two-bracket complex.  Whether a cochain is a coboundary is one exact
+solve over the same images (`coboundary_preimage`); extension equivalence
+and deformation extension both ask it.
 """
 
 from __future__ import annotations
@@ -65,10 +68,8 @@ from .linalg import (
     Matrix,
     ZERO,
     kernel_basis,
-    quotient_dimension,
     rref,
     solve,
-    vec_is_zero,
     vstack,
     zero_vector,
 )
@@ -407,15 +408,32 @@ def class_coordinates(report: CohomologyReport, item) -> tuple:
     """
     w = item.flatten()
     columns = [b.flatten() for b in report.coboundary_basis + report.cohomology_basis]
-    if not columns:
-        if vec_is_zero(w):
-            return ()
-        raise PreconditionError("not a cocycle for this report")
-    m = Matrix.from_columns(columns, len(w))
-    x = solve(m, w)
+    x = solve(Matrix.from_columns(columns, len(w)), w)
     if x is None:
         raise PreconditionError("not a cocycle for this report")
     return tuple(x[report.dim_coboundaries :])
+
+
+def coboundary_preimage(c: CompatibleHomLieAlgebra, v: Representation,
+                        target: CompatibleCochain):
+    """One equivariant cochain x with d x = target in the two-bracket
+    complex, or None when the target is not a coboundary.
+
+    x is one exact solution over the degree-(n-1) basis for a degree-n
+    target; in degree 0 it is a ZeroCochain, as in the reports.  An empty
+    basis yields the zero cochain for a zero target.  The inputs are not
+    re-validated.
+    """
+    n = target.degree - 1
+    if n < 0:
+        raise UsageError("a degree-0 cochain has no preimage")
+    basis, images = _basis_and_images(c, v, n, COMPATIBLE)
+    rhs = target.flatten()
+    x = solve(Matrix.from_columns(images, len(rhs)), rhs)
+    if x is None:
+        return None
+    size = max(n, 1) * v.vdim * comb(c.dim, n)
+    return _from_flat(_combination(x, basis, size), c.dim, v.vdim, n, COMPATIBLE)
 
 
 @dataclass(frozen=True)
@@ -426,62 +444,23 @@ class DerivationReport:
 
 
 def derivation_space(c: CompatibleHomLieAlgebra, v: Representation) -> DerivationReport:
-    """Derivations (twist-equivariant, Leibniz for both brackets), the inner
-    ones induced by degree-0 vectors, and the outer dimension."""
+    """Derivations, inner derivations and the outer dimension, read off the
+    degree-1 report of the two-bracket complex.
+
+    A degree-1 cocycle is a twist-equivariant map satisfying the Leibniz rule
+    for both brackets, a degree-1 coboundary is the inner derivation
+    x -> x .1 z of a degree-0 vector z, and the outer dimension is the
+    degree-1 cohomology.  The inner basis is the reduced row basis of the
+    inner derivations.
+    """
     if len(v.actions) != 2:
         raise UsageError("derivation space needs a two-action representation")
-    _validate_structures(c, v)
-    dim, vdim = c.dim, v.vdim
-    unknowns = vdim * dim  # D as a vdim x dim matrix, row-major
-
-    def entry_index(r, col):
-        return r * dim + col
-
-    rows = []
-    # beta D - D alpha = 0
-    for r in range(vdim):
-        for col in range(dim):
-            row = [ZERO] * unknowns
-            for k in range(vdim):
-                row[entry_index(k, col)] += v.beta.entry(r, k)
-            for k in range(dim):
-                row[entry_index(r, k)] -= c.alpha.entry(k, col)
-            rows.append(row)
-    # D[e_i,e_j]_b - e_i .b D e_j + e_j .b D e_i = 0
-    for b in (1, 2):
-        bracket = c.brackets[b - 1]
-        for (i, j) in increasing_tuples(dim, 2):
-            cij = bracket.col(tuple_position(dim, 2)[(i, j)])
-            for r in range(vdim):
-                row = [ZERO] * unknowns
-                for k in range(dim):
-                    if cij[k]:
-                        row[entry_index(r, k)] += cij[k]
-                ai = v.actions[b - 1][i]
-                aj = v.actions[b - 1][j]
-                for k in range(vdim):
-                    row[entry_index(k, j)] -= ai.entry(r, k)
-                    row[entry_index(k, i)] += aj.entry(r, k)
-                rows.append(row)
-    system = Matrix.from_rows(rows) if rows else Matrix.zero(0, unknowns)
-    derivations = [
-        Cochain.from_flat(1, dim, vdim, flat) for flat in kernel_basis(system)
-    ]
-    inner_all = []
-    for z in _c0_compatible_basis(c, v):
-        cols = [v.actions[0][i].apply(z.vector) for i in range(dim)]
-        inner_all.append(Cochain(1, dim, vdim, Matrix.from_columns(cols, vdim)))
-    inner_rows = [f.flatten() for f in inner_all if not f.is_zero()]
-    inner = []
-    if inner_rows:
-        reduced, pivots = rref(Matrix.from_rows(inner_rows))
-        inner = [
-            Cochain.from_flat(1, dim, vdim, reduced.row(i)) for i in range(len(pivots))
-        ]
-    outer = quotient_dimension(
-        [f.flatten() for f in derivations], [f.flatten() for f in inner]
+    h1 = cohomology_dimensions(c, v, 1, COMPATIBLE)
+    return DerivationReport(
+        tuple(f.components[0] for f in h1.cocycle_basis),
+        tuple(f.components[0] for f in h1.coboundary_basis),
+        h1.dim_cohomology,
     )
-    return DerivationReport(tuple(derivations), tuple(inner), outer)
 
 
 def comparison_map(f: CompatibleCochain):

@@ -12,15 +12,14 @@ defining identities are checked both as the stated per-order system and as
 the coefficientwise vanishing of the truncated brackets; the two evaluations
 are compared exactly.  The degree-3 obstruction cochain of an order-p
 deformation is closed, and the deformation extends one order further exactly
-when that cochain is a coboundary; the extension coefficients are produced
-by an exact linear solve.
+when that cochain is a coboundary; the extension coefficients are one
+coboundary preimage of it in the two-bracket complex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .algebra import (
     CheckResult,
@@ -41,16 +40,14 @@ from .cochains import (
 from .cohomology import (
     COMPATIBLE,
     CompatibleCochain,
-    _basis_and_images,
     _coboundary_map,
-    _combination,
-    _from_flat,
     class_coordinates,
+    coboundary_preimage,
     cohomology_dimensions,
     compatible_coboundary,
 )
 from .errors import ContractError, PreconditionError, UsageError
-from .linalg import Matrix, basis_vector, solve, vec_is_zero, vec_sub
+from .linalg import Matrix, basis_vector, vec_is_zero, vec_sub
 
 HALF = Fraction(1, 2)
 
@@ -294,8 +291,10 @@ def verify_order_p(d: OrderPDeformation) -> OrderReport:
         r3_n = d1(m2_n) + d2(m1_n) - sum_(i+j=n, i,j>=1) [m1_i, m2_j]
 
     (order 0 reduces to validity of the base).  The same conditions are
-    recomputed as coefficients of the truncated brackets and the two routes
-    are compared exactly; disagreement raises ContractError.  The two
+    recomputed as coefficients of the truncated brackets, which add the
+    order-0 terms [m_0, m_n] + [m_n, m_0] to the same sums, and the two
+    routes are compared exactly: this checks the coboundary maps against the
+    NR bracket with the base.  Disagreement raises ContractError.  The two
     degree-2 coboundary maps are built once and applied to every order.
     """
     c = d.base
@@ -308,41 +307,34 @@ def verify_order_p(d: OrderPDeformation) -> OrderReport:
 
     p = d.order
     m1, m2 = d.coeffs1, d.coeffs2
+    pairs = ((m1, m1), (m2, m2), (m1, m2))
     residuals = []
     for n in range(p + 1):
-        quad11 = _convolution(m1, m1, n, alpha)
-        quad22 = _convolution(m2, m2, n, alpha)
-        quad12 = _convolution(m1, m2, n, alpha)
+        quads = tuple(_convolution(a, b, n, alpha) for a, b in pairs)
+        quad11, quad22, quad12 = quads
         r1 = delta(1, m1[n]) - quad11.scale(HALF)
         r2 = delta(2, m2[n]) - quad22.scale(HALF)
         r3 = delta(1, m2[n]) + delta(2, m1[n]) - quad12
-        # Truncated-bracket route: full convolutions including order 0.
-        t11 = _convolution(m1, m1, n, alpha, low=0)
-        t22 = _convolution(m2, m2, n, alpha, low=0)
-        t12 = _convolution(m1, m2, n, alpha, low=0)
+        # Truncated-bracket route: the same sums plus the order-0 terms.
         if n == 0:
             expect = (r1.scale(-1), r2.scale(-1), r3.scale(-HALF))
         else:
             expect = (r1.scale(-2), r2.scale(-2), r3.scale(-1))
-        for got, want in zip((t11, t22, t12), expect):
-            if got.flatten() != want.flatten():
+        for (a, b), quad, want in zip(pairs, quads, expect):
+            edge = nr_bracket(a[0], b[0], alpha) if n == 0 else \
+                nr_bracket(a[0], b[n], alpha) + nr_bracket(a[n], b[0], alpha)
+            if (quad + edge).flatten() != want.flatten():
                 raise ContractError("truncated-bracket route disagrees with the identity route")
         residuals.append((r1, r2, r3))
     return OrderReport(tuple(residuals))
 
 
-def _convolution(left, right, n: int, alpha: Matrix, low: int = 1) -> Cochain:
-    top = len(left) - 1
-    total = None
-    for i in range(low, n - low + 1):
-        j = n - i
-        if i > top or j > top:
-            continue
-        term = nr_bracket(left[i], right[j], alpha)
-        total = term if total is None else total + term
-    if total is None:
-        d = left[0].source_dim
-        return Cochain.zero(3, d, d)
+def _convolution(left, right, n: int, alpha: Matrix) -> Cochain:
+    """sum_(i+j=n, i,j>=1) [left_i, right_j], for n at most one above the top order."""
+    d = left[0].source_dim
+    total = Cochain.zero(3, d, d)
+    for i in range(1, n):
+        total = total + nr_bracket(left[i], right[n - i], alpha)
     return total
 
 
@@ -376,19 +368,18 @@ def obstruction(d: OrderPDeformation) -> ObstructionCochain:
 def is_extensible(d: OrderPDeformation):
     """Solve the coboundary equation for the next coefficients.
 
-    Returns one exact solution pair (any solution) or None when the
-    obstruction class is nonzero.  A returned pair is re-verified: appending
-    it yields a deformation of order p+1 passing verify_order_p.
+    The next pair is a preimage of the obstruction under the degree-2
+    differential of the two-bracket complex on the adjoint module
+    (`coboundary_preimage`).  Returns one exact solution pair (any
+    solution) or None when the obstruction class is nonzero.  A returned
+    pair is re-verified: appending it yields a deformation of order p+1
+    passing verify_order_p.
     """
-    ob = obstruction(d).cochain
     c = d.base
-    basis, images = _basis_and_images(c, adjoint_representation(c), 2, COMPATIBLE)
-    rhs = ob.flatten()
-    x = solve(Matrix.from_columns(images, len(rhs)), rhs)
+    x = coboundary_preimage(c, adjoint_representation(c), obstruction(d).cochain)
     if x is None:
         return None
-    size = 2 * c.dim * comb(c.dim, 2)
-    pair = _from_flat(_combination(x, basis, size), c.dim, c.dim, 2, COMPATIBLE).components
+    pair = x.components
     extended = d.extended(*pair)
     if not verify_order_p(extended).passed:
         raise ContractError("extension coefficients fail the order-(p+1) identities")

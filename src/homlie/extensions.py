@@ -25,11 +25,12 @@ from .algebra import (
     _semidirect_bracket,
     verify_structure,
 )
-from .cochains import Cochain, hom_cochain_basis, increasing_tuples, is_equivariant, tuple_position
+from .cochains import Cochain, increasing_tuples, is_equivariant, tuple_position
 from .cohomology import (
     COMPATIBLE,
     CompatibleCochain,
     class_coordinates,
+    coboundary_preimage,
     cohomology_dimensions,
     compatible_coboundary,
 )
@@ -242,33 +243,18 @@ def check_equivalence(e: AbelianExtension, e2: AbelianExtension):
     """Morphism of extensions from e to e2, or None when inequivalent.
 
     The commuting requirements pin the morphism to identity-plus-fiber-shift
-    in split coordinates, so equivalence reduces to an exact linear solve of
-    the coboundary equation  z - z2 = d(tau)  over equivariant tau; a found
-    morphism is re-verified against all of its requirements.
+    in split coordinates, so equivalence reduces to the coboundary equation
+    z - z2 = d(tau): tau is one coboundary preimage of z - z2 on the induced
+    module (`coboundary_preimage`).  A found morphism is re-verified against
+    all of its requirements.
     """
     rep, z1, z2 = _same_setting(e, e2)
-    c = e.base
-    g, v = c.dim, e.fiber_dim
-    tau_basis = hom_cochain_basis(c.alpha, e.fiber_beta, 1)
-    difference = (z1.as_compatible() - z2.as_compatible()).flatten()
-    if not tau_basis:
-        if not vec_is_zero(difference):
-            return None
-        tau = Cochain.zero(1, g, v)
-    else:
-        columns = [
-            compatible_coboundary(c, rep, CompatibleCochain(1, (t,)), check=False).flatten()
-            for t in tau_basis
-        ]
-        x = solve(Matrix.from_columns(columns, len(difference)), difference)
-        if x is None:
-            return None
-        tau = Cochain.zero(1, g, v)
-        for coord, t in zip(x, tau_basis):
-            if coord:
-                tau = tau + t.scale(coord)
+    shift = coboundary_preimage(e.base, rep, z1.as_compatible() - z2.as_compatible())
+    if shift is None:
+        return None
+    tau = shift.components[0]
     # phi = s2 o j + i2 o (fiber_part + tau o j)
-    h = e.total.dim
+    h, v = e.total.dim, e.fiber_dim
     fiber_part_cols = []
     id_minus_sj = Matrix.identity(h) - (e.splitting @ e.projection)
     for p in range(h):

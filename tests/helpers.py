@@ -79,6 +79,81 @@ def naive_rref(m: Matrix):
     return Matrix(m.rows, m.cols, tuple(x for row in work for x in row)), tuple(pivots)
 
 
+def naive_kernel(m: Matrix):
+    """Kernel basis of m from `naive_rref`: one vector per free column."""
+    reduced, pivots = naive_rref(m)
+    out = []
+    for free in (c for c in range(m.cols) if c not in pivots):
+        vec = [Fraction(0)] * m.cols
+        vec[free] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -reduced.entry(r, free)
+        out.append(tuple(vec))
+    return out
+
+
+def naive_rank(vectors) -> int:
+    vectors = list(vectors)
+    return len(naive_rref(Matrix.from_rows(vectors))[1]) if vectors else 0
+
+
+def naive_derivations(c, v):
+    """Derivations and the reduced inner basis of a two-action module, from
+    the equivariance and Leibniz equations on the entries of D.
+
+    D is a vdim x dim matrix with beta D = D alpha and, for both brackets,
+    D[e_i, e_j] = e_i . D e_j - e_j . D e_i.  The inner derivations are the
+    maps x -> x .1 z over the vectors z fixed by beta on which both actions
+    agree; their basis is the reduced row basis.
+    """
+    dim, vdim = c.dim, v.vdim
+    unknowns = vdim * dim  # D row-major
+
+    def entry_index(r, col):
+        return r * dim + col
+
+    rows = []
+    for r in range(vdim):
+        for col in range(dim):
+            row = [Fraction(0)] * unknowns
+            for k in range(vdim):
+                row[entry_index(k, col)] += v.beta.entry(r, k)
+            for k in range(dim):
+                row[entry_index(r, k)] -= c.alpha.entry(k, col)
+            rows.append(row)
+    for b in (1, 2):
+        for (i, j) in increasing_tuples(dim, 2):
+            cij = c.bracket_of(b, basis_vector(dim, i), basis_vector(dim, j))
+            ai, aj = v.actions[b - 1][i], v.actions[b - 1][j]
+            for r in range(vdim):
+                row = [Fraction(0)] * unknowns
+                for k in range(dim):
+                    row[entry_index(r, k)] += cij[k]
+                for k in range(vdim):
+                    row[entry_index(k, j)] -= ai.entry(r, k)
+                    row[entry_index(k, i)] += aj.entry(r, k)
+                rows.append(row)
+    derivations = [Cochain.from_flat(1, dim, vdim, w) for w in naive_kernel(Matrix.from_rows(rows))]
+    fixed_rows = []
+    for r in range(vdim):
+        fixed_rows.append([v.beta.entry(r, k) - (1 if r == k else 0) for k in range(vdim)])
+    for i in range(dim):
+        for r in range(vdim):
+            fixed_rows.append([v.actions[0][i].entry(r, k) - v.actions[1][i].entry(r, k)
+                               for k in range(vdim)])
+    inner_flat = []
+    for z in naive_kernel(Matrix.from_rows(fixed_rows)):
+        cols = [v.actions[0][i].apply(z) for i in range(dim)]
+        flat = Matrix.from_columns(cols, vdim).entries
+        if not vec_is_zero(flat):
+            inner_flat.append(flat)
+    inner = []
+    if inner_flat:
+        reduced, pivots = naive_rref(Matrix.from_rows(inner_flat))
+        inner = [Cochain.from_flat(1, dim, vdim, reduced.row(r)) for r in range(len(pivots))]
+    return derivations, inner
+
+
 def naive_jacobiator_defects(alg: HomLieAlgebra):
     """Cyclic Jacobi defects on all basis triples, by direct evaluation."""
     out = []

@@ -7,6 +7,7 @@ from homlie import (
     Cochain,
     CompatibleCochain,
     CompatibleHomLieAlgebra,
+    ContractError,
     LinearGenerator,
     LinearOperator,
     Matrix,
@@ -24,7 +25,7 @@ from homlie import (
     trivial_deformation_from_nijenhuis,
     verify_order_p,
 )
-from homlie import fixtures
+from homlie import deformations, fixtures
 from homlie.cohomology import COMPATIBLE
 from homlie.deformations import HALF
 
@@ -263,6 +264,30 @@ def test_non_cocycle_first_coefficient_fails_at_order1():
         assert orders == [1]
         return
     pytest.fail("no non-cocycle pair found")
+
+
+@pytest.mark.parametrize("which", [1, 2])
+def test_wrong_coboundary_sign_raises_contract_error(monkeypatch, which):
+    """The truncated-bracket route catches a sign error in either coboundary
+    map, on an order-1 pair that is not a cocycle."""
+    c = fixtures.compatible_h3()
+    rng = random.Random(5)
+    w1 = rand_equivariant_cochain(rng, c.alpha, c.alpha, 2)
+    w2 = rand_equivariant_cochain(rng, c.alpha, c.alpha, 2)
+    d = OrderPDeformation(c, (c.bracket_cochain(1), w1), (c.bracket_cochain(2), w2))
+    assert not verify_order_p(d).passed  # the unpatched routes agree
+
+    real = deformations._coboundary_map
+
+    def flipped(struct, v, bracket, n):
+        apply = real(struct, v, bracket, n)
+        if bracket != which:
+            return apply
+        return lambda flat: tuple(-x for x in apply(flat))
+
+    monkeypatch.setattr(deformations, "_coboundary_map", flipped)
+    with pytest.raises(ContractError):
+        verify_order_p(d)
 
 
 def test_order0_coefficients_must_match_base():
