@@ -5,12 +5,23 @@ column for the pair (i < j) is the coordinate vector of [e_i, e_j]; values
 for i > j follow by skew-symmetry and the diagonal is zero by construction,
 so skewness can never be violated by input data.
 
-Validity is deliberately not a type invariant.  The defining identities
-(multiplicativity of the twist, the twisted Jacobi identity, the six-term
-mixed identity for a pair of brackets, and the representation identities)
-are evaluated on all basis tuples by ``verify_structure`` and reported with
-explicit witnesses, so that defective inputs are diagnosed rather than
-rejected.
+Validity is deliberately not a type invariant.  ``verify_structure`` and
+``verify_operator`` report every defining identity with explicit
+witnesses, so that defective inputs are diagnosed rather than rejected.
+Each identity is one matrix identity in the Nijenhuis-Richardson graded
+Lie algebra of `cochains`, with mu the bracket cochain, L2(M) the compound
+of 2 x 2 minors and <> the insertion product:
+
+    multiplicativity   alpha . mu = mu . L2(alpha)
+    twisted Jacobi     mu <> mu = 1/2 [mu, mu] = 0
+    compatibility      [mu1, mu2] = 0
+    Nijenhuis          mu . L2(N) = N . [mu, N],  where [x,y]_N = [mu, N]
+    Rota-Baxter        mu . L2(R) = R . (mu <> R + weight mu)
+
+The defect matrix has one column per increasing basis tuple in
+lexicographic order, and its nonzero columns are the witnesses.  The
+representation identities are vdim x vdim matrix identities per basis
+element or pair.
 """
 
 from __future__ import annotations
@@ -19,17 +30,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .cochains import Cochain, increasing_tuples, tuple_position
+from .cochains import (
+    Cochain,
+    exterior_square,
+    increasing_tuples,
+    nr_bracket,
+    nr_diamond,
+    tuple_position,
+)
 from .errors import PreconditionError, UsageError
 from .linalg import (
     Matrix,
     ZERO,
-    basis_vector,
     frac,
     vec_add,
     vec_is_zero,
     vec_scale,
-    vec_sub,
     vector,
     zero_vector,
 )
@@ -187,6 +203,17 @@ class CheckResult:
     def passed(self) -> bool:
         return not self.witnesses
 
+    @classmethod
+    def from_columns(cls, name: str, defect: Matrix, arity: int) -> "CheckResult":
+        """The check whose witnesses are the nonzero columns of a d x C(d, arity)
+        defect matrix, column k labelled by the k-th increasing arity-tuple."""
+        witnesses = []
+        for k, indices in enumerate(increasing_tuples(defect.rows, arity)):
+            column = defect.col(k)
+            if not vec_is_zero(column):
+                witnesses.append((indices, column))
+        return cls(name, tuple(witnesses))
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -272,61 +299,30 @@ def verify_structure(s) -> ValidationReport:
     defect vector, in lexicographic tuple order.  Invalid structures yield
     failing reports, never exceptions.
     """
-    if isinstance(s, HomLieAlgebra):
-        return ValidationReport(tuple(_algebra_checks(s.dim, s.alpha, s.brackets)))
-    if isinstance(s, CompatibleHomLieAlgebra):
-        checks = _algebra_checks(s.dim, s.alpha, s.brackets)
-        checks.append(_compatibility_check(s))
-        return ValidationReport(tuple(checks))
+    if isinstance(s, (HomLieAlgebra, CompatibleHomLieAlgebra)):
+        return ValidationReport(tuple(_algebra_checks(s)))
     if isinstance(s, Representation):
         return ValidationReport(tuple(_representation_checks(s)))
     raise UsageError(f"cannot verify objects of type {type(s).__name__}")
 
 
-def _algebra_checks(dim: int, alpha: Matrix, brackets):
-    checks = []
-    labels = _labels(len(brackets))
-    for label, bracket in zip(labels, brackets):
-        witnesses = []
-        for (i, j) in increasing_tuples(dim, 2):
-            lhs = alpha.apply(_column_bracket(bracket, dim, i, j))
-            rhs = _bracket_apply(bracket, dim, alpha.col(i), alpha.col(j))
-            defect = vec_sub(lhs, rhs)
-            if not vec_is_zero(defect):
-                witnesses.append(((i, j), defect))
-        checks.append(CheckResult(f"multiplicativity{label}", tuple(witnesses)))
-    for label, bracket in zip(labels, brackets):
-        witnesses = []
-        for (i, j, k) in increasing_tuples(dim, 3):
-            defect = _jacobiator(dim, alpha, bracket, bracket, i, j, k)
-            if not vec_is_zero(defect):
-                witnesses.append(((i, j, k), defect))
-        checks.append(CheckResult(f"hom_jacobi{label}", tuple(witnesses)))
+def _algebra_checks(s):
+    alpha = s.alpha
+    mus = [Cochain(2, s.dim, s.dim, bracket) for bracket in s.brackets]
+    labels = _labels(len(mus))
+    square = exterior_square(alpha)
+    checks = [
+        CheckResult.from_columns(f"multiplicativity{label}",
+                                 alpha @ mu.coeffs - mu.coeffs @ square, 2)
+        for label, mu in zip(labels, mus)
+    ]
+    checks += [
+        CheckResult.from_columns(f"hom_jacobi{label}", nr_diamond(mu, mu, alpha).coeffs, 3)
+        for label, mu in zip(labels, mus)
+    ]
+    if len(mus) == 2:
+        checks.append(CheckResult.from_columns("compatibility", nr_bracket(*mus, alpha).coeffs, 3))
     return checks
-
-
-def _jacobiator(dim, alpha, outer, inner, i, j, k) -> tuple:
-    # [[e_i,e_j]_inner, alpha e_k]_outer + cyclic
-    total = zero_vector(dim)
-    for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-        total = vec_add(
-            total,
-            _bracket_apply(outer, dim, _column_bracket(inner, dim, a, b), alpha.col(c)),
-        )
-    return total
-
-
-def _compatibility_check(s: CompatibleHomLieAlgebra) -> CheckResult:
-    # Six-term mixed identity: the (1,2) and (2,1) Jacobiators cancel.
-    witnesses = []
-    for (i, j, k) in increasing_tuples(s.dim, 3):
-        defect = vec_add(
-            _jacobiator(s.dim, s.alpha, s.bracket2, s.bracket1, i, j, k),
-            _jacobiator(s.dim, s.alpha, s.bracket1, s.bracket2, i, j, k),
-        )
-        if not vec_is_zero(defect):
-            witnesses.append(((i, j, k), defect))
-    return CheckResult("compatibility", tuple(witnesses))
 
 
 def _representation_checks(v: Representation):
@@ -468,34 +464,16 @@ def twisted_semidirect(l: HomLieAlgebra, v: Representation, f: Cochain) -> HomLi
     return HomLieAlgebra(l.dim + v.vdim, l.alpha.block_diag(v.beta), twisted)
 
 
-def _operator_checks(s, op_matrix: Matrix, identity_name: str, rhs_weight, label: str = ""):
-    """Shared evaluator for the Nijenhuis / Rota-Baxter defining identities."""
-    dim = s.dim
-    checks = []
-    commut = s.alpha @ op_matrix - op_matrix @ s.alpha
-    witnesses = tuple(
-        ((i,), commut.col(i)) for i in range(dim) if not vec_is_zero(commut.col(i))
-    )
-    checks.append(CheckResult(f"twist_commutation{label}", witnesses))
-    labels = _labels(len(s.brackets))
-    for blabel, bracket in zip(labels, s.brackets):
-        witnesses = []
-        for (i, j) in increasing_tuples(dim, 2):
-            ni = op_matrix.col(i)
-            nj = op_matrix.col(j)
-            lhs = _bracket_apply(bracket, dim, ni, nj)
-            inner = vec_add(
-                _bracket_apply(bracket, dim, ni, basis_vector(dim, j)),
-                _bracket_apply(bracket, dim, basis_vector(dim, i), nj),
-            )
-            if rhs_weight is None:
-                inner = vec_sub(inner, op_matrix.apply(_column_bracket(bracket, dim, i, j)))
-            else:
-                inner = vec_add(inner, vec_scale(rhs_weight, _column_bracket(bracket, dim, i, j)))
-            defect = vec_sub(lhs, op_matrix.apply(inner))
-            if not vec_is_zero(defect):
-                witnesses.append(((i, j), defect))
-        checks.append(CheckResult(f"{identity_name}{blabel}{label}", tuple(witnesses)))
+def _operator_checks(s, op: LinearOperator, label: str = ""):
+    """Twist commutation and the operator identity mu.L2(N) = N.(induced
+    bracket), one defect matrix per bracket of the carrier."""
+    n = op.matrix
+    name = "nijenhuis_identity" if op.kind == NIJENHUIS else "rota_baxter_identity"
+    checks = [CheckResult.from_columns(f"twist_commutation{label}", s.alpha @ n - n @ s.alpha, 1)]
+    square = exterior_square(n)
+    for blabel, bracket in zip(_labels(len(s.brackets)), s.brackets):
+        defect = bracket @ square - n @ _induced_matrix(s, bracket, op)
+        checks.append(CheckResult.from_columns(f"{name}{blabel}{label}", defect, 2))
     return checks
 
 
@@ -504,11 +482,7 @@ def verify_operator(s, op: LinearOperator) -> ValidationReport:
     pairs, for every bracket of the carrier."""
     if op.matrix.rows != s.dim:
         raise UsageError("operator dimension mismatch")
-    if op.kind == NIJENHUIS:
-        checks = _operator_checks(s, op.matrix, "nijenhuis_identity", None)
-    else:
-        checks = _operator_checks(s, op.matrix, "rota_baxter_identity", op.weight)
-    return ValidationReport(tuple(checks))
+    return ValidationReport(tuple(_operator_checks(s, op)))
 
 
 def induced_bracket(l, op: LinearOperator):
@@ -519,61 +493,46 @@ def induced_bracket(l, op: LinearOperator):
     report = verify_operator(l, op)
     if not report.passed:
         raise PreconditionError("operator fails its defining identity", report)
-    mats = [_induced_matrix(bracket, l.dim, op) for bracket in l.brackets]
+    mats = [_induced_matrix(l, bracket, op) for bracket in l.brackets]
     if isinstance(l, HomLieAlgebra):
         return HomLieAlgebra(l.dim, l.alpha, mats[0])
     return CompatibleHomLieAlgebra(l.dim, l.alpha, mats[0], mats[1])
 
 
-def _induced_matrix(bracket: Matrix, dim: int, op: LinearOperator) -> Matrix:
-    columns = []
-    for (i, j) in increasing_tuples(dim, 2):
-        ni = op.matrix.col(i)
-        nj = op.matrix.col(j)
-        col = vec_add(
-            _bracket_apply(bracket, dim, ni, basis_vector(dim, j)),
-            _bracket_apply(bracket, dim, basis_vector(dim, i), nj),
-        )
-        base = _column_bracket(bracket, dim, i, j)
-        if op.kind == NIJENHUIS:
-            col = vec_sub(col, op.matrix.apply(base))
-        else:
-            col = vec_add(col, vec_scale(op.weight, base))
-        columns.append(col)
-    return Matrix.from_columns(columns, dim)
+def _induced_matrix(s, bracket: Matrix, op: LinearOperator) -> Matrix:
+    # [x,y]_N is the NR bracket [mu, N]; [x,y]_R is mu <> R + weight * mu.
+    mu = Cochain(2, s.dim, s.dim, bracket)
+    n = Cochain(1, s.dim, s.dim, op.matrix)
+    if op.kind == NIJENHUIS:
+        return nr_bracket(mu, n, s.alpha).coeffs
+    return nr_diamond(mu, n, s.alpha).coeffs + bracket.scale(op.weight)
 
 
 def rb_pair(l: HomLieAlgebra, r: LinearOperator, s: LinearOperator):
     """Joint report for two Rota-Baxter operators of equal weight plus their
-    pair-compatibility identity; when everything passes, also the compatible
-    algebra formed by the two induced brackets."""
+    pair-compatibility identity
+
+        [Rx,Sy] + [Sx,Ry] = R([Sx,y] + [x,Sy]) + S([Rx,y] + [x,Ry]);
+
+    when everything passes, also the compatible algebra formed by the two
+    induced brackets."""
     if r.kind != ROTA_BAXTER or s.kind != ROTA_BAXTER:
         raise UsageError("rb_pair needs two Rota-Baxter operators")
     if r.weight != s.weight:
         raise UsageError("Rota-Baxter operators must share the weight")
-    checks = _operator_checks(l, r.matrix, "rota_baxter_identity", r.weight, label="[R]")
-    checks += _operator_checks(l, s.matrix, "rota_baxter_identity", s.weight, label="[S]")
-    witnesses = []
-    dim = l.dim
-    for (i, j) in increasing_tuples(dim, 2):
-        ei = basis_vector(dim, i)
-        ej = basis_vector(dim, j)
-        ri, rj = r.matrix.col(i), r.matrix.col(j)
-        si, sj = s.matrix.col(i), s.matrix.col(j)
-        lhs = vec_add(l.bracket_of(ri, sj), l.bracket_of(si, rj))
-        rhs = vec_add(
-            r.matrix.apply(vec_add(l.bracket_of(si, ej), l.bracket_of(ei, sj))),
-            s.matrix.apply(vec_add(l.bracket_of(ri, ej), l.bracket_of(ei, rj))),
-        )
-        defect = vec_sub(lhs, rhs)
-        if not vec_is_zero(defect):
-            witnesses.append(((i, j), defect))
-    checks.append(CheckResult("pair_compatibility", tuple(witnesses)))
+    checks = _operator_checks(l, r, label="[R]") + _operator_checks(l, s, label="[S]")
+    mu = l.bracket_cochain()
+    rm, sm = r.matrix, s.matrix
+    mixed = exterior_square(rm + sm) - exterior_square(rm) - exterior_square(sm)
+    defect = (l.bracket @ mixed
+              - rm @ nr_diamond(mu, Cochain(1, l.dim, l.dim, sm), l.alpha).coeffs
+              - sm @ nr_diamond(mu, Cochain(1, l.dim, l.dim, rm), l.alpha).coeffs)
+    checks.append(CheckResult.from_columns("pair_compatibility", defect, 2))
     report = ValidationReport(tuple(checks))
     if not report.passed:
         return report, None
     induced = CompatibleHomLieAlgebra(
-        l.dim, l.alpha, _induced_matrix(l.bracket, l.dim, r), _induced_matrix(l.bracket, l.dim, s)
+        l.dim, l.alpha, _induced_matrix(l, l.bracket, r), _induced_matrix(l, l.bracket, s)
     )
     return report, induced
 

@@ -94,10 +94,7 @@ def _cmd_verify(doc: AlgebraDocument, args):
 def _cmd_cohomology(doc: AlgebraDocument, args):
     algebra = doc.algebra()
     rep = _representation(doc, algebra)
-    try:
-        report = cohomology_dimensions(algebra, rep, args.degree)
-    except PreconditionError as exc:
-        return 1, _precondition_json(exc)
+    report = cohomology_dimensions(algebra, rep, args.degree)
     return 0, {
         "degree": report.degree,
         "flavor": report.flavor,
@@ -111,10 +108,7 @@ def _cmd_cohomology(doc: AlgebraDocument, args):
 def _cmd_derivations(doc: AlgebraDocument, args):
     algebra = _need_compatible(doc)
     rep = _representation(doc, algebra)
-    try:
-        report = derivation_space(algebra, rep)
-    except PreconditionError as exc:
-        return 1, _precondition_json(exc)
+    report = derivation_space(algebra, rep)
     return 0, {
         "dim_derivations": len(report.derivations),
         "dim_inner": len(report.inner),
@@ -134,12 +128,7 @@ def _cmd_operator(doc: AlgebraDocument, args, kind: str):
 
 def _cmd_mc_check(doc: AlgebraDocument, args):
     algebra = _need_compatible(doc)
-    try:
-        check = is_mc_pair(
-            algebra.bracket_cochain(1), algebra.bracket_cochain(2), algebra.alpha
-        )
-    except PreconditionError as exc:
-        return 1, _precondition_json(exc)
+    check = is_mc_pair(algebra.bracket_cochain(1), algebra.bracket_cochain(2), algebra.alpha)
     results = {
         "square1_zero": check.residual1.is_zero(),
         "square2_zero": check.residual2.is_zero(),
@@ -162,11 +151,7 @@ def _deformation(doc: AlgebraDocument, algebra) -> OrderPDeformation:
 
 def _cmd_deform_verify(doc: AlgebraDocument, args):
     algebra = _need_compatible(doc)
-    try:
-        deformation = _deformation(doc, algebra)
-        report = verify_order_p(deformation)
-    except PreconditionError as exc:
-        return 1, _precondition_json(exc)
+    report = verify_order_p(_deformation(doc, algebra))
     orders = [
         {"order": n, "passed": all(r.is_zero() for r in triple)}
         for n, triple in enumerate(report.residuals)
@@ -176,12 +161,9 @@ def _cmd_deform_verify(doc: AlgebraDocument, args):
 
 def _cmd_deform_obstruct(doc: AlgebraDocument, args):
     algebra = _need_compatible(doc)
-    try:
-        deformation = _deformation(doc, algebra)
-        ob = obstruction(deformation)
-        pair = is_extensible(deformation)
-    except PreconditionError as exc:
-        return 1, _precondition_json(exc)
+    deformation = _deformation(doc, algebra)
+    ob = obstruction(deformation)
+    pair = is_extensible(deformation)
     results = {
         "order": deformation.order,
         "obstruction_is_zero": ob.cochain.is_zero(),
@@ -205,10 +187,7 @@ def _extension_input(doc: AlgebraDocument):
 
 def _cmd_extension_build(doc: AlgebraDocument, args):
     algebra, rep, cocycle = _extension_input(doc)
-    try:
-        extension = build_extension(algebra, rep, cocycle)
-    except PreconditionError as exc:
-        return 1, _precondition_json(exc)
+    extension = build_extension(algebra, rep, cocycle)
     return 0, {
         "total_dimension": extension.total.dim,
         "verified": True,
@@ -217,11 +196,7 @@ def _cmd_extension_build(doc: AlgebraDocument, args):
 
 def _cmd_extension_classify(doc: AlgebraDocument, args):
     algebra, rep, cocycle = _extension_input(doc)
-    try:
-        extension = build_extension(algebra, rep, cocycle)
-        coords = ext_class(extension)
-    except PreconditionError as exc:
-        return 1, _precondition_json(exc)
+    coords = ext_class(build_extension(algebra, rep, cocycle))
     return 0, {
         "class_coordinates": [str(x) for x in coords],
         "class_is_zero": all(x == 0 for x in coords),
@@ -289,6 +264,8 @@ def run(argv):
     try:
         doc = parse(data.decode("utf-8"))
         status, results = _HANDLERS[args.command](doc, args)
+    except PreconditionError as exc:
+        status, results = 1, _precondition_json(exc)
     except (ParseError, UsageError, UnicodeDecodeError) as exc:
         report["results"] = {"error": str(exc)}
         return 2, report

@@ -205,6 +205,15 @@ def exterior_power_matrix(alpha: Matrix, n: int) -> Matrix:
     return Matrix.from_rows(rows)
 
 
+def exterior_square(m: Matrix) -> Matrix:
+    """The compound of 2 x 2 minors of a square m, so that f . exterior_square(m)
+    is the arity-2 cochain f(m x, m y); 0 x 0 below dimension 2, where there
+    are no basis pairs."""
+    if m.rows < 2:
+        return Matrix.zero(0, 0)
+    return exterior_power_matrix(m, 2)
+
+
 def is_equivariant(f, alpha: Matrix, beta: Matrix) -> bool:
     """Membership test for the twist-equivariant cochain space."""
     if isinstance(f, ZeroCochain):

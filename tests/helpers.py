@@ -308,3 +308,146 @@ def naive_representation_checks(v):
                     witnesses.append(((i, j, a), defect))
         checks.append(CheckResult("action_mixed", tuple(witnesses)))
     return checks
+
+
+def _labels(count):
+    return [""] if count == 1 else [f"[{b}]" for b in range(1, count + 1)]
+
+
+def _witness_check(name, tuples, defect_of):
+    witnesses = []
+    for t in tuples:
+        defect = defect_of(*t)
+        if not vec_is_zero(defect):
+            witnesses.append((t, defect))
+    return CheckResult(name, tuple(witnesses))
+
+
+def naive_algebra_checks(s):
+    """Multiplicativity, the twisted Jacobi identity and (for two brackets)
+    the six-term compatibility identity, one basis pair or triple at a time
+    by direct bracket evaluation, in the report order of verify_structure."""
+    d, alpha = s.dim, s.alpha
+    parts = [HomLieAlgebra(d, alpha, b) for b in s.brackets]
+    labels = _labels(len(parts))
+
+    def e(i):
+        return basis_vector(d, i)
+
+    def jacobiator(outer, inner, i, j, k):
+        # [[e_a, e_b]_inner, alpha e_c]_outer, summed cyclically
+        total = zero_vector(d)
+        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+            total = vec_add(total, outer.bracket_of(inner.bracket_of(e(a), e(b)), alpha.col(c)))
+        return total
+
+    checks = []
+    for label, part in zip(labels, parts):
+        checks.append(_witness_check(
+            f"multiplicativity{label}", increasing_tuples(d, 2),
+            lambda i, j, part=part: vec_sub(alpha.apply(part.bracket_of(e(i), e(j))),
+                                            part.bracket_of(alpha.col(i), alpha.col(j)))))
+    for label, part in zip(labels, parts):
+        checks.append(_witness_check(
+            f"hom_jacobi{label}", increasing_tuples(d, 3),
+            lambda i, j, k, part=part: jacobiator(part, part, i, j, k)))
+    if len(parts) == 2:
+        p1, p2 = parts
+        checks.append(_witness_check(
+            "compatibility", increasing_tuples(d, 3),
+            lambda i, j, k: vec_add(jacobiator(p2, p1, i, j, k), jacobiator(p1, p2, i, j, k))))
+    return checks
+
+
+def naive_induced_bracket(s, op):
+    """Coefficient matrices of [x,y]_N = [Nx,y] + [x,Ny] - N[x,y] (Nijenhuis)
+    or [x,y]_R = [Rx,y] + [x,Ry] + weight [x,y] (Rota-Baxter), one basis pair
+    at a time, for each bracket of s."""
+    d, n = s.dim, op.matrix
+    out = []
+    for bracket in s.brackets:
+        part = HomLieAlgebra(d, s.alpha, bracket)
+        columns = []
+        for (i, j) in increasing_tuples(d, 2):
+            ei, ej = basis_vector(d, i), basis_vector(d, j)
+            col = vec_add(part.bracket_of(n.col(i), ej), part.bracket_of(ei, n.col(j)))
+            base = part.bracket_of(ei, ej)
+            if op.weight is None:
+                col = vec_sub(col, n.apply(base))
+            else:
+                col = vec_add(col, vec_scale(op.weight, base))
+            columns.append(col)
+        out.append(Matrix.from_columns(columns, d))
+    return out
+
+
+def naive_operator_checks(s, op, label=""):
+    """Twist commutation on each basis vector and the operator identity
+    [Nx,Ny] = N [x,y]_N on each basis pair, in the report order of
+    verify_operator."""
+    d, n = s.dim, op.matrix
+    name = "rota_baxter_identity" if op.weight is not None else "nijenhuis_identity"
+    checks = [_witness_check(
+        f"twist_commutation{label}", increasing_tuples(d, 1),
+        lambda i: vec_sub(s.alpha.apply(n.col(i)), n.apply(s.alpha.col(i))))]
+    for blabel, bracket in zip(_labels(len(s.brackets)), s.brackets):
+        part = HomLieAlgebra(d, s.alpha, bracket)
+        induced = HomLieAlgebra(d, s.alpha, naive_induced_bracket(part, op)[0])
+        checks.append(_witness_check(
+            f"{name}{blabel}{label}", increasing_tuples(d, 2),
+            lambda i, j, part=part, induced=induced: vec_sub(
+                part.bracket_of(n.col(i), n.col(j)),
+                n.apply(induced.bracket_of(basis_vector(d, i), basis_vector(d, j))))))
+    return checks
+
+
+def naive_rb_pair_compatibility(l, r, s):
+    """[Rx,Sy] + [Sx,Ry] - R([Sx,y] + [x,Sy]) - S([Rx,y] + [x,Ry]) on each basis pair."""
+    d = l.dim
+    rm, sm = r.matrix, s.matrix
+
+    def defect(i, j):
+        ei, ej = basis_vector(d, i), basis_vector(d, j)
+        lhs = vec_add(l.bracket_of(rm.col(i), sm.col(j)), l.bracket_of(sm.col(i), rm.col(j)))
+        rhs = vec_add(
+            rm.apply(vec_add(l.bracket_of(sm.col(i), ej), l.bracket_of(ei, sm.col(j)))),
+            sm.apply(vec_add(l.bracket_of(rm.col(i), ej), l.bracket_of(ei, rm.col(j)))),
+        )
+        return vec_sub(lhs, rhs)
+
+    return _witness_check("pair_compatibility", increasing_tuples(d, 2), defect)
+
+
+def naive_linear_equivalence_checks(c, g, g_prime, n):
+    """The order-1, order-2 and order-3 identities of id + tN on each basis
+    pair, evaluating the generators by alternating extension, in the report
+    order of check_linear_equivalence."""
+    d = c.dim
+    checks = []
+    for b in (1, 2):
+        omega = (g.omega1, g.omega2)[b - 1]
+        omega_p = (g_prime.omega1, g_prime.omega2)[b - 1]
+
+        def bracket(u, v, b=b):
+            return c.bracket_of(b, u, v)
+
+        def order1(i, j, omega=omega, omega_p=omega_p, bracket=bracket):
+            ei, ej = basis_vector(d, i), basis_vector(d, j)
+            shift = vec_sub(vec_add(bracket(ei, n.col(j)), bracket(n.col(i), ej)),
+                            n.apply(bracket(ei, ej)))
+            return vec_sub(vec_sub(omega.column((i, j)), omega_p.column((i, j))), shift)
+
+        def order2(i, j, omega=omega, omega_p=omega_p, bracket=bracket):
+            ei, ej = basis_vector(d, i), basis_vector(d, j)
+            rhs = vec_add(vec_add(omega_p.evaluate([ei, n.col(j)]), omega_p.evaluate([n.col(i), ej])),
+                          bracket(n.col(i), n.col(j)))
+            return vec_sub(n.apply(omega.column((i, j))), rhs)
+
+        def order3(i, j, omega_p=omega_p):
+            return omega_p.evaluate([n.col(i), n.col(j)])
+
+        pairs = increasing_tuples(d, 2)
+        checks.append(_witness_check(f"order1_identity[{b}]", pairs, order1))
+        checks.append(_witness_check(f"order2_identity[{b}]", pairs, order2))
+        checks.append(_witness_check(f"order3_identity[{b}]", pairs, order3))
+    return checks

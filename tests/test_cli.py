@@ -143,6 +143,60 @@ def test_mc_check_reports_precondition_failure(tmp_path):
     assert "error" in report["results"]
 
 
+def _two_copies_of_g2a(raw):
+    # twist-non-equivariant brackets: multiplicativity fails in both
+    del raw["operators"]
+    raw["brackets"] = [raw["brackets"][0], raw["brackets"][0]]
+
+
+def _flip_twist(raw):
+    # diag(1, -1) makes the deformation coefficients non-equivariant
+    raw["alpha"] = [["1", "0"], ["0", "-1"]]
+
+
+def _swap_beta(raw):
+    # beta no longer intertwines the actions: an invalid representation
+    raw["representation"]["beta"] = [["0", "1"], ["1", "0"]]
+
+
+def _scale_beta(raw):
+    # the representation stays valid, the extension cocycle is not equivariant
+    raw["representation"]["beta"] = [["2", "0"], ["0", "1"]]
+
+
+# command, extra arguments, fixture, edit, expected error, report attached
+PRECONDITION_CASES = {
+    "cohomology": (["--degree", "1"], "g4a.json", None, "invalid algebra", True),
+    "derivations": ([], "g2a.json", _two_copies_of_g2a, "invalid algebra", True),
+    "mc-check": ([], "g2a.json", _two_copies_of_g2a, "cochain is not twist-equivariant", False),
+    "deform-verify": ([], "d2_deform.json", _flip_twist,
+                      "deformation coefficient is not twist-equivariant", False),
+    "deform-obstruct": ([], "d2_deform.json", _flip_twist,
+                        "deformation coefficient is not twist-equivariant", False),
+    "extension-build": ([], "d2_ext.json", _swap_beta, "invalid representation", True),
+    "extension-classify": ([], "d2_ext.json", _scale_beta,
+                           "component is not twist-equivariant", False),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PRECONDITION_CASES))
+def test_precondition_failure_exits_1_with_report(tmp_path, command):
+    extra, fixture, edit, error, attached = PRECONDITION_CASES[command]
+    path = FIXTURES / fixture
+    if edit is not None:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        edit(raw)
+        path = tmp_path / fixture
+        path.write_text(json.dumps(raw), encoding="utf-8")
+    status, report = run([command, str(path), *extra])
+    assert status == 1
+    assert report["exit_status"] == 1
+    assert report["results"]["error"] == error
+    assert ("checks" in report["results"]) == attached
+    if attached:
+        assert not all(c["passed"] for c in report["results"]["checks"])
+
+
 def test_witnesses_reevaluate_from_machine_report():
     status, report = run(["verify", str(ROOT / "fixtures/g4a.json")])
     assert status == 1

@@ -20,6 +20,7 @@ from homlie import (
     cohomology_dimensions,
     compatible_coboundary,
     infinitesimal_class,
+    is_equivariant,
     is_extensible,
     obstruction,
     trivial_deformation_from_nijenhuis,
@@ -217,6 +218,22 @@ def test_order1_from_generator_verifies():
     g = trivial_deformation_from_nijenhuis(d2, fixtures.d2_nijenhuis())
     d = OrderPDeformation.from_generator(d2, g)
     assert verify_order_p(d).passed
+
+
+@pytest.mark.parametrize("component", [1, 2])
+def test_extended_rejects_non_equivariant_coefficient(component):
+    # The equivariance of every coefficient is checked whenever a deformation
+    # is built, including by `extended` and `truncate`.
+    c = fixtures.twisted_compatible_h3()
+    d = OrderPDeformation.from_generator(
+        c, trivial_deformation_from_nijenhuis(c, fixtures.h3_nijenhuis()))
+    zero = Cochain.zero(2, 3, 3)
+    bad = Cochain.from_values(2, 3, 3, {(0, 2): [0, 0, 1]})
+    assert not is_equivariant(bad, c.alpha, c.alpha)
+    assert d.extended(zero, zero).truncate(1) == d
+    pair = (bad, zero) if component == 1 else (zero, bad)
+    with pytest.raises(PreconditionError, match="deformation coefficient is not twist-equivariant"):
+        d.extended(*pair)
 
 
 def test_zero_coefficients_pass_iff_base_valid():
