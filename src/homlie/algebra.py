@@ -34,6 +34,7 @@ from .cochains import (
     Cochain,
     exterior_square,
     increasing_tuples,
+    lift_to_product,
     nr_bracket,
     nr_diamond,
     tuple_position,
@@ -454,35 +455,32 @@ def twisted_semidirect(l: HomLieAlgebra, v: Representation, f: Cochain) -> HomLi
         raise UsageError("twisting cochain must be arity 2 from the algebra into the module")
     if not ce_coboundary(l, v, f).is_zero():
         raise PreconditionError("twisting cochain is not a 2-cocycle")
-    bracket = _semidirect_bracket(l.bracket, v.actions[0], l.dim, v.vdim)
-    pos = tuple_position(l.dim + v.vdim, 2)
-    columns = [bracket.col(k) for k in range(bracket.cols)]
-    for (i, j) in increasing_tuples(l.dim, 2):
-        k = pos[(i, j)]
-        columns[k] = vec_add(columns[k], zero_vector(l.dim) + f.column((i, j)))
-    twisted = Matrix.from_columns(columns, l.dim + v.vdim)
+    twisted = (_semidirect_bracket(l.bracket, v.actions[0], l.dim, v.vdim)
+               + lift_to_product(f, l.dim, v.vdim).coeffs)
     return HomLieAlgebra(l.dim + v.vdim, l.alpha.block_diag(v.beta), twisted)
 
 
 def _operator_checks(s, op: LinearOperator, label: str = ""):
     """Twist commutation and the operator identity mu.L2(N) = N.(induced
-    bracket), one defect matrix per bracket of the carrier."""
+    bracket), one defect matrix per bracket of the carrier; returned with
+    the induced bracket matrices."""
     n = op.matrix
+    if n.rows != s.dim:
+        raise UsageError("operator dimension mismatch")
     name = "nijenhuis_identity" if op.kind == NIJENHUIS else "rota_baxter_identity"
     checks = [CheckResult.from_columns(f"twist_commutation{label}", s.alpha @ n - n @ s.alpha, 1)]
     square = exterior_square(n)
-    for blabel, bracket in zip(_labels(len(s.brackets)), s.brackets):
-        defect = bracket @ square - n @ _induced_matrix(s, bracket, op)
-        checks.append(CheckResult.from_columns(f"{name}{blabel}{label}", defect, 2))
-    return checks
+    induced = [_induced_matrix(s, bracket, op) for bracket in s.brackets]
+    for blabel, bracket, mat in zip(_labels(len(s.brackets)), s.brackets, induced):
+        checks.append(CheckResult.from_columns(f"{name}{blabel}{label}",
+                                               bracket @ square - n @ mat, 2))
+    return checks, induced
 
 
 def verify_operator(s, op: LinearOperator) -> ValidationReport:
     """Check twist commutation and the kind-specific identity on all basis
     pairs, for every bracket of the carrier."""
-    if op.matrix.rows != s.dim:
-        raise UsageError("operator dimension mismatch")
-    return ValidationReport(tuple(_operator_checks(s, op)))
+    return ValidationReport(tuple(_operator_checks(s, op)[0]))
 
 
 def induced_bracket(l, op: LinearOperator):
@@ -490,10 +488,10 @@ def induced_bracket(l, op: LinearOperator):
     operator, or [x,y]_R = [Rx,y] + [x,Ry] + weight*[x,y] of a Rota-Baxter
     operator, on the same carrier and twist.  Applied to each bracket of a
     compatible carrier."""
-    report = verify_operator(l, op)
+    checks, mats = _operator_checks(l, op)
+    report = ValidationReport(tuple(checks))
     if not report.passed:
         raise PreconditionError("operator fails its defining identity", report)
-    mats = [_induced_matrix(l, bracket, op) for bracket in l.brackets]
     if isinstance(l, HomLieAlgebra):
         return HomLieAlgebra(l.dim, l.alpha, mats[0])
     return CompatibleHomLieAlgebra(l.dim, l.alpha, mats[0], mats[1])
@@ -520,7 +518,9 @@ def rb_pair(l: HomLieAlgebra, r: LinearOperator, s: LinearOperator):
         raise UsageError("rb_pair needs two Rota-Baxter operators")
     if r.weight != s.weight:
         raise UsageError("Rota-Baxter operators must share the weight")
-    checks = _operator_checks(l, r, label="[R]") + _operator_checks(l, s, label="[S]")
+    r_checks, (r_induced,) = _operator_checks(l, r, label="[R]")
+    s_checks, (s_induced,) = _operator_checks(l, s, label="[S]")
+    checks = r_checks + s_checks
     mu = l.bracket_cochain()
     rm, sm = r.matrix, s.matrix
     mixed = exterior_square(rm + sm) - exterior_square(rm) - exterior_square(sm)
@@ -531,10 +531,7 @@ def rb_pair(l: HomLieAlgebra, r: LinearOperator, s: LinearOperator):
     report = ValidationReport(tuple(checks))
     if not report.passed:
         return report, None
-    induced = CompatibleHomLieAlgebra(
-        l.dim, l.alpha, _induced_matrix(l, l.bracket, r), _induced_matrix(l, l.bracket, s)
-    )
-    return report, induced
+    return report, CompatibleHomLieAlgebra(l.dim, l.alpha, r_induced, s_induced)
 
 
 def rb_companion(r: LinearOperator) -> LinearOperator:

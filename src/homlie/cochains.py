@@ -7,7 +7,9 @@ Values on arbitrary arguments follow by multilinear alternating extension.
 
 The twist-equivariant subspace of arity-n cochains consists of those f with
 beta o f = f o alpha^(wedge n); a basis is computed exactly by solving the
-linear constraint  beta . M = M . compound_n(alpha).
+linear constraint  beta . M = M . compound_n(alpha).  The compound of any
+matrix m is a wedge of its columns: column J is m e_(j1) ^ ... ^ m e_(jn)
+in the n-tuple basis, whose coefficients are the n x n minors of m.
 
 For endomorphism cochains (source = target) the shifted graded space of
 equivariant cochains carries a graded Lie bracket
@@ -195,32 +197,45 @@ def exterior_power_matrix(alpha: Matrix, n: int) -> Matrix:
     d = alpha.rows
     if not 1 <= n <= d:
         raise UsageError(f"exterior power {n} out of range 1..{d}")
-    tuples = increasing_tuples(d, n)
-    rows = []
-    for I in tuples:
-        row = []
-        for J in tuples:
-            row.append(determinant_of([[alpha.entry(i, j) for j in J] for i in I]))
-        rows.append(row)
-    return Matrix.from_rows(rows)
+    return _compound(alpha, n)
 
 
 def exterior_square(m: Matrix) -> Matrix:
-    """The compound of 2 x 2 minors of a square m, so that f . exterior_square(m)
-    is the arity-2 cochain f(m x, m y); 0 x 0 below dimension 2, where there
-    are no basis pairs."""
-    if m.rows < 2:
-        return Matrix.zero(0, 0)
-    return exterior_power_matrix(m, 2)
+    """The compound of 2 x 2 minors of m, so that f . exterior_square(m) is
+    the arity-2 cochain f(m x, m y); any shape, with no rows or columns where
+    there are no basis pairs."""
+    if m.is_square() and m.rows >= 2:
+        # the public entry point, so that timing it covers every square compound
+        return exterior_power_matrix(m, 2)
+    return _compound(m, 2)
+
+
+def require_equivariant(cochains, alpha: Matrix, beta: Matrix,
+                        message: str = "cochain is not twist-equivariant"):
+    """Raise PreconditionError(message) unless every cochain lies in the
+    twist-equivariant space: beta(v) = v in degree 0, beta . f =
+    f . compound_n(alpha) in arity n.  One compound is built per arity."""
+    compounds = {}
+    for f in cochains:
+        if isinstance(f, ZeroCochain):
+            holds = beta.apply(f.vector) == f.vector
+        elif f.arity > f.source_dim:
+            holds = True
+        else:
+            if f.arity not in compounds:
+                compounds[f.arity] = exterior_power_matrix(alpha, f.arity)
+            holds = (beta @ f.coeffs) == (f.coeffs @ compounds[f.arity])
+        if not holds:
+            raise PreconditionError(message)
 
 
 def is_equivariant(f, alpha: Matrix, beta: Matrix) -> bool:
     """Membership test for the twist-equivariant cochain space."""
-    if isinstance(f, ZeroCochain):
-        return beta.apply(f.vector) == f.vector
-    if f.arity > f.source_dim:
-        return True
-    return (beta @ f.coeffs) == (f.coeffs @ exterior_power_matrix(alpha, f.arity))
+    try:
+        require_equivariant((f,), alpha, beta)
+    except PreconditionError:
+        return False
+    return True
 
 
 def hom_cochain_basis(alpha: Matrix, beta: Matrix, n: int):
@@ -281,6 +296,31 @@ def _wedge_front(vec: dict, form: dict) -> dict:
     return out
 
 
+def _wedges(m: Matrix, n: int) -> dict:
+    """{J: m e_(j1) ^ ... ^ m e_(jt)} for every increasing tuple J of at most
+    n column indices of m, each a sparse form {I: minor} over the row
+    tuples; the wedge of J is m e_(j1) ^ (the wedge of its tail J[1:])."""
+    columns = [_sparse(m.col(j)) for j in range(m.cols)]
+    wedges = {(): {(): ONE}}
+    for t in range(1, n + 1):
+        for J in increasing_tuples(m.cols, t):
+            wedges[J] = _wedge_front(columns[J[0]], wedges[J[1:]])
+    return wedges
+
+
+def _compound(m: Matrix, n: int) -> Matrix:
+    """The n-th compound of an r x c matrix m, C(r, n) x C(c, n): column J is
+    the wedge m e_(j1) ^ ... ^ m e_(jn) in the increasing n-tuple basis, so
+    entry (I, J) is the n x n minor of m on rows I and columns J."""
+    wedges = _wedges(m, n)
+    row_pos, tuples = tuple_position(m.rows, n), increasing_tuples(m.cols, n)
+    entries = [ZERO] * (len(row_pos) * len(tuples))
+    for k, J in enumerate(tuples):
+        for I, value in wedges[J].items():
+            entries[row_pos[I] * len(tuples) + k] = value
+    return Matrix(len(row_pos), len(tuples), tuple(entries))
+
+
 def insertion_matrix(q: Cochain, alpha: Matrix, arity: int) -> Matrix:
     """The C(d, arity) x C(d, arity + deg Q) matrix K with P <> Q = P . K
     on coefficient matrices, for every arity-`arity` cochain P.
@@ -294,25 +334,17 @@ def insertion_matrix(q: Cochain, alpha: Matrix, arity: int) -> Matrix:
     d = q.source_dim
     out_arity = arity + q.arity - 1
     rows, cols = comb(d, arity), comb(d, out_arity)
-    alpha_n = alpha.power(q.arity - 1)
-    alpha_cols = [_sparse(alpha_n.col(j)) for j in range(d)]
+    rest_forms = _wedges(alpha.power(q.arity - 1), arity - 1)  # rest -> alpha^n e_(x_k) ^ ...
     q_cols = [_sparse(q.coeffs.col(k)) for k in range(q.coeffs.cols)]
     q_pos = tuple_position(d, q.arity)
     in_pos = tuple_position(d, arity)
-    rest_forms = {}  # rest of X -> alpha^n e_(x_k) ^ ...
     entries = {}  # flat index -> entry
     for x, X in enumerate(increasing_tuples(d, out_arity)):
         for S in itertools.combinations(range(out_arity), q.arity):
             rest = tuple(X[t] for t in range(out_arity) if t not in S)
-            form = rest_forms.get(rest)
-            if form is None:
-                form = {(): ONE}
-                for j in reversed(rest):
-                    form = _wedge_front(alpha_cols[j], form)
-                rest_forms[rest] = form
             negative = _shuffle_sign(S) < 0
             first = q_cols[q_pos[tuple(X[s] for s in S)]]
-            for I, value in _wedge_front(first, form).items():
+            for I, value in _wedge_front(first, rest_forms[rest]).items():
                 if negative:
                     value = -value
                 k = in_pos[I] * cols + x
@@ -391,11 +423,9 @@ def is_mc_pair(mu1: Cochain, mu2: Cochain, alpha: Matrix, base=None) -> MaurerCa
     residuals 2[t1,m1]+[m1,m1],  2[t2,m2]+[m2,m2]  and
     [t1,m2]+[t2,m1]+[m1,m2].
     """
-    for c in (mu1, mu2):
-        if c.arity != 2:
-            raise UsageError("Maurer-Cartan test expects arity-2 cochains")
-        if not is_equivariant(c, alpha, alpha):
-            raise PreconditionError("cochain is not twist-equivariant")
+    if mu1.arity != 2 or mu2.arity != 2:
+        raise UsageError("Maurer-Cartan test expects arity-2 cochains")
+    require_equivariant((mu1, mu2), alpha, alpha)
     if base is None:
         return MaurerCartanCheck(
             nr_bracket(mu1, mu1, alpha),
@@ -403,11 +433,9 @@ def is_mc_pair(mu1: Cochain, mu2: Cochain, alpha: Matrix, base=None) -> MaurerCa
             nr_bracket(mu1, mu2, alpha),
         )
     theta1, theta2 = base
-    for c in (theta1, theta2):
-        if c.arity != 2:
-            raise UsageError("base must be a pair of arity-2 cochains")
-        if not is_equivariant(c, alpha, alpha):
-            raise PreconditionError("base cochain is not twist-equivariant")
+    if theta1.arity != 2 or theta2.arity != 2:
+        raise UsageError("base must be a pair of arity-2 cochains")
+    require_equivariant(base, alpha, alpha, "base cochain is not twist-equivariant")
     if not is_mc_pair(theta1, theta2, alpha).is_mc:
         raise PreconditionError("base pair is not Maurer-Cartan")
     r1 = nr_bracket(theta1, mu1, alpha).scale(2) + nr_bracket(mu1, mu1, alpha)

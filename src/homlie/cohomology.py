@@ -60,7 +60,7 @@ from .cochains import (
     hom_cochain_basis,
     increasing_tuples,
     insertion_matrix,
-    is_equivariant,
+    require_equivariant,
     tuple_position,
 )
 from .errors import ContractError, PreconditionError, UsageError
@@ -174,8 +174,7 @@ def ce_coboundary(l: HomLieAlgebra, v: Representation, f, check: bool = True):
         raise UsageError("single-bracket coboundary needs a single-action representation")
     if check:
         _validate_structures(l, v)
-        if not is_equivariant(f, l.alpha, v.beta):
-            raise PreconditionError("cochain is not twist-equivariant")
+        require_equivariant((f,), l.alpha, v.beta)
     n = 0 if isinstance(f, ZeroCochain) else f.arity
     _check_shape(f, l.dim, v.vdim)
     return Cochain.from_flat(n + 1, l.dim, v.vdim, _coboundary_map(l, v, 1, n)(f.flatten()))
@@ -274,9 +273,7 @@ def compatible_coboundary(c: CompatibleHomLieAlgebra, v: Representation,
                     "vector is not in the degree-0 group (twist-fixed with agreeing actions)"
                 )
         else:
-            for comp in f.components:
-                if not is_equivariant(comp, c.alpha, v.beta):
-                    raise PreconditionError("component is not twist-equivariant")
+            require_equivariant(f.components, c.alpha, v.beta, "component is not twist-equivariant")
     n = f.degree
     for comp in f.components:
         _check_shape(comp, c.dim, v.vdim)

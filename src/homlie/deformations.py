@@ -30,7 +30,14 @@ from .algebra import (
     induced_bracket,
     verify_structure,
 )
-from .cochains import Cochain, exterior_square, is_mc_pair, nr_bracket, nr_diamond
+from .cochains import (
+    Cochain,
+    exterior_square,
+    is_mc_pair,
+    nr_bracket,
+    nr_diamond,
+    require_equivariant,
+)
 from .cohomology import (
     COMPATIBLE,
     CompatibleCochain,
@@ -84,16 +91,6 @@ def _require_valid(c: CompatibleHomLieAlgebra):
         raise PreconditionError("base algebra is invalid", report)
 
 
-def _require_equivariant(alpha: Matrix, cochains,
-                         message: str = "cochain is not twist-equivariant"):
-    """Raise unless alpha . f = f . L2(alpha) for every arity-2 endomorphism
-    cochain f, building the compound L2(alpha) once for all of them."""
-    square = exterior_square(alpha)
-    for f in cochains:
-        if alpha @ f.coeffs != f.coeffs @ square:
-            raise PreconditionError(message)
-
-
 def check_linear_generator(c: CompatibleHomLieAlgebra, g: LinearGenerator) -> GeneratorReport:
     """Evaluate the six bracket conditions for a linear generator.
 
@@ -103,7 +100,7 @@ def check_linear_generator(c: CompatibleHomLieAlgebra, g: LinearGenerator) -> Ge
     (the Maurer-Cartan test).
     """
     _require_valid(c)
-    _require_equivariant(c.alpha, (g.omega1, g.omega2))
+    require_equivariant((g.omega1, g.omega2), c.alpha, c.alpha)
     alpha = c.alpha
     mu1 = c.bracket_cochain(1)
     mu2 = c.bracket_cochain(2)
@@ -159,7 +156,8 @@ def check_linear_equivalence(c: CompatibleHomLieAlgebra, g: LinearGenerator,
     (w' <> N)(x,y) = w'(Nx,y) + w'(x,Ny).
     """
     _require_valid(c)
-    _require_equivariant(c.alpha, (g.omega1, g.omega2, g_prime.omega1, g_prime.omega2))
+    require_equivariant((g.omega1, g.omega2, g_prime.omega1, g_prime.omega2),
+                        c.alpha, c.alpha)
     if c.alpha @ n_matrix != n_matrix @ c.alpha:
         raise PreconditionError("operator does not commute with the twist")
     dim = c.dim
@@ -218,8 +216,8 @@ class OrderPDeformation:
         if self.coeffs1[0].flatten() != self.base.bracket_cochain(1).flatten() or \
                 self.coeffs2[0].flatten() != self.base.bracket_cochain(2).flatten():
             raise UsageError("order-0 coefficients must equal the base brackets")
-        _require_equivariant(self.base.alpha, self.coeffs1[1:] + self.coeffs2[1:],
-                             "deformation coefficient is not twist-equivariant")
+        require_equivariant(self.coeffs1[1:] + self.coeffs2[1:], self.base.alpha, self.base.alpha,
+                            "deformation coefficient is not twist-equivariant")
 
     @property
     def order(self) -> int:

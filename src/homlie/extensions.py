@@ -8,6 +8,19 @@ splitting condition twist_total o s = s o twist_base) and rejects violations
 with a diagnostic; a twist-compatible splitting is genuine extra data, it
 need not exist for an arbitrary projection.
 
+Every bracket identity is one exact product over a compound matrix, with
+mu_t and mu_b a total and a base bracket matrix, i, j, s the inclusion,
+projection and splitting, and L2(M) the compound of 2 x 2 minors of M
+(`exterior_square`, any shape):
+
+    abelian fiber          mu_t . L2(i) = 0
+    bracket projection     j . mu_t = mu_b . L2(j)
+    action and cocycle     R . mu_t . L2([s | i]), where R . i = 1, R . s = 0
+    extension morphism     phi . mu_t = mu_t' . L2(phi)
+
+Column (p, g + a) of the third product is the action of e_p on e_a, and
+column (p < q < g) is the cocycle on (e_p, e_q).
+
 Extensions of a fixed base by a fixed module are classified by degree-2
 cohomology of the two-bracket complex: building from a cocycle and reading
 the cocycle back off a splitting are mutually inverse, equivalences
@@ -25,7 +38,14 @@ from .algebra import (
     _semidirect_bracket,
     verify_structure,
 )
-from .cochains import Cochain, increasing_tuples, is_equivariant, tuple_position
+from .cochains import (
+    Cochain,
+    exterior_square,
+    increasing_tuples,
+    lift_to_product,
+    require_equivariant,
+    tuple_position,
+)
 from .cohomology import (
     COMPATIBLE,
     CompatibleCochain,
@@ -35,16 +55,7 @@ from .cohomology import (
     compatible_coboundary,
 )
 from .errors import ContractError, PreconditionError, UsageError
-from .linalg import (
-    Matrix,
-    basis_vector,
-    rank,
-    solve,
-    vec_add,
-    vec_is_zero,
-    vec_sub,
-    zero_vector,
-)
+from .linalg import Matrix, hstack, rank, rref, vstack
 
 
 @dataclass(frozen=True)
@@ -109,19 +120,12 @@ class AbelianExtension:
             raise PreconditionError("inclusion does not intertwine the twists")
         if (self.base.alpha @ j) != (j @ self.total.alpha):
             raise PreconditionError("projection does not intertwine the twists")
-        for b in (1, 2):
-            for (a, c) in increasing_tuples(v, 2):
-                if not vec_is_zero(self.total.bracket_of(b, i.col(a), i.col(c))):
-                    raise PreconditionError("fiber is not abelian inside the total algebra")
-            for p in range(self.total.dim):
-                for q in range(p + 1, self.total.dim):
-                    lhs = j.apply(
-                        self.total.bracket_of(b, basis_vector(self.total.dim, p),
-                                              basis_vector(self.total.dim, q))
-                    )
-                    rhs = self.base.bracket_of(b, j.col(p), j.col(q))
-                    if lhs != rhs:
-                        raise PreconditionError("projection is not a bracket morphism")
+        fiber_square, projection_square = exterior_square(i), exterior_square(j)
+        for mu_t, mu_b in zip(self.total.brackets, self.base.brackets):
+            if not (mu_t @ fiber_square).is_zero():
+                raise PreconditionError("fiber is not abelian inside the total algebra")
+            if (j @ mu_t) != (mu_b @ projection_square):
+                raise PreconditionError("projection is not a bracket morphism")
         report = verify_structure(self.total)
         if not report.passed:
             raise PreconditionError("total structure fails verification", report)
@@ -129,12 +133,13 @@ class AbelianExtension:
         if not base_report.passed:
             raise PreconditionError("base structure fails verification", base_report)
 
-    def fiber_component(self, w) -> tuple:
-        """Coordinates in the fiber of a total vector lying in ker(projection)."""
-        u = solve(self.inclusion, w)
-        if u is None:
-            raise UsageError("vector does not lie in the image of the inclusion")
-        return u
+    def fiber_readout(self) -> Matrix:
+        """The v x (g+v) matrix R with R . inclusion = 1 and R . splitting = 0:
+        the fiber coordinates of a total vector along the splitting.  It is
+        the lower block of [s | i]^(-1), read off one reduced echelon form."""
+        g, h = self.base.dim, self.total.dim
+        reduced, _ = rref(hstack([self.splitting, self.inclusion, Matrix.identity(h)]))
+        return Matrix(self.fiber_dim, h, tuple(x for r in range(g, h) for x in reduced.row(r)[h:]))
 
 
 def build_extension(c: CompatibleHomLieAlgebra, rep: Representation,
@@ -150,64 +155,48 @@ def build_extension(c: CompatibleHomLieAlgebra, rep: Representation,
     rep_report = verify_structure(rep)
     if not rep_report.passed:
         raise PreconditionError("invalid representation", rep_report)
-    delta = compatible_coboundary(c, rep, z.as_compatible())
-    if not delta.is_zero():
+    base_report = verify_structure(c)
+    if not base_report.passed:
+        raise PreconditionError("invalid algebra", base_report)
+    require_equivariant((z.f1, z.f2), c.alpha, rep.beta, "component is not twist-equivariant")
+    if not compatible_coboundary(c, rep, z.as_compatible(), check=False).is_zero():
         raise PreconditionError("extension datum is not a 2-cocycle")
     g, v = c.dim, rep.vdim
-    brackets = []
-    pos = tuple_position(g + v, 2)
-    for b in (1, 2):
-        mat = _semidirect_bracket(c.brackets[b - 1], rep.actions[b - 1], g, v)
-        columns = [mat.col(k) for k in range(mat.cols)]
-        f = (z.f1, z.f2)[b - 1]
-        for (i, j) in increasing_tuples(g, 2):
-            k = pos[(i, j)]
-            columns[k] = vec_add(columns[k], zero_vector(g) + f.column((i, j)))
-        brackets.append(Matrix.from_columns(columns, g + v))
-    total = CompatibleHomLieAlgebra(g + v, c.alpha.block_diag(rep.beta), brackets[0], brackets[1])
-    inclusion = Matrix.from_rows([[0] * v for _ in range(g)] + [r for r in _identity_rows(v)])
-    projection = Matrix.from_rows([list(r) + [0] * v for r in _identity_rows(g)])
-    splitting = Matrix.from_rows([list(r) for r in _identity_rows(g)] + [[0] * g for _ in range(v)])
+    brackets = [_semidirect_bracket(bracket, table, g, v) + lift_to_product(f, g, v).coeffs
+                for bracket, table, f in zip(c.brackets, rep.actions, (z.f1, z.f2))]
+    total = CompatibleHomLieAlgebra(g + v, c.alpha.block_diag(rep.beta), *brackets)
+    inclusion = vstack([Matrix.zero(g, v), Matrix.identity(v)])
+    projection = hstack([Matrix.identity(g), Matrix.zero(g, v)])
+    splitting = vstack([Matrix.identity(g), Matrix.zero(v, g)])
     return AbelianExtension(c, v, rep.beta, total, inclusion, projection, splitting)
-
-
-def _identity_rows(n: int):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def extract_cocycle(e: AbelianExtension):
     """Induced representation and the 2-cocycle read off the splitting.
 
     The action is x ._b w = fiber part of [s(x), i(w)]_b; the cocycle is the
-    fiber part of [s(x), s(y)]_b - s([x, y]_b).  The action does not depend
-    on the splitting; the cocycle moves by a coboundary when the splitting
-    changes.
+    fiber part of [s(x), s(y)]_b - s([x, y]_b), where the second term has no
+    fiber part.  Both are columns of one product R . mu_t . L2([s | i]) per
+    bracket.  The action does not depend on the splitting; the cocycle
+    moves by a coboundary when the splitting changes.
     """
     g, v = e.base.dim, e.fiber_dim
-    tables = []
-    for b in (1, 2):
-        table = []
-        for p in range(g):
-            cols = []
-            for a in range(v):
-                w = e.total.bracket_of(b, e.splitting.col(p), e.inclusion.col(a))
-                cols.append(e.fiber_component(w))
-            table.append(Matrix.from_columns(cols, v))
-        tables.append(tuple(table))
+    pos = tuple_position(e.total.dim, 2)
+    readout = e.fiber_readout()
+    frame = exterior_square(hstack([e.splitting, e.inclusion]))
+    tables, cochains = [], []
+    for mu in e.total.brackets:
+        values = readout @ mu @ frame
+        tables.append(tuple(
+            Matrix.from_columns([values.col(pos[(p, g + a)]) for a in range(v)], v)
+            for p in range(g)
+        ))
+        columns = [values.col(pos[pair]) for pair in increasing_tuples(g, 2)]
+        cochains.append(Cochain(2, g, v, Matrix.from_columns(columns, v)))
     rep = Representation(e.base, v, e.fiber_beta, tuple(tables))
     rep_report = verify_structure(rep)
     if not rep_report.passed:
         raise ContractError("induced representation fails verification")
-    cochains = []
-    for b in (1, 2):
-        columns = []
-        for (p, q) in increasing_tuples(g, 2):
-            w = vec_sub(
-                e.total.bracket_of(b, e.splitting.col(p), e.splitting.col(q)),
-                e.splitting.apply(e.base.bracket_of(b, basis_vector(g, p), basis_vector(g, q))),
-            )
-            columns.append(e.fiber_component(w))
-        cochains.append(Cochain(2, g, v, Matrix.from_columns(columns, v)))
     z = ExtensionCocycle(cochains[0], cochains[1])
     delta = compatible_coboundary(e.base, rep, z.as_compatible(), check=False)
     if not delta.is_zero():
@@ -219,8 +208,8 @@ def alternate_splitting(e: AbelianExtension, tau: Cochain) -> AbelianExtension:
     """The same extension re-read through s + i o tau, for twist-equivariant tau."""
     if tau.arity != 1 or tau.source_dim != e.base.dim or tau.target_dim != e.fiber_dim:
         raise UsageError("splitting shift must be an arity-1 cochain from base to fiber")
-    if not is_equivariant(tau, e.base.alpha, e.fiber_beta):
-        raise PreconditionError("splitting shift is not twist-equivariant")
+    require_equivariant((tau,), e.base.alpha, e.fiber_beta,
+                        "splitting shift is not twist-equivariant")
     new_splitting = e.splitting + (e.inclusion @ tau.coeffs)
     return AbelianExtension(
         e.base, e.fiber_dim, e.fiber_beta, e.total, e.inclusion, e.projection, new_splitting
@@ -253,36 +242,25 @@ def check_equivalence(e: AbelianExtension, e2: AbelianExtension):
     if shift is None:
         return None
     tau = shift.components[0]
-    # phi = s2 o j + i2 o (fiber_part + tau o j)
-    h, v = e.total.dim, e.fiber_dim
-    fiber_part_cols = []
-    id_minus_sj = Matrix.identity(h) - (e.splitting @ e.projection)
-    for p in range(h):
-        fiber_part_cols.append(e.fiber_component(id_minus_sj.col(p)))
-    fiber_part = Matrix.from_columns(fiber_part_cols, v)
+    # phi = s2 o j + i2 o (fiber part + tau o j)
     phi = (e2.splitting @ e.projection) + (
-        e2.inclusion @ (fiber_part + (tau.coeffs @ e.projection))
+        e2.inclusion @ (e.fiber_readout() + (tau.coeffs @ e.projection))
     )
     _verify_morphism(e, e2, phi)
     return phi
 
 
 def _verify_morphism(e: AbelianExtension, e2: AbelianExtension, phi: Matrix):
-    h = e.total.dim
     if (phi @ e.inclusion) != e2.inclusion:
         raise ContractError("morphism does not restrict to the fiber identity")
     if (e2.projection @ phi) != e.projection:
         raise ContractError("morphism does not cover the base identity")
     if (phi @ e.total.alpha) != (e2.total.alpha @ phi):
         raise ContractError("morphism does not intertwine the twists")
-    for b in (1, 2):
-        for (p, q) in increasing_tuples(h, 2):
-            lhs = phi.apply(
-                e.total.bracket_of(b, basis_vector(h, p), basis_vector(h, q))
-            )
-            rhs = e2.total.bracket_of(b, phi.col(p), phi.col(q))
-            if lhs != rhs:
-                raise ContractError("morphism does not preserve the brackets")
+    square = exterior_square(phi)
+    for mu, mu2 in zip(e.total.brackets, e2.total.brackets):
+        if (phi @ mu) != (mu2 @ square):
+            raise ContractError("morphism does not preserve the brackets")
 
 
 def ext_class(e: AbelianExtension) -> tuple:

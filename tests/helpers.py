@@ -15,14 +15,28 @@ from math import comb
 from homlie import (
     Cochain,
     CompatibleCochain,
+    ExtensionCocycle,
     HomLieAlgebra,
     Matrix,
+    PreconditionError,
+    Representation,
     ZeroCochain,
     hom_cochain_basis,
+    verify_structure,
 )
 from homlie.algebra import CheckResult
 from homlie.cochains import increasing_tuples, tuple_position
-from homlie.linalg import basis_vector, vec_add, vec_is_zero, vec_scale, vec_sub, zero_vector
+from homlie.linalg import (
+    basis_vector,
+    determinant_of,
+    rank,
+    solve,
+    vec_add,
+    vec_is_zero,
+    vec_scale,
+    vec_sub,
+    zero_vector,
+)
 
 
 def rand_frac(rng, span=3):
@@ -451,3 +465,80 @@ def naive_linear_equivalence_checks(c, g, g_prime, n):
         checks.append(_witness_check(f"order2_identity[{b}]", pairs, order2))
         checks.append(_witness_check(f"order3_identity[{b}]", pairs, order3))
     return checks
+
+
+def naive_exterior_power(alpha: Matrix, n: int) -> Matrix:
+    """The compound matrix of all n x n minors of a square matrix, one
+    determinant per pair of increasing n-tuples."""
+    tuples = increasing_tuples(alpha.rows, n)
+    return Matrix.from_rows([
+        [determinant_of([[alpha.entry(i, j) for j in J] for i in I]) for J in tuples]
+        for I in tuples
+    ])
+
+
+def naive_extension_validation(base, fiber_dim, fiber_beta, total, inclusion, projection,
+                               splitting):
+    """The validation of an abelian extension with every bracket identity
+    checked one basis pair at a time; raises PreconditionError with the
+    first failing condition, in the order of `AbelianExtension`."""
+    g, v = base.dim, fiber_dim
+    i, j, s = inclusion, projection, splitting
+    if not (j @ i).is_zero():
+        raise PreconditionError("projection does not annihilate the fiber")
+    if (j @ s) != Matrix.identity(g):
+        raise PreconditionError("splitting is not a section of the projection")
+    if rank(i) != v:
+        raise PreconditionError("inclusion is not injective")
+    if rank(j) != g:
+        raise PreconditionError("projection is not surjective")
+    if (total.alpha @ s) != (s @ base.alpha):
+        raise PreconditionError("splitting does not intertwine the twists")
+    if (total.alpha @ i) != (i @ fiber_beta):
+        raise PreconditionError("inclusion does not intertwine the twists")
+    if (base.alpha @ j) != (j @ total.alpha):
+        raise PreconditionError("projection does not intertwine the twists")
+    for b in (1, 2):
+        for (a, c) in increasing_tuples(v, 2):
+            if not vec_is_zero(total.bracket_of(b, i.col(a), i.col(c))):
+                raise PreconditionError("fiber is not abelian inside the total algebra")
+        for p in range(total.dim):
+            for q in range(p + 1, total.dim):
+                lhs = j.apply(total.bracket_of(b, basis_vector(total.dim, p),
+                                               basis_vector(total.dim, q)))
+                if lhs != base.bracket_of(b, j.col(p), j.col(q)):
+                    raise PreconditionError("projection is not a bracket morphism")
+    if not verify_structure(total).passed:
+        raise PreconditionError("total structure fails verification")
+    if not verify_structure(base).passed:
+        raise PreconditionError("base structure fails verification")
+
+
+def naive_extract_cocycle(e):
+    """The induced representation and cocycle of an extension, each value
+    read by one solve in the inclusion: x ._b w from [s(x), i(w)]_b and
+    f_b(x, y) from [s(x), s(y)]_b - s([x, y]_b)."""
+    g, v = e.base.dim, e.fiber_dim
+
+    def fiber(w):
+        u = solve(e.inclusion, w)
+        assert u is not None, "vector outside the fiber"
+        return u
+
+    tables, cochains = [], []
+    for b in (1, 2):
+        tables.append(tuple(
+            Matrix.from_columns([fiber(e.total.bracket_of(b, e.splitting.col(p),
+                                                          e.inclusion.col(a)))
+                                 for a in range(v)], v)
+            for p in range(g)
+        ))
+        columns = []
+        for (p, q) in increasing_tuples(g, 2):
+            w = vec_sub(
+                e.total.bracket_of(b, e.splitting.col(p), e.splitting.col(q)),
+                e.splitting.apply(e.base.bracket_of(b, basis_vector(g, p), basis_vector(g, q))),
+            )
+            columns.append(fiber(w))
+        cochains.append(Cochain(2, g, v, Matrix.from_columns(columns, v)))
+    return Representation(e.base, v, e.fiber_beta, tuple(tables)), ExtensionCocycle(*cochains)

@@ -32,6 +32,7 @@ from homlie import (
     verify_operator,
     verify_structure,
 )
+from homlie import algebra
 from homlie.algebra import _induced_matrix
 
 from helpers import (
@@ -189,6 +190,21 @@ def test_passing_rb_pairs_match_oracle(l, r):
         assert report.passed
         assert report.checks[-1] == naive_rb_pair_compatibility(l, a, b)
         assert list(induced.brackets) == naive_induced_bracket(l, a) + naive_induced_bracket(l, b)
+
+
+def test_each_induced_bracket_is_built_once(monkeypatch):
+    # The operator identity and the returned structure share one induced
+    # bracket matrix per bracket.
+    c, n = fixtures.compatible_h3(), fixtures.h3_nijenhuis()
+    l, r = fixtures.g2a(), fixtures.g2a_rota_baxter()
+    calls = []
+    monkeypatch.setattr(algebra, "_induced_matrix",
+                        lambda *args: calls.append(args) or _induced_matrix(*args))
+    induced_bracket(c, n)
+    assert len(calls) == 2
+    calls.clear()
+    report, induced = rb_pair(l, r, rb_companion(r))
+    assert induced is not None and len(calls) == 2
 
 
 def nilpotent_pair(rng, d):

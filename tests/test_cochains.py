@@ -20,9 +20,12 @@ from homlie import (
     verify_structure,
 )
 from homlie import fixtures
+from homlie import cochains
+from homlie.cochains import _compound
 from homlie.linalg import basis_vector, vec_is_zero
 
 from helpers import (
+    naive_exterior_power,
     naive_jacobiator_defects,
     naive_nr_bracket,
     naive_nr_diamond,
@@ -86,6 +89,43 @@ def test_exterior_power_range_guard():
         exterior_power_matrix(Matrix.identity(2), 3)
     with pytest.raises(UsageError):
         exterior_power_matrix(Matrix.identity(2), 0)
+
+
+def sparse_matrix(rng, rows, cols, density):
+    return Matrix(rows, cols, tuple(
+        F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < density else F(0)
+        for _ in range(rows * cols)
+    ))
+
+
+def singular_matrix(rng, d):
+    """A dense d x d matrix whose last row is the sum of the others."""
+    m = sparse_matrix(rng, d, d, 1.0)
+    last = [sum((m.entry(i, j) for i in range(d - 1)), F(0)) for j in range(d)]
+    return Matrix(d, d, m.entries[: (d - 1) * d] + tuple(last))
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_exterior_power_matches_minors(d):
+    # The compound is built as wedges of columns; the oracle takes every
+    # n x n minor by a determinant.
+    rng = random.Random(40 + d)
+    for alpha in (sparse_matrix(rng, d, d, 0.3), sparse_matrix(rng, d, d, 1.0),
+                  singular_matrix(rng, d)):
+        for n in range(1, d + 1):
+            assert exterior_power_matrix(alpha, n) == naive_exterior_power(alpha, n)
+
+
+def test_compound_is_multiplicative_on_rectangular_factors():
+    # Cauchy-Binet: the n-th compound of A B is the product of the compounds,
+    # for any shapes, including n above a dimension where a side is empty.
+    rng = random.Random(41)
+    for _ in range(40):
+        p, q, r = (rng.randint(0, 5) for _ in range(3))
+        a = sparse_matrix(rng, p, q, rng.choice([0.3, 1.0]))
+        b = sparse_matrix(rng, q, r, rng.choice([0.3, 1.0]))
+        for n in range(5):
+            assert _compound(a @ b, n) == _compound(a, n) @ _compound(b, n)
 
 
 def test_hom_cochain_basis_identity_twists_full_space():
@@ -343,6 +383,21 @@ def test_mc_pair_zero_with_base():
     base = (d2.bracket_cochain(1), d2.bracket_cochain(2))
     check = is_mc_pair(zero, zero, d2.alpha, base=base)
     assert check.is_mc
+
+
+def test_mc_pair_builds_one_compound_per_cochain_pair(monkeypatch):
+    # One compound for (mu1, mu2), one for the base pair and one for the
+    # base pair's own Maurer-Cartan test.
+    c = fixtures.d2()
+    mus = (c.bracket_cochain(1), c.bracket_cochain(2))
+    built = []
+    original = cochains.exterior_power_matrix
+    monkeypatch.setattr(cochains, "exterior_power_matrix",
+                        lambda alpha, n: built.append(n) or original(alpha, n))
+    is_mc_pair(*mus, c.alpha)
+    assert built == [2]
+    is_mc_pair(*mus, c.alpha, base=mus)
+    assert built == [2] * 4
 
 
 def test_mc_pair_rejects_non_equivariant():

@@ -32,7 +32,7 @@ from homlie import (
     sum_representation,
     verify_structure,
 )
-from homlie import fixtures
+from homlie import cochains, fixtures
 from homlie.cohomology import (
     COMPATIBLE,
     PLAIN,
@@ -166,6 +166,20 @@ def test_compatible_coboundary_zero_and_degree1_shape():
     assert out.degree == 2 and len(out.components) == 2
     assert out.components[0].column((0, 1)) == (F(1), F(0))
     assert out.components[1].column((0, 1)) == (F(0), F(1))
+
+
+def test_compatible_coboundary_checks_equivariance_with_one_compound(monkeypatch):
+    # The three arity-3 components share one compound of the twist; the
+    # structure checks build only arity-2 compounds.
+    c = fixtures.twisted_compatible_h3()
+    rep = adjoint_representation(c)
+    built = []
+    original = cochains.exterior_power_matrix
+    monkeypatch.setattr(cochains, "exterior_power_matrix",
+                        lambda alpha, n: built.append(n) or original(alpha, n))
+    out = compatible_coboundary(c, rep, CompatibleCochain.zero(3, 3, 3))
+    assert out.is_zero()
+    assert built.count(3) == 1
 
 
 def test_compatible_coboundary_degree0_membership_guard():

@@ -1,5 +1,8 @@
 import itertools
+import random
 from fractions import Fraction
+from functools import lru_cache
+from math import comb
 
 import pytest
 
@@ -8,9 +11,11 @@ from homlie import (
     Cochain,
     CompatibleCochain,
     CompatibleHomLieAlgebra,
+    ContractError,
     ExtensionCocycle,
     Matrix,
     PreconditionError,
+    Representation,
     UsageError,
     adjoint_representation,
     build_extension,
@@ -19,12 +24,16 @@ from homlie import (
     compatible_coboundary,
     ext_class,
     extract_cocycle,
+    hom_cochain_basis,
     semidirect_product,
     verify_structure,
 )
-from homlie import fixtures
+from homlie import cohomology, extensions, fixtures
+from homlie.cochains import exterior_square, tuple_position
 from homlie.cohomology import COMPATIBLE
-from homlie.extensions import alternate_splitting
+from homlie.extensions import _verify_morphism, alternate_splitting
+
+from helpers import naive_extension_validation, naive_extract_cocycle
 
 F = Fraction
 
@@ -62,6 +71,30 @@ def test_build_rejects_non_cocycle():
                 build_extension(c, rep, z)
             return
     pytest.fail("no non-cocycle found in the basis")
+
+
+def test_build_checks_representation_base_and_equivariance_once_each(monkeypatch):
+    c = fixtures.twisted_compatible_h3()
+    rep = adjoint_representation(c)
+    z = ExtensionCocycle(Cochain.zero(2, 3, 3), Cochain.zero(2, 3, 3))
+    verified = []
+    for module in (extensions, cohomology):
+        monkeypatch.setattr(module, "verify_structure",
+                            lambda s, original=module.verify_structure:
+                            verified.append(type(s).__name__) or original(s))
+    build_extension(c, rep, z)
+    assert verified.count("Representation") == 1
+    # f(e_0, e_2) = e_1, while the twist fixes e_0 and e_2 but moves e_1
+    skewed = ExtensionCocycle(Cochain.from_values(2, 3, 3, {(0, 2): [0, 1, 0]}),
+                              Cochain.zero(2, 3, 3))
+    with pytest.raises(PreconditionError, match="component is not twist-equivariant"):
+        build_extension(c, rep, skewed)
+    # e_0 acting by e_2 -> e_1 does not commute with the twist
+    table = (Cochain.from_values(1, 3, 3, {(2,): [0, 1, 0]}).coeffs,) + rep.actions[0][1:]
+    broken = Representation(c, 3, rep.beta, (table, rep.actions[1]))
+    assert not verify_structure(broken).passed
+    with pytest.raises(PreconditionError, match="invalid representation"):
+        build_extension(c, broken, z)
 
 
 def test_round_trip_build_then_extract():
@@ -232,3 +265,151 @@ def test_equivalence_requires_same_setting():
     )
     with pytest.raises(UsageError):
         check_equivalence(e, e_other)
+
+
+# ---------------------------------------------------------------------------
+# the matrix identities against the per-pair oracles, in moved coordinates
+# ---------------------------------------------------------------------------
+
+def unit(rows, cols, r, c):
+    return Matrix(rows, cols, tuple(F(int(k == r * cols + c)) for k in range(rows * cols)))
+
+
+def unimodular(rng, n):
+    """A seeded integer matrix of determinant 1 and its inverse, both
+    products of elementary matrices."""
+    p, p_inv = Matrix.identity(n), Matrix.identity(n)
+    for _ in range(3 * n):
+        a, b = rng.sample(range(n), 2)
+        step = unit(n, n, a, b).scale(rng.choice([-2, -1, 1, 2]))
+        p, p_inv = (Matrix.identity(n) + step) @ p, p_inv @ (Matrix.identity(n) - step)
+    return p, p_inv
+
+
+@lru_cache(maxsize=None)
+def split_extension(setting):
+    """A valid extension with a nonzero cocycle in split coordinates."""
+    if setting == "d2":
+        c, rep = ext_setting()
+        z = ExtensionCocycle(
+            Cochain.from_values(2, 2, 2, {(0, 1): [1, 0]}), Cochain.zero(2, 2, 2)
+        )
+    else:
+        c = fixtures.twisted_compatible_h3()
+        rep = adjoint_representation(c)
+        z = cocycle_from(cohomology_dimensions(c, rep, 2, COMPATIBLE).cohomology_basis[0])
+    return build_extension(c, rep, z)
+
+
+def data(e):
+    return dict(base=e.base, fiber_dim=e.fiber_dim, fiber_beta=e.fiber_beta, total=e.total,
+                inclusion=e.inclusion, projection=e.projection, splitting=e.splitting)
+
+
+def moved(d, p, p_inv):
+    """The same extension data in the total basis moved by p: mu' = p mu L2(p^-1),
+    alpha' = p alpha p^-1, i' = p i, j' = j p^-1, s' = p s."""
+    t = d["total"]
+    square = exterior_square(p_inv)
+    total = CompatibleHomLieAlgebra(t.dim, p @ t.alpha @ p_inv,
+                                    p @ t.bracket1 @ square, p @ t.bracket2 @ square)
+    return dict(d, total=total, inclusion=p @ d["inclusion"],
+                projection=d["projection"] @ p_inv, splitting=p @ d["splitting"])
+
+
+def bump_bracket(d, which, row, pair):
+    """Add 1 to one entry of a total bracket: row `row` of the column of `pair`."""
+    t = d["total"]
+    h = t.dim
+    brackets = list(t.brackets)
+    brackets[which - 1] += unit(h, comb(h, 2), row, tuple_position(h, 2)[pair])
+    return dict(d, total=CompatibleHomLieAlgebra(h, t.alpha, *brackets))
+
+
+def g_of(d):
+    return d["base"].dim
+
+
+# Each tamper breaks one datum of a valid split extension.  Three messages
+# of the validation cannot be reached once the earlier checks pass, so no
+# tamper targets them: j s = 1 makes the projection surjective; with [s | i]
+# invertible, the two splitting and inclusion twist conditions force
+# alpha_b j = j alpha_t; and a surjective morphism from a valid total
+# structure that intertwines the twists leaves a valid base.
+TAMPERS = [
+    ("annihilate", "projection does not annihilate the fiber",
+     lambda d: dict(d, projection=d["projection"] + unit(g_of(d), d["total"].dim, 0, g_of(d)))),
+    ("section", "splitting is not a section of the projection",
+     lambda d: dict(d, splitting=d["splitting"].scale(2))),
+    ("injective", "inclusion is not injective",
+     lambda d: dict(d, inclusion=d["inclusion"] @ Matrix.diagonal(
+         [1] * (d["fiber_dim"] - 1) + [0]))),
+    ("splitting-twist", "splitting does not intertwine the twists",
+     lambda d: dict(d, total=CompatibleHomLieAlgebra(
+         d["total"].dim, d["total"].alpha + unit(d["total"].dim, d["total"].dim, 0, 0),
+         *d["total"].brackets))),
+    ("inclusion-twist", "inclusion does not intertwine the twists",
+     lambda d: dict(d, fiber_beta=d["fiber_beta"] + Matrix.identity(d["fiber_dim"]))),
+    ("abelian[1]", "fiber is not abelian inside the total algebra",
+     lambda d: bump_bracket(d, 1, g_of(d), (g_of(d), g_of(d) + 1))),
+    ("abelian[2]", "fiber is not abelian inside the total algebra",
+     lambda d: bump_bracket(d, 2, g_of(d), (g_of(d), g_of(d) + 1))),
+    ("morphism[1]", "projection is not a bracket morphism",
+     lambda d: bump_bracket(d, 1, 0, (0, 1))),
+    ("morphism[2]", "projection is not a bracket morphism",
+     lambda d: bump_bracket(d, 2, 0, (0, 1))),
+    ("abelian[1]-before-morphism[1]", "fiber is not abelian inside the total algebra",
+     lambda d: bump_bracket(bump_bracket(d, 1, 0, (0, 1)), 1, g_of(d), (g_of(d), g_of(d) + 1))),
+    ("morphism[1]-before-abelian[2]", "projection is not a bracket morphism",
+     lambda d: bump_bracket(bump_bracket(d, 2, g_of(d), (g_of(d), g_of(d) + 1)), 1, 0, (0, 1))),
+    ("total", "total structure fails verification",
+     lambda d: bump_bracket(d, 1, g_of(d), (0, g_of(d)))),
+]
+
+
+@pytest.mark.parametrize("coords", ["split", "moved"])
+@pytest.mark.parametrize("setting", ["d2", "twisted_h3"])
+@pytest.mark.parametrize("message,tamper", [t[1:] for t in TAMPERS], ids=[t[0] for t in TAMPERS])
+def test_validation_rejects_each_tampered_datum_like_the_pair_oracle(setting, coords, message,
+                                                                     tamper):
+    d = tamper(data(split_extension(setting)))
+    if coords == "moved":
+        d = moved(d, *unimodular(random.Random(setting), d["total"].dim))
+    with pytest.raises(PreconditionError) as got:
+        AbelianExtension(**d)
+    with pytest.raises(PreconditionError) as want:
+        naive_extension_validation(**d)
+    assert str(got.value) == message == str(want.value)
+
+
+@pytest.mark.parametrize("setting", ["d2", "twisted_h3"])
+def test_moved_extension_reads_the_pair_oracle_cocycle_and_keeps_its_class(setting):
+    e = split_extension(setting)
+    rep_shift = hom_cochain_basis(e.base.alpha, e.fiber_beta, 1)[0]
+    for seed in range(4):
+        d = moved(data(e), *unimodular(random.Random(seed), e.total.dim))
+        naive_extension_validation(**d)
+        moved_e = AbelianExtension(**d)
+        for ext in (moved_e, alternate_splitting(moved_e, rep_shift)):
+            assert extract_cocycle(ext) == naive_extract_cocycle(ext)
+            assert ext_class(ext) == ext_class(e)
+
+
+def test_verify_morphism_rejects_one_tampered_bracket_entry():
+    c, rep = ext_setting()
+    z = ExtensionCocycle(
+        Cochain.from_values(2, 2, 2, {(0, 1): [1, 0]}), Cochain.zero(2, 2, 2)
+    )
+    tau = CompatibleCochain(1, (Cochain.from_values(1, 2, 2, {(0,): [0, 1]}),))
+    shift = compatible_coboundary(c, rep, tau)
+    e1 = build_extension(c, rep, z)
+    e2 = build_extension(c, rep, ExtensionCocycle(*(z.as_compatible() + shift).components))
+    phi = check_equivalence(e1, e2)
+    _verify_morphism(e1, e2, phi)
+    # Moving e_0 by the fiber vector e_(g+1) still fixes the fiber, covers the
+    # base and commutes with the identity twists, but breaks [e_0, e_1]_1.
+    tampered = phi + unit(4, 4, 3, 0)
+    assert tampered @ e1.inclusion == e2.inclusion
+    assert e2.projection @ tampered == e1.projection
+    with pytest.raises(ContractError, match="morphism does not preserve the brackets"):
+        _verify_morphism(e1, e2, tampered)

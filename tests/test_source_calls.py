@@ -1,0 +1,52 @@
+"""Source rules for the library modules.
+
+Every bracket identity in `src/homlie` is checked as one matrix product, so
+no module evaluates a bracket one pair at a time through `bracket_of`.
+Compounds are wedges of columns, so `determinant_of` serves only the
+alternating extension in `Cochain.evaluate`.  Both functions stay public
+for callers and tests.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted((ROOT / "src" / "homlie").glob("*.py"))
+
+
+def calls(path: Path):
+    """(enclosing definition, called name) for every call in a module, with
+    the definition written as dotted class and function names."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                found.append((".".join(scope), name))
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text()), ())
+    return found
+
+
+def test_the_call_scanner_sees_attribute_and_name_calls():
+    helpers = calls(ROOT / "tests" / "helpers.py")
+    assert ("naive_extension_validation", "bracket_of") in helpers
+    assert ("naive_exterior_power", "determinant_of") in helpers
+
+
+def test_no_library_module_calls_bracket_of():
+    offenders = [(path.name, scope) for path in MODULES
+                 for scope, name in calls(path) if name == "bracket_of"]
+    assert offenders == []
+
+
+def test_determinant_of_is_called_only_from_cochain_evaluate():
+    callers = [(path.name, scope) for path in MODULES
+               for scope, name in calls(path) if name == "determinant_of"]
+    assert callers == [("cochains.py", "Cochain.evaluate")]
