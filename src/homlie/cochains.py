@@ -4,12 +4,16 @@ An arity-n cochain from a d-dimensional space into a t-dimensional space is
 stored as a t x C(d,n) coefficient matrix: column k holds the value on the
 k-th strictly increasing basis tuple (i1 < ... < in) in lexicographic order.
 Values on arbitrary arguments follow by multilinear alternating extension.
+Arity 0 is the same picture with the one empty tuple: a t x 1 matrix, the
+vector the cochain takes.
 
 The twist-equivariant subspace of arity-n cochains consists of those f with
 beta o f = f o alpha^(wedge n); a basis is computed exactly by solving the
 linear constraint  beta . M = M . compound_n(alpha).  The compound of any
 matrix m is a wedge of its columns: column J is m e_(j1) ^ ... ^ m e_(jn)
-in the n-tuple basis, whose coefficients are the n x n minors of m.
+in the n-tuple basis, whose coefficients are the n x n minors of m.  The
+0th compound is the 1 x 1 identity, so the equivariant arity-0 cochains
+are the beta-fixed vectors.
 
 For endomorphism cochains (source = target) the shifted graded space of
 equivariant cochains carries a graded Lie bracket
@@ -40,7 +44,6 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -51,9 +54,6 @@ from .linalg import (
     ZERO,
     determinant_of,
     kernel_basis,
-    vec_add,
-    vec_is_zero,
-    vec_scale,
     vector,
     zero_vector,
 )
@@ -71,35 +71,12 @@ def tuple_position(d: int, n: int):
 
 
 @dataclass(frozen=True)
-class ZeroCochain:
-    """A degree-0 cochain: a plain coefficient vector.
-
-    Membership in the twist-fixed subspace (beta(v) = v) is a property the
-    verifiers check, not a structural invariant.
-    """
-
-    vector: tuple
-
-    @property
-    def target_dim(self) -> int:
-        return len(self.vector)
-
-    def flatten(self) -> tuple:
-        return self.vector
-
-    def is_zero(self) -> bool:
-        return vec_is_zero(self.vector)
-
-    def __add__(self, other: "ZeroCochain") -> "ZeroCochain":
-        return ZeroCochain(vec_add(self.vector, other.vector))
-
-    def scale(self, c) -> "ZeroCochain":
-        return ZeroCochain(vec_scale(Fraction(c), self.vector))
-
-
-@dataclass(frozen=True)
 class Cochain:
-    """Alternating multilinear map of arity >= 1, by basis coefficients."""
+    """Alternating multilinear map of arity >= 0, by basis coefficients.
+
+    Arity 0 is a single vector, the t x 1 coefficient matrix of the value on
+    the empty tuple.
+    """
 
     arity: int
     source_dim: int
@@ -107,8 +84,8 @@ class Cochain:
     coeffs: Matrix
 
     def __post_init__(self):
-        if self.arity < 1:
-            raise UsageError("cochain arity must be >= 1")
+        if self.arity < 0:
+            raise UsageError("cochain arity must be >= 0")
         expected = comb(self.source_dim, self.arity)
         if self.coeffs.rows != self.target_dim or self.coeffs.cols != expected:
             raise UsageError(
@@ -191,12 +168,13 @@ class Cochain:
 
 def exterior_power_matrix(alpha: Matrix, n: int) -> Matrix:
     """Compound matrix of n x n minors: the action induced on the n-th
-    exterior power, in the lexicographic increasing-tuple basis."""
+    exterior power, in the lexicographic increasing-tuple basis.  The 0th
+    compound is the 1 x 1 identity."""
     if not alpha.is_square():
         raise UsageError("twist must be square")
     d = alpha.rows
-    if not 1 <= n <= d:
-        raise UsageError(f"exterior power {n} out of range 1..{d}")
+    if not 0 <= n <= d:
+        raise UsageError(f"exterior power {n} out of range 0..{d}")
     return _compound(alpha, n)
 
 
@@ -213,13 +191,11 @@ def exterior_square(m: Matrix) -> Matrix:
 def require_equivariant(cochains, alpha: Matrix, beta: Matrix,
                         message: str = "cochain is not twist-equivariant"):
     """Raise PreconditionError(message) unless every cochain lies in the
-    twist-equivariant space: beta(v) = v in degree 0, beta . f =
-    f . compound_n(alpha) in arity n.  One compound is built per arity."""
+    twist-equivariant space: beta . f = f . compound_n(alpha), which in
+    arity 0 says beta(v) = v.  One compound is built per arity."""
     compounds = {}
     for f in cochains:
-        if isinstance(f, ZeroCochain):
-            holds = beta.apply(f.vector) == f.vector
-        elif f.arity > f.source_dim:
+        if f.arity > f.source_dim:
             holds = True
         else:
             if f.arity not in compounds:
@@ -242,16 +218,14 @@ def hom_cochain_basis(alpha: Matrix, beta: Matrix, n: int):
     """Exact basis of the equivariant arity-n cochains from the alpha-space
     into the beta-space.
 
-    n = 0 returns ZeroCochains spanning the beta-fixed subspace; n >= 1 solves
-    beta . M = M . compound_n(alpha) for the coefficient matrix M.  Arities
-    above the source dimension give the empty basis.
+    Solves beta . M = M . compound_n(alpha) for the coefficient matrix M; in
+    arity 0 the compound is 1 and the basis spans the beta-fixed vectors.
+    Arities above the source dimension give the empty basis.
     """
     if n < 0:
         raise UsageError("negative arity")
     d = alpha.rows
     t = beta.rows
-    if n == 0:
-        return [ZeroCochain(v) for v in kernel_basis(beta - Matrix.identity(t))]
     ncols = comb(d, n)
     if ncols == 0:
         return []
@@ -385,7 +359,7 @@ def lift_to_product(f: Cochain, g_dim: int, v_dim: int) -> Cochain:
     n = f.arity
     columns = []
     for X in increasing_tuples(total, n):
-        if X and X[-1] < g_dim:
+        if not X or X[-1] < g_dim:
             value = f.column(X)
             columns.append(zero_vector(g_dim) + value)
         else:

@@ -7,7 +7,8 @@ For a single bracket with coefficients in a module the coboundary is
       + sum_(i<j) (-1)^(i+j) f([x_i, x_j], alpha x_1, ..., omit i and j, ...,
                                alpha x_(n+1)),
 
-with (d v)(x) = x . v in degree 0 on the twist-fixed vectors.
+with (d v)(x) = x . v in degree 0 on the twist-fixed vectors, the
+equivariant arity-0 cochains.
 
 For a compatible pair the degree-n group is the n-fold direct sum of the
 equivariant cochain space, with differential
@@ -15,15 +16,16 @@ equivariant cochain space, with differential
     d(f_1, ..., f_n) = (d1 f_1, ..., d1 f_i + d2 f_(i-1), ..., d2 f_n)
 
 built from the two single-bracket coboundaries d1 and d2; these
-anticommute, which makes the square zero.  Degree 0 consists of the
-twist-fixed vectors on which both actions agree, with d(v) = x .1 v.
+anticommute, which makes the square zero.  Degree 0 consists of one
+arity-0 component, a twist-fixed vector on which both actions agree, with
+d(v) = x .1 v.
 
 Cochains are handled in flat coordinates: an arity-n cochain into a
 t-dimensional module is the row-major entry tuple of its t x C(d,n)
-coefficient matrix, a degree-0 cochain is its vector, and a two-bracket
-cochain lays its n components end to end.  Each public call builds the
-single-bracket coboundary C^n -> C^(n+1) once per bracket and degree, as a
-sparse exact map on these coordinates.  Its action term is made of the
+coefficient matrix (in arity 0 that is the vector itself), and a
+two-bracket cochain lays its components end to end.  Each public call
+builds the single-bracket coboundary C^n -> C^(n+1) once per bracket and
+degree, as a sparse exact map on these coordinates.  Its action term is made of the
 blocks +-rho(alpha^(n-1) e_j).  Its bracket term is F -> -F . K, where
 K = insertion_matrix(bracket, alpha, n) is the C(d,n) x C(d,n+1) matrix of
 the insertion product F -> F <> [ , ] (see `cochains`): column X of K
@@ -56,7 +58,6 @@ from .algebra import (
 )
 from .cochains import (
     Cochain,
-    ZeroCochain,
     hom_cochain_basis,
     increasing_tuples,
     insertion_matrix,
@@ -71,7 +72,6 @@ from .linalg import (
     rref,
     solve,
     vstack,
-    zero_vector,
 )
 
 PLAIN = "plain"
@@ -80,8 +80,8 @@ COMPATIBLE = "compatible"
 
 @dataclass(frozen=True)
 class CompatibleCochain:
-    """Element of the two-bracket complex: n components of arity n (n >= 1),
-    or a single coefficient vector in degree 0."""
+    """Element of the two-bracket complex: n components of arity n in degree
+    n >= 1, and one arity-0 component in degree 0."""
 
     degree: int
     components: tuple
@@ -89,12 +89,8 @@ class CompatibleCochain:
     def __post_init__(self):
         if self.degree < 0:
             raise UsageError("negative degree")
-        if self.degree == 0:
-            if len(self.components) != 1 or not isinstance(self.components[0], ZeroCochain):
-                raise UsageError("degree 0 needs exactly one coefficient vector")
-            return
-        if len(self.components) != self.degree:
-            raise UsageError(f"degree {self.degree} needs {self.degree} components")
+        if len(self.components) != max(self.degree, 1):
+            raise UsageError(f"degree {self.degree} needs {max(self.degree, 1)} components")
         for f in self.components:
             if not isinstance(f, Cochain) or f.arity != self.degree:
                 raise UsageError("components must be cochains of arity equal to the degree")
@@ -104,21 +100,15 @@ class CompatibleCochain:
 
     @classmethod
     def zero(cls, degree: int, source_dim: int, target_dim: int) -> "CompatibleCochain":
-        if degree == 0:
-            return cls(0, (ZeroCochain(zero_vector(target_dim)),))
-        return cls(degree, tuple(Cochain.zero(degree, source_dim, target_dim) for _ in range(degree)))
+        return cls(degree, (Cochain.zero(degree, source_dim, target_dim),) * max(degree, 1))
 
     def flatten(self) -> tuple:
-        if self.degree == 0:
-            return self.components[0].vector
         out = ()
         for f in self.components:
             out += f.flatten()
         return out
 
     def is_zero(self) -> bool:
-        if self.degree == 0:
-            return self.components[0].is_zero()
         return all(f.is_zero() for f in self.components)
 
     def __add__(self, other: "CompatibleCochain") -> "CompatibleCochain":
@@ -166,22 +156,22 @@ def _validate_structures(struct, rep: Representation):
 def ce_coboundary(l: HomLieAlgebra, v: Representation, f, check: bool = True):
     """Apply the single-bracket coboundary to an equivariant cochain.
 
-    Degree 0 input is a twist-fixed vector; the output is the arity-1
-    cochain x -> x . v.  With check=True the preconditions (equivariance of
-    f, validity of l and v) are enforced.
+    Degree 0 input is an arity-0 cochain, a twist-fixed vector v; the output
+    is the arity-1 cochain x -> x . v.  With check=True the preconditions
+    (equivariance of f, validity of l and v) are enforced.
     """
     if len(v.actions) != 1:
         raise UsageError("single-bracket coboundary needs a single-action representation")
     if check:
         _validate_structures(l, v)
         require_equivariant((f,), l.alpha, v.beta)
-    n = 0 if isinstance(f, ZeroCochain) else f.arity
     _check_shape(f, l.dim, v.vdim)
-    return Cochain.from_flat(n + 1, l.dim, v.vdim, _coboundary_map(l, v, 1, n)(f.flatten()))
+    image = _coboundary_map(l, v, 1, f.arity)(f.flatten())
+    return Cochain.from_flat(f.arity + 1, l.dim, v.vdim, image)
 
 
 def _check_shape(f, dim: int, vdim: int):
-    if f.target_dim != vdim or (isinstance(f, Cochain) and f.source_dim != dim):
+    if f.target_dim != vdim or f.source_dim != dim:
         raise UsageError("cochain shape does not match the algebra and module")
 
 
@@ -205,12 +195,10 @@ def _coboundary_map(struct, v: Representation, which: int, n: int):
     columns = [{} for _ in range(vdim * n_in)]
     if n_out:
         out_pos = tuple_position(dim, n + 1)
-        bracket_rows = [{}]
-        if n:
-            bracket = Cochain(2, dim, dim, struct.brackets[which - 1])
-            k_term = insertion_matrix(bracket, struct.alpha, n)
-            bracket_rows = [{x: -a for x, a in enumerate(k_term.row(k)) if a}
-                            for k in range(n_in)]
+        bracket = Cochain(2, dim, dim, struct.brackets[which - 1])
+        k_term = insertion_matrix(bracket, struct.alpha, n)
+        bracket_rows = [{x: -a for x, a in enumerate(k_term.row(k)) if a}
+                        for k in range(n_in)]
         alpha_prev = struct.alpha.power(max(n - 1, 0))
         blocks = [v.action(which, alpha_prev.col(j)).entries for j in range(dim)]
         for k, I in enumerate(tuples_in):
@@ -243,21 +231,19 @@ def _coboundary_map(struct, v: Representation, which: int, n: int):
     return apply
 
 
-def _c0_compatible_basis(c: CompatibleHomLieAlgebra, v: Representation):
-    """Vectors fixed by beta on which the two actions of every basis element agree."""
+def _c0_constraints(c: CompatibleHomLieAlgebra, v: Representation) -> Matrix:
+    """beta - 1 over the differences of the two actions of every basis
+    element: its kernel is the degree-0 group of the two-bracket complex."""
     blocks = [v.beta - Matrix.identity(v.vdim)]
     for i in range(c.dim):
         blocks.append(v.actions[0][i] - v.actions[1][i])
-    return [ZeroCochain(w) for w in kernel_basis(vstack(blocks))]
+    return vstack(blocks)
 
 
-def _in_c0_compatible(c, v, z: ZeroCochain) -> bool:
-    if v.beta.apply(z.vector) != z.vector:
-        return False
-    for i in range(c.dim):
-        if v.actions[0][i].apply(z.vector) != v.actions[1][i].apply(z.vector):
-            return False
-    return True
+def _c0_compatible_basis(c: CompatibleHomLieAlgebra, v: Representation):
+    """Vectors fixed by beta on which the two actions of every basis element
+    agree, as arity-0 cochains."""
+    return [Cochain.from_flat(0, c.dim, v.vdim, w) for w in kernel_basis(_c0_constraints(c, v))]
 
 
 def compatible_coboundary(c: CompatibleHomLieAlgebra, v: Representation,
@@ -268,7 +254,7 @@ def compatible_coboundary(c: CompatibleHomLieAlgebra, v: Representation,
     if check:
         _validate_structures(c, v)
         if f.degree == 0:
-            if not _in_c0_compatible(c, v, f.components[0]):
+            if not (_c0_constraints(c, v) @ f.components[0].coeffs).is_zero():
                 raise PreconditionError(
                     "vector is not in the degree-0 group (twist-fixed with agreeing actions)"
                 )
@@ -299,9 +285,10 @@ def _basis_and_images(struct, v: Representation, n: int, flavor: str):
     slot; its image carries d1 b in the same slot and d2 b in the next.
     """
     if flavor == COMPATIBLE and n == 0:
-        singles = [z.vector for z in _c0_compatible_basis(struct, v)]
+        singles = _c0_compatible_basis(struct, v)
     else:
-        singles = [b.flatten() for b in hom_cochain_basis(struct.alpha, v.beta, n)]
+        singles = hom_cochain_basis(struct.alpha, v.beta, n)
+    singles = [b.flatten() for b in singles]
     d1 = _coboundary_map(struct, v, 1, n)
     if flavor == PLAIN or n == 0:
         return singles, [d1(b) for b in singles]
@@ -329,10 +316,9 @@ def _combination(coords, vectors, size: int) -> tuple:
 
 
 def _from_flat(flat, dim: int, vdim: int, degree: int, flavor: str):
-    """The cochain with the given flat coordinates (the inverse of `flatten`)."""
-    if degree == 0:
-        return ZeroCochain(tuple(flat))
-    if flavor == PLAIN:
+    """The cochain with the given flat coordinates (the inverse of `flatten`);
+    a bare Cochain in degree 0 of either flavor, as the reports give it."""
+    if flavor == PLAIN or degree == 0:
         return Cochain.from_flat(degree, dim, vdim, flat)
     per = vdim * comb(dim, degree)
     return CompatibleCochain(degree, tuple(
@@ -361,7 +347,12 @@ def cohomology_dimensions(struct, v: Representation, n: int, flavor: str = None)
     if flavor == COMPATIBLE and not isinstance(struct, CompatibleHomLieAlgebra):
         raise UsageError("compatible flavor needs a two-bracket algebra")
     _validate_structures(struct, v)
+    return _cohomology_report(struct, v, n, flavor)
 
+
+def _cohomology_report(struct, v: Representation, n: int, flavor: str) -> CohomologyReport:
+    """The report of `cohomology_dimensions`, for a structure and a module
+    that are already known to be valid."""
     basis, images = _basis_and_images(struct, v, n, flavor)
     kernel = kernel_basis(Matrix.from_columns(images, len(images[0]))) if images else []
     cocycles = [_combination(kv, basis, len(basis[0])) for kv in kernel]
@@ -417,9 +408,9 @@ def coboundary_preimage(c: CompatibleHomLieAlgebra, v: Representation,
     complex, or None when the target is not a coboundary.
 
     x is one exact solution over the degree-(n-1) basis for a degree-n
-    target; in degree 0 it is a ZeroCochain, as in the reports.  An empty
-    basis yields the zero cochain for a zero target.  The inputs are not
-    re-validated.
+    target; in degree 0 it is a bare arity-0 Cochain, as in the reports.
+    An empty basis yields the zero cochain for a zero target.  The inputs
+    are not re-validated.
     """
     n = target.degree - 1
     if n < 0:

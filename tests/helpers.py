@@ -20,7 +20,6 @@ from homlie import (
     Matrix,
     PreconditionError,
     Representation,
-    ZeroCochain,
     hom_cochain_basis,
     verify_structure,
 )
@@ -29,6 +28,7 @@ from homlie.cochains import increasing_tuples, tuple_position
 from homlie.linalg import (
     basis_vector,
     determinant_of,
+    kernel_basis,
     rank,
     solve,
     vec_add,
@@ -61,9 +61,7 @@ def rand_equivariant_cochain(rng, alpha, beta, arity):
     basis = hom_cochain_basis(alpha, beta, arity)
     if not basis:
         return None
-    out = basis[0].scale(0) if not isinstance(basis[0], Cochain) else Cochain.zero(
-        arity, alpha.rows, beta.rows
-    )
+    out = Cochain.zero(arity, alpha.rows, beta.rows)
     for item in basis:
         out = out + item.scale(rand_frac(rng))
     return out
@@ -226,8 +224,8 @@ def naive_nr_bracket(p: Cochain, q: Cochain, alpha: Matrix) -> Cochain:
 def naive_coboundary(dim: int, alpha: Matrix, bracket: Cochain, v, which: int, f):
     """Single-bracket coboundary evaluated column by column from the defining
     formula, with the bracket term through the alternating extension of f."""
-    if isinstance(f, ZeroCochain):
-        cols = [v.act(which, basis_vector(dim, i), f.vector) for i in range(dim)]
+    if f.arity == 0:
+        cols = [v.act(which, basis_vector(dim, i), f.flatten()) for i in range(dim)]
         return Cochain(1, dim, v.vdim, Matrix.from_columns(cols, v.vdim))
     n = f.arity
     alpha_prev = alpha.power(n - 1)
@@ -246,6 +244,21 @@ def naive_coboundary(dim: int, alpha: Matrix, bracket: Cochain, v, which: int, f
                 total = vec_add(total, term) if (pi + pj) % 2 == 0 else vec_sub(total, term)
         columns.append(total)
     return Cochain(n + 1, dim, v.vdim, Matrix.from_columns(columns, v.vdim))
+
+
+def naive_beta_fixed_basis(beta: Matrix):
+    """The degree-0 cochain basis by its own formula: the kernel basis of
+    beta - 1, without the arity-0 compound."""
+    return kernel_basis(beta - Matrix.identity(beta.rows))
+
+
+def naive_in_c0_compatible(c, v, vector) -> bool:
+    """Membership in the degree-0 group of the two-bracket complex, one basis
+    element at a time: beta fixes the vector and both actions agree on it."""
+    if v.beta.apply(vector) != vector:
+        return False
+    return all(v.actions[0][i].apply(vector) == v.actions[1][i].apply(vector)
+               for i in range(c.dim))
 
 
 def naive_compatible_coboundary(c, v, f: CompatibleCochain) -> CompatibleCochain:

@@ -88,7 +88,8 @@ def test_exterior_power_range_guard():
     with pytest.raises(UsageError):
         exterior_power_matrix(Matrix.identity(2), 3)
     with pytest.raises(UsageError):
-        exterior_power_matrix(Matrix.identity(2), 0)
+        exterior_power_matrix(Matrix.identity(2), -1)
+    assert exterior_power_matrix(Matrix.identity(2), 0) == Matrix.identity(1)
 
 
 def sparse_matrix(rng, rows, cols, density):
@@ -137,7 +138,19 @@ def test_hom_cochain_basis_g4a_degree0():
     g4 = fixtures.g4a(1)
     basis = hom_cochain_basis(g4.alpha, g4.alpha, 0)
     assert len(basis) == 1
-    assert basis[0].vector == (F(1), F(1), F(0), F(0))
+    assert basis[0].flatten() == (F(1), F(1), F(0), F(0))
+
+
+def test_arity0_cochain_is_its_vector():
+    v = Cochain.from_flat(0, 3, 2, (F(1), F(-1, 2)))
+    assert (v.coeffs.rows, v.coeffs.cols) == (2, 1)
+    assert v.column(()) == v.evaluate(()) == v.flatten() == (F(1), F(-1, 2))
+    assert Cochain.from_values(0, 3, 2, {(): [1, F(-1, 2)]}) == v
+    assert (v + v.scale(-1)).is_zero() and Cochain.zero(0, 3, 2).is_zero()
+    with pytest.raises(UsageError):
+        Cochain(-1, 3, 2, Matrix.zero(2, 1))
+    with pytest.raises(UsageError):
+        Cochain.from_flat(0, 3, 2, (F(1), F(0), F(0)))
 
 
 def test_hom_cochain_basis_above_dimension_empty():
@@ -359,6 +372,11 @@ def test_lift_values():
     # any argument in the fiber slot kills the value
     assert vec_is_zero(lifted.evaluate([e(0), e(2)]))
     assert vec_is_zero(lifted.evaluate([e(2), e(3)]))
+
+
+def test_lift_arity0_lands_in_the_fiber_slot():
+    v = Cochain.from_flat(0, 2, 3, (F(1), F(-2), F(3)))
+    assert lift_to_product(v, 2, 3).flatten() == (F(0), F(0), F(1), F(-2), F(3))
 
 
 # ---------------------------------------------------------------------------

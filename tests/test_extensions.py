@@ -20,6 +20,7 @@ from homlie import (
     adjoint_representation,
     build_extension,
     check_equivalence,
+    class_coordinates,
     cohomology_dimensions,
     compatible_coboundary,
     ext_class,
@@ -73,17 +74,26 @@ def test_build_rejects_non_cocycle():
     pytest.fail("no non-cocycle found in the basis")
 
 
-def test_build_checks_representation_base_and_equivariance_once_each(monkeypatch):
-    c = fixtures.twisted_compatible_h3()
-    rep = adjoint_representation(c)
-    z = ExtensionCocycle(Cochain.zero(2, 3, 3), Cochain.zero(2, 3, 3))
+def record_verifications(monkeypatch) -> list:
+    """Every object that extensions or cohomology hand to verify_structure."""
     verified = []
     for module in (extensions, cohomology):
         monkeypatch.setattr(module, "verify_structure",
                             lambda s, original=module.verify_structure:
-                            verified.append(type(s).__name__) or original(s))
-    build_extension(c, rep, z)
-    assert verified.count("Representation") == 1
+                            verified.append(s) or original(s))
+    return verified
+
+
+def test_build_checks_representation_base_and_equivariance_once_each(monkeypatch):
+    c = fixtures.twisted_compatible_h3()
+    rep = adjoint_representation(c)
+    z = ExtensionCocycle(Cochain.zero(2, 3, 3), Cochain.zero(2, 3, 3))
+    verified = record_verifications(monkeypatch)
+    e = build_extension(c, rep, z)
+    # The representation, the base and the total, each once and in that order.
+    assert [type(s).__name__ for s in verified] == [
+        "Representation", "CompatibleHomLieAlgebra", "CompatibleHomLieAlgebra"]
+    assert verified[0] is rep and verified[1] is c and verified[2] is e.total
     # f(e_0, e_2) = e_1, while the twist fixes e_0 and e_2 but moves e_1
     skewed = ExtensionCocycle(Cochain.from_values(2, 3, 3, {(0, 2): [0, 1, 0]}),
                               Cochain.zero(2, 3, 3))
@@ -198,6 +208,21 @@ def test_alternate_splitting_preserves_action_and_shifts_cocycle():
     assert z_alt.f1.flatten() == (z.f1 + shift.components[0]).flatten()
     assert z_alt.f2.flatten() == (z.f2 + shift.components[1]).flatten()
     assert ext_class(e_alt) == ext_class(e)
+
+
+def test_ext_class_verifies_the_induced_representation_once(monkeypatch):
+    c = fixtures.twisted_compatible_h3()
+    rep = adjoint_representation(c)
+    report = cohomology_dimensions(c, rep, 2, COMPATIBLE)
+    assert report.dim_cohomology > 0
+    for k, z in enumerate(report.cohomology_basis):
+        e = build_extension(c, rep, cocycle_from(z))
+        verified = record_verifications(monkeypatch)
+        coordinates = ext_class(e)
+        assert [type(s).__name__ for s in verified] == ["Representation"]
+        assert coordinates == class_coordinates(report, z)
+        assert coordinates == tuple(F(int(i == k)) for i in range(report.dim_cohomology))
+        monkeypatch.undo()
 
 
 def test_classification_bijection_desk_scale():
