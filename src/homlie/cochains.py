@@ -70,6 +70,13 @@ def tuple_position(d: int, n: int):
     return {t: k for k, t in enumerate(increasing_tuples(d, n))}
 
 
+def _column_count(source_dim: int, arity: int) -> int:
+    """The C(source_dim, arity) columns of a coefficient matrix, for arity >= 0."""
+    if arity < 0:
+        raise UsageError("cochain arity must be >= 0")
+    return comb(source_dim, arity)
+
+
 @dataclass(frozen=True)
 class Cochain:
     """Alternating multilinear map of arity >= 0, by basis coefficients.
@@ -84,9 +91,7 @@ class Cochain:
     coeffs: Matrix
 
     def __post_init__(self):
-        if self.arity < 0:
-            raise UsageError("cochain arity must be >= 0")
-        expected = comb(self.source_dim, self.arity)
+        expected = _column_count(self.source_dim, self.arity)
         if self.coeffs.rows != self.target_dim or self.coeffs.cols != expected:
             raise UsageError(
                 f"coefficient matrix must be {self.target_dim}x{expected}, "
@@ -95,12 +100,13 @@ class Cochain:
 
     @classmethod
     def zero(cls, arity: int, source_dim: int, target_dim: int) -> "Cochain":
-        return cls(arity, source_dim, target_dim, Matrix.zero(target_dim, comb(source_dim, arity)))
+        return cls(arity, source_dim, target_dim,
+                   Matrix.zero(target_dim, _column_count(source_dim, arity)))
 
     @classmethod
     def from_values(cls, arity: int, source_dim: int, target_dim: int, values: dict) -> "Cochain":
         """Build from a sparse {increasing index tuple: value vector} mapping."""
-        columns = [zero_vector(target_dim)] * comb(source_dim, arity)
+        columns = [zero_vector(target_dim)] * _column_count(source_dim, arity)
         pos = tuple_position(source_dim, arity)
         for tup, val in values.items():
             tup = tuple(tup)
@@ -112,7 +118,7 @@ class Cochain:
     @classmethod
     def from_flat(cls, arity: int, source_dim: int, target_dim: int, flat) -> "Cochain":
         return cls(arity, source_dim, target_dim,
-                   Matrix(target_dim, comb(source_dim, arity), tuple(flat)))
+                   Matrix(target_dim, _column_count(source_dim, arity), tuple(flat)))
 
     def column(self, tup) -> tuple:
         return self.coeffs.col(tuple_position(self.source_dim, self.arity)[tuple(tup)])

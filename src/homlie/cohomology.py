@@ -20,27 +20,30 @@ anticommute, which makes the square zero.  Degree 0 consists of one
 arity-0 component, a twist-fixed vector on which both actions agree, with
 d(v) = x .1 v.
 
-Cochains are handled in flat coordinates: an arity-n cochain into a
-t-dimensional module is the row-major entry tuple of its t x C(d,n)
+Every degree is one matrix picture on flat coordinates: an arity-n cochain
+into a t-dimensional module is the row-major entry tuple of its t x C(d,n)
 coefficient matrix (in arity 0 that is the vector itself), and a
-two-bracket cochain lays its components end to end.  Each public call
-builds the single-bracket coboundary C^n -> C^(n+1) once per bracket and
-degree, as a sparse exact map on these coordinates.  Its action term is made of the
-blocks +-rho(alpha^(n-1) e_j).  Its bracket term is F -> -F . K, where
-K = insertion_matrix(bracket, alpha, n) is the C(d,n) x C(d,n+1) matrix of
-the insertion product F -> F <> [ , ] (see `cochains`): column X of K
-expands the signed sum of the wedges [e_i, e_j] ^ alpha e_k ^ ... over the
-pairs (i, j) of the (n+1)-tuple X in the n-tuple basis.  The two-bracket
-differential puts d1 b and d2 b into neighbouring blocks for every
-single-bracket basis cochain b, so its matrix is block-bidiagonal.
+two-bracket cochain lays its components end to end.  The single-bracket
+coboundary C^n -> C^(n+1) of each bracket is a matrix, built once per
+call.  Its action term is made of the blocks +-rho(alpha^(n-1) e_j).  Its
+bracket term is F -> -F . K, where K = insertion_matrix(bracket, alpha, n)
+is the C(d,n) x C(d,n+1) matrix of the insertion product F -> F <> [ , ]
+(see `cochains`): column X of K expands the signed sum of the wedges
+[e_i, e_j] ^ alpha e_k ^ ... over the pairs (i, j) of the (n+1)-tuple X in
+the n-tuple basis.  A cochain space is a basis matrix B whose columns are
+the equivariant basis cochains.  The two-bracket differential is the
+(n+1) x n block-bidiagonal matrix with d1 on the diagonal and d2 below it,
+and the images of B in every slot are the same layout of d1 . B and
+d2 . B.
 
-Dimension reports apply these maps to exact equivariant bases, take kernels
-and images by exact elimination, and choose the cohomology representatives
-as the cocycle pivot columns of one reduced echelon form of
-[coboundaries | cocycles].  The derivation space is the degree-1 report of
-the two-bracket complex.  Whether a cochain is a coboundary is one exact
-solve over the same images (`coboundary_preimage`); extension equivalence
-and deformation extension both ask it.
+Dimension reports take kernels and images of these products by exact
+elimination, map kernel and solve coordinates back through B, and choose
+the cohomology representatives as the cocycle pivot columns of one reduced
+echelon form of [coboundaries | cocycles].  The derivation space is the
+degree-1 report of the two-bracket complex.  Whether a cochain is a
+coboundary is one exact solve over the same images
+(`coboundary_preimage`); extension equivalence and deformation extension
+both ask it.
 """
 
 from __future__ import annotations
@@ -68,9 +71,11 @@ from .errors import ContractError, PreconditionError, UsageError
 from .linalg import (
     Matrix,
     ZERO,
+    hstack,
     kernel_basis,
     rref,
     solve,
+    span_basis,
     vstack,
 )
 
@@ -166,8 +171,12 @@ def ce_coboundary(l: HomLieAlgebra, v: Representation, f, check: bool = True):
         _validate_structures(l, v)
         require_equivariant((f,), l.alpha, v.beta)
     _check_shape(f, l.dim, v.vdim)
-    image = _coboundary_map(l, v, 1, f.arity)(f.flatten())
-    return Cochain.from_flat(f.arity + 1, l.dim, v.vdim, image)
+    image = _coboundary_map(l, v, 1, f.arity) @ _column(f.flatten())
+    return Cochain.from_flat(f.arity + 1, l.dim, v.vdim, image.entries)
+
+
+def _column(flat: tuple) -> Matrix:
+    return Matrix(len(flat), 1, flat)
 
 
 def _check_shape(f, dim: int, vdim: int):
@@ -175,12 +184,12 @@ def _check_shape(f, dim: int, vdim: int):
         raise UsageError("cochain shape does not match the algebra and module")
 
 
-def _coboundary_map(struct, v: Representation, which: int, n: int):
+def _coboundary_map(struct, v: Representation, which: int, n: int) -> Matrix:
     """The coboundary C^n -> C^(n+1) of bracket `which` with action table
-    `which`, as a function on flat coordinates.
+    `which`, as a matrix on flat coordinates.
 
-    It is built once as sparse exact columns: the unit cochain at module
-    index q on the n-tuple I maps to
+    The unit cochain at module index q on the n-tuple I (column q C(d,n) + k
+    for I the k-th tuple) maps to
       - (-1)^pos rho(alpha^(n-1) e_j)[r, q] at module index r on the
         (n+1)-tuple X = I with j inserted at position pos (action term);
       - -K[I, X] at module index q on X (bracket term), where K is the
@@ -191,8 +200,8 @@ def _coboundary_map(struct, v: Representation, which: int, n: int):
     dim, vdim = struct.dim, v.vdim
     tuples_in = increasing_tuples(dim, n)
     n_in, n_out = len(tuples_in), comb(dim, n + 1)
-    rows = vdim * n_out
-    columns = [{} for _ in range(vdim * n_in)]
+    cols = vdim * n_in
+    entries = [ZERO] * (vdim * n_out * cols)
     if n_out:
         out_pos = tuple_position(dim, n + 1)
         bracket = Cochain(2, dim, dim, struct.brackets[which - 1])
@@ -208,27 +217,16 @@ def _coboundary_map(struct, v: Representation, which: int, n: int):
                     pos = bisect_left(I, j)
                     inserted.append((j, out_pos[I[:pos] + (j,) + I[pos:]], pos % 2))
             for q in range(vdim):
-                col = columns[q * n_in + k]
+                col = q * n_in + k
                 for x, value in bracket_rows[k].items():
-                    col[q * n_out + x] = value
+                    entries[(q * n_out + x) * cols + col] = value
                 for j, x, odd in inserted:
                     block = blocks[j]
                     for r in range(vdim):
                         value = block[r * vdim + q]
                         if value:
-                            key = r * n_out + x
-                            col[key] = col.get(key, ZERO) + (-value if odd else value)
-    columns = [[(r, value) for r, value in col.items() if value] for col in columns]
-
-    def apply(flat) -> tuple:
-        out = [ZERO] * rows
-        for coeff, col in zip(flat, columns):
-            if coeff:
-                for r, value in col:
-                    out[r] += coeff * value
-        return tuple(out)
-
-    return apply
+                            entries[(r * n_out + x) * cols + col] += -value if odd else value
+    return Matrix(vdim * n_out, cols, tuple(entries))
 
 
 def _c0_constraints(c: CompatibleHomLieAlgebra, v: Representation) -> Matrix:
@@ -263,56 +261,47 @@ def compatible_coboundary(c: CompatibleHomLieAlgebra, v: Representation,
     n = f.degree
     for comp in f.components:
         _check_shape(comp, c.dim, v.vdim)
-    d1 = _coboundary_map(c, v, 1, n)
-    if n == 0:
-        return CompatibleCochain(1, (Cochain.from_flat(1, c.dim, v.vdim, d1(f.flatten())),))
-    d2 = _coboundary_map(c, v, 2, n)
-    parts = [Cochain.zero(n + 1, c.dim, v.vdim)] * (n + 1)
-    for i, comp in enumerate(f.components):
-        if comp.is_zero():
-            continue
-        flat = comp.flatten()
-        parts[i] = parts[i] + Cochain.from_flat(n + 1, c.dim, v.vdim, d1(flat))
-        parts[i + 1] = parts[i + 1] + Cochain.from_flat(n + 1, c.dim, v.vdim, d2(flat))
-    return CompatibleCochain(n + 1, tuple(parts))
+    columns = [comp.flatten() for comp in f.components]
+    images = _images(c, v, n, COMPATIBLE, Matrix.from_columns(columns, len(columns[0])))
+    # Column s m + j of the images is component j placed in slot s, and d f is
+    # the sum of the columns s m + s, which the flattened m x m identity picks.
+    image = images @ _column(Matrix.identity(len(columns)).entries)
+    return _from_flat(image.entries, c.dim, v.vdim, n + 1, COMPATIBLE)
 
 
-def _basis_and_images(struct, v: Representation, n: int, flavor: str):
-    """Flat exact basis of the degree-n cochain group and the flat coboundary
-    of each basis element.
-
-    The two-bracket basis places each single-bracket basis cochain b in one
-    slot; its image carries d1 b in the same slot and d2 b in the next.
-    """
+def _basis_matrix(struct, v: Representation, n: int, flavor: str) -> Matrix:
+    """The single-bracket basis of degree-n cochains as the columns of one
+    matrix on flat coordinates; the two-bracket complex places it in every
+    slot."""
     if flavor == COMPATIBLE and n == 0:
         singles = _c0_compatible_basis(struct, v)
     else:
         singles = hom_cochain_basis(struct.alpha, v.beta, n)
-    singles = [b.flatten() for b in singles]
-    d1 = _coboundary_map(struct, v, 1, n)
+    return Matrix.from_columns([b.flatten() for b in singles], v.vdim * comb(struct.dim, n))
+
+
+def _images(struct, v: Representation, n: int, flavor: str, basis: Matrix) -> Matrix:
+    """The coboundaries of the columns of `basis` placed in every slot, one
+    column each in slot-major order: d1 . B for one bracket and in degree 0,
+    else the (n+1) x n block matrix with d1 . B on the diagonal and d2 . B
+    just below it, so that slot i of d f is d1 f_i + d2 f_(i-1)."""
+    d1 = _coboundary_map(struct, v, 1, n) @ basis
     if flavor == PLAIN or n == 0:
-        return singles, [d1(b) for b in singles]
-    d2 = _coboundary_map(struct, v, 2, n)
-    pairs = [d1(b) + d2(b) for b in singles]
-    zero_in = (ZERO,) * (v.vdim * comb(struct.dim, n))
-    zero_out = (ZERO,) * (v.vdim * comb(struct.dim, n + 1))
-    basis, images = [], []
-    for slot in range(n):
-        for b, pair in zip(singles, pairs):
-            basis.append(zero_in * slot + b + zero_in * (n - 1 - slot))
-            images.append(zero_out * slot + pair + zero_out * (n - 1 - slot))
-    return basis, images
+        return d1
+    d2 = _coboundary_map(struct, v, 2, n) @ basis
+    zero = Matrix.zero(d1.rows, d1.cols)
+    return vstack(hstack(d1 if j == i else d2 if j == i - 1 else zero for j in range(n))
+                  for i in range(n + 1))
 
 
-def _combination(coords, vectors, size: int) -> tuple:
-    """sum_k coords[k] * vectors[k], as a tuple of the given length."""
-    out = [ZERO] * size
-    for x, vec in zip(coords, vectors):
-        if x:
-            for k, a in enumerate(vec):
-                if a:
-                    out[k] += x * a
-    return tuple(out)
+def _in_slots(basis: Matrix, coords: Matrix, copies: int) -> list:
+    """The flat cochains whose coordinates over `copies` slots of the basis
+    matrix are the columns of coords: slot s is basis times the s-th block
+    of basis.cols rows of coords."""
+    k, m = basis.cols, coords.cols
+    slots = [basis @ Matrix(k, m, coords.entries[s * k * m : (s + 1) * k * m])
+             for s in range(copies)]
+    return [tuple(x for block in slots for x in block.col(j)) for j in range(m)]
 
 
 def _from_flat(flat, dim: int, vdim: int, degree: int, flavor: str):
@@ -330,9 +319,10 @@ def _from_flat(flat, dim: int, vdim: int, degree: int, flavor: str):
 def cohomology_dimensions(struct, v: Representation, n: int, flavor: str = None) -> CohomologyReport:
     """Cocycle, coboundary and cohomology dimensions at degree n, with exact bases.
 
-    The coboundary maps of degrees n-1 and n are built once and applied to
-    the exact equivariant bases.  The cocycles are the kernel basis of the
-    degree-n matrix, the coboundary basis is the reduced row basis of the
+    The coboundary matrices of degrees n-1 and n are built once and
+    multiplied by the basis matrices of the exact equivariant bases.  The
+    cocycles are the basis matrix times the kernel basis of the degree-n
+    images, the coboundary basis is the reduced row basis of the
     degree-(n-1) images.  The cohomology representatives are the cocycles
     whose columns are pivots in the reduced echelon form of
     [coboundaries | cocycles]; that form also asserts that the coboundaries
@@ -353,16 +343,15 @@ def cohomology_dimensions(struct, v: Representation, n: int, flavor: str = None)
 def _cohomology_report(struct, v: Representation, n: int, flavor: str) -> CohomologyReport:
     """The report of `cohomology_dimensions`, for a structure and a module
     that are already known to be valid."""
-    basis, images = _basis_and_images(struct, v, n, flavor)
-    kernel = kernel_basis(Matrix.from_columns(images, len(images[0]))) if images else []
-    cocycles = [_combination(kv, basis, len(basis[0])) for kv in kernel]
+    basis = _basis_matrix(struct, v, n, flavor)
+    images = _images(struct, v, n, flavor, basis)
+    kernel = Matrix.from_columns(kernel_basis(images), images.cols)
+    cocycles = _in_slots(basis, kernel, 1 if flavor == PLAIN else max(n, 1))
 
     boundaries = []
     if n >= 1:
-        _, images_prev = _basis_and_images(struct, v, n - 1, flavor)
-        if images_prev:
-            reduced, pivots = rref(Matrix.from_rows(images_prev))
-            boundaries = [reduced.row(i) for i in range(len(pivots))]
+        prev = _images(struct, v, n - 1, flavor, _basis_matrix(struct, v, n - 1, flavor))
+        boundaries = span_basis(prev.col(j) for j in range(prev.cols))
 
     columns = boundaries + cocycles
     pivots = rref(Matrix.from_columns(columns, len(columns[0])))[1] if columns else ()
@@ -376,7 +365,7 @@ def _cohomology_report(struct, v: Representation, n: int, flavor: str) -> Cohomo
     return CohomologyReport(
         degree=n,
         flavor=flavor,
-        dim_cochains=len(basis),
+        dim_cochains=images.cols,
         dim_cocycles=len(cocycles),
         dim_coboundaries=len(boundaries),
         dim_cohomology=len(representatives),
@@ -415,13 +404,12 @@ def coboundary_preimage(c: CompatibleHomLieAlgebra, v: Representation,
     n = target.degree - 1
     if n < 0:
         raise UsageError("a degree-0 cochain has no preimage")
-    basis, images = _basis_and_images(c, v, n, COMPATIBLE)
-    rhs = target.flatten()
-    x = solve(Matrix.from_columns(images, len(rhs)), rhs)
+    basis = _basis_matrix(c, v, n, COMPATIBLE)
+    x = solve(_images(c, v, n, COMPATIBLE, basis), target.flatten())
     if x is None:
         return None
-    size = max(n, 1) * v.vdim * comb(c.dim, n)
-    return _from_flat(_combination(x, basis, size), c.dim, v.vdim, n, COMPATIBLE)
+    flat, = _in_slots(basis, _column(x), max(n, 1))
+    return _from_flat(flat, c.dim, v.vdim, n, COMPATIBLE)
 
 
 @dataclass(frozen=True)

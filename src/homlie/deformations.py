@@ -42,9 +42,9 @@ from .cohomology import (
     COMPATIBLE,
     CompatibleCochain,
     _coboundary_map,
+    _cohomology_report,
     class_coordinates,
     coboundary_preimage,
-    cohomology_dimensions,
     compatible_coboundary,
 )
 from .errors import ContractError, PreconditionError, UsageError
@@ -189,7 +189,8 @@ def infinitesimal_class(c: CompatibleHomLieAlgebra, g: LinearGenerator) -> tuple
     report = check_linear_generator(c, g)
     if not report.is_cocycle:
         raise PreconditionError("generator is not a 2-cocycle")
-    h2 = cohomology_dimensions(c, adjoint_representation(c), 2, COMPATIBLE)
+    # c is verified above, and the adjoint module of a valid structure is valid
+    h2 = _cohomology_report(c, adjoint_representation(c), 2, COMPATIBLE)
     return class_coordinates(h2, CompatibleCochain(2, (g.omega1, g.omega2)))
 
 
@@ -267,27 +268,26 @@ def verify_order_p(d: OrderPDeformation) -> OrderReport:
     recomputed as coefficients of the truncated brackets, which add the
     order-0 terms [m_0, m_n] + [m_n, m_0] to the same sums, and the two
     routes are compared exactly: this checks the coboundary maps against the
-    NR bracket with the base.  Disagreement raises ContractError.  The two
-    degree-2 coboundary maps are built once and applied to every order.
+    NR bracket with the base.  Disagreement raises ContractError.  Each
+    degree-2 coboundary matrix is built once and multiplied by the stacked
+    coefficient columns [m1_0 .. m1_p | m2_0 .. m2_p].
     """
     c = d.base
     alpha = c.alpha
     rep = adjoint_representation(c)
-    maps = (_coboundary_map(c, rep, 1, 2), _coboundary_map(c, rep, 2, 2))
-
-    def delta(which: int, f: Cochain) -> Cochain:
-        return Cochain.from_flat(3, c.dim, c.dim, maps[which - 1](f.flatten()))
-
     p = d.order
     m1, m2 = d.coeffs1, d.coeffs2
+    stacked = Matrix.from_columns([f.flatten() for f in m1 + m2], len(m1[0].flatten()))
+    d1, d2 = ([Cochain.from_flat(3, c.dim, c.dim, image.col(k)) for k in range(image.cols)]
+              for image in (_coboundary_map(c, rep, b, 2) @ stacked for b in (1, 2)))
     pairs = ((m1, m1), (m2, m2), (m1, m2))
     residuals = []
     for n in range(p + 1):
         quads = tuple(_convolution(a, b, n, alpha) for a, b in pairs)
         quad11, quad22, quad12 = quads
-        r1 = delta(1, m1[n]) - quad11.scale(HALF)
-        r2 = delta(2, m2[n]) - quad22.scale(HALF)
-        r3 = delta(1, m2[n]) + delta(2, m1[n]) - quad12
+        r1 = d1[n] - quad11.scale(HALF)
+        r2 = d2[p + 1 + n] - quad22.scale(HALF)
+        r3 = d1[p + 1 + n] + d2[n] - quad12
         # Truncated-bracket route: the same sums plus the order-0 terms.
         if n == 0:
             expect = (r1.scale(-1), r2.scale(-1), r3.scale(-HALF))

@@ -153,6 +153,17 @@ def test_arity0_cochain_is_its_vector():
         Cochain.from_flat(0, 3, 2, (F(1), F(0), F(0)))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Cochain.zero(-1, 2, 2),
+    lambda: Cochain.from_flat(-1, 2, 2, ()),
+    lambda: Cochain.from_values(-1, 2, 2, {}),
+    lambda: Cochain(-1, 2, 2, Matrix.zero(2, 0)),
+], ids=["zero", "from_flat", "from_values", "init"])
+def test_negative_arity_is_a_usage_error(build):
+    with pytest.raises(UsageError, match="arity must be >= 0"):
+        build()
+
+
 def test_hom_cochain_basis_above_dimension_empty():
     assert hom_cochain_basis(Matrix.identity(2), Matrix.identity(2), 3) == []
 

@@ -35,9 +35,11 @@ from homlie import cochains, fixtures
 from homlie.cohomology import (
     COMPATIBLE,
     PLAIN,
-    _basis_and_images,
+    _basis_matrix,
     _c0_compatible_basis,
     _from_flat,
+    _images,
+    _in_slots,
     coboundary_preimage,
 )
 from homlie.linalg import basis_vector, kernel_basis, span_rank, vec_is_zero
@@ -305,12 +307,15 @@ def test_assembled_images_match_naive_oracle():
     c = fixtures.twisted_compatible_h3()
     rep = adjoint_representation(c)
     for n in range(4):
-        basis, images = _basis_and_images(c, rep, n, COMPATIBLE)
-        for b, image in zip(basis, images):
-            item = _from_flat(b, c.dim, rep.vdim, n, COMPATIBLE)
-            if n == 0:
-                item = CompatibleCochain(0, (item,))
-            assert image == naive_compatible_coboundary(c, rep, item).flatten()
+        basis = _basis_matrix(c, rep, n, COMPATIBLE)
+        images = _images(c, rep, n, COMPATIBLE, basis)
+        units = _in_slots(basis, Matrix.identity(images.cols), max(n, 1))
+        items = [_from_flat(w, c.dim, rep.vdim, n, COMPATIBLE) for w in units]
+        if n == 0:
+            items = [CompatibleCochain(0, (item,)) for item in items]
+        assert [i.flatten() for i in items] == [b.flatten() for b in compatible_basis(c, rep, n)]
+        for j, item in enumerate(items):
+            assert images.col(j) == naive_compatible_coboundary(c, rep, item).flatten()
 
 
 def ambient_matrix(c, rep, n):
@@ -330,9 +335,8 @@ def test_delta_squared_on_assembled_matrices_h5_pair():
     assert verify_structure(c).passed
     rep = adjoint_representation(c)
     for n in range(4):
-        _, images = _basis_and_images(c, rep, n, COMPATIBLE)
-        assert images
-        delta = Matrix.from_columns(images, len(images[0]))
+        delta = _images(c, rep, n, COMPATIBLE, _basis_matrix(c, rep, n, COMPATIBLE))
+        assert delta.cols
         assert n == 0 or not delta.is_zero()  # degree 0 is the centre
         assert (ambient_matrix(c, rep, n + 1) @ delta).is_zero()
 

@@ -17,6 +17,7 @@ from homlie import (
     adjoint_representation,
     check_linear_equivalence,
     check_linear_generator,
+    class_coordinates,
     cohomology_dimensions,
     compatible_coboundary,
     infinitesimal_class,
@@ -26,7 +27,7 @@ from homlie import (
     trivial_deformation_from_nijenhuis,
     verify_order_p,
 )
-from homlie import deformations, fixtures
+from homlie import cohomology, deformations, fixtures
 from homlie.cohomology import COMPATIBLE
 from homlie.deformations import HALF
 
@@ -194,6 +195,23 @@ def test_class_constant_on_equivalence_orbits():
         assert infinitesimal_class(c, g) == infinitesimal_class(c, zero_generator(c.dim))
 
 
+def test_infinitesimal_class_verifies_the_base_once(monkeypatch):
+    c = fixtures.compatible_h3()
+    h2 = cohomology_dimensions(c, adjoint_representation(c), 2, COMPATIBLE)
+    z = h2.cohomology_basis[-1]
+    g = LinearGenerator(z.components[0], z.components[1])
+    want = class_coordinates(h2, z)
+    assert want[-1] == 1
+    verified = []
+    for module in (deformations, cohomology):
+        monkeypatch.setattr(module, "verify_structure",
+                            lambda s, original=module.verify_structure:
+                            verified.append(s) or original(s))
+    assert infinitesimal_class(c, g) == want
+    assert [type(s).__name__ for s in verified] == ["CompatibleHomLieAlgebra"]
+    assert verified[0] is c
+
+
 def test_non_cocycle_class_rejected():
     c = fixtures.compatible_h3()
     rng = random.Random(3)
@@ -297,10 +315,8 @@ def test_wrong_coboundary_sign_raises_contract_error(monkeypatch, which):
     real = deformations._coboundary_map
 
     def flipped(struct, v, bracket, n):
-        apply = real(struct, v, bracket, n)
-        if bracket != which:
-            return apply
-        return lambda flat: tuple(-x for x in apply(flat))
+        matrix = real(struct, v, bracket, n)
+        return -matrix if bracket == which else matrix
 
     monkeypatch.setattr(deformations, "_coboundary_map", flipped)
     with pytest.raises(ContractError):

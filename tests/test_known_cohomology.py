@@ -8,6 +8,11 @@
 - With a zero second bracket and a zero second action the two-bracket
   differential maps slot i to slot i by d1, and the last slot in degree
   n+1 receives nothing, so dim H^n_pair = (n-1) dim H^n + dim Z^n, n >= 1.
+- The Euler characteristic: rank-nullity makes the alternating sums of the
+  cochain and the cohomology dimensions equal, and with an identity twist
+  the plain sum is vdim (1 - 1)^d = 0.
+- The bidifferential identities d1^2 = d2^2 = d1 d2 + d2 d1 = 0, as
+  products of the coboundary matrices.
 
 The degree-0 groups are also compared with their own formulas in
 `helpers`: the kernel basis of beta - 1, and agreement of the two actions
@@ -32,7 +37,7 @@ from homlie import (
     fixtures,
     hom_cochain_basis,
 )
-from homlie.cohomology import COMPATIBLE, PLAIN
+from homlie.cohomology import COMPATIBLE, PLAIN, _basis_matrix, _coboundary_map
 from homlie.linalg import basis_vector, vec_add
 
 from helpers import naive_beta_fixed_basis, naive_in_c0_compatible
@@ -149,3 +154,49 @@ def test_degree0_membership_agrees_with_the_per_element_test():
             assert isinstance(item, Cochain) and item.arity == 0
             assert naive_in_c0_compatible(c, v, item.flatten())
     assert seen[True] and seen[False]
+
+
+def test_bidifferential_identities_as_matrix_identities():
+    """d1 d1 = d2 d2 = d1 d2 + d2 d1 = 0 on the equivariant cochains of every
+    two-bracket fixture, as products of the coboundary matrices of degrees n
+    and n+1 with the degree-n basis matrix."""
+    cases = nonzero = 0
+    for c, v in fixture_modules():
+        if not isinstance(c, CompatibleHomLieAlgebra):
+            continue
+        for n in range(c.dim):
+            basis = _basis_matrix(c, v, n, COMPATIBLE)
+            d1, d2 = (_coboundary_map(c, v, which, n) @ basis for which in (1, 2))
+            e1, e2 = (_coboundary_map(c, v, which, n + 1) for which in (1, 2))
+            assert (e1 @ d1).is_zero()
+            assert (e2 @ d2).is_zero()
+            assert (e1 @ d2 + e2 @ d1).is_zero()
+            cases += 3
+            nonzero += not d1.is_zero() and not d2.is_zero()
+    assert cases == 60 and nonzero
+
+
+def test_euler_characteristic():
+    """Rank-nullity across neighbouring reports, dim C^n = dim Z^n +
+    dim B^(n+1), so the alternating sums of the cochain and the cohomology
+    dimensions agree.  With identity twists the cochain spaces of degree
+    n >= 1 are counted without elimination, vdim C(d, n) in each of n slots
+    (one slot in the plain flavor), and the plain sum is vdim (1 - 1)^d = 0."""
+    textbook = 0
+    for s, v in fixture_modules():
+        flavor = COMPATIBLE if isinstance(s, CompatibleHomLieAlgebra) else PLAIN
+        reports = [cohomology_dimensions(s, v, n, flavor) for n in range(s.dim + 2)]
+        for n in range(s.dim + 1):
+            assert reports[n].dim_cochains == \
+                reports[n].dim_cocycles + reports[n + 1].dim_coboundaries
+        assert reports[-1].dim_cochains == 0
+        chi = sum((-1) ** n * r.dim_cochains for n, r in enumerate(reports))
+        assert chi == sum((-1) ** n * r.dim_cohomology for n, r in enumerate(reports))
+        if s.alpha == Matrix.identity(s.dim) and v.beta == Matrix.identity(v.vdim):
+            slots = [n if flavor == COMPATIBLE else 1 for n in range(1, s.dim + 2)]
+            assert [r.dim_cochains for r in reports[1:]] == \
+                [k * v.vdim * comb(s.dim, n) for n, k in enumerate(slots, 1)]
+            if flavor == PLAIN:
+                assert reports[0].dim_cochains == v.vdim and chi == 0
+                textbook += 1
+    assert textbook
