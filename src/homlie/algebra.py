@@ -430,8 +430,8 @@ def _semidirect_bracket(bracket: Matrix, action_table, g_dim: int, v_dim: int) -
     return Matrix.from_columns(columns, total)
 
 
-def semidirect_product(c: CompatibleHomLieAlgebra, v: Representation) -> CompatibleHomLieAlgebra:
-    """Compatible structure on carrier + module with brackets
+def semidirect_product(c, v: Representation):
+    """Structure of c's type on carrier + module, with brackets
     [(x,u),(y,w)]_i = ([x,y]_i, x._i w - y._i u) and twist alpha (+) beta."""
     report_c = verify_structure(c)
     if not report_c.passed:
@@ -441,9 +441,9 @@ def semidirect_product(c: CompatibleHomLieAlgebra, v: Representation) -> Compati
         raise PreconditionError("invalid representation for semidirect product", report_v)
     if v.base != c:
         raise UsageError("representation is not over the given algebra")
-    b1 = _semidirect_bracket(c.bracket1, v.actions[0], c.dim, v.vdim)
-    b2 = _semidirect_bracket(c.bracket2, v.actions[1], c.dim, v.vdim)
-    return CompatibleHomLieAlgebra(c.dim + v.vdim, c.alpha.block_diag(v.beta), b1, b2)
+    brackets = (_semidirect_bracket(bracket, table, c.dim, v.vdim)
+                for bracket, table in zip(c.brackets, v.actions))
+    return type(c)(c.dim + v.vdim, c.alpha.block_diag(v.beta), *brackets)
 
 
 def twisted_semidirect(l: HomLieAlgebra, v: Representation, f: Cochain) -> HomLieAlgebra:

@@ -242,11 +242,15 @@ def _digest(data: bytes) -> str:
 
 def run(argv):
     """Execute a command line; returns (exit_code, report dict or None)."""
-    parser = build_parser()
+    return _run(argv)[:2]
+
+
+def _run(argv):
+    """`run`, followed by the parsed arguments (None when argparse exits)."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        return (exc.code if isinstance(exc.code, int) else 2), None
+        return (exc.code if isinstance(exc.code, int) else 2), None, None
     report = {
         "schema_version": REPORT_VERSION,
         "command": args.command,
@@ -259,7 +263,7 @@ def run(argv):
             data = handle.read()
     except OSError as exc:
         report["results"] = {"error": f"cannot read document: {exc}"}
-        return 2, report
+        return 2, report, args
     report["inputs_digest"] = _digest(data)
     try:
         doc = parse(data.decode("utf-8"))
@@ -268,10 +272,10 @@ def run(argv):
         status, results = 1, _precondition_json(exc)
     except (ParseError, UsageError, UnicodeDecodeError) as exc:
         report["results"] = {"error": str(exc)}
-        return 2, report
+        return 2, report, args
     report["results"] = results
     report["exit_status"] = status
-    return status, report
+    return status, report, args
 
 
 def _human_lines(report: dict):
@@ -296,24 +300,14 @@ def _render_value(value, prefix: str = ""):
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    status, report = run(argv)
+    status, report, args = _run(sys.argv[1:] if argv is None else argv)
     if report is not None:
-        if _format_of(argv) == "machine":
+        if args.format == "machine":
             sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
         else:
             for line in _human_lines(report):
                 sys.stdout.write(line + "\n")
     return status
-
-
-def _format_of(argv) -> str:
-    for k, arg in enumerate(argv):
-        if arg == "--format" and k + 1 < len(argv):
-            return argv[k + 1]
-        if arg.startswith("--format="):
-            return arg.split("=", 1)[1]
-    return "human"
 
 
 if __name__ == "__main__":

@@ -71,9 +71,9 @@ def tuple_position(d: int, n: int):
 
 
 def _column_count(source_dim: int, arity: int) -> int:
-    """The C(source_dim, arity) columns of a coefficient matrix, for arity >= 0."""
-    if arity < 0:
-        raise UsageError("cochain arity must be >= 0")
+    """The C(source_dim, arity) columns of a coefficient matrix, for both >= 0."""
+    if arity < 0 or source_dim < 0:
+        raise UsageError("cochain source dimension and arity must be >= 0")
     return comb(source_dim, arity)
 
 

@@ -7,12 +7,15 @@ generator (the 2-cocycle condition of the two-bracket complex) and the three
 among the generator components (the Maurer-Cartan condition).
 
 An order-p deformation keeps both brackets as degree-p polynomials in t with
-equivariant arity-2 coefficients and constant terms equal to the base.  Its
-defining identities are checked both as the stated per-order system and as
-the coefficientwise vanishing of the truncated brackets; the two evaluations
-are compared exactly.  The degree-3 obstruction cochain of an order-p
-deformation is closed, and the deformation extends one order further exactly
-when that cochain is a coboundary; the extension coefficients are one
+equivariant arity-2 coefficients m_k and constant terms equal to the base.
+Its truncated brackets vanish coefficient by coefficient, and the t^n
+coefficient is a sum of products m_i . K_j over i + j = n, with one
+insertion matrix K_j = insertion_matrix(m_j, alpha, 2) per coefficient (the
+K list, built once per call).  One helper takes these sums for the per-order
+identities, their truncated-bracket cross-check, the obstruction and the six
+conditions of a generator (the order-1 series of mu + t w).  The degree-3
+obstruction cochain is closed, and the deformation extends one order further
+exactly when it is a coboundary; the extension coefficients are one
 coboundary preimage of it in the two-bracket complex.
 """
 
@@ -33,7 +36,7 @@ from .algebra import (
 from .cochains import (
     Cochain,
     exterior_square,
-    is_mc_pair,
+    insertion_matrix,
     nr_bracket,
     nr_diamond,
     require_equivariant,
@@ -92,31 +95,20 @@ def _require_valid(c: CompatibleHomLieAlgebra):
 
 
 def check_linear_generator(c: CompatibleHomLieAlgebra, g: LinearGenerator) -> GeneratorReport:
-    """Evaluate the six bracket conditions for a linear generator.
+    """Evaluate the six bracket conditions for a linear generator, read off
+    the order-1 series of (mu + t w).
 
-    The first three vanish exactly when (w1, w2) is a 2-cocycle of the
-    two-bracket complex (cross-checked against the coboundary), the last
-    three exactly when (w1, w2) is itself a compatible structure
-    (the Maurer-Cartan test).
+    The t^1 sums vanish exactly when (w1, w2) is a 2-cocycle of the
+    two-bracket complex (cross-checked against the coboundary as in
+    `verify_order_p`), the t^2 sums exactly when (w1, w2) is itself a
+    compatible structure (the Maurer-Cartan test).
     """
     _require_valid(c)
-    require_equivariant((g.omega1, g.omega2), c.alpha, c.alpha)
-    alpha = c.alpha
-    mu1 = c.bracket_cochain(1)
-    mu2 = c.bracket_cochain(2)
-    r1 = nr_bracket(mu1, g.omega1, alpha)
-    r2 = nr_bracket(mu2, g.omega2, alpha)
-    r3 = nr_bracket(mu1, g.omega2, alpha) + nr_bracket(mu2, g.omega1, alpha)
-    mc = is_mc_pair(g.omega1, g.omega2, alpha)
-    # Independent route: d(w1, w2) must equal (-r1, -r3, -r2) componentwise.
-    delta = compatible_coboundary(
-        c, adjoint_representation(c), CompatibleCochain(2, (g.omega1, g.omega2)), check=False
-    )
-    expected = (-r1, -r3, -r2)
-    for got, want in zip(delta.components, expected):
-        if got.flatten() != want.flatten():
-            raise ContractError("coboundary route disagrees with the bracket route")
-    return GeneratorReport((r1, r2, r3) + mc.residuals)
+    d = OrderPDeformation.from_generator(c, g)  # checks the twist-equivariance of g
+    ks = _insertions(d)
+    _verify(d, ks)  # the coboundary route against the truncated brackets
+    square1, square2, mixed = _bracket_sums(d, ks, 2, 1)
+    return GeneratorReport(_bracket_sums(d, ks, 1, 0) + (square1.scale(2), square2.scale(2), mixed))
 
 
 def trivial_deformation_from_nijenhuis(c: CompatibleHomLieAlgebra,
@@ -264,51 +256,55 @@ def verify_order_p(d: OrderPDeformation) -> OrderReport:
         r2_n = d2(m2_n) - 1/2 sum_(i+j=n, i,j>=1) [m2_i, m2_j]
         r3_n = d1(m2_n) + d2(m1_n) - sum_(i+j=n, i,j>=1) [m1_i, m2_j]
 
-    (order 0 reduces to validity of the base).  The same conditions are
-    recomputed as coefficients of the truncated brackets, which add the
-    order-0 terms [m_0, m_n] + [m_n, m_0] to the same sums, and the two
-    routes are compared exactly: this checks the coboundary maps against the
-    NR bracket with the base.  Disagreement raises ContractError.  Each
-    degree-2 coboundary matrix is built once and multiplied by the stacked
-    coefficient columns [m1_0 .. m1_p | m2_0 .. m2_p].
+    (order 0 reduces to validity of the base).  The t^n coefficients of the
+    truncated brackets, the same sums over i, j >= 0, must equal -r_n
+    (-r_0 / 2 at order 0); the two routes are compared exactly, which checks
+    the coboundary maps against the NR bracket with the base.  Disagreement
+    raises ContractError.  Each degree-2 coboundary matrix is built once and
+    multiplied by the stacked coefficient columns [m1_0 .. m1_p | m2_0 .. m2_p].
     """
+    return _verify(d, _insertions(d))
+
+
+def _insertions(d: OrderPDeformation) -> tuple:
+    """The K lists of both brackets: K_k = insertion_matrix(m_k, alpha, 2),
+    so that P <> m_k = P . K_k."""
+    return tuple(tuple(insertion_matrix(f, d.base.alpha, 2) for f in coeffs)
+                 for coeffs in (d.coeffs1, d.coeffs2))
+
+
+def _bracket_sums(d: OrderPDeformation, ks: tuple, n: int, low: int) -> tuple:
+    """1/2 sum [m1_i, m1_j], 1/2 sum [m2_i, m2_j] and sum [m1_i, m2_j] over
+    i + j = n with i, j >= low, as arity-3 cochains (n - low <= p + 1).  As
+    [P, Q] = P <> Q + Q <> P in arity 2, a half-sum is sum m_i . K_j."""
+    dim = d.base.dim
+    (m1, m2), (k1, k2) = (d.coeffs1, d.coeffs2), ks
+
+    def total(m, k):
+        return sum((Cochain(3, dim, dim, m[i].coeffs @ k[n - i]) for i in range(low, n - low + 1)),
+                   Cochain.zero(3, dim, dim))
+
+    return total(m1, k1), total(m2, k2), total(m1, k2) + total(m2, k1)
+
+
+def _verify(d: OrderPDeformation, ks: tuple) -> OrderReport:
+    """`verify_order_p` over a K list built by the caller."""
     c = d.base
-    alpha = c.alpha
     rep = adjoint_representation(c)
     p = d.order
     m1, m2 = d.coeffs1, d.coeffs2
     stacked = Matrix.from_columns([f.flatten() for f in m1 + m2], len(m1[0].flatten()))
     d1, d2 = ([Cochain.from_flat(3, c.dim, c.dim, image.col(k)) for k in range(image.cols)]
               for image in (_coboundary_map(c, rep, b, 2) @ stacked for b in (1, 2)))
-    pairs = ((m1, m1), (m2, m2), (m1, m2))
     residuals = []
     for n in range(p + 1):
-        quads = tuple(_convolution(a, b, n, alpha) for a, b in pairs)
-        quad11, quad22, quad12 = quads
-        r1 = d1[n] - quad11.scale(HALF)
-        r2 = d2[p + 1 + n] - quad22.scale(HALF)
-        r3 = d1[p + 1 + n] + d2[n] - quad12
-        # Truncated-bracket route: the same sums plus the order-0 terms.
-        if n == 0:
-            expect = (r1.scale(-1), r2.scale(-1), r3.scale(-HALF))
-        else:
-            expect = (r1.scale(-2), r2.scale(-2), r3.scale(-1))
-        for (a, b), quad, want in zip(pairs, quads, expect):
-            edge = nr_bracket(a[0], b[0], alpha) if n == 0 else \
-                nr_bracket(a[0], b[n], alpha) + nr_bracket(a[n], b[0], alpha)
-            if (quad + edge).flatten() != want.flatten():
-                raise ContractError("truncated-bracket route disagrees with the identity route")
-        residuals.append((r1, r2, r3))
+        s11, s22, s12 = _bracket_sums(d, ks, n, 1)
+        triple = (d1[n] - s11, d2[p + 1 + n] - s22, d1[p + 1 + n] + d2[n] - s12)
+        # Truncated-bracket route: the same sums over i, j >= 0.
+        if _bracket_sums(d, ks, n, 0) != tuple(r.scale(-HALF if n == 0 else -1) for r in triple):
+            raise ContractError("truncated-bracket route disagrees with the identity route")
+        residuals.append(triple)
     return OrderReport(tuple(residuals))
-
-
-def _convolution(left, right, n: int, alpha: Matrix) -> Cochain:
-    """sum_(i+j=n, i,j>=1) [left_i, right_j], for n at most one above the top order."""
-    d = left[0].source_dim
-    total = Cochain.zero(3, d, d)
-    for i in range(1, n):
-        total = total + nr_bracket(left[i], right[n - i], alpha)
-    return total
 
 
 @dataclass(frozen=True)
@@ -321,17 +317,17 @@ class ObstructionCochain:
 
 def obstruction(d: OrderPDeformation) -> ObstructionCochain:
     """The degree-3 cochain whose class must vanish for the deformation to
-    extend one order; closedness is asserted exactly."""
-    order_report = verify_order_p(d)
-    if not order_report.passed:
+    extend one order, the sums of `verify_order_p` at n = p + 1; closedness
+    is asserted exactly."""
+    return _obstruction(d, _insertions(d))
+
+
+def _obstruction(d: OrderPDeformation, ks: tuple) -> ObstructionCochain:
+    if not _verify(d, ks).passed:
         raise PreconditionError("not a valid order-p deformation")
     c = d.base
-    alpha = c.alpha
-    n = d.order + 1
-    o1 = _convolution(d.coeffs1, d.coeffs1, n, alpha).scale(HALF)
-    o2 = _convolution(d.coeffs1, d.coeffs2, n, alpha)
-    o3 = _convolution(d.coeffs2, d.coeffs2, n, alpha).scale(HALF)
-    cochain = CompatibleCochain(3, (o1, o2, o3))
+    o11, o22, o12 = _bracket_sums(d, ks, d.order + 1, 1)
+    cochain = CompatibleCochain(3, (o11, o12, o22))
     closed = compatible_coboundary(c, adjoint_representation(c), cochain, check=False)
     if not closed.is_zero():
         raise ContractError("obstruction cochain is not closed")
@@ -346,14 +342,16 @@ def is_extensible(d: OrderPDeformation):
     (`coboundary_preimage`).  Returns one exact solution pair (any
     solution) or None when the obstruction class is nonzero.  A returned
     pair is re-verified: appending it yields a deformation of order p+1
-    passing verify_order_p.
+    passing verify_order_p, over the obstruction's K list and the pair's.
     """
     c = d.base
-    x = coboundary_preimage(c, adjoint_representation(c), obstruction(d).cochain)
+    ks = _insertions(d)
+    x = coboundary_preimage(c, adjoint_representation(c), _obstruction(d, ks).cochain)
     if x is None:
         return None
     pair = x.components
     extended = d.extended(*pair)
-    if not verify_order_p(extended).passed:
+    ks = tuple(k + (insertion_matrix(f, c.alpha, 2),) for k, f in zip(ks, pair))
+    if not _verify(extended, ks).passed:
         raise ContractError("extension coefficients fail the order-(p+1) identities")
     return pair

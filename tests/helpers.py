@@ -20,6 +20,7 @@ from homlie import (
     Matrix,
     PreconditionError,
     Representation,
+    adjoint_representation,
     hom_cochain_basis,
     verify_structure,
 )
@@ -272,6 +273,60 @@ def naive_compatible_coboundary(c, v, f: CompatibleCochain) -> CompatibleCochain
     d2 = [d(2, comp) for comp in f.components]
     parts = [d1[0]] + [d1[i] + d2[i - 1] for i in range(1, f.degree)] + [d2[-1]]
     return CompatibleCochain(f.degree + 1, tuple(parts))
+
+
+def _naive_bracket_sum(left, right, n: int, alpha: Matrix) -> Cochain:
+    """sum_(i+j=n, i,j>=1) [left_i, right_j] over every ordered pair, by
+    `naive_nr_bracket`."""
+    d = left[0].source_dim
+    total = Cochain.zero(3, d, d)
+    for i in range(1, n):
+        total = total + naive_nr_bracket(left[i], right[n - i], alpha)
+    return total
+
+
+def naive_order_residuals(d) -> tuple:
+    """The per-order residuals (r1_n, r2_n, r3_n) of an order-p deformation:
+    the naive two-bracket coboundary of (m1_n, m2_n) minus the naive
+    bracket sums over i + j = n with i, j >= 1."""
+    c, half = d.base, Fraction(1, 2)
+    rep = adjoint_representation(c)
+    out = []
+    for n in range(d.order + 1):
+        first, mixed, second = naive_compatible_coboundary(
+            c, rep, CompatibleCochain(2, (d.coeffs1[n], d.coeffs2[n]))).components
+        out.append((
+            first - _naive_bracket_sum(d.coeffs1, d.coeffs1, n, c.alpha).scale(half),
+            second - _naive_bracket_sum(d.coeffs2, d.coeffs2, n, c.alpha).scale(half),
+            mixed - _naive_bracket_sum(d.coeffs1, d.coeffs2, n, c.alpha),
+        ))
+    return tuple(out)
+
+
+def naive_obstruction(d) -> CompatibleCochain:
+    """(1/2 sum [m1_i, m1_j], sum [m1_i, m2_j], 1/2 sum [m2_i, m2_j]) over
+    i + j = p + 1 with i, j >= 1, by `naive_nr_bracket`."""
+    n, alpha, half = d.order + 1, d.base.alpha, Fraction(1, 2)
+    return CompatibleCochain(3, (
+        _naive_bracket_sum(d.coeffs1, d.coeffs1, n, alpha).scale(half),
+        _naive_bracket_sum(d.coeffs1, d.coeffs2, n, alpha),
+        _naive_bracket_sum(d.coeffs2, d.coeffs2, n, alpha).scale(half),
+    ))
+
+
+def naive_generator_residuals(c, g) -> tuple:
+    """([m1,w1], [m2,w2], [m1,w2] + [m2,w1], [w1,w1], [w2,w2], [w1,w2]) by
+    `naive_nr_bracket`."""
+    alpha, w1, w2 = c.alpha, g.omega1, g.omega2
+    m1, m2 = c.bracket_cochain(1), c.bracket_cochain(2)
+    return (
+        naive_nr_bracket(m1, w1, alpha),
+        naive_nr_bracket(m2, w2, alpha),
+        naive_nr_bracket(m1, w2, alpha) + naive_nr_bracket(m2, w1, alpha),
+        naive_nr_bracket(w1, w1, alpha),
+        naive_nr_bracket(w2, w2, alpha),
+        naive_nr_bracket(w1, w2, alpha),
+    )
 
 
 def naive_representation_checks(v):

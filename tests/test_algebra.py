@@ -275,6 +275,15 @@ def test_twisted_semidirect_zero_cochain_is_plain():
     assert twisted.bracket == semi.bracket1
 
 
+def test_semidirect_product_of_a_single_bracket_algebra():
+    h3 = fixtures.h3()
+    adjoint = adjoint_representation(h3)
+    semi = semidirect_product(h3, adjoint)
+    assert isinstance(semi, HomLieAlgebra)
+    assert verify_structure(semi).passed
+    assert semi == twisted_semidirect(h3, adjoint, Cochain.zero(2, 3, 3))
+
+
 def test_twisted_semidirect_by_coboundary():
     rng = random.Random(5)
     d2 = fixtures.d2()

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from homlie.cli import run
+from homlie.cli import main, run
 from homlie.documents import parse
 from homlie.linalg import basis_vector
 
@@ -231,3 +231,19 @@ def test_human_format_mentions_checks():
     assert result.returncode == 1
     assert "multiplicativity" in result.stdout
     assert "exit: 1" in result.stdout
+
+
+def test_main_accepts_an_abbreviated_format_option(capsys):
+    # argparse reads --form as --format, so the run asks for machine output.
+    status = main(["verify", str(ROOT / "fixtures/ab1.json"), "--form", "machine"])
+    expected = (GOLDEN / "verify_ab1.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+    assert status == json.loads(expected)["exit_status"]
+
+
+def test_main_uses_the_last_format_option(capsys):
+    argv = ["verify", str(ROOT / "fixtures/ab1.json"), "--format=machine", "--format", "human"]
+    status = main(argv)
+    out = capsys.readouterr().out
+    assert out.startswith("command: verify\n")
+    assert out.endswith(f"exit: {status}\n")

@@ -164,6 +164,17 @@ def test_negative_arity_is_a_usage_error(build):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Cochain.zero(2, -1, 2),
+    lambda: Cochain.from_flat(2, -1, 2, ()),
+    lambda: Cochain.from_values(2, -1, 2, {}),
+    lambda: Cochain(2, -1, 2, Matrix.zero(2, 0)),
+], ids=["zero", "from_flat", "from_values", "init"])
+def test_negative_source_dimension_is_a_usage_error(build):
+    with pytest.raises(UsageError, match="source dimension and arity must be >= 0"):
+        build()
+
+
 def test_hom_cochain_basis_above_dimension_empty():
     assert hom_cochain_basis(Matrix.identity(2), Matrix.identity(2), 3) == []
 

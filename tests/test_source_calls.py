@@ -4,7 +4,10 @@ Every bracket identity in `src/homlie` is checked as one matrix product, so
 no module evaluates a bracket one pair at a time through `bracket_of`.
 Compounds are wedges of columns, so `determinant_of` serves only the
 alternating extension in `Cochain.evaluate`.  Both functions stay public
-for callers and tests.
+for callers and tests.  A deformation's truncated brackets are products
+with one insertion matrix per coefficient, so in `deformations` only
+`check_linear_equivalence` calls `nr_bracket`, and nothing calls
+`is_mc_pair`.
 """
 
 import ast
@@ -50,3 +53,9 @@ def test_determinant_of_is_called_only_from_cochain_evaluate():
     callers = [(path.name, scope) for path in MODULES
                for scope, name in calls(path) if name == "determinant_of"]
     assert callers == [("cochains.py", "Cochain.evaluate")]
+
+
+def test_deformations_take_brackets_through_the_insertion_matrices():
+    found = calls(ROOT / "src" / "homlie" / "deformations.py")
+    assert [scope for scope, name in found if name == "nr_bracket"] == ["check_linear_equivalence"]
+    assert [scope for scope, name in found if name == "is_mc_pair"] == []
