@@ -19,9 +19,17 @@ of 2 x 2 minors and <> the insertion product:
     Rota-Baxter        mu . L2(R) = R . (mu <> R + weight mu)
 
 The defect matrix has one column per increasing basis tuple in
-lexicographic order, and its nonzero columns are the witnesses.  The
-representation identities are vdim x vdim matrix identities per basis
-element or pair.
+lexicographic order, and its nonzero columns are the witnesses.  A
+representation is read through A_b = [rho_b(e_0) | ... | rho_b(e_(d-1))],
+so that rho_b(x) = A_b . (x (x) 1), and each of its identities is one block
+product with one vdim-wide block of columns per basis element or pair:
+
+    twist              beta . A_b - A_b . (alpha (x) beta)
+    module             A_b . N_b
+    mixed              A_1 . N_2 + A_2 . N_1
+
+where block (l, k) of N_b, for the k-th pair (i < j), is
+mu_b[l, k] beta - alpha[l, i] rho_b(e_j) + alpha[l, j] rho_b(e_i).
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ from .linalg import (
     Matrix,
     ZERO,
     frac,
+    kron,
     vec_add,
     vec_is_zero,
     vec_scale,
@@ -215,6 +224,20 @@ class CheckResult:
                 witnesses.append((indices, column))
         return cls(name, tuple(witnesses))
 
+    @classmethod
+    def from_blocks(cls, name: str, defect: Matrix, dim: int, arity: int,
+                    width: int) -> "CheckResult":
+        """The check whose witnesses are the nonzero columns of a defect matrix
+        with one block of `width` columns per increasing arity-tuple of
+        range(dim), column k width + a labelled by the k-th tuple followed by a."""
+        witnesses = []
+        for k, indices in enumerate(increasing_tuples(dim, arity)):
+            for a in range(width):
+                column = defect.col(k * width + a)
+                if not vec_is_zero(column):
+                    witnesses.append((indices + (a,), column))
+        return cls(name, tuple(witnesses))
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -327,48 +350,53 @@ def _algebra_checks(s):
 
 
 def _representation_checks(v: Representation):
-    # Each identity is a vdim x vdim matrix per basis element or pair; column a
-    # is the defect on the module basis vector e_a.
-    base = v.base
+    # One block product per identity, as in the module docstring.
+    base, vdim = v.base, v.vdim
     dim = base.dim
-    pairs = increasing_tuples(dim, 2)
-    beta = v.beta
-    # twisted[b][i] = rho_b(alpha e_i)
-    twisted = [[v.action(b, base.alpha.col(i)) for i in range(dim)]
-               for b in range(1, len(v.actions) + 1)]
+    blocks = [_action_blocks(table, vdim) for table in v.actions]
+    pairs = [_pair_blocks(base.alpha, bracket, table, v.beta)
+             for bracket, table in zip(base.brackets, v.actions)]
+    twist = kron(base.alpha, v.beta)
     checks = []
-    labels = _labels(len(v.actions))
-    for which0, label in enumerate(labels):
-        b = which0 + 1
-        table = v.actions[which0]
-        tw = twisted[which0]
-        bracket = base.brackets[which0]
-        twist_witnesses = []
-        for i in range(dim):
-            _matrix_witnesses(twist_witnesses, (i,), beta @ table[i] - tw[i] @ beta)
-        module_witnesses = []
-        for k, (i, j) in enumerate(pairs):
-            defect = v.action(b, bracket.col(k)) @ beta - tw[i] @ table[j] + tw[j] @ table[i]
-            _matrix_witnesses(module_witnesses, (i, j), defect)
-        checks.append(CheckResult(f"action_twist{label}", tuple(twist_witnesses)))
-        checks.append(CheckResult(f"action_module{label}", tuple(module_witnesses)))
-    if len(v.actions) == 2:
-        (a1, a2), (t1, t2) = v.actions, twisted
-        witnesses = []
-        for k, (i, j) in enumerate(pairs):
-            mixed = v.action(2, base.bracket1.col(k)) + v.action(1, base.bracket2.col(k))
-            defect = (mixed @ beta - t1[i] @ a2[j] + t2[j] @ a1[i]
-                      - t2[i] @ a1[j] + t1[j] @ a2[i])
-            _matrix_witnesses(witnesses, (i, j), defect)
-        checks.append(CheckResult("action_mixed", tuple(witnesses)))
+    for label, a, n in zip(_labels(len(blocks)), blocks, pairs):
+        checks.append(CheckResult.from_blocks(f"action_twist{label}",
+                                              v.beta @ a - a @ twist, dim, 1, vdim))
+        checks.append(CheckResult.from_blocks(f"action_module{label}", a @ n, dim, 2, vdim))
+    if len(blocks) == 2:
+        (a1, a2), (n1, n2) = blocks, pairs
+        checks.append(CheckResult.from_blocks("action_mixed", a1 @ n2 + a2 @ n1, dim, 2, vdim))
     return checks
 
 
-def _matrix_witnesses(witnesses: list, indices: tuple, defect: Matrix):
-    for a in range(defect.cols):
-        column = defect.col(a)
-        if not vec_is_zero(column):
-            witnesses.append((indices + (a,), column))
+def _action_blocks(table, vdim: int) -> Matrix:
+    """A = [rho(e_0) | ... | rho(e_(d-1))], vdim x d vdim; built row by row
+    because hstack has no row count to give when d = 0."""
+    return Matrix(vdim, len(table) * vdim,
+                  tuple(x for r in range(vdim) for m in table for x in m.row(r)))
+
+
+def _pair_blocks(alpha: Matrix, bracket: Matrix, table, beta: Matrix) -> Matrix:
+    """N, d vdim x C(d,2) vdim: block (l, k) for the k-th pair (i < j) is
+    mu[l, k] beta - alpha[l, i] rho(e_j) + alpha[l, j] rho(e_i), so that
+    A . N stacks rho([e_i, e_j]) beta - rho(alpha e_i) rho(e_j)
+    + rho(alpha e_j) rho(e_i) over the pairs.  Untouched entries are the
+    shared ZERO."""
+    dim, vdim = alpha.rows, beta.rows
+    pairs = increasing_tuples(dim, 2)
+    cols = len(pairs) * vdim
+    entries = [ZERO] * (dim * vdim * cols)
+    for k, (i, j) in enumerate(pairs):
+        for l in range(dim):
+            terms = [(c, m) for c, m in ((bracket.entry(l, k), beta),
+                                         (-alpha.entry(l, i), table[j]),
+                                         (alpha.entry(l, j), table[i])) if c]
+            for c, m in terms:
+                for r in range(vdim):
+                    start = (l * vdim + r) * cols + k * vdim
+                    for a, x in enumerate(m.row(r)):
+                        if x:
+                            entries[start + a] += c * x
+    return Matrix(dim * vdim, cols, tuple(entries))
 
 
 def adjoint_representation(s) -> Representation:

@@ -8,6 +8,7 @@ Machine-format reports are canonical JSON, byte-stable across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -236,6 +237,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def _digest(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
@@ -248,7 +255,7 @@ def run(argv):
 def _run(argv):
     """`run`, followed by the parsed arguments (None when argparse exits)."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return (exc.code if isinstance(exc.code, int) else 2), None, None
     report = {

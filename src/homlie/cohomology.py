@@ -184,9 +184,11 @@ def _check_shape(f, dim: int, vdim: int):
         raise UsageError("cochain shape does not match the algebra and module")
 
 
-def _coboundary_map(struct, v: Representation, which: int, n: int) -> Matrix:
+def _coboundary_map(struct, v: Representation, which: int, n: int,
+                    k_term: Matrix | None = None) -> Matrix:
     """The coboundary C^n -> C^(n+1) of bracket `which` with action table
-    `which`, as a matrix on flat coordinates.
+    `which`, as a matrix on flat coordinates.  A caller that already holds
+    the bracket's insertion matrix K passes it as k_term.
 
     The unit cochain at module index q on the n-tuple I (column q C(d,n) + k
     for I the k-th tuple) maps to
@@ -204,8 +206,9 @@ def _coboundary_map(struct, v: Representation, which: int, n: int) -> Matrix:
     entries = [ZERO] * (vdim * n_out * cols)
     if n_out:
         out_pos = tuple_position(dim, n + 1)
-        bracket = Cochain(2, dim, dim, struct.brackets[which - 1])
-        k_term = insertion_matrix(bracket, struct.alpha, n)
+        if k_term is None:
+            bracket = Cochain(2, dim, dim, struct.brackets[which - 1])
+            k_term = insertion_matrix(bracket, struct.alpha, n)
         bracket_rows = [{x: -a for x, a in enumerate(k_term.row(k)) if a}
                         for k in range(n_in)]
         alpha_prev = struct.alpha.power(max(n - 1, 0))

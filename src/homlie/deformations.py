@@ -288,14 +288,16 @@ def _bracket_sums(d: OrderPDeformation, ks: tuple, n: int, low: int) -> tuple:
 
 
 def _verify(d: OrderPDeformation, ks: tuple) -> OrderReport:
-    """`verify_order_p` over a K list built by the caller."""
+    """`verify_order_p` over a K list built by the caller; K1_0 and K2_0 are
+    also the bracket terms of the two coboundary maps."""
     c = d.base
     rep = adjoint_representation(c)
     p = d.order
     m1, m2 = d.coeffs1, d.coeffs2
     stacked = Matrix.from_columns([f.flatten() for f in m1 + m2], len(m1[0].flatten()))
     d1, d2 = ([Cochain.from_flat(3, c.dim, c.dim, image.col(k)) for k in range(image.cols)]
-              for image in (_coboundary_map(c, rep, b, 2) @ stacked for b in (1, 2)))
+              for image in (_coboundary_map(c, rep, b, 2, k[0]) @ stacked
+                            for b, k in enumerate(ks, 1)))
     residuals = []
     for n in range(p + 1):
         s11, s22, s12 = _bracket_sums(d, ks, n, 1)

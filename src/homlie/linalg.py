@@ -131,12 +131,14 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise UsageError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        nonzero = [[(j, b) for j, b in enumerate(other.row(k)) if b] for k in range(other.rows)]
+        # The shared ZERO is skipped by identity, before any Fraction.__bool__.
+        nonzero = [[(j, b) for j, b in enumerate(other.row(k)) if b is not ZERO and b]
+                   for k in range(other.rows)]
         out = []
         for i in range(self.rows):
             acc = [ZERO] * other.cols
             for a, row in zip(self.row(i), nonzero):
-                if a:
+                if a is not ZERO and a:
                     for j, b in row:
                         acc[j] += a * b
             out.extend(acc)
@@ -206,6 +208,20 @@ def hstack(matrices) -> Matrix:
         for m in matrices:
             out.extend(m.row(i))
     return Matrix(rows, sum(m.cols for m in matrices), tuple(out))
+
+
+def kron(a: Matrix, b: Matrix) -> Matrix:
+    """The Kronecker product: block (l, i) is a[l, i] b, and the shared ZERO
+    block where a[l, i] is 0."""
+    zero_row = (ZERO,) * b.cols
+    out = []
+    for l in range(a.rows):
+        coeffs = a.row(l)
+        for r in range(b.rows):
+            row = b.row(r)
+            for c in coeffs:
+                out.extend(tuple(c * x for x in row) if c else zero_row)
+    return Matrix(a.rows * b.rows, a.cols * b.cols, tuple(out))
 
 
 def _integer_row(values) -> dict:

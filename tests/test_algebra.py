@@ -165,6 +165,41 @@ def test_broken_representation_witnesses_match_naive_oracle():
     assert report.checks == tuple(naive_representation_checks(broken))
 
 
+def _draw(rng, make, ok):
+    while True:
+        m = make(rng)
+        if ok(m):
+            return m
+
+
+@pytest.mark.parametrize("actions", [1, 2])
+def test_random_representations_match_naive_oracle(actions):
+    # Every small shape, with a non-diagonal alpha (dim >= 2) and a
+    # non-identity beta (vdim >= 1); some action matrices are the shared zero.
+    rng = random.Random(1009 + actions)
+    witnesses = 0
+    for dim in range(5):
+        for vdim in range(4):
+            for _ in range(2):
+                alpha = _draw(rng, lambda r: rand_matrix(r, dim, dim),
+                              lambda m: dim < 2 or any(m.entry(i, j) for i in range(dim)
+                                                       for j in range(dim) if i != j))
+                beta = _draw(rng, lambda r: rand_matrix(r, vdim, vdim),
+                             lambda m: vdim == 0 or m != Matrix.identity(vdim))
+                brackets = [rand_skew_bracket(rng, dim) for _ in range(actions)]
+                base = (HomLieAlgebra(dim, alpha, *brackets) if actions == 1
+                        else CompatibleHomLieAlgebra(dim, alpha, *brackets))
+                tables = tuple(
+                    tuple(Matrix.zero(vdim, vdim) if rng.random() < 0.25
+                          else rand_matrix(rng, vdim, vdim) for _ in range(dim))
+                    for _ in range(actions))
+                rep = Representation(base, vdim, beta, tables)
+                checks = verify_structure(rep).checks
+                assert checks == tuple(naive_representation_checks(rep)), (dim, vdim)
+                witnesses += sum(len(c.witnesses) for c in checks)
+    assert witnesses > 0
+
+
 # ---------------------------------------------------------------------------
 # sum_bracket / derived_structure
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from homlie import cli
 from homlie.cli import main, run
 from homlie.documents import parse
 from homlie.linalg import basis_vector
@@ -247,3 +248,55 @@ def test_main_uses_the_last_format_option(capsys):
     out = capsys.readouterr().out
     assert out.startswith("command: verify\n")
     assert out.endswith(f"exit: {status}\n")
+
+
+def test_repeated_runs_in_one_process_match_fresh_processes(capsys):
+    # The parser is built once per process; no option of one run leaks into
+    # the next, and each run prints what a fresh process prints.
+    runs = [
+        ["cohomology", "fixtures/d2.json", "--degree", "2", "--format", "machine"],
+        ["verify", "fixtures/g4a.json"],
+        ["cohomology", "fixtures/d2.json"],  # usage error: no --degree
+        ["verify", "fixtures/ab1.json", "--format", "machine"],
+    ]
+    for argv in map(absolutize, runs):
+        status = main(argv)
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "homlie.cli", *argv], capture_output=True, text=True,
+            cwd=ROOT / "src",  # `-m` imports the package from the working directory
+        )
+        assert (status, captured.out, captured.err) == (fresh.returncode, fresh.stdout,
+                                                        fresh.stderr), argv
+    path = str(ROOT / "fixtures/ab1.json")
+    _, _, args = cli._run(["verify", path])
+    assert vars(args) == {"command": "verify", "document": path, "format": "human"}
+
+
+DIMENSION_ZERO_CASES = {
+    # (brackets, representation block or None, expected dim H^0)
+    "plain_adjoint": ([[]], None, 0),
+    "plain_module": ([[]], {"vdim": 2, "beta": [["1", "0"], ["0", "2"]], "actions": [[]]}, 1),
+    "compatible_module": ([[], []], {"vdim": 2, "beta": [["1", "0"], ["0", "2"]],
+                                     "actions": [[], []]}, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIMENSION_ZERO_CASES))
+def test_dimension_zero_document_passes(tmp_path, name):
+    brackets, representation, h0 = DIMENSION_ZERO_CASES[name]
+    raw = {"schema_version": "1", "dimension": 0, "basis_names": [], "alpha": [],
+           "brackets": brackets}
+    if representation is not None:
+        raw["representation"] = representation
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    status, report = run(["verify", str(path)])
+    assert status == 0 and report["results"]["passed"]
+    checks = report["results"]["algebra"] + report["results"].get("representation", [])
+    assert all(c["passed"] and c["witnesses"] == [] for c in checks)
+    assert len(report["results"].get("representation", [])) == (
+        0 if representation is None else 3 * len(brackets) - 1)
+    status, report = run(["cohomology", str(path), "--degree", "0"])
+    assert status == 0
+    assert report["results"]["dim_cohomology"] == h0

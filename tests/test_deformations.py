@@ -320,13 +320,31 @@ def test_wrong_coboundary_sign_raises_contract_error(monkeypatch, which):
 
     real = deformations._coboundary_map
 
-    def flipped(struct, v, bracket, n):
-        matrix = real(struct, v, bracket, n)
+    def flipped(struct, v, bracket, n, k_term=None):
+        matrix = real(struct, v, bracket, n, k_term)
         return -matrix if bracket == which else matrix
 
     monkeypatch.setattr(deformations, "_coboundary_map", flipped)
     with pytest.raises(ContractError):
         verify_order_p(d)
+
+
+def test_verify_order_p_builds_each_insertion_matrix_once(monkeypatch):
+    # K1_0 and K2_0 of the K list are also the bracket terms of the two
+    # degree-2 coboundary maps, so an order-p check builds 2p + 2 matrices.
+    c = fixtures.compatible_h3()
+    d = OrderPDeformation.from_generator(
+        c, trivial_deformation_from_nijenhuis(c, fixtures.h3_nijenhuis()))
+    built = []
+    for module in (deformations, cohomology):
+        monkeypatch.setattr(module, "insertion_matrix",
+                            lambda q, alpha, arity, original=module.insertion_matrix:
+                            built.append(q) or original(q, alpha, arity))
+    for p in (1, 2, 3):
+        built.clear()
+        assert verify_order_p(d).passed
+        assert len(built) == 2 * p + 2
+        d = d.extended(*is_extensible(d))
 
 
 def test_order0_coefficients_must_match_base():

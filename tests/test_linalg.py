@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from homlie import ContractError, Matrix, UsageError, kernel_basis, quotient_dimension, rref, solve
-from homlie.linalg import rank, span_basis, vec_is_zero
+from homlie.linalg import ZERO, kron, rank, span_basis, vec_is_zero
 
 from helpers import rand_matrix, rand_vector
 
@@ -140,14 +140,35 @@ def test_matrix_power():
         rand_matrix(rng, 2, 3).power(2)
 
 
+def _with_shared_zeros(rng, m: Matrix) -> Matrix:
+    return Matrix(m.rows, m.cols, tuple(ZERO if rng.random() < 0.3 else x for x in m.entries))
+
+
 def test_matmul_matches_row_column_sums():
+    # Some entries are the shared ZERO, which the product skips by identity.
     rng = random.Random(12)
     for _ in range(20):
         n, k, m = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
-        a, b = rand_matrix(rng, n, k), rand_matrix(rng, k, m)
+        a = _with_shared_zeros(rng, rand_matrix(rng, n, k))
+        b = _with_shared_zeros(rng, rand_matrix(rng, k, m))
         expected = [[sum((a.entry(i, t) * b.entry(t, j) for t in range(k)), F(0))
                      for j in range(m)] for i in range(n)]
         assert a @ b == Matrix.from_rows(expected)
+
+
+def test_kron_blocks():
+    rng = random.Random(14)
+    for _ in range(10):
+        a = _with_shared_zeros(rng, rand_matrix(rng, rng.randint(0, 3), rng.randint(0, 3)))
+        b = rand_matrix(rng, rng.randint(0, 3), rng.randint(0, 3))
+        product = kron(a, b)
+        assert (product.rows, product.cols) == (a.rows * b.rows, a.cols * b.cols)
+        for l in range(a.rows):
+            for i in range(a.cols):
+                for r in range(b.rows):
+                    for c in range(b.cols):
+                        assert product.entry(l * b.rows + r, i * b.cols + c) == (
+                            a.entry(l, i) * b.entry(r, c))
 
 
 def test_determinant_matches_permutation_expansion():

@@ -7,7 +7,9 @@ alternating extension in `Cochain.evaluate`.  Both functions stay public
 for callers and tests.  A deformation's truncated brackets are products
 with one insertion matrix per coefficient, so in `deformations` only
 `check_linear_equivalence` calls `nr_bracket`, and nothing calls
-`is_mc_pair`.
+`is_mc_pair`.  The representation identities are block products over the
+action matrices of the basis, so nothing in `algebra` forms the action of a
+vector through `Representation.action`.
 """
 
 import ast
@@ -59,3 +61,8 @@ def test_deformations_take_brackets_through_the_insertion_matrices():
     found = calls(ROOT / "src" / "homlie" / "deformations.py")
     assert [scope for scope, name in found if name == "nr_bracket"] == ["check_linear_equivalence"]
     assert [scope for scope, name in found if name == "is_mc_pair"] == []
+
+
+def test_algebra_checks_representations_without_forming_actions():
+    found = calls(ROOT / "src" / "homlie" / "algebra.py")
+    assert [scope for scope, name in found if name == "action"] == []
