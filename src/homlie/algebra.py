@@ -28,7 +28,11 @@ product with one vdim-wide block of columns per basis element or pair:
     module             A_b . N_b
     mixed              A_1 . N_2 + A_2 . N_1
 
-where block (l, k) of N_b, for the k-th pair (i < j), is
+where, with E_j the d x C(d,2) incidence of e_i -> e_j ^ e_i,
+
+    N_b = kron(mu_b, beta) + kron(alpha, 1) . sum_j kron(E_j, rho_b(e_j)):
+
+block (l, k) of N_b, for the k-th pair (i < j), is
 mu_b[l, k] beta - alpha[l, i] rho_b(e_j) + alpha[l, j] rho_b(e_i).
 """
 
@@ -46,18 +50,14 @@ from .cochains import (
     nr_bracket,
     nr_diamond,
     tuple_position,
+    wedge_incidence,
 )
 from .errors import PreconditionError, UsageError
 from .linalg import (
     Matrix,
-    ZERO,
     frac,
+    hstack,
     kron,
-    vec_add,
-    vec_is_zero,
-    vec_scale,
-    vector,
-    zero_vector,
 )
 
 
@@ -74,7 +74,7 @@ class HomLieAlgebra:
     @classmethod
     def from_brackets(cls, dim: int, alpha: Matrix, brackets: dict) -> "HomLieAlgebra":
         """Build from a sparse {(i, j): value vector} table with i < j."""
-        return cls(dim, alpha, _bracket_matrix(dim, brackets))
+        return cls(dim, alpha, Cochain.from_values(2, dim, dim, brackets).coeffs)
 
     def bracket_cochain(self) -> Cochain:
         return Cochain(2, self.dim, self.dim, self.bracket)
@@ -103,7 +103,8 @@ class CompatibleHomLieAlgebra:
 
     @classmethod
     def from_brackets(cls, dim: int, alpha: Matrix, brackets1: dict, brackets2: dict):
-        return cls(dim, alpha, _bracket_matrix(dim, brackets1), _bracket_matrix(dim, brackets2))
+        return cls(dim, alpha, *(Cochain.from_values(2, dim, dim, b).coeffs
+                                 for b in (brackets1, brackets2)))
 
     def part(self, which: int) -> HomLieAlgebra:
         """The underlying single-bracket algebra (which = 1 or 2)."""
@@ -153,24 +154,6 @@ class Representation:
                 if a.rows != self.vdim or a.cols != self.vdim:
                     raise UsageError("action matrices must be vdim x vdim")
 
-    def action(self, which: int, x) -> Matrix:
-        """Matrix of the action of an arbitrary coordinate vector x of the base."""
-        table = self.actions[which - 1]
-        out = (ZERO,) * (self.vdim * self.vdim)
-        for i, xi in enumerate(x):
-            if xi:
-                out = tuple(o + xi * e for o, e in zip(out, table[i].entries))
-        return Matrix(self.vdim, self.vdim, out)
-
-    def act(self, which: int, x, v) -> tuple:
-        """x . v for an arbitrary coordinate vector x of the base."""
-        table = self.actions[which - 1]
-        out = zero_vector(self.vdim)
-        for i, xi in enumerate(x):
-            if xi:
-                out = vec_add(out, vec_scale(xi, table[i].apply(v)))
-        return out
-
     def part(self, which: int) -> "Representation":
         """Single-action representation over the corresponding bracket."""
         if len(self.actions) == 1:
@@ -217,12 +200,10 @@ class CheckResult:
     def from_columns(cls, name: str, defect: Matrix, arity: int) -> "CheckResult":
         """The check whose witnesses are the nonzero columns of a d x C(d, arity)
         defect matrix, column k labelled by the k-th increasing arity-tuple."""
-        witnesses = []
-        for k, indices in enumerate(increasing_tuples(defect.rows, arity)):
-            column = defect.col(k)
-            if not vec_is_zero(column):
-                witnesses.append((indices, column))
-        return cls(name, tuple(witnesses))
+        tuples = increasing_tuples(defect.rows, arity)
+        columns = defect.transpose()
+        return cls(name, tuple((tuples[k], columns.row(k))
+                               for k in range(columns.rows) if columns.row_items(k)))
 
     @classmethod
     def from_blocks(cls, name: str, defect: Matrix, dim: int, arity: int,
@@ -230,13 +211,10 @@ class CheckResult:
         """The check whose witnesses are the nonzero columns of a defect matrix
         with one block of `width` columns per increasing arity-tuple of
         range(dim), column k width + a labelled by the k-th tuple followed by a."""
-        witnesses = []
-        for k, indices in enumerate(increasing_tuples(dim, arity)):
-            for a in range(width):
-                column = defect.col(k * width + a)
-                if not vec_is_zero(column):
-                    witnesses.append((indices + (a,), column))
-        return cls(name, tuple(witnesses))
+        tuples = increasing_tuples(dim, arity)
+        columns = defect.transpose()
+        return cls(name, tuple((tuples[c // width] + (c % width,), columns.row(c))
+                               for c in range(columns.rows) if columns.row_items(c)))
 
 
 @dataclass(frozen=True)
@@ -274,40 +252,11 @@ def _check_bracket_matrix(bracket: Matrix, dim: int):
         raise UsageError("bracket matrix must be dim x C(dim, 2)")
 
 
-def _bracket_matrix(dim: int, brackets: dict) -> Matrix:
-    columns = [zero_vector(dim)] * comb(dim, 2)
-    pos = tuple_position(dim, 2)
-    for (i, j), val in brackets.items():
-        if not 0 <= i < j < dim:
-            raise UsageError(f"bracket pair ({i}, {j}) must satisfy 0 <= i < j < dim")
-        columns[pos[(i, j)]] = vector(val)
-    return Matrix.from_columns(columns, dim)
-
-
 def _bracket_apply(bracket: Matrix, dim: int, u, v) -> tuple:
+    """[u, v] = mu . (u ^ v), the wedge in the increasing pair basis."""
     if len(u) != dim or len(v) != dim:
         raise UsageError("bracket arguments must have the algebra dimension")
-    pos = tuple_position(dim, 2)
-    out = [ZERO] * dim
-    for i, ui in enumerate(u):
-        if not ui:
-            continue
-        for j, vj in enumerate(v):
-            if not vj or i == j:
-                continue
-            c = ui * vj if i < j else -(ui * vj)
-            for k, b in enumerate(bracket.col(pos[(min(i, j), max(i, j))])):
-                if b:
-                    out[k] += c * b
-    return tuple(out)
-
-
-def _column_bracket(bracket: Matrix, dim: int, i: int, j: int) -> tuple:
-    if i == j:
-        return zero_vector(dim)
-    if i < j:
-        return bracket.col(tuple_position(dim, 2)[(i, j)])
-    return vec_scale(Fraction(-1), bracket.col(tuple_position(dim, 2)[(j, i)]))
+    return bracket.apply(tuple(u[i] * v[j] - u[j] * v[i] for i, j in increasing_tuples(dim, 2)))
 
 
 def _labels(count: int):
@@ -369,46 +318,30 @@ def _representation_checks(v: Representation):
 
 
 def _action_blocks(table, vdim: int) -> Matrix:
-    """A = [rho(e_0) | ... | rho(e_(d-1))], vdim x d vdim; built row by row
-    because hstack has no row count to give when d = 0."""
-    return Matrix(vdim, len(table) * vdim,
-                  tuple(x for r in range(vdim) for m in table for x in m.row(r)))
+    """A = [rho(e_0) | ... | rho(e_(d-1))], vdim x d vdim."""
+    return hstack(table) if table else Matrix.zero(vdim, 0)
 
 
 def _pair_blocks(alpha: Matrix, bracket: Matrix, table, beta: Matrix) -> Matrix:
-    """N, d vdim x C(d,2) vdim: block (l, k) for the k-th pair (i < j) is
+    """N = kron(mu, beta) + kron(alpha, 1) . sum_j kron(E_j, rho(e_j)),
+    d vdim x C(d,2) vdim, with E_j the d x C(d,2) incidence of
+    e_i -> e_j ^ e_i.  Block (l, k) for the k-th pair (i < j) is
     mu[l, k] beta - alpha[l, i] rho(e_j) + alpha[l, j] rho(e_i), so that
     A . N stacks rho([e_i, e_j]) beta - rho(alpha e_i) rho(e_j)
-    + rho(alpha e_j) rho(e_i) over the pairs.  Untouched entries are the
-    shared ZERO."""
+    + rho(alpha e_j) rho(e_i) over the pairs."""
     dim, vdim = alpha.rows, beta.rows
-    pairs = increasing_tuples(dim, 2)
-    cols = len(pairs) * vdim
-    entries = [ZERO] * (dim * vdim * cols)
-    for k, (i, j) in enumerate(pairs):
-        for l in range(dim):
-            terms = [(c, m) for c, m in ((bracket.entry(l, k), beta),
-                                         (-alpha.entry(l, i), table[j]),
-                                         (alpha.entry(l, j), table[i])) if c]
-            for c, m in terms:
-                for r in range(vdim):
-                    start = (l * vdim + r) * cols + k * vdim
-                    for a, x in enumerate(m.row(r)):
-                        if x:
-                            entries[start + a] += c * x
-    return Matrix(dim * vdim, cols, tuple(entries))
+    wedges = Matrix.zero(dim * vdim, bracket.cols * vdim)
+    for e, rho in zip(wedge_incidence(dim, 1), table):
+        wedges = wedges + kron(e, rho)
+    return kron(bracket, beta) + kron(alpha, Matrix.identity(vdim)) @ wedges
 
 
 def adjoint_representation(s) -> Representation:
-    """The algebra acting on itself by its own bracket(s)."""
-    tables = []
-    for bracket in s.brackets:
-        table = []
-        for i in range(s.dim):
-            cols = [_column_bracket(bracket, s.dim, i, j) for j in range(s.dim)]
-            table.append(Matrix.from_columns(cols, s.dim))
-        tables.append(tuple(table))
-    return Representation(s, s.dim, s.alpha, tuple(tables))
+    """The algebra acting on itself by its own bracket(s):
+    ad(e_i) = mu . E_i^T, with E_i the incidence of e_j -> e_i ^ e_j."""
+    incidences = wedge_incidence(s.dim, 1)
+    tables = tuple(tuple(bracket @ e.transpose() for e in incidences) for bracket in s.brackets)
+    return Representation(s, s.dim, s.alpha, tables)
 
 
 def sum_bracket(c: CompatibleHomLieAlgebra, lam, eta) -> HomLieAlgebra:
@@ -445,17 +378,13 @@ def derived_structure(s, n: int):
 
 
 def _semidirect_bracket(bracket: Matrix, action_table, g_dim: int, v_dim: int) -> Matrix:
+    """[(x,u),(y,w)] = ([x,y], x.w - y.u) on the pair basis of g + V."""
     total = g_dim + v_dim
-    columns = []
-    for (i, j) in increasing_tuples(total, 2):
-        if j < g_dim:
-            col = _column_bracket(bracket, g_dim, i, j) + zero_vector(v_dim)
-        elif i < g_dim <= j:
-            col = zero_vector(g_dim) + action_table[i].col(j - g_dim)
-        else:
-            col = zero_vector(total)
-        columns.append(col)
-    return Matrix.from_columns(columns, total)
+    pos, pairs = tuple_position(total, 2), increasing_tuples(g_dim, 2)
+    entries = {(r, pos[pairs[k]]): x for r in range(g_dim) for k, x in bracket.row_items(r)}
+    entries.update(((g_dim + r, pos[(i, g_dim + a)]), x) for i, rho in enumerate(action_table)
+                   for r in range(v_dim) for a, x in rho.row_items(r))
+    return Matrix.from_entries(total, comb(total, 2), entries)
 
 
 def semidirect_product(c, v: Representation):

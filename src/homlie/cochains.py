@@ -51,9 +51,9 @@ from .errors import PreconditionError, UsageError
 from .linalg import (
     Matrix,
     ONE,
-    ZERO,
     determinant_of,
     kernel_basis,
+    kron,
     vector,
     zero_vector,
 )
@@ -138,15 +138,10 @@ class Cochain:
         for a in args:
             if len(a) != self.source_dim:
                 raise UsageError(f"argument length {len(a)} != source dim {self.source_dim}")
-        result = list(zero_vector(self.target_dim))
-        for k, tup in enumerate(increasing_tuples(self.source_dim, self.arity)):
-            minor = determinant_of([[arg[i] for i in tup] for arg in args])
-            if minor:
-                for t in range(self.target_dim):
-                    c = self.coeffs.entry(t, k)
-                    if c:
-                        result[t] += minor * c
-        return tuple(result)
+        return self.coeffs.apply(tuple(
+            determinant_of([[arg[i] for i in tup] for arg in args])
+            for tup in increasing_tuples(self.source_dim, self.arity)
+        ))
 
     def __add__(self, other: "Cochain") -> "Cochain":
         self._compatible(other)
@@ -226,40 +221,31 @@ def hom_cochain_basis(alpha: Matrix, beta: Matrix, n: int):
 
     Solves beta . M = M . compound_n(alpha) for the coefficient matrix M; in
     arity 0 the compound is 1 and the basis spans the beta-fixed vectors.
-    Arities above the source dimension give the empty basis.
+    On the row-major entries of M that equation is the kernel of
+    `equivariance_constraints`.  Arities above the source dimension give
+    the empty basis.
     """
     if n < 0:
         raise UsageError("negative arity")
-    d = alpha.rows
-    t = beta.rows
-    ncols = comb(d, n)
-    if ncols == 0:
+    d, t = alpha.rows, beta.rows
+    if comb(d, n) == 0:
         return []
+    return [Cochain.from_flat(n, d, t, flat)
+            for flat in kernel_basis(equivariance_constraints(alpha, beta, n))]
+
+
+def equivariance_constraints(alpha: Matrix, beta: Matrix, n: int) -> Matrix:
+    """kron(beta, 1) - kron(1, compound_n(alpha)^T): row r C(d,n) + c is
+    entry (r, c) of beta . M - M . compound_n(alpha), as a linear form in
+    the row-major entries of M."""
     compound = exterior_power_matrix(alpha, n)
-    unknowns = t * ncols
-    constraint_rows = []
-    # Entry (r, c) of beta.M - M.compound, as a linear form in the entries of M.
-    for r in range(t):
-        for c in range(ncols):
-            row = [ZERO] * unknowns
-            for k in range(t):
-                row[k * ncols + c] += beta.entry(r, k)
-            for k in range(ncols):
-                row[r * ncols + k] -= compound.entry(k, c)
-            constraint_rows.append(row)
-    basis = []
-    for flat in kernel_basis(Matrix.from_rows(constraint_rows)):
-        basis.append(Cochain.from_flat(n, d, t, flat))
-    return basis
+    return (kron(beta, Matrix.identity(compound.rows))
+            - kron(Matrix.identity(beta.rows), compound.transpose()))
 
 
 def _shuffle_sign(positions) -> int:
     # Sign of the permutation placing `positions` (sorted) first, rest after.
     return -1 if sum(p - k for k, p in enumerate(positions)) % 2 else 1
-
-
-def _sparse(vec) -> dict:
-    return {i: a for i, a in enumerate(vec) if a}
 
 
 def _wedge_front(vec: dict, form: dict) -> dict:
@@ -280,7 +266,7 @@ def _wedges(m: Matrix, n: int) -> dict:
     """{J: m e_(j1) ^ ... ^ m e_(jt)} for every increasing tuple J of at most
     n column indices of m, each a sparse form {I: minor} over the row
     tuples; the wedge of J is m e_(j1) ^ (the wedge of its tail J[1:])."""
-    columns = [_sparse(m.col(j)) for j in range(m.cols)]
+    columns = _columns(m)
     wedges = {(): {(): ONE}}
     for t in range(1, n + 1):
         for J in increasing_tuples(m.cols, t):
@@ -294,11 +280,30 @@ def _compound(m: Matrix, n: int) -> Matrix:
     entry (I, J) is the n x n minor of m on rows I and columns J."""
     wedges = _wedges(m, n)
     row_pos, tuples = tuple_position(m.rows, n), increasing_tuples(m.cols, n)
-    entries = [ZERO] * (len(row_pos) * len(tuples))
-    for k, J in enumerate(tuples):
-        for I, value in wedges[J].items():
-            entries[row_pos[I] * len(tuples) + k] = value
-    return Matrix(len(row_pos), len(tuples), tuple(entries))
+    return Matrix.from_entries(len(row_pos), len(tuples), {
+        (row_pos[I], k): value for k, J in enumerate(tuples) for I, value in wedges[J].items()
+    })
+
+
+def _columns(m: Matrix) -> list:
+    """The columns of m as sparse {row: value} dicts."""
+    t = m.transpose()
+    return [dict(t.row_items(j)) for j in range(t.rows)]
+
+
+@lru_cache(maxsize=None)
+def wedge_incidence(d: int, n: int) -> tuple:
+    """(E_0, ..., E_(d-1)): E_j is the C(d,n) x C(d,n+1) signed incidence
+    of e_I -> e_j ^ e_I on increasing tuples, so that F . E_j is the
+    arity-(n+1) cochain of that wedge for every coefficient matrix F.
+    Cached like the tuple bases it is made of."""
+    out_pos = tuple_position(d, n + 1)
+    entries = [{} for _ in range(d)]
+    for k, I in enumerate(increasing_tuples(d, n)):
+        for j in range(d):
+            for X, sign in _wedge_front({j: 1}, {I: 1}).items():
+                entries[j][(k, out_pos[X])] = sign
+    return tuple(Matrix.from_entries(comb(d, n), comb(d, n + 1), e) for e in entries)
 
 
 def insertion_matrix(q: Cochain, alpha: Matrix, arity: int) -> Matrix:
@@ -315,10 +320,10 @@ def insertion_matrix(q: Cochain, alpha: Matrix, arity: int) -> Matrix:
     out_arity = arity + q.arity - 1
     rows, cols = comb(d, arity), comb(d, out_arity)
     rest_forms = _wedges(alpha.power(q.arity - 1), arity - 1)  # rest -> alpha^n e_(x_k) ^ ...
-    q_cols = [_sparse(q.coeffs.col(k)) for k in range(q.coeffs.cols)]
+    q_cols = _columns(q.coeffs)
     q_pos = tuple_position(d, q.arity)
     in_pos = tuple_position(d, arity)
-    entries = {}  # flat index -> entry
+    entries = {}  # (row, col) -> entry
     for x, X in enumerate(increasing_tuples(d, out_arity)):
         for S in itertools.combinations(range(out_arity), q.arity):
             rest = tuple(X[t] for t in range(out_arity) if t not in S)
@@ -327,9 +332,9 @@ def insertion_matrix(q: Cochain, alpha: Matrix, arity: int) -> Matrix:
             for I, value in _wedge_front(first, rest_forms[rest]).items():
                 if negative:
                     value = -value
-                k = in_pos[I] * cols + x
+                k = (in_pos[I], x)
                 entries[k] = entries[k] + value if k in entries else value
-    return Matrix(rows, cols, tuple(entries.get(k, ZERO) for k in range(rows * cols)))
+    return Matrix.from_entries(rows, cols, entries)
 
 
 def nr_diamond(p: Cochain, q: Cochain, alpha: Matrix) -> Cochain:
@@ -361,16 +366,11 @@ def lift_to_product(f: Cochain, g_dim: int, v_dim: int) -> Cochain:
     lies in the v-slot and lands entirely in the v-slot."""
     if f.source_dim != g_dim or f.target_dim != v_dim:
         raise UsageError("cochain shape does not match the product factors")
-    total = g_dim + v_dim
-    n = f.arity
-    columns = []
-    for X in increasing_tuples(total, n):
-        if not X or X[-1] < g_dim:
-            value = f.column(X)
-            columns.append(zero_vector(g_dim) + value)
-        else:
-            columns.append(zero_vector(total))
-    return Cochain(n, total, total, Matrix.from_columns(columns, total))
+    total, n = g_dim + v_dim, f.arity
+    pos, tuples = tuple_position(total, n), increasing_tuples(g_dim, n)
+    return Cochain(n, total, total, Matrix.from_entries(total, comb(total, n), {
+        (g_dim + r, pos[tuples[k]]): x for r in range(v_dim) for k, x in f.coeffs.row_items(r)
+    }))
 
 
 @dataclass(frozen=True)

@@ -24,17 +24,21 @@ Every degree is one matrix picture on flat coordinates: an arity-n cochain
 into a t-dimensional module is the row-major entry tuple of its t x C(d,n)
 coefficient matrix (in arity 0 that is the vector itself), and a
 two-bracket cochain lays its components end to end.  The single-bracket
-coboundary C^n -> C^(n+1) of each bracket is a matrix, built once per
-call.  Its action term is made of the blocks +-rho(alpha^(n-1) e_j).  Its
-bracket term is F -> -F . K, where K = insertion_matrix(bracket, alpha, n)
-is the C(d,n) x C(d,n+1) matrix of the insertion product F -> F <> [ , ]
-(see `cochains`): column X of K expands the signed sum of the wedges
-[e_i, e_j] ^ alpha e_k ^ ... over the pairs (i, j) of the (n+1)-tuple X in
-the n-tuple basis.  A cochain space is a basis matrix B whose columns are
-the equivariant basis cochains.  The two-bracket differential is the
-(n+1) x n block-bidiagonal matrix with d1 on the diagonal and d2 below it,
-and the images of B in every slot are the same layout of d1 . B and
-d2 . B.
+coboundary C^n -> C^(n+1) of each bracket is one sparse matrix, built once
+per call as its formula
+
+    d = sum_j kron(a_j, E_j^T) - kron(1, K^T),    a_j = rho(alpha^(n-1) e_j).
+
+The action term puts F -> a_j F E_j, where E_j (C(d,n) x C(d,n+1)) is the
+signed incidence e_I -> e_j ^ e_I.  The bracket term is F -> -F . K, where
+K = insertion_matrix(bracket, alpha, n) is the C(d,n) x C(d,n+1) matrix of
+the insertion product F -> F <> [ , ] (see `cochains`): column X of K
+expands the signed sum of the wedges [e_i, e_j] ^ alpha e_k ^ ... over the
+pairs (i, j) of the (n+1)-tuple X in the n-tuple basis.  A cochain space
+is a basis matrix B whose columns are the equivariant basis cochains.  The
+two-bracket differential is the (n+1) x n block-bidiagonal matrix with d1
+on the diagonal and d2 below it, and the images of B in every slot are the
+same layout of d1 . B and d2 . B.
 
 Dimension reports take kernels and images of these products by exact
 elimination, map kernel and solve coordinates back through B, and choose
@@ -48,7 +52,6 @@ both ask it.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -57,22 +60,22 @@ from .algebra import (
     CompatibleHomLieAlgebra,
     HomLieAlgebra,
     Representation,
+    _action_blocks,
     verify_structure,
 )
 from .cochains import (
     Cochain,
     hom_cochain_basis,
-    increasing_tuples,
     insertion_matrix,
     require_equivariant,
-    tuple_position,
+    wedge_incidence,
 )
 from .errors import ContractError, PreconditionError, UsageError
 from .linalg import (
     Matrix,
-    ZERO,
-    hstack,
+    hsplit,
     kernel_basis,
+    kron,
     rref,
     solve,
     span_basis,
@@ -187,49 +190,28 @@ def _check_shape(f, dim: int, vdim: int):
 def _coboundary_map(struct, v: Representation, which: int, n: int,
                     k_term: Matrix | None = None) -> Matrix:
     """The coboundary C^n -> C^(n+1) of bracket `which` with action table
-    `which`, as a matrix on flat coordinates.  A caller that already holds
-    the bracket's insertion matrix K passes it as k_term.
+    `which`, as a matrix on flat coordinates:
 
-    The unit cochain at module index q on the n-tuple I (column q C(d,n) + k
-    for I the k-th tuple) maps to
-      - (-1)^pos rho(alpha^(n-1) e_j)[r, q] at module index r on the
-        (n+1)-tuple X = I with j inserted at position pos (action term);
-      - -K[I, X] at module index q on X (bracket term), where K is the
-        insertion matrix of the bracket cochain: F -> -F . K is
-        -(F <> [ , ]).
-    In degree 0 the action blocks are the plain action matrices.
+        sum_j kron(a_j, E_j^T) - kron(1, K^T),   a_j = rho(alpha^(n-1) e_j),
+
+    with E_j from `wedge_incidence` and K the insertion matrix of the
+    bracket cochain.  A caller that already holds K passes it as k_term.
+    The blocks a_j are the d blocks of one product
+    A . kron(alpha^(n-1), 1), A = [rho(e_0) | ... | rho(e_(d-1))]; in
+    degree 0 they are the plain action matrices.
     """
     dim, vdim = struct.dim, v.vdim
-    tuples_in = increasing_tuples(dim, n)
-    n_in, n_out = len(tuples_in), comb(dim, n + 1)
-    cols = vdim * n_in
-    entries = [ZERO] * (vdim * n_out * cols)
-    if n_out:
-        out_pos = tuple_position(dim, n + 1)
-        if k_term is None:
-            bracket = Cochain(2, dim, dim, struct.brackets[which - 1])
-            k_term = insertion_matrix(bracket, struct.alpha, n)
-        bracket_rows = [{x: -a for x, a in enumerate(k_term.row(k)) if a}
-                        for k in range(n_in)]
-        alpha_prev = struct.alpha.power(max(n - 1, 0))
-        blocks = [v.action(which, alpha_prev.col(j)).entries for j in range(dim)]
-        for k, I in enumerate(tuples_in):
-            inserted = []
-            for j in range(dim):
-                if j not in I:
-                    pos = bisect_left(I, j)
-                    inserted.append((j, out_pos[I[:pos] + (j,) + I[pos:]], pos % 2))
-            for q in range(vdim):
-                col = q * n_in + k
-                for x, value in bracket_rows[k].items():
-                    entries[(q * n_out + x) * cols + col] = value
-                for j, x, odd in inserted:
-                    block = blocks[j]
-                    for r in range(vdim):
-                        value = block[r * vdim + q]
-                        if value:
-                            entries[(r * n_out + x) * cols + col] += -value if odd else value
-    return Matrix(vdim * n_out, cols, tuple(entries))
+    if comb(dim, n + 1) == 0:  # no (n+1)-tuples: nothing to build
+        return Matrix.zero(0, vdim * comb(dim, n))
+    if k_term is None:
+        bracket = Cochain(2, dim, dim, struct.brackets[which - 1])
+        k_term = insertion_matrix(bracket, struct.alpha, n)
+    twist = kron(struct.alpha.power(max(n - 1, 0)), Matrix.identity(vdim))
+    blocks = hsplit(_action_blocks(v.actions[which - 1], vdim) @ twist, dim)
+    out = -kron(Matrix.identity(vdim), k_term.transpose())
+    for a, e in zip(blocks, wedge_incidence(dim, n)):
+        out = out + kron(a, e.transpose())
+    return out
 
 
 def _c0_constraints(c: CompatibleHomLieAlgebra, v: Representation) -> Matrix:
@@ -292,19 +274,18 @@ def _images(struct, v: Representation, n: int, flavor: str, basis: Matrix) -> Ma
     if flavor == PLAIN or n == 0:
         return d1
     d2 = _coboundary_map(struct, v, 2, n) @ basis
-    zero = Matrix.zero(d1.rows, d1.cols)
-    return vstack(hstack(d1 if j == i else d2 if j == i - 1 else zero for j in range(n))
-                  for i in range(n + 1))
+    diagonal, below = (Matrix.from_entries(n + 1, n, {(i + s, i): 1 for i in range(n)})
+                       for s in (0, 1))
+    return kron(diagonal, d1) + kron(below, d2)
 
 
 def _in_slots(basis: Matrix, coords: Matrix, copies: int) -> list:
     """The flat cochains whose coordinates over `copies` slots of the basis
-    matrix are the columns of coords: slot s is basis times the s-th block
-    of basis.cols rows of coords."""
-    k, m = basis.cols, coords.cols
-    slots = [basis @ Matrix(k, m, coords.entries[s * k * m : (s + 1) * k * m])
-             for s in range(copies)]
-    return [tuple(x for block in slots for x in block.col(j)) for j in range(m)]
+    matrix are the columns of coords: the columns of
+    kron(1, basis) . coords, whose slot s is basis times the s-th block of
+    basis.cols rows of coords."""
+    flat = (kron(Matrix.identity(copies), basis) @ coords).transpose()
+    return [flat.row(j) for j in range(flat.rows)]
 
 
 def _from_flat(flat, dim: int, vdim: int, degree: int, flavor: str):
@@ -354,7 +335,7 @@ def _cohomology_report(struct, v: Representation, n: int, flavor: str) -> Cohomo
     boundaries = []
     if n >= 1:
         prev = _images(struct, v, n - 1, flavor, _basis_matrix(struct, v, n - 1, flavor))
-        boundaries = span_basis(prev.col(j) for j in range(prev.cols))
+        boundaries = span_basis(prev.transpose().row(j) for j in range(prev.cols))
 
     columns = boundaries + cocycles
     pivots = rref(Matrix.from_columns(columns, len(columns[0])))[1] if columns else ()

@@ -295,8 +295,8 @@ def _verify(d: OrderPDeformation, ks: tuple) -> OrderReport:
     p = d.order
     m1, m2 = d.coeffs1, d.coeffs2
     stacked = Matrix.from_columns([f.flatten() for f in m1 + m2], len(m1[0].flatten()))
-    d1, d2 = ([Cochain.from_flat(3, c.dim, c.dim, image.col(k)) for k in range(image.cols)]
-              for image in (_coboundary_map(c, rep, b, 2, k[0]) @ stacked
+    d1, d2 = ([Cochain.from_flat(3, c.dim, c.dim, image.row(k)) for k in range(image.rows)]
+              for image in ((_coboundary_map(c, rep, b, 2, k[0]) @ stacked).transpose()
                             for b, k in enumerate(ks, 1)))
     residuals = []
     for n in range(p + 1):

@@ -268,12 +268,9 @@ def _matrix_json(m: Matrix):
 
 
 def _table_json(coeffs: Matrix, dim: int):
-    out = []
-    for k, (i, j) in enumerate(increasing_tuples(dim, 2)):
-        col = coeffs.col(k)
-        if any(x != 0 for x in col):
-            out.append({"i": i, "j": j, "coefficients": [str(x) for x in col]})
-    return out
+    columns = coeffs.transpose()
+    return [{"i": i, "j": j, "coefficients": [str(x) for x in columns.row(k)]}
+            for k, (i, j) in enumerate(increasing_tuples(dim, 2)) if columns.row_items(k)]
 
 
 def document_json(doc: AlgebraDocument) -> dict:

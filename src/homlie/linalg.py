@@ -1,19 +1,31 @@
 """Exact linear algebra over the rationals.
 
-Matrices are immutable, with `fractions.Fraction` entries.  Elimination is
-fraction-free: `rref` works on sparse integer rows (denominators cleared,
-content gcd divided out after every update) and `determinant_of` uses
-Bareiss's integer-preserving elimination; Fractions appear again only in
-the results.  The reduced row echelon form is unique, so `rref`,
-`kernel_basis`, `solve` and `span_basis` return the same output bit for
-bit whichever rows supply the pivots, which the cohomology computations
-rely on.
+A `Matrix` is immutable, with `fractions.Fraction` entries, and sparse:
+each row is stored as its (column, value) pairs in column order, and no
+stored value is zero.  That form is canonical, so `==` and `hash` mean
+equality of the dense matrices.  Products, sums, Kronecker products,
+stacks, transposes and elimination read and write nonzeros only, so their
+cost follows the nonzeros, not rows x cols.  `Matrix(rows, cols, entries)`
+takes the dense row-major entries and coerces each one with `frac`;
+`entries`, `row`, `col` and `entry` are dense views, for the public API,
+documents and rendering.  Only this module tells a zero entry from a
+nonzero one: other modules build sparse matrices with
+`Matrix.from_entries` and read the nonzeros of a row with `row_items`.
+
+Elimination is fraction-free: `rref` works on sparse integer rows
+(denominators cleared, content gcd divided out after every update) and
+`determinant_of` uses Bareiss's integer-preserving elimination; Fractions
+appear again only in the results.  The reduced row echelon form is unique,
+so `rref`, `kernel_basis`, `solve` and `span_basis` return the same output
+bit for bit whichever rows supply the pivots, which the cohomology
+computations rely on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 
 from .errors import ContractError, UsageError
@@ -41,116 +53,195 @@ def zero_vector(n: int) -> tuple:
     return (ZERO,) * n
 
 
-def basis_vector(n: int, i: int) -> tuple:
-    return tuple(ONE if k == i else ZERO for k in range(n))
-
-
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, u):
-    return tuple(c * a for a in u)
-
-
 def vec_is_zero(u) -> bool:
     return all(a == 0 for a in u)
 
 
-@dataclass(frozen=True)
+def _pairs(values) -> tuple:
+    """The nonzero entries of a dense row as (column, Fraction) pairs."""
+    out = []
+    for j, x in enumerate(values):
+        if x is not ZERO:
+            x = frac(x)
+            if x:
+                out.append((j, x))
+    return tuple(out)
+
+
+def _combine(a: tuple, b: tuple, negate: bool) -> tuple:
+    """The sparse row a + b, or a - b when negate."""
+    if not b:
+        return a
+    if not a:
+        return tuple((j, -x) for j, x in b) if negate else b
+    acc = dict(a)
+    for j, x in b:
+        if j in acc:
+            acc[j] = acc[j] - x if negate else acc[j] + x
+        else:
+            acc[j] = -x if negate else x
+    return tuple(sorted((j, x) for j, x in acc.items() if x))
+
+
+_set = object.__setattr__
+
+
+def _fill(m: "Matrix", rows: int, cols: int, data: tuple) -> "Matrix":
+    """Set the fields of a new matrix, past the guard that keeps it immutable."""
+    _set(m, "rows", rows)
+    _set(m, "cols", cols)
+    _set(m, "_data", data)
+    return m
+
+
 class Matrix:
-    """Immutable dense matrix with row-major Fraction entries."""
+    """Immutable sparse matrix: row i is the tuple of its nonzero
+    (column, Fraction) pairs, in column order."""
 
-    rows: int
-    cols: int
-    entries: tuple
+    __slots__ = ("rows", "cols", "_data")
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise UsageError(
-                f"entry count {len(self.entries)} != {self.rows}x{self.cols}"
-            )
+    def __init__(self, rows: int, cols: int, entries):
+        entries = tuple(entries)
+        if len(entries) != rows * cols:
+            raise UsageError(f"entry count {len(entries)} != {rows}x{cols}")
+        _fill(self, rows, cols,
+              tuple(_pairs(entries[i * cols : (i + 1) * cols]) for i in range(rows)))
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, data: tuple) -> "Matrix":
+        """The matrix with the given canonical sparse rows, unchecked."""
+        return _fill(object.__new__(cls), rows, cols, data)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Matrix is immutable")
+
+    def __reduce__(self):
+        return Matrix, (self.rows, self.cols, self.entries)
 
     @classmethod
     def from_rows(cls, rows) -> "Matrix":
-        rows = [vector(r) for r in rows]
+        rows = [tuple(r) for r in rows]
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise UsageError("ragged rows")
-        return cls(len(rows), ncols, tuple(x for r in rows for x in r))
+        return cls._of(len(rows), ncols, tuple(_pairs(r) for r in rows))
+
+    @classmethod
+    def from_columns(cls, columns, rows: int) -> "Matrix":
+        if any(len(c) != rows for c in columns):
+            raise UsageError("column length mismatch")
+        data = [[] for _ in range(rows)]
+        for j, column in enumerate(columns):
+            for i, x in _pairs(column):
+                data[i].append((j, x))
+        return cls._of(rows, len(columns), tuple(map(tuple, data)))
+
+    @classmethod
+    def from_entries(cls, rows: int, cols: int, values: dict) -> "Matrix":
+        """The rows x cols matrix with the given {(i, j): value} entries and
+        zeros elsewhere."""
+        data = [[] for _ in range(rows)]
+        for (i, j), x in values.items():
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise UsageError(f"entry ({i}, {j}) outside {rows}x{cols}")
+            x = frac(x)
+            if x:
+                data[i].append((j, x))
+        return cls._of(rows, cols, tuple(tuple(sorted(r)) for r in data))
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, tuple(ONE if i == j else ZERO for i in range(n) for j in range(n)))
+        return cls._of(n, n, tuple(((i, ONE),) for i in range(n)))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, (ZERO,) * (rows * cols))
+        return cls._of(rows, cols, ((),) * rows)
 
     @classmethod
     def diagonal(cls, values) -> "Matrix":
         vals = vector(values)
-        n = len(vals)
-        return cls(n, n, tuple(vals[i] if i == j else ZERO for i in range(n) for j in range(n)))
+        return cls.from_entries(len(vals), len(vals), {(i, i): x for i, x in enumerate(vals)})
 
-    @classmethod
-    def from_columns(cls, columns, rows: int) -> "Matrix":
-        cols = len(columns)
-        if any(len(c) != rows for c in columns):
-            raise UsageError("column length mismatch")
-        return cls(rows, cols, tuple(frac(columns[j][i]) for i in range(rows) for j in range(cols)))
+    @property
+    def entries(self) -> tuple:
+        """The dense row-major entries."""
+        return tuple(x for i in range(self.rows) for x in self.row(i))
+
+    def row_items(self, i: int) -> tuple:
+        """The nonzero entries of row i as (column, value) pairs, in column order."""
+        return self._data[i]
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
+        row = self._data[i]
+        k = bisect_left(row, (j,))
+        return row[k][1] if k < len(row) and row[k][0] == j else ZERO
 
     def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        out = [ZERO] * self.cols
+        for j, x in self._data[i]:
+            out[j] = x
+        return tuple(out)
 
     def col(self, j: int) -> tuple:
-        return self.entries[j :: self.cols] if self.cols else ()
+        return tuple(self.entry(i, j) for i in range(self.rows))
+
+    def transpose(self) -> "Matrix":
+        data = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self._data):
+            for j, x in row:
+                data[j].append((i, x))
+        return Matrix._of(self.cols, self.rows, tuple(map(tuple, data)))
+
+    def __eq__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return (self.rows, self.cols, self._data) == (other.rows, other.cols, other._data)
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self._data))
+
+    def __repr__(self):
+        return f"Matrix({self.rows}, {self.cols}, {self.entries!r})"
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return Matrix._of(self.rows, self.cols,
+                          tuple(_combine(a, b, False) for a, b in zip(self._data, other._data)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return Matrix._of(self.rows, self.cols,
+                          tuple(_combine(a, b, True) for a, b in zip(self._data, other._data)))
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, tuple(-a for a in self.entries))
+        return Matrix._of(self.rows, self.cols,
+                          tuple(tuple((j, -x) for j, x in row) for row in self._data))
 
     def scale(self, c) -> "Matrix":
         c = frac(c)
-        return Matrix(self.rows, self.cols, tuple(c * a for a in self.entries))
+        if not c:
+            return Matrix.zero(self.rows, self.cols)
+        return Matrix._of(self.rows, self.cols,
+                          tuple(tuple((j, c * x) for j, x in row) for row in self._data))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise UsageError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        # The shared ZERO is skipped by identity, before any Fraction.__bool__.
-        nonzero = [[(j, b) for j, b in enumerate(other.row(k)) if b is not ZERO and b]
-                   for k in range(other.rows)]
+        right = other._data
         out = []
-        for i in range(self.rows):
-            acc = [ZERO] * other.cols
-            for a, row in zip(self.row(i), nonzero):
-                if a is not ZERO and a:
-                    for j, b in row:
-                        acc[j] += a * b
-            out.extend(acc)
-        return Matrix(self.rows, other.cols, tuple(out))
+        for row in self._data:
+            acc = {}
+            for k, a in row:
+                for j, x in right[k]:
+                    x = x if a is ONE else a * x  # identity factors cost no product
+                    acc[j] = acc[j] + x if j in acc else x
+            out.append(tuple(sorted((j, x) for j, x in acc.items() if x)))
+        return Matrix._of(self.rows, other.cols, tuple(out))
 
     def apply(self, vec) -> tuple:
         if len(vec) != self.cols:
             raise UsageError(f"vector length {len(vec)} != cols {self.cols}")
-        return tuple(
-            sum((self.entry(i, j) * vec[j] for j in range(self.cols)), ZERO)
-            for i in range(self.rows)
-        )
+        return tuple(sum((x * vec[j] for j, x in row), ZERO) for row in self._data)
 
     def power(self, k: int) -> "Matrix":
         if self.rows != self.cols:
@@ -165,15 +256,12 @@ class Matrix:
         return result
 
     def block_diag(self, other: "Matrix") -> "Matrix":
-        rows = []
-        for i in range(self.rows):
-            rows.append(list(self.row(i)) + [ZERO] * other.cols)
-        for i in range(other.rows):
-            rows.append([ZERO] * self.cols + list(other.row(i)))
-        return Matrix(self.rows + other.rows, self.cols + other.cols, tuple(x for r in rows for x in r))
+        shift = self.cols
+        lower = tuple(tuple((j + shift, x) for j, x in row) for row in other._data)
+        return Matrix._of(self.rows + other.rows, self.cols + other.cols, self._data + lower)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
+        return not any(self._data)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -193,7 +281,8 @@ def vstack(matrices) -> Matrix:
     cols = matrices[0].cols
     if any(m.cols != cols for m in matrices):
         raise UsageError("vstack column mismatch")
-    return Matrix(sum(m.rows for m in matrices), cols, tuple(x for m in matrices for x in m.entries))
+    return Matrix._of(sum(m.rows for m in matrices), cols,
+                      tuple(row for m in matrices for row in m._data))
 
 
 def hstack(matrices) -> Matrix:
@@ -203,37 +292,42 @@ def hstack(matrices) -> Matrix:
     rows = matrices[0].rows
     if any(m.rows != rows for m in matrices):
         raise UsageError("hstack row mismatch")
-    out = []
-    for i in range(rows):
-        for m in matrices:
-            out.extend(m.row(i))
-    return Matrix(rows, sum(m.cols for m in matrices), tuple(out))
+    shifts = [0, *accumulate(m.cols for m in matrices)]
+    data = tuple(
+        tuple((j + shift, x) for m, shift in zip(matrices, shifts) for j, x in m._data[i])
+        for i in range(rows)
+    )
+    return Matrix._of(rows, shifts[-1], data)
+
+
+def hsplit(m: Matrix, count: int) -> list:
+    """m cut into `count` blocks of equal width, left to right: the inverse
+    of hstack."""
+    if count < 0 or (m.cols % count if count else m.cols):
+        raise UsageError(f"cannot split {m.cols} columns into {count} equal blocks")
+    width, columns = m.cols // max(count, 1), m.transpose()._data
+    return [Matrix._of(width, m.rows, columns[b * width : (b + 1) * width]).transpose()
+            for b in range(count)]
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
-    """The Kronecker product: block (l, i) is a[l, i] b, and the shared ZERO
-    block where a[l, i] is 0."""
-    zero_row = (ZERO,) * b.cols
-    out = []
-    for l in range(a.rows):
-        coeffs = a.row(l)
-        for r in range(b.rows):
-            row = b.row(r)
-            for c in coeffs:
-                out.extend(tuple(c * x for x in row) if c else zero_row)
-    return Matrix(a.rows * b.rows, a.cols * b.cols, tuple(out))
+    """The Kronecker product: block (l, i) is a[l, i] b.  An entry that is
+    the shared ONE of an identity costs no product."""
+    width = b.cols
+    data = tuple(
+        tuple((i * width + j, x if c is ONE else c if x is ONE else c * x)
+              for i, c in arow for j, x in brow)
+        for arow in a._data for brow in b._data
+    )
+    return Matrix._of(a.rows * b.rows, a.cols * width, data)
 
 
-def _integer_row(values) -> dict:
-    """The nonzero entries of a rational row as a sparse primitive integer row
+def _integer_row(pairs: tuple) -> dict:
+    """A nonempty sparse rational row as a sparse primitive integer row
     {col: int}: denominators cleared by their lcm, content gcd divided out.
     Only the row's direction is kept, which is all elimination needs."""
-    row = {j: a for j, a in enumerate(values) if a}
-    if not row:
-        return row
-    den = lcm(*(a.denominator for a in row.values()))
-    row = {j: a.numerator * (den // a.denominator) for j, a in row.items()}
-    return _primitive(row)
+    den = lcm(*(a.denominator for _, a in pairs))
+    return _primitive({j: a.numerator * (den // a.denominator) for j, a in pairs})
 
 
 def _primitive(row: dict) -> dict:
@@ -271,11 +365,9 @@ def rref(m: Matrix):
     row's pivot at the end.  The RREF is unique, so the result does not
     depend on the pivot rows chosen.
     """
-    cols = m.cols
-    remaining = [_integer_row(m.entries[i * cols : (i + 1) * cols]) for i in range(m.rows)]
-    remaining = [row for row in remaining if row]
+    remaining = [_integer_row(row) for row in m._data if row]
     echelon = []  # (pivot column, row), in column order
-    for c in range(cols):
+    for c in range(m.cols):
         if not remaining:
             break
         best = None
@@ -294,12 +386,10 @@ def rref(m: Matrix):
             ci, row = echelon[i]
             if c in row:
                 echelon[i] = (ci, _eliminate(row, pivot_row, c))
-    entries = [ZERO] * (m.rows * cols)
-    for r, (c, row) in enumerate(echelon):
-        p = row[c]
-        for j, value in row.items():
-            entries[r * cols + j] = Fraction(value, p)
-    return Matrix(m.rows, cols, tuple(entries)), tuple(c for c, _ in echelon)
+    data = [tuple((j, Fraction(value, row[c])) for j, value in sorted(row.items()))
+            for c, row in echelon]
+    data += [()] * (m.rows - len(echelon))
+    return Matrix._of(m.rows, m.cols, tuple(data)), tuple(c for c, _ in echelon)
 
 
 def rank(m: Matrix) -> int:
@@ -313,17 +403,13 @@ def kernel_basis(m: Matrix):
     cols - rank.
     """
     reduced, pivots = rref(m)
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(m.cols):
-        if fc in pivot_set:
-            continue
-        v = [ZERO] * m.cols
-        v[fc] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced.entry(r, fc)
-        basis.append(tuple(v))
-    return basis
+    basis = {fc: [ONE if c == fc else ZERO for c in range(m.cols)]
+             for fc in sorted(set(range(m.cols)) - set(pivots))}
+    for r, pc in enumerate(pivots):
+        for j, x in reduced._data[r]:
+            if j in basis:
+                basis[j][pc] = -x
+    return [tuple(v) for v in basis.values()]
 
 
 def solve(m: Matrix, b) -> tuple | None:

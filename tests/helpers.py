@@ -27,17 +27,29 @@ from homlie import (
 from homlie.algebra import CheckResult
 from homlie.cochains import increasing_tuples, tuple_position
 from homlie.linalg import (
-    basis_vector,
     determinant_of,
     kernel_basis,
     rank,
     solve,
-    vec_add,
     vec_is_zero,
-    vec_scale,
-    vec_sub,
     zero_vector,
 )
+
+
+def basis_vector(n: int, i: int) -> tuple:
+    return tuple(Fraction(1 if k == i else 0) for k in range(n))
+
+
+def vec_add(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def vec_sub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def vec_scale(c, u):
+    return tuple(c * a for a in u)
 
 
 def rand_frac(rng, span=3):
@@ -66,6 +78,66 @@ def rand_equivariant_cochain(rng, alpha, beta, arity):
     for item in basis:
         out = out + item.scale(rand_frac(rng))
     return out
+
+
+# Dense list-of-lists oracles for the sparse Matrix store: a matrix is a
+# list of row lists, its column count passed where a row may be missing,
+# and every operation is its entrywise definition.
+
+def naive_transpose(a, cols: int):
+    return [[a[i][j] for i in range(len(a))] for j in range(cols)]
+
+
+def naive_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def naive_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def naive_scale(c, a):
+    return [[c * x for x in row] for row in a]
+
+
+def naive_matmul(a, b, cols: int):
+    return [[sum((row[k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(cols)]
+            for row in a]
+
+
+def naive_kron(a, a_cols: int, b, b_cols: int):
+    return [[a[l][i] * b[r][j] for i in range(a_cols) for j in range(b_cols)]
+            for l in range(len(a)) for r in range(len(b))]
+
+
+def naive_hstack(a, b):
+    return [ra + rb for ra, rb in zip(a, b)]
+
+
+def naive_block_diag(a, a_cols: int, b, b_cols: int):
+    zero = Fraction(0)
+    return [row + [zero] * b_cols for row in a] + [[zero] * a_cols + row for row in b]
+
+
+def naive_apply(a, vec):
+    return [sum((x * y for x, y in zip(row, vec)), Fraction(0)) for row in a]
+
+
+def naive_equivariance_constraints(alpha: Matrix, beta: Matrix, n: int) -> Matrix:
+    """beta . M - M . compound_n(alpha) as linear forms in the row-major
+    entries of M, one constraint row per entry (r, c), built entry by entry."""
+    compound = naive_exterior_power(alpha, n)
+    t, ncols = beta.rows, compound.rows
+    rows = []
+    for r in range(t):
+        for c in range(ncols):
+            row = [Fraction(0)] * (t * ncols)
+            for k in range(t):
+                row[k * ncols + c] += beta.entry(r, k)
+            for k in range(ncols):
+                row[r * ncols + k] -= compound.entry(k, c)
+            rows.append(row)
+    return Matrix(t * ncols, t * ncols, tuple(x for row in rows for x in row))
 
 
 def naive_rref(m: Matrix):
@@ -222,11 +294,19 @@ def naive_nr_bracket(p: Cochain, q: Cochain, alpha: Matrix) -> Cochain:
     return first - second
 
 
+def naive_act(v, which: int, x, vec) -> tuple:
+    """x . vec one basis element at a time: the sum of x_i rho(e_i) vec."""
+    out = zero_vector(v.vdim)
+    for xi, m in zip(x, v.actions[which - 1]):
+        out = vec_add(out, vec_scale(xi, m.apply(vec)))
+    return out
+
+
 def naive_coboundary(dim: int, alpha: Matrix, bracket: Cochain, v, which: int, f):
     """Single-bracket coboundary evaluated column by column from the defining
     formula, with the bracket term through the alternating extension of f."""
     if f.arity == 0:
-        cols = [v.act(which, basis_vector(dim, i), f.flatten()) for i in range(dim)]
+        cols = [naive_act(v, which, basis_vector(dim, i), f.flatten()) for i in range(dim)]
         return Cochain(1, dim, v.vdim, Matrix.from_columns(cols, v.vdim))
     n = f.arity
     alpha_prev = alpha.power(n - 1)
@@ -235,7 +315,7 @@ def naive_coboundary(dim: int, alpha: Matrix, bracket: Cochain, v, which: int, f
         total = zero_vector(v.vdim)
         for pos in range(n + 1):
             inner = f.column(X[:pos] + X[pos + 1 :])
-            term = v.act(which, alpha_prev.col(X[pos]), inner)
+            term = naive_act(v, which, alpha_prev.col(X[pos]), inner)
             total = vec_add(total, term) if pos % 2 == 0 else vec_sub(total, term)
         for pi in range(n + 1):
             for pj in range(pi + 1, n + 1):
@@ -349,8 +429,8 @@ def naive_representation_checks(v):
         for i in range(dim):
             for a in range(v.vdim):
                 va = basis_vector(v.vdim, a)
-                lhs = v.beta.apply(v.act(b, basis_vector(dim, i), va))
-                rhs = v.act(b, base.alpha.col(i), v.beta.apply(va))
+                lhs = v.beta.apply(naive_act(v, b, basis_vector(dim, i), va))
+                rhs = naive_act(v, b, base.alpha.col(i), v.beta.apply(va))
                 defect = vec_sub(lhs, rhs)
                 if not vec_is_zero(defect):
                     twist_witnesses.append(((i, a), defect))
@@ -359,10 +439,10 @@ def naive_representation_checks(v):
                 va = basis_vector(v.vdim, a)
                 ei = basis_vector(dim, i)
                 ej = basis_vector(dim, j)
-                lhs = v.act(b, bracket_col(bracket, i, j), v.beta.apply(va))
+                lhs = naive_act(v, b, bracket_col(bracket, i, j), v.beta.apply(va))
                 rhs = vec_sub(
-                    v.act(b, base.alpha.col(i), v.act(b, ej, va)),
-                    v.act(b, base.alpha.col(j), v.act(b, ei, va)),
+                    naive_act(v, b, base.alpha.col(i), naive_act(v, b, ej, va)),
+                    naive_act(v, b, base.alpha.col(j), naive_act(v, b, ei, va)),
                 )
                 defect = vec_sub(lhs, rhs)
                 if not vec_is_zero(defect):
@@ -379,12 +459,13 @@ def naive_representation_checks(v):
                 ai = base.alpha.col(i)
                 aj = base.alpha.col(j)
                 lhs = vec_add(
-                    v.act(2, bracket_col(base.bracket1, i, j), v.beta.apply(va)),
-                    v.act(1, bracket_col(base.bracket2, i, j), v.beta.apply(va)),
+                    naive_act(v, 2, bracket_col(base.bracket1, i, j), v.beta.apply(va)),
+                    naive_act(v, 1, bracket_col(base.bracket2, i, j), v.beta.apply(va)),
                 )
-                rhs = vec_sub(v.act(1, ai, v.act(2, ej, va)), v.act(2, aj, v.act(1, ei, va)))
-                rhs = vec_add(rhs, vec_sub(v.act(2, ai, v.act(1, ej, va)),
-                                           v.act(1, aj, v.act(2, ei, va))))
+                rhs = vec_sub(naive_act(v, 1, ai, naive_act(v, 2, ej, va)),
+                              naive_act(v, 2, aj, naive_act(v, 1, ei, va)))
+                rhs = vec_add(rhs, vec_sub(naive_act(v, 2, ai, naive_act(v, 1, ej, va)),
+                                           naive_act(v, 1, aj, naive_act(v, 2, ei, va))))
                 defect = vec_sub(lhs, rhs)
                 if not vec_is_zero(defect):
                     witnesses.append(((i, j, a), defect))

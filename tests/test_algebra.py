@@ -27,9 +27,14 @@ from homlie import (
     verify_structure,
 )
 from homlie import fixtures
-from homlie.linalg import basis_vector
 
-from helpers import naive_representation_checks, rand_frac, rand_matrix, rand_skew_bracket
+from helpers import (
+    basis_vector,
+    naive_representation_checks,
+    rand_frac,
+    rand_matrix,
+    rand_skew_bracket,
+)
 
 F = Fraction
 

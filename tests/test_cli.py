@@ -8,7 +8,8 @@ import pytest
 from homlie import cli
 from homlie.cli import main, run
 from homlie.documents import parse
-from homlie.linalg import basis_vector
+
+from helpers import basis_vector
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"

@@ -21,10 +21,12 @@ from homlie import (
 )
 from homlie import fixtures
 from homlie import cochains
-from homlie.cochains import _compound
-from homlie.linalg import basis_vector, vec_is_zero
+from homlie.cochains import _compound, equivariance_constraints
+from homlie.linalg import vec_is_zero
 
 from helpers import (
+    basis_vector,
+    naive_equivariance_constraints,
     naive_exterior_power,
     naive_jacobiator_defects,
     naive_nr_bracket,
@@ -33,6 +35,8 @@ from helpers import (
     rand_matrix,
     rand_skew_bracket,
     rand_vector,
+    vec_add,
+    vec_scale,
 )
 
 F = Fraction
@@ -207,7 +211,7 @@ def test_diamond_formula_is_alternating_in_raw_arguments():
     # columns; this pins the column representation against the raw formula.
     import itertools
 
-    from homlie.linalg import vec_add, vec_scale, zero_vector
+    from homlie.linalg import zero_vector
     from helpers import perm_sign
 
     rng = random.Random(16)
@@ -496,3 +500,16 @@ def test_mc_zero_set_matches_jacobiator_oracle():
         assert jacobi_zero == verify_structure(alg).check("hom_jacobi").passed
         hits[square_zero] += 1
     assert hits[True] > 0 and hits[False] > 0
+
+
+def test_equivariance_constraints_are_the_entrywise_linear_forms():
+    # The Kronecker formula equals the constraint rows built entry by entry,
+    # so hom_cochain_basis eliminates the same matrix, not only one with the
+    # same kernel.
+    rng = random.Random(4401)
+    for d in range(5):
+        for t in range(4):
+            alpha, beta = rand_matrix(rng, d, d), rand_matrix(rng, t, t)
+            for n in range(d + 1):
+                assert equivariance_constraints(alpha, beta, n) == \
+                    naive_equivariance_constraints(alpha, beta, n), (d, t, n)

@@ -37,20 +37,24 @@ from homlie.cohomology import (
     PLAIN,
     _basis_matrix,
     _c0_compatible_basis,
+    _coboundary_map,
     _from_flat,
     _images,
     _in_slots,
     coboundary_preimage,
 )
-from homlie.linalg import basis_vector, kernel_basis, span_rank, vec_is_zero
+from homlie.linalg import kernel_basis, span_rank, vec_is_zero
 
 from helpers import (
+    basis_vector,
     naive_compatible_coboundary,
     naive_coboundary,
     naive_derivations,
     naive_rank,
     rand_equivariant_cochain,
     rand_frac,
+    rand_matrix,
+    rand_skew_bracket,
 )
 
 F = Fraction
@@ -284,6 +288,39 @@ def test_ce_coboundary_matches_naive_oracle():
                     continue
                 want = naive_coboundary(alg.dim, alg.alpha, alg.bracket_cochain(), rep, 1, f)
                 assert ce_coboundary(alg, rep, f).flatten() == want.flatten()
+
+
+@pytest.mark.parametrize("actions", [1, 2])
+def test_coboundary_map_is_the_naive_coboundary_in_every_degree(actions):
+    # Column k of the matrix is the coboundary of the k-th unit cochain, for
+    # any action tables (not only modules), a non-diagonal alpha and a
+    # non-identity beta.  n runs to d + 1, past C(d, n+1) = 0 and n = d.
+    rng = random.Random(3301 + actions)
+    for dim in range(5):
+        for vdim in (1, 2):
+            alpha = rand_matrix(rng, dim, dim)
+            if dim >= 2:
+                alpha = alpha + Matrix.from_rows(
+                    [[1 if (i, j) == (0, 1) else 0 for j in range(dim)] for i in range(dim)])
+            beta = Matrix.identity(vdim)
+            while beta == Matrix.identity(vdim):
+                beta = rand_matrix(rng, vdim, vdim)
+            brackets = [rand_skew_bracket(rng, dim) for _ in range(actions)]
+            base = (HomLieAlgebra(dim, alpha, *brackets) if actions == 1
+                    else CompatibleHomLieAlgebra(dim, alpha, *brackets))
+            tables = tuple(tuple(rand_matrix(rng, vdim, vdim) for _ in range(dim))
+                           for _ in range(actions))
+            rep = Representation(base, vdim, beta, tables)
+            for which in range(1, actions + 1):
+                bracket = Cochain(2, dim, dim, base.brackets[which - 1])
+                for n in range(dim + 2):
+                    d = _coboundary_map(base, rep, which, n)
+                    size = vdim * comb(dim, n)
+                    assert (d.rows, d.cols) == (vdim * comb(dim, n + 1), size)
+                    for k in range(size):
+                        unit = Cochain.from_flat(n, dim, vdim, basis_vector(size, k))
+                        want = naive_coboundary(dim, alpha, bracket, rep, which, unit)
+                        assert d.col(k) == want.flatten(), (dim, vdim, which, n, k)
 
 
 def test_compatible_coboundary_matches_naive_oracle():

@@ -38,9 +38,8 @@ from homlie import (
     hom_cochain_basis,
 )
 from homlie.cohomology import COMPATIBLE, PLAIN, _basis_matrix, _coboundary_map
-from homlie.linalg import basis_vector, vec_add
 
-from helpers import naive_beta_fixed_basis, naive_in_c0_compatible
+from helpers import basis_vector, naive_beta_fixed_basis, naive_in_c0_compatible, vec_add
 
 
 def heisenberg(n: int) -> HomLieAlgebra:

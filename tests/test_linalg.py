@@ -145,7 +145,7 @@ def _with_shared_zeros(rng, m: Matrix) -> Matrix:
 
 
 def test_matmul_matches_row_column_sums():
-    # Some entries are the shared ZERO, which the product skips by identity.
+    # Some dense entries are the shared ZERO, which the intake drops by identity.
     rng = random.Random(12)
     for _ in range(20):
         n, k, m = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)

@@ -7,9 +7,11 @@ alternating extension in `Cochain.evaluate`.  Both functions stay public
 for callers and tests.  A deformation's truncated brackets are products
 with one insertion matrix per coefficient, so in `deformations` only
 `check_linear_equivalence` calls `nr_bracket`, and nothing calls
-`is_mc_pair`.  The representation identities are block products over the
-action matrices of the basis, so nothing in `algebra` forms the action of a
-vector through `Representation.action`.
+`is_mc_pair`.  The representation identities and the coboundary are block
+products over the action matrices of the basis, so no module forms the
+action of one vector at a time (`Representation.action` is gone).  Only
+`linalg` tells a zero entry from a nonzero one, so no other module imports
+or names its shared `ZERO`.
 """
 
 import ast
@@ -39,6 +41,20 @@ def calls(path: Path):
     return found
 
 
+def names(path: Path):
+    """Every identifier a module reads, imports or reaches as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.asname or node.name)
+            found.add(node.name)
+    return found
+
+
 def test_the_call_scanner_sees_attribute_and_name_calls():
     helpers = calls(ROOT / "tests" / "helpers.py")
     assert ("naive_extension_validation", "bracket_of") in helpers
@@ -63,6 +79,15 @@ def test_deformations_take_brackets_through_the_insertion_matrices():
     assert [scope for scope, name in found if name == "is_mc_pair"] == []
 
 
-def test_algebra_checks_representations_without_forming_actions():
-    found = calls(ROOT / "src" / "homlie" / "algebra.py")
-    assert [scope for scope, name in found if name == "action"] == []
+def test_no_library_module_calls_action():
+    offenders = [(path.name, scope) for path in MODULES
+                 for scope, name in calls(path) if name == "action"]
+    assert offenders == []
+
+
+def test_only_linalg_names_the_shared_zero():
+    assert "ZERO" in names(ROOT / "src" / "homlie" / "linalg.py")
+    assert "ZERO" in names(ROOT / "tests" / "test_matrix_storage.py")
+    offenders = [path.name for path in MODULES
+                 if path.name != "linalg.py" and "ZERO" in names(path)]
+    assert offenders == []
