@@ -50,11 +50,11 @@ from math import comb
 from .errors import PreconditionError, UsageError
 from .linalg import (
     Matrix,
-    ONE,
+    _kernel,
     determinant_of,
-    kernel_basis,
     kron,
     vector,
+    vsplit,
     zero_vector,
 )
 
@@ -230,8 +230,8 @@ def hom_cochain_basis(alpha: Matrix, beta: Matrix, n: int):
     d, t = alpha.rows, beta.rows
     if comb(d, n) == 0:
         return []
-    return [Cochain.from_flat(n, d, t, flat)
-            for flat in kernel_basis(equivariance_constraints(alpha, beta, n))]
+    kernel = _kernel(equivariance_constraints(alpha, beta, n)).transpose()
+    return [Cochain(n, d, t, flat.reshape(t, comb(d, n))) for flat in vsplit(kernel, kernel.rows)]
 
 
 def equivariance_constraints(alpha: Matrix, beta: Matrix, n: int) -> Matrix:
@@ -267,7 +267,7 @@ def _wedges(m: Matrix, n: int) -> dict:
     n column indices of m, each a sparse form {I: minor} over the row
     tuples; the wedge of J is m e_(j1) ^ (the wedge of its tail J[1:])."""
     columns = _columns(m)
-    wedges = {(): {(): ONE}}
+    wedges = {(): {(): 1}}
     for t in range(1, n + 1):
         for J in increasing_tuples(m.cols, t):
             wedges[J] = _wedge_front(columns[J[0]], wedges[J[1:]])

@@ -43,7 +43,10 @@ same layout of d1 . B and d2 . B.
 Dimension reports take kernels and images of these products by exact
 elimination, map kernel and solve coordinates back through B, and choose
 the cohomology representatives as the cocycle pivot columns of one reduced
-echelon form of [coboundaries | cocycles].  The derivation space is the
+echelon form of [coboundaries | cocycles].  A cochain enters as the sparse
+column of its flat coordinates (`_flat`) and leaves through `_cochains`,
+and kernels, solutions and coboundary bases stay matrices in between, so
+no cochain goes through a dense tuple.  The derivation space is the
 degree-1 report of the two-bracket complex.  Whether a cochain is a
 coboundary is one exact solve over the same images
 (`coboundary_preimage`); extension equivalence and deformation extension
@@ -73,12 +76,14 @@ from .cochains import (
 from .errors import ContractError, PreconditionError, UsageError
 from .linalg import (
     Matrix,
+    _kernel,
+    _row_space,
+    _solve,
     hsplit,
-    kernel_basis,
+    hstack,
     kron,
     rref,
-    solve,
-    span_basis,
+    vsplit,
     vstack,
 )
 
@@ -174,12 +179,30 @@ def ce_coboundary(l: HomLieAlgebra, v: Representation, f, check: bool = True):
         _validate_structures(l, v)
         require_equivariant((f,), l.alpha, v.beta)
     _check_shape(f, l.dim, v.vdim)
-    image = _coboundary_map(l, v, 1, f.arity) @ _column(f.flatten())
-    return Cochain.from_flat(f.arity + 1, l.dim, v.vdim, image.entries)
+    image = _coboundary_map(l, v, 1, f.arity) @ _flat(f)
+    return _cochains(image, l.dim, v.vdim, f.arity + 1, PLAIN)[0]
 
 
-def _column(flat: tuple) -> Matrix:
-    return Matrix(len(flat), 1, flat)
+def _flat(f) -> Matrix:
+    """The flat coordinates of a Cochain or CompatibleCochain as one
+    column: `flatten` as a matrix."""
+    parts = f.components if isinstance(f, CompatibleCochain) else (f,)
+    return vstack([p.coeffs.reshape(p.coeffs.rows * p.coeffs.cols, 1) for p in parts])
+
+
+def _cochains(flat: Matrix, dim: int, vdim: int, degree: int, flavor: str) -> tuple:
+    """The cochains whose flat coordinates are the columns of `flat` (the
+    inverse of `_flat`); a bare Cochain in degree 0 of either flavor, as
+    the reports give it."""
+    bare = flavor == PLAIN or degree == 0
+    copies = 1 if bare else degree
+    shape = (copies * vdim, comb(dim, degree))  # the slots' coefficient matrices, stacked
+    out = []
+    for row in vsplit(flat.transpose(), flat.cols):
+        parts = tuple(Cochain(degree, dim, vdim, block)
+                      for block in vsplit(row.reshape(*shape), copies))
+        out.append(parts[0] if bare else CompatibleCochain(degree, parts))
+    return tuple(out)
 
 
 def _check_shape(f, dim: int, vdim: int):
@@ -226,7 +249,7 @@ def _c0_constraints(c: CompatibleHomLieAlgebra, v: Representation) -> Matrix:
 def _c0_compatible_basis(c: CompatibleHomLieAlgebra, v: Representation):
     """Vectors fixed by beta on which the two actions of every basis element
     agree, as arity-0 cochains."""
-    return [Cochain.from_flat(0, c.dim, v.vdim, w) for w in kernel_basis(_c0_constraints(c, v))]
+    return _cochains(_kernel(_c0_constraints(c, v)), c.dim, v.vdim, 0, COMPATIBLE)
 
 
 def compatible_coboundary(c: CompatibleHomLieAlgebra, v: Representation,
@@ -246,12 +269,12 @@ def compatible_coboundary(c: CompatibleHomLieAlgebra, v: Representation,
     n = f.degree
     for comp in f.components:
         _check_shape(comp, c.dim, v.vdim)
-    columns = [comp.flatten() for comp in f.components]
-    images = _images(c, v, n, COMPATIBLE, Matrix.from_columns(columns, len(columns[0])))
+    m = len(f.components)
+    images = _images(c, v, n, COMPATIBLE, hstack([_flat(comp) for comp in f.components]))
     # Column s m + j of the images is component j placed in slot s, and d f is
     # the sum of the columns s m + s, which the flattened m x m identity picks.
-    image = images @ _column(Matrix.identity(len(columns)).entries)
-    return _from_flat(image.entries, c.dim, v.vdim, n + 1, COMPATIBLE)
+    image = images @ Matrix.identity(m).reshape(m * m, 1)
+    return _cochains(image, c.dim, v.vdim, n + 1, COMPATIBLE)[0]
 
 
 def _basis_matrix(struct, v: Representation, n: int, flavor: str) -> Matrix:
@@ -262,7 +285,7 @@ def _basis_matrix(struct, v: Representation, n: int, flavor: str) -> Matrix:
         singles = _c0_compatible_basis(struct, v)
     else:
         singles = hom_cochain_basis(struct.alpha, v.beta, n)
-    return Matrix.from_columns([b.flatten() for b in singles], v.vdim * comb(struct.dim, n))
+    return hstack([Matrix.zero(v.vdim * comb(struct.dim, n), 0), *map(_flat, singles)])
 
 
 def _images(struct, v: Representation, n: int, flavor: str, basis: Matrix) -> Matrix:
@@ -279,25 +302,12 @@ def _images(struct, v: Representation, n: int, flavor: str, basis: Matrix) -> Ma
     return kron(diagonal, d1) + kron(below, d2)
 
 
-def _in_slots(basis: Matrix, coords: Matrix, copies: int) -> list:
+def _in_slots(basis: Matrix, coords: Matrix, copies: int) -> Matrix:
     """The flat cochains whose coordinates over `copies` slots of the basis
-    matrix are the columns of coords: the columns of
-    kron(1, basis) . coords, whose slot s is basis times the s-th block of
+    matrix are the columns of coords, as the columns of
+    kron(1, basis) . coords: slot s is basis times the s-th block of
     basis.cols rows of coords."""
-    flat = (kron(Matrix.identity(copies), basis) @ coords).transpose()
-    return [flat.row(j) for j in range(flat.rows)]
-
-
-def _from_flat(flat, dim: int, vdim: int, degree: int, flavor: str):
-    """The cochain with the given flat coordinates (the inverse of `flatten`);
-    a bare Cochain in degree 0 of either flavor, as the reports give it."""
-    if flavor == PLAIN or degree == 0:
-        return Cochain.from_flat(degree, dim, vdim, flat)
-    per = vdim * comb(dim, degree)
-    return CompatibleCochain(degree, tuple(
-        Cochain.from_flat(degree, dim, vdim, flat[k * per : (k + 1) * per])
-        for k in range(degree)
-    ))
+    return kron(Matrix.identity(copies), basis) @ coords
 
 
 def cohomology_dimensions(struct, v: Representation, n: int, flavor: str = None) -> CohomologyReport:
@@ -329,33 +339,30 @@ def _cohomology_report(struct, v: Representation, n: int, flavor: str) -> Cohomo
     that are already known to be valid."""
     basis = _basis_matrix(struct, v, n, flavor)
     images = _images(struct, v, n, flavor, basis)
-    kernel = Matrix.from_columns(kernel_basis(images), images.cols)
-    cocycles = _in_slots(basis, kernel, 1 if flavor == PLAIN else max(n, 1))
+    cocycles = _in_slots(basis, _kernel(images), 1 if flavor == PLAIN else max(n, 1))
 
-    boundaries = []
+    boundaries = Matrix.zero(cocycles.rows, 0)
     if n >= 1:
         prev = _images(struct, v, n - 1, flavor, _basis_matrix(struct, v, n - 1, flavor))
-        boundaries = span_basis(prev.transpose().row(j) for j in range(prev.cols))
+        boundaries = _row_space(prev.transpose()).transpose()
 
-    columns = boundaries + cocycles
-    pivots = rref(Matrix.from_columns(columns, len(columns[0])))[1] if columns else ()
-    if len(pivots) != len(cocycles):
+    pivots = rref(hstack([boundaries, cocycles]))[1]
+    if len(pivots) != cocycles.cols:
         raise ContractError("coboundaries do not lie in the cocycle space")
-    representatives = [cocycles[p - len(boundaries)] for p in pivots if p >= len(boundaries)]
-
-    def items(vectors):
-        return tuple(_from_flat(w, struct.dim, v.vdim, n, flavor) for w in vectors)
+    cocycle_basis = _cochains(cocycles, struct.dim, v.vdim, n, flavor)
+    representatives = tuple(cocycle_basis[p - boundaries.cols] for p in pivots
+                            if p >= boundaries.cols)
 
     return CohomologyReport(
         degree=n,
         flavor=flavor,
         dim_cochains=images.cols,
-        dim_cocycles=len(cocycles),
-        dim_coboundaries=len(boundaries),
+        dim_cocycles=cocycles.cols,
+        dim_coboundaries=boundaries.cols,
         dim_cohomology=len(representatives),
-        cocycle_basis=items(cocycles),
-        coboundary_basis=items(boundaries),
-        cohomology_basis=items(representatives),
+        cocycle_basis=cocycle_basis,
+        coboundary_basis=_cochains(boundaries, struct.dim, v.vdim, n, flavor),
+        cohomology_basis=representatives,
         source_dim=struct.dim,
         target_dim=v.vdim,
     )
@@ -367,12 +374,12 @@ def class_coordinates(report: CohomologyReport, item) -> tuple:
     Cohomologous inputs give identical coordinates; inputs outside the
     cocycle space are rejected.
     """
-    w = item.flatten()
-    columns = [b.flatten() for b in report.coboundary_basis + report.cohomology_basis]
-    x = solve(Matrix.from_columns(columns, len(w)), w)
+    w = _flat(item)
+    columns = [_flat(b) for b in report.coboundary_basis + report.cohomology_basis]
+    x = _solve(hstack([Matrix.zero(w.rows, 0), *columns]), w)
     if x is None:
         raise PreconditionError("not a cocycle for this report")
-    return tuple(x[report.dim_coboundaries :])
+    return x.col(0)[report.dim_coboundaries :]
 
 
 def coboundary_preimage(c: CompatibleHomLieAlgebra, v: Representation,
@@ -389,11 +396,10 @@ def coboundary_preimage(c: CompatibleHomLieAlgebra, v: Representation,
     if n < 0:
         raise UsageError("a degree-0 cochain has no preimage")
     basis = _basis_matrix(c, v, n, COMPATIBLE)
-    x = solve(_images(c, v, n, COMPATIBLE, basis), target.flatten())
+    x = _solve(_images(c, v, n, COMPATIBLE, basis), _flat(target))
     if x is None:
         return None
-    flat, = _in_slots(basis, _column(x), max(n, 1))
-    return _from_flat(flat, c.dim, v.vdim, n, COMPATIBLE)
+    return _cochains(_in_slots(basis, x, max(n, 1)), c.dim, v.vdim, n, COMPATIBLE)[0]
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .algebra import (
     CheckResult,
@@ -43,15 +44,18 @@ from .cochains import (
 )
 from .cohomology import (
     COMPATIBLE,
+    PLAIN,
     CompatibleCochain,
     _coboundary_map,
+    _cochains,
     _cohomology_report,
+    _flat,
     class_coordinates,
     coboundary_preimage,
     compatible_coboundary,
 )
 from .errors import ContractError, PreconditionError, UsageError
-from .linalg import Matrix
+from .linalg import Matrix, hstack
 
 HALF = Fraction(1, 2)
 
@@ -170,7 +174,7 @@ def check_linear_equivalence(c: CompatibleHomLieAlgebra, g: LinearGenerator,
     difference = CompatibleCochain(
         2, (g.omega1 - g_prime.omega1, g.omega2 - g_prime.omega2)
     )
-    shift_holds = difference.flatten() == delta_n.flatten()
+    shift_holds = difference == delta_n
     return EquivalenceReport(tuple(checks), shift_holds)
 
 
@@ -206,8 +210,8 @@ class OrderPDeformation:
             if not isinstance(f, Cochain) or f.arity != 2 or f.source_dim != self.base.dim \
                     or f.target_dim != self.base.dim:
                 raise UsageError("coefficients must be arity-2 endomorphism cochains on the base")
-        if self.coeffs1[0].flatten() != self.base.bracket_cochain(1).flatten() or \
-                self.coeffs2[0].flatten() != self.base.bracket_cochain(2).flatten():
+        if self.coeffs1[0] != self.base.bracket_cochain(1) or \
+                self.coeffs2[0] != self.base.bracket_cochain(2):
             raise UsageError("order-0 coefficients must equal the base brackets")
         require_equivariant(self.coeffs1[1:] + self.coeffs2[1:], self.base.alpha, self.base.alpha,
                             "deformation coefficient is not twist-equivariant")
@@ -279,10 +283,11 @@ def _bracket_sums(d: OrderPDeformation, ks: tuple, n: int, low: int) -> tuple:
     [P, Q] = P <> Q + Q <> P in arity 2, a half-sum is sum m_i . K_j."""
     dim = d.base.dim
     (m1, m2), (k1, k2) = (d.coeffs1, d.coeffs2), ks
+    zero = Matrix.zero(dim, comb(dim, 3))
 
     def total(m, k):
-        return sum((Cochain(3, dim, dim, m[i].coeffs @ k[n - i]) for i in range(low, n - low + 1)),
-                   Cochain.zero(3, dim, dim))
+        return Cochain(3, dim, dim, sum((m[i].coeffs @ k[n - i] for i in range(low, n - low + 1)),
+                                        zero))
 
     return total(m1, k1), total(m2, k2), total(m1, k2) + total(m2, k1)
 
@@ -294,10 +299,9 @@ def _verify(d: OrderPDeformation, ks: tuple) -> OrderReport:
     rep = adjoint_representation(c)
     p = d.order
     m1, m2 = d.coeffs1, d.coeffs2
-    stacked = Matrix.from_columns([f.flatten() for f in m1 + m2], len(m1[0].flatten()))
-    d1, d2 = ([Cochain.from_flat(3, c.dim, c.dim, image.row(k)) for k in range(image.rows)]
-              for image in ((_coboundary_map(c, rep, b, 2, k[0]) @ stacked).transpose()
-                            for b, k in enumerate(ks, 1)))
+    stacked = hstack([_flat(f) for f in m1 + m2])
+    d1, d2 = (_cochains(_coboundary_map(c, rep, b, 2, k[0]) @ stacked, c.dim, c.dim, 3, PLAIN)
+              for b, k in enumerate(ks, 1))
     residuals = []
     for n in range(p + 1):
         s11, s22, s12 = _bracket_sums(d, ks, n, 1)

@@ -1,24 +1,31 @@
 """Exact linear algebra over the rationals.
 
-A `Matrix` is immutable, with `fractions.Fraction` entries, and sparse:
-each row is stored as its (column, value) pairs in column order, and no
-stored value is zero.  That form is canonical, so `==` and `hash` mean
+A `Matrix` is immutable, exact and sparse: each row is stored as its
+(column, value) pairs in column order, and no stored value is zero.  A
+stored value is a Python `int` when it is integral and a
+`fractions.Fraction` only when its denominator is greater than 1, so a
+product of integral entries makes no Fraction.  That form is canonical,
+and since `Fraction(n) == n` with equal hashes, `==` and `hash` mean
 equality of the dense matrices.  Products, sums, Kronecker products,
 stacks, transposes and elimination read and write nonzeros only, so their
 cost follows the nonzeros, not rows x cols.  `Matrix(rows, cols, entries)`
-takes the dense row-major entries and coerces each one with `frac`;
-`entries`, `row`, `col` and `entry` are dense views, for the public API,
-documents and rendering.  Only this module tells a zero entry from a
+takes the dense row-major entries and coerces each one like `frac`;
+`entries`, `row`, `col` and `entry` are dense views that give Fractions,
+for the public API, documents and rendering, and so do `kernel_basis`,
+`solve` and `span_basis`.  Only this module tells a zero entry from a
 nonzero one: other modules build sparse matrices with
-`Matrix.from_entries` and read the nonzeros of a row with `row_items`.
+`Matrix.from_entries` and read the stored nonzeros of a row with
+`row_items`.
 
 Elimination is fraction-free: `rref` works on sparse integer rows
 (denominators cleared, content gcd divided out after every update) and
-`determinant_of` uses Bareiss's integer-preserving elimination; Fractions
-appear again only in the results.  The reduced row echelon form is unique,
-so `rref`, `kernel_basis`, `solve` and `span_basis` return the same output
-bit for bit whichever rows supply the pivots, which the cohomology
-computations rely on.
+`determinant_of` uses Bareiss's integer-preserving elimination; a Fraction
+appears again only where a result is not integral.  The reduced row
+echelon form is unique, so `rref`, `kernel_basis`, `solve` and
+`span_basis` return the same output bit for bit whichever rows supply the
+pivots, which the cohomology computations rely on.  `_kernel`, `_solve`
+and `_row_space` give the same results as matrices in the stored form,
+for the cohomology code to keep cochains sparse.
 """
 
 from __future__ import annotations
@@ -35,14 +42,32 @@ ONE = Fraction(1)
 
 
 def frac(value) -> Fraction:
-    """Coerce an int, Fraction or 'p/q' string to a Fraction.  Floats are refused."""
+    """Coerce an int, Fraction or 'p/q' string to a Fraction.  Floats, bools
+    and strings that are no rational are refused with UsageError."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise UsageError(f"not an exact rational: {value[:80]!r}") from None
     raise UsageError(f"not an exact rational: {value!r} ({type(value).__name__})")
+
+
+def _stored(value):
+    """The stored form of an exact rational: the int when it is integral,
+    else the Fraction.  Coerces and refuses like `frac`."""
+    if type(value) is int:
+        return value
+    value = frac(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _public(value) -> Fraction:
+    """A stored value as the Fraction that the dense views give out."""
+    return Fraction(value) if type(value) is int else value
 
 
 def vector(values) -> tuple:
@@ -58,14 +83,20 @@ def vec_is_zero(u) -> bool:
 
 
 def _pairs(values) -> tuple:
-    """The nonzero entries of a dense row as (column, Fraction) pairs."""
+    """The nonzero entries of a dense row as (column, stored value) pairs."""
     out = []
     for j, x in enumerate(values):
         if x is not ZERO:
-            x = frac(x)
+            x = _stored(x)
             if x:
                 out.append((j, x))
     return tuple(out)
+
+
+def _row(acc: dict) -> tuple:
+    """The canonical sparse row of {column: sum}: zeros dropped, integral
+    sums stored as ints, columns in order."""
+    return tuple(sorted((j, x if type(x) is int else _stored(x)) for j, x in acc.items() if x))
 
 
 def _combine(a: tuple, b: tuple, negate: bool) -> tuple:
@@ -80,7 +111,7 @@ def _combine(a: tuple, b: tuple, negate: bool) -> tuple:
             acc[j] = acc[j] - x if negate else acc[j] + x
         else:
             acc[j] = -x if negate else x
-    return tuple(sorted((j, x) for j, x in acc.items() if x))
+    return _row(acc)
 
 
 _set = object.__setattr__
@@ -96,7 +127,8 @@ def _fill(m: "Matrix", rows: int, cols: int, data: tuple) -> "Matrix":
 
 class Matrix:
     """Immutable sparse matrix: row i is the tuple of its nonzero
-    (column, Fraction) pairs, in column order."""
+    (column, value) pairs, in column order, each value an int when it is
+    integral and a Fraction otherwise."""
 
     __slots__ = ("rows", "cols", "_data")
 
@@ -144,14 +176,14 @@ class Matrix:
         for (i, j), x in values.items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise UsageError(f"entry ({i}, {j}) outside {rows}x{cols}")
-            x = frac(x)
+            x = _stored(x)
             if x:
                 data[i].append((j, x))
         return cls._of(rows, cols, tuple(tuple(sorted(r)) for r in data))
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls._of(n, n, tuple(((i, ONE),) for i in range(n)))
+        return cls._of(n, n, tuple(((i, 1),) for i in range(n)))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
@@ -168,18 +200,19 @@ class Matrix:
         return tuple(x for i in range(self.rows) for x in self.row(i))
 
     def row_items(self, i: int) -> tuple:
-        """The nonzero entries of row i as (column, value) pairs, in column order."""
+        """The nonzero entries of row i as (column, stored value) pairs, in
+        column order: ints where integral, Fractions otherwise."""
         return self._data[i]
 
     def entry(self, i: int, j: int) -> Fraction:
         row = self._data[i]
         k = bisect_left(row, (j,))
-        return row[k][1] if k < len(row) and row[k][0] == j else ZERO
+        return _public(row[k][1]) if k < len(row) and row[k][0] == j else ZERO
 
     def row(self, i: int) -> tuple:
         out = [ZERO] * self.cols
         for j, x in self._data[i]:
-            out[j] = x
+            out[j] = _public(x)
         return tuple(out)
 
     def col(self, j: int) -> tuple:
@@ -218,11 +251,22 @@ class Matrix:
                           tuple(tuple((j, -x) for j, x in row) for row in self._data))
 
     def scale(self, c) -> "Matrix":
-        c = frac(c)
+        c = _stored(c)
         if not c:
             return Matrix.zero(self.rows, self.cols)
         return Matrix._of(self.rows, self.cols,
-                          tuple(tuple((j, c * x) for j, x in row) for row in self._data))
+                          tuple(tuple((j, _stored(c * x)) for j, x in row) for row in self._data))
+
+    def reshape(self, rows: int, cols: int) -> "Matrix":
+        """The rows x cols matrix with the same row-major entries."""
+        if rows < 0 or cols < 0 or rows * cols != self.rows * self.cols:
+            raise UsageError(f"cannot reshape {self.rows}x{self.cols} to {rows}x{cols}")
+        data = [[] for _ in range(rows)]
+        for i, row in enumerate(self._data):
+            for j, x in row:
+                r, c = divmod(i * self.cols + j, cols)
+                data[r].append((c, x))
+        return Matrix._of(rows, cols, tuple(map(tuple, data)))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -232,10 +276,11 @@ class Matrix:
         for row in self._data:
             acc = {}
             for k, a in row:
+                one = type(a) is int and a == 1  # identity factors cost no product
                 for j, x in right[k]:
-                    x = x if a is ONE else a * x  # identity factors cost no product
+                    x = x if one else a * x
                     acc[j] = acc[j] + x if j in acc else x
-            out.append(tuple(sorted((j, x) for j, x in acc.items() if x)))
+            out.append(_row(acc))
         return Matrix._of(self.rows, other.cols, tuple(out))
 
     def apply(self, vec) -> tuple:
@@ -300,6 +345,16 @@ def hstack(matrices) -> Matrix:
     return Matrix._of(rows, shifts[-1], data)
 
 
+def vsplit(m: Matrix, count: int) -> list:
+    """m cut into `count` blocks of equal height, top to bottom: the inverse
+    of vstack."""
+    if count < 0 or (m.rows % count if count else m.rows):
+        raise UsageError(f"cannot split {m.rows} rows into {count} equal blocks")
+    height = m.rows // max(count, 1)
+    return [Matrix._of(height, m.cols, m._data[b * height : (b + 1) * height])
+            for b in range(count)]
+
+
 def hsplit(m: Matrix, count: int) -> list:
     """m cut into `count` blocks of equal width, left to right: the inverse
     of hstack."""
@@ -312,10 +367,10 @@ def hsplit(m: Matrix, count: int) -> list:
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """The Kronecker product: block (l, i) is a[l, i] b.  An entry that is
-    the shared ONE of an identity costs no product."""
+    the int 1, as in an identity, costs no product."""
     width = b.cols
     data = tuple(
-        tuple((i * width + j, x if c is ONE else c if x is ONE else c * x)
+        tuple((i * width + j, x if c == 1 else c if x == 1 else _stored(c * x))
               for i, c in arow for j, x in brow)
         for arow in a._data for brow in b._data
     )
@@ -361,9 +416,10 @@ def rref(m: Matrix):
     out after every update.  Columns are taken left to right; the pivot of a
     column is the remaining row with the fewest nonzeros that has an entry
     there, the lowest row index on ties.  Forward elimination is followed by
-    back-substitution, and each stored entry becomes one Fraction over its
-    row's pivot at the end.  The RREF is unique, so the result does not
-    depend on the pivot rows chosen.
+    back-substitution, and each stored entry becomes its quotient by its
+    row's pivot at the end: an int where the pivot divides it, else one
+    Fraction.  The RREF is unique, so the result does not depend on the
+    pivot rows chosen.
     """
     remaining = [_integer_row(row) for row in m._data if row]
     echelon = []  # (pivot column, row), in column order
@@ -386,8 +442,10 @@ def rref(m: Matrix):
             ci, row = echelon[i]
             if c in row:
                 echelon[i] = (ci, _eliminate(row, pivot_row, c))
-    data = [tuple((j, Fraction(value, row[c])) for j, value in sorted(row.items()))
-            for c, row in echelon]
+    data = []
+    for c, row in echelon:
+        p = row[c]
+        data.append(tuple((j, Fraction(x, p) if x % p else x // p) for j, x in sorted(row.items())))
     data += [()] * (m.rows - len(echelon))
     return Matrix._of(m.rows, m.cols, tuple(data)), tuple(c for c, _ in echelon)
 
@@ -396,34 +454,49 @@ def rank(m: Matrix) -> int:
     return len(rref(m)[1])
 
 
+def _kernel(m: Matrix) -> Matrix:
+    """The right null space of m as the columns of one matrix, one column
+    per free column of m in column order: 1 at its free column and minus
+    that column of the RREF at the pivot columns, so that m @ K = 0 and K
+    has cols - rank columns."""
+    reduced, pivots = rref(m)
+    free = {c: k for k, c in enumerate(sorted(set(range(m.cols)) - set(pivots)))}
+    data = [((free[c], 1),) if c in free else () for c in range(m.cols)]
+    for r, pc in enumerate(pivots):
+        data[pc] = tuple((free[j], -x) for j, x in reduced._data[r] if j in free)
+    return Matrix._of(m.cols, len(free), tuple(data))
+
+
 def kernel_basis(m: Matrix):
     """Basis of the right null space, one vector per free column, in column order.
 
     Each returned vector v satisfies m @ v = 0 exactly; the basis size is
-    cols - rank.
+    cols - rank.  The vectors are the columns of `_kernel(m)`.
     """
-    reduced, pivots = rref(m)
-    basis = {fc: [ONE if c == fc else ZERO for c in range(m.cols)]
-             for fc in sorted(set(range(m.cols)) - set(pivots))}
+    vectors = _kernel(m).transpose()
+    return [vectors.row(k) for k in range(vectors.rows)]
+
+
+def _solve(m: Matrix, b: Matrix) -> Matrix | None:
+    """One exact solution of m @ x = b for a one-column matrix b, as a
+    one-column matrix, or None when the system is inconsistent."""
+    reduced, pivots = rref(hstack([m, b]))
+    if pivots and pivots[-1] == m.cols:
+        return None
+    data = [()] * m.cols
     for r, pc in enumerate(pivots):
-        for j, x in reduced._data[r]:
-            if j in basis:
-                basis[j][pc] = -x
-    return [tuple(v) for v in basis.values()]
+        last = reduced._data[r][-1]
+        if last[0] == m.cols:
+            data[pc] = ((0, last[1]),)
+    return Matrix._of(m.cols, 1, tuple(data))
 
 
 def solve(m: Matrix, b) -> tuple | None:
     """One exact solution of m @ x = b, or None when the system is inconsistent."""
     if len(b) != m.rows:
         raise UsageError(f"rhs length {len(b)} != rows {m.rows}")
-    augmented = hstack([m, Matrix.from_columns([vector(b)], m.rows)])
-    reduced, pivots = rref(augmented)
-    if pivots and pivots[-1] == m.cols:
-        return None
-    x = [ZERO] * m.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = reduced.entry(r, m.cols)
-    return tuple(x)
+    x = _solve(m, Matrix.from_columns([vector(b)], m.rows))
+    return None if x is None else x.col(0)
 
 
 def span_rank(vectors) -> int:
@@ -433,13 +506,19 @@ def span_rank(vectors) -> int:
     return rank(Matrix.from_rows(vectors))
 
 
+def _row_space(m: Matrix) -> Matrix:
+    """The nonzero rows of rref(m): the canonical basis of m's row space."""
+    reduced, pivots = rref(m)
+    return Matrix._of(len(pivots), m.cols, reduced._data[: len(pivots)])
+
+
 def span_basis(vectors):
     """Canonical (RREF row) basis of the span of the given vectors."""
     vectors = [v for v in vectors if not vec_is_zero(v)]
     if not vectors:
         return []
-    reduced, pivots = rref(Matrix.from_rows(vectors))
-    return [reduced.row(i) for i in range(len(pivots))]
+    basis = _row_space(Matrix.from_rows(vectors))
+    return [basis.row(i) for i in range(basis.rows)]
 
 
 def quotient_dimension(span_big, span_small) -> int:

@@ -38,7 +38,7 @@ from homlie.cohomology import (
     _basis_matrix,
     _c0_compatible_basis,
     _coboundary_map,
-    _from_flat,
+    _cochains,
     _images,
     _in_slots,
     coboundary_preimage,
@@ -347,7 +347,7 @@ def test_assembled_images_match_naive_oracle():
         basis = _basis_matrix(c, rep, n, COMPATIBLE)
         images = _images(c, rep, n, COMPATIBLE, basis)
         units = _in_slots(basis, Matrix.identity(images.cols), max(n, 1))
-        items = [_from_flat(w, c.dim, rep.vdim, n, COMPATIBLE) for w in units]
+        items = list(_cochains(units, c.dim, rep.vdim, n, COMPATIBLE))
         if n == 0:
             items = [CompatibleCochain(0, (item,)) for item in items]
         assert [i.flatten() for i in items] == [b.flatten() for b in compatible_basis(c, rep, n)]
@@ -359,8 +359,7 @@ def ambient_matrix(c, rep, n):
     """The two-bracket coboundary on all flat degree-n coordinates, from unit cochains."""
     size = max(n, 1) * rep.vdim * comb(c.dim, n)
     columns = []
-    for k in range(size):
-        unit = _from_flat(basis_vector(size, k), c.dim, rep.vdim, n, COMPATIBLE)
+    for unit in _cochains(Matrix.identity(size), c.dim, rep.vdim, n, COMPATIBLE):
         if n == 0:
             unit = CompatibleCochain(0, (unit,))
         columns.append(compatible_coboundary(c, rep, unit, check=False).flatten())

@@ -101,7 +101,7 @@ def with_examples(test):
     return test
 
 
-@settings(max_examples=100, deadline=None)
+@settings(deadline=None)
 @with_examples
 @given(recipes())
 def test_rref_equals_dense_oracle(recipe):
@@ -109,7 +109,7 @@ def test_rref_equals_dense_oracle(recipe):
     assert rref(m) == naive_rref(m)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(deadline=None)
 @with_examples
 @given(recipes())
 def test_kernel_basis_is_annihilated(recipe):
@@ -139,7 +139,7 @@ def test_solve_satisfies_its_system(recipe, data):
         assert m.apply(found) == b
 
 
-@settings(max_examples=100, deadline=None)
+@settings(deadline=None)
 @given(recipes())
 def test_span_basis_is_the_nonzero_oracle_rows(recipe):
     m = build(recipe)
@@ -148,7 +148,7 @@ def test_span_basis_is_the_nonzero_oracle_rows(recipe):
     assert span_basis(vectors) == [reduced.row(i) for i in range(len(pivots))]
 
 
-@settings(max_examples=100, deadline=None)
+@settings(deadline=None)
 @with_examples
 @given(recipes())
 def test_rank_equals_sympy(recipe):

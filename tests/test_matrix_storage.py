@@ -5,6 +5,10 @@ Every operation is checked on seeded random matrices of density 0, 0.05,
 inputs carry explicit zeros of every kind (the int 0, a fresh Fraction(0)
 and the shared zero), and each matrix is built four ways, which must all
 give one matrix with one hash.
+
+A stored value is an int when it is integral and a Fraction with
+denominator > 1 otherwise, after every operation; every public view and
+result gives Fractions.
 """
 
 import pickle
@@ -13,8 +17,19 @@ from fractions import Fraction
 
 import pytest
 
-from homlie import Matrix, UsageError, rref
-from homlie.linalg import ZERO, hsplit, hstack, kron, vstack
+from homlie import (
+    Matrix,
+    UsageError,
+    adjoint_representation,
+    cohomology_dimensions,
+    fixtures,
+    frac,
+    kernel_basis,
+    rref,
+    solve,
+    verify_structure,
+)
+from homlie.linalg import ZERO, hsplit, hstack, kron, span_basis, vsplit, vstack
 
 from helpers import (
     naive_add,
@@ -41,6 +56,12 @@ def grid(rng, rows, cols, density):
             return F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
         return rng.choice((0, F(0), ZERO))
     return [[draw() for _ in range(cols)] for _ in range(rows)]
+
+
+def stored_form(x) -> bool:
+    """A stored value is an int when integral, else a Fraction with
+    denominator > 1."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
 
 
 def dense(m: Matrix):
@@ -112,7 +133,7 @@ def test_dense_views_match_the_input():
         for i in range(rows):
             items = m.row_items(i)
             assert items == tuple((j, x) for j, x in enumerate(g[i]) if x != 0)
-            assert all(type(x) is Fraction for _, x in items)
+            assert all(stored_form(x) for _, x in items)
 
 
 def test_unary_operations_match_the_oracles():
@@ -216,3 +237,101 @@ def test_int_entries_build_the_fraction_twin():
     assert all(type(x) is Fraction for x in ints.entries)
     assert ints == Matrix.from_rows([["1", 0, "-2"], [0, F(0), "7"]])
     assert rref(ints)[0] == rref(twin)[0]
+
+
+def canonical(m: Matrix) -> bool:
+    return all(stored_form(x) for i in range(m.rows) for _, x in m.row_items(i))
+
+
+def test_every_operation_stores_the_canonical_form():
+    for rng, rows, cols, density, g in cases(10):
+        m = builds(g, rows, cols)[0]
+        r2, c2 = rng.choice(SHAPES)
+        other = builds(grid(rng, r2, c2, density), r2, c2)[0]
+        same = builds(grid(rng, rows, cols, density), rows, cols)[0]
+        right = builds(grid(rng, cols, 3, density), cols, 3)[0]
+        results = [m @ right, kron(m, other), m + same, m - same, -m, m.transpose(),
+                   m.scale(2), m.scale(F(3, 2)), m.block_diag(other), vstack([m, m]),
+                   hstack([m, m]), *hsplit(hstack([m, m]), 2), *vsplit(vstack([m, m]), 2),
+                   m.reshape(cols, rows), rref(m)[0], *builds(g, rows, cols)]
+        assert all(canonical(r) for r in results)
+
+
+def test_results_that_turn_integral_are_stored_as_ints():
+    half, third = Matrix(1, 2, (F(1, 2), F(1, 3))), Matrix(1, 2, (2, F(2, 3)))
+    results = {
+        "product": Matrix(1, 1, (F(1, 2),)) @ Matrix(1, 1, (2,)),
+        "kron": kron(Matrix(1, 1, (F(1, 2),)), Matrix(1, 1, (2,))),
+        "scale": Matrix(1, 2, (F(1, 2), F(-3, 2))).scale(2),
+        "sum": Matrix(1, 1, (F(1, 3),)) + Matrix(1, 1, (F(2, 3),)),
+        "difference": Matrix(1, 1, (F(4, 3),)) - Matrix(1, 1, (F(1, 3),)),
+        "entries": Matrix.from_entries(1, 2, {(0, 0): F(6, 3), (0, 1): "4/2"}),
+        "rref": rref(Matrix(1, 2, (F(1, 2), 1)))[0],
+    }
+    for name, m in results.items():
+        assert canonical(m), name
+        assert all(type(x) is int for _, x in m.row_items(0)), name
+    mixed = half + third
+    assert [x for _, x in mixed.row_items(0)] == [F(5, 2), 1]
+    assert canonical(mixed) and type(mixed.row_items(0)[1][1]) is int
+
+
+def test_int_and_fraction_twins_are_one_matrix():
+    for rng, rows, cols, density, g in cases(11):
+        as_fractions = [[F(x) for x in row] for row in g]
+        as_ints = [[int(x) if x.denominator == 1 else x for x in row] for row in as_fractions]
+        for a, b in zip(builds(as_fractions, rows, cols), builds(as_ints, rows, cols)):
+            assert a == b and hash(a) == hash(b)
+            assert [a.row_items(i) for i in range(rows)] == [b.row_items(i) for i in range(rows)]
+
+
+def test_public_views_and_results_give_fractions():
+    def fractions(values):
+        values = list(values)
+        return all(type(x) is Fraction for x in values)
+
+    for rng, rows, cols, density, g in cases(12):
+        m = builds(g, rows, cols)[0]
+        assert fractions(m.entries)
+        assert all(fractions(m.row(i)) for i in range(rows))
+        assert all(fractions(m.col(j)) for j in range(cols))
+        assert fractions(m.entry(i, j) for i in range(rows) for j in range(cols))
+        assert all(fractions(v) for v in kernel_basis(m))
+        assert all(fractions(v) for v in span_basis(m.row(i) for i in range(rows)))
+        x = solve(m, m.apply([F(1)] * cols))
+        assert x is not None and fractions(x)
+        assert fractions(m.__reduce__()[1][2])
+    # CheckResult defects, cochains and report bases
+    report = verify_structure(fixtures.g4a(1))
+    assert not report.passed
+    assert all(fractions(vec) for check in report.failures() for _, vec in check.witnesses)
+    c = fixtures.compatible_h3()
+    h2 = cohomology_dimensions(c, adjoint_representation(c), 2)
+    items = h2.cocycle_basis + h2.coboundary_basis + h2.cohomology_basis
+    assert items and all(fractions(f.flatten()) for f in items)
+    assert all(fractions(comp.coeffs.entries) for f in items for comp in f.components)
+
+
+def test_bools_and_unreadable_strings_are_refused():
+    for bad in (True, False, "x", "1/0", "", "1.5.2"):
+        with pytest.raises(UsageError):
+            frac(bad)
+        with pytest.raises(UsageError):
+            Matrix(1, 1, (bad,))
+        with pytest.raises(UsageError):
+            Matrix.from_entries(1, 1, {(0, 0): bad})
+    assert frac("-3/6") == F(-1, 2) and frac(4) == 4 and type(frac(4)) is Fraction
+
+
+def test_reshape_and_vsplit():
+    for rng, rows, cols, density, g in cases(13):
+        m = builds(g, rows, cols)[0]
+        for shape in ((rows * cols, 1), (1, rows * cols), (cols, rows)):
+            assert m.reshape(*shape).entries == m.entries
+            assert m.reshape(*shape).reshape(rows, cols) == m
+        assert vsplit(vstack([m, m, m]), 3) == [m, m, m]
+    with pytest.raises(UsageError):
+        Matrix.zero(2, 3).reshape(4, 2)
+    with pytest.raises(UsageError):
+        vsplit(Matrix.zero(5, 2), 2)
+    assert vsplit(Matrix.zero(0, 2), 0) == []

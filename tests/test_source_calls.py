@@ -11,7 +11,9 @@ with one insertion matrix per coefficient, so in `deformations` only
 products over the action matrices of the basis, so no module forms the
 action of one vector at a time (`Representation.action` is gone).  Only
 `linalg` tells a zero entry from a nonzero one, so no other module imports
-or names its shared `ZERO`.
+or names its shared `ZERO`.  A stored integral entry is a Python int, so
+the identity shortcuts of products test for the int 1, and no other module
+imports or names `linalg`'s shared Fraction `ONE` either.
 """
 
 import ast
@@ -90,4 +92,11 @@ def test_only_linalg_names_the_shared_zero():
     assert "ZERO" in names(ROOT / "tests" / "test_matrix_storage.py")
     offenders = [path.name for path in MODULES
                  if path.name != "linalg.py" and "ZERO" in names(path)]
+    assert offenders == []
+
+
+def test_only_linalg_names_the_shared_one():
+    assert "ONE" in names(ROOT / "src" / "homlie" / "linalg.py")
+    offenders = [path.name for path in MODULES
+                 if path.name != "linalg.py" and "ONE" in names(path)]
     assert offenders == []
