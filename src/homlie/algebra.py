@@ -30,7 +30,7 @@ product with one vdim-wide block of columns per basis element or pair:
 
 where, with E_j the d x C(d,2) incidence of e_i -> e_j ^ e_i,
 
-    N_b = kron(mu_b, beta) + kron(alpha, 1) . sum_j kron(E_j, rho_b(e_j)):
+    N_b = kron(mu_b, beta) + sum_j kron(alpha . E_j, rho_b(e_j)):
 
 block (l, k) of N_b, for the k-th pair (i < j), is
 mu_b[l, k] beta - alpha[l, i] rho_b(e_j) + alpha[l, j] rho_b(e_i).
@@ -46,6 +46,7 @@ from .cochains import (
     Cochain,
     exterior_square,
     increasing_tuples,
+    insertion_matrix,
     lift_to_product,
     nr_bracket,
     nr_diamond,
@@ -58,6 +59,7 @@ from .linalg import (
     frac,
     hstack,
     kron,
+    kron_sum,
 )
 
 
@@ -289,12 +291,17 @@ def _algebra_checks(s):
                                  alpha @ mu.coeffs - mu.coeffs @ square, 2)
         for label, mu in zip(labels, mus)
     ]
+    # One insertion matrix K_b per bracket: mu_b <> mu_b = mu_b . K_b, and
+    # in arity 2 [mu_1, mu_2] = mu_1 . K_2 + mu_2 . K_1.
+    ks = [insertion_matrix(mu, alpha, 2) for mu in mus]
     checks += [
-        CheckResult.from_columns(f"hom_jacobi{label}", nr_diamond(mu, mu, alpha).coeffs, 3)
-        for label, mu in zip(labels, mus)
+        CheckResult.from_columns(f"hom_jacobi{label}", mu.coeffs @ k, 3)
+        for label, mu, k in zip(labels, mus, ks)
     ]
     if len(mus) == 2:
-        checks.append(CheckResult.from_columns("compatibility", nr_bracket(*mus, alpha).coeffs, 3))
+        (m1, m2), (k1, k2) = mus, ks
+        checks.append(CheckResult.from_columns("compatibility",
+                                               m1.coeffs @ k2 + m2.coeffs @ k1, 3))
     return checks
 
 
@@ -323,17 +330,16 @@ def _action_blocks(table, vdim: int) -> Matrix:
 
 
 def _pair_blocks(alpha: Matrix, bracket: Matrix, table, beta: Matrix) -> Matrix:
-    """N = kron(mu, beta) + kron(alpha, 1) . sum_j kron(E_j, rho(e_j)),
-    d vdim x C(d,2) vdim, with E_j the d x C(d,2) incidence of
+    """N = kron(mu, beta) + sum_j kron(alpha . E_j, rho(e_j)) as one
+    `kron_sum`, d vdim x C(d,2) vdim, with E_j the d x C(d,2) incidence of
     e_i -> e_j ^ e_i.  Block (l, k) for the k-th pair (i < j) is
     mu[l, k] beta - alpha[l, i] rho(e_j) + alpha[l, j] rho(e_i), so that
     A . N stacks rho([e_i, e_j]) beta - rho(alpha e_i) rho(e_j)
     + rho(alpha e_j) rho(e_i) over the pairs."""
     dim, vdim = alpha.rows, beta.rows
-    wedges = Matrix.zero(dim * vdim, bracket.cols * vdim)
-    for e, rho in zip(wedge_incidence(dim, 1), table):
-        wedges = wedges + kron(e, rho)
-    return kron(bracket, beta) + kron(alpha, Matrix.identity(vdim)) @ wedges
+    terms = [(bracket, beta)]
+    terms += [(alpha @ e, rho) for e, rho in zip(wedge_incidence(dim, 1), table)]
+    return kron_sum(terms, dim * vdim, bracket.cols * vdim)
 
 
 def adjoint_representation(s) -> Representation:

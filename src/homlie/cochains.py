@@ -52,7 +52,7 @@ from .linalg import (
     Matrix,
     _kernel,
     determinant_of,
-    kron,
+    kron_sum,
     vector,
     vsplit,
     zero_vector,
@@ -228,10 +228,17 @@ def hom_cochain_basis(alpha: Matrix, beta: Matrix, n: int):
     if n < 0:
         raise UsageError("negative arity")
     d, t = alpha.rows, beta.rows
-    if comb(d, n) == 0:
-        return []
-    kernel = _kernel(equivariance_constraints(alpha, beta, n)).transpose()
+    kernel = _equivariant_columns(alpha, beta, n).transpose()
     return [Cochain(n, d, t, flat.reshape(t, comb(d, n))) for flat in vsplit(kernel, kernel.rows)]
+
+
+def _equivariant_columns(alpha: Matrix, beta: Matrix, n: int) -> Matrix:
+    """The basis of `hom_cochain_basis` as the columns of one matrix on the
+    row-major coefficient entries, the kernel matrix as it is; 0 x 0 above
+    the source dimension."""
+    if comb(alpha.rows, n) == 0:
+        return Matrix.zero(0, 0)
+    return _kernel(equivariance_constraints(alpha, beta, n))
 
 
 def equivariance_constraints(alpha: Matrix, beta: Matrix, n: int) -> Matrix:
@@ -239,8 +246,9 @@ def equivariance_constraints(alpha: Matrix, beta: Matrix, n: int) -> Matrix:
     entry (r, c) of beta . M - M . compound_n(alpha), as a linear form in
     the row-major entries of M."""
     compound = exterior_power_matrix(alpha, n)
-    return (kron(beta, Matrix.identity(compound.rows))
-            - kron(Matrix.identity(beta.rows), compound.transpose()))
+    size = beta.rows * compound.rows
+    return kron_sum([(beta, Matrix.identity(compound.rows)),
+                     (Matrix.identity(beta.rows), -compound.transpose())], size, size)
 
 
 def _shuffle_sign(positions) -> int:

@@ -34,11 +34,15 @@ signed incidence e_I -> e_j ^ e_I.  The bracket term is F -> -F . K, where
 K = insertion_matrix(bracket, alpha, n) is the C(d,n) x C(d,n+1) matrix of
 the insertion product F -> F <> [ , ] (see `cochains`): column X of K
 expands the signed sum of the wedges [e_i, e_j] ^ alpha e_k ^ ... over the
-pairs (i, j) of the (n+1)-tuple X in the n-tuple basis.  A cochain space
-is a basis matrix B whose columns are the equivariant basis cochains.  The
-two-bracket differential is the (n+1) x n block-bidiagonal matrix with d1
-on the diagonal and d2 below it, and the images of B in every slot are the
-same layout of d1 . B and d2 . B.
+pairs (i, j) of the (n+1)-tuple X in the n-tuple basis; the d + 1 terms
+are summed by one `kron_sum`.  A cochain space is a basis matrix B whose
+columns are the equivariant basis cochains: B is the kernel matrix of the
+equivariance constraints (`cochains.equivariance_constraints`, and in
+two-bracket degree 0 the agreement of the two actions) taken as it is,
+since its columns are already flat coordinates.  The two-bracket
+differential is the (n+1) x n block-bidiagonal matrix with d1 on the
+diagonal and d2 below it, and the images of B in every slot are the same
+layout of d1 . B and d2 . B, one `kron_sum` of two terms.
 
 Dimension reports take kernels and images of these products by exact
 elimination, map kernel and solve coordinates back through B, and choose
@@ -68,7 +72,7 @@ from .algebra import (
 )
 from .cochains import (
     Cochain,
-    hom_cochain_basis,
+    _equivariant_columns,
     insertion_matrix,
     require_equivariant,
     wedge_incidence,
@@ -82,6 +86,7 @@ from .linalg import (
     hsplit,
     hstack,
     kron,
+    kron_sum,
     rref,
     vsplit,
     vstack,
@@ -231,10 +236,9 @@ def _coboundary_map(struct, v: Representation, which: int, n: int,
         k_term = insertion_matrix(bracket, struct.alpha, n)
     twist = kron(struct.alpha.power(max(n - 1, 0)), Matrix.identity(vdim))
     blocks = hsplit(_action_blocks(v.actions[which - 1], vdim) @ twist, dim)
-    out = -kron(Matrix.identity(vdim), k_term.transpose())
-    for a, e in zip(blocks, wedge_incidence(dim, n)):
-        out = out + kron(a, e.transpose())
-    return out
+    terms = [(Matrix.identity(vdim), -k_term.transpose())]
+    terms += [(a, e.transpose()) for a, e in zip(blocks, wedge_incidence(dim, n))]
+    return kron_sum(terms, vdim * comb(dim, n + 1), vdim * comb(dim, n))
 
 
 def _c0_constraints(c: CompatibleHomLieAlgebra, v: Representation) -> Matrix:
@@ -244,12 +248,6 @@ def _c0_constraints(c: CompatibleHomLieAlgebra, v: Representation) -> Matrix:
     for i in range(c.dim):
         blocks.append(v.actions[0][i] - v.actions[1][i])
     return vstack(blocks)
-
-
-def _c0_compatible_basis(c: CompatibleHomLieAlgebra, v: Representation):
-    """Vectors fixed by beta on which the two actions of every basis element
-    agree, as arity-0 cochains."""
-    return _cochains(_kernel(_c0_constraints(c, v)), c.dim, v.vdim, 0, COMPATIBLE)
 
 
 def compatible_coboundary(c: CompatibleHomLieAlgebra, v: Representation,
@@ -279,13 +277,11 @@ def compatible_coboundary(c: CompatibleHomLieAlgebra, v: Representation,
 
 def _basis_matrix(struct, v: Representation, n: int, flavor: str) -> Matrix:
     """The single-bracket basis of degree-n cochains as the columns of one
-    matrix on flat coordinates; the two-bracket complex places it in every
-    slot."""
+    matrix on flat coordinates, the kernel matrix of its constraints as it
+    is; the two-bracket complex places it in every slot."""
     if flavor == COMPATIBLE and n == 0:
-        singles = _c0_compatible_basis(struct, v)
-    else:
-        singles = hom_cochain_basis(struct.alpha, v.beta, n)
-    return hstack([Matrix.zero(v.vdim * comb(struct.dim, n), 0), *map(_flat, singles)])
+        return _kernel(_c0_constraints(struct, v))
+    return _equivariant_columns(struct.alpha, v.beta, n)
 
 
 def _images(struct, v: Representation, n: int, flavor: str, basis: Matrix) -> Matrix:
@@ -299,7 +295,7 @@ def _images(struct, v: Representation, n: int, flavor: str, basis: Matrix) -> Ma
     d2 = _coboundary_map(struct, v, 2, n) @ basis
     diagonal, below = (Matrix.from_entries(n + 1, n, {(i + s, i): 1 for i in range(n)})
                        for s in (0, 1))
-    return kron(diagonal, d1) + kron(below, d2)
+    return kron_sum([(diagonal, d1), (below, d2)], (n + 1) * d1.rows, n * d1.cols)
 
 
 def _in_slots(basis: Matrix, coords: Matrix, copies: int) -> Matrix:

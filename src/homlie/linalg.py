@@ -8,14 +8,16 @@ product of integral entries makes no Fraction.  That form is canonical,
 and since `Fraction(n) == n` with equal hashes, `==` and `hash` mean
 equality of the dense matrices.  Products, sums, Kronecker products,
 stacks, transposes and elimination read and write nonzeros only, so their
-cost follows the nonzeros, not rows x cols.  `Matrix(rows, cols, entries)`
-takes the dense row-major entries and coerces each one like `frac`;
-`entries`, `row`, `col` and `entry` are dense views that give Fractions,
-for the public API, documents and rendering, and so do `kernel_basis`,
-`solve` and `span_basis`.  Only this module tells a zero entry from a
-nonzero one: other modules build sparse matrices with
-`Matrix.from_entries` and read the stored nonzeros of a row with
-`row_items`.
+cost follows the nonzeros, not rows x cols.  `kron_sum` builds a sum of
+Kronecker products, the shape of every coboundary and constraint matrix
+of the library, in one pass, with no intermediate matrix per term.
+`Matrix(rows, cols, entries)` takes the dense row-major entries and
+coerces each one like `frac`; `entries`, `row`, `col` and `entry` are
+dense views that give Fractions, for the public API, documents and
+rendering, and so do `kernel_basis`, `solve` and `span_basis`.  Only this
+module tells a zero entry from a nonzero one: other modules build sparse
+matrices with `Matrix.from_entries` and read the stored nonzeros of a row
+with `row_items`.
 
 Elimination is fraction-free: `rref` works on sparse integer rows
 (denominators cleared, content gcd divided out after every update) and
@@ -375,6 +377,34 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
         for arow in a._data for brow in b._data
     )
     return Matrix._of(a.rows * b.rows, a.cols * width, data)
+
+
+def kron_sum(terms, rows: int, cols: int) -> Matrix:
+    """The rows x cols sum of kron(a, b) over the (a, b) pairs of `terms`,
+    built in one pass over the factors' nonzeros: each row of the sum
+    gathers row l of every a times row k of its b (with l b.rows + k the
+    row) in one accumulator.  An entry that is the int 1 costs no product."""
+    terms = tuple(terms)
+    for a, b in terms:
+        if (a.rows * b.rows, a.cols * b.cols) != (rows, cols):
+            raise UsageError(f"kron of {a.rows}x{a.cols} and {b.rows}x{b.cols} "
+                             f"is not {rows}x{cols}")
+    data = []
+    for r in range(rows):
+        acc = {}
+        for a, b in terms:
+            l, k = divmod(r, b.rows)
+            brow = b._data[k]
+            if not brow:
+                continue
+            for i, c in a._data[l]:
+                shift = i * b.cols
+                for j, x in brow:
+                    x = x if c == 1 else c if x == 1 else c * x
+                    j += shift
+                    acc[j] = acc[j] + x if j in acc else x
+        data.append(_row(acc))
+    return Matrix._of(rows, cols, tuple(data))
 
 
 def _integer_row(pairs: tuple) -> dict:

@@ -26,8 +26,11 @@ from homlie import (
 )
 from homlie.algebra import CheckResult
 from homlie.cochains import increasing_tuples, tuple_position
+from homlie.cohomology import COMPATIBLE, _c0_constraints, _cochains, _flat
 from homlie.linalg import (
+    _kernel,
     determinant_of,
+    hstack,
     kernel_basis,
     rank,
     solve,
@@ -138,6 +141,24 @@ def naive_equivariance_constraints(alpha: Matrix, beta: Matrix, n: int) -> Matri
                 row[r * ncols + k] -= compound.entry(k, c)
             rows.append(row)
     return Matrix(t * ncols, t * ncols, tuple(x for row in rows for x in row))
+
+
+def c0_compatible_basis(c, v):
+    """Vectors fixed by beta on which the two actions of every basis element
+    agree, as arity-0 cochains: the degree-0 group of the two-bracket
+    complex, through the kernel of its constraints."""
+    return _cochains(_kernel(_c0_constraints(c, v)), c.dim, v.vdim, 0, COMPATIBLE)
+
+
+def naive_basis_matrix(struct, v, n: int, flavor: str) -> Matrix:
+    """The basis matrix of `cohomology` through Cochain objects: the flat
+    columns of `hom_cochain_basis`, or of `c0_compatible_basis` in
+    compatible degree 0, stacked side by side."""
+    if flavor == COMPATIBLE and n == 0:
+        singles = c0_compatible_basis(struct, v)
+    else:
+        singles = hom_cochain_basis(struct.alpha, v.beta, n)
+    return hstack([Matrix.zero(v.vdim * comb(struct.dim, n), 0), *map(_flat, singles)])
 
 
 def naive_rref(m: Matrix):

@@ -47,11 +47,12 @@ from homlie import (
 )
 from homlie import fixtures
 from homlie.cli import run
-from homlie.cohomology import COMPATIBLE, PLAIN, _c0_compatible_basis
+from homlie.cohomology import COMPATIBLE, PLAIN
 from homlie.extensions import alternate_splitting
 from homlie.linalg import vec_is_zero
 
 from helpers import (
+    c0_compatible_basis,
     naive_jacobiator_defects,
     rand_equivariant_cochain,
     rand_skew_bracket,
@@ -79,7 +80,7 @@ def acceptance(number, description):
 
 def compatible_basis(c, rep, n):
     if n == 0:
-        return [CompatibleCochain(0, (z,)) for z in _c0_compatible_basis(c, rep)]
+        return [CompatibleCochain(0, (z,)) for z in c0_compatible_basis(c, rep)]
     singles = hom_cochain_basis(c.alpha, rep.beta, n)
     out = []
     for slot in range(n):

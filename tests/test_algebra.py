@@ -26,7 +26,7 @@ from homlie import (
     verify_operator,
     verify_structure,
 )
-from homlie import fixtures
+from homlie import algebra, cochains, fixtures
 
 from helpers import (
     basis_vector,
@@ -131,6 +131,20 @@ def _all_fixture_algebras():
     return (fixtures.ab1(), fixtures.compatible_ab1(), fixtures.g4a(), fixtures.g4a(0),
             fixtures.g2a(), fixtures.d2(), fixtures.h3(), fixtures.compatible_h3(),
             fixtures.twisted_h3(), fixtures.twisted_compatible_h3())
+
+
+def test_verify_structure_builds_each_insertion_matrix_once(monkeypatch):
+    # Hom-Jacobi is mu_b . K_b and compatibility mu_1 . K_2 + mu_2 . K_1, so
+    # one K_b per bracket serves both identities.
+    built = []
+    for module in (algebra, cochains):
+        monkeypatch.setattr(module, "insertion_matrix",
+                            lambda q, alpha, arity, original=module.insertion_matrix:
+                            built.append(q) or original(q, alpha, arity))
+    for alg in _all_fixture_algebras():
+        built.clear()
+        verify_structure(alg)  # valid or not, each identity is read off the K_b
+        assert len(built) == len(alg.brackets)
 
 
 def test_adjoint_witnesses_match_naive_oracle():

@@ -36,7 +36,6 @@ from homlie.cohomology import (
     COMPATIBLE,
     PLAIN,
     _basis_matrix,
-    _c0_compatible_basis,
     _coboundary_map,
     _cochains,
     _images,
@@ -47,6 +46,8 @@ from homlie.linalg import kernel_basis, span_rank, vec_is_zero
 
 from helpers import (
     basis_vector,
+    c0_compatible_basis,
+    naive_basis_matrix,
     naive_compatible_coboundary,
     naive_coboundary,
     naive_derivations,
@@ -62,7 +63,7 @@ F = Fraction
 
 def compatible_basis(c, rep, n):
     if n == 0:
-        return [CompatibleCochain(0, (z,)) for z in _c0_compatible_basis(c, rep)]
+        return [CompatibleCochain(0, (z,)) for z in c0_compatible_basis(c, rep)]
     singles = hom_cochain_basis(c.alpha, rep.beta, n)
     out = []
     for slot in range(n):
@@ -260,7 +261,7 @@ def random_compatible_cochain(rng, c, rep, n):
     seeded component is zero."""
     if n == 0:
         vector = tuple(F(0) for _ in range(rep.vdim))
-        for z in _c0_compatible_basis(c, rep):
+        for z in c0_compatible_basis(c, rep):
             vector = tuple(a + rand_frac(rng) * b for a, b in zip(vector, z.flatten()))
         return CompatibleCochain(0, (Cochain.from_flat(0, c.dim, rep.vdim, vector),))
     comps = [rand_equivariant_cochain(rng, c.alpha, rep.beta, n) or Cochain.zero(n, c.dim, rep.vdim)
@@ -353,6 +354,67 @@ def test_assembled_images_match_naive_oracle():
         assert [i.flatten() for i in items] == [b.flatten() for b in compatible_basis(c, rep, n)]
         for j, item in enumerate(items):
             assert images.col(j) == naive_compatible_coboundary(c, rep, item).flatten()
+
+
+def basis_cases():
+    """Every fixture algebra and the parts of every fixture pair, with the
+    adjoint and the trivial module, and the extension module of d2."""
+    algebras = [fixtures.ab1(), fixtures.compatible_ab1(), fixtures.g4a(), fixtures.g4a(0),
+                fixtures.g2a(), fixtures.d2(), fixtures.h3(), fixtures.compatible_h3(),
+                fixtures.twisted_h3(), fixtures.twisted_compatible_h3()]
+    algebras += [c.part(k) for c in algebras if isinstance(c, CompatibleHomLieAlgebra)
+                 for k in (1, 2)]
+    out = [(fixtures.d2(), fixtures.d2_extension_rep())]
+    for s in algebras:
+        trivial = (Matrix.zero(1, 1),) * s.dim
+        out += [(s, adjoint_representation(s)),
+                (s, Representation(s, 1, Matrix.identity(1), (trivial,) * len(s.brackets)))]
+    return out
+
+
+def conjugated_diagonal(rng, k):
+    """u . D . u^-1 for a diagonal D with repeated eigenvalues and a random
+    unipotent u = 1 + N, whose inverse is the finite sum of the (-N)^j."""
+    diagonal = Matrix.diagonal([rng.choice((1, -1, 2, F(1, 2))) for _ in range(k)])
+    nilpotent = Matrix.from_entries(k, k, {(i, j): rng.randint(-1, 1)
+                                           for i in range(k) for j in range(i + 1, k)})
+    inverse = Matrix.zero(k, k)
+    for j in range(k + 1):
+        inverse = inverse + nilpotent.scale(-1).power(j)
+    return (Matrix.identity(k) + nilpotent) @ diagonal @ inverse
+
+
+def random_twisted_cases(rng):
+    """Zero brackets in d = 0..4 with random twists alpha and beta, and
+    random action tables whose two actions agree half of the time; the
+    basis matrices read only the twists and, in compatible degree 0, the
+    actions."""
+    for d in range(5):
+        for _ in range(3):
+            t = rng.randint(1, 3)
+            alpha, beta = conjugated_diagonal(rng, d), conjugated_diagonal(rng, t)
+            zero = Matrix.zero(d, comb(d, 2))
+            table = tuple(Matrix.diagonal([rng.randint(-1, 1) for _ in range(t)])
+                          for _ in range(d))
+            other = table if rng.random() < 0.5 else tuple(a.scale(2) for a in table)
+            plain = HomLieAlgebra(d, alpha, zero)
+            pair = CompatibleHomLieAlgebra(d, alpha, zero, zero)
+            yield plain, Representation(plain, t, beta, (table,))
+            yield pair, Representation(pair, t, beta, (table, other))
+
+
+def test_basis_matrix_is_the_flat_cochain_basis():
+    """The kernel matrix taken as it is equals the basis cochains of
+    `hom_cochain_basis` (or of the degree-0 group) stacked as flat columns."""
+    cases = list(basis_cases()) + list(random_twisted_cases(random.Random(41)))
+    columns = 0
+    for s, v in cases:
+        flavor = COMPATIBLE if isinstance(s, CompatibleHomLieAlgebra) else PLAIN
+        for n in range(s.dim + 2):
+            basis = _basis_matrix(s, v, n, flavor)
+            assert basis == naive_basis_matrix(s, v, n, flavor)
+            columns += basis.cols
+    assert columns
 
 
 def ambient_matrix(c, rep, n):

@@ -347,6 +347,22 @@ def test_verify_order_p_builds_each_insertion_matrix_once(monkeypatch):
         d = d.extended(*is_extensible(d))
 
 
+def test_each_public_call_builds_the_adjoint_module_once(monkeypatch):
+    c = fixtures.compatible_h3()
+    g = trivial_deformation_from_nijenhuis(c, fixtures.h3_nijenhuis())
+    d = OrderPDeformation.from_generator(c, g)
+    built = []
+    monkeypatch.setattr(deformations, "adjoint_representation",
+                        lambda s, original=deformations.adjoint_representation:
+                        built.append(s) or original(s))
+    calls = ((verify_order_p, d), (obstruction, d), (is_extensible, d),
+             (check_linear_generator, c, g), (infinitesimal_class, c, g))
+    for fn, *args in calls:
+        built.clear()
+        fn(*args)
+        assert built == [c], fn.__name__
+
+
 def test_order0_coefficients_must_match_base():
     d2 = fixtures.d2()
     with pytest.raises(Exception):

@@ -1,10 +1,10 @@
 """The sparse Matrix store against dense list-of-lists oracles.
 
-Every operation is checked on seeded random matrices of density 0, 0.05,
-0.5 and 1, in shapes that include 0 x n, n x 0 and 0 x 0.  The dense
-inputs carry explicit zeros of every kind (the int 0, a fresh Fraction(0)
-and the shared zero), and each matrix is built four ways, which must all
-give one matrix with one hash.
+Every operation, `kron_sum` included, is checked on seeded random
+matrices of density 0, 0.05, 0.5 and 1, in shapes that include 0 x n,
+n x 0 and 0 x 0.  The dense inputs carry explicit zeros of every kind
+(the int 0, a fresh Fraction(0) and the shared zero), and each matrix is
+built four ways, which must all give one matrix with one hash.
 
 A stored value is an int when it is integral and a Fraction with
 denominator > 1 otherwise, after every operation; every public view and
@@ -29,7 +29,7 @@ from homlie import (
     solve,
     verify_structure,
 )
-from homlie.linalg import ZERO, hsplit, hstack, kron, span_basis, vsplit, vstack
+from homlie.linalg import ZERO, hsplit, hstack, kron, kron_sum, span_basis, vsplit, vstack
 
 from helpers import (
     naive_add,
@@ -184,6 +184,65 @@ def test_kron_and_stacks_match_the_oracles():
         below = grid(rng, r2, cols, density)
         stacked = vstack([m, builds(below, r2, cols)[0]])
         assert agrees(stacked, g + below, rows + r2, cols)
+
+
+def naive_kron_sum(factors, rows: int, cols: int):
+    """The sum of the naive Kronecker products of dense (a, a_cols, b,
+    b_cols) factors, from a rows x cols zero."""
+    out = [[F(0)] * cols for _ in range(rows)]
+    for a, a_cols, b, b_cols in factors:
+        out = naive_add(out, naive_kron(a, a_cols, b, b_cols))
+    return out
+
+
+def test_kron_sum_matches_the_sum_of_naive_krons():
+    # Terms of one sum may factor its shape differently: p x q by r x s,
+    # 1 x 1 by the whole shape, or the whole shape by 1 x 1.  Every other
+    # case has integral factors, so that int entries are summed too.
+    for case, (rng, rows, cols, density, g) in enumerate(cases(12)):
+        r2, c2 = rng.choice(SHAPES)
+        shape = (rows * r2, cols * c2)
+        for count in (0, 1, 2, 4):
+            terms, factors = [], []
+            for _ in range(count):
+                ar, ac, br, bc = rng.choice(((rows, cols, r2, c2), (1, 1, *shape), (*shape, 1, 1)))
+                a = grid(rng, ar, ac, rng.choice(DENSITIES))
+                b = grid(rng, br, bc, density)
+                if case % 2:
+                    a, b = ([[F(int(x)) for x in row] for row in h] for h in (a, b))
+                terms.append((builds(a, ar, ac)[0], builds(b, br, bc)[0]))
+                factors.append((a, ac, b, bc))
+            total = kron_sum(terms, *shape)
+            assert agrees(total, naive_kron_sum(factors, *shape), *shape)
+            assert canonical(total)
+            if count == 1:
+                assert total == kron(*terms[0])
+
+
+def test_kron_sum_cancels_and_turns_integral():
+    for rng, rows, cols, density, g in cases(13):
+        m = builds(g, rows, cols)[0]
+        n = builds(grid(rng, 2, 3, density), 2, 3)[0]
+        shape = (rows * 2, cols * 3)
+        cancelled = kron_sum([(m, n), (-m, n), (m, -n), (m, n)], *shape)
+        assert cancelled.is_zero() and cancelled == Matrix.zero(*shape)
+        half = m.scale(F(1, 2))
+        doubled = kron_sum([(half, n), (half, n)], *shape)
+        assert doubled == kron(m, n) and canonical(doubled)
+    half, two = Matrix(1, 2, (F(1, 2), F(1, 3))), Matrix(1, 1, (3,))
+    total = kron_sum([(half, two), (Matrix(1, 2, (F(1, 2), F(2, 3))), two)], 1, 2)
+    assert [x for _, x in total.row_items(0)] == [3, 3]
+    assert all(type(x) is int for _, x in total.row_items(0))
+
+
+def test_kron_sum_refuses_a_term_of_another_shape():
+    a, b = Matrix.zero(2, 3), Matrix.zero(3, 2)
+    assert kron_sum([(a, b)], 6, 6) == Matrix.zero(6, 6)
+    assert kron_sum([], 0, 4) == Matrix.zero(0, 4)
+    for terms, shape in (([(a, b)], (6, 5)), ([(a, b), (a, a)], (6, 6)),
+                         ([(a, b), (Matrix.zero(1, 1), Matrix.zero(6, 5))], (6, 6))):
+        with pytest.raises(UsageError):
+            kron_sum(terms, *shape)
 
 
 def test_hsplit_inverts_hstack():

@@ -13,7 +13,10 @@ action of one vector at a time (`Representation.action` is gone).  Only
 `linalg` tells a zero entry from a nonzero one, so no other module imports
 or names its shared `ZERO`.  A stored integral entry is a Python int, so
 the identity shortcuts of products test for the int 1, and no other module
-imports or names `linalg`'s shared Fraction `ONE` either.
+imports or names `linalg`'s shared Fraction `ONE` either.  The coboundary,
+the pair blocks, the equivariance constraints and the two-bracket images
+are sums of Kronecker products, and each of their builders assembles its
+sum in one `kron_sum` call rather than adding the terms one at a time.
 """
 
 import ast
@@ -100,3 +103,11 @@ def test_only_linalg_names_the_shared_one():
     offenders = [path.name for path in MODULES
                  if path.name != "linalg.py" and "ONE" in names(path)]
     assert offenders == []
+
+
+def test_the_kronecker_builders_call_kron_sum():
+    builders = {("cohomology.py", "_coboundary_map"), ("cohomology.py", "_images"),
+                ("algebra.py", "_pair_blocks"), ("cochains.py", "equivariance_constraints")}
+    callers = {(path.name, scope) for path in MODULES
+               for scope, name in calls(path) if name == "kron_sum"}
+    assert callers == builders
