@@ -8,6 +8,9 @@ so skewness can never be violated by input data.
 Validity is deliberately not a type invariant.  ``verify_structure`` and
 ``verify_operator`` report every defining identity with explicit
 witnesses, so that defective inputs are diagnosed rather than rejected.
+Objects are immutable, so each report is computed once per object and the
+adjoint module once per structure, both kept on the object.  The one gate,
+``require_valid``, raises PreconditionError with a failing report.
 Each identity is one matrix identity in the Nijenhuis-Richardson graded
 Lie algebra of `cochains`, with mu the bracket cochain, L2(M) the compound
 of 2 x 2 minors and <> the insertion product:
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 from .cochains import (
@@ -63,8 +67,21 @@ from .linalg import (
 )
 
 
+class _Algebra:
+    """The caches of `verify_structure` and `adjoint_representation`, kept on
+    the instance outside the fields."""
+
+    @cached_property
+    def _report(self) -> "ValidationReport":
+        return ValidationReport(tuple(_algebra_checks(self)))
+
+    @cached_property
+    def _adjoint(self) -> "Representation":
+        return _adjoint_module(self)
+
+
 @dataclass(frozen=True)
-class HomLieAlgebra:
+class HomLieAlgebra(_Algebra):
     dim: int
     alpha: Matrix
     bracket: Matrix  # dim x C(dim, 2), column (i < j) = [e_i, e_j]
@@ -90,7 +107,7 @@ class HomLieAlgebra:
 
 
 @dataclass(frozen=True)
-class CompatibleHomLieAlgebra:
+class CompatibleHomLieAlgebra(_Algebra):
     """One carrier and twist, two brackets."""
 
     dim: int
@@ -155,6 +172,10 @@ class Representation:
             for a in table:
                 if a.rows != self.vdim or a.cols != self.vdim:
                     raise UsageError("action matrices must be vdim x vdim")
+
+    @cached_property
+    def _report(self) -> "ValidationReport":
+        return ValidationReport(tuple(_representation_checks(self)))
 
     def part(self, which: int) -> "Representation":
         """Single-action representation over the corresponding bracket."""
@@ -272,13 +293,19 @@ def verify_structure(s) -> ValidationReport:
 
     Failing checks carry all violating tuples together with the nonzero
     defect vector, in lexicographic tuple order.  Invalid structures yield
-    failing reports, never exceptions.
+    failing reports, never exceptions.  Computed once per object and kept on it.
     """
-    if isinstance(s, (HomLieAlgebra, CompatibleHomLieAlgebra)):
-        return ValidationReport(tuple(_algebra_checks(s)))
-    if isinstance(s, Representation):
-        return ValidationReport(tuple(_representation_checks(s)))
-    raise UsageError(f"cannot verify objects of type {type(s).__name__}")
+    if not isinstance(s, (HomLieAlgebra, CompatibleHomLieAlgebra, Representation)):
+        raise UsageError(f"cannot verify objects of type {type(s).__name__}")
+    return s._report
+
+
+def require_valid(s, message: str):
+    """Raise PreconditionError(message, report) unless s passes
+    `verify_structure`: the gate of every result stated for valid inputs."""
+    report = verify_structure(s)
+    if not report.passed:
+        raise PreconditionError(message, report)
 
 
 def _algebra_checks(s):
@@ -344,7 +371,12 @@ def _pair_blocks(alpha: Matrix, bracket: Matrix, table, beta: Matrix) -> Matrix:
 
 def adjoint_representation(s) -> Representation:
     """The algebra acting on itself by its own bracket(s):
-    ad(e_i) = mu . E_i^T, with E_i the incidence of e_j -> e_i ^ e_j."""
+    ad(e_i) = mu . E_i^T, with E_i the incidence of e_j -> e_i ^ e_j.
+    Built once per structure, so every caller shares its report."""
+    return s._adjoint
+
+
+def _adjoint_module(s) -> Representation:
     incidences = wedge_incidence(s.dim, 1)
     tables = tuple(tuple(bracket @ e.transpose() for e in incidences) for bracket in s.brackets)
     return Representation(s, s.dim, s.alpha, tables)
@@ -396,12 +428,8 @@ def _semidirect_bracket(bracket: Matrix, action_table, g_dim: int, v_dim: int) -
 def semidirect_product(c, v: Representation):
     """Structure of c's type on carrier + module, with brackets
     [(x,u),(y,w)]_i = ([x,y]_i, x._i w - y._i u) and twist alpha (+) beta."""
-    report_c = verify_structure(c)
-    if not report_c.passed:
-        raise PreconditionError("invalid algebra for semidirect product", report_c)
-    report_v = verify_structure(v)
-    if not report_v.passed:
-        raise PreconditionError("invalid representation for semidirect product", report_v)
+    require_valid(c, "invalid algebra for semidirect product")
+    require_valid(v, "invalid representation for semidirect product")
     if v.base != c:
         raise UsageError("representation is not over the given algebra")
     brackets = (_semidirect_bracket(bracket, table, c.dim, v.vdim)

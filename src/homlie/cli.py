@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 when every check passed (or the computation succeeded),
-1 when the run was valid but checks failed, 2 for usage or parse errors.
+1 when the run was valid but checks failed, 2 for usage or parse errors,
+3 when an internal self-check failed (a ContractError: a library bug).
 Machine-format reports are canonical JSON, byte-stable across runs.
 """
 
@@ -24,7 +25,7 @@ from .cochains import is_mc_pair
 from .cohomology import cohomology_dimensions, derivation_space
 from .deformations import OrderPDeformation, is_extensible, obstruction, verify_order_p
 from .documents import AlgebraDocument, ParseError, _table_json, parse
-from .errors import PreconditionError, UsageError
+from .errors import ContractError, PreconditionError, UsageError
 from .extensions import ExtensionCocycle, build_extension, ext_class
 
 REPORT_VERSION = "1"
@@ -277,6 +278,8 @@ def _run(argv):
         status, results = _HANDLERS[args.command](doc, args)
     except PreconditionError as exc:
         status, results = 1, _precondition_json(exc)
+    except ContractError as exc:
+        status, results = 3, {"error": str(exc)}
     except (ParseError, UsageError, UnicodeDecodeError) as exc:
         report["results"] = {"error": str(exc)}
         return 2, report, args

@@ -68,7 +68,7 @@ from .algebra import (
     HomLieAlgebra,
     Representation,
     _action_blocks,
-    verify_structure,
+    require_valid,
 )
 from .cochains import (
     Cochain,
@@ -161,12 +161,8 @@ class CohomologyReport:
 
 
 def _validate_structures(struct, rep: Representation):
-    report = verify_structure(struct)
-    if not report.passed:
-        raise PreconditionError("invalid algebra", report)
-    rep_report = verify_structure(rep)
-    if not rep_report.passed:
-        raise PreconditionError("invalid representation", rep_report)
+    require_valid(struct, "invalid algebra")
+    require_valid(rep, "invalid representation")
     if rep.base != struct:
         raise UsageError("representation is not over the given structure")
 
@@ -327,12 +323,6 @@ def cohomology_dimensions(struct, v: Representation, n: int, flavor: str = None)
     if flavor == COMPATIBLE and not isinstance(struct, CompatibleHomLieAlgebra):
         raise UsageError("compatible flavor needs a two-bracket algebra")
     _validate_structures(struct, v)
-    return _cohomology_report(struct, v, n, flavor)
-
-
-def _cohomology_report(struct, v: Representation, n: int, flavor: str) -> CohomologyReport:
-    """The report of `cohomology_dimensions`, for a structure and a module
-    that are already known to be valid."""
     basis = _basis_matrix(struct, v, n, flavor)
     images = _images(struct, v, n, flavor, basis)
     cocycles = _in_slots(basis, _kernel(images), 1 if flavor == PLAIN else max(n, 1))
@@ -385,8 +375,8 @@ def coboundary_preimage(c: CompatibleHomLieAlgebra, v: Representation,
 
     x is one exact solution over the degree-(n-1) basis for a degree-n
     target; in degree 0 it is a bare arity-0 Cochain, as in the reports.
-    An empty basis yields the zero cochain for a zero target.  The inputs
-    are not re-validated.
+    An empty basis yields the zero cochain for a zero target.  The callers
+    check the inputs on the way in (`verify_order_p`, `extract_cocycle`).
     """
     n = target.degree - 1
     if n < 0:

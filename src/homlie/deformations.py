@@ -30,10 +30,9 @@ from .algebra import (
     CompatibleHomLieAlgebra,
     LinearOperator,
     NIJENHUIS,
-    Representation,
     adjoint_representation,
     induced_bracket,
-    verify_structure,
+    require_valid,
 )
 from .cochains import (
     Cochain,
@@ -49,10 +48,10 @@ from .cohomology import (
     CompatibleCochain,
     _coboundary_map,
     _cochains,
-    _cohomology_report,
     _flat,
     class_coordinates,
     coboundary_preimage,
+    cohomology_dimensions,
     compatible_coboundary,
 )
 from .errors import ContractError, PreconditionError, UsageError
@@ -93,12 +92,6 @@ class GeneratorReport:
         return self.is_cocycle and self.is_compatible_structure
 
 
-def _require_valid(c: CompatibleHomLieAlgebra):
-    report = verify_structure(c)
-    if not report.passed:
-        raise PreconditionError("base algebra is invalid", report)
-
-
 def check_linear_generator(c: CompatibleHomLieAlgebra, g: LinearGenerator) -> GeneratorReport:
     """Evaluate the six bracket conditions for a linear generator, read off
     the order-1 series of (mu + t w).
@@ -108,16 +101,10 @@ def check_linear_generator(c: CompatibleHomLieAlgebra, g: LinearGenerator) -> Ge
     `verify_order_p`), the t^2 sums exactly when (w1, w2) is itself a
     compatible structure (the Maurer-Cartan test).
     """
-    _require_valid(c)
-    return _generator_report(c, g, adjoint_representation(c))
-
-
-def _generator_report(c: CompatibleHomLieAlgebra, g: LinearGenerator,
-                      rep: Representation) -> GeneratorReport:
-    """`check_linear_generator` on a valid base with its adjoint module."""
+    require_valid(c, "base algebra is invalid")
     d = OrderPDeformation.from_generator(c, g)  # checks the twist-equivariance of g
     ks = _insertions(d)
-    _verify(d, ks, rep)  # the coboundary route against the truncated brackets
+    _verify(d, ks)  # the coboundary route against the truncated brackets
     square1, square2, mixed = _bracket_sums(d, ks, 2, 1)
     return GeneratorReport(_bracket_sums(d, ks, 1, 0) + (square1.scale(2), square2.scale(2), mixed))
 
@@ -158,7 +145,7 @@ def check_linear_equivalence(c: CompatibleHomLieAlgebra, g: LinearGenerator,
     where [mu, N](x,y) = [Nx,y] + [x,Ny] - N[x,y] is the NR bracket and
     (w' <> N)(x,y) = w'(Nx,y) + w'(x,Ny).
     """
-    _require_valid(c)
+    require_valid(c, "base algebra is invalid")
     require_equivariant((g.omega1, g.omega2, g_prime.omega1, g_prime.omega2),
                         c.alpha, c.alpha)
     if c.alpha @ n_matrix != n_matrix @ c.alpha:
@@ -189,12 +176,9 @@ def infinitesimal_class(c: CompatibleHomLieAlgebra, g: LinearGenerator) -> tuple
     """Coordinates of the generator's class in degree-2 cohomology of the
     adjoint coefficients.  Generators differing by the coboundary of a
     twist-commuting operator receive identical coordinates."""
-    _require_valid(c)
-    rep = adjoint_representation(c)
-    if not _generator_report(c, g, rep).is_cocycle:
+    if not check_linear_generator(c, g).is_cocycle:
         raise PreconditionError("generator is not a 2-cocycle")
-    # c is verified above, and the adjoint module of a valid structure is valid
-    h2 = _cohomology_report(c, rep, 2, COMPATIBLE)
+    h2 = cohomology_dimensions(c, adjoint_representation(c), 2, COMPATIBLE)
     return class_coordinates(h2, CompatibleCochain(2, (g.omega1, g.omega2)))
 
 
@@ -275,7 +259,7 @@ def verify_order_p(d: OrderPDeformation) -> OrderReport:
     raises ContractError.  Each degree-2 coboundary matrix is built once and
     multiplied by the stacked coefficient columns [m1_0 .. m1_p | m2_0 .. m2_p].
     """
-    return _verify(d, _insertions(d), adjoint_representation(d.base))
+    return _verify(d, _insertions(d))
 
 
 def _insertions(d: OrderPDeformation) -> tuple:
@@ -300,11 +284,11 @@ def _bracket_sums(d: OrderPDeformation, ks: tuple, n: int, low: int) -> tuple:
     return total(m1, k1), total(m2, k2), total(m1, k2) + total(m2, k1)
 
 
-def _verify(d: OrderPDeformation, ks: tuple, rep: Representation) -> OrderReport:
-    """`verify_order_p` over a K list and an adjoint module built by the
-    caller; K1_0 and K2_0 are also the bracket terms of the two coboundary
-    maps."""
+def _verify(d: OrderPDeformation, ks: tuple) -> OrderReport:
+    """`verify_order_p` over a K list built by the caller; K1_0 and K2_0 are
+    also the bracket terms of the two coboundary maps."""
     c = d.base
+    rep = adjoint_representation(c)
     p = d.order
     m1, m2 = d.coeffs1, d.coeffs2
     stacked = hstack([_flat(f) for f in m1 + m2])
@@ -333,16 +317,16 @@ def obstruction(d: OrderPDeformation) -> ObstructionCochain:
     """The degree-3 cochain whose class must vanish for the deformation to
     extend one order, the sums of `verify_order_p` at n = p + 1; closedness
     is asserted exactly."""
-    return _obstruction(d, _insertions(d), adjoint_representation(d.base))
+    return _obstruction(d, _insertions(d))
 
 
-def _obstruction(d: OrderPDeformation, ks: tuple, rep: Representation) -> ObstructionCochain:
-    """`obstruction` over a K list and an adjoint module built by the caller."""
-    if not _verify(d, ks, rep).passed:
+def _obstruction(d: OrderPDeformation, ks: tuple) -> ObstructionCochain:
+    """`obstruction` over a K list built by the caller."""
+    if not _verify(d, ks).passed:
         raise PreconditionError("not a valid order-p deformation")
     o11, o22, o12 = _bracket_sums(d, ks, d.order + 1, 1)
     cochain = CompatibleCochain(3, (o11, o12, o22))
-    closed = compatible_coboundary(d.base, rep, cochain, check=False)
+    closed = compatible_coboundary(d.base, adjoint_representation(d.base), cochain, check=False)
     if not closed.is_zero():
         raise ContractError("obstruction cochain is not closed")
     return ObstructionCochain(cochain)
@@ -359,13 +343,13 @@ def is_extensible(d: OrderPDeformation):
     passing verify_order_p, over the obstruction's K list and the pair's.
     """
     c = d.base
-    ks, rep = _insertions(d), adjoint_representation(c)
-    x = coboundary_preimage(c, rep, _obstruction(d, ks, rep).cochain)
+    ks = _insertions(d)
+    x = coboundary_preimage(c, adjoint_representation(c), _obstruction(d, ks).cochain)
     if x is None:
         return None
     pair = x.components
     extended = d.extended(*pair)
     ks = tuple(k + (insertion_matrix(f, c.alpha, 2),) for k, f in zip(ks, pair))
-    if not _verify(extended, ks, rep).passed:
+    if not _verify(extended, ks).passed:
         raise ContractError("extension coefficients fail the order-(p+1) identities")
     return pair

@@ -36,6 +36,7 @@ from .algebra import (
     CompatibleHomLieAlgebra,
     Representation,
     _semidirect_bracket,
+    require_valid,
     verify_structure,
 )
 from .cochains import (
@@ -49,9 +50,9 @@ from .cochains import (
 from .cohomology import (
     COMPATIBLE,
     CompatibleCochain,
-    _cohomology_report,
     class_coordinates,
     coboundary_preimage,
+    cohomology_dimensions,
     compatible_coboundary,
 )
 from .errors import ContractError, PreconditionError, UsageError
@@ -122,9 +123,7 @@ class AbelianExtension:
                 raise PreconditionError("fiber is not abelian inside the total algebra")
             if (j @ mu_t) != (mu_b @ projection_square):
                 raise PreconditionError("projection is not a bracket morphism")
-        report = verify_structure(self.total)
-        if not report.passed:
-            raise PreconditionError("total structure fails verification", report)
+        require_valid(self.total, "total structure fails verification")
         # Implied by the checks above, so not repeated: j is surjective, since
         # j s = 1; alpha_b j = j alpha_t, since both sides agree on the columns
         # of the invertible [s | i]; and the base is valid, since j is a
@@ -150,12 +149,8 @@ def build_extension(c: CompatibleHomLieAlgebra, rep: Representation,
         raise UsageError("extension needs a two-action representation")
     if z.f1.source_dim != c.dim or z.f1.target_dim != rep.vdim:
         raise UsageError("cocycle shape does not match base and fiber")
-    rep_report = verify_structure(rep)
-    if not rep_report.passed:
-        raise PreconditionError("invalid representation", rep_report)
-    base_report = verify_structure(c)
-    if not base_report.passed:
-        raise PreconditionError("invalid algebra", base_report)
+    require_valid(rep, "invalid representation")
+    require_valid(c, "invalid algebra")
     require_equivariant((z.f1, z.f2), c.alpha, rep.beta, "component is not twist-equivariant")
     if not compatible_coboundary(c, rep, z.as_compatible(), check=False).is_zero():
         raise PreconditionError("extension datum is not a 2-cocycle")
@@ -266,6 +261,5 @@ def ext_class(e: AbelianExtension) -> tuple:
     induced representation.  Equivalent extensions and alternate splittings
     of one extension give identical coordinates."""
     rep, z = extract_cocycle(e)
-    # extract_cocycle verified rep, and the extension invariant the base.
-    report = _cohomology_report(e.base, rep, 2, COMPATIBLE)
+    report = cohomology_dimensions(e.base, rep, 2, COMPATIBLE)
     return class_coordinates(report, z.as_compatible())

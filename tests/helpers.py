@@ -24,6 +24,7 @@ from homlie import (
     hom_cochain_basis,
     verify_structure,
 )
+from homlie import algebra
 from homlie.algebra import CheckResult
 from homlie.cochains import increasing_tuples, tuple_position
 from homlie.cohomology import COMPATIBLE, _c0_constraints, _cochains, _flat
@@ -37,6 +38,25 @@ from homlie.linalg import (
     vec_is_zero,
     zero_vector,
 )
+
+
+def record_verifications(monkeypatch) -> list:
+    """Every structure and module whose identities `verify_structure`
+    evaluates from now on, in order.  A report kept on its object from an
+    earlier call evaluates nothing, so it is not recorded again."""
+    verified = []
+    for name in ("_algebra_checks", "_representation_checks"):
+        monkeypatch.setattr(algebra, name, lambda s, original=getattr(algebra, name):
+                            verified.append(s) or original(s))
+    return verified
+
+
+def record_adjoint_builds(monkeypatch) -> list:
+    """Every structure whose adjoint module is built from now on, in order."""
+    built = []
+    monkeypatch.setattr(algebra, "_adjoint_module", lambda s, original=algebra._adjoint_module:
+                        built.append(s) or original(s))
+    return built
 
 
 def basis_vector(n: int, i: int) -> tuple:

@@ -1,4 +1,8 @@
+import copy
+import gc
+import pickle
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -16,6 +20,7 @@ from homlie import (
     UsageError,
     adjoint_representation,
     ce_coboundary,
+    cohomology_dimensions,
     derived_structure,
     induced_bracket,
     rb_companion,
@@ -34,6 +39,8 @@ from helpers import (
     rand_frac,
     rand_matrix,
     rand_skew_bracket,
+    record_adjoint_builds,
+    record_verifications,
 )
 
 F = Fraction
@@ -217,6 +224,77 @@ def test_random_representations_match_naive_oracle(actions):
                 assert checks == tuple(naive_representation_checks(rep)), (dim, vdim)
                 witnesses += sum(len(c.witnesses) for c in checks)
     assert witnesses > 0
+
+
+# ---------------------------------------------------------------------------
+# the validation gate: one report per object, one adjoint module per structure
+# ---------------------------------------------------------------------------
+
+def test_a_repeated_cohomology_call_evaluates_no_identity(monkeypatch):
+    c = fixtures.twisted_compatible_h3()
+    rep = adjoint_representation(c)
+    verified = record_verifications(monkeypatch)
+    first = cohomology_dimensions(c, rep, 2)
+    assert len(verified) == 2 and verified[0] is c and verified[1] is rep
+    verified.clear()
+    assert cohomology_dimensions(c, rep, 2) == first
+    assert verified == []
+
+
+def test_equal_but_distinct_objects_are_each_verified(monkeypatch):
+    verified = record_verifications(monkeypatch)
+    a, b = fixtures.d2(), fixtures.d2()
+    assert a == b and a is not b
+    assert verify_structure(a) == verify_structure(b)
+    assert len(verified) == 2 and verified[0] is a and verified[1] is b
+    ra, rb = adjoint_representation(a), adjoint_representation(b)
+    assert ra == rb and ra is not rb
+    verify_structure(ra), verify_structure(rb)
+    assert len(verified) == 4 and verified[2] is ra and verified[3] is rb
+
+
+def test_a_verified_structure_is_not_kept_alive():
+    # A value no other test builds, so that no equal object can stand in for it.
+    s = CompatibleHomLieAlgebra.from_brackets(2, Matrix.identity(2), {(0, 1): [F(1, 9973), 0]}, {})
+    verify_structure(s), verify_structure(adjoint_representation(s))
+    ref = weakref.ref(s)
+    del s
+    gc.collect()  # the adjoint module and its base refer to each other
+    assert ref() is None
+
+
+def test_a_failing_structure_fails_the_same_way_on_every_call(monkeypatch):
+    bad = fixtures.g4a(1)
+    verified = record_verifications(monkeypatch)
+    raised = []
+    for _ in range(3):
+        with pytest.raises(PreconditionError) as info:
+            semidirect_product(bad, adjoint_representation(bad))
+        raised.append(info.value)
+    assert {str(e) for e in raised} == {"invalid algebra for semidirect product"}
+    assert raised[0].report == raised[1].report == raised[2].report
+    assert not raised[0].report.passed
+    assert verified == [bad]
+
+
+def test_the_adjoint_module_is_built_once_per_structure(monkeypatch):
+    built = record_adjoint_builds(monkeypatch)
+    for s in _all_fixture_algebras():
+        assert adjoint_representation(s) is adjoint_representation(s)
+        assert built[-1] is s
+    assert len(built) == len(_all_fixture_algebras())
+
+
+def test_a_verified_object_still_copies_pickles_compares_and_hashes():
+    s = fixtures.d2()
+    rep = adjoint_representation(s)  # kept on s, with s as its base
+    for obj, fresh in ((s, fixtures.d2()), (rep, adjoint_representation(fixtures.d2()))):
+        report = verify_structure(obj)
+        for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj), copy.copy(obj)):
+            assert twin == obj == fresh and hash(twin) == hash(obj) == hash(fresh)
+            assert verify_structure(twin) == report
+    twin = pickle.loads(pickle.dumps(s))  # its adjoint module comes along, over the twin
+    assert adjoint_representation(twin) == rep and adjoint_representation(twin).base is twin
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from homlie import cli
+from homlie import cli, deformations
 from homlie.cli import main, run
 from homlie.documents import parse
 
@@ -197,6 +197,43 @@ def test_precondition_failure_exits_1_with_report(tmp_path, command):
     assert ("checks" in report["results"]) == attached
     if attached:
         assert not all(c["passed"] for c in report["results"]["checks"])
+
+
+# Compatible h3 ([x, y] = z and twice that) with the order-1 pair w1(x, z) = x,
+# w2 = 0, which is not a 2-cocycle.
+NON_COCYCLE_DEFORMATION = {
+    "schema_version": "1", "dimension": 3, "basis_names": ["x", "y", "z"],
+    "alpha": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+    "brackets": [[{"i": 0, "j": 1, "coefficients": ["0", "0", "1"]}],
+                 [{"i": 0, "j": 1, "coefficients": ["0", "0", "2"]}]],
+    "deformation": {"order": 1, "coeffs1": [[{"i": 0, "j": 2, "coefficients": ["1", "0", "0"]}]],
+                    "coeffs2": [[]]},
+}
+
+
+@pytest.mark.parametrize("command", ["deform-verify", "deform-obstruct"])
+@pytest.mark.parametrize("which", [1, 2])
+def test_a_failed_self_check_exits_3_with_a_report(tmp_path, capsys, monkeypatch, command, which):
+    """A ContractError is a library bug, not a failed check: exit status 3 and
+    the usual report, not a traceback.  The fault is a wrong sign in one
+    coboundary map, which the truncated-bracket route catches."""
+    path = tmp_path / "h3_deform.json"
+    path.write_text(json.dumps(NON_COCYCLE_DEFORMATION), encoding="utf-8")
+    assert run(["deform-verify", str(path)])[0] == 1  # the unpatched routes agree
+    real = deformations._coboundary_map
+
+    def flipped(struct, v, bracket, n, k_term=None):
+        matrix = real(struct, v, bracket, n, k_term)
+        return -matrix if bracket == which else matrix
+
+    monkeypatch.setattr(deformations, "_coboundary_map", flipped)
+    assert main([command, str(path), "--format", "machine"]) == 3
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert report["exit_status"] == 3 and report["command"] == command
+    assert report["results"] == {
+        "error": "truncated-bracket route disagrees with the identity route"}
+    assert err == ""
 
 
 def test_witnesses_reevaluate_from_machine_report():

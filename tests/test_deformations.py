@@ -37,6 +37,8 @@ from helpers import (
     naive_order_residuals,
     rand_equivariant_cochain,
     rand_matrix,
+    record_adjoint_builds,
+    record_verifications,
 )
 
 F = Fraction
@@ -208,14 +210,14 @@ def test_infinitesimal_class_verifies_the_base_once(monkeypatch):
     g = LinearGenerator(z.components[0], z.components[1])
     want = class_coordinates(h2, z)
     assert want[-1] == 1
-    verified = []
-    for module in (deformations, cohomology):
-        monkeypatch.setattr(module, "verify_structure",
-                            lambda s, original=module.verify_structure:
-                            verified.append(s) or original(s))
+    verified = record_verifications(monkeypatch)
     assert infinitesimal_class(c, g) == want
-    assert [type(s).__name__ for s in verified] == ["CompatibleHomLieAlgebra"]
-    assert verified[0] is c
+    assert verified == []  # c and its adjoint module keep their reports from above
+    # On a fresh base, the base and its adjoint module are verified once each.
+    fresh = fixtures.compatible_h3()
+    assert infinitesimal_class(fresh, g) == want
+    assert [type(s).__name__ for s in verified] == ["CompatibleHomLieAlgebra", "Representation"]
+    assert verified[0] is fresh and verified[1] is adjoint_representation(fresh)
 
 
 def test_non_cocycle_class_rejected():
@@ -348,19 +350,17 @@ def test_verify_order_p_builds_each_insertion_matrix_once(monkeypatch):
 
 
 def test_each_public_call_builds_the_adjoint_module_once(monkeypatch):
-    c = fixtures.compatible_h3()
-    g = trivial_deformation_from_nijenhuis(c, fixtures.h3_nijenhuis())
-    d = OrderPDeformation.from_generator(c, g)
-    built = []
-    monkeypatch.setattr(deformations, "adjoint_representation",
-                        lambda s, original=deformations.adjoint_representation:
-                        built.append(s) or original(s))
-    calls = ((verify_order_p, d), (obstruction, d), (is_extensible, d),
-             (check_linear_generator, c, g), (infinitesimal_class, c, g))
-    for fn, *args in calls:
-        built.clear()
-        fn(*args)
-        assert built == [c], fn.__name__
+    g = trivial_deformation_from_nijenhuis(fixtures.compatible_h3(), fixtures.h3_nijenhuis())
+    built = record_adjoint_builds(monkeypatch)
+    on_deformation = (verify_order_p, obstruction, is_extensible)
+    for fn in on_deformation + (check_linear_generator, infinitesimal_class):
+        c = fixtures.compatible_h3()  # a fresh base, with no module built yet
+        args = (OrderPDeformation.from_generator(c, g),) if fn in on_deformation else (c, g)
+        # Once on the first call, and not again on a repeat.
+        for want in ([c], []):
+            built.clear()
+            fn(*args)
+            assert built == want and all(s is c for s in built), fn.__name__
 
 
 def test_order0_coefficients_must_match_base():

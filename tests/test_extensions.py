@@ -29,12 +29,12 @@ from homlie import (
     semidirect_product,
     verify_structure,
 )
-from homlie import cohomology, extensions, fixtures
+from homlie import fixtures
 from homlie.cochains import exterior_square, tuple_position
 from homlie.cohomology import COMPATIBLE
 from homlie.extensions import _verify_morphism, alternate_splitting
 
-from helpers import naive_extension_validation, naive_extract_cocycle
+from helpers import naive_extension_validation, naive_extract_cocycle, record_verifications
 
 F = Fraction
 
@@ -74,16 +74,6 @@ def test_build_rejects_non_cocycle():
     pytest.fail("no non-cocycle found in the basis")
 
 
-def record_verifications(monkeypatch) -> list:
-    """Every object that extensions or cohomology hand to verify_structure."""
-    verified = []
-    for module in (extensions, cohomology):
-        monkeypatch.setattr(module, "verify_structure",
-                            lambda s, original=module.verify_structure:
-                            verified.append(s) or original(s))
-    return verified
-
-
 def test_build_checks_representation_base_and_equivariance_once_each(monkeypatch):
     c = fixtures.twisted_compatible_h3()
     rep = adjoint_representation(c)
@@ -94,6 +84,10 @@ def test_build_checks_representation_base_and_equivariance_once_each(monkeypatch
     assert [type(s).__name__ for s in verified] == [
         "Representation", "CompatibleHomLieAlgebra", "CompatibleHomLieAlgebra"]
     assert verified[0] is rep and verified[1] is c and verified[2] is e.total
+    # Built again, only the new total is verified: rep and c keep their reports.
+    verified.clear()
+    again = build_extension(c, rep, z)
+    assert len(verified) == 1 and verified[0] is again.total
     # f(e_0, e_2) = e_1, while the twist fixes e_0 and e_2 but moves e_1
     skewed = ExtensionCocycle(Cochain.from_values(2, 3, 3, {(0, 2): [0, 1, 0]}),
                               Cochain.zero(2, 3, 3))

@@ -17,6 +17,14 @@ imports or names `linalg`'s shared Fraction `ONE` either.  The coboundary,
 the pair blocks, the equivariance constraints and the two-bracket images
 are sums of Kronecker products, and each of their builders assembles its
 sum in one `kron_sum` call rather than adding the terms one at a time.
+A report of `verify_structure` is kept on its object, so checking again is
+free and every result that needs valid inputs asks `algebra.require_valid`,
+the one place that turns a failing report into a PreconditionError.
+Outside `algebra`, `verify_structure` is called only where a failing report
+is not a precondition failure: `cli._cmd_verify` reports it, and
+`extensions.extract_cocycle` raises ContractError.  No module keeps a
+private route round the gate (`_cohomology_report`, `_generator_report`,
+`_require_valid`).
 """
 
 import ast
@@ -111,3 +119,15 @@ def test_the_kronecker_builders_call_kron_sum():
     callers = {(path.name, scope) for path in MODULES
                for scope, name in calls(path) if name == "kron_sum"}
     assert callers == builders
+
+
+def test_require_valid_is_the_one_verify_or_raise_gate():
+    callers = {(path.name, scope) for path in MODULES
+               for scope, name in calls(path) if name == "verify_structure"}
+    assert callers == {("algebra.py", "require_valid"), ("cli.py", "_cmd_verify"),
+                       ("extensions.py", "extract_cocycle")}
+    bypasses = {"_cohomology_report", "_generator_report", "_require_valid"}
+    defined = [(path.name, node.name) for path in MODULES
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef) and node.name in bypasses]
+    assert defined == []
