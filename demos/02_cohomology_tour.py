@@ -17,13 +17,12 @@ from homlie import (
     sum_representation,
 )
 from homlie import fixtures
-from homlie.cohomology import COMPATIBLE, PLAIN
 
 h3 = fixtures.h3()
 rep = adjoint_representation(h3)
 print("Heisenberg algebra, adjoint coefficients:")
 for n in range(0, 4):
-    r = cohomology_dimensions(h3, rep, n, PLAIN)
+    r = cohomology_dimensions(h3, rep, n)
     print(f"  degree {n}: cochains {r.dim_cochains:2d}  cocycles {r.dim_cocycles:2d}"
           f"  coboundaries {r.dim_coboundaries:2d}  cohomology {r.dim_cohomology:2d}")
 print("  (degree 1 = outer derivations: 6 derivations minus 2 inner ones)\n")
@@ -32,7 +31,7 @@ pair = fixtures.compatible_h3()
 crep = adjoint_representation(pair)
 print("Heisenberg bracket paired with its Nijenhuis deformation:")
 for n in range(0, 4):
-    r = cohomology_dimensions(pair, crep, n, COMPATIBLE)
+    r = cohomology_dimensions(pair, crep, n)
     print(f"  degree {n}: cochains {r.dim_cochains:2d}  cocycles {r.dim_cocycles:2d}"
           f"  coboundaries {r.dim_coboundaries:2d}  cohomology {r.dim_cohomology:2d}")
 
@@ -47,6 +46,6 @@ prep = sum_representation(drep)
 print("Two-bracket fixture next to its sum-bracket collapse:")
 print("  degree | two-bracket | sum bracket")
 for n in range(0, 3):
-    two = cohomology_dimensions(d2, drep, n, COMPATIBLE).dim_cohomology
-    one = cohomology_dimensions(plus, prep, n, PLAIN).dim_cohomology
+    two = cohomology_dimensions(d2, drep, n).dim_cohomology
+    one = cohomology_dimensions(plus, prep, n).dim_cohomology
     print(f"    {n}    |     {two}       |     {one}")

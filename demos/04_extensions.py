@@ -20,12 +20,11 @@ from homlie import (
     extract_cocycle,
 )
 from homlie import fixtures
-from homlie.cohomology import COMPATIBLE
 from homlie.extensions import alternate_splitting
 
 c = fixtures.d2()
 rep = fixtures.d2_extension_rep()
-h2 = cohomology_dimensions(c, rep, 2, COMPATIBLE)
+h2 = cohomology_dimensions(c, rep, 2)
 print(f"degree-2 cohomology: dim {h2.dim_cohomology} "
       f"(cocycles {h2.dim_cocycles}, coboundaries {h2.dim_coboundaries})\n")
 

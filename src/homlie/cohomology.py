@@ -148,7 +148,7 @@ class CohomologyReport:
     """Exact dimensions and bases at one degree of one complex."""
 
     degree: int
-    flavor: str
+    flavor: str  # PLAIN or COMPATIBLE: the complex the structure fixes
     dim_cochains: int
     dim_cocycles: int
     dim_coboundaries: int
@@ -167,21 +167,20 @@ def _validate_structures(struct, rep: Representation):
         raise UsageError("representation is not over the given structure")
 
 
-def ce_coboundary(l: HomLieAlgebra, v: Representation, f, check: bool = True):
+def ce_coboundary(l: HomLieAlgebra, v: Representation, f):
     """Apply the single-bracket coboundary to an equivariant cochain.
 
     Degree 0 input is an arity-0 cochain, a twist-fixed vector v; the output
-    is the arity-1 cochain x -> x . v.  With check=True the preconditions
-    (equivariance of f, validity of l and v) are enforced.
+    is the arity-1 cochain x -> x . v.  Every call enforces the
+    preconditions: validity of l and v, and equivariance of f.
     """
     if len(v.actions) != 1:
         raise UsageError("single-bracket coboundary needs a single-action representation")
-    if check:
-        _validate_structures(l, v)
-        require_equivariant((f,), l.alpha, v.beta)
+    _validate_structures(l, v)
+    require_equivariant((f,), l.alpha, v.beta)
     _check_shape(f, l.dim, v.vdim)
     image = _coboundary_map(l, v, 1, f.arity) @ _flat(f)
-    return _cochains(image, l.dim, v.vdim, f.arity + 1, PLAIN)[0]
+    return _cochains(image, l, v.vdim, f.arity + 1)[0]
 
 
 def _flat(f) -> Matrix:
@@ -191,16 +190,16 @@ def _flat(f) -> Matrix:
     return vstack([p.coeffs.reshape(p.coeffs.rows * p.coeffs.cols, 1) for p in parts])
 
 
-def _cochains(flat: Matrix, dim: int, vdim: int, degree: int, flavor: str) -> tuple:
-    """The cochains whose flat coordinates are the columns of `flat` (the
-    inverse of `_flat`); a bare Cochain in degree 0 of either flavor, as
-    the reports give it."""
-    bare = flavor == PLAIN or degree == 0
+def _cochains(flat: Matrix, struct, vdim: int, degree: int) -> tuple:
+    """The cochains of the complex of `struct` whose flat coordinates are
+    the columns of `flat` (the inverse of `_flat`); a bare Cochain for one
+    bracket and in degree 0, as the reports give it."""
+    bare = len(struct.brackets) == 1 or degree == 0
     copies = 1 if bare else degree
-    shape = (copies * vdim, comb(dim, degree))  # the slots' coefficient matrices, stacked
+    shape = (copies * vdim, comb(struct.dim, degree))  # the slots' coefficient matrices, stacked
     out = []
     for row in vsplit(flat.transpose(), flat.cols):
-        parts = tuple(Cochain(degree, dim, vdim, block)
+        parts = tuple(Cochain(degree, struct.dim, vdim, block)
                       for block in vsplit(row.reshape(*shape), copies))
         out.append(parts[0] if bare else CompatibleCochain(degree, parts))
     return tuple(out)
@@ -247,46 +246,47 @@ def _c0_constraints(c: CompatibleHomLieAlgebra, v: Representation) -> Matrix:
 
 
 def compatible_coboundary(c: CompatibleHomLieAlgebra, v: Representation,
-                          f: CompatibleCochain, check: bool = True) -> CompatibleCochain:
-    """Interleaved coboundary of the two-bracket complex."""
+                          f: CompatibleCochain) -> CompatibleCochain:
+    """Interleaved coboundary of the two-bracket complex.  Every call
+    enforces the preconditions: validity of c and v, and f in the
+    degree-0 group or twist-equivariant."""
     if len(v.actions) != 2:
         raise UsageError("compatible coboundary needs a two-action representation")
-    if check:
-        _validate_structures(c, v)
-        if f.degree == 0:
-            if not (_c0_constraints(c, v) @ f.components[0].coeffs).is_zero():
-                raise PreconditionError(
-                    "vector is not in the degree-0 group (twist-fixed with agreeing actions)"
-                )
-        else:
-            require_equivariant(f.components, c.alpha, v.beta, "component is not twist-equivariant")
+    _validate_structures(c, v)
+    if f.degree == 0:
+        if not (_c0_constraints(c, v) @ f.components[0].coeffs).is_zero():
+            raise PreconditionError(
+                "vector is not in the degree-0 group (twist-fixed with agreeing actions)"
+            )
+    else:
+        require_equivariant(f.components, c.alpha, v.beta, "component is not twist-equivariant")
     n = f.degree
     for comp in f.components:
         _check_shape(comp, c.dim, v.vdim)
     m = len(f.components)
-    images = _images(c, v, n, COMPATIBLE, hstack([_flat(comp) for comp in f.components]))
+    images = _images(c, v, n, hstack([_flat(comp) for comp in f.components]))
     # Column s m + j of the images is component j placed in slot s, and d f is
     # the sum of the columns s m + s, which the flattened m x m identity picks.
     image = images @ Matrix.identity(m).reshape(m * m, 1)
-    return _cochains(image, c.dim, v.vdim, n + 1, COMPATIBLE)[0]
+    return _cochains(image, c, v.vdim, n + 1)[0]
 
 
-def _basis_matrix(struct, v: Representation, n: int, flavor: str) -> Matrix:
+def _basis_matrix(struct, v: Representation, n: int) -> Matrix:
     """The single-bracket basis of degree-n cochains as the columns of one
     matrix on flat coordinates, the kernel matrix of its constraints as it
     is; the two-bracket complex places it in every slot."""
-    if flavor == COMPATIBLE and n == 0:
+    if len(struct.brackets) == 2 and n == 0:
         return _kernel(_c0_constraints(struct, v))
     return _equivariant_columns(struct.alpha, v.beta, n)
 
 
-def _images(struct, v: Representation, n: int, flavor: str, basis: Matrix) -> Matrix:
+def _images(struct, v: Representation, n: int, basis: Matrix) -> Matrix:
     """The coboundaries of the columns of `basis` placed in every slot, one
     column each in slot-major order: d1 . B for one bracket and in degree 0,
     else the (n+1) x n block matrix with d1 . B on the diagonal and d2 . B
     just below it, so that slot i of d f is d1 f_i + d2 f_(i-1)."""
     d1 = _coboundary_map(struct, v, 1, n) @ basis
-    if flavor == PLAIN or n == 0:
+    if len(struct.brackets) == 1 or n == 0:
         return d1
     d2 = _coboundary_map(struct, v, 2, n) @ basis
     diagonal, below = (Matrix.from_entries(n + 1, n, {(i + s, i): 1 for i in range(n)})
@@ -302,52 +302,49 @@ def _in_slots(basis: Matrix, coords: Matrix, copies: int) -> Matrix:
     return kron(Matrix.identity(copies), basis) @ coords
 
 
-def cohomology_dimensions(struct, v: Representation, n: int, flavor: str = None) -> CohomologyReport:
+def cohomology_dimensions(struct, v: Representation, n: int) -> CohomologyReport:
     """Cocycle, coboundary and cohomology dimensions at degree n, with exact bases.
 
-    The coboundary matrices of degrees n-1 and n are built once and
-    multiplied by the basis matrices of the exact equivariant bases.  The
-    cocycles are the basis matrix times the kernel basis of the degree-n
-    images, the coboundary basis is the reduced row basis of the
-    degree-(n-1) images.  The cohomology representatives are the cocycles
-    whose columns are pivots in the reduced echelon form of
-    [coboundaries | cocycles]; that form also asserts that the coboundaries
-    lie among the cocycles, and raises ContractError otherwise.
+    The complex is the one struct fixes: single-bracket for a
+    HomLieAlgebra, two-bracket for a CompatibleHomLieAlgebra.  The
+    coboundary matrices of degrees n-1 and n are built once and multiplied
+    by the basis matrices of the exact equivariant bases.  The cocycles are
+    the basis matrix times the kernel basis of the degree-n images, the
+    coboundary basis is the reduced row basis of the degree-(n-1) images.
+    The cohomology representatives are the cocycles whose columns are
+    pivots in the reduced echelon form of [coboundaries | cocycles]; that
+    form also asserts that the coboundaries lie among the cocycles, and
+    raises ContractError otherwise.
     """
     if n < 0:
         raise UsageError("negative degree")
-    if flavor is None:
-        flavor = COMPATIBLE if isinstance(struct, CompatibleHomLieAlgebra) else PLAIN
-    if flavor == PLAIN and not isinstance(struct, HomLieAlgebra):
-        raise UsageError("plain flavor needs a single-bracket algebra")
-    if flavor == COMPATIBLE and not isinstance(struct, CompatibleHomLieAlgebra):
-        raise UsageError("compatible flavor needs a two-bracket algebra")
     _validate_structures(struct, v)
-    basis = _basis_matrix(struct, v, n, flavor)
-    images = _images(struct, v, n, flavor, basis)
-    cocycles = _in_slots(basis, _kernel(images), 1 if flavor == PLAIN else max(n, 1))
+    two = len(struct.brackets) == 2
+    basis = _basis_matrix(struct, v, n)
+    images = _images(struct, v, n, basis)
+    cocycles = _in_slots(basis, _kernel(images), max(n, 1) if two else 1)
 
     boundaries = Matrix.zero(cocycles.rows, 0)
     if n >= 1:
-        prev = _images(struct, v, n - 1, flavor, _basis_matrix(struct, v, n - 1, flavor))
+        prev = _images(struct, v, n - 1, _basis_matrix(struct, v, n - 1))
         boundaries = _row_space(prev.transpose()).transpose()
 
     pivots = rref(hstack([boundaries, cocycles]))[1]
     if len(pivots) != cocycles.cols:
         raise ContractError("coboundaries do not lie in the cocycle space")
-    cocycle_basis = _cochains(cocycles, struct.dim, v.vdim, n, flavor)
+    cocycle_basis = _cochains(cocycles, struct, v.vdim, n)
     representatives = tuple(cocycle_basis[p - boundaries.cols] for p in pivots
                             if p >= boundaries.cols)
 
     return CohomologyReport(
         degree=n,
-        flavor=flavor,
+        flavor=COMPATIBLE if two else PLAIN,
         dim_cochains=images.cols,
         dim_cocycles=cocycles.cols,
         dim_coboundaries=boundaries.cols,
         dim_cohomology=len(representatives),
         cocycle_basis=cocycle_basis,
-        coboundary_basis=_cochains(boundaries, struct.dim, v.vdim, n, flavor),
+        coboundary_basis=_cochains(boundaries, struct, v.vdim, n),
         cohomology_basis=representatives,
         source_dim=struct.dim,
         target_dim=v.vdim,
@@ -381,11 +378,11 @@ def coboundary_preimage(c: CompatibleHomLieAlgebra, v: Representation,
     n = target.degree - 1
     if n < 0:
         raise UsageError("a degree-0 cochain has no preimage")
-    basis = _basis_matrix(c, v, n, COMPATIBLE)
-    x = _solve(_images(c, v, n, COMPATIBLE, basis), _flat(target))
+    basis = _basis_matrix(c, v, n)
+    x = _solve(_images(c, v, n, basis), _flat(target))
     if x is None:
         return None
-    return _cochains(_in_slots(basis, x, max(n, 1)), c.dim, v.vdim, n, COMPATIBLE)[0]
+    return _cochains(_in_slots(basis, x, max(n, 1)), c, v.vdim, n)[0]
 
 
 @dataclass(frozen=True)
@@ -407,7 +404,7 @@ def derivation_space(c: CompatibleHomLieAlgebra, v: Representation) -> Derivatio
     """
     if len(v.actions) != 2:
         raise UsageError("derivation space needs a two-action representation")
-    h1 = cohomology_dimensions(c, v, 1, COMPATIBLE)
+    h1 = cohomology_dimensions(c, v, 1)
     return DerivationReport(
         tuple(f.components[0] for f in h1.cocycle_basis),
         tuple(f.components[0] for f in h1.coboundary_basis),

@@ -11,18 +11,19 @@ equivariant arity-2 coefficients m_k and constant terms equal to the base.
 Its truncated brackets vanish coefficient by coefficient, and the t^n
 coefficient is a sum of products m_i . K_j over i + j = n, with one
 insertion matrix K_j = insertion_matrix(m_j, alpha, 2) per coefficient (the
-K list, built once per call).  One helper takes these sums for the per-order
-identities, their truncated-bracket cross-check, the obstruction and the six
-conditions of a generator (the order-1 series of mu + t w).  The degree-3
-obstruction cochain is closed, and the deformation extends one order further
-exactly when it is a coboundary; the extension coefficients are one
-coboundary preimage of it in the two-bracket complex.
+K list, kept on the deformation).  One helper takes these sums for the
+per-order identities, their truncated-bracket cross-check, the obstruction
+and the six conditions of a generator (the order-1 series of mu + t w).
+The degree-3 obstruction cochain is closed, and the deformation extends
+one order further exactly when it is a coboundary; the extension
+coefficients are one coboundary preimage of it in the two-bracket complex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 from .algebra import (
@@ -43,8 +44,6 @@ from .cochains import (
     require_equivariant,
 )
 from .cohomology import (
-    COMPATIBLE,
-    PLAIN,
     CompatibleCochain,
     _coboundary_map,
     _cochains,
@@ -103,10 +102,9 @@ def check_linear_generator(c: CompatibleHomLieAlgebra, g: LinearGenerator) -> Ge
     """
     require_valid(c, "base algebra is invalid")
     d = OrderPDeformation.from_generator(c, g)  # checks the twist-equivariance of g
-    ks = _insertions(d)
-    _verify(d, ks)  # the coboundary route against the truncated brackets
-    square1, square2, mixed = _bracket_sums(d, ks, 2, 1)
-    return GeneratorReport(_bracket_sums(d, ks, 1, 0) + (square1.scale(2), square2.scale(2), mixed))
+    verify_order_p(d)  # the coboundary route against the truncated brackets
+    square1, square2, mixed = _bracket_sums(d, 2, 1)
+    return GeneratorReport(_bracket_sums(d, 1, 0) + (square1.scale(2), square2.scale(2), mixed))
 
 
 def trivial_deformation_from_nijenhuis(c: CompatibleHomLieAlgebra,
@@ -162,9 +160,8 @@ def check_linear_equivalence(c: CompatibleHomLieAlgebra, g: LinearGenerator,
         checks.append(CheckResult.from_columns(f"order1_identity[{b}]", order1.coeffs, 2))
         checks.append(CheckResult.from_columns(f"order2_identity[{b}]", order2, 2))
         checks.append(CheckResult.from_columns(f"order3_identity[{b}]", omega_p.coeffs @ square, 2))
-    delta_n = compatible_coboundary(
-        c, adjoint_representation(c), CompatibleCochain(1, (n_cochain,)), check=False
-    )
+    delta_n = compatible_coboundary(c, adjoint_representation(c),
+                                    CompatibleCochain(1, (n_cochain,)))
     difference = CompatibleCochain(
         2, (g.omega1 - g_prime.omega1, g.omega2 - g_prime.omega2)
     )
@@ -178,7 +175,7 @@ def infinitesimal_class(c: CompatibleHomLieAlgebra, g: LinearGenerator) -> tuple
     twist-commuting operator receive identical coordinates."""
     if not check_linear_generator(c, g).is_cocycle:
         raise PreconditionError("generator is not a 2-cocycle")
-    h2 = cohomology_dimensions(c, adjoint_representation(c), 2, COMPATIBLE)
+    h2 = cohomology_dimensions(c, adjoint_representation(c), 2)
     return class_coordinates(h2, CompatibleCochain(2, (g.omega1, g.omega2)))
 
 
@@ -188,7 +185,7 @@ class OrderPDeformation:
 
     ``coeffs1[k]`` and ``coeffs2[k]`` are the arity-2 coefficient cochains of
     t^k; index 0 must equal the base brackets and every coefficient must be
-    twist-equivariant.
+    twist-equivariant.  The K list of each bracket is kept on the object.
     """
 
     base: CompatibleHomLieAlgebra
@@ -211,6 +208,13 @@ class OrderPDeformation:
     @property
     def order(self) -> int:
         return len(self.coeffs1) - 1
+
+    @cached_property
+    def _k_lists(self) -> tuple:
+        """The K lists of both brackets: K_k = insertion_matrix(m_k, alpha, 2),
+        so that P <> m_k = P . K_k."""
+        return tuple(tuple(insertion_matrix(f, self.base.alpha, 2) for f in coeffs)
+                     for coeffs in (self.coeffs1, self.coeffs2))
 
     @classmethod
     def from_generator(cls, c: CompatibleHomLieAlgebra, g: LinearGenerator) -> "OrderPDeformation":
@@ -257,24 +261,32 @@ def verify_order_p(d: OrderPDeformation) -> OrderReport:
     (-r_0 / 2 at order 0); the two routes are compared exactly, which checks
     the coboundary maps against the NR bracket with the base.  Disagreement
     raises ContractError.  Each degree-2 coboundary matrix is built once and
-    multiplied by the stacked coefficient columns [m1_0 .. m1_p | m2_0 .. m2_p].
+    multiplied by the stacked coefficient columns [m1_0 .. m1_p | m2_0 .. m2_p];
+    its bracket term is K_0 of the deformation's K list.
     """
-    return _verify(d, _insertions(d))
+    c = d.base
+    rep = adjoint_representation(c)
+    p = d.order
+    stacked = hstack([_flat(f) for f in d.coeffs1 + d.coeffs2])
+    d1, d2 = (_cochains(_coboundary_map(c, rep, b, 2, k[0]) @ stacked, c.part(b), c.dim, 3)
+              for b, k in enumerate(d._k_lists, 1))
+    residuals = []
+    for n in range(p + 1):
+        s11, s22, s12 = _bracket_sums(d, n, 1)
+        triple = (d1[n] - s11, d2[p + 1 + n] - s22, d1[p + 1 + n] + d2[n] - s12)
+        # Truncated-bracket route: the same sums over i, j >= 0.
+        if _bracket_sums(d, n, 0) != tuple(r.scale(-HALF if n == 0 else -1) for r in triple):
+            raise ContractError("truncated-bracket route disagrees with the identity route")
+        residuals.append(triple)
+    return OrderReport(tuple(residuals))
 
 
-def _insertions(d: OrderPDeformation) -> tuple:
-    """The K lists of both brackets: K_k = insertion_matrix(m_k, alpha, 2),
-    so that P <> m_k = P . K_k."""
-    return tuple(tuple(insertion_matrix(f, d.base.alpha, 2) for f in coeffs)
-                 for coeffs in (d.coeffs1, d.coeffs2))
-
-
-def _bracket_sums(d: OrderPDeformation, ks: tuple, n: int, low: int) -> tuple:
+def _bracket_sums(d: OrderPDeformation, n: int, low: int) -> tuple:
     """1/2 sum [m1_i, m1_j], 1/2 sum [m2_i, m2_j] and sum [m1_i, m2_j] over
     i + j = n with i, j >= low, as arity-3 cochains (n - low <= p + 1).  As
     [P, Q] = P <> Q + Q <> P in arity 2, a half-sum is sum m_i . K_j."""
     dim = d.base.dim
-    (m1, m2), (k1, k2) = (d.coeffs1, d.coeffs2), ks
+    (m1, m2), (k1, k2) = (d.coeffs1, d.coeffs2), d._k_lists
     zero = Matrix.zero(dim, comb(dim, 3))
 
     def total(m, k):
@@ -282,27 +294,6 @@ def _bracket_sums(d: OrderPDeformation, ks: tuple, n: int, low: int) -> tuple:
                                         zero))
 
     return total(m1, k1), total(m2, k2), total(m1, k2) + total(m2, k1)
-
-
-def _verify(d: OrderPDeformation, ks: tuple) -> OrderReport:
-    """`verify_order_p` over a K list built by the caller; K1_0 and K2_0 are
-    also the bracket terms of the two coboundary maps."""
-    c = d.base
-    rep = adjoint_representation(c)
-    p = d.order
-    m1, m2 = d.coeffs1, d.coeffs2
-    stacked = hstack([_flat(f) for f in m1 + m2])
-    d1, d2 = (_cochains(_coboundary_map(c, rep, b, 2, k[0]) @ stacked, c.dim, c.dim, 3, PLAIN)
-              for b, k in enumerate(ks, 1))
-    residuals = []
-    for n in range(p + 1):
-        s11, s22, s12 = _bracket_sums(d, ks, n, 1)
-        triple = (d1[n] - s11, d2[p + 1 + n] - s22, d1[p + 1 + n] + d2[n] - s12)
-        # Truncated-bracket route: the same sums over i, j >= 0.
-        if _bracket_sums(d, ks, n, 0) != tuple(r.scale(-HALF if n == 0 else -1) for r in triple):
-            raise ContractError("truncated-bracket route disagrees with the identity route")
-        residuals.append(triple)
-    return OrderReport(tuple(residuals))
 
 
 @dataclass(frozen=True)
@@ -317,16 +308,11 @@ def obstruction(d: OrderPDeformation) -> ObstructionCochain:
     """The degree-3 cochain whose class must vanish for the deformation to
     extend one order, the sums of `verify_order_p` at n = p + 1; closedness
     is asserted exactly."""
-    return _obstruction(d, _insertions(d))
-
-
-def _obstruction(d: OrderPDeformation, ks: tuple) -> ObstructionCochain:
-    """`obstruction` over a K list built by the caller."""
-    if not _verify(d, ks).passed:
+    if not verify_order_p(d).passed:
         raise PreconditionError("not a valid order-p deformation")
-    o11, o22, o12 = _bracket_sums(d, ks, d.order + 1, 1)
+    o11, o22, o12 = _bracket_sums(d, d.order + 1, 1)
     cochain = CompatibleCochain(3, (o11, o12, o22))
-    closed = compatible_coboundary(d.base, adjoint_representation(d.base), cochain, check=False)
+    closed = compatible_coboundary(d.base, adjoint_representation(d.base), cochain)
     if not closed.is_zero():
         raise ContractError("obstruction cochain is not closed")
     return ObstructionCochain(cochain)
@@ -340,16 +326,13 @@ def is_extensible(d: OrderPDeformation):
     (`coboundary_preimage`).  Returns one exact solution pair (any
     solution) or None when the obstruction class is nonzero.  A returned
     pair is re-verified: appending it yields a deformation of order p+1
-    passing verify_order_p, over the obstruction's K list and the pair's.
+    passing verify_order_p.
     """
     c = d.base
-    ks = _insertions(d)
-    x = coboundary_preimage(c, adjoint_representation(c), _obstruction(d, ks).cochain)
+    x = coboundary_preimage(c, adjoint_representation(c), obstruction(d).cochain)
     if x is None:
         return None
     pair = x.components
-    extended = d.extended(*pair)
-    ks = tuple(k + (insertion_matrix(f, c.alpha, 2),) for k, f in zip(ks, pair))
-    if not _verify(extended, ks).passed:
+    if not verify_order_p(d.extended(*pair)).passed:
         raise ContractError("extension coefficients fail the order-(p+1) identities")
     return pair

@@ -31,6 +31,7 @@ splitting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import (
     CompatibleHomLieAlgebra,
@@ -48,7 +49,6 @@ from .cochains import (
     tuple_position,
 )
 from .cohomology import (
-    COMPATIBLE,
     CompatibleCochain,
     class_coordinates,
     coboundary_preimage,
@@ -130,6 +130,31 @@ class AbelianExtension:
         # surjective bracket morphism from a valid total that intertwines the
         # twists.
 
+    @cached_property
+    def _induced(self) -> tuple:
+        """The induced representation and 2-cocycle of `extract_cocycle`,
+        read off and verified once per extension."""
+        g, v = self.base.dim, self.fiber_dim
+        pos = tuple_position(self.total.dim, 2)
+        readout = self.fiber_readout()
+        frame = exterior_square(hstack([self.splitting, self.inclusion]))
+        tables, cochains = [], []
+        for mu in self.total.brackets:
+            values = readout @ mu @ frame
+            tables.append(tuple(
+                Matrix.from_columns([values.col(pos[(p, g + a)]) for a in range(v)], v)
+                for p in range(g)
+            ))
+            columns = [values.col(pos[pair]) for pair in increasing_tuples(g, 2)]
+            cochains.append(Cochain(2, g, v, Matrix.from_columns(columns, v)))
+        rep = Representation(self.base, v, self.fiber_beta, tuple(tables))
+        if not verify_structure(rep).passed:
+            raise ContractError("induced representation fails verification")
+        z = ExtensionCocycle(cochains[0], cochains[1])
+        if not compatible_coboundary(self.base, rep, z.as_compatible()).is_zero():
+            raise ContractError("extracted pair is not a 2-cocycle")
+        return rep, z
+
     def fiber_readout(self) -> Matrix:
         """The v x (g+v) matrix R with R . inclusion = 1 and R . splitting = 0:
         the fiber coordinates of a total vector along the splitting.  It is
@@ -150,9 +175,8 @@ def build_extension(c: CompatibleHomLieAlgebra, rep: Representation,
     if z.f1.source_dim != c.dim or z.f1.target_dim != rep.vdim:
         raise UsageError("cocycle shape does not match base and fiber")
     require_valid(rep, "invalid representation")
-    require_valid(c, "invalid algebra")
-    require_equivariant((z.f1, z.f2), c.alpha, rep.beta, "component is not twist-equivariant")
-    if not compatible_coboundary(c, rep, z.as_compatible(), check=False).is_zero():
+    # The coboundary checks c and the twist-equivariance of z on the way in.
+    if not compatible_coboundary(c, rep, z.as_compatible()).is_zero():
         raise PreconditionError("extension datum is not a 2-cocycle")
     g, v = c.dim, rep.vdim
     brackets = [_semidirect_bracket(bracket, table, g, v) + lift_to_product(f, g, v).coeffs
@@ -171,30 +195,10 @@ def extract_cocycle(e: AbelianExtension):
     fiber part of [s(x), s(y)]_b - s([x, y]_b), where the second term has no
     fiber part.  Both are columns of one product R . mu_t . L2([s | i]) per
     bracket.  The action does not depend on the splitting; the cocycle
-    moves by a coboundary when the splitting changes.
+    moves by a coboundary when the splitting changes.  Both are kept on the
+    extension, so its induced module is verified once.
     """
-    g, v = e.base.dim, e.fiber_dim
-    pos = tuple_position(e.total.dim, 2)
-    readout = e.fiber_readout()
-    frame = exterior_square(hstack([e.splitting, e.inclusion]))
-    tables, cochains = [], []
-    for mu in e.total.brackets:
-        values = readout @ mu @ frame
-        tables.append(tuple(
-            Matrix.from_columns([values.col(pos[(p, g + a)]) for a in range(v)], v)
-            for p in range(g)
-        ))
-        columns = [values.col(pos[pair]) for pair in increasing_tuples(g, 2)]
-        cochains.append(Cochain(2, g, v, Matrix.from_columns(columns, v)))
-    rep = Representation(e.base, v, e.fiber_beta, tuple(tables))
-    rep_report = verify_structure(rep)
-    if not rep_report.passed:
-        raise ContractError("induced representation fails verification")
-    z = ExtensionCocycle(cochains[0], cochains[1])
-    delta = compatible_coboundary(e.base, rep, z.as_compatible(), check=False)
-    if not delta.is_zero():
-        raise ContractError("extracted pair is not a 2-cocycle")
-    return rep, z
+    return e._induced
 
 
 def alternate_splitting(e: AbelianExtension, tau: Cochain) -> AbelianExtension:
@@ -261,5 +265,5 @@ def ext_class(e: AbelianExtension) -> tuple:
     induced representation.  Equivalent extensions and alternate splittings
     of one extension give identical coordinates."""
     rep, z = extract_cocycle(e)
-    report = cohomology_dimensions(e.base, rep, 2, COMPATIBLE)
+    report = cohomology_dimensions(e.base, rep, 2)
     return class_coordinates(report, z.as_compatible())

@@ -27,7 +27,7 @@ from homlie import (
 from homlie import algebra
 from homlie.algebra import CheckResult
 from homlie.cochains import increasing_tuples, tuple_position
-from homlie.cohomology import COMPATIBLE, _c0_constraints, _cochains, _flat
+from homlie.cohomology import _c0_constraints, _cochains, _flat
 from homlie.linalg import (
     _kernel,
     determinant_of,
@@ -167,14 +167,14 @@ def c0_compatible_basis(c, v):
     """Vectors fixed by beta on which the two actions of every basis element
     agree, as arity-0 cochains: the degree-0 group of the two-bracket
     complex, through the kernel of its constraints."""
-    return _cochains(_kernel(_c0_constraints(c, v)), c.dim, v.vdim, 0, COMPATIBLE)
+    return _cochains(_kernel(_c0_constraints(c, v)), c, v.vdim, 0)
 
 
-def naive_basis_matrix(struct, v, n: int, flavor: str) -> Matrix:
+def naive_basis_matrix(struct, v, n: int) -> Matrix:
     """The basis matrix of `cohomology` through Cochain objects: the flat
     columns of `hom_cochain_basis`, or of `c0_compatible_basis` in
-    compatible degree 0, stacked side by side."""
-    if flavor == COMPATIBLE and n == 0:
+    two-bracket degree 0, stacked side by side."""
+    if len(struct.brackets) == 2 and n == 0:
         singles = c0_compatible_basis(struct, v)
     else:
         singles = hom_cochain_basis(struct.alpha, v.beta, n)

@@ -126,7 +126,7 @@ def test_adjoint_shortcut_degree3():
         rep = adjoint_representation(alg)
         mu = alg.bracket_cochain()
         for f in hom_cochain_basis(alg.alpha, alg.alpha, 3):
-            lhs = ce_coboundary(alg, rep, f, check=False)
+            lhs = ce_coboundary(alg, rep, f)
             rhs = nr_bracket(mu, f, alg.alpha)  # (-1)^(3-1) = +1
             assert lhs.flatten() == rhs.flatten()
 
@@ -137,7 +137,7 @@ def test_coboundary_squares_to_zero_plain():
         for n in range(0, 4):
             basis = hom_cochain_basis(alg.alpha, alg.alpha, n)
             for f in basis:
-                ddf = ce_coboundary(alg, rep, ce_coboundary(alg, rep, f, check=False), check=False)
+                ddf = ce_coboundary(alg, rep, ce_coboundary(alg, rep, f))
                 assert ddf.is_zero()
 
 
@@ -208,7 +208,7 @@ def test_compatible_coboundary_squares_to_zero():
         rep = rep or adjoint_representation(c)
         for n in range(0, 4):
             for F_ in compatible_basis(c, rep, n):
-                dd = compatible_coboundary(c, rep, compatible_coboundary(c, rep, F_, check=False), check=False)
+                dd = compatible_coboundary(c, rep, compatible_coboundary(c, rep, F_))
                 assert dd.is_zero()
 
 
@@ -219,11 +219,9 @@ def test_anticommutation_of_the_two_coboundaries():
         for n in range(1, 4):
             for f in hom_cochain_basis(c.alpha, c.alpha, n):
                 d12 = ce_coboundary(parts[0][0], parts[0][1],
-                                    ce_coboundary(parts[1][0], parts[1][1], f, check=False),
-                                    check=False)
+                                    ce_coboundary(parts[1][0], parts[1][1], f))
                 d21 = ce_coboundary(parts[1][0], parts[1][1],
-                                    ce_coboundary(parts[0][0], parts[0][1], f, check=False),
-                                    check=False)
+                                    ce_coboundary(parts[0][0], parts[0][1], f))
                 assert (d12 + d21).is_zero()
 
 
@@ -236,7 +234,7 @@ def test_lift_intertwines_coboundary_and_bracket():
     for n in (1, 2):
         for f in hom_cochain_basis(d2.alpha, d2.alpha, n):
             lifted = lift_to_product(f, 2, 2)
-            lhs = lift_to_product(ce_coboundary(l1, v1, f, check=False), 2, 2)
+            lhs = lift_to_product(ce_coboundary(l1, v1, f), 2, 2)
             sign = 1 if (n - 1) % 2 == 0 else -1
             rhs = nr_bracket(pi1, lifted, semi.alpha).scale(sign)
             assert lhs.flatten() == rhs.flatten()
@@ -345,10 +343,10 @@ def test_assembled_images_match_naive_oracle():
     c = fixtures.twisted_compatible_h3()
     rep = adjoint_representation(c)
     for n in range(4):
-        basis = _basis_matrix(c, rep, n, COMPATIBLE)
-        images = _images(c, rep, n, COMPATIBLE, basis)
+        basis = _basis_matrix(c, rep, n)
+        images = _images(c, rep, n, basis)
         units = _in_slots(basis, Matrix.identity(images.cols), max(n, 1))
-        items = list(_cochains(units, c.dim, rep.vdim, n, COMPATIBLE))
+        items = list(_cochains(units, c, rep.vdim, n))
         if n == 0:
             items = [CompatibleCochain(0, (item,)) for item in items]
         assert [i.flatten() for i in items] == [b.flatten() for b in compatible_basis(c, rep, n)]
@@ -409,10 +407,9 @@ def test_basis_matrix_is_the_flat_cochain_basis():
     cases = list(basis_cases()) + list(random_twisted_cases(random.Random(41)))
     columns = 0
     for s, v in cases:
-        flavor = COMPATIBLE if isinstance(s, CompatibleHomLieAlgebra) else PLAIN
         for n in range(s.dim + 2):
-            basis = _basis_matrix(s, v, n, flavor)
-            assert basis == naive_basis_matrix(s, v, n, flavor)
+            basis = _basis_matrix(s, v, n)
+            assert basis == naive_basis_matrix(s, v, n)
             columns += basis.cols
     assert columns
 
@@ -421,10 +418,10 @@ def ambient_matrix(c, rep, n):
     """The two-bracket coboundary on all flat degree-n coordinates, from unit cochains."""
     size = max(n, 1) * rep.vdim * comb(c.dim, n)
     columns = []
-    for unit in _cochains(Matrix.identity(size), c.dim, rep.vdim, n, COMPATIBLE):
+    for unit in _cochains(Matrix.identity(size), c, rep.vdim, n):
         if n == 0:
             unit = CompatibleCochain(0, (unit,))
-        columns.append(compatible_coboundary(c, rep, unit, check=False).flatten())
+        columns.append(compatible_coboundary(c, rep, unit).flatten())
     return Matrix.from_columns(columns, len(columns[0]))
 
 
@@ -433,7 +430,7 @@ def test_delta_squared_on_assembled_matrices_h5_pair():
     assert verify_structure(c).passed
     rep = adjoint_representation(c)
     for n in range(4):
-        delta = _images(c, rep, n, COMPATIBLE, _basis_matrix(c, rep, n, COMPATIBLE))
+        delta = _images(c, rep, n, _basis_matrix(c, rep, n))
         assert delta.cols
         assert n == 0 or not delta.is_zero()  # degree 0 is the centre
         assert (ambient_matrix(c, rep, n + 1) @ delta).is_zero()
@@ -472,7 +469,8 @@ def test_pivot_representatives_match_greedy_choice():
     for alg, rep, flavor, top in cases:
         rep = rep or adjoint_representation(alg)
         for n in range(top):
-            report = cohomology_dimensions(alg, rep, n, flavor)
+            report = cohomology_dimensions(alg, rep, n)
+            assert report.flavor == flavor
             assert report.cohomology_basis == greedy_representatives(report)
             seen_classes += report.dim_cohomology
     assert seen_classes > 0
@@ -484,12 +482,12 @@ def test_pivot_representatives_match_greedy_choice():
 
 def test_ab1_dimensions_both_flavors():
     ab = fixtures.ab1()
-    plain = cohomology_dimensions(ab, adjoint_representation(ab), 1, PLAIN)
+    plain = cohomology_dimensions(ab, adjoint_representation(ab), 1)
     assert (plain.dim_cochains, plain.dim_cohomology) == (1, 1)
     cab = fixtures.compatible_ab1()
     crep = adjoint_representation(cab)
     for n, expected in ((0, 1), (1, 1), (2, 0)):
-        report = cohomology_dimensions(cab, crep, n, COMPATIBLE)
+        report = cohomology_dimensions(cab, crep, n)
         assert report.dim_cohomology == expected
         assert report.dim_cohomology == report.dim_cochains  # coboundary vanishes
 
@@ -497,7 +495,7 @@ def test_ab1_dimensions_both_flavors():
 def test_h3_degree1_matches_derivation_count():
     h3 = fixtures.h3()
     rep = adjoint_representation(h3)
-    report = cohomology_dimensions(h3, rep, 1, PLAIN)
+    report = cohomology_dimensions(h3, rep, 1)
     # Independent oracle: solve the derivation equations and the inner span
     # directly from the structure constants.
     rows = []
@@ -524,13 +522,13 @@ def test_h3_degree1_matches_derivation_count():
 
 def test_d2_compatible_degree0():
     d2 = fixtures.d2()
-    report = cohomology_dimensions(d2, adjoint_representation(d2), 0, COMPATIBLE)
+    report = cohomology_dimensions(d2, adjoint_representation(d2), 0)
     assert report.dim_cohomology == 0
 
 
 def test_dimensions_above_carrier_dimension_are_zero():
     d2 = fixtures.d2()
-    report = cohomology_dimensions(d2, adjoint_representation(d2), 5, COMPATIBLE)
+    report = cohomology_dimensions(d2, adjoint_representation(d2), 5)
     assert report.dim_cochains == 0
     assert report.dim_cohomology == 0
 
@@ -547,29 +545,30 @@ def test_reports_are_internally_consistent():
     for alg, rep, flavor in cases:
         rep = rep or adjoint_representation(alg)
         for n in range(0, 4):
-            report = cohomology_dimensions(alg, rep, n, flavor)
+            report = cohomology_dimensions(alg, rep, n)
+            assert report.flavor == flavor
             assert report.dim_cohomology == report.dim_cocycles - report.dim_coboundaries
             assert len(report.cocycle_basis) == report.dim_cocycles
             assert len(report.coboundary_basis) == report.dim_coboundaries
             assert len(report.cohomology_basis) == report.dim_cohomology
             for z in report.cocycle_basis:
                 if flavor == PLAIN:
-                    assert ce_coboundary(alg, rep, z, check=False).is_zero()
+                    assert ce_coboundary(alg, rep, z).is_zero()
                 else:
                     item = z if isinstance(z, CompatibleCochain) else CompatibleCochain(0, (z,))
-                    assert compatible_coboundary(alg, rep, item, check=False).is_zero()
+                    assert compatible_coboundary(alg, rep, item).is_zero()
 
 
 def test_invalid_structure_rejected():
     g4 = fixtures.g4a(1)
     with pytest.raises(PreconditionError):
-        cohomology_dimensions(g4, adjoint_representation(g4), 1, PLAIN)
+        cohomology_dimensions(g4, adjoint_representation(g4), 1)
 
 
 def test_class_coordinates_mod_coboundaries():
     c = fixtures.compatible_h3()
     rep = adjoint_representation(c)
-    report = cohomology_dimensions(c, rep, 2, COMPATIBLE)
+    report = cohomology_dimensions(c, rep, 2)
     assert report.dim_cohomology > 0 and report.dim_coboundaries > 0
     rng = random.Random(4)
     z = report.cohomology_basis[0]
@@ -579,7 +578,7 @@ def test_class_coordinates_mod_coboundaries():
     assert class_coordinates(report, z + shift) == coords
     # A non-cocycle is rejected.
     non_cocycle = compatible_basis(c, rep, 2)[0]
-    if not compatible_coboundary(c, rep, non_cocycle, check=False).is_zero():
+    if not compatible_coboundary(c, rep, non_cocycle).is_zero():
         with pytest.raises(PreconditionError):
             class_coordinates(report, non_cocycle)
 
@@ -592,7 +591,7 @@ def test_dimension4_semidirect_pipeline():
     brep = adjoint_representation(big)
     assert verify_structure(big).passed and verify_structure(brep).passed
     dims = [
-        cohomology_dimensions(big, brep, n, COMPATIBLE).dim_cohomology
+        cohomology_dimensions(big, brep, n).dim_cohomology
         for n in range(0, 3)
     ]
     assert dims == [0, 1, 2]
@@ -662,7 +661,7 @@ def test_coboundary_preimage_of_a_nonzero_class_is_none():
     seen = 0
     for c, rep in two_action_cases():
         for n in range(1, 4):
-            for z in cohomology_dimensions(c, rep, n, COMPATIBLE).cohomology_basis:
+            for z in cohomology_dimensions(c, rep, n).cohomology_basis:
                 assert coboundary_preimage(c, rep, z) is None
                 seen += 1
     assert seen > 0
@@ -671,7 +670,7 @@ def test_coboundary_preimage_of_a_nonzero_class_is_none():
 def test_coboundary_preimage_on_an_empty_cochain_space():
     d2 = fixtures.d2()
     rep = adjoint_representation(d2)
-    assert cohomology_dimensions(d2, rep, 0, COMPATIBLE).dim_cochains == 0
+    assert cohomology_dimensions(d2, rep, 0).dim_cochains == 0
     x = coboundary_preimage(d2, rep, CompatibleCochain.zero(1, 2, 2))
     assert isinstance(x, Cochain) and x.arity == 0 and x.flatten() == (0, 0)
     nonzero = CompatibleCochain(1, (Cochain.from_values(1, 2, 2, {(0,): [1, 0]}),))
@@ -700,8 +699,8 @@ def test_comparison_map_is_a_chain_map():
     assert verify_structure(plus).passed and verify_structure(plus_rep).passed
     for n in range(0, 3):
         for F_ in compatible_basis(d2, rep, n):
-            lhs = ce_coboundary(plus, plus_rep, comparison_map(F_), check=False)
-            rhs = comparison_map(compatible_coboundary(d2, rep, F_, check=False))
+            lhs = ce_coboundary(plus, plus_rep, comparison_map(F_))
+            rhs = comparison_map(compatible_coboundary(d2, rep, F_))
             assert lhs.flatten() == rhs.flatten()
 
 
@@ -712,7 +711,7 @@ def test_comparison_dimensions_reported_side_by_side():
     plus_rep = sum_representation(rep)
     table = []
     for n in range(0, 3):
-        a = cohomology_dimensions(d2, rep, n, COMPATIBLE).dim_cohomology
-        b = cohomology_dimensions(plus, plus_rep, n, PLAIN).dim_cohomology
+        a = cohomology_dimensions(d2, rep, n).dim_cohomology
+        b = cohomology_dimensions(plus, plus_rep, n).dim_cohomology
         table.append((n, a, b))
     assert table == [(0, 0, 0), (1, 0, 0), (2, 0, 0)]

@@ -28,7 +28,6 @@ from homlie import (
     verify_order_p,
 )
 from homlie import cohomology, deformations, fixtures
-from homlie.cohomology import COMPATIBLE
 from homlie.deformations import HALF
 
 from helpers import (
@@ -104,7 +103,7 @@ def test_generator_rejects_non_equivariant():
 
 def test_non_cocycle_generator_detected():
     c = fixtures.compatible_h3()
-    report = cohomology_dimensions(c, adjoint_representation(c), 2, COMPATIBLE)
+    report = cohomology_dimensions(c, adjoint_representation(c), 2)
     # Pick an equivariant pair that is not a cocycle.
     rng = random.Random(1)
     for _ in range(20):
@@ -185,7 +184,7 @@ def test_coboundary_generator_has_zero_class():
 def test_nonzero_class_exists_and_is_detected():
     c = fixtures.compatible_h3()
     rep = adjoint_representation(c)
-    report = cohomology_dimensions(c, rep, 2, COMPATIBLE)
+    report = cohomology_dimensions(c, rep, 2)
     assert report.dim_cohomology > 0
     z = report.cohomology_basis[0]
     g = LinearGenerator(z.components[0], z.components[1])
@@ -205,7 +204,7 @@ def test_class_constant_on_equivalence_orbits():
 
 def test_infinitesimal_class_verifies_the_base_once(monkeypatch):
     c = fixtures.compatible_h3()
-    h2 = cohomology_dimensions(c, adjoint_representation(c), 2, COMPATIBLE)
+    h2 = cohomology_dimensions(c, adjoint_representation(c), 2)
     z = h2.cohomology_basis[-1]
     g = LinearGenerator(z.components[0], z.components[1])
     want = class_coordinates(h2, z)
@@ -334,6 +333,8 @@ def test_wrong_coboundary_sign_raises_contract_error(monkeypatch, which):
 def test_verify_order_p_builds_each_insertion_matrix_once(monkeypatch):
     # K1_0 and K2_0 of the K list are also the bracket terms of the two
     # degree-2 coboundary maps, so an order-p check builds 2p + 2 matrices.
+    # The K list is kept on the deformation: a repeat check, and the
+    # obstruction after it, build none.
     c = fixtures.compatible_h3()
     d = OrderPDeformation.from_generator(
         c, trivial_deformation_from_nijenhuis(c, fixtures.h3_nijenhuis()))
@@ -346,6 +347,10 @@ def test_verify_order_p_builds_each_insertion_matrix_once(monkeypatch):
         built.clear()
         assert verify_order_p(d).passed
         assert len(built) == 2 * p + 2
+        built.clear()
+        assert verify_order_p(d).passed
+        assert obstruction(d).cochain == naive_obstruction(d)
+        assert built == []
         d = d.extended(*is_extensible(d))
 
 
@@ -398,7 +403,7 @@ def test_obstruction_order1_formula():
 def test_obstruction_closed():
     c = fixtures.compatible_h3()
     rep = adjoint_representation(c)
-    h2 = cohomology_dimensions(c, rep, 2, COMPATIBLE)
+    h2 = cohomology_dimensions(c, rep, 2)
     for z in h2.cocycle_basis[:4]:
         d = OrderPDeformation(
             c,
@@ -406,7 +411,7 @@ def test_obstruction_closed():
             (c.bracket_cochain(2), z.components[1]),
         )
         ob = obstruction(d).cochain
-        assert compatible_coboundary(c, rep, ob, check=False).is_zero()
+        assert compatible_coboundary(c, rep, ob).is_zero()
 
 
 def test_truncation_obstruction_is_coboundary_of_dropped_pair():
@@ -420,7 +425,7 @@ def test_truncation_obstruction_is_coboundary_of_dropped_pair():
     assert verify_order_p(order2).passed
     ob = obstruction(order1).cochain
     delta_top = compatible_coboundary(
-        c, rep, CompatibleCochain(2, pair), check=False
+        c, rep, CompatibleCochain(2, pair)
     )
     assert ob.flatten() == delta_top.flatten()
 
@@ -439,7 +444,7 @@ def test_truncations_of_valid_deformations_are_extensible():
     # The two extension pairs differ by a 2-cocycle pair.
     diff = CompatibleCochain(2, (pair[0] - again[0], pair[1] - again[1]))
     rep = adjoint_representation(c)
-    assert compatible_coboundary(c, rep, diff, check=False).is_zero()
+    assert compatible_coboundary(c, rep, diff).is_zero()
 
 
 def test_extensible_when_degree3_cohomology_vanishes():
@@ -447,8 +452,8 @@ def test_extensible_when_degree3_cohomology_vanishes():
     # valid order-p deformation extends.
     d2 = fixtures.d2()
     rep = adjoint_representation(d2)
-    assert cohomology_dimensions(d2, rep, 3, COMPATIBLE).dim_cohomology == 0
-    h2 = cohomology_dimensions(d2, rep, 2, COMPATIBLE)
+    assert cohomology_dimensions(d2, rep, 3).dim_cohomology == 0
+    h2 = cohomology_dimensions(d2, rep, 2)
     rng = random.Random(5)
     for z in h2.cocycle_basis:
         d = OrderPDeformation(
@@ -473,7 +478,7 @@ def test_order3_extension_chain():
         assert verify_order_p(d).passed
     ob = obstruction(d)
     assert compatible_coboundary(
-        c, adjoint_representation(c), ob.cochain, check=False
+        c, adjoint_representation(c), ob.cochain
     ).is_zero()
 
 
@@ -484,7 +489,7 @@ def test_obstructed_search_is_recorded():
     found_obstructed = False
     for c in (fixtures.d2(), fixtures.compatible_h3()):
         rep = adjoint_representation(c)
-        h2 = cohomology_dimensions(c, rep, 2, COMPATIBLE)
+        h2 = cohomology_dimensions(c, rep, 2)
         for z in h2.cohomology_basis[:3]:
             d = OrderPDeformation(
                 c,
@@ -540,7 +545,7 @@ def test_random_pairs_match_the_naive_oracles(name):
         assert verify_order_p(order2).residuals == naive_order_residuals(order2)
         failing += not report.generates
     assert failing > 0 or c.dim < 3  # in dimension 2 there are no arity-3 cochains
-    h2 = cohomology_dimensions(c, adjoint_representation(c), 2, COMPATIBLE)
+    h2 = cohomology_dimensions(c, adjoint_representation(c), 2)
     z = CompatibleCochain.zero(2, c.dim, c.dim)
     for item in h2.cocycle_basis:
         z = z + item.scale(rng.randint(-2, 2))

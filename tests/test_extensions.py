@@ -31,7 +31,6 @@ from homlie import (
 )
 from homlie import fixtures
 from homlie.cochains import exterior_square, tuple_position
-from homlie.cohomology import COMPATIBLE
 from homlie.extensions import _verify_morphism, alternate_splitting
 
 from helpers import naive_extension_validation, naive_extract_cocycle, record_verifications
@@ -67,7 +66,7 @@ def test_build_rejects_non_cocycle():
 
     for f in hom_cochain_basis(c.alpha, c.alpha, 2):
         z = ExtensionCocycle(f, Cochain.zero(2, 3, 3))
-        if not compatible_coboundary(c, rep, z.as_compatible(), check=False).is_zero():
+        if not compatible_coboundary(c, rep, z.as_compatible()).is_zero():
             with pytest.raises(PreconditionError):
                 build_extension(c, rep, z)
             return
@@ -198,7 +197,7 @@ def test_alternate_splitting_preserves_action_and_shifts_cocycle():
     e_alt = alternate_splitting(e, tau)
     rep_alt, z_alt = extract_cocycle(e_alt)
     assert rep_alt == rep  # induced action is splitting-independent, bit for bit
-    shift = compatible_coboundary(c, rep, CompatibleCochain(1, (tau,)), check=False)
+    shift = compatible_coboundary(c, rep, CompatibleCochain(1, (tau,)))
     assert z_alt.f1.flatten() == (z.f1 + shift.components[0]).flatten()
     assert z_alt.f2.flatten() == (z.f2 + shift.components[1]).flatten()
     assert ext_class(e_alt) == ext_class(e)
@@ -207,7 +206,7 @@ def test_alternate_splitting_preserves_action_and_shifts_cocycle():
 def test_ext_class_verifies_the_induced_representation_once(monkeypatch):
     c = fixtures.twisted_compatible_h3()
     rep = adjoint_representation(c)
-    report = cohomology_dimensions(c, rep, 2, COMPATIBLE)
+    report = cohomology_dimensions(c, rep, 2)
     assert report.dim_cohomology > 0
     for k, z in enumerate(report.cohomology_basis):
         e = build_extension(c, rep, cocycle_from(z))
@@ -216,12 +215,17 @@ def test_ext_class_verifies_the_induced_representation_once(monkeypatch):
         assert [type(s).__name__ for s in verified] == ["Representation"]
         assert coordinates == class_coordinates(report, z)
         assert coordinates == tuple(F(int(i == k)) for i in range(report.dim_cohomology))
+        # The induced module is kept on the extension: a repeat verifies nothing.
+        verified.clear()
+        assert ext_class(e) == coordinates
+        assert extract_cocycle(e) is extract_cocycle(e)
+        assert verified == []
         monkeypatch.undo()
 
 
 def test_classification_bijection_desk_scale():
     c, rep = ext_setting()
-    report = cohomology_dimensions(c, rep, 2, COMPATIBLE)
+    report = cohomology_dimensions(c, rep, 2)
     assert 1 <= report.dim_cohomology <= 3
     reps = [cocycle_from(z) for z in report.cohomology_basis]
     extensions = [build_extension(c, rep, z) for z in reps]
@@ -241,7 +245,7 @@ def test_extension_pipeline_with_nontrivial_twist():
 
     c = fixtures.twisted_compatible_h3()
     rep = adjoint_representation(c)
-    report = cohomology_dimensions(c, rep, 2, COMPATIBLE)
+    report = cohomology_dimensions(c, rep, 2)
     assert report.dim_cohomology > 0
     z = cocycle_from(report.cohomology_basis[0])
     e = build_extension(c, rep, z)
@@ -252,7 +256,7 @@ def test_extension_pipeline_with_nontrivial_twist():
     tau_basis = hom_cochain_basis(c.alpha, rep.beta, 1)
     assert tau_basis
     tau = tau_basis[0]
-    shift = compatible_coboundary(c, rep, CompatibleCochain(1, (tau,)), check=False)
+    shift = compatible_coboundary(c, rep, CompatibleCochain(1, (tau,)))
     z2 = ExtensionCocycle(z.f1 + shift.components[0], z.f2 + shift.components[1])
     e2 = build_extension(c, rep, z2)
     phi = check_equivalence(e, e2)
@@ -316,7 +320,7 @@ def split_extension(setting):
     else:
         c = fixtures.twisted_compatible_h3()
         rep = adjoint_representation(c)
-        z = cocycle_from(cohomology_dimensions(c, rep, 2, COMPATIBLE).cohomology_basis[0])
+        z = cocycle_from(cohomology_dimensions(c, rep, 2).cohomology_basis[0])
     return build_extension(c, rep, z)
 
 

@@ -21,14 +21,23 @@ A report of `verify_structure` is kept on its object, so checking again is
 free and every result that needs valid inputs asks `algebra.require_valid`,
 the one place that turns a failing report into a PreconditionError.
 Outside `algebra`, `verify_structure` is called only where a failing report
-is not a precondition failure: `cli._cmd_verify` reports it, and
-`extensions.extract_cocycle` raises ContractError.  No module keeps a
-private route round the gate (`_cohomology_report`, `_generator_report`,
-`_require_valid`).
+is not a precondition failure: `cli._cmd_verify` reports it, and the
+induced module that `extensions.extract_cocycle` reads off an extension
+(`AbelianExtension._induced`, kept on the extension) raises ContractError.
+No module keeps a private route round the gate (`_cohomology_report`,
+`_generator_report`, `_require_valid`).  Each call takes its inputs and
+works out the rest: no public function has a `check` option that skips
+the input checks, or a `flavor` that restates which complex the structure
+fixes, and `deformations` keeps each deformation's K list on the object
+instead of private twins fed a K list (`_insertions`, `_verify`,
+`_obstruction`).
 """
 
 import ast
+import inspect
 from pathlib import Path
+
+import homlie
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "homlie").glob("*.py"))
@@ -125,9 +134,26 @@ def test_require_valid_is_the_one_verify_or_raise_gate():
     callers = {(path.name, scope) for path in MODULES
                for scope, name in calls(path) if name == "verify_structure"}
     assert callers == {("algebra.py", "require_valid"), ("cli.py", "_cmd_verify"),
-                       ("extensions.py", "extract_cocycle")}
+                       ("extensions.py", "AbelianExtension._induced")}
     bypasses = {"_cohomology_report", "_generator_report", "_require_valid"}
     defined = [(path.name, node.name) for path in MODULES
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.FunctionDef) and node.name in bypasses]
+    assert defined == []
+
+
+def test_no_public_function_takes_a_check_or_flavor_option():
+    functions = [getattr(homlie, name) for name in homlie.__all__]
+    functions = [f for f in functions if inspect.isfunction(f)]
+    assert homlie.cohomology_dimensions in functions and homlie.ce_coboundary in functions
+    offenders = [(f.__name__, p) for f in functions
+                 for p in inspect.signature(f).parameters if p in ("check", "flavor")]
+    assert offenders == []
+
+
+def test_no_module_defines_a_k_list_twin():
+    twins = {"_insertions", "_verify", "_obstruction"}
+    defined = [(path.name, node.name) for path in MODULES
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef) and node.name in twins]
     assert defined == []
