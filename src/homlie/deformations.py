@@ -11,12 +11,17 @@ equivariant arity-2 coefficients m_k and constant terms equal to the base.
 Its truncated brackets vanish coefficient by coefficient, and the t^n
 coefficient is a sum of products m_i . K_j over i + j = n, with one
 insertion matrix K_j = insertion_matrix(m_j, alpha, 2) per coefficient (the
-K list, kept on the deformation).  One helper takes these sums for the
-per-order identities, their truncated-bracket cross-check, the obstruction
-and the six conditions of a generator (the order-1 series of mu + t w).
+K list).  One helper takes these sums for the per-order identities, their
+truncated-bracket cross-check, the obstruction and the six conditions of a
+generator (the order-1 series of mu + t w).
 The degree-3 obstruction cochain is closed, and the deformation extends
 one order further exactly when it is a coboundary; the extension
 coefficients are one coboundary preimage of it in the two-bracket complex.
+
+Each deformation keeps its K list, its two degree-2 coboundary matrices,
+its report and its obstruction.  The identities at order n involve only
+m_0..m_n, so an extension built by `extended` takes its parent's K lists,
+coboundary matrices and verified orders 0..p, and checks order p + 1 alone.
 """
 
 from __future__ import annotations
@@ -185,7 +190,8 @@ class OrderPDeformation:
 
     ``coeffs1[k]`` and ``coeffs2[k]`` are the arity-2 coefficient cochains of
     t^k; index 0 must equal the base brackets and every coefficient must be
-    twist-equivariant.  The K list of each bracket is kept on the object.
+    twist-equivariant.  Its K lists, coboundary matrices, report and
+    obstruction are kept on the object.
     """
 
     base: CompatibleHomLieAlgebra
@@ -209,12 +215,42 @@ class OrderPDeformation:
     def order(self) -> int:
         return len(self.coeffs1) - 1
 
+    _parent = None  # the deformation this one extends, set by `extended`
+
     @cached_property
     def _k_lists(self) -> tuple:
         """The K lists of both brackets: K_k = insertion_matrix(m_k, alpha, 2),
-        so that P <> m_k = P . K_k."""
-        return tuple(tuple(insertion_matrix(f, self.base.alpha, 2) for f in coeffs)
-                     for coeffs in (self.coeffs1, self.coeffs2))
+        so that P <> m_k = P . K_k.  An extension appends its top pair's
+        matrices to its parent's lists."""
+        known = self._parent._k_lists if self._parent else ((), ())
+        return tuple(ks + tuple(insertion_matrix(f, self.base.alpha, 2) for f in coeffs[len(ks):])
+                     for ks, coeffs in zip(known, (self.coeffs1, self.coeffs2)))
+
+    @cached_property
+    def _coboundaries(self) -> tuple:
+        """The degree-2 coboundary matrices of both brackets on the adjoint
+        module, with K_0 as their bracket term; shared along a lineage."""
+        if self._parent:
+            return self._parent._coboundaries
+        c = self.base
+        return tuple(_coboundary_map(c, adjoint_representation(c), b, 2, k[0])
+                     for b, k in enumerate(self._k_lists, 1))
+
+    @cached_property
+    def _report(self) -> "OrderReport":
+        rows = self._parent._report.residuals if self._parent else ()
+        return OrderReport(rows + tuple(_row(self, n) for n in range(len(rows), self.order + 1)))
+
+    @cached_property
+    def _obstruction_cochain(self) -> "ObstructionCochain":
+        if not self._report.passed:
+            raise PreconditionError("not a valid order-p deformation")
+        o11, o22, o12 = _bracket_sums(self, self.order + 1, 1)
+        cochain = CompatibleCochain(3, (o11, o12, o22))
+        closed = compatible_coboundary(self.base, adjoint_representation(self.base), cochain)
+        if not closed.is_zero():
+            raise ContractError("obstruction cochain is not closed")
+        return ObstructionCochain(cochain)
 
     @classmethod
     def from_generator(cls, c: CompatibleHomLieAlgebra, g: LinearGenerator) -> "OrderPDeformation":
@@ -226,9 +262,14 @@ class OrderPDeformation:
         return OrderPDeformation(self.base, self.coeffs1[: p + 1], self.coeffs2[: p + 1])
 
     def extended(self, mu1_top: Cochain, mu2_top: Cochain) -> "OrderPDeformation":
-        return OrderPDeformation(
+        """The order-(p+1) deformation with these top coefficients.  It links
+        to this one and reuses its K lists, coboundary matrices and verified
+        orders 0..p: the identities at order n involve only m_0..m_n."""
+        child = OrderPDeformation(
             self.base, self.coeffs1 + (mu1_top,), self.coeffs2 + (mu2_top,)
         )
+        object.__setattr__(child, "_parent", self)
+        return child
 
 
 @dataclass(frozen=True)
@@ -260,25 +301,27 @@ def verify_order_p(d: OrderPDeformation) -> OrderReport:
     truncated brackets, the same sums over i, j >= 0, must equal -r_n
     (-r_0 / 2 at order 0); the two routes are compared exactly, which checks
     the coboundary maps against the NR bracket with the base.  Disagreement
-    raises ContractError.  Each degree-2 coboundary matrix is built once and
-    multiplied by the stacked coefficient columns [m1_0 .. m1_p | m2_0 .. m2_p];
-    its bracket term is K_0 of the deformation's K list.
+    raises ContractError.  The report is kept on the deformation, and so
+    are the two degree-2 coboundary matrices, whose bracket term is K_0 of
+    the K list.  An extension built by `extended` takes orders 0..p from
+    its parent's report and checks order p + 1 alone.
     """
+    return d._report
+
+
+def _row(d: OrderPDeformation, n: int) -> tuple:
+    """The residuals (r1_n, r2_n, r3_n) of `verify_order_p`, checked against
+    the truncated-bracket route."""
     c = d.base
-    rep = adjoint_representation(c)
-    p = d.order
-    stacked = hstack([_flat(f) for f in d.coeffs1 + d.coeffs2])
-    d1, d2 = (_cochains(_coboundary_map(c, rep, b, 2, k[0]) @ stacked, c.part(b), c.dim, 3)
-              for b, k in enumerate(d._k_lists, 1))
-    residuals = []
-    for n in range(p + 1):
-        s11, s22, s12 = _bracket_sums(d, n, 1)
-        triple = (d1[n] - s11, d2[p + 1 + n] - s22, d1[p + 1 + n] + d2[n] - s12)
-        # Truncated-bracket route: the same sums over i, j >= 0.
-        if _bracket_sums(d, n, 0) != tuple(r.scale(-HALF if n == 0 else -1) for r in triple):
-            raise ContractError("truncated-bracket route disagrees with the identity route")
-        residuals.append(triple)
-    return OrderReport(tuple(residuals))
+    m_n = hstack([_flat(d.coeffs1[n]), _flat(d.coeffs2[n])])
+    (d1m1, d1m2), (d2m1, d2m2) = (_cochains(matrix @ m_n, c.part(b), c.dim, 3)
+                                  for b, matrix in enumerate(d._coboundaries, 1))
+    s11, s22, s12 = _bracket_sums(d, n, 1)
+    triple = (d1m1 - s11, d2m2 - s22, d1m2 + d2m1 - s12)
+    # Truncated-bracket route: the same sums over i, j >= 0.
+    if _bracket_sums(d, n, 0) != tuple(r.scale(-HALF if n == 0 else -1) for r in triple):
+        raise ContractError("truncated-bracket route disagrees with the identity route")
+    return triple
 
 
 def _bracket_sums(d: OrderPDeformation, n: int, low: int) -> tuple:
@@ -307,15 +350,8 @@ class ObstructionCochain:
 def obstruction(d: OrderPDeformation) -> ObstructionCochain:
     """The degree-3 cochain whose class must vanish for the deformation to
     extend one order, the sums of `verify_order_p` at n = p + 1; closedness
-    is asserted exactly."""
-    if not verify_order_p(d).passed:
-        raise PreconditionError("not a valid order-p deformation")
-    o11, o22, o12 = _bracket_sums(d, d.order + 1, 1)
-    cochain = CompatibleCochain(3, (o11, o12, o22))
-    closed = compatible_coboundary(d.base, adjoint_representation(d.base), cochain)
-    if not closed.is_zero():
-        raise ContractError("obstruction cochain is not closed")
-    return ObstructionCochain(cochain)
+    is asserted exactly.  It is kept on the deformation."""
+    return d._obstruction_cochain
 
 
 def is_extensible(d: OrderPDeformation):
@@ -326,7 +362,8 @@ def is_extensible(d: OrderPDeformation):
     (`coboundary_preimage`).  Returns one exact solution pair (any
     solution) or None when the obstruction class is nonzero.  A returned
     pair is re-verified: appending it yields a deformation of order p+1
-    passing verify_order_p.
+    passing verify_order_p.  That check, and the one of the caller's own
+    `d.extended(*pair)`, verify order p + 1 alone, on d's kept orders.
     """
     c = d.base
     x = coboundary_preimage(c, adjoint_representation(c), obstruction(d).cochain)

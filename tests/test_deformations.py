@@ -326,13 +326,16 @@ def test_wrong_coboundary_sign_raises_contract_error(monkeypatch, which):
         return -matrix if bracket == which else matrix
 
     monkeypatch.setattr(deformations, "_coboundary_map", flipped)
+    # d keeps its report and its coboundary matrices; an equal deformation
+    # built now assembles its own, through the patched map.
     with pytest.raises(ContractError):
-        verify_order_p(d)
+        verify_order_p(OrderPDeformation(c, d.coeffs1, d.coeffs2))
 
 
 def test_verify_order_p_builds_each_insertion_matrix_once(monkeypatch):
     # K1_0 and K2_0 of the K list are also the bracket terms of the two
-    # degree-2 coboundary maps, so an order-p check builds 2p + 2 matrices.
+    # degree-2 coboundary maps, so the order-1 check builds the 4 matrices
+    # of its coefficients, and an extension only the 2 of its top pair.
     # The K list is kept on the deformation: a repeat check, and the
     # obstruction after it, build none.
     c = fixtures.compatible_h3()
@@ -346,12 +349,58 @@ def test_verify_order_p_builds_each_insertion_matrix_once(monkeypatch):
     for p in (1, 2, 3):
         built.clear()
         assert verify_order_p(d).passed
-        assert len(built) == 2 * p + 2
+        new = slice(None) if p == 1 else slice(p, None)
+        assert built == list(d.coeffs1[new] + d.coeffs2[new])
         built.clear()
         assert verify_order_p(d).passed
         assert obstruction(d).cochain == naive_obstruction(d)
         assert built == []
         d = d.extended(*is_extensible(d))
+
+
+def test_an_extension_verifies_its_new_order_alone(monkeypatch):
+    """A kept report and obstruction take no bracket sums again; an extension
+    of a verified parent takes the two of its new order, one per route."""
+    c = fixtures.compatible_h3()
+    d = OrderPDeformation.from_generator(
+        c, trivial_deformation_from_nijenhuis(c, fixtures.h3_nijenhuis()))
+    taken = []
+    monkeypatch.setattr(deformations, "_bracket_sums",
+                        lambda e, n, low, original=deformations._bracket_sums:
+                        taken.append((e.order, n, low)) or original(e, n, low))
+    for p in (1, 2, 3):
+        obstruction(d)
+        taken.clear()
+        assert verify_order_p(d).passed
+        obstruction(d)
+        assert taken == []
+        child = d.extended(*is_extensible(d))
+        taken.clear()
+        assert verify_order_p(child).passed
+        assert taken == [(p + 1, p + 1, 1), (p + 1, p + 1, 0)]
+        d = child
+
+
+def test_an_extension_checks_its_new_order_on_both_routes(monkeypatch):
+    """A truncated-bracket route that is wrong at the new order only is
+    caught when the extension is verified, though its parent's orders are
+    kept."""
+    c = fixtures.twisted_compatible_h3()
+    d = OrderPDeformation.from_generator(
+        c, trivial_deformation_from_nijenhuis(c, fixtures.h3_nijenhuis()))
+    pair = is_extensible(d)
+    assert verify_order_p(d.extended(*pair)).passed
+    real = deformations._bracket_sums
+    off = Cochain.from_values(3, 3, 3, {(0, 1, 2): [1, 0, 0]})
+
+    def perturbed(e, n, low):
+        sums = real(e, n, low)
+        return (sums[0] + off,) + sums[1:] if (n, low) == (e.order, 0) else sums
+
+    monkeypatch.setattr(deformations, "_bracket_sums", perturbed)
+    assert verify_order_p(d).passed  # the kept report
+    with pytest.raises(ContractError):
+        verify_order_p(d.extended(*pair))
 
 
 def test_each_public_call_builds_the_adjoint_module_once(monkeypatch):
@@ -552,3 +601,42 @@ def test_random_pairs_match_the_naive_oracles(name):
     d = OrderPDeformation(c, (c.bracket_cochain(1), z.components[0]),
                           (c.bracket_cochain(2), z.components[1]))
     assert obstruction(d).cochain == naive_obstruction(d)
+
+
+@pytest.mark.parametrize("name", sorted(NIJENHUIS_CASES))
+def test_an_extension_reports_as_the_equal_deformation_built_directly(name):
+    """An extension takes orders 0..p from its parent's kept report; its
+    report and obstruction equal those of an equal deformation built with no
+    parent, and the naive oracles'.  Random generators and random top pairs
+    give nonzero residuals, at the parent's orders and at the new one.  A
+    valid extension shifted by a random 2-cocycle is valid too, and its
+    obstruction differs from its parent's."""
+    algebra, operator = NIJENHUIS_CASES[name]
+    c = algebra()
+    rng = random.Random(11)
+    z = CompatibleCochain.zero(2, c.dim, c.dim)
+    for item in cohomology_dimensions(c, adjoint_representation(c), 2).cocycle_basis:
+        z = z + item.scale(rng.randint(-2, 2))
+    failing = moved = 0
+    for g in (trivial_deformation_from_nijenhuis(c, operator()),
+              LinearGenerator(rand_equivariant_cochain(rng, c.alpha, c.alpha, 2),
+                              rand_equivariant_cochain(rng, c.alpha, c.alpha, 2))):
+        d = OrderPDeformation.from_generator(c, g)
+        for _ in range(2):
+            tops = [tuple(rand_equivariant_cochain(rng, c.alpha, c.alpha, 2) for _ in "12")]
+            if verify_order_p(d).passed and (pair := is_extensible(d)) is not None:
+                tops += [pair, tuple(m + w for m, w in zip(pair, z.components))]
+            for top in tops:
+                child = d.extended(*top)
+                direct = OrderPDeformation(c, child.coeffs1, child.coeffs2)
+                report = verify_order_p(child)
+                assert report.residuals == verify_order_p(direct).residuals
+                assert report.residuals == naive_order_residuals(child)
+                if report.passed:
+                    assert obstruction(child).cochain == obstruction(direct).cochain
+                    assert obstruction(child).cochain == naive_obstruction(child)
+                    moved += obstruction(child) != obstruction(d)
+                failing += not report.passed
+            d = child
+    # In dimension 2 there are no arity-3 cochains.
+    assert (failing > 0 and moved > 0) or c.dim < 3
