@@ -177,6 +177,12 @@ class Representation:
     def _report(self) -> "ValidationReport":
         return ValidationReport(tuple(_representation_checks(self)))
 
+    @cached_property
+    def _complex(self):
+        from .cohomology import _Complex  # built per degree on first use
+
+        return _Complex(self)
+
     def part(self, which: int) -> "Representation":
         """Single-action representation over the corresponding bracket."""
         if len(self.actions) == 1:

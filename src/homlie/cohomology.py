@@ -25,7 +25,7 @@ into a t-dimensional module is the row-major entry tuple of its t x C(d,n)
 coefficient matrix (in arity 0 that is the vector itself), and a
 two-bracket cochain lays its components end to end.  The single-bracket
 coboundary C^n -> C^(n+1) of each bracket is one sparse matrix, built once
-per call as its formula
+per module as its formula
 
     d = sum_j kron(a_j, E_j^T) - kron(1, K^T),    a_j = rho(alpha^(n-1) e_j).
 
@@ -43,6 +43,8 @@ since its columns are already flat coordinates.  The two-bracket
 differential is the (n+1) x n block-bidiagonal matrix with d1 on the
 diagonal and d2 below it, and the images of B in every slot are the same
 layout of d1 . B and d2 . B, one `kron_sum` of two terms.
+
+A module keeps these matrices and the images' elimination in its `_Complex`.
 
 Dimension reports take kernels and images of these products by exact
 elimination, map kernel and solve coordinates back through B, and choose
@@ -80,7 +82,9 @@ from .cochains import (
 from .errors import ContractError, PreconditionError, UsageError
 from .linalg import (
     Matrix,
+    _elimination,
     _kernel,
+    _replay,
     _row_space,
     _solve,
     hsplit,
@@ -179,7 +183,7 @@ def ce_coboundary(l: HomLieAlgebra, v: Representation, f):
     _validate_structures(l, v)
     require_equivariant((f,), l.alpha, v.beta)
     _check_shape(f, l.dim, v.vdim)
-    image = _coboundary_map(l, v, 1, f.arity) @ _flat(f)
+    image = v._complex["coboundary", 1, f.arity] @ _flat(f)
     return _cochains(image, l, v.vdim, f.arity + 1)[0]
 
 
@@ -210,25 +214,21 @@ def _check_shape(f, dim: int, vdim: int):
         raise UsageError("cochain shape does not match the algebra and module")
 
 
-def _coboundary_map(struct, v: Representation, which: int, n: int,
-                    k_term: Matrix | None = None) -> Matrix:
+def _coboundary_map(struct, v: Representation, which: int, n: int) -> Matrix:
     """The coboundary C^n -> C^(n+1) of bracket `which` with action table
     `which`, as a matrix on flat coordinates:
 
         sum_j kron(a_j, E_j^T) - kron(1, K^T),   a_j = rho(alpha^(n-1) e_j),
 
     with E_j from `wedge_incidence` and K the insertion matrix of the
-    bracket cochain.  A caller that already holds K passes it as k_term.
-    The blocks a_j are the d blocks of one product
+    bracket cochain.  The blocks a_j are the d blocks of one product
     A . kron(alpha^(n-1), 1), A = [rho(e_0) | ... | rho(e_(d-1))]; in
     degree 0 they are the plain action matrices.
     """
     dim, vdim = struct.dim, v.vdim
     if comb(dim, n + 1) == 0:  # no (n+1)-tuples: nothing to build
         return Matrix.zero(0, vdim * comb(dim, n))
-    if k_term is None:
-        bracket = Cochain(2, dim, dim, struct.brackets[which - 1])
-        k_term = insertion_matrix(bracket, struct.alpha, n)
+    k_term = insertion_matrix(Cochain(2, dim, dim, struct.brackets[which - 1]), struct.alpha, n)
     twist = kron(struct.alpha.power(max(n - 1, 0)), Matrix.identity(vdim))
     blocks = hsplit(_action_blocks(v.actions[which - 1], vdim) @ twist, dim)
     terms = [(Matrix.identity(vdim), -k_term.transpose())]
@@ -263,11 +263,13 @@ def compatible_coboundary(c: CompatibleHomLieAlgebra, v: Representation,
     n = f.degree
     for comp in f.components:
         _check_shape(comp, c.dim, v.vdim)
-    m = len(f.components)
-    images = _images(c, v, n, hstack([_flat(comp) for comp in f.components]))
-    # Column s m + j of the images is component j placed in slot s, and d f is
-    # the sum of the columns s m + s, which the flattened m x m identity picks.
-    image = images @ Matrix.identity(m).reshape(m * m, 1)
+    parts = [_flat(comp) for comp in f.components]
+    d1 = v._complex["coboundary", 1, n]
+    image = d1 @ parts[0]
+    if n:  # slot s of d f is d1 f_s + d2 f_(s-1)
+        d2, zero = v._complex["coboundary", 2, n], Matrix.zero(d1.rows, 1)
+        image = vstack([(d1 @ parts[s] if s < n else zero) + (d2 @ parts[s - 1] if s else zero)
+                        for s in range(n + 1)])
     return _cochains(image, c, v.vdim, n + 1)[0]
 
 
@@ -285,13 +287,31 @@ def _images(struct, v: Representation, n: int, basis: Matrix) -> Matrix:
     column each in slot-major order: d1 . B for one bracket and in degree 0,
     else the (n+1) x n block matrix with d1 . B on the diagonal and d2 . B
     just below it, so that slot i of d f is d1 f_i + d2 f_(i-1)."""
-    d1 = _coboundary_map(struct, v, 1, n) @ basis
+    d1 = v._complex["coboundary", 1, n] @ basis
     if len(struct.brackets) == 1 or n == 0:
         return d1
-    d2 = _coboundary_map(struct, v, 2, n) @ basis
+    d2 = v._complex["coboundary", 2, n] @ basis
     diagonal, below = (Matrix.from_entries(n + 1, n, {(i + s, i): 1 for i in range(n)})
                        for s in (0, 1))
     return kron_sum([(diagonal, d1), (below, d2)], (n + 1) * d1.rows, n * d1.cols)
+
+
+class _Complex(dict):
+    """The complex kept on a module v (`v._complex`), built from v and its
+    base on first use: ("coboundary", b, n) is the coboundary matrix of
+    action b in degree n, and ("basis", n), ("images", n) and
+    ("elimination", n) the basis matrix, its images and their elimination."""
+
+    def __init__(self, v: Representation):
+        self.module = v
+
+    def __missing__(self, key):
+        v, part, n = self.module, key[0], key[-1]
+        self[key] = (_coboundary_map(v.base, v, key[1], n) if part == "coboundary"
+                     else _basis_matrix(v.base, v, n) if part == "basis"
+                     else _images(v.base, v, n, self["basis", n]) if part == "images"
+                     else _elimination(self["images", n]))
+        return self[key]
 
 
 def _in_slots(basis: Matrix, coords: Matrix, copies: int) -> Matrix:
@@ -306,9 +326,9 @@ def cohomology_dimensions(struct, v: Representation, n: int) -> CohomologyReport
     """Cocycle, coboundary and cohomology dimensions at degree n, with exact bases.
 
     The complex is the one struct fixes: single-bracket for a
-    HomLieAlgebra, two-bracket for a CompatibleHomLieAlgebra.  The
-    coboundary matrices of degrees n-1 and n are built once and multiplied
-    by the basis matrices of the exact equivariant bases.  The cocycles are
+    HomLieAlgebra, two-bracket for a CompatibleHomLieAlgebra.  The images
+    of degrees n-1 and n (coboundary matrices times the basis matrices of
+    the exact equivariant bases) are kept on v.  The cocycles are
     the basis matrix times the kernel basis of the degree-n images, the
     coboundary basis is the reduced row basis of the degree-(n-1) images.
     The cohomology representatives are the cocycles whose columns are
@@ -320,14 +340,13 @@ def cohomology_dimensions(struct, v: Representation, n: int) -> CohomologyReport
         raise UsageError("negative degree")
     _validate_structures(struct, v)
     two = len(struct.brackets) == 2
-    basis = _basis_matrix(struct, v, n)
-    images = _images(struct, v, n, basis)
-    cocycles = _in_slots(basis, _kernel(images), max(n, 1) if two else 1)
+    kept = v._complex
+    images = kept["images", n]
+    cocycles = _in_slots(kept["basis", n], _kernel(images), max(n, 1) if two else 1)
 
     boundaries = Matrix.zero(cocycles.rows, 0)
     if n >= 1:
-        prev = _images(struct, v, n - 1, _basis_matrix(struct, v, n - 1))
-        boundaries = _row_space(prev.transpose()).transpose()
+        boundaries = _row_space(kept["images", n - 1].transpose()).transpose()
 
     pivots = rref(hstack([boundaries, cocycles]))[1]
     if len(pivots) != cocycles.cols:
@@ -372,17 +391,18 @@ def coboundary_preimage(c: CompatibleHomLieAlgebra, v: Representation,
 
     x is one exact solution over the degree-(n-1) basis for a degree-n
     target; in degree 0 it is a bare arity-0 Cochain, as in the reports.
-    An empty basis yields the zero cochain for a zero target.  The callers
-    check the inputs on the way in (`verify_order_p`, `extract_cocycle`).
+    An empty basis yields the zero cochain for a zero target.  The solve
+    replays the elimination of the images kept on v (`linalg._replay`).
+    The callers check the inputs on the way in (`verify_order_p`,
+    `extract_cocycle`).
     """
     n = target.degree - 1
     if n < 0:
         raise UsageError("a degree-0 cochain has no preimage")
-    basis = _basis_matrix(c, v, n)
-    x = _solve(_images(c, v, n, basis), _flat(target))
+    x = _replay(v._complex["elimination", n], _flat(target))
     if x is None:
         return None
-    return _cochains(_in_slots(basis, x, max(n, 1)), c, v.vdim, n)[0]
+    return _cochains(_in_slots(v._complex["basis", n], x, max(n, 1)), c, v.vdim, n)[0]
 
 
 @dataclass(frozen=True)

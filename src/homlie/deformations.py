@@ -18,10 +18,10 @@ The degree-3 obstruction cochain is closed, and the deformation extends
 one order further exactly when it is a coboundary; the extension
 coefficients are one coboundary preimage of it in the two-bracket complex.
 
-Each deformation keeps its K list, its two degree-2 coboundary matrices,
-its report and its obstruction.  The identities at order n involve only
-m_0..m_n, so an extension built by `extended` takes its parent's K lists,
-coboundary matrices and verified orders 0..p, and checks order p + 1 alone.
+Each deformation keeps its K list, its report and its obstruction.  The
+identities at order n involve only m_0..m_n, so an extension built by
+`extended` takes its parent's K lists and verified orders 0..p, and checks
+order p + 1 alone.  The coboundary matrices are kept on the adjoint module.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .cochains import (
 )
 from .cohomology import (
     CompatibleCochain,
-    _coboundary_map,
     _cochains,
     _flat,
     class_coordinates,
@@ -190,8 +189,8 @@ class OrderPDeformation:
 
     ``coeffs1[k]`` and ``coeffs2[k]`` are the arity-2 coefficient cochains of
     t^k; index 0 must equal the base brackets and every coefficient must be
-    twist-equivariant.  Its K lists, coboundary matrices, report and
-    obstruction are kept on the object.
+    twist-equivariant.  Its K lists, report and obstruction are kept on
+    the object.
     """
 
     base: CompatibleHomLieAlgebra
@@ -227,16 +226,6 @@ class OrderPDeformation:
                      for ks, coeffs in zip(known, (self.coeffs1, self.coeffs2)))
 
     @cached_property
-    def _coboundaries(self) -> tuple:
-        """The degree-2 coboundary matrices of both brackets on the adjoint
-        module, with K_0 as their bracket term; shared along a lineage."""
-        if self._parent:
-            return self._parent._coboundaries
-        c = self.base
-        return tuple(_coboundary_map(c, adjoint_representation(c), b, 2, k[0])
-                     for b, k in enumerate(self._k_lists, 1))
-
-    @cached_property
     def _report(self) -> "OrderReport":
         rows = self._parent._report.residuals if self._parent else ()
         return OrderReport(rows + tuple(_row(self, n) for n in range(len(rows), self.order + 1)))
@@ -263,8 +252,8 @@ class OrderPDeformation:
 
     def extended(self, mu1_top: Cochain, mu2_top: Cochain) -> "OrderPDeformation":
         """The order-(p+1) deformation with these top coefficients.  It links
-        to this one and reuses its K lists, coboundary matrices and verified
-        orders 0..p: the identities at order n involve only m_0..m_n."""
+        to this one and reuses its K lists and verified orders 0..p: the
+        identities at order n involve only m_0..m_n."""
         child = OrderPDeformation(
             self.base, self.coeffs1 + (mu1_top,), self.coeffs2 + (mu2_top,)
         )
@@ -301,10 +290,10 @@ def verify_order_p(d: OrderPDeformation) -> OrderReport:
     truncated brackets, the same sums over i, j >= 0, must equal -r_n
     (-r_0 / 2 at order 0); the two routes are compared exactly, which checks
     the coboundary maps against the NR bracket with the base.  Disagreement
-    raises ContractError.  The report is kept on the deformation, and so
-    are the two degree-2 coboundary matrices, whose bracket term is K_0 of
-    the K list.  An extension built by `extended` takes orders 0..p from
-    its parent's report and checks order p + 1 alone.
+    raises ContractError.  The report is kept on the deformation; the two
+    degree-2 coboundary matrices are read from the kept complex of the
+    base's adjoint module.  An extension built by `extended` takes orders
+    0..p from its parent's report and checks order p + 1 alone.
     """
     return d._report
 
@@ -314,8 +303,9 @@ def _row(d: OrderPDeformation, n: int) -> tuple:
     the truncated-bracket route."""
     c = d.base
     m_n = hstack([_flat(d.coeffs1[n]), _flat(d.coeffs2[n])])
-    (d1m1, d1m2), (d2m1, d2m2) = (_cochains(matrix @ m_n, c.part(b), c.dim, 3)
-                                  for b, matrix in enumerate(d._coboundaries, 1))
+    kept = adjoint_representation(c)._complex
+    (d1m1, d1m2), (d2m1, d2m2) = (_cochains(kept["coboundary", b, 2] @ m_n, c.part(b), c.dim, 3)
+                                  for b in (1, 2))
     s11, s22, s12 = _bracket_sums(d, n, 1)
     triple = (d1m1 - s11, d2m2 - s22, d1m2 + d2m1 - s12)
     # Truncated-bracket route: the same sums over i, j >= 0.
@@ -359,11 +349,12 @@ def is_extensible(d: OrderPDeformation):
 
     The next pair is a preimage of the obstruction under the degree-2
     differential of the two-bracket complex on the adjoint module
-    (`coboundary_preimage`).  Returns one exact solution pair (any
-    solution) or None when the obstruction class is nonzero.  A returned
-    pair is re-verified: appending it yields a deformation of order p+1
-    passing verify_order_p.  That check, and the one of the caller's own
-    `d.extended(*pair)`, verify order p + 1 alone, on d's kept orders.
+    (`coboundary_preimage`, from the elimination kept on the module).
+    Returns one exact solution pair (any solution) or None when the
+    obstruction class is nonzero.  A returned pair is re-verified:
+    appending it yields a deformation of order p+1 passing verify_order_p.
+    That check, and the one of the caller's own `d.extended(*pair)`,
+    verify order p + 1 alone, on d's kept orders.
     """
     c = d.base
     x = coboundary_preimage(c, adjoint_representation(c), obstruction(d).cochain)

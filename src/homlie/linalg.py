@@ -27,7 +27,9 @@ echelon form is unique, so `rref`, `kernel_basis`, `solve` and
 `span_basis` return the same output bit for bit whichever rows supply the
 pivots, which the cohomology computations rely on.  `_kernel`, `_solve`
 and `_row_space` give the same results as matrices in the stored form,
-for the cohomology code to keep cochains sparse.
+for the cohomology code to keep cochains sparse.  `_elimination` runs the
+pivot loop of `rref` and records its row steps, from which `_replay`
+solves m @ x = b as `_solve` does, without eliminating m again.
 """
 
 from __future__ import annotations
@@ -407,24 +409,20 @@ def kron_sum(terms, rows: int, cols: int) -> Matrix:
     return Matrix._of(rows, cols, tuple(data))
 
 
-def _integer_row(pairs: tuple) -> dict:
-    """A nonempty sparse rational row as a sparse primitive integer row
-    {col: int}: denominators cleared by their lcm, content gcd divided out.
-    Only the row's direction is kept, which is all elimination needs."""
+def _integer_row(pairs: tuple) -> tuple:
+    """A nonempty sparse rational row times den / g, for the lcm den of its
+    denominators and the content g of the result, as a primitive integer
+    row {col: int}, with g and den.  Elimination needs only its direction."""
     den = lcm(*(a.denominator for _, a in pairs))
-    return _primitive({j: a.numerator * (den // a.denominator) for j, a in pairs})
-
-
-def _primitive(row: dict) -> dict:
+    row = {j: a.numerator * (den // a.denominator) for j, a in pairs}
     g = gcd(*row.values())
-    if g == 1:
-        return row
-    return {j: a // g for j, a in row.items()}
+    return (row if g == 1 else {j: a // g for j, a in row.items()}), g, den
 
 
-def _eliminate(row: dict, pivot_row: dict, c: int) -> dict:
-    """The primitive integer row proportional to row - (row[c] / pivot_row[c]) pivot_row,
-    whose entry in column c is zero."""
+def _eliminate(row: dict, pivot_row: dict, c: int, steps, i: int, pivot: int) -> dict:
+    """The primitive integer row (p row - a pivot_row) / g, whose entry in
+    column c is zero, for the content g; (i, pivot, p, a, g) is appended
+    to `steps` when it is a list."""
     a, p = row[c], pivot_row[c]
     g = gcd(a, p)
     a, p = a // g, p // g
@@ -435,49 +433,61 @@ def _eliminate(row: dict, pivot_row: dict, c: int) -> dict:
             out[j] = value
         else:
             out.pop(j, None)
-    return _primitive(out) if out else out
+    g = gcd(*out.values()) or 1
+    if g != 1:
+        out = {j: x // g for j, x in out.items()}
+    if steps is not None:
+        steps.append((i, pivot, p, a, g))
+    return out
+
+
+def _echelon(rows: list, cols: int, steps: list | None = None) -> list:
+    """The one pivot loop of elimination, on (row index, primitive integer
+    row) pairs: the (pivot column, row index, row) of each reduced row, in
+    column order.  Columns are taken left to right; the pivot of a column
+    is the remaining row with the fewest nonzeros that has an entry there,
+    the lowest row index on ties.  Forward elimination is followed by
+    back-substitution, and a row that becomes zero vanishes.  Each update
+    of `_eliminate` is appended to `steps` when it is a list."""
+    echelon = []
+    for c in range(cols):
+        if not rows:
+            break
+        best = None
+        for k, (_, row) in enumerate(rows):
+            if c in row and (best is None or len(row) < len(rows[best][1])):
+                best = k
+        if best is None:
+            continue
+        pivot, pivot_row = rows.pop(best)
+        rows = [(i, _eliminate(row, pivot_row, c, steps, i, pivot) if c in row else row)
+                for i, row in rows]
+        rows = [(i, row) for i, row in rows if row]
+        echelon.append((c, pivot, pivot_row))
+    for k in range(len(echelon) - 1, 0, -1):
+        c, pivot, pivot_row = echelon[k]
+        for e in range(k):
+            ce, i, row = echelon[e]
+            if c in row:
+                echelon[e] = (ce, i, _eliminate(row, pivot_row, c, steps, i, pivot))
+    return echelon
 
 
 def rref(m: Matrix):
     """Reduced row echelon form and pivot columns.
 
-    The elimination is fraction-free on sparse integer rows: each row is a
-    {col: int} dict with its denominators cleared and its content gcd divided
-    out after every update.  Columns are taken left to right; the pivot of a
-    column is the remaining row with the fewest nonzeros that has an entry
-    there, the lowest row index on ties.  Forward elimination is followed by
-    back-substitution, and each stored entry becomes its quotient by its
-    row's pivot at the end: an int where the pivot divides it, else one
-    Fraction.  The RREF is unique, so the result does not depend on the
-    pivot rows chosen.
+    The elimination (`_echelon`) is fraction-free on sparse integer rows,
+    and each stored entry becomes its quotient by its row's pivot at the
+    end: an int where the pivot divides it, else one Fraction.  The RREF is
+    unique, so the result does not depend on the pivot rows chosen.
     """
-    remaining = [_integer_row(row) for row in m._data if row]
-    echelon = []  # (pivot column, row), in column order
-    for c in range(m.cols):
-        if not remaining:
-            break
-        best = None
-        for k, row in enumerate(remaining):
-            if c in row and (best is None or len(row) < len(remaining[best])):
-                best = k
-        if best is None:
-            continue
-        pivot_row = remaining.pop(best)
-        remaining = [_eliminate(row, pivot_row, c) if c in row else row for row in remaining]
-        remaining = [row for row in remaining if row]
-        echelon.append((c, pivot_row))
-    for k in range(len(echelon) - 1, 0, -1):
-        c, pivot_row = echelon[k]
-        for i in range(k):
-            ci, row = echelon[i]
-            if c in row:
-                echelon[i] = (ci, _eliminate(row, pivot_row, c))
+    echelon = _echelon([(i, _integer_row(row)[0]) for i, row in enumerate(m._data) if row], m.cols)
     data = []
-    for c, row in echelon:
+    for c, _, row in echelon:
         p = row[c]
         data.append(tuple((j, Fraction(x, p) if x % p else x // p) for j, x in sorted(row.items())))
     data += [()] * (m.rows - len(echelon))
-    return Matrix._of(m.rows, m.cols, tuple(data)), tuple(c for c, _ in echelon)
+    return Matrix._of(m.rows, m.cols, tuple(data)), tuple(c for c, _, _ in echelon)
 
 
 def rank(m: Matrix) -> int:
@@ -527,6 +537,38 @@ def solve(m: Matrix, b) -> tuple | None:
         raise UsageError(f"rhs length {len(b)} != rows {m.rows}")
     x = _solve(m, Matrix.from_columns([vector(b)], m.rows))
     return None if x is None else x.col(0)
+
+
+def _elimination(m: Matrix) -> tuple:
+    """The record of one elimination of m for `_replay`: (rows, cols, the
+    steps (i, pivot, p, a, g) that set row i to (p row_i - a row_pivot) / g,
+    first the scale (i, i, den, 0, g) of each row to integers, the rows that
+    vanish, and the (pivot column, row, pivot entry) of each reduced row)."""
+    rows = [(i, _integer_row(pairs)) for i, pairs in enumerate(m._data) if pairs]
+    steps = [(i, i, den, 0, g) for i, (_, g, den) in rows]
+    echelon = _echelon([(i, row) for i, (row, _, _) in rows], m.cols, steps)
+    vanished = tuple(sorted(set(range(m.rows)) - {i for _, i, _ in echelon}))
+    return m.rows, m.cols, tuple(steps), vanished, tuple((c, i, row[c]) for c, i, row in echelon)
+
+
+def _replay(record: tuple, b: Matrix) -> Matrix | None:
+    """`_solve(m, b)`, bit for bit, by the steps of `_elimination(m)` on the
+    column b alone: inconsistent when a vanished row keeps a nonzero entry,
+    and the solution `_solve` gives otherwise, since the RREF is unique."""
+    rows, cols, steps, vanished, pivots = record
+    if (b.rows, b.cols) != (rows, 1):
+        raise UsageError(f"rhs is {b.rows}x{b.cols}, not {rows}x1")
+    value = [pairs[0][1] if pairs else 0 for pairs in b._data]
+    for i, pivot, p, a, g in steps:
+        x = p * value[i] - a * value[pivot]
+        value[i] = x if g == 1 else x // g if type(x) is int and not x % g else Fraction(x, g)
+    if any(value[i] for i in vanished):
+        return None
+    data = [()] * cols
+    for c, i, p in pivots:
+        if value[i]:
+            data[c] = ((0, _stored(Fraction(value[i], p))),)
+    return Matrix._of(cols, 1, tuple(data))
 
 
 def span_rank(vectors) -> int:

@@ -24,7 +24,7 @@ from homlie import (
     hom_cochain_basis,
     verify_structure,
 )
-from homlie import algebra
+from homlie import algebra, cohomology, linalg
 from homlie.algebra import CheckResult
 from homlie.cochains import increasing_tuples, tuple_position
 from homlie.cohomology import _c0_constraints, _cochains, _flat
@@ -56,6 +56,29 @@ def record_adjoint_builds(monkeypatch) -> list:
     built = []
     monkeypatch.setattr(algebra, "_adjoint_module", lambda s, original=algebra._adjoint_module:
                         built.append(s) or original(s))
+    return built
+
+
+def record_complex_builds(monkeypatch) -> list:
+    """Every part of a kept complex built from now on, in order, as
+    ("coboundary", action, degree), ("basis", degree), ("images", degree)
+    or ("record", rows, cols) for the elimination record of a rows x cols
+    matrix, and every run of the elimination loop as ("elimination", cols)."""
+    built = []
+
+    def record(name, tag):
+        original = getattr(cohomology, name)
+        monkeypatch.setattr(cohomology, name, lambda struct, v, *args:
+                            built.append((tag, *(a for a in args if isinstance(a, int))))
+                            or original(struct, v, *args))
+
+    record("_coboundary_map", "coboundary")
+    record("_basis_matrix", "basis")
+    record("_images", "images")
+    monkeypatch.setattr(cohomology, "_elimination", lambda m, original=cohomology._elimination:
+                        built.append(("record", m.rows, m.cols)) or original(m))
+    monkeypatch.setattr(linalg, "_echelon", lambda rows, cols, steps=None, original=linalg._echelon:
+                        built.append(("elimination", cols)) or original(rows, cols, steps))
     return built
 
 

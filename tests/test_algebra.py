@@ -9,6 +9,7 @@ import pytest
 
 from homlie import (
     Cochain,
+    CompatibleCochain,
     CompatibleHomLieAlgebra,
     HomLieAlgebra,
     LinearOperator,
@@ -21,6 +22,7 @@ from homlie import (
     adjoint_representation,
     ce_coboundary,
     cohomology_dimensions,
+    compatible_coboundary,
     derived_structure,
     induced_bracket,
     rb_companion,
@@ -32,6 +34,7 @@ from homlie import (
     verify_structure,
 )
 from homlie import algebra, cochains, fixtures
+from homlie.cohomology import coboundary_preimage
 
 from helpers import (
     basis_vector,
@@ -288,11 +291,20 @@ def test_the_adjoint_module_is_built_once_per_structure(monkeypatch):
 def test_a_verified_object_still_copies_pickles_compares_and_hashes():
     s = fixtures.d2()
     rep = adjoint_representation(s)  # kept on s, with s as its base
+    # The module keeps its complex once a report or preimage has read it.
+    reports = [cohomology_dimensions(s, rep, n) for n in range(4)]
+    identity = CompatibleCochain(1, (Cochain.from_flat(1, 2, 2, [1, 0, 0, 1]),))
+    target = compatible_coboundary(s, rep, identity)
+    preimage = coboundary_preimage(s, rep, target)
+    assert preimage is not None
     for obj, fresh in ((s, fixtures.d2()), (rep, adjoint_representation(fixtures.d2()))):
         report = verify_structure(obj)
         for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj), copy.copy(obj)):
             assert twin == obj == fresh and hash(twin) == hash(obj) == hash(fresh)
             assert verify_structure(twin) == report
+            module = twin if obj is rep else adjoint_representation(twin)
+            assert [cohomology_dimensions(module.base, module, n) for n in range(4)] == reports
+            assert coboundary_preimage(module.base, module, target) == preimage
     twin = pickle.loads(pickle.dumps(s))  # its adjoint module comes along, over the twin
     assert adjoint_representation(twin) == rep and adjoint_representation(twin).base is twin
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from homlie import cli, deformations
+from homlie import cli, cohomology
 from homlie.cli import main, run
 from homlie.documents import parse
 
@@ -220,13 +220,15 @@ def test_a_failed_self_check_exits_3_with_a_report(tmp_path, capsys, monkeypatch
     path = tmp_path / "h3_deform.json"
     path.write_text(json.dumps(NON_COCYCLE_DEFORMATION), encoding="utf-8")
     assert run(["deform-verify", str(path)])[0] == 1  # the unpatched routes agree
-    real = deformations._coboundary_map
+    real = cohomology._coboundary_map
 
-    def flipped(struct, v, bracket, n, k_term=None):
-        matrix = real(struct, v, bracket, n, k_term)
+    def flipped(struct, v, bracket, n):
+        matrix = real(struct, v, bracket, n)
         return -matrix if bracket == which else matrix
 
-    monkeypatch.setattr(deformations, "_coboundary_map", flipped)
+    # The command parses a new structure, whose adjoint module builds its
+    # kept coboundary matrices through the patched builder.
+    monkeypatch.setattr(cohomology, "_coboundary_map", flipped)
     assert main([command, str(path), "--format", "machine"]) == 3
     out, err = capsys.readouterr()
     report = json.loads(out)

@@ -56,6 +56,7 @@ from helpers import (
     rand_frac,
     rand_matrix,
     rand_skew_bracket,
+    record_complex_builds,
 )
 
 F = Fraction
@@ -715,3 +716,63 @@ def test_comparison_dimensions_reported_side_by_side():
         b = cohomology_dimensions(plus, plus_rep, n).dim_cohomology
         table.append((n, a, b))
     assert table == [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
+
+
+# ---------------------------------------------------------------------------
+# The complex kept on a module
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["h3", "compatible_h3", "twisted_compatible_h3"])
+def test_a_degree_loop_builds_each_degree_of_the_complex_once(monkeypatch, name):
+    """A table over degrees 0..3 reads degree n - 1 from the complex the
+    previous call kept, so each degree's basis and images are built once."""
+    s = getattr(fixtures, name)()
+    v = adjoint_representation(s)
+    built = record_complex_builds(monkeypatch)
+    first = [cohomology_dimensions(s, v, n) for n in range(4)]
+    assert [b for b in built if b[0] == "images"] == [("images", n) for n in range(4)]
+    assert [b for b in built if b[0] == "basis"] == [("basis", n) for n in range(4)]
+    actions = range(1, len(s.brackets) + 1)
+    assert sorted(b for b in built if b[0] == "coboundary") == sorted(
+        ("coboundary", which, n) for n in range(4) for which in actions
+        if len(s.brackets) == 1 or n or which == 1)
+    built.clear()
+    assert [cohomology_dimensions(s, v, n) for n in range(4)] == first
+    assert [b for b in built if b[0] != "elimination"] == []
+
+
+def kept_parts(v, degrees):
+    """Every part of v's kept complex in the given degrees, built now if not yet."""
+    keys = [(part, n) for part in ("basis", "images", "elimination") for n in degrees]
+    keys += [("coboundary", b, n) for n in degrees for b in range(1, len(v.actions) + 1)]
+    return [v._complex[key] for key in keys]
+
+
+def test_equal_modules_built_separately_share_no_kept_data():
+    for name in ("h3", "compatible_h3", "twisted_compatible_h3"):
+        s, t = getattr(fixtures, name)(), getattr(fixtures, name)()
+        v, w = adjoint_representation(s), adjoint_representation(t)
+        assert v == w and v is not w
+        assert [cohomology_dimensions(s, v, n) for n in range(4)] == \
+            [cohomology_dimensions(t, w, n) for n in range(4)]
+        assert v._complex is not w._complex
+        for mine, theirs in zip(kept_parts(v, range(4)), kept_parts(w, range(4))):
+            assert mine == theirs and mine is not theirs
+
+
+def test_a_module_and_its_parts_share_no_kept_data():
+    c = fixtures.twisted_compatible_h3()
+    v = adjoint_representation(c)
+    reports = [cohomology_dimensions(c, v, n) for n in range(4)]
+    for b in (1, 2):
+        part = v.part(b)
+        assert part._complex is not v._complex
+        fresh = Representation(c.part(b), v.vdim, v.beta, (v.actions[b - 1],))
+        for n in range(4):
+            assert cohomology_dimensions(part.base, part, n) == \
+                cohomology_dimensions(fresh.base, fresh, n)
+            assert part._complex["coboundary", 1, n] == v._complex["coboundary", b, n]
+            assert part._complex["coboundary", 1, n] is not v._complex["coboundary", b, n]
+        mine = kept_parts(part, range(4))
+        assert not any(a is b for a in mine for b in kept_parts(v, range(4)))
+    assert [cohomology_dimensions(c, v, n) for n in range(4)] == reports

@@ -37,6 +37,7 @@ from helpers import (
     rand_equivariant_cochain,
     rand_matrix,
     record_adjoint_builds,
+    record_complex_builds,
     record_verifications,
 )
 
@@ -319,25 +320,26 @@ def test_wrong_coboundary_sign_raises_contract_error(monkeypatch, which):
     d = OrderPDeformation(c, (c.bracket_cochain(1), w1), (c.bracket_cochain(2), w2))
     assert not verify_order_p(d).passed  # the unpatched routes agree
 
-    real = deformations._coboundary_map
+    real = cohomology._coboundary_map
 
-    def flipped(struct, v, bracket, n, k_term=None):
-        matrix = real(struct, v, bracket, n, k_term)
+    def flipped(struct, v, bracket, n):
+        matrix = real(struct, v, bracket, n)
         return -matrix if bracket == which else matrix
 
-    monkeypatch.setattr(deformations, "_coboundary_map", flipped)
-    # d keeps its report and its coboundary matrices; an equal deformation
-    # built now assembles its own, through the patched map.
+    monkeypatch.setattr(cohomology, "_coboundary_map", flipped)
+    # The adjoint module of c keeps its unpatched coboundary matrices; a
+    # fresh, equal structure's module builds its own, through the patched map.
+    fresh = fixtures.compatible_h3()
     with pytest.raises(ContractError):
-        verify_order_p(OrderPDeformation(c, d.coeffs1, d.coeffs2))
+        verify_order_p(OrderPDeformation(fresh, d.coeffs1, d.coeffs2))
 
 
 def test_verify_order_p_builds_each_insertion_matrix_once(monkeypatch):
-    # K1_0 and K2_0 of the K list are also the bracket terms of the two
-    # degree-2 coboundary maps, so the order-1 check builds the 4 matrices
-    # of its coefficients, and an extension only the 2 of its top pair.
-    # The K list is kept on the deformation: a repeat check, and the
-    # obstruction after it, build none.
+    # The order-1 check builds the bracket terms of the two degree-2
+    # coboundary maps, once for the complex kept on c's adjoint module, and
+    # the 4 matrices of its coefficients; an extension builds only the 2 of
+    # its top pair.  The K list is kept on the deformation: a repeat check,
+    # and the obstruction after it, build none.
     c = fixtures.compatible_h3()
     d = OrderPDeformation.from_generator(
         c, trivial_deformation_from_nijenhuis(c, fixtures.h3_nijenhuis()))
@@ -350,12 +352,40 @@ def test_verify_order_p_builds_each_insertion_matrix_once(monkeypatch):
         built.clear()
         assert verify_order_p(d).passed
         new = slice(None) if p == 1 else slice(p, None)
-        assert built == list(d.coeffs1[new] + d.coeffs2[new])
+        kept = [c.bracket_cochain(1), c.bracket_cochain(2)] if p == 1 else []
+        assert built == kept + list(d.coeffs1[new] + d.coeffs2[new])
         built.clear()
         assert verify_order_p(d).passed
         assert obstruction(d).cochain == naive_obstruction(d)
         assert built == []
         d = d.extended(*is_extensible(d))
+
+
+def test_a_chain_order_after_the_first_builds_and_eliminates_nothing(monkeypatch):
+    """The chain pattern on compatible h3: the first order builds the
+    degree-2 and degree-3 coboundary matrices, the degree-2 basis and its
+    images once, and eliminates those images once; every later order reads
+    them from the complex kept on the adjoint module, so its obstruction,
+    `is_extensible(d)` and `verify_order_p(d.extended(*pair))` build no
+    part of the complex and run no elimination at all."""
+    c = fixtures.compatible_h3()
+    d = OrderPDeformation.from_generator(
+        c, trivial_deformation_from_nijenhuis(c, fixtures.h3_nijenhuis()))
+    built = record_complex_builds(monkeypatch)
+    for p in (1, 2, 3, 4):
+        built.clear()
+        obstruction(d)
+        pair = is_extensible(d)
+        d = d.extended(*pair)
+        assert verify_order_p(d).passed
+        if p > 1:
+            assert built == []
+            continue
+        images = adjoint_representation(c)._complex["images", 2]
+        assert [b for b in built if b[0] != "elimination"] == [
+            ("coboundary", 1, 2), ("coboundary", 2, 2), ("coboundary", 1, 3),
+            ("coboundary", 2, 3), ("basis", 2), ("images", 2),
+            ("record", images.rows, images.cols)]
 
 
 def test_an_extension_verifies_its_new_order_alone(monkeypatch):

@@ -2,11 +2,14 @@
 
 `rref` must equal the dense Fraction Gauss-Jordan elimination of
 `helpers.naive_rref` as an exact (matrix, pivots) pair, and its rank must
-equal the rank sympy computes over QQ.  The generated matrices cover
+equal the rank sympy computes over QQ.  A solve replayed from a kept
+elimination record (`_replay` of `_elimination(m)`) must equal `_solve`,
+which eliminates [m | b] afresh, bit for bit.  The generated matrices cover
 empty shapes, zero and repeated rows, tall and wide shapes, large
 denominators and entries of more than 4300 digits.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,8 +17,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from homlie import Matrix, kernel_basis, rref, solve
-from homlie.linalg import rank, span_basis, vec_is_zero
+from homlie import Matrix, adjoint_representation, fixtures, kernel_basis, rref, solve
+from homlie.errors import UsageError
+from homlie.linalg import _elimination, _replay, _solve, rank, span_basis, vec_is_zero
 
 from helpers import naive_rref
 
@@ -159,3 +163,59 @@ def test_rank_equals_sympy(recipe):
     qq = sympy.QQ
     rows = [[qq(a.numerator, a.denominator) for a in m.row(i)] for i in range(m.rows)]
     assert rank(m) == DomainMatrix(rows, (m.rows, m.cols), qq).rank()
+
+
+def stored(x):
+    """A solution matrix down to the type of each stored entry, or None."""
+    if x is None:
+        return None
+    return x.rows, x.cols, [[(j, type(v), v) for j, v in x.row_items(i)] for i in range(x.rows)]
+
+
+def column(values) -> Matrix:
+    return Matrix(len(values), 1, tuple(values))
+
+
+@settings(max_examples=40, deadline=None)
+@given(recipes(), st.data())
+def test_a_replayed_solve_is_solve(recipe, data):
+    m = build(recipe)
+    record = _elimination(m)
+    for _ in range(2):  # several solves against one record
+        x = vector(data.draw(st.lists(entries, min_size=m.cols, max_size=m.cols)))
+        consistent = column(m.apply(x))
+        arbitrary = column(vector(data.draw(st.lists(entries, min_size=m.rows, max_size=m.rows))))
+        for b in (consistent, arbitrary):
+            assert stored(_replay(record, b)) == stored(_solve(m, b))
+    assert _replay(record, consistent) is not None
+
+
+def test_a_replayed_solve_is_solve_on_inconsistent_and_rank_deficient_systems():
+    m = Matrix.from_rows([[1, 2, 0], [0, 0, 0], [2, 4, 0], [0, Fraction(1, 3), 5]])
+    record = _elimination(m)
+    for b in ([1, 0, 2, 7], [1, 1, 2, 7], [1, 0, 3, 7], [0, 0, 0, 0],
+              [Fraction(5, 7), 0, Fraction(10, 7), -1]):
+        assert stored(_replay(record, column(b))) == stored(_solve(m, column(b)))
+    assert _replay(record, column([1, 1, 2, 7])) is None  # nonzero on the zero row
+    assert _replay(record, column([1, 0, 3, 7])) is None  # off the repeated row
+    with pytest.raises(UsageError):
+        _replay(record, column([1, 2, 3]))
+    for recipe in EXAMPLES:  # empty shapes and entries of more than 4300 digits
+        m = build(recipe)
+        record = _elimination(m)
+        for b in (column(m.apply((Fraction(3, 2),) * m.cols)), column((HUGE,) * m.rows)):
+            assert stored(_replay(record, b)) == stored(_solve(m, b))
+
+
+@pytest.mark.parametrize("name", ["d2", "compatible_h3", "twisted_compatible_h3"])
+def test_a_kept_preimage_solve_is_solve_on_the_images(name):
+    c = getattr(fixtures, name)()
+    kept = adjoint_representation(c)._complex
+    rng = random.Random(11)
+    for n in (1, 2, 3):
+        images = kept["images", n]
+        for _ in range(4):
+            x = column([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(images.cols)])
+            arbitrary = column([Fraction(rng.randint(-1, 1)) for _ in range(images.rows)])
+            for b in (images @ x, arbitrary):
+                assert stored(_replay(kept["elimination", n], b)) == stored(_solve(images, b))
