@@ -11,40 +11,37 @@ with (d v)(x) = x . v in degree 0 on the twist-fixed vectors, the
 equivariant arity-0 cochains.
 
 For a compatible pair the degree-n group is the n-fold direct sum of the
-equivariant cochain space, with differential
+equivariant cochain space (one slot in degree 0: a twist-fixed vector on
+which both actions agree), with differential
 
     d(f_1, ..., f_n) = (d1 f_1, ..., d1 f_i + d2 f_(i-1), ..., d2 f_n)
 
-built from the two single-bracket coboundaries d1 and d2; these
-anticommute, which makes the square zero.  Degree 0 consists of one
-arity-0 component, a twist-fixed vector on which both actions agree, with
-d(v) = x .1 v.
+built from the two single-bracket coboundaries d1 and d2, and d(v) = d1 v
+in degree 0; d1 and d2 anticommute, which makes the square zero.
 
 Every degree is one matrix picture on flat coordinates: an arity-n cochain
 into a t-dimensional module is the row-major entry tuple of its t x C(d,n)
 coefficient matrix (in arity 0 that is the vector itself), and a
-two-bracket cochain lays its components end to end.  The single-bracket
-coboundary C^n -> C^(n+1) of each bracket is one sparse matrix, built once
-per module as its formula
+two-bracket cochain lays its slots end to end (`_slots` counts them).  The
+single-bracket coboundary C^n -> C^(n+1) of each bracket is one sparse
+matrix, built as its formula
 
     d = sum_j kron(a_j, E_j^T) - kron(1, K^T),    a_j = rho(alpha^(n-1) e_j).
 
 The action term puts F -> a_j F E_j, where E_j (C(d,n) x C(d,n+1)) is the
 signed incidence e_I -> e_j ^ e_I.  The bracket term is F -> -F . K, where
 K = insertion_matrix(bracket, alpha, n) is the C(d,n) x C(d,n+1) matrix of
-the insertion product F -> F <> [ , ] (see `cochains`): column X of K
-expands the signed sum of the wedges [e_i, e_j] ^ alpha e_k ^ ... over the
-pairs (i, j) of the (n+1)-tuple X in the n-tuple basis; the d + 1 terms
+the insertion product F -> F <> [ , ] (see `cochains`); the d + 1 terms
 are summed by one `kron_sum`.  A cochain space is a basis matrix B whose
 columns are the equivariant basis cochains: B is the kernel matrix of the
 equivariance constraints (`cochains.equivariance_constraints`, and in
-two-bracket degree 0 the agreement of the two actions) taken as it is,
-since its columns are already flat coordinates.  The two-bracket
-differential is the (n+1) x n block-bidiagonal matrix with d1 on the
-diagonal and d2 below it, and the images of B in every slot are the same
-layout of d1 . B and d2 . B, one `kron_sum` of two terms.
+two-bracket degree 0 the agreement of the two actions) taken as it is.
 
-A module keeps these matrices and the images' elimination in its `_Complex`.
+A module keeps one complex (`_Complex`): per degree the matrices K, d1
+and d2, one differential laid out from them (`_layout`: d1 alone for one
+bracket and in degree 0, else (n+1) x n blocks with d1 on the diagonal and
+d2 below it), B, its images (the same layout of d1 . B and d2 . B) and
+their elimination.  Every coboundary is one product with the differential.
 
 Dimension reports take kernels and images of these products by exact
 elimination, map kernel and solve coordinates back through B, and choose
@@ -125,10 +122,7 @@ class CompatibleCochain:
         return cls(degree, (Cochain.zero(degree, source_dim, target_dim),) * max(degree, 1))
 
     def flatten(self) -> tuple:
-        out = ()
-        for f in self.components:
-            out += f.flatten()
-        return out
+        return _flat(self).entries
 
     def is_zero(self) -> bool:
         return all(f.is_zero() for f in self.components)
@@ -183,8 +177,7 @@ def ce_coboundary(l: HomLieAlgebra, v: Representation, f):
     _validate_structures(l, v)
     require_equivariant((f,), l.alpha, v.beta)
     _check_shape(f, l.dim, v.vdim)
-    image = v._complex["coboundary", 1, f.arity] @ _flat(f)
-    return _cochains(image, l, v.vdim, f.arity + 1)[0]
+    return _cochains(v._complex["differential", f.arity] @ _flat(f), l, v.vdim, f.arity + 1)[0]
 
 
 def _flat(f) -> Matrix:
@@ -198,15 +191,20 @@ def _cochains(flat: Matrix, struct, vdim: int, degree: int) -> tuple:
     """The cochains of the complex of `struct` whose flat coordinates are
     the columns of `flat` (the inverse of `_flat`); a bare Cochain for one
     bracket and in degree 0, as the reports give it."""
-    bare = len(struct.brackets) == 1 or degree == 0
-    copies = 1 if bare else degree
-    shape = (copies * vdim, comb(struct.dim, degree))  # the slots' coefficient matrices, stacked
+    slots = _slots(struct, degree)
+    shape = (slots * vdim, comb(struct.dim, degree))  # the slots' coefficient matrices, stacked
     out = []
     for row in vsplit(flat.transpose(), flat.cols):
         parts = tuple(Cochain(degree, struct.dim, vdim, block)
-                      for block in vsplit(row.reshape(*shape), copies))
-        out.append(parts[0] if bare else CompatibleCochain(degree, parts))
+                      for block in vsplit(row.reshape(*shape), slots))
+        out.append(CompatibleCochain(degree, parts) if len(struct.brackets) == 2 and degree
+                   else parts[0])
     return tuple(out)
+
+
+def _slots(struct, n: int) -> int:
+    """The arity-n slots of a degree-n cochain of the complex of `struct`."""
+    return n if len(struct.brackets) == 2 and n else 1
 
 
 def _check_shape(f, dim: int, vdim: int):
@@ -221,17 +219,16 @@ def _coboundary_map(struct, v: Representation, which: int, n: int) -> Matrix:
         sum_j kron(a_j, E_j^T) - kron(1, K^T),   a_j = rho(alpha^(n-1) e_j),
 
     with E_j from `wedge_incidence` and K the insertion matrix of the
-    bracket cochain.  The blocks a_j are the d blocks of one product
-    A . kron(alpha^(n-1), 1), A = [rho(e_0) | ... | rho(e_(d-1))]; in
-    degree 0 they are the plain action matrices.
+    bracket cochain, kept on v.  The blocks a_j are the d blocks of one
+    product A . kron(alpha^(n-1), 1), A = [rho(e_0) | ... | rho(e_(d-1))];
+    in degree 0 they are the plain action matrices.
     """
     dim, vdim = struct.dim, v.vdim
     if comb(dim, n + 1) == 0:  # no (n+1)-tuples: nothing to build
         return Matrix.zero(0, vdim * comb(dim, n))
-    k_term = insertion_matrix(Cochain(2, dim, dim, struct.brackets[which - 1]), struct.alpha, n)
     twist = kron(struct.alpha.power(max(n - 1, 0)), Matrix.identity(vdim))
     blocks = hsplit(_action_blocks(v.actions[which - 1], vdim) @ twist, dim)
-    terms = [(Matrix.identity(vdim), -k_term.transpose())]
+    terms = [(Matrix.identity(vdim), -v._complex["insertion", which, n].transpose())]
     terms += [(a, e.transpose()) for a, e in zip(blocks, wedge_incidence(dim, n))]
     return kron_sum(terms, vdim * comb(dim, n + 1), vdim * comb(dim, n))
 
@@ -260,17 +257,8 @@ def compatible_coboundary(c: CompatibleHomLieAlgebra, v: Representation,
             )
     else:
         require_equivariant(f.components, c.alpha, v.beta, "component is not twist-equivariant")
-    n = f.degree
-    for comp in f.components:
-        _check_shape(comp, c.dim, v.vdim)
-    parts = [_flat(comp) for comp in f.components]
-    d1 = v._complex["coboundary", 1, n]
-    image = d1 @ parts[0]
-    if n:  # slot s of d f is d1 f_s + d2 f_(s-1)
-        d2, zero = v._complex["coboundary", 2, n], Matrix.zero(d1.rows, 1)
-        image = vstack([(d1 @ parts[s] if s < n else zero) + (d2 @ parts[s - 1] if s else zero)
-                        for s in range(n + 1)])
-    return _cochains(image, c, v.vdim, n + 1)[0]
+    _check_shape(f.components[0], c.dim, v.vdim)  # the components share their shape
+    return _cochains(v._complex["differential", f.degree] @ _flat(f), c, v.vdim, f.degree + 1)[0]
 
 
 def _basis_matrix(struct, v: Representation, n: int) -> Matrix:
@@ -282,44 +270,55 @@ def _basis_matrix(struct, v: Representation, n: int) -> Matrix:
     return _equivariant_columns(struct.alpha, v.beta, n)
 
 
-def _images(struct, v: Representation, n: int, basis: Matrix) -> Matrix:
-    """The coboundaries of the columns of `basis` placed in every slot, one
-    column each in slot-major order: d1 . B for one bracket and in degree 0,
-    else the (n+1) x n block matrix with d1 . B on the diagonal and d2 . B
-    just below it, so that slot i of d f is d1 f_i + d2 f_(i-1)."""
-    d1 = v._complex["coboundary", 1, n] @ basis
-    if len(struct.brackets) == 1 or n == 0:
-        return d1
-    d2 = v._complex["coboundary", 2, n] @ basis
-    diagonal, below = (Matrix.from_entries(n + 1, n, {(i + s, i): 1 for i in range(n)})
+def _layout(struct, n: int, block) -> Matrix:
+    """The degree-n layout of the complex of `struct` from the blocks
+    block(b) of its brackets: block(1) where degree n + 1 has one slot (one
+    bracket, or n = 0), else the (n+1) x n block matrix with block(1) on the
+    diagonal and block(2) just below it.  From d1, d2 it is the
+    differential, and from d1 . B, d2 . B (the mixed-product rule) its
+    images of B in every slot.  Empty blocks lay out nothing."""
+    out, into = _slots(struct, n + 1), _slots(struct, n)
+    if out == 1:
+        return block(1)
+    d1, d2 = block(1), block(2)
+    rows, cols = out * d1.rows, into * d1.cols
+    if not rows or not cols:
+        return Matrix.zero(rows, cols)
+    diagonal, below = (Matrix.from_entries(out, into, {(i + s, i): 1 for i in range(into)})
                        for s in (0, 1))
-    return kron_sum([(diagonal, d1), (below, d2)], (n + 1) * d1.rows, n * d1.cols)
+    return kron_sum([(diagonal, d1), (below, d2)], rows, cols)
 
 
 class _Complex(dict):
     """The complex kept on a module v (`v._complex`), built from v and its
-    base on first use: ("coboundary", b, n) is the coboundary matrix of
-    action b in degree n, and ("basis", n), ("images", n) and
-    ("elimination", n) the basis matrix, its images and their elimination."""
+    base on first use: ("insertion", b, n) and ("coboundary", b, n) are
+    K and d_b of bracket b in degree n, and ("differential", n),
+    ("basis", n), ("images", n) and ("elimination", n) their layout, the
+    basis matrix, its images and their elimination."""
 
     def __init__(self, v: Representation):
         self.module = v
 
     def __missing__(self, key):
         v, part, n = self.module, key[0], key[-1]
-        self[key] = (_coboundary_map(v.base, v, key[1], n) if part == "coboundary"
-                     else _basis_matrix(v.base, v, n) if part == "basis"
-                     else _images(v.base, v, n, self["basis", n]) if part == "images"
-                     else _elimination(self["images", n]))
+        s = v.base
+        self[key] = (
+            insertion_matrix(Cochain(2, s.dim, s.dim, s.brackets[key[1] - 1]), s.alpha, n)
+            if part == "insertion" else _coboundary_map(s, v, key[1], n) if part == "coboundary"
+            else _layout(s, n, lambda b: self["coboundary", b, n]) if part == "differential"
+            else _basis_matrix(s, v, n) if part == "basis"
+            else _layout(s, n, lambda b: self["coboundary", b, n] @ self["basis", n])
+            if part == "images" else _elimination(self["images", n]))
         return self[key]
 
 
-def _in_slots(basis: Matrix, coords: Matrix, copies: int) -> Matrix:
-    """The flat cochains whose coordinates over `copies` slots of the basis
-    matrix are the columns of coords, as the columns of
-    kron(1, basis) . coords: slot s is basis times the s-th block of
-    basis.cols rows of coords."""
-    return kron(Matrix.identity(copies), basis) @ coords
+def _in_slots(basis: Matrix, coords: Matrix, slots: int) -> Matrix:
+    """The flat cochains whose coordinates over `slots` slots of the basis
+    matrix are the columns of coords, kron(1, basis) . coords: slot s is
+    basis times the s-th block of coords.  No unknowns give zeros."""
+    if not basis.cols:
+        return Matrix.zero(slots * basis.rows, coords.cols)
+    return kron(Matrix.identity(slots), basis) @ coords
 
 
 def cohomology_dimensions(struct, v: Representation, n: int) -> CohomologyReport:
@@ -339,10 +338,9 @@ def cohomology_dimensions(struct, v: Representation, n: int) -> CohomologyReport
     if n < 0:
         raise UsageError("negative degree")
     _validate_structures(struct, v)
-    two = len(struct.brackets) == 2
     kept = v._complex
     images = kept["images", n]
-    cocycles = _in_slots(kept["basis", n], _kernel(images), max(n, 1) if two else 1)
+    cocycles = _in_slots(kept["basis", n], _kernel(images), _slots(struct, n))
 
     boundaries = Matrix.zero(cocycles.rows, 0)
     if n >= 1:
@@ -357,7 +355,7 @@ def cohomology_dimensions(struct, v: Representation, n: int) -> CohomologyReport
 
     return CohomologyReport(
         degree=n,
-        flavor=COMPATIBLE if two else PLAIN,
+        flavor=COMPATIBLE if len(struct.brackets) == 2 else PLAIN,
         dim_cochains=images.cols,
         dim_cocycles=cocycles.cols,
         dim_coboundaries=boundaries.cols,
@@ -402,7 +400,7 @@ def coboundary_preimage(c: CompatibleHomLieAlgebra, v: Representation,
     x = _replay(v._complex["elimination", n], _flat(target))
     if x is None:
         return None
-    return _cochains(_in_slots(v._complex["basis", n], x, max(n, 1)), c, v.vdim, n)[0]
+    return _cochains(_in_slots(v._complex["basis", n], x, _slots(c, n)), c, v.vdim, n)[0]
 
 
 @dataclass(frozen=True)

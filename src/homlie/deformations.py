@@ -21,7 +21,7 @@ coefficients are one coboundary preimage of it in the two-bracket complex.
 Each deformation keeps its K list, its report and its obstruction.  The
 identities at order n involve only m_0..m_n, so an extension built by
 `extended` takes its parent's K lists and verified orders 0..p, and checks
-order p + 1 alone.  The coboundary matrices are kept on the adjoint module.
+order p + 1 alone.  K_0 and the differentials are kept on the adjoint module.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from .cohomology import (
     compatible_coboundary,
 )
 from .errors import ContractError, PreconditionError, UsageError
-from .linalg import Matrix, hstack
+from .linalg import Matrix
 
 HALF = Fraction(1, 2)
 
@@ -219,9 +219,10 @@ class OrderPDeformation:
     @cached_property
     def _k_lists(self) -> tuple:
         """The K lists of both brackets: K_k = insertion_matrix(m_k, alpha, 2),
-        so that P <> m_k = P . K_k.  An extension appends its top pair's
-        matrices to its parent's lists."""
-        known = self._parent._k_lists if self._parent else ((), ())
+        so that P <> m_k = P . K_k, with K_0 kept on the adjoint module.  An
+        extension appends its top pair's matrices to its parent's lists."""
+        known = self._parent._k_lists if self._parent else tuple(
+            (adjoint_representation(self.base)._complex["insertion", b, 2],) for b in (1, 2))
         return tuple(ks + tuple(insertion_matrix(f, self.base.alpha, 2) for f in coeffs[len(ks):])
                      for ks, coeffs in zip(known, (self.coeffs1, self.coeffs2)))
 
@@ -290,10 +291,11 @@ def verify_order_p(d: OrderPDeformation) -> OrderReport:
     truncated brackets, the same sums over i, j >= 0, must equal -r_n
     (-r_0 / 2 at order 0); the two routes are compared exactly, which checks
     the coboundary maps against the NR bracket with the base.  Disagreement
-    raises ContractError.  The report is kept on the deformation; the two
-    degree-2 coboundary matrices are read from the kept complex of the
-    base's adjoint module.  An extension built by `extended` takes orders
-    0..p from its parent's report and checks order p + 1 alone.
+    raises ContractError.  The report is kept on the deformation; d1(m1_n),
+    d1(m2_n) + d2(m1_n) and d2(m2_n) are the slots of one product with the
+    degree-2 differential kept on the base's adjoint module.  An extension
+    built by `extended` takes orders 0..p from its parent's report and
+    checks order p + 1 alone.
     """
     return d._report
 
@@ -302,12 +304,11 @@ def _row(d: OrderPDeformation, n: int) -> tuple:
     """The residuals (r1_n, r2_n, r3_n) of `verify_order_p`, checked against
     the truncated-bracket route."""
     c = d.base
-    m_n = hstack([_flat(d.coeffs1[n]), _flat(d.coeffs2[n])])
-    kept = adjoint_representation(c)._complex
-    (d1m1, d1m2), (d2m1, d2m2) = (_cochains(kept["coboundary", b, 2] @ m_n, c.part(b), c.dim, 3)
-                                  for b in (1, 2))
+    m_n = _flat(CompatibleCochain(2, (d.coeffs1[n], d.coeffs2[n])))
+    image = adjoint_representation(c)._complex["differential", 2] @ m_n
+    d1m1, mixed, d2m2 = _cochains(image, c, c.dim, 3)[0].components
     s11, s22, s12 = _bracket_sums(d, n, 1)
-    triple = (d1m1 - s11, d2m2 - s22, d1m2 + d2m1 - s12)
+    triple = (d1m1 - s11, d2m2 - s22, mixed - s12)
     # Truncated-bracket route: the same sums over i, j >= 0.
     if _bracket_sums(d, n, 0) != tuple(r.scale(-HALF if n == 0 else -1) for r in triple):
         raise ContractError("truncated-bracket route disagrees with the identity route")

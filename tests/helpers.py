@@ -60,25 +60,19 @@ def record_adjoint_builds(monkeypatch) -> list:
 
 
 def record_complex_builds(monkeypatch) -> list:
-    """Every part of a kept complex built from now on, in order, as
-    ("coboundary", action, degree), ("basis", degree), ("images", degree)
-    or ("record", rows, cols) for the elimination record of a rows x cols
-    matrix, and every run of the elimination loop as ("elimination", cols)."""
+    """Every part of a kept complex built from now on, in the order it is
+    asked for, as its key: ("insertion", bracket, degree),
+    ("coboundary", action, degree), ("differential", degree),
+    ("basis", degree), ("images", degree) or ("elimination", degree) for
+    the elimination record of the images; and every run of the elimination
+    loop as ("echelon", cols).  A part asked for while another is built
+    comes after it."""
     built = []
-
-    def record(name, tag):
-        original = getattr(cohomology, name)
-        monkeypatch.setattr(cohomology, name, lambda struct, v, *args:
-                            built.append((tag, *(a for a in args if isinstance(a, int))))
-                            or original(struct, v, *args))
-
-    record("_coboundary_map", "coboundary")
-    record("_basis_matrix", "basis")
-    record("_images", "images")
-    monkeypatch.setattr(cohomology, "_elimination", lambda m, original=cohomology._elimination:
-                        built.append(("record", m.rows, m.cols)) or original(m))
+    monkeypatch.setattr(cohomology._Complex, "__missing__",
+                        lambda kept, key, original=cohomology._Complex.__missing__:
+                        built.append(key) or original(kept, key))
     monkeypatch.setattr(linalg, "_echelon", lambda rows, cols, steps=None, original=linalg._echelon:
-                        built.append(("elimination", cols)) or original(rows, cols, steps))
+                        built.append(("echelon", cols)) or original(rows, cols, steps))
     return built
 
 

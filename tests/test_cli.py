@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -261,6 +262,26 @@ def test_console_entry_point_machine_bytes():
     assert result.returncode == 1
     expected = (GOLDEN / "verify_g4a.json").read_text(encoding="utf-8")
     assert result.stdout == expected
+
+
+def test_a_degree_far_above_the_dimension_exits_0_with_zero_groups():
+    """Every group of d2 above its dimension is 0 and the complex lays out
+    no empty blocks, so degree 10**12 answers at once.  The child process
+    runs under a 1 GiB address-space cap and a time bound, so a layout
+    that grows with the degree fails here instead of filling memory."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    argv = ["cohomology", str(ROOT / "fixtures/d2.json"), "--degree", str(10**12),
+            "--format", "machine"]
+    result = subprocess.run(
+        [sys.executable, "-m", "homlie.cli", *argv], capture_output=True, text=True,
+        cwd=ROOT / "src", timeout=60, preexec_fn=cap,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert json.loads(result.stdout)["results"] == {
+        "degree": 10**12, "flavor": "compatible", "dim_cochains": 0, "dim_cocycles": 0,
+        "dim_coboundaries": 0, "dim_cohomology": 0}
 
 
 def test_human_format_mentions_checks():

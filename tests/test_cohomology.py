@@ -38,11 +38,11 @@ from homlie.cohomology import (
     _basis_matrix,
     _coboundary_map,
     _cochains,
-    _images,
     _in_slots,
+    _slots,
     coboundary_preimage,
 )
-from homlie.linalg import kernel_basis, span_rank, vec_is_zero
+from homlie.linalg import kernel_basis, kron, span_rank, vec_is_zero
 
 from helpers import (
     basis_vector,
@@ -344,9 +344,8 @@ def test_assembled_images_match_naive_oracle():
     c = fixtures.twisted_compatible_h3()
     rep = adjoint_representation(c)
     for n in range(4):
-        basis = _basis_matrix(c, rep, n)
-        images = _images(c, rep, n, basis)
-        units = _in_slots(basis, Matrix.identity(images.cols), max(n, 1))
+        basis, images = rep._complex["basis", n], rep._complex["images", n]
+        units = _in_slots(basis, Matrix.identity(images.cols), _slots(c, n))
         items = list(_cochains(units, c, rep.vdim, n))
         if n == 0:
             items = [CompatibleCochain(0, (item,)) for item in items]
@@ -402,6 +401,40 @@ def random_twisted_cases(rng):
             yield pair, Representation(pair, t, beta, (table, other))
 
 
+def two_bracket_modules():
+    return [(fixtures.d2(), None), (fixtures.d2(), fixtures.d2_extension_rep()),
+            (fixtures.compatible_h3(), None), (fixtures.twisted_compatible_h3(), None)]
+
+
+def test_the_kept_differential_is_the_naive_two_bracket_coboundary():
+    """Column k of ("differential", n) is the naive two-bracket coboundary of
+    the k-th unit cochain, (n+1) x n blocks of d1 and d2 in degree n >= 1
+    and d1 alone in degree 0; past the source dimension it is empty."""
+    for c, rep in two_bracket_modules():
+        rep = rep or adjoint_representation(c)
+        for n in range(c.dim + 2):
+            d = rep._complex["differential", n]
+            size = _slots(c, n) * rep.vdim * comb(c.dim, n)
+            assert (d.rows, d.cols) == (_slots(c, n + 1) * rep.vdim * comb(c.dim, n + 1), size)
+            for k, unit in enumerate(_cochains(Matrix.identity(size), c, rep.vdim, n)):
+                if n == 0:
+                    unit = CompatibleCochain(0, (unit,))
+                assert d.col(k) == naive_compatible_coboundary(c, rep, unit).flatten()
+            if n == 0:
+                assert d is rep._complex["coboundary", 1, 0]
+
+
+def test_the_images_are_the_differential_on_the_basis_in_every_slot():
+    """The mixed-product rule: the layout of d1 . B and d2 . B is the
+    layout of d1 and d2 times kron(1, B)."""
+    for c, rep in two_bracket_modules():
+        kept = (rep or adjoint_representation(c))._complex
+        for n in range(c.dim + 2):
+            basis = kept["basis", n]
+            assert kept["images", n] == kept["differential", n] @ kron(
+                Matrix.identity(_slots(c, n)), basis)
+
+
 def test_basis_matrix_is_the_flat_cochain_basis():
     """The kernel matrix taken as it is equals the basis cochains of
     `hom_cochain_basis` (or of the degree-0 group) stacked as flat columns."""
@@ -431,7 +464,7 @@ def test_delta_squared_on_assembled_matrices_h5_pair():
     assert verify_structure(c).passed
     rep = adjoint_representation(c)
     for n in range(4):
-        delta = _images(c, rep, n, _basis_matrix(c, rep, n))
+        delta = rep._complex["images", n]
         assert delta.cols
         assert n == 0 or not delta.is_zero()  # degree 0 is the centre
         assert (ambient_matrix(c, rep, n + 1) @ delta).is_zero()
@@ -725,7 +758,9 @@ def test_comparison_dimensions_reported_side_by_side():
 @pytest.mark.parametrize("name", ["h3", "compatible_h3", "twisted_compatible_h3"])
 def test_a_degree_loop_builds_each_degree_of_the_complex_once(monkeypatch, name):
     """A table over degrees 0..3 reads degree n - 1 from the complex the
-    previous call kept, so each degree's basis and images are built once."""
+    previous call kept, so each degree's basis and images are built once.
+    The images are the layout of the products with the basis, so the
+    table builds no differential."""
     s = getattr(fixtures, name)()
     v = adjoint_representation(s)
     built = record_complex_builds(monkeypatch)
@@ -736,15 +771,18 @@ def test_a_degree_loop_builds_each_degree_of_the_complex_once(monkeypatch, name)
     assert sorted(b for b in built if b[0] == "coboundary") == sorted(
         ("coboundary", which, n) for n in range(4) for which in actions
         if len(s.brackets) == 1 or n or which == 1)
+    assert [b for b in built if b[0] == "differential"] == []
     built.clear()
     assert [cohomology_dimensions(s, v, n) for n in range(4)] == first
-    assert [b for b in built if b[0] != "elimination"] == []
+    assert [b for b in built if b[0] != "echelon"] == []
 
 
 def kept_parts(v, degrees):
     """Every part of v's kept complex in the given degrees, built now if not yet."""
-    keys = [(part, n) for part in ("basis", "images", "elimination") for n in degrees]
-    keys += [("coboundary", b, n) for n in degrees for b in range(1, len(v.actions) + 1)]
+    keys = [(part, n) for part in ("basis", "images", "elimination", "differential")
+            for n in degrees]
+    keys += [(part, b, n) for part in ("insertion", "coboundary") for n in degrees
+             for b in range(1, len(v.actions) + 1)]
     return [v._complex[key] for key in keys]
 
 

@@ -14,9 +14,13 @@ action of one vector at a time (`Representation.action` is gone).  Only
 or names its shared `ZERO`.  A stored integral entry is a Python int, so
 the identity shortcuts of products test for the int 1, and no other module
 imports or names `linalg`'s shared Fraction `ONE` either.  The coboundary,
-the pair blocks, the equivariance constraints and the two-bracket images
-are sums of Kronecker products, and each of their builders assembles its
-sum in one `kron_sum` call rather than adding the terms one at a time.
+the pair blocks, the equivariance constraints and the two-bracket layout
+(of the differential and of its images) are sums of Kronecker products,
+and each of their builders assembles its sum in one `kron_sum` call
+rather than adding the terms one at a time.  The two-bracket differential
+is one kept matrix, so outside `cohomology` no module reads the
+per-bracket coboundary matrices of a kept complex, and inside it the parts
+of a kept complex are built by `_Complex.__missing__` alone.
 A report of `verify_structure` is kept on its object, so checking again is
 free and every result that needs valid inputs asks `algebra.require_valid`,
 the one place that turns a failing report into a PreconditionError.
@@ -123,11 +127,35 @@ def test_only_linalg_names_the_shared_one():
 
 
 def test_the_kronecker_builders_call_kron_sum():
-    builders = {("cohomology.py", "_coboundary_map"), ("cohomology.py", "_images"),
+    builders = {("cohomology.py", "_coboundary_map"), ("cohomology.py", "_layout"),
                 ("algebra.py", "_pair_blocks"), ("cochains.py", "equivariance_constraints")}
     callers = {(path.name, scope) for path in MODULES
                for scope, name in calls(path) if name == "kron_sum"}
     assert callers == builders
+
+
+def kept_keys(path: Path):
+    """The constant first part of every tuple subscript in a module, such
+    as "coboundary" in kept["coboundary", b, n]."""
+    return [node.slice.elts[0].value for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple)
+            and node.slice.elts and isinstance(node.slice.elts[0], ast.Constant)]
+
+
+def test_only_cohomology_reads_the_per_bracket_coboundaries():
+    assert "coboundary" in kept_keys(ROOT / "src" / "homlie" / "cohomology.py")
+    assert "differential" in kept_keys(ROOT / "src" / "homlie" / "deformations.py")
+    offenders = [path.name for path in MODULES
+                 if path.name != "cohomology.py" and "coboundary" in kept_keys(path)]
+    assert offenders == []
+
+
+def test_the_kept_complex_builds_its_parts_alone():
+    builders = {"_coboundary_map", "_basis_matrix", "_layout", "_elimination",
+                "insertion_matrix"}
+    callers = {(scope, name) for scope, name in calls(ROOT / "src" / "homlie" / "cohomology.py")
+               if name in builders}
+    assert callers == {("_Complex.__missing__", name) for name in builders}
 
 
 def test_require_valid_is_the_one_verify_or_raise_gate():
