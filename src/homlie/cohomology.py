@@ -108,8 +108,9 @@ class CompatibleCochain:
     def __post_init__(self):
         if self.degree < 0:
             raise UsageError("negative degree")
-        if len(self.components) != max(self.degree, 1):
-            raise UsageError(f"degree {self.degree} needs {max(self.degree, 1)} components")
+        slots = _two_bracket_slots(self.degree)
+        if len(self.components) != slots:
+            raise UsageError(f"degree {self.degree} needs {slots} components")
         for f in self.components:
             if not isinstance(f, Cochain) or f.arity != self.degree:
                 raise UsageError("components must be cochains of arity equal to the degree")
@@ -119,7 +120,8 @@ class CompatibleCochain:
 
     @classmethod
     def zero(cls, degree: int, source_dim: int, target_dim: int) -> "CompatibleCochain":
-        return cls(degree, (Cochain.zero(degree, source_dim, target_dim),) * max(degree, 1))
+        zero = Cochain.zero(degree, source_dim, target_dim)
+        return cls(degree, (zero,) * _two_bracket_slots(degree))
 
     def flatten(self) -> tuple:
         return _flat(self).entries
@@ -204,7 +206,13 @@ def _cochains(flat: Matrix, struct, vdim: int, degree: int) -> tuple:
 
 def _slots(struct, n: int) -> int:
     """The arity-n slots of a degree-n cochain of the complex of `struct`."""
-    return n if len(struct.brackets) == 2 and n else 1
+    return _two_bracket_slots(n) if len(struct.brackets) == 2 else 1
+
+
+def _two_bracket_slots(n: int) -> int:
+    """The arity-n slots of a degree-n cochain of a two-bracket complex: n,
+    and one in degree 0."""
+    return n if n else 1
 
 
 def _check_shape(f, dim: int, vdim: int):

@@ -11,22 +11,28 @@ equivariant arity-2 coefficients m_k and constant terms equal to the base.
 Its truncated brackets vanish coefficient by coefficient, and the t^n
 coefficient is a sum of products m_i . K_j over i + j = n, with one
 insertion matrix K_j = insertion_matrix(m_j, alpha, 2) per coefficient (the
-K list).  One helper takes these sums for the per-order identities, their
-truncated-bracket cross-check, the obstruction and the six conditions of a
-generator (the order-1 series of mu + t w).
-The degree-3 obstruction cochain is closed, and the deformation extends
-one order further exactly when it is a coboundary; the extension
-coefficients are one coboundary preimage of it in the two-bracket complex.
+K list).  The residuals of order n take the inner terms 1 <= i <= n - 1
+(`_bracket_sums`); the truncated-bracket cross-check takes the end terms
+i = 0 and i = n alone (`_end_terms`), since the inner terms are common to
+both routes.  The inner sums at n = p + 1 are the obstruction, a closed
+degree-3 cochain; the deformation extends one order further exactly when
+it is a coboundary, and the extension coefficients are one coboundary
+preimage of it in the two-bracket complex.
 
-Each deformation keeps its K list, its report and its obstruction.  The
-identities at order n involve only m_0..m_n, so an extension built by
-`extended` takes its parent's K lists and verified orders 0..p, and checks
-order p + 1 alone.  K_0 and the differentials are kept on the adjoint module.
+Each deformation keeps its K list, its report, its next-order inner sums
+and its obstruction.  The identities at order n involve only m_0..m_n, so
+an extension built by `extended` checks its top pair alone, takes its
+parent's K lists, verified orders 0..p and next-order sums, and checks
+order p + 1 with 8 products m_i . K_j (the end terms).  A chain order
+thus costs the 4p products of the obstruction, the 8 of the new order's
+end terms and 2 insertion matrices: `is_extensible` keeps the extension
+it verified, and `extended` returns it for an equal pair.  K_0 and the
+differentials are kept on the adjoint module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb
@@ -100,15 +106,18 @@ def check_linear_generator(c: CompatibleHomLieAlgebra, g: LinearGenerator) -> Ge
     the order-1 series of (mu + t w).
 
     The t^1 sums vanish exactly when (w1, w2) is a 2-cocycle of the
-    two-bracket complex (cross-checked against the coboundary as in
-    `verify_order_p`), the t^2 sums exactly when (w1, w2) is itself a
-    compatible structure (the Maurer-Cartan test).
+    two-bracket complex, the t^2 sums exactly when (w1, w2) is itself a
+    compatible structure (the Maurer-Cartan test).  Both are read off the
+    order-1 deformation: its cross-check equates the t^1 sums with its
+    negated order-1 residuals, and the t^2 sums are its kept next-order
+    sums.
     """
     require_valid(c, "base algebra is invalid")
     d = OrderPDeformation.from_generator(c, g)  # checks the twist-equivariance of g
-    verify_order_p(d)  # the coboundary route against the truncated brackets
-    square1, square2, mixed = _bracket_sums(d, 2, 1)
-    return GeneratorReport(_bracket_sums(d, 1, 0) + (square1.scale(2), square2.scale(2), mixed))
+    order1 = verify_order_p(d).residuals[1]
+    square1, square2, mixed = d._next_sums
+    return GeneratorReport(tuple(r.scale(-1) for r in order1)
+                           + (square1.scale(2), square2.scale(2), mixed))
 
 
 def trivial_deformation_from_nijenhuis(c: CompatibleHomLieAlgebra,
@@ -189,32 +198,39 @@ class OrderPDeformation:
 
     ``coeffs1[k]`` and ``coeffs2[k]`` are the arity-2 coefficient cochains of
     t^k; index 0 must equal the base brackets and every coefficient must be
-    twist-equivariant.  Its K lists, report and obstruction are kept on
-    the object.
+    twist-equivariant.  Its K lists, report, next-order sums and
+    obstruction are kept on the object, and so is the extension that
+    `is_extensible` verified.
     """
 
     base: CompatibleHomLieAlgebra
     coeffs1: tuple
     coeffs2: tuple
+    # The deformation this one extends, set by `extended`; its coefficients
+    # are the first ones of this deformation, already checked.
+    _parent: "OrderPDeformation | None" = field(default=None, compare=False, repr=False,
+                                                kw_only=True)
 
     def __post_init__(self):
         if len(self.coeffs1) != len(self.coeffs2) or not self.coeffs1:
             raise UsageError("coefficient lists must be non-empty and of equal length")
-        for f in self.coeffs1 + self.coeffs2:
+        known = len(self._parent.coeffs1) if self._parent else 0  # checked by the parent
+        for f in self.coeffs1[known:] + self.coeffs2[known:]:
             if not isinstance(f, Cochain) or f.arity != 2 or f.source_dim != self.base.dim \
                     or f.target_dim != self.base.dim:
                 raise UsageError("coefficients must be arity-2 endomorphism cochains on the base")
-        if self.coeffs1[0] != self.base.bracket_cochain(1) or \
-                self.coeffs2[0] != self.base.bracket_cochain(2):
+        if not known and (self.coeffs1[0] != self.base.bracket_cochain(1) or
+                          self.coeffs2[0] != self.base.bracket_cochain(2)):
             raise UsageError("order-0 coefficients must equal the base brackets")
-        require_equivariant(self.coeffs1[1:] + self.coeffs2[1:], self.base.alpha, self.base.alpha,
-                            "deformation coefficient is not twist-equivariant")
+        first = max(known, 1)  # order 0 is the base
+        require_equivariant(self.coeffs1[first:] + self.coeffs2[first:], self.base.alpha,
+                            self.base.alpha, "deformation coefficient is not twist-equivariant")
 
     @property
     def order(self) -> int:
         return len(self.coeffs1) - 1
 
-    _parent = None  # the deformation this one extends, set by `extended`
+    _child = None  # the extension `is_extensible` verified, which `extended` returns
 
     @cached_property
     def _k_lists(self) -> tuple:
@@ -232,10 +248,16 @@ class OrderPDeformation:
         return OrderReport(rows + tuple(_row(self, n) for n in range(len(rows), self.order + 1)))
 
     @cached_property
+    def _next_sums(self) -> tuple:
+        """The inner sums at n = p + 1: the obstruction's, and an
+        extension's at its new order."""
+        return _bracket_sums(self, self.order + 1)
+
+    @cached_property
     def _obstruction_cochain(self) -> "ObstructionCochain":
         if not self._report.passed:
             raise PreconditionError("not a valid order-p deformation")
-        o11, o22, o12 = _bracket_sums(self, self.order + 1, 1)
+        o11, o22, o12 = self._next_sums
         cochain = CompatibleCochain(3, (o11, o12, o22))
         closed = compatible_coboundary(self.base, adjoint_representation(self.base), cochain)
         if not closed.is_zero():
@@ -253,13 +275,16 @@ class OrderPDeformation:
 
     def extended(self, mu1_top: Cochain, mu2_top: Cochain) -> "OrderPDeformation":
         """The order-(p+1) deformation with these top coefficients.  It links
-        to this one and reuses its K lists and verified orders 0..p: the
-        identities at order n involve only m_0..m_n."""
-        child = OrderPDeformation(
-            self.base, self.coeffs1 + (mu1_top,), self.coeffs2 + (mu2_top,)
-        )
-        object.__setattr__(child, "_parent", self)
-        return child
+        to this one and checks the shape and equivariance of the top pair
+        alone; its report reuses this one's K lists, verified orders 0..p
+        and next-order sums, since the identities at order n involve only
+        m_0..m_n.  For the pair `is_extensible` returned (or an equal one)
+        it is the extension that call kept, already verified."""
+        kept = self._child
+        if kept is not None and (kept.coeffs1[-1], kept.coeffs2[-1]) == (mu1_top, mu2_top):
+            return kept
+        return OrderPDeformation(self.base, self.coeffs1 + (mu1_top,),
+                                 self.coeffs2 + (mu2_top,), _parent=self)
 
 
 @dataclass(frozen=True)
@@ -289,43 +314,60 @@ def verify_order_p(d: OrderPDeformation) -> OrderReport:
 
     (order 0 reduces to validity of the base).  The t^n coefficients of the
     truncated brackets, the same sums over i, j >= 0, must equal -r_n
-    (-r_0 / 2 at order 0); the two routes are compared exactly, which checks
-    the coboundary maps against the NR bracket with the base.  Disagreement
-    raises ContractError.  The report is kept on the deformation; d1(m1_n),
-    d1(m2_n) + d2(m1_n) and d2(m2_n) are the slots of one product with the
-    degree-2 differential kept on the base's adjoint module.  An extension
-    built by `extended` takes orders 0..p from its parent's report and
-    checks order p + 1 alone.
+    (-r_0 / 2 at order 0).  For n >= 1 they add the end terms i = 0 and
+    i = n to the inner sums of r_n, so the cross-check compares the end
+    terms m_0 . K_n + m_n . K_0 with -d(m_n) exactly (at order 0, where
+    the two end terms are one, m_0 . K_0 with -d(m_0) / 2).  This checks
+    the kept differential against the NR bracket with the base;
+    disagreement raises ContractError.  d1(m1_n), d1(m2_n) + d2(m1_n) and
+    d2(m2_n) are the slots of one product with the degree-2 differential
+    kept on the base's adjoint module.  The report is kept on the
+    deformation.  An extension built by `extended` takes orders 0..p from
+    its parent's report and the inner sums of order p + 1 from its
+    parent's obstruction, so its new order costs that product and the
+    8 end-term products m_i . K_j.
     """
     return d._report
 
 
 def _row(d: OrderPDeformation, n: int) -> tuple:
-    """The residuals (r1_n, r2_n, r3_n) of `verify_order_p`, checked against
-    the truncated-bracket route."""
+    """The residuals (r1_n, r2_n, r3_n) of `verify_order_p`, after the end
+    terms are checked against d(m_n).  An extension's one new order n = p + 1
+    reads the inner sums its parent's obstruction took."""
     c = d.base
     m_n = _flat(CompatibleCochain(2, (d.coeffs1[n], d.coeffs2[n])))
     image = adjoint_representation(c)._complex["differential", 2] @ m_n
     d1m1, mixed, d2m2 = _cochains(image, c, c.dim, 3)[0].components
-    s11, s22, s12 = _bracket_sums(d, n, 1)
-    triple = (d1m1 - s11, d2m2 - s22, mixed - s12)
-    # Truncated-bracket route: the same sums over i, j >= 0.
-    if _bracket_sums(d, n, 0) != tuple(r.scale(-HALF if n == 0 else -1) for r in triple):
+    dm = (d1m1, d2m2, mixed)
+    # Truncated-bracket route less the inner sums the two routes share.
+    if _end_terms(d, n) != tuple(r.scale(-HALF if n == 0 else -1) for r in dm):
         raise ContractError("truncated-bracket route disagrees with the identity route")
-    return triple
+    sums = d._parent._next_sums if d._parent else _bracket_sums(d, n)
+    return tuple(r - s for r, s in zip(dm, sums))
 
 
-def _bracket_sums(d: OrderPDeformation, n: int, low: int) -> tuple:
-    """1/2 sum [m1_i, m1_j], 1/2 sum [m2_i, m2_j] and sum [m1_i, m2_j] over
-    i + j = n with i, j >= low, as arity-3 cochains (n - low <= p + 1).  As
-    [P, Q] = P <> Q + Q <> P in arity 2, a half-sum is sum m_i . K_j."""
+def _bracket_sums(d: OrderPDeformation, n: int) -> tuple:
+    """The inner sums at order n (n <= p + 1): the terms 1 <= i <= n - 1 of
+    1/2 sum [m1_i, m1_j], 1/2 sum [m2_i, m2_j] and sum [m1_i, m2_j] over
+    i + j = n, as arity-3 cochains."""
+    return _products(d, n, range(1, n))
+
+
+def _end_terms(d: OrderPDeformation, n: int) -> tuple:
+    """The terms i = 0 and i = n of the same sums (the one term i = 0 at
+    n = 0): the truncated brackets' t^n sums less the inner sums."""
+    return _products(d, n, sorted({0, n}))
+
+
+def _products(d: OrderPDeformation, n: int, indices) -> tuple:
+    """The terms i in `indices` of the three sums at order n.  As
+    [P, Q] = P <> Q + Q <> P in arity 2, a half-sum is sum m_i . K_(n-i)."""
     dim = d.base.dim
     (m1, m2), (k1, k2) = (d.coeffs1, d.coeffs2), d._k_lists
     zero = Matrix.zero(dim, comb(dim, 3))
 
     def total(m, k):
-        return Cochain(3, dim, dim, sum((m[i].coeffs @ k[n - i] for i in range(low, n - low + 1)),
-                                        zero))
+        return Cochain(3, dim, dim, sum((m[i].coeffs @ k[n - i] for i in indices), zero))
 
     return total(m1, k1), total(m2, k2), total(m1, k2) + total(m2, k1)
 
@@ -340,8 +382,9 @@ class ObstructionCochain:
 
 def obstruction(d: OrderPDeformation) -> ObstructionCochain:
     """The degree-3 cochain whose class must vanish for the deformation to
-    extend one order, the sums of `verify_order_p` at n = p + 1; closedness
-    is asserted exactly.  It is kept on the deformation."""
+    extend one order, the inner sums of `verify_order_p` at n = p + 1 (4p
+    products m_i . K_j, kept for the extension's new order); closedness is
+    asserted exactly.  It is kept on the deformation."""
     return d._obstruction_cochain
 
 
@@ -354,14 +397,18 @@ def is_extensible(d: OrderPDeformation):
     Returns one exact solution pair (any solution) or None when the
     obstruction class is nonzero.  A returned pair is re-verified:
     appending it yields a deformation of order p+1 passing verify_order_p.
-    That check, and the one of the caller's own `d.extended(*pair)`,
-    verify order p + 1 alone, on d's kept orders.
+    That check verifies order p + 1 alone, on d's kept orders and
+    obstruction sums, with 2 insertion matrices and 8 products.  The
+    verified extension is kept on d, and the caller's own
+    `d.extended(*pair)` returns it with no further work.
     """
     c = d.base
     x = coboundary_preimage(c, adjoint_representation(c), obstruction(d).cochain)
     if x is None:
         return None
     pair = x.components
-    if not verify_order_p(d.extended(*pair)).passed:
+    child = d.extended(*pair)
+    if not verify_order_p(child).passed:
         raise ContractError("extension coefficients fail the order-(p+1) identities")
+    object.__setattr__(d, "_child", child)
     return pair

@@ -35,6 +35,8 @@ GOLDEN_CASES = {
     "mc_check_d2": ["mc-check", "fixtures/d2.json"],
     "deform_verify_d2": ["deform-verify", "fixtures/d2_deform.json"],
     "deform_obstruct_d2": ["deform-obstruct", "fixtures/d2_deform.json"],
+    "deform_verify_h3": ["deform-verify", "fixtures/h3_deform.json"],
+    "deform_obstruct_h3": ["deform-obstruct", "fixtures/h3_deform.json"],
     "extension_build_d2": ["extension-build", "fixtures/d2_ext.json"],
     "extension_classify_d2": ["extension-classify", "fixtures/d2_ext.json"],
 }

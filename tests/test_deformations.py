@@ -14,6 +14,7 @@ from homlie import (
     NIJENHUIS,
     OrderPDeformation,
     PreconditionError,
+    UsageError,
     adjoint_representation,
     check_linear_equivalence,
     check_linear_generator,
@@ -338,9 +339,10 @@ def test_verify_order_p_builds_each_insertion_matrix_once(monkeypatch):
     # The order-1 check builds the insertion matrices of the two base
     # brackets once, kept on c's adjoint module, where they serve as the
     # bracket terms of the degree-2 coboundary maps and as K_0, and the 2
-    # matrices of its top pair; an extension builds only the 2 of its top
-    # pair.  The K list is kept on the deformation: a repeat check, and
-    # the obstruction after it, build none.
+    # matrices of its top pair.  Each later order builds the 2 of its top
+    # pair once, when `is_extensible` verifies the extension it keeps.  The
+    # K list is kept on the deformation: a repeat check, the obstruction and
+    # the caller's own extension build none.
     c = fixtures.compatible_h3()
     d = OrderPDeformation.from_generator(
         c, trivial_deformation_from_nijenhuis(c, fixtures.h3_nijenhuis()))
@@ -349,16 +351,19 @@ def test_verify_order_p_builds_each_insertion_matrix_once(monkeypatch):
         monkeypatch.setattr(module, "insertion_matrix",
                             lambda q, alpha, arity, original=module.insertion_matrix:
                             built.append(q) or original(q, alpha, arity))
+    assert verify_order_p(d).passed
+    assert built == [c.bracket_cochain(1), c.bracket_cochain(2), d.coeffs1[1], d.coeffs2[1]]
     for p in (1, 2, 3):
-        built.clear()
-        assert verify_order_p(d).passed
-        kept = [c.bracket_cochain(1), c.bracket_cochain(2)] if p == 1 else []
-        assert built == kept + list(d.coeffs1[p:] + d.coeffs2[p:])
         built.clear()
         assert verify_order_p(d).passed
         assert obstruction(d).cochain == naive_obstruction(d)
         assert built == []
-        d = d.extended(*is_extensible(d))
+        pair = is_extensible(d)
+        assert built == list(pair)
+        built.clear()
+        d = d.extended(*pair)
+        assert verify_order_p(d).passed
+        assert built == []
 
 
 def test_a_chain_order_after_the_first_builds_and_eliminates_nothing(monkeypatch):
@@ -390,48 +395,157 @@ def test_a_chain_order_after_the_first_builds_and_eliminates_nothing(monkeypatch
 
 
 def test_an_extension_verifies_its_new_order_alone(monkeypatch):
-    """A kept report and obstruction take no bracket sums again; an extension
-    of a verified parent takes the two of its new order, one per route."""
+    """A kept report and obstruction take no inner sums again, and an
+    extension of a verified parent takes none at all: the inner sums of its
+    new order are its parent's obstruction sums.  That holds for the
+    extension `is_extensible` kept and for a fresh one."""
     c = fixtures.compatible_h3()
     d = OrderPDeformation.from_generator(
         c, trivial_deformation_from_nijenhuis(c, fixtures.h3_nijenhuis()))
+    rng = random.Random(3)
     taken = []
     monkeypatch.setattr(deformations, "_bracket_sums",
-                        lambda e, n, low, original=deformations._bracket_sums:
-                        taken.append((e.order, n, low)) or original(e, n, low))
+                        lambda e, n, original=deformations._bracket_sums:
+                        taken.append((e.order, n)) or original(e, n))
     for p in (1, 2, 3):
         obstruction(d)
         taken.clear()
         assert verify_order_p(d).passed
         obstruction(d)
         assert taken == []
-        child = d.extended(*is_extensible(d))
-        taken.clear()
+        pair = is_extensible(d)
+        child = d.extended(*pair)
+        fresh = d.extended(pair[0] + rand_equivariant_cochain(rng, c.alpha, c.alpha, 2), pair[1])
+        assert fresh != child
         assert verify_order_p(child).passed
-        assert taken == [(p + 1, p + 1, 1), (p + 1, p + 1, 0)]
+        verify_order_p(fresh)
+        assert taken == []
         d = child
 
 
 def test_an_extension_checks_its_new_order_on_both_routes(monkeypatch):
-    """A truncated-bracket route that is wrong at the new order only is
-    caught when the extension is verified, though its parent's orders are
-    kept."""
+    """End terms of the truncated-bracket route that are wrong at the new
+    order only are caught when the extension is verified, by the caller or
+    inside `is_extensible`, though its parent's orders are kept."""
     c = fixtures.twisted_compatible_h3()
     d = OrderPDeformation.from_generator(
         c, trivial_deformation_from_nijenhuis(c, fixtures.h3_nijenhuis()))
-    pair = is_extensible(d)
-    assert verify_order_p(d.extended(*pair)).passed
-    real = deformations._bracket_sums
+    # Solved on an equal deformation, which verified the unpatched extension,
+    # so that d keeps no extension and `d.extended(*pair)` builds a fresh one.
+    pair = is_extensible(OrderPDeformation(c, d.coeffs1, d.coeffs2))
+    assert verify_order_p(d).passed
+    obstruction(d)
+    real = deformations._end_terms
     off = Cochain.from_values(3, 3, 3, {(0, 1, 2): [1, 0, 0]})
 
-    def perturbed(e, n, low):
-        sums = real(e, n, low)
-        return (sums[0] + off,) + sums[1:] if (n, low) == (e.order, 0) else sums
+    def perturbed(e, n):
+        terms = real(e, n)
+        return (terms[0] + off,) + terms[1:] if n == e.order > d.order else terms
 
-    monkeypatch.setattr(deformations, "_bracket_sums", perturbed)
+    monkeypatch.setattr(deformations, "_end_terms", perturbed)
     assert verify_order_p(d).passed  # the kept report
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="truncated-bracket route"):
         verify_order_p(d.extended(*pair))
+    with pytest.raises(ContractError, match="truncated-bracket route"):
+        is_extensible(d)
+
+
+def test_a_chain_order_costs_its_obstruction_and_its_end_terms(monkeypatch):
+    """From order 2 on, a chain order takes one inner-sum call, the
+    obstruction's 4p products m_i . K_j, plus the 8 of the new order's end
+    terms and the 2 insertion matrices of its top pair, all inside
+    `is_extensible`; the caller's `d.extended(*pair)` and its verification
+    take no matrix product at all."""
+    c = fixtures.compatible_h3()
+    d = OrderPDeformation.from_generator(
+        c, trivial_deformation_from_nijenhuis(c, fixtures.h3_nijenhuis()))
+    d = d.extended(*is_extensible(d))
+    sums, terms, built, products = [], [], [], []
+    monkeypatch.setattr(deformations, "_bracket_sums",
+                        lambda e, n, original=deformations._bracket_sums:
+                        sums.append(n) or original(e, n))
+    monkeypatch.setattr(deformations, "_products",
+                        lambda e, n, indices, original=deformations._products:
+                        terms.append(list(indices)) or original(e, n, indices))
+    monkeypatch.setattr(deformations, "insertion_matrix",
+                        lambda q, alpha, arity, original=deformations.insertion_matrix:
+                        built.append(q) or original(q, alpha, arity))
+    monkeypatch.setattr(Matrix, "__matmul__", lambda a, b, original=Matrix.__matmul__:
+                        products.append(b) or original(a, b))
+    for p in (2, 3, 4, 5):
+        for log in (sums, terms, built):
+            log.clear()
+        obstruction(d)
+        pair = is_extensible(d)
+        assert sums == [p + 1]
+        assert terms == [list(range(1, p + 1)), [0, p + 1]]  # 4p + 8 products
+        assert built == list(pair)
+        products.clear()
+        d = d.extended(*pair)
+        assert verify_order_p(d).passed
+        assert products == []
+
+
+def test_check_linear_generator_reads_the_kept_sums(monkeypatch):
+    """The six conditions take the inner sums of orders 0 and 1 for the
+    report and those of order 2, the t^2 sums, once each."""
+    c = fixtures.compatible_h3()
+    g = trivial_deformation_from_nijenhuis(c, fixtures.h3_nijenhuis())
+    taken = []
+    monkeypatch.setattr(deformations, "_bracket_sums",
+                        lambda e, n, original=deformations._bracket_sums:
+                        taken.append((e.order, n)) or original(e, n))
+    assert check_linear_generator(c, g).residuals == naive_generator_residuals(c, g)
+    assert taken == [(1, 0), (1, 1), (1, 2)]
+
+
+@pytest.mark.parametrize("name", ["compatible_h3", "twisted_compatible_h3"])
+def test_extended_returns_the_kept_extension_for_an_equal_pair_only(name):
+    """The extension `is_extensible` verified is returned for its pair and
+    for an equal one; a different or shifted pair gets a fresh extension
+    that reports as the equal deformation built directly and as the naive
+    oracle."""
+    algebra, operator = NIJENHUIS_CASES[name]
+    c = algebra()
+    rng = random.Random(13)
+    d = OrderPDeformation.from_generator(c, trivial_deformation_from_nijenhuis(c, operator()))
+    pair = is_extensible(d)
+    kept = d.extended(*pair)
+    assert verify_order_p(kept).passed
+    assert d.extended(*(Cochain(2, c.dim, c.dim, m.coeffs) for m in pair)) is kept
+    z = CompatibleCochain.zero(2, c.dim, c.dim)
+    for item in cohomology_dimensions(c, adjoint_representation(c), 2).cocycle_basis:
+        z = z + item.scale(rng.randint(-2, 2))
+    w1, w2 = z.components
+    assert not (w1.is_zero() or w2.is_zero())
+    random_top = tuple(rand_equivariant_cochain(rng, c.alpha, c.alpha, 2) for _ in "12")
+    for top in ((pair[0] + w1, pair[1]), (pair[0], pair[1] + w2), (pair[0] + w1, pair[1] + w2),
+                random_top):
+        child = d.extended(*top)
+        assert child != kept
+        report = verify_order_p(child)
+        assert report.residuals == verify_order_p(
+            OrderPDeformation(c, child.coeffs1, child.coeffs2)).residuals
+        assert report.residuals == naive_order_residuals(child)
+    assert d.extended(*pair) is kept
+
+
+def test_a_kept_extension_does_not_admit_a_bad_pair():
+    """While an extension is kept, a non-equivariant or wrong-shape top pair
+    is refused as before."""
+    c = fixtures.twisted_compatible_h3()
+    d = OrderPDeformation.from_generator(
+        c, trivial_deformation_from_nijenhuis(c, fixtures.h3_nijenhuis()))
+    mu1, mu2 = pair = is_extensible(d)
+    bad = Cochain.from_values(2, 3, 3, {(0, 2): [0, 0, 1]})
+    assert not is_equivariant(bad, c.alpha, c.alpha)
+    for top in ((mu1 + bad, mu2), (mu1, mu2 + bad)):
+        with pytest.raises(PreconditionError, match="not twist-equivariant"):
+            d.extended(*top)
+    for top in ((Cochain.zero(3, 3, 3), mu2), (mu1, Cochain.zero(2, 2, 2)), (mu1, mu2.coeffs)):
+        with pytest.raises(UsageError, match="arity-2 endomorphism cochains"):
+            d.extended(*top)
+    assert verify_order_p(d.extended(*pair)).passed
 
 
 def test_each_public_call_builds_the_adjoint_module_once(monkeypatch):
