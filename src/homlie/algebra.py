@@ -99,7 +99,7 @@ class HomLieAlgebra(_Algebra):
         return Cochain(2, self.dim, self.dim, self.bracket)
 
     def bracket_of(self, u, v) -> tuple:
-        return _bracket_apply(self.bracket, self.dim, u, v)
+        return self.bracket_cochain().evaluate((u, v))
 
     @property
     def brackets(self):
@@ -133,7 +133,7 @@ class CompatibleHomLieAlgebra(_Algebra):
         return Cochain(2, self.dim, self.dim, self._bracket(which))
 
     def bracket_of(self, which: int, u, v) -> tuple:
-        return _bracket_apply(self._bracket(which), self.dim, u, v)
+        return self.bracket_cochain(which).evaluate((u, v))
 
     @property
     def brackets(self):
@@ -279,13 +279,6 @@ def _check_twist(alpha: Matrix, dim: int):
 def _check_bracket_matrix(bracket: Matrix, dim: int):
     if bracket.rows != dim or bracket.cols != comb(dim, 2):
         raise UsageError("bracket matrix must be dim x C(dim, 2)")
-
-
-def _bracket_apply(bracket: Matrix, dim: int, u, v) -> tuple:
-    """[u, v] = mu . (u ^ v), the wedge in the increasing pair basis."""
-    if len(u) != dim or len(v) != dim:
-        raise UsageError("bracket arguments must have the algebra dimension")
-    return bracket.apply(tuple(u[i] * v[j] - u[j] * v[i] for i, j in increasing_tuples(dim, 2)))
 
 
 def _labels(count: int):

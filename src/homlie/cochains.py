@@ -36,7 +36,10 @@ shuffles s of sign(s) Q(e_(x_s(1)), ..., e_(x_s(n+1))) ^ alpha^n e_(x_s(n+2))
 ^ ... ^ alpha^n e_(x_s(m+n+1)), expanded in the (m+1)-tuple basis.  The
 coefficient of e_I in that wedge is the minor by which the alternating
 extension of P weighs its column I.  The bracket term of the coboundary
-in `cohomology` is -K for Q the bracket cochain.
+in `cohomology` is -K for Q the bracket cochain, and the Maurer-Cartan
+test reads its residuals off the two insertion matrices of a pair: in
+arity 2, [P, Q] = P . K_Q + Q . K_P.  Relative to a base pair it tests the
+sum with the base, so there is one Maurer-Cartan equation.
 """
 
 from __future__ import annotations
@@ -183,9 +186,6 @@ def exterior_square(m: Matrix) -> Matrix:
     """The compound of 2 x 2 minors of m, so that f . exterior_square(m) is
     the arity-2 cochain f(m x, m y); any shape, with no rows or columns where
     there are no basis pairs."""
-    if m.is_square() and m.rows >= 2:
-        # the public entry point, so that timing it covers every square compound
-        return exterior_power_matrix(m, 2)
     return _compound(m, 2)
 
 
@@ -405,28 +405,27 @@ class MaurerCartanCheck:
 def is_mc_pair(mu1: Cochain, mu2: Cochain, alpha: Matrix, base=None) -> MaurerCartanCheck:
     """Maurer-Cartan test for a pair of arity-2 equivariant cochains.
 
-    Without a base the residuals are [m1,m1], [m2,m2] and [m1,m2].  With a
-    base pair (t1, t2), itself required to be Maurer-Cartan, the test runs
-    in the twisted structure with differentials [t1,-] and [t2,-], giving
-    residuals 2[t1,m1]+[m1,m1],  2[t2,m2]+[m2,m2]  and
-    [t1,m2]+[t2,m1]+[m1,m2].
+    The residuals are [m1,m1], [m2,m2] and [m1,m2], read off the pair's two
+    insertion matrices: as [P, Q] = P <> Q + Q <> P in arity 2, they are
+    2 m1 . K1, 2 m2 . K2 and m1 . K2 + m2 . K1.  With a base pair (t1, t2),
+    itself required to be Maurer-Cartan, the test runs in the twisted
+    structure with differentials [t1,-] and [t2,-]; its residuals
+    2[t1,m1]+[m1,m1],  2[t2,m2]+[m2,m2]  and  [t1,m2]+[t2,m1]+[m1,m2] are
+    those of the sum (t1 + m1, t2 + m2), since [t1,t1], [t2,t2] and
+    [t1,t2] vanish.
     """
     if mu1.arity != 2 or mu2.arity != 2:
         raise UsageError("Maurer-Cartan test expects arity-2 cochains")
     require_equivariant((mu1, mu2), alpha, alpha)
-    if base is None:
-        return MaurerCartanCheck(
-            nr_bracket(mu1, mu1, alpha),
-            nr_bracket(mu2, mu2, alpha),
-            nr_bracket(mu1, mu2, alpha),
-        )
-    theta1, theta2 = base
-    if theta1.arity != 2 or theta2.arity != 2:
-        raise UsageError("base must be a pair of arity-2 cochains")
-    require_equivariant(base, alpha, alpha, "base cochain is not twist-equivariant")
-    if not is_mc_pair(theta1, theta2, alpha).is_mc:
-        raise PreconditionError("base pair is not Maurer-Cartan")
-    r1 = nr_bracket(theta1, mu1, alpha).scale(2) + nr_bracket(mu1, mu1, alpha)
-    r2 = nr_bracket(theta2, mu2, alpha).scale(2) + nr_bracket(mu2, mu2, alpha)
-    rm = nr_bracket(theta1, mu2, alpha) + nr_bracket(theta2, mu1, alpha) + nr_bracket(mu1, mu2, alpha)
-    return MaurerCartanCheck(r1, r2, rm)
+    if base is not None:
+        theta1, theta2 = base
+        if theta1.arity != 2 or theta2.arity != 2:
+            raise UsageError("base must be a pair of arity-2 cochains")
+        require_equivariant(base, alpha, alpha, "base cochain is not twist-equivariant")
+        if not is_mc_pair(theta1, theta2, alpha).is_mc:
+            raise PreconditionError("base pair is not Maurer-Cartan")
+        mu1, mu2 = theta1 + mu1, theta2 + mu2
+    k1, k2 = (insertion_matrix(m, alpha, 2) for m in (mu1, mu2))
+    m1, m2, d = mu1.coeffs, mu2.coeffs, alpha.rows
+    return MaurerCartanCheck(*(Cochain(3, d, d, r) for r in
+                               ((m1 @ k1).scale(2), (m2 @ k2).scale(2), m1 @ k2 + m2 @ k1)))

@@ -269,8 +269,16 @@ class OrderPDeformation:
         return cls(c, (c.bracket_cochain(1), g.omega1), (c.bracket_cochain(2), g.omega2))
 
     def truncate(self, p: int) -> "OrderPDeformation":
+        """The first p + 1 coefficients as an order-p deformation: the one
+        `extended` built this one from, with its kept report, when the
+        chain of parents reaches order p, else a new deformation."""
         if not 0 <= p <= self.order:
             raise UsageError("truncation order out of range")
+        d = self
+        while d.order > p and d._parent is not None:
+            d = d._parent
+        if d.order == p:
+            return d
         return OrderPDeformation(self.base, self.coeffs1[: p + 1], self.coeffs2[: p + 1])
 
     def extended(self, mu1_top: Cochain, mu2_top: Cochain) -> "OrderPDeformation":

@@ -27,9 +27,11 @@ echelon form is unique, so `rref`, `kernel_basis`, `solve` and
 `span_basis` return the same output bit for bit whichever rows supply the
 pivots, which the cohomology computations rely on.  `_kernel`, `_solve`
 and `_row_space` give the same results as matrices in the stored form,
-for the cohomology code to keep cochains sparse.  `_elimination` runs the
-pivot loop of `rref` and records its row steps, from which `_replay`
-solves m @ x = b as `_solve` does, without eliminating m again.
+for the cohomology code to keep cochains sparse.  Every solve takes one
+route: `_elimination` runs the pivot loop of `rref` on m and records its
+row steps, and `_replay` runs those steps on the right-hand side alone.
+`_solve` is the two in a row; a kept record solves again without
+eliminating m again.
 """
 
 from __future__ import annotations
@@ -519,16 +521,9 @@ def kernel_basis(m: Matrix):
 
 def _solve(m: Matrix, b: Matrix) -> Matrix | None:
     """One exact solution of m @ x = b for a one-column matrix b, as a
-    one-column matrix, or None when the system is inconsistent."""
-    reduced, pivots = rref(hstack([m, b]))
-    if pivots and pivots[-1] == m.cols:
-        return None
-    data = [()] * m.cols
-    for r, pc in enumerate(pivots):
-        last = reduced._data[r][-1]
-        if last[0] == m.cols:
-            data[pc] = ((0, last[1]),)
-    return Matrix._of(m.cols, 1, tuple(data))
+    one-column matrix, or None when the system is inconsistent: the
+    elimination of m (`_elimination`) replayed on b (`_replay`)."""
+    return _replay(_elimination(m), b)
 
 
 def solve(m: Matrix, b) -> tuple | None:
@@ -552,9 +547,10 @@ def _elimination(m: Matrix) -> tuple:
 
 
 def _replay(record: tuple, b: Matrix) -> Matrix | None:
-    """`_solve(m, b)`, bit for bit, by the steps of `_elimination(m)` on the
-    column b alone: inconsistent when a vanished row keeps a nonzero entry,
-    and the solution `_solve` gives otherwise, since the RREF is unique."""
+    """One exact solution of m @ x = b from the record of `_elimination(m)`,
+    its steps run on the column b alone: None when a vanished row keeps a
+    nonzero entry, else the solution read off the RREF of [m | b], zero at
+    the free columns, which is unique whichever rows supplied the pivots."""
     rows, cols, steps, vanished, pivots = record
     if (b.rows, b.cols) != (rows, 1):
         raise UsageError(f"rhs is {b.rows}x{b.cols}, not {rows}x1")

@@ -222,6 +222,18 @@ def naive_rref(m: Matrix):
     return Matrix(m.rows, m.cols, tuple(x for row in work for x in row)), tuple(pivots)
 
 
+def naive_solve(m: Matrix, b: Matrix):
+    """One solution of m @ x = b for a one-column matrix b, read off
+    `naive_rref` of [m | b]: None when the last column takes a pivot, else
+    the one-column matrix with the reduced b entry of each pivot row at its
+    pivot column and zero at the free columns."""
+    reduced, pivots = naive_rref(hstack([m, b]))
+    if m.cols in pivots:
+        return None
+    return Matrix.from_entries(m.cols, 1, {(pc, 0): reduced.entry(r, m.cols)
+                                           for r, pc in enumerate(pivots)})
+
+
 def naive_kernel(m: Matrix):
     """Kernel basis of m from `naive_rref`: one vector per free column."""
     reduced, pivots = naive_rref(m)

@@ -444,6 +444,25 @@ def test_mc_pair_builds_one_compound_per_cochain_pair(monkeypatch):
     assert built == [2] * 4
 
 
+def test_mc_pair_builds_one_insertion_matrix_per_cochain(monkeypatch):
+    # K1 and K2 of the pair; with a base, those of the base pair's own
+    # Maurer-Cartan test and those of the sum.
+    c = fixtures.twisted_compatible_h3()
+    mus = (c.bracket_cochain(1), c.bracket_cochain(2))
+    built, brackets = [], []
+    original = cochains.insertion_matrix
+    monkeypatch.setattr(cochains, "insertion_matrix",
+                        lambda q, alpha, arity: built.append(q) or original(q, alpha, arity))
+    monkeypatch.setattr(cochains, "nr_bracket", lambda *args: brackets.append(args))
+    zero = Cochain.zero(2, 3, 3)
+    assert is_mc_pair(*mus, c.alpha).is_mc
+    assert built == list(mus)
+    built.clear()
+    assert is_mc_pair(zero, zero, c.alpha, base=mus).is_mc
+    assert built == list(mus) * 2
+    assert brackets == []
+
+
 def test_mc_pair_rejects_non_equivariant():
     g4 = fixtures.g4a(1)
     mu = g4.bracket_cochain()
@@ -478,6 +497,31 @@ def test_mc_shifted_base_equals_direct_check():
         assert relative.is_mc == absolute.is_mc
         for r, s in zip(relative.residuals, absolute.residuals):
             assert r.flatten() == s.flatten()
+
+
+def test_mc_residuals_match_the_naive_bracket():
+    # In dimension 3 the residuals are arity-3 cochains that need not
+    # vanish: [m1,m1], [m2,m2], [m1,m2], and with a base the relative
+    # residuals 2[t1,m1]+[m1,m1], 2[t2,m2]+[m2,m2], [t1,m2]+[t2,m1]+[m1,m2],
+    # each against the permutation oracle.  On twisted compatible h3 every
+    # [t, m] vanishes, so only compatible h3 tells the two tests apart.
+    rng = random.Random(15)
+    nonzero = shifted = 0
+    for c in (fixtures.compatible_h3(), fixtures.twisted_compatible_h3()):
+        t1, t2 = base = (c.bracket_cochain(1), c.bracket_cochain(2))
+        for _ in range(3):
+            w1, w2 = (rand_equivariant_cochain(rng, c.alpha, c.alpha, 2) for _ in "12")
+            plain = (naive_nr_bracket(w1, w1, c.alpha), naive_nr_bracket(w2, w2, c.alpha),
+                     naive_nr_bracket(w1, w2, c.alpha))
+            assert is_mc_pair(w1, w2, c.alpha).residuals == plain
+            relative = (naive_nr_bracket(t1, w1, c.alpha).scale(2) + plain[0],
+                        naive_nr_bracket(t2, w2, c.alpha).scale(2) + plain[1],
+                        naive_nr_bracket(t1, w2, c.alpha) + naive_nr_bracket(t2, w1, c.alpha)
+                        + plain[2])
+            assert is_mc_pair(w1, w2, c.alpha, base=base).residuals == relative
+            nonzero += any(not r.is_zero() for r in plain)
+            shifted += relative != plain
+    assert nonzero and shifted
 
 
 def test_mc_zero_set_matches_jacobiator_oracle():

@@ -641,6 +641,34 @@ def test_truncations_of_valid_deformations_are_extensible():
     assert compatible_coboundary(c, rep, diff).is_zero()
 
 
+def test_a_truncation_is_the_kept_ancestor(monkeypatch):
+    """Truncating an extension chain returns the deformation of that order
+    that `extended` built, so verifying it takes no product; a deformation
+    with no parent below the order truncates to a fresh, equal object."""
+    c = fixtures.compatible_h3()
+    chain = [OrderPDeformation.from_generator(
+        c, trivial_deformation_from_nijenhuis(c, fixtures.h3_nijenhuis()))]
+    while chain[-1].order < 4:
+        chain.append(chain[-1].extended(*is_extensible(chain[-1])))
+    d = chain[-1]
+    assert verify_order_p(d).passed
+    terms = []
+    monkeypatch.setattr(deformations, "_products",
+                        lambda e, n, indices, original=deformations._products:
+                        terms.append(n) or original(e, n, indices))
+    assert verify_order_p(d.truncate(3)).passed
+    assert terms == []
+    for p in range(1, 5):
+        assert d.truncate(p) is chain[p - 1]
+    fresh = [d.truncate(0), OrderPDeformation(c, d.coeffs1, d.coeffs2).truncate(3)]
+    assert terms == []
+    for p, e in zip((0, 3), fresh):
+        assert e == OrderPDeformation(c, d.coeffs1[: p + 1], d.coeffs2[: p + 1])
+        assert e._parent is None and all(e is not kept for kept in chain)
+        assert verify_order_p(e) == verify_order_p(d.truncate(p))
+    assert terms
+
+
 def test_extensible_when_degree3_cohomology_vanishes():
     # The 2-dimensional fixture has no arity-3 cochains at all, so every
     # valid order-p deformation extends.

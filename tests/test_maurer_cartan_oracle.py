@@ -16,6 +16,14 @@ range left out.  The right-hand sides come from `helpers.naive_nr_bracket`,
 a permutation oracle that shares no code with `insertion_matrix` or
 `kron_sum`.  The oracle is linear in f, so one seeded equivariant
 combination per degree 1..min(d - 1, 3) stands for the whole basis.
+
+In degree 0 the cochain is a twist-fixed vector v, and its coboundary
+lifts to the cochain x -> [x^, v^] of the semidirect bracket, read here
+with `Cochain.evaluate` on the basis of g (the lift vanishes on V).  The
+permutation oracle cannot serve there: it takes the power alpha^(-1) when
+the inner argument has arity 0.  In two-bracket degree 0 the vector lies
+in the degree-0 group, where the two actions agree, so the one slot lifts
+to x -> [x^, v^] of either semidirect bracket.
 """
 
 import random
@@ -27,6 +35,7 @@ from homlie import (
     CompatibleCochain,
     HomLieAlgebra,
     Matrix,
+    Cochain,
     adjoint_representation,
     ce_coboundary,
     compatible_coboundary,
@@ -36,7 +45,12 @@ from homlie import (
     verify_structure,
 )
 
-from helpers import naive_nr_bracket, rand_equivariant_cochain
+from helpers import (
+    basis_vector,
+    c0_compatible_basis,
+    naive_nr_bracket,
+    rand_equivariant_cochain,
+)
 
 
 def yau_sl2() -> HomLieAlgebra:
@@ -103,3 +117,40 @@ def test_each_two_bracket_slot_is_the_bracket_with_both_semidirect_brackets(name
             assert lift_to_product(slot, c.dim, v.vdim) == want.scale((-1) ** (n - 1)), (n, i)
             checked += not slot.is_zero()
     assert checked
+
+
+def bracket_with(semi: Cochain, g_dim: int, v: Cochain) -> Cochain:
+    """x -> [x^, v^] on the carrier g + V of the semidirect bracket `semi`,
+    for x in g and zero on V, with v^ = (0, v): the lift of the arity-1
+    cochain x -> x . v."""
+    total = semi.source_dim
+    v_hat = (0,) * g_dim + v.flatten()
+    return Cochain.from_values(1, total, total, {
+        (k,): semi.evaluate((basis_vector(total, k), v_hat)) for k in range(g_dim)})
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_a_degree0_coboundary_is_the_bracket_with_the_vector(case):
+    l, v = single_bracket_cases()[case]
+    semi = semidirect_product(l, v)
+    f = rand_equivariant_cochain(random.Random(700 + case), l.alpha, v.beta, 0)
+    assert f is not None
+    lhs = lift_to_product(ce_coboundary(l, v, f), l.dim, v.vdim)
+    assert lhs == bracket_with(semi.bracket_cochain(), l.dim, f)
+    assert not lhs.is_zero()
+
+
+def test_the_two_bracket_degree0_coboundary_is_the_bracket_with_the_vector():
+    """On compatible h3 with its adjoint module the degree-0 group is the
+    centre, so both sides vanish; the single-bracket cases above are the
+    ones a wrong degree-0 action term fails."""
+    c = fixtures.compatible_h3()
+    v = adjoint_representation(c)
+    semi = semidirect_product(c, v)
+    group = c0_compatible_basis(c, v)
+    assert group
+    for f in group:
+        (slot,) = compatible_coboundary(c, v, CompatibleCochain(0, (f,))).components
+        lhs = lift_to_product(slot, c.dim, v.vdim)
+        for b in (1, 2):
+            assert lhs == bracket_with(semi.bracket_cochain(b), c.dim, f), b

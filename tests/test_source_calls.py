@@ -35,6 +35,12 @@ the input checks, or a `flavor` that restates which complex the structure
 fixes, and `deformations` keeps each deformation's K list on the object
 instead of private twins fed a K list (`_insertions`, `_verify`,
 `_obstruction`).
+Each computation takes one route.  `is_mc_pair` reads its residuals off
+the pair's two insertion matrices, with no `nr_bracket`; `_solve` replays
+the elimination record (`_elimination`, `_replay`) instead of eliminating
+[m | b] with `rref`; `bracket_of` evaluates the bracket cochain, so no
+module keeps a pair-wedge twin (`_bracket_apply`); and `exterior_square`
+takes its compound directly, not through `exterior_power_matrix`.
 """
 
 import ast
@@ -185,3 +191,29 @@ def test_no_module_defines_a_k_list_twin():
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.FunctionDef) and node.name in twins]
     assert defined == []
+
+
+def called_in(module: str, scope: str) -> set:
+    return {name for where, name in calls(ROOT / "src" / "homlie" / module) if where == scope}
+
+
+def test_is_mc_pair_reads_the_insertion_matrices():
+    called = called_in("cochains.py", "is_mc_pair")
+    assert "insertion_matrix" in called and "nr_bracket" not in called
+
+
+def test_solve_replays_the_elimination_record():
+    called = called_in("linalg.py", "_solve")
+    assert {"_elimination", "_replay"} <= called and "rref" not in called
+
+
+def test_no_module_defines_a_bracket_apply_twin():
+    defined = [(path.name, node.name) for path in MODULES
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef) and node.name == "_bracket_apply"]
+    assert defined == []
+
+
+def test_exterior_square_takes_the_compound_directly():
+    called = called_in("cochains.py", "exterior_square")
+    assert "_compound" in called and "exterior_power_matrix" not in called
