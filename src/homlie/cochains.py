@@ -53,11 +53,11 @@ from math import comb
 from .errors import PreconditionError, UsageError
 from .linalg import (
     Matrix,
+    _column_blocks,
     _kernel,
     determinant_of,
     kron_sum,
     vector,
-    vsplit,
     zero_vector,
 )
 
@@ -228,8 +228,8 @@ def hom_cochain_basis(alpha: Matrix, beta: Matrix, n: int):
     if n < 0:
         raise UsageError("negative arity")
     d, t = alpha.rows, beta.rows
-    kernel = _equivariant_columns(alpha, beta, n).transpose()
-    return [Cochain(n, d, t, flat.reshape(t, comb(d, n))) for flat in vsplit(kernel, kernel.rows)]
+    return [Cochain(n, d, t, coeffs)
+            for coeffs, in _column_blocks(_equivariant_columns(alpha, beta, n), 1, t, comb(d, n))]
 
 
 def _equivariant_columns(alpha: Matrix, beta: Matrix, n: int) -> Matrix:

@@ -43,13 +43,21 @@ bracket and in degree 0, else (n+1) x n blocks with d1 on the diagonal and
 d2 below it), B, its images (the same layout of d1 . B and d2 . B) and
 their elimination.  Every coboundary is one product with the differential.
 
-Dimension reports take kernels and images of these products by exact
-elimination, map kernel and solve coordinates back through B, and choose
-the cohomology representatives as the cocycle pivot columns of one reduced
+The complex also keeps, per degree, the cocycle matrix Z (B in every slot
+times the kernel matrix of the images) and the coboundaries (the reduced
+row basis of the images one degree down), so a dimension report asked for
+again eliminates no images matrix.  A report reads its representatives
+off cocycle coordinates: each column of Z has an identity row, those rows
+of the coboundaries are their coordinates C, the exact product Z . C =
+coboundaries checks that the coboundaries are cocycles, and the
+representatives are the cocycles that no combination of coboundaries ends
+on, from one elimination of C^T with its columns reversed
+(`_representatives`); they are the cocycle pivot columns of the reduced
 echelon form of [coboundaries | cocycles].  A cochain enters as the sparse
 column of its flat coordinates (`_flat`) and leaves through `_cochains`,
-and kernels, solutions and coboundary bases stay matrices in between, so
-no cochain goes through a dense tuple.  The derivation space is the
+which cuts each column into its slots' coefficient matrices in one pass;
+kernels, solutions and coboundary bases stay matrices in between, so no
+cochain goes through a dense tuple.  The derivation space is the
 degree-1 report of the two-bracket complex.  Whether a cochain is a
 coboundary is one exact solve over the same images
 (`coboundary_preimage`); extension equivalence and deformation extension
@@ -79,6 +87,7 @@ from .cochains import (
 from .errors import ContractError, PreconditionError, UsageError
 from .linalg import (
     Matrix,
+    _column_blocks,
     _elimination,
     _kernel,
     _replay,
@@ -89,7 +98,6 @@ from .linalg import (
     kron,
     kron_sum,
     rref,
-    vsplit,
     vstack,
 )
 
@@ -192,13 +200,12 @@ def _flat(f) -> Matrix:
 def _cochains(flat: Matrix, struct, vdim: int, degree: int) -> tuple:
     """The cochains of the complex of `struct` whose flat coordinates are
     the columns of `flat` (the inverse of `_flat`); a bare Cochain for one
-    bracket and in degree 0, as the reports give it."""
-    slots = _slots(struct, degree)
-    shape = (slots * vdim, comb(struct.dim, degree))  # the slots' coefficient matrices, stacked
+    bracket and in degree 0, as the reports give it.  Each column is cut
+    into the coefficient matrices of its slots in one pass
+    (`_column_blocks`)."""
     out = []
-    for row in vsplit(flat.transpose(), flat.cols):
-        parts = tuple(Cochain(degree, struct.dim, vdim, block)
-                      for block in vsplit(row.reshape(*shape), slots))
+    for blocks in _column_blocks(flat, _slots(struct, degree), vdim, comb(struct.dim, degree)):
+        parts = tuple(Cochain(degree, struct.dim, vdim, block) for block in blocks)
         out.append(CompatibleCochain(degree, parts) if len(struct.brackets) == 2 and degree
                    else parts[0])
     return tuple(out)
@@ -269,15 +276,6 @@ def compatible_coboundary(c: CompatibleHomLieAlgebra, v: Representation,
     return _cochains(v._complex["differential", f.degree] @ _flat(f), c, v.vdim, f.degree + 1)[0]
 
 
-def _basis_matrix(struct, v: Representation, n: int) -> Matrix:
-    """The single-bracket basis of degree-n cochains as the columns of one
-    matrix on flat coordinates, the kernel matrix of its constraints as it
-    is; the two-bracket complex places it in every slot."""
-    if len(struct.brackets) == 2 and n == 0:
-        return _kernel(_c0_constraints(struct, v))
-    return _equivariant_columns(struct.alpha, v.beta, n)
-
-
 def _layout(struct, n: int, block) -> Matrix:
     """The degree-n layout of the complex of `struct` from the blocks
     block(b) of its brackets: block(1) where degree n + 1 has one slot (one
@@ -301,8 +299,14 @@ class _Complex(dict):
     """The complex kept on a module v (`v._complex`), built from v and its
     base on first use: ("insertion", b, n) and ("coboundary", b, n) are
     K and d_b of bracket b in degree n, and ("differential", n),
-    ("basis", n), ("images", n) and ("elimination", n) their layout, the
-    basis matrix, its images and their elimination."""
+    ("basis", n), ("images", n), ("elimination", n), ("cocycles", n) and
+    ("coboundaries", n) their layout, the basis matrix, its images, their
+    elimination, the cocycle matrix (the basis matrix in every slot times
+    the kernel matrix of the images) and the canonical column basis of the
+    degree-(n-1) images.  The basis matrix holds the single-bracket basis
+    of degree-n cochains as columns on flat coordinates, the kernel matrix
+    of its constraints as it is; the two-bracket complex places it in every
+    slot."""
 
     def __init__(self, v: Representation):
         self.module = v
@@ -310,14 +314,26 @@ class _Complex(dict):
     def __missing__(self, key):
         v, part, n = self.module, key[0], key[-1]
         s = v.base
-        self[key] = (
-            insertion_matrix(Cochain(2, s.dim, s.dim, s.brackets[key[1] - 1]), s.alpha, n)
-            if part == "insertion" else _coboundary_map(s, v, key[1], n) if part == "coboundary"
-            else _layout(s, n, lambda b: self["coboundary", b, n]) if part == "differential"
-            else _basis_matrix(s, v, n) if part == "basis"
-            else _layout(s, n, lambda b: self["coboundary", b, n] @ self["basis", n])
-            if part == "images" else _elimination(self["images", n]))
-        return self[key]
+        if part == "insertion":
+            value = insertion_matrix(Cochain(2, s.dim, s.dim, s.brackets[key[1] - 1]), s.alpha, n)
+        elif part == "coboundary":
+            value = _coboundary_map(s, v, key[1], n)
+        elif part == "differential":
+            value = _layout(s, n, lambda b: self["coboundary", b, n])
+        elif part == "basis":  # in two-bracket degree 0: where the two actions agree
+            value = (_kernel(_c0_constraints(s, v)) if len(s.brackets) == 2 and not n
+                     else _equivariant_columns(s.alpha, v.beta, n))
+        elif part == "images":
+            value = _layout(s, n, lambda b: self["coboundary", b, n] @ self["basis", n])
+        elif part == "elimination":
+            value = _elimination(self["images", n])
+        elif part == "cocycles":
+            value = _in_slots(self["basis", n], _kernel(self["images", n]), _slots(s, n))
+        else:  # the coboundaries: none in degree 0
+            value = (_row_space(self["images", n - 1].transpose()).transpose() if n
+                     else Matrix.zero(self["basis", 0].rows, 0))
+        self[key] = value
+        return value
 
 
 def _in_slots(basis: Matrix, coords: Matrix, slots: int) -> Matrix:
@@ -329,42 +345,60 @@ def _in_slots(basis: Matrix, coords: Matrix, slots: int) -> Matrix:
     return kron(Matrix.identity(slots), basis) @ coords
 
 
+def _representatives(cocycles: Matrix, boundaries: Matrix) -> list:
+    """The indices of the cocycle columns that complete the coboundary
+    columns to a basis of the cocycles, read off coordinates.
+
+    The cocycle matrix Z is a kernel matrix in every slot, so for each
+    column k it has an identity row, whose one entry is 1 in column k: that
+    row of any vector in the span of Z is its coordinate k.  The
+    coordinates C of the coboundaries are those rows of them, and the exact
+    identity Z . C = coboundaries asserts that the coboundaries lie among
+    the cocycles (ContractError otherwise).  Cocycle k is a representative
+    when no combination of coboundaries ends on it (has its last nonzero
+    coordinate at k); such combinations end exactly on z - 1 - p for the
+    pivots p of C^T with its columns reversed.  These are the cocycle
+    pivot columns of rref([coboundaries | cocycles]), from one b x z
+    elimination."""
+    z = cocycles.cols
+    unit = {}
+    for r in range(cocycles.rows):
+        items = cocycles.row_items(r)
+        if len(items) == 1 and items[0][1] == 1:
+            unit.setdefault(items[0][0], r)
+    coords = {(k, j): x for k, r in unit.items() for j, x in boundaries.row_items(r)}
+    if cocycles @ Matrix.from_entries(z, boundaries.cols, coords) != boundaries:
+        raise ContractError("coboundaries do not lie in the cocycle space")
+    ends = set(rref(Matrix.from_entries(boundaries.cols, z,
+                                        {(j, z - 1 - k): x for (k, j), x in coords.items()}))[1])
+    return [k for k in range(z) if z - 1 - k not in ends]
+
+
 def cohomology_dimensions(struct, v: Representation, n: int) -> CohomologyReport:
     """Cocycle, coboundary and cohomology dimensions at degree n, with exact bases.
 
     The complex is the one struct fixes: single-bracket for a
-    HomLieAlgebra, two-bracket for a CompatibleHomLieAlgebra.  The images
-    of degrees n-1 and n (coboundary matrices times the basis matrices of
-    the exact equivariant bases) are kept on v.  The cocycles are
-    the basis matrix times the kernel basis of the degree-n images, the
-    coboundary basis is the reduced row basis of the degree-(n-1) images.
-    The cohomology representatives are the cocycles whose columns are
-    pivots in the reduced echelon form of [coboundaries | cocycles]; that
-    form also asserts that the coboundaries lie among the cocycles, and
-    raises ContractError otherwise.
+    HomLieAlgebra, two-bracket for a CompatibleHomLieAlgebra.  The
+    cocycles (the basis matrix times the kernel basis of the degree-n
+    images) and the coboundaries (the reduced row basis of the
+    degree-(n-1) images) are kept on v.  The cohomology representatives
+    are the cocycles that no combination of coboundaries ends on in
+    cocycle coordinates (`_representatives`), the cocycle pivot columns of
+    rref([coboundaries | cocycles]); the coordinates also assert that the
+    coboundaries lie among the cocycles, and raise ContractError otherwise.
     """
     if n < 0:
         raise UsageError("negative degree")
     _validate_structures(struct, v)
     kept = v._complex
-    images = kept["images", n]
-    cocycles = _in_slots(kept["basis", n], _kernel(images), _slots(struct, n))
-
-    boundaries = Matrix.zero(cocycles.rows, 0)
-    if n >= 1:
-        boundaries = _row_space(kept["images", n - 1].transpose()).transpose()
-
-    pivots = rref(hstack([boundaries, cocycles]))[1]
-    if len(pivots) != cocycles.cols:
-        raise ContractError("coboundaries do not lie in the cocycle space")
+    cocycles, boundaries = kept["cocycles", n], kept["coboundaries", n]
     cocycle_basis = _cochains(cocycles, struct, v.vdim, n)
-    representatives = tuple(cocycle_basis[p - boundaries.cols] for p in pivots
-                            if p >= boundaries.cols)
+    representatives = tuple(cocycle_basis[k] for k in _representatives(cocycles, boundaries))
 
     return CohomologyReport(
         degree=n,
         flavor=COMPATIBLE if len(struct.brackets) == 2 else PLAIN,
-        dim_cochains=images.cols,
+        dim_cochains=kept["images", n].cols,
         dim_cocycles=cocycles.cols,
         dim_coboundaries=boundaries.cols,
         dim_cohomology=len(representatives),

@@ -152,6 +152,8 @@ def parse(text: str) -> AlgebraDocument:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError("$", f"invalid JSON: {exc}") from None
+    except RecursionError:  # the decoder recurses once per nested array or object
+        raise ParseError("$", "invalid JSON: nested too deeply to decode") from None
     raw = _object(
         raw,
         "$",

@@ -17,7 +17,8 @@ dense views that give Fractions, for the public API, documents and
 rendering, and so do `kernel_basis`, `solve` and `span_basis`.  Only this
 module tells a zero entry from a nonzero one: other modules build sparse
 matrices with `Matrix.from_entries` and read the stored nonzeros of a row
-with `row_items`.
+with `row_items`; `_column_blocks` cuts each column of flat coordinates
+into its row-major blocks in one pass, for the cochain code.
 
 Elimination is fraction-free: `rref` works on sparse integer rows
 (denominators cleared, content gcd divided out after every update) and
@@ -351,16 +352,6 @@ def hstack(matrices) -> Matrix:
     return Matrix._of(rows, shifts[-1], data)
 
 
-def vsplit(m: Matrix, count: int) -> list:
-    """m cut into `count` blocks of equal height, top to bottom: the inverse
-    of vstack."""
-    if count < 0 or (m.rows % count if count else m.rows):
-        raise UsageError(f"cannot split {m.rows} rows into {count} equal blocks")
-    height = m.rows // max(count, 1)
-    return [Matrix._of(height, m.cols, m._data[b * height : (b + 1) * height])
-            for b in range(count)]
-
-
 def hsplit(m: Matrix, count: int) -> list:
     """m cut into `count` blocks of equal width, left to right: the inverse
     of hstack."""
@@ -369,6 +360,25 @@ def hsplit(m: Matrix, count: int) -> list:
     width, columns = m.cols // max(count, 1), m.transpose()._data
     return [Matrix._of(width, m.rows, columns[b * width : (b + 1) * width]).transpose()
             for b in range(count)]
+
+
+def _column_blocks(m: Matrix, count: int, rows: int, cols: int) -> list:
+    """Each column of m cut into `count` rows x cols matrices, top to
+    bottom, each read off its row-major entries: the inverse of stacking
+    the row-major entries of the blocks as one column.  One pass over the
+    nonzeros of each column, with divmod into (block, row, column)."""
+    size = rows * cols
+    if m.rows != count * size:
+        raise UsageError(f"cannot cut {m.rows} rows into {count} blocks of {rows}x{cols}")
+    out = []
+    for column in m.transpose()._data:
+        blocks = [[[] for _ in range(rows)] for _ in range(count)]
+        for i, x in column:
+            b, entry = divmod(i, size)
+            r, c = divmod(entry, cols)
+            blocks[b][r].append((c, x))
+        out.append([Matrix._of(rows, cols, tuple(map(tuple, block))) for block in blocks])
+    return out
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

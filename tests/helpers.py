@@ -63,16 +63,17 @@ def record_complex_builds(monkeypatch) -> list:
     """Every part of a kept complex built from now on, in the order it is
     asked for, as its key: ("insertion", bracket, degree),
     ("coboundary", action, degree), ("differential", degree),
-    ("basis", degree), ("images", degree) or ("elimination", degree) for
-    the elimination record of the images; and every run of the elimination
-    loop as ("echelon", cols).  A part asked for while another is built
-    comes after it."""
+    ("basis", degree), ("images", degree), ("elimination", degree) for
+    the elimination record of the images, ("cocycles", degree) or
+    ("coboundaries", degree); and every run of the elimination loop as
+    ("echelon", nonzero rows, cols).  A part asked for while another is
+    built comes after it."""
     built = []
     monkeypatch.setattr(cohomology._Complex, "__missing__",
                         lambda kept, key, original=cohomology._Complex.__missing__:
                         built.append(key) or original(kept, key))
     monkeypatch.setattr(linalg, "_echelon", lambda rows, cols, steps=None, original=linalg._echelon:
-                        built.append(("echelon", cols)) or original(rows, cols, steps))
+                        built.append(("echelon", len(rows), cols)) or original(rows, cols, steps))
     return built
 
 

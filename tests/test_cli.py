@@ -27,7 +27,9 @@ GOLDEN_CASES = {
     "cohomology_d2_degree2": ["cohomology", "fixtures/d2.json", "--degree", "2"],
     "cohomology_h3_degree1": ["cohomology", "fixtures/h3.json", "--degree", "1"],
     "cohomology_d2_ext_degree2": ["cohomology", "fixtures/d2_ext.json", "--degree", "2"],
+    "cohomology_h3_deform_degree2": ["cohomology", "fixtures/h3_deform.json", "--degree", "2"],
     "derivations_d2": ["derivations", "fixtures/d2.json"],
+    "derivations_h3_deform": ["derivations", "fixtures/h3_deform.json"],
     "nijenhuis_g4a_N": ["nijenhuis", "fixtures/g4a.json", "--operator", "N"],
     "nijenhuis_d2_N": ["nijenhuis", "fixtures/d2.json", "--operator", "N"],
     "rota_baxter_g2a_R": ["rota-baxter", "fixtures/g2a.json", "--operator", "R"],
@@ -284,6 +286,24 @@ def test_a_degree_far_above_the_dimension_exits_0_with_zero_groups():
     assert json.loads(result.stdout)["results"] == {
         "degree": 10**12, "flavor": "compatible", "dim_cochains": 0, "dim_cocycles": 0,
         "dim_coboundaries": 0, "dim_cohomology": 0}
+
+
+def test_a_deeply_nested_document_exits_2_with_a_report(tmp_path):
+    """The JSON decoder recurses once per nested array, so 100 000 open
+    brackets exhaust the interpreter's recursion limit.  That is a parse
+    error at the document root (exit 2 with a machine report), not an
+    escaped RecursionError."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "homlie.cli", "verify", str(path), "--format", "machine"],
+        capture_output=True, text=True, timeout=60,
+        cwd=ROOT / "src",  # `-m` imports the package from the working directory
+    )
+    assert (result.returncode, result.stderr) == (2, "")
+    report = json.loads(result.stdout)
+    assert report["exit_status"] == 2
+    assert report["results"]["error"].startswith("$: invalid JSON")
 
 
 def test_human_format_mentions_checks():

@@ -485,18 +485,25 @@ def test_mc_pair_rejects_non_mc_base():
 
 def test_mc_shifted_base_equals_direct_check():
     # (base + move) is Maurer-Cartan in the plain sense exactly when move is
-    # Maurer-Cartan relative to the base.
+    # Maurer-Cartan relative to the base, with equal residuals.  d2 has no
+    # arity-3 cochains, so its residuals are 2 x 0 matrices; on compatible
+    # h3 [t, m] does not vanish, so there the relative residuals differ
+    # from the plain residuals of the move, and a test that drops the base
+    # shift is seen.
     rng = random.Random(13)
-    d2 = fixtures.d2()
-    base = (d2.bracket_cochain(1), d2.bracket_cochain(2))
-    for _ in range(10):
-        w1 = rand_equivariant_cochain(rng, d2.alpha, d2.alpha, 2)
-        w2 = rand_equivariant_cochain(rng, d2.alpha, d2.alpha, 2)
-        relative = is_mc_pair(w1, w2, d2.alpha, base=base)
-        absolute = is_mc_pair(base[0] + w1, base[1] + w2, d2.alpha)
-        assert relative.is_mc == absolute.is_mc
-        for r, s in zip(relative.residuals, absolute.residuals):
-            assert r.flatten() == s.flatten()
+    shifted = 0
+    for c in (fixtures.d2(), fixtures.compatible_h3()):
+        base = (c.bracket_cochain(1), c.bracket_cochain(2))
+        for _ in range(10):
+            w1 = rand_equivariant_cochain(rng, c.alpha, c.alpha, 2)
+            w2 = rand_equivariant_cochain(rng, c.alpha, c.alpha, 2)
+            relative = is_mc_pair(w1, w2, c.alpha, base=base)
+            absolute = is_mc_pair(base[0] + w1, base[1] + w2, c.alpha)
+            assert relative.is_mc == absolute.is_mc
+            for r, s in zip(relative.residuals, absolute.residuals):
+                assert r.flatten() == s.flatten()
+            shifted += relative.residuals != is_mc_pair(w1, w2, c.alpha).residuals
+    assert shifted
 
 
 def test_mc_residuals_match_the_naive_bracket():

@@ -8,6 +8,7 @@ from homlie import (
     Cochain,
     CompatibleCochain,
     CompatibleHomLieAlgebra,
+    ContractError,
     HomLieAlgebra,
     LinearOperator,
     Matrix,
@@ -35,14 +36,13 @@ from homlie import cochains, fixtures
 from homlie.cohomology import (
     COMPATIBLE,
     PLAIN,
-    _basis_matrix,
     _coboundary_map,
     _cochains,
     _in_slots,
     _slots,
     coboundary_preimage,
 )
-from homlie.linalg import kernel_basis, kron, span_rank, vec_is_zero
+from homlie.linalg import hstack, kernel_basis, kron, span_rank, vec_is_zero
 
 from helpers import (
     basis_vector,
@@ -58,6 +58,7 @@ from helpers import (
     rand_skew_bracket,
     record_complex_builds,
 )
+from test_maurer_cartan_oracle import yau_sl2
 
 F = Fraction
 
@@ -436,13 +437,14 @@ def test_the_images_are_the_differential_on_the_basis_in_every_slot():
 
 
 def test_basis_matrix_is_the_flat_cochain_basis():
-    """The kernel matrix taken as it is equals the basis cochains of
-    `hom_cochain_basis` (or of the degree-0 group) stacked as flat columns."""
+    """The kept basis matrix, the kernel matrix taken as it is, equals the
+    basis cochains of `hom_cochain_basis` (or of the degree-0 group)
+    stacked as flat columns."""
     cases = list(basis_cases()) + list(random_twisted_cases(random.Random(41)))
     columns = 0
     for s, v in cases:
         for n in range(s.dim + 2):
-            basis = _basis_matrix(s, v, n)
+            basis = v._complex["basis", n]
             assert basis == naive_basis_matrix(s, v, n)
             columns += basis.cols
     assert columns
@@ -491,23 +493,46 @@ def test_pivot_representatives_match_greedy_choice():
     trivial = Representation(h5_pair, 1, Matrix.identity(1),
                              tuple((Matrix.zero(1, 1),) * 5 for _ in range(2)))
     cases = [
-        (fixtures.h3(), None, PLAIN, 4),
-        (fixtures.twisted_h3(), None, PLAIN, 4),
-        (fixtures.d2(), None, COMPATIBLE, 3),
-        (fixtures.compatible_h3(), None, COMPATIBLE, 4),
-        (fixtures.twisted_compatible_h3(), None, COMPATIBLE, 4),
-        (fixtures.d2(), fixtures.d2_extension_rep(), COMPATIBLE, 3),
-        (h5_pair, trivial, COMPATIBLE, 3),
+        (fixtures.h3(), None, PLAIN, range(4)),
+        (fixtures.twisted_h3(), None, PLAIN, range(4)),
+        (fixtures.d2(), None, COMPATIBLE, range(3)),
+        (fixtures.compatible_h3(), None, COMPATIBLE, range(4)),
+        (fixtures.twisted_compatible_h3(), None, COMPATIBLE, range(4)),
+        (fixtures.d2(), fixtures.d2_extension_rep(), COMPATIBLE, range(3)),
+        (h5_pair, trivial, COMPATIBLE, range(3)),
+        (h5_pair, None, COMPATIBLE, range(3)),
+        # Degree 1 of Yau-twisted sl2 is left out: its twist moves the module,
+        # d1 d0 does not vanish there, and the report raises ContractError.
+        (yau_sl2(), None, PLAIN, (0, 2, 3)),
     ]
     seen_classes = 0
-    for alg, rep, flavor, top in cases:
+    for alg, rep, flavor, degrees in cases:
         rep = rep or adjoint_representation(alg)
-        for n in range(top):
+        for n in degrees:
             report = cohomology_dimensions(alg, rep, n)
             assert report.flavor == flavor
             assert report.cohomology_basis == greedy_representatives(report)
             seen_classes += report.dim_cohomology
     assert seen_classes > 0
+
+
+@pytest.mark.parametrize("name", ["h3", "compatible_h3"])
+def test_a_kept_coboundary_outside_the_cocycles_raises_contract_error(name):
+    """A report reads the coordinates of its coboundaries off the identity
+    rows of the cocycle matrix and checks them by the exact product, so a
+    kept coboundary column that is no cocycle raises ContractError instead
+    of passing for one."""
+    s = getattr(fixtures, name)()
+    v = adjoint_representation(s)
+    kept = v._complex
+    assert cohomology_dimensions(s, v, 2).dim_coboundaries == 3
+    columns = kept["images", 2].transpose()
+    k = next(k for k in range(columns.rows) if columns.row_items(k))
+    unit = Matrix.from_entries(columns.rows, 1, {(k, 0): 1})
+    cochain = _in_slots(kept["basis", 2], unit, _slots(s, 2))  # d of it is column k
+    kept["coboundaries", 2] = hstack([kept["coboundaries", 2], cochain])
+    with pytest.raises(ContractError, match="coboundaries do not lie in the cocycle space"):
+        cohomology_dimensions(s, v, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -758,15 +783,18 @@ def test_comparison_dimensions_reported_side_by_side():
 @pytest.mark.parametrize("name", ["h3", "compatible_h3", "twisted_compatible_h3"])
 def test_a_degree_loop_builds_each_degree_of_the_complex_once(monkeypatch, name):
     """A table over degrees 0..3 reads degree n - 1 from the complex the
-    previous call kept, so each degree's basis and images are built once.
-    The images are the layout of the products with the basis, so the
-    table builds no differential."""
+    previous call kept, so each degree's basis, images, cocycles and
+    coboundaries are built once.  The images are the layout of the
+    products with the basis, so the table builds no differential.  A
+    second table builds nothing and eliminates no images matrix: each
+    report runs one pivot loop, on the coordinates of its coboundaries
+    (dim B^n rows, dim Z^n columns)."""
     s = getattr(fixtures, name)()
     v = adjoint_representation(s)
     built = record_complex_builds(monkeypatch)
     first = [cohomology_dimensions(s, v, n) for n in range(4)]
-    assert [b for b in built if b[0] == "images"] == [("images", n) for n in range(4)]
-    assert [b for b in built if b[0] == "basis"] == [("basis", n) for n in range(4)]
+    for part in ("images", "basis", "cocycles", "coboundaries"):
+        assert [b for b in built if b[0] == part] == [(part, n) for n in range(4)]
     actions = range(1, len(s.brackets) + 1)
     assert sorted(b for b in built if b[0] == "coboundary") == sorted(
         ("coboundary", which, n) for n in range(4) for which in actions
@@ -774,12 +802,14 @@ def test_a_degree_loop_builds_each_degree_of_the_complex_once(monkeypatch, name)
     assert [b for b in built if b[0] == "differential"] == []
     built.clear()
     assert [cohomology_dimensions(s, v, n) for n in range(4)] == first
-    assert [b for b in built if b[0] != "echelon"] == []
+    assert built == [("echelon", r.dim_coboundaries, r.dim_cocycles) for r in first]
+    assert any(r.dim_coboundaries for r in first)
 
 
 def kept_parts(v, degrees):
     """Every part of v's kept complex in the given degrees, built now if not yet."""
-    keys = [(part, n) for part in ("basis", "images", "elimination", "differential")
+    keys = [(part, n) for part in ("basis", "images", "elimination", "differential",
+                                   "cocycles", "coboundaries")
             for n in degrees]
     keys += [(part, b, n) for part in ("insertion", "coboundary") for n in degrees
              for b in range(1, len(v.actions) + 1)]

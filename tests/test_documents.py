@@ -110,3 +110,11 @@ def test_round_trip_all_fixture_files():
         assert again == doc, path.name
         # serialization is canonical: a second pass is byte-identical
         assert serialize(again) == serialize(doc)
+
+
+def test_parse_rejects_nesting_too_deep_to_decode():
+    # The JSON decoder recurses once per nested array; running out of
+    # recursion is a parse error at the root, not a RecursionError.
+    with pytest.raises(ParseError) as err:
+        parse("[" * 100_000)
+    assert err.value.path == "$"

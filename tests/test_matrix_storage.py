@@ -29,7 +29,16 @@ from homlie import (
     solve,
     verify_structure,
 )
-from homlie.linalg import ZERO, hsplit, hstack, kron, kron_sum, span_basis, vsplit, vstack
+from homlie.linalg import (
+    ZERO,
+    _column_blocks,
+    hsplit,
+    hstack,
+    kron,
+    kron_sum,
+    span_basis,
+    vstack,
+)
 
 from helpers import (
     naive_add,
@@ -311,8 +320,9 @@ def test_every_operation_stores_the_canonical_form():
         right = builds(grid(rng, cols, 3, density), cols, 3)[0]
         results = [m @ right, kron(m, other), m + same, m - same, -m, m.transpose(),
                    m.scale(2), m.scale(F(3, 2)), m.block_diag(other), vstack([m, m]),
-                   hstack([m, m]), *hsplit(hstack([m, m]), 2), *vsplit(vstack([m, m]), 2),
-                   m.reshape(cols, rows), rref(m)[0], *builds(g, rows, cols)]
+                   hstack([m, m]), *hsplit(hstack([m, m]), 2),
+                   *[b for b, in _column_blocks(m, 1, rows, 1)], m.reshape(cols, rows),
+                   rref(m)[0], *builds(g, rows, cols)]
         assert all(canonical(r) for r in results)
 
 
@@ -382,15 +392,28 @@ def test_bools_and_unreadable_strings_are_refused():
     assert frac("-3/6") == F(-1, 2) and frac(4) == 4 and type(frac(4)) is Fraction
 
 
-def test_reshape_and_vsplit():
+def test_reshape_keeps_the_row_major_entries():
     for rng, rows, cols, density, g in cases(13):
         m = builds(g, rows, cols)[0]
         for shape in ((rows * cols, 1), (1, rows * cols), (cols, rows)):
             assert m.reshape(*shape).entries == m.entries
             assert m.reshape(*shape).reshape(rows, cols) == m
-        assert vsplit(vstack([m, m, m]), 3) == [m, m, m]
     with pytest.raises(UsageError):
         Matrix.zero(2, 3).reshape(4, 2)
+
+
+def test_column_blocks_invert_stacking_the_flat_blocks():
+    """Each column of a matrix whose columns stack the row-major entries of
+    `count` blocks comes back as those blocks, in canonical form."""
+    for rng, rows, cols, density, g in cases(17):
+        count = rng.randint(1, 3)
+        columns = [[builds(grid(rng, rows, cols, density), rows, cols)[0] for _ in range(count)]
+                   for _ in range(rng.randint(0, 3))]
+        flat = hstack([Matrix.zero(count * rows * cols, 0)] + [
+            vstack([b.reshape(rows * cols, 1) for b in blocks]) for blocks in columns])
+        cut = _column_blocks(flat, count, rows, cols)
+        assert cut == columns
+        assert all(canonical(b) for blocks in cut for b in blocks)
+    assert _column_blocks(Matrix.zero(0, 2), 3, 4, 0) == [[Matrix.zero(4, 0)] * 3] * 2
     with pytest.raises(UsageError):
-        vsplit(Matrix.zero(5, 2), 2)
-    assert vsplit(Matrix.zero(0, 2), 0) == []
+        _column_blocks(Matrix.zero(5, 1), 2, 1, 2)

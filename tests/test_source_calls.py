@@ -20,7 +20,9 @@ and each of their builders assembles its sum in one `kron_sum` call
 rather than adding the terms one at a time.  The two-bracket differential
 is one kept matrix, so outside `cohomology` no module reads the
 per-bracket coboundary matrices of a kept complex, and inside it the parts
-of a kept complex are built by `_Complex.__missing__` alone.
+of a kept complex are built by `_Complex.__missing__` alone: the bases,
+the images and their elimination, the cocycles (`_kernel`) and the
+coboundaries (`_row_space`), so a report eliminates no images matrix.
 A report of `verify_structure` is kept on its object, so checking again is
 free and every result that needs valid inputs asks `algebra.require_valid`,
 the one place that turns a failing report into a PreconditionError.
@@ -157,8 +159,8 @@ def test_only_cohomology_reads_the_per_bracket_coboundaries():
 
 
 def test_the_kept_complex_builds_its_parts_alone():
-    builders = {"_coboundary_map", "_basis_matrix", "_layout", "_elimination",
-                "insertion_matrix"}
+    builders = {"_coboundary_map", "_equivariant_columns", "_layout", "_elimination",
+                "insertion_matrix", "_kernel", "_row_space"}
     callers = {(scope, name) for scope, name in calls(ROOT / "src" / "homlie" / "cohomology.py")
                if name in builders}
     assert callers == {("_Complex.__missing__", name) for name in builders}
