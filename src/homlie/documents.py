@@ -24,11 +24,11 @@ from .algebra import (
 )
 from .cochains import Cochain, increasing_tuples, tuple_position
 from .errors import UsageError
-from .linalg import Matrix, zero_vector
+from .linalg import Matrix
 
 SCHEMA_VERSION = "1"
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
 
 
 class ParseError(UsageError):
@@ -39,10 +39,19 @@ class ParseError(UsageError):
         self.path = path
 
 
-def _rational(value, path: str) -> Fraction:
-    if not isinstance(value, str) or not _RATIONAL_RE.match(value):
+def _rational(value, path: str, *index):
+    """The rational string "p" or "p/q" in the stored form of a `Matrix`
+    entry: int(p), or one Fraction when it is not integral.  The field path is
+    `path` followed by [i] for each index, built only for a refused value."""
+    match = _RATIONAL_RE.match(value) if isinstance(value, str) else None
+    if match is None:
+        path += "".join(f"[{i}]" for i in index)
         raise ParseError(path, f"expected a rational string like '2' or '-1/3', got {value!r}")
-    return Fraction(value)
+    p, q = match.groups()
+    if q is None:
+        return int(p)
+    x = Fraction(int(p), int(q))
+    return x.numerator if x.denominator == 1 else x
 
 
 def _count(value, path: str, minimum: int = 0) -> int:
@@ -73,17 +82,20 @@ def _object(value, path: str, required, optional=()) -> dict:
 
 def _matrix(value, path: str, rows: int, cols: int) -> Matrix:
     value = _listof(value, path, rows)
-    out = []
+    entries = {}
     for r, row in enumerate(value):
         row = _listof(row, f"{path}[{r}]", cols)
-        out.append([_rational(x, f"{path}[{r}][{c}]") for c, x in enumerate(row)])
-    return Matrix.from_rows(out) if rows else Matrix.zero(0, cols)
+        for c, x in enumerate(row):
+            x = _rational(x, path, r, c)
+            if x:
+                entries[r, c] = x
+    return Matrix.from_entries(rows, cols, entries)
 
 
 def _cochain_table(value, path: str, dim: int, target_dim: int) -> Cochain:
     """A sparse arity-2 table [{i, j, coefficients}] with i < j."""
     value = _listof(value, path)
-    columns = [zero_vector(target_dim)] * comb(dim, 2)
+    entries = {}
     seen = set()
     pos = tuple_position(dim, 2)
     for k, entry in enumerate(value):
@@ -98,11 +110,14 @@ def _cochain_table(value, path: str, dim: int, target_dim: int) -> Cochain:
         if (i, j) in seen:
             raise ParseError(epath, f"duplicate pair ({i}, {j})")
         seen.add((i, j))
-        coeffs = _listof(entry["coefficients"], f"{epath}.coefficients", target_dim)
-        columns[pos[(i, j)]] = tuple(
-            _rational(x, f"{epath}.coefficients[{c}]") for c, x in enumerate(coeffs)
-        )
-    return Cochain(2, dim, target_dim, Matrix.from_columns(columns, target_dim))
+        cpath = f"{epath}.coefficients"
+        coeffs = _listof(entry["coefficients"], cpath, target_dim)
+        column = pos[(i, j)]
+        for c, x in enumerate(coeffs):
+            x = _rational(x, cpath, c)
+            if x:
+                entries[c, column] = x
+    return Cochain(2, dim, target_dim, Matrix.from_entries(target_dim, comb(dim, 2), entries))
 
 
 @dataclass(frozen=True)
@@ -166,9 +181,13 @@ def parse(text: str) -> AlgebraDocument:
     dim = _count(raw["dimension"], "$.dimension")
     if "basis_names" in raw:
         names = _listof(raw["basis_names"], "$.basis_names", dim)
+        seen = set()
         for k, n in enumerate(names):
             if not isinstance(n, str) or not n:
                 raise ParseError(f"$.basis_names[{k}]", "expected a nonempty string")
+            if n in seen:
+                raise ParseError(f"$.basis_names[{k}]", f"duplicate basis name {n!r}")
+            seen.add(n)
         names = tuple(names)
     else:
         names = tuple(f"e{k + 1}" for k in range(dim))
@@ -218,7 +237,7 @@ def parse(text: str) -> AlgebraDocument:
             if kind == ROTA_BAXTER:
                 if "weight" not in entry:
                     raise ParseError(opath, "rota_baxter operators need a weight")
-                weight = _rational(entry["weight"], f"{opath}.weight")
+                weight = Fraction(_rational(entry["weight"], f"{opath}.weight"))
             elif "weight" in entry:
                 raise ParseError(opath, "nijenhuis operators take no weight")
             matrix = _matrix(entry["matrix"], f"{opath}.matrix", dim, dim)

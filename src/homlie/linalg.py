@@ -8,7 +8,12 @@ product of integral entries makes no Fraction.  That form is canonical,
 and since `Fraction(n) == n` with equal hashes, `==` and `hash` mean
 equality of the dense matrices.  Products, sums, Kronecker products,
 stacks, transposes and elimination read and write nonzeros only, so their
-cost follows the nonzeros, not rows x cols.  `kron_sum` builds a sum of
+cost follows the nonzeros, not rows x cols.  A product takes one of three
+routes: with a one-column right factor, one dot product per left row
+against that column; a left row with one nonzero is the right row itself
+when the nonzero is the int 1, and that row scaled entry by entry
+otherwise, with no accumulator; any other left row sums its scaled right
+rows in one accumulator (`_row`).  `kron_sum` builds a sum of
 Kronecker products, the shape of every coboundary and constraint matrix
 of the library, in one pass, with no intermediate matrix per term.
 `Matrix(rows, cols, entries)` takes the dense row-major entries and
@@ -102,8 +107,17 @@ def _pairs(values) -> tuple:
 
 def _row(acc: dict) -> tuple:
     """The canonical sparse row of {column: sum}: zeros dropped, integral
-    sums stored as ints, columns in order."""
-    return tuple(sorted((j, x if type(x) is int else _stored(x)) for j, x in acc.items() if x))
+    sums stored as ints, columns in order.  The sort stays even where the
+    columns arrived in order: on sorted keys it is one pass in C, cheaper
+    than any test of the order in Python."""
+    out = []
+    for j in sorted(acc):
+        x = acc[j]
+        if x:
+            if type(x) is not int and x.denominator == 1:
+                x = x.numerator
+            out.append((j, x))
+    return tuple(out)
 
 
 def _combine(a: tuple, b: tuple, negate: bool) -> tuple:
@@ -280,13 +294,42 @@ class Matrix:
             raise UsageError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         right = other._data
         out = []
+        if other.cols == 1:
+            column = [pairs[0][1] if pairs else None for pairs in right]
+            for row in self._data:
+                s = 0
+                for k, a in row:
+                    x = column[k]
+                    if x is not None:
+                        s += a * x
+                if not s:
+                    out.append(())
+                elif type(s) is int or s.denominator != 1:
+                    out.append(((0, s),))
+                else:
+                    out.append(((0, s.numerator),))
+            return Matrix._of(self.rows, 1, tuple(out))
         for row in self._data:
+            if len(row) == 1:
+                (k, a), = row
+                if type(a) is int and a == 1:
+                    out.append(right[k])
+                    continue
+                scaled = []
+                for j, x in right[k]:
+                    x = a * x
+                    scaled.append((j, x if type(x) is int or x.denominator != 1 else x.numerator))
+                out.append(tuple(scaled))
+                continue
             acc = {}
             for k, a in row:
-                one = type(a) is int and a == 1  # identity factors cost no product
-                for j, x in right[k]:
-                    x = x if one else a * x
-                    acc[j] = acc[j] + x if j in acc else x
+                if type(a) is int and a == 1:
+                    for j, x in right[k]:
+                        acc[j] = acc[j] + x if j in acc else x
+                else:
+                    for j, x in right[k]:
+                        x = a * x
+                        acc[j] = acc[j] + x if j in acc else x
             out.append(_row(acc))
         return Matrix._of(self.rows, other.cols, tuple(out))
 
@@ -397,7 +440,8 @@ def kron_sum(terms, rows: int, cols: int) -> Matrix:
     """The rows x cols sum of kron(a, b) over the (a, b) pairs of `terms`,
     built in one pass over the factors' nonzeros: each row of the sum
     gathers row l of every a times row k of its b (with l b.rows + k the
-    row) in one accumulator.  An entry that is the int 1 costs no product."""
+    row) in one accumulator.  An entry of an a that is the int 1 costs no
+    product."""
     terms = tuple(terms)
     for a, b in terms:
         if (a.rows * b.rows, a.cols * b.cols) != (rows, cols):
@@ -413,10 +457,15 @@ def kron_sum(terms, rows: int, cols: int) -> Matrix:
                 continue
             for i, c in a._data[l]:
                 shift = i * b.cols
-                for j, x in brow:
-                    x = x if c == 1 else c if x == 1 else c * x
-                    j += shift
-                    acc[j] = acc[j] + x if j in acc else x
+                if type(c) is int and c == 1:
+                    for j, x in brow:
+                        j += shift
+                        acc[j] = acc[j] + x if j in acc else x
+                else:
+                    for j, x in brow:
+                        x = c * x
+                        j += shift
+                        acc[j] = acc[j] + x if j in acc else x
         data.append(_row(acc))
     return Matrix._of(rows, cols, tuple(data))
 

@@ -23,13 +23,16 @@ GOLDEN_CASES = {
     "verify_d2": ["verify", "fixtures/d2.json"],
     "verify_d2_ext": ["verify", "fixtures/d2_ext.json"],
     "verify_g2a": ["verify", "fixtures/g2a.json"],
+    "verify_h3_rational": ["verify", "fixtures/h3_rational.json"],
     "cohomology_d2_degree0": ["cohomology", "fixtures/d2.json", "--degree", "0"],
     "cohomology_d2_degree2": ["cohomology", "fixtures/d2.json", "--degree", "2"],
     "cohomology_h3_degree1": ["cohomology", "fixtures/h3.json", "--degree", "1"],
     "cohomology_d2_ext_degree2": ["cohomology", "fixtures/d2_ext.json", "--degree", "2"],
     "cohomology_h3_deform_degree2": ["cohomology", "fixtures/h3_deform.json", "--degree", "2"],
+    "cohomology_h3_rational_degree2": ["cohomology", "fixtures/h3_rational.json", "--degree", "2"],
     "derivations_d2": ["derivations", "fixtures/d2.json"],
     "derivations_h3_deform": ["derivations", "fixtures/h3_deform.json"],
+    "derivations_h3_rational": ["derivations", "fixtures/h3_rational.json"],
     "nijenhuis_g4a_N": ["nijenhuis", "fixtures/g4a.json", "--operator", "N"],
     "nijenhuis_d2_N": ["nijenhuis", "fixtures/d2.json", "--operator", "N"],
     "rota_baxter_g2a_R": ["rota-baxter", "fixtures/g2a.json", "--operator", "R"],
@@ -135,6 +138,17 @@ def test_parse_error_exit_2(tmp_path):
     status, report = run(["verify", str(bad)])
     assert status == 2
     assert "invalid JSON" in report["results"]["error"]
+
+
+def test_duplicate_basis_names_exit_2(tmp_path):
+    # Repeated names would make the report's labels ambiguous.
+    raw = json.loads((FIXTURES / "h3.json").read_text(encoding="utf-8"))
+    raw["basis_names"] = ["e1", "e1", "e1"]
+    path = tmp_path / "names.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    status, report = run(["verify", str(path)])
+    assert status == 2
+    assert report["results"]["error"] == "$.basis_names[1]: duplicate basis name 'e1'"
 
 
 def test_mc_check_reports_precondition_failure(tmp_path):

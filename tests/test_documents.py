@@ -118,3 +118,62 @@ def test_parse_rejects_nesting_too_deep_to_decode():
     with pytest.raises(ParseError) as err:
         parse("[" * 100_000)
     assert err.value.path == "$"
+
+
+# Strings the parser accepts: each is read to the stored form of Fraction(s),
+# the int when it is integral.  "\d" takes non-ASCII digits, as int() does,
+# and a final newline is allowed by "$", as int() and Fraction() allow it.
+ACCEPTED = ("0", "-0", "007", "6/4", "-6/3", "0/5", "1/10", "9" * 300, "5\n", "-3/4\n",
+            "٣", "-١٢")
+
+# Values the parser refuses.  Each is refused at its field path with the
+# message that parsing through Fraction(s) gave.
+REFUSED = (1.5, "1.5", "+1", "1/0", "1/-2", "1/02", True, None)
+
+
+def _placed(value):
+    """The g2a document with value as alpha[1][0], as the second coefficient
+    of the bracket pair (0, 1) and as the weight of operator R."""
+    raw = json.loads(load("g2a.json"))
+    raw["alpha"][1][0] = value
+    raw["brackets"][0][0]["coefficients"][1] = value
+    raw["operators"][0]["weight"] = value
+    return raw
+
+
+def _stored(x: Fraction):
+    return x.numerator if x.denominator == 1 else x
+
+
+def test_rational_strings_are_read_to_the_stored_form():
+    for text in ACCEPTED:
+        doc = parse(json.dumps(_placed(text)))
+        want = _stored(Fraction(text))
+        alpha = dict(doc.alpha.row_items(1)).get(0, 0)
+        coefficient = dict(doc.brackets[0].row_items(1)).get(0, 0)
+        for x in (alpha, coefficient):
+            assert x == want and type(x) is type(want), repr(text)
+        weight = doc.operator_named("R").weight
+        assert weight == Fraction(text) and type(weight) is Fraction, repr(text)
+
+
+def test_refused_rationals_name_their_field():
+    for value in REFUSED:
+        message = f"expected a rational string like '2' or '-1/3', got {value!r}"
+        for field, path in (("alpha", "$.alpha[1][0]"),
+                            ("brackets", "$.brackets[0][0].coefficients[1]"),
+                            ("operators", "$.operators[0].weight")):
+            raw = json.loads(load("g2a.json"))
+            raw[field] = _placed(value)[field]
+            with pytest.raises(ParseError) as err:
+                parse(json.dumps(raw))
+            assert (err.value.path, str(err.value)) == (path, f"{path}: {message}"), value
+
+
+def test_parse_rejects_duplicate_basis_names():
+    raw = json.loads(load("h3.json"))
+    raw["basis_names"] = ["e1", "e2", "e1"]
+    with pytest.raises(ParseError) as err:
+        parse(json.dumps(raw))
+    assert err.value.path == "$.basis_names[2]"
+    assert str(err.value) == "$.basis_names[2]: duplicate basis name 'e1'"

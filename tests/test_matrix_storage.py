@@ -179,6 +179,42 @@ def test_products_match_the_oracles():
             assert m @ Matrix.identity(rows) == m == Matrix.identity(rows) @ m
 
 
+def test_one_column_products_match_the_oracle():
+    # A one-column right factor takes one dot product per left row.  Its
+    # sums may cancel to zero or turn integral, and its rows may be empty.
+    for rng, rows, cols, density, g in cases(14):
+        m = builds(g, rows, cols)[0]
+        for column_density in DENSITIES:
+            h = grid(rng, cols, 1, column_density)
+            product = m @ builds(h, cols, 1)[0]
+            assert agrees(product, naive_matmul(g, h, 1), rows, 1) and canonical(product)
+    left = Matrix(4, 3, (F(1, 2), F(1, 2), 0, F(1, 3), F(-1, 3), 0, 0, 0, 5, 2, 0, F(1, 2)))
+    column = Matrix(3, 1, (2, 2, F(3, 5)))
+    assert [(left @ column).row_items(i) for i in range(4)] == [((0, 2),), (), ((0, 3),),
+                                                                ((0, F(43, 10)),)]
+    assert type((left @ column).row_items(0)[0][1]) is int
+    empty = Matrix(3, 1, (0, 7, 0))
+    assert (left @ empty).entries == (F(7, 2), F(-7, 3), 0, 0)
+
+
+def test_rows_with_one_entry_copy_or_scale_the_right_row():
+    # A left row with one nonzero is the right row itself when that nonzero
+    # is the int 1, and the right row scaled entry by entry otherwise.
+    right = Matrix(3, 4, (F(1, 2), 0, 3, F(-2, 3), 0, 0, 0, 0, 2, F(1, 4), 0, 1))
+    g = [list(right.row(i)) for i in range(3)]
+    for one in (1, -1, -3, F(1, 2), F(3, 2), F(-6, 1)):
+        for k in range(3):
+            row = [F(0)] * 3
+            row[k] = F(one)
+            left = Matrix.from_rows([row, [0, 0, 0], row])
+            product = left @ right
+            assert agrees(product, naive_matmul([row, [F(0)] * 3, row], g, 4), 3, 4)
+            assert canonical(product)
+    three = Matrix.from_rows([[0, 0, F(4)], [F(6), 0, 0], [0, 0, F(-3, 2)]])
+    assert [(three @ right).row_items(i) for i in range(3)] == [
+        ((0, 8), (1, 1), (3, 4)), ((0, 3), (2, 18), (3, -4)), ((0, -3), (1, F(-3, 8)), (3, F(-3, 2)))]
+
+
 def test_kron_and_stacks_match_the_oracles():
     for rng, rows, cols, density, g in cases(7):
         m = builds(g, rows, cols)[0]
@@ -318,7 +354,8 @@ def test_every_operation_stores_the_canonical_form():
         other = builds(grid(rng, r2, c2, density), r2, c2)[0]
         same = builds(grid(rng, rows, cols, density), rows, cols)[0]
         right = builds(grid(rng, cols, 3, density), cols, 3)[0]
-        results = [m @ right, kron(m, other), m + same, m - same, -m, m.transpose(),
+        column = builds(grid(rng, cols, 1, density), cols, 1)[0]
+        results = [m @ right, m @ column, kron(m, other), m + same, m - same, -m, m.transpose(),
                    m.scale(2), m.scale(F(3, 2)), m.block_diag(other), vstack([m, m]),
                    hstack([m, m]), *hsplit(hstack([m, m]), 2),
                    *[b for b, in _column_blocks(m, 1, rows, 1)], m.reshape(cols, rows),
