@@ -62,7 +62,6 @@ from .linalg import (
     Matrix,
     frac,
     hstack,
-    kron,
     kron_sum,
 )
 
@@ -338,7 +337,7 @@ def _representation_checks(v: Representation):
     blocks = [_action_blocks(table, vdim) for table in v.actions]
     pairs = [_pair_blocks(base.alpha, bracket, table, v.beta)
              for bracket, table in zip(base.brackets, v.actions)]
-    twist = kron(base.alpha, v.beta)
+    twist = kron_sum([(base.alpha, v.beta)], dim * vdim, dim * vdim)
     checks = []
     for label, a, n in zip(_labels(len(blocks)), blocks, pairs):
         checks.append(CheckResult.from_blocks(f"action_twist{label}",

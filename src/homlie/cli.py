@@ -30,19 +30,6 @@ from .extensions import ExtensionCocycle, build_extension, ext_class
 
 REPORT_VERSION = "1"
 
-COMMANDS = (
-    "verify",
-    "cohomology",
-    "derivations",
-    "nijenhuis",
-    "rota-baxter",
-    "deform-verify",
-    "deform-obstruct",
-    "extension-build",
-    "extension-classify",
-    "mc-check",
-)
-
 
 def _witness_json(witness):
     indices, defect = witness
@@ -206,6 +193,7 @@ def _cmd_extension_classify(doc: AlgebraDocument, args):
     }
 
 
+# The one command table: the subparsers are built from it, in this order.
 _HANDLERS = {
     "verify": _cmd_verify,
     "cohomology": _cmd_cohomology,
@@ -227,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
         "for (compatible) Hom-Lie algebras given by structure constants.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in _HANDLERS:
         sp = sub.add_parser(name)
         sp.add_argument("document", help="path to a JSON algebra document")
         sp.add_argument("--format", choices=("human", "machine"), default="human")

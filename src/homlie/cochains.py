@@ -3,17 +3,20 @@
 An arity-n cochain from a d-dimensional space into a t-dimensional space is
 stored as a t x C(d,n) coefficient matrix: column k holds the value on the
 k-th strictly increasing basis tuple (i1 < ... < in) in lexicographic order.
-Values on arbitrary arguments follow by multilinear alternating extension.
-Arity 0 is the same picture with the one empty tuple: a t x 1 matrix, the
-vector the cochain takes.
+Values on arbitrary arguments follow by multilinear alternating extension:
+the coefficient matrix times the wedge of the arguments, the one column of
+the n-th compound of the d x n matrix whose columns they are
+(`Cochain.evaluate`).  Arity 0 is the same picture with the one empty
+tuple: a t x 1 matrix, the vector the cochain takes.
 
 The twist-equivariant subspace of arity-n cochains consists of those f with
 beta o f = f o alpha^(wedge n); a basis is computed exactly by solving the
 linear constraint  beta . M = M . compound_n(alpha).  The compound of any
 matrix m is a wedge of its columns: column J is m e_(j1) ^ ... ^ m e_(jn)
-in the n-tuple basis, whose coefficients are the n x n minors of m.  The
-0th compound is the 1 x 1 identity, so the equivariant arity-0 cochains
-are the beta-fixed vectors.
+in the n-tuple basis, whose coefficients are the n x n minors of m.  Every
+minor of the library is taken this way, with no determinant.  The 0th
+compound is the 1 x 1 identity, so the equivariant arity-0 cochains are
+the beta-fixed vectors.
 
 For endomorphism cochains (source = target) the shifted graded space of
 equivariant cochains carries a graded Lie bracket
@@ -55,7 +58,6 @@ from .linalg import (
     Matrix,
     _column_blocks,
     _kernel,
-    determinant_of,
     kron_sum,
     vector,
     zero_vector,
@@ -132,19 +134,19 @@ class Cochain:
     def evaluate(self, args) -> tuple:
         """Value on arbitrary argument vectors by alternating extension.
 
-        The coefficient of basis column (i1 < ... < in) is the n x n minor of
-        the argument rows at those positions, so the result is multilinear
-        and swaps of two arguments flip the overall sign.
+        The arguments are the columns of a d x n matrix, and their wedge is
+        its n-th compound, one column whose entry (i1 < ... < in) is the
+        n x n minor of the argument rows at those positions; the value is
+        the coefficient matrix times that column.  So the result is
+        multilinear and swaps of two arguments flip the overall sign.
         """
         if len(args) != self.arity:
             raise UsageError(f"expected {self.arity} arguments, got {len(args)}")
         for a in args:
             if len(a) != self.source_dim:
                 raise UsageError(f"argument length {len(a)} != source dim {self.source_dim}")
-        return self.coeffs.apply(tuple(
-            determinant_of([[arg[i] for i in tup] for arg in args])
-            for tup in increasing_tuples(self.source_dim, self.arity)
-        ))
+        wedge = _compound(Matrix.from_columns(args, self.source_dim), self.arity)
+        return (self.coeffs @ wedge).col(0)
 
     def __add__(self, other: "Cochain") -> "Cochain":
         self._compatible(other)

@@ -95,7 +95,6 @@ from .linalg import (
     _solve,
     hsplit,
     hstack,
-    kron,
     kron_sum,
     rref,
     vstack,
@@ -241,7 +240,8 @@ def _coboundary_map(struct, v: Representation, which: int, n: int) -> Matrix:
     dim, vdim = struct.dim, v.vdim
     if comb(dim, n + 1) == 0:  # no (n+1)-tuples: nothing to build
         return Matrix.zero(0, vdim * comb(dim, n))
-    twist = kron(struct.alpha.power(max(n - 1, 0)), Matrix.identity(vdim))
+    twist = kron_sum([(struct.alpha.power(max(n - 1, 0)), Matrix.identity(vdim))],
+                     dim * vdim, dim * vdim)
     blocks = hsplit(_action_blocks(v.actions[which - 1], vdim) @ twist, dim)
     terms = [(Matrix.identity(vdim), -v._complex["insertion", which, n].transpose())]
     terms += [(a, e.transpose()) for a, e in zip(blocks, wedge_incidence(dim, n))]
@@ -342,7 +342,8 @@ def _in_slots(basis: Matrix, coords: Matrix, slots: int) -> Matrix:
     basis times the s-th block of coords.  No unknowns give zeros."""
     if not basis.cols:
         return Matrix.zero(slots * basis.rows, coords.cols)
-    return kron(Matrix.identity(slots), basis) @ coords
+    return kron_sum([(Matrix.identity(slots), basis)],
+                    slots * basis.rows, slots * basis.cols) @ coords
 
 
 def _representatives(cocycles: Matrix, boundaries: Matrix) -> list:
@@ -386,6 +387,13 @@ def cohomology_dimensions(struct, v: Representation, n: int) -> CohomologyReport
     cocycle coordinates (`_representatives`), the cocycle pivot columns of
     rref([coboundaries | cocycles]); the coordinates also assert that the
     coboundaries lie among the cocycles, and raise ContractError otherwise.
+
+    d . d is zero from degree 1 on, but d1 . d0 is zero only where the
+    twist keeps the actions seen by its fixed vectors:
+    (d1 d0 v)(x, y) = ((1 - alpha) x) . (y . v) - ((1 - alpha) y) . (x . v).
+    A degree-1 report whose coboundaries are no cocycles for that reason
+    raises PreconditionError; the check runs only when the containment
+    fails.
     """
     if n < 0:
         raise UsageError("negative degree")
@@ -393,7 +401,15 @@ def cohomology_dimensions(struct, v: Representation, n: int) -> CohomologyReport
     kept = v._complex
     cocycles, boundaries = kept["cocycles", n], kept["coboundaries", n]
     cocycle_basis = _cochains(cocycles, struct, v.vdim, n)
-    representatives = tuple(cocycle_basis[k] for k in _representatives(cocycles, boundaries))
+    try:
+        indices = _representatives(cocycles, boundaries)
+    except ContractError:
+        if n == 1 and not (kept["differential", 1] @ kept["images", 0]).is_zero():
+            raise PreconditionError(
+                "degree-1 cohomology is undefined for this module: d1 . d0 is not zero, "
+                "since the twist changes the actions seen by its fixed vectors") from None
+        raise
+    representatives = tuple(cocycle_basis[k] for k in indices)
 
     return CohomologyReport(
         degree=n,
@@ -414,8 +430,14 @@ def class_coordinates(report: CohomologyReport, item) -> tuple:
     """Coordinates of a cocycle's class in the report's cohomology basis.
 
     Cohomologous inputs give identical coordinates; inputs outside the
-    cocycle space are rejected.
+    cocycle space are rejected, and a cochain of another shape than the
+    report's is a UsageError.
     """
+    parts = item.components if isinstance(item, CompatibleCochain) else (item,)
+    shape = (report.degree, report.source_dim, report.target_dim)
+    slots = _two_bracket_slots(report.degree) if report.flavor == COMPATIBLE else 1
+    if len(parts) != slots or any((f.arity, f.source_dim, f.target_dim) != shape for f in parts):
+        raise UsageError("cochain shape does not match the report")
     w = _flat(item)
     columns = [_flat(b) for b in report.coboundary_basis + report.cohomology_basis]
     x = _solve(hstack([Matrix.zero(w.rows, 0), *columns]), w)

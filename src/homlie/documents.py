@@ -40,18 +40,15 @@ class ParseError(UsageError):
 
 
 def _rational(value, path: str, *index):
-    """The rational string "p" or "p/q" in the stored form of a `Matrix`
-    entry: int(p), or one Fraction when it is not integral.  The field path is
+    """The rational string "p" or "p/q" as int(p) or Fraction(p, q); a
+    `Matrix` stores an integral Fraction as its int.  The field path is
     `path` followed by [i] for each index, built only for a refused value."""
     match = _RATIONAL_RE.match(value) if isinstance(value, str) else None
     if match is None:
         path += "".join(f"[{i}]" for i in index)
         raise ParseError(path, f"expected a rational string like '2' or '-1/3', got {value!r}")
     p, q = match.groups()
-    if q is None:
-        return int(p)
-    x = Fraction(int(p), int(q))
-    return x.numerator if x.denominator == 1 else x
+    return int(p) if q is None else Fraction(int(p), int(q))
 
 
 def _count(value, path: str, minimum: int = 0) -> int:

@@ -15,12 +15,13 @@ when the nonzero is the int 1, and that row scaled entry by entry
 otherwise, with no accumulator; any other left row sums its scaled right
 rows in one accumulator (`_row`).  `kron_sum` builds a sum of
 Kronecker products, the shape of every coboundary and constraint matrix
-of the library, in one pass, with no intermediate matrix per term.
+of the library, in one pass, with no intermediate matrix per term; one
+Kronecker product is the sum of one term.
 `Matrix(rows, cols, entries)` takes the dense row-major entries and
 coerces each one like `frac`; `entries`, `row`, `col` and `entry` are
 dense views that give Fractions, for the public API, documents and
-rendering, and so do `kernel_basis`, `solve` and `span_basis`.  Only this
-module tells a zero entry from a nonzero one: other modules build sparse
+rendering, and so do `kernel_basis` and `solve`.  Only this module
+tells a zero entry from a nonzero one: other modules build sparse
 matrices with `Matrix.from_entries` and read the stored nonzeros of a row
 with `row_items`; `_column_blocks` cuts each column of flat coordinates
 into its row-major blocks in one pass, for the cochain code.
@@ -28,12 +29,13 @@ into its row-major blocks in one pass, for the cochain code.
 Elimination is fraction-free: `rref` works on sparse integer rows
 (denominators cleared, content gcd divided out after every update) and
 `determinant_of` uses Bareiss's integer-preserving elimination; a Fraction
-appears again only where a result is not integral.  The reduced row
-echelon form is unique, so `rref`, `kernel_basis`, `solve` and
-`span_basis` return the same output bit for bit whichever rows supply the
-pivots, which the cohomology computations rely on.  `_kernel`, `_solve`
-and `_row_space` give the same results as matrices in the stored form,
-for the cohomology code to keep cochains sparse.  Every solve takes one
+appears again only where a result is not integral.  No module of the
+library calls `determinant_of`: its minors are wedges of columns (see
+`cochains`).  The reduced row echelon form is unique, so `rref`,
+`kernel_basis` and `solve` return the same output bit for bit whichever
+rows supply the pivots, which the cohomology computations rely on.
+`_kernel`, `_solve` and `_row_space` give the same results as matrices in
+the stored form, for the cohomology code to keep cochains sparse.  Every solve takes one
 route: `_elimination` runs the pivot loop of `rref` on m and records its
 row steps, and `_replay` runs those steps on the right-hand side alone.
 `_solve` is the two in a row; a kept record solves again without
@@ -88,10 +90,6 @@ def vector(values) -> tuple:
 
 def zero_vector(n: int) -> tuple:
     return (ZERO,) * n
-
-
-def vec_is_zero(u) -> bool:
-    return all(a == 0 for a in u)
 
 
 def _pairs(values) -> tuple:
@@ -333,11 +331,6 @@ class Matrix:
             out.append(_row(acc))
         return Matrix._of(self.rows, other.cols, tuple(out))
 
-    def apply(self, vec) -> tuple:
-        if len(vec) != self.cols:
-            raise UsageError(f"vector length {len(vec)} != cols {self.cols}")
-        return tuple(sum((x * vec[j] for j, x in row), ZERO) for row in self._data)
-
     def power(self, k: int) -> "Matrix":
         if self.rows != self.cols:
             raise UsageError("power of a non-square matrix")
@@ -424,24 +417,12 @@ def _column_blocks(m: Matrix, count: int, rows: int, cols: int) -> list:
     return out
 
 
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    """The Kronecker product: block (l, i) is a[l, i] b.  An entry that is
-    the int 1, as in an identity, costs no product."""
-    width = b.cols
-    data = tuple(
-        tuple((i * width + j, x if c == 1 else c if x == 1 else _stored(c * x))
-              for i, c in arow for j, x in brow)
-        for arow in a._data for brow in b._data
-    )
-    return Matrix._of(a.rows * b.rows, a.cols * width, data)
-
-
 def kron_sum(terms, rows: int, cols: int) -> Matrix:
-    """The rows x cols sum of kron(a, b) over the (a, b) pairs of `terms`,
-    built in one pass over the factors' nonzeros: each row of the sum
-    gathers row l of every a times row k of its b (with l b.rows + k the
-    row) in one accumulator.  An entry of an a that is the int 1 costs no
-    product."""
+    """The rows x cols sum of the Kronecker products of the (a, b) pairs of
+    `terms` (block (l, i) of one is a[l, i] b), built in one pass over the
+    factors' nonzeros: each row of the sum gathers row l of every a times
+    row k of its b (with l b.rows + k the row) in one accumulator.  An
+    entry of an a that is the int 1 costs no product."""
     terms = tuple(terms)
     for a, b in terms:
         if (a.rows * b.rows, a.cols * b.cols) != (rows, cols):
@@ -637,15 +618,6 @@ def _row_space(m: Matrix) -> Matrix:
     """The nonzero rows of rref(m): the canonical basis of m's row space."""
     reduced, pivots = rref(m)
     return Matrix._of(len(pivots), m.cols, reduced._data[: len(pivots)])
-
-
-def span_basis(vectors):
-    """Canonical (RREF row) basis of the span of the given vectors."""
-    vectors = [v for v in vectors if not vec_is_zero(v)]
-    if not vectors:
-        return []
-    basis = _row_space(Matrix.from_rows(vectors))
-    return [basis.row(i) for i in range(basis.rows)]
 
 
 def quotient_dimension(span_big, span_small) -> int:

@@ -3,7 +3,10 @@
 The naive oracles deliberately use different algorithms from the library
 (factorial permutation enumeration instead of shuffle combinations, direct
 cyclic sums instead of coefficient tables, one basis vector at a time
-instead of assembled matrices) so that agreement is meaningful.
+instead of assembled matrices, one Bareiss determinant per minor instead
+of wedges of columns) so that agreement is meaningful: they evaluate
+cochains and brackets with `naive_evaluate` and `naive_bracket`, never with
+the library's `Cochain.evaluate` and `bracket_of`.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from homlie.linalg import (
     kernel_basis,
     rank,
     solve,
-    vec_is_zero,
     zero_vector,
 )
 
@@ -91,6 +93,10 @@ def vec_sub(u, v):
 
 def vec_scale(c, u):
     return tuple(c * a for a in u)
+
+
+def vec_is_zero(u) -> bool:
+    return all(a == 0 for a in u)
 
 
 def rand_frac(rng, span=3):
@@ -161,7 +167,29 @@ def naive_block_diag(a, a_cols: int, b, b_cols: int):
 
 
 def naive_apply(a, vec):
-    return [sum((x * y for x, y in zip(row, vec)), Fraction(0)) for row in a]
+    return tuple(sum((x * y for x, y in zip(row, vec)), Fraction(0)) for row in a)
+
+
+def dense(m: Matrix):
+    """The rows of m as lists of Fractions, for the dense oracles."""
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
+def naive_evaluate(f: Cochain, args) -> tuple:
+    """f on arbitrary arguments by alternating extension, one Bareiss
+    determinant per increasing basis tuple: the minors of the argument rows
+    at its positions, weighted by the coefficient columns."""
+    assert len(args) == f.arity
+    minors = [determinant_of([[arg[i] for i in tup] for arg in args])
+              for tup in increasing_tuples(f.source_dim, f.arity)]
+    return naive_apply(dense(f.coeffs), minors)
+
+
+def naive_bracket(s, *args) -> tuple:
+    """s.bracket_of(*args) through `naive_evaluate`: the arguments are
+    (u, v) for one bracket and (which, u, v) for a pair."""
+    *which, u, v = args
+    return naive_evaluate(s.bracket_cochain(*which), (u, v))
 
 
 def naive_equivariance_constraints(alpha: Matrix, beta: Matrix, n: int) -> Matrix:
@@ -279,7 +307,7 @@ def naive_derivations(c, v):
             rows.append(row)
     for b in (1, 2):
         for (i, j) in increasing_tuples(dim, 2):
-            cij = c.bracket_of(b, basis_vector(dim, i), basis_vector(dim, j))
+            cij = naive_bracket(c, b, basis_vector(dim, i), basis_vector(dim, j))
             ai, aj = v.actions[b - 1][i], v.actions[b - 1][j]
             for r in range(vdim):
                 row = [Fraction(0)] * unknowns
@@ -299,7 +327,7 @@ def naive_derivations(c, v):
                                for k in range(vdim)])
     inner_flat = []
     for z in naive_kernel(Matrix.from_rows(fixed_rows)):
-        cols = [v.actions[0][i].apply(z) for i in range(dim)]
+        cols = [naive_apply(dense(v.actions[0][i]), z) for i in range(dim)]
         flat = Matrix.from_columns(cols, vdim).entries
         if not vec_is_zero(flat):
             inner_flat.append(flat)
@@ -317,8 +345,8 @@ def naive_jacobiator_defects(alg: HomLieAlgebra):
     for (i, j, k) in increasing_tuples(d, 3):
         total = zero_vector(d)
         for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-            inner = alg.bracket_of(basis_vector(d, a), basis_vector(d, b))
-            total = vec_add(total, alg.bracket_of(inner, alg.alpha.col(c)))
+            inner = naive_bracket(alg, basis_vector(d, a), basis_vector(d, b))
+            total = vec_add(total, naive_bracket(alg, inner, alg.alpha.col(c)))
         out.append(((i, j, k), total))
     return out
 
@@ -347,9 +375,9 @@ def naive_nr_diamond(p: Cochain, q: Cochain, alpha: Matrix) -> Cochain:
                 continue
             if any(tail[a] > tail[a + 1] for a in range(len(tail) - 1)):
                 continue
-            inner = q.evaluate([args[t] for t in head])
-            rest = [alpha_n.apply(args[t]) for t in tail]
-            value = p.evaluate([inner] + rest)
+            inner = naive_evaluate(q, [args[t] for t in head])
+            rest = [naive_apply(dense(alpha_n), args[t]) for t in tail]
+            value = naive_evaluate(p, [inner] + rest)
             total = vec_add(total, vec_scale(Fraction(perm_sign(perm)), value))
         columns.append(total)
     return Cochain(r, d, d, Matrix.from_columns(columns, d))
@@ -369,7 +397,7 @@ def naive_act(v, which: int, x, vec) -> tuple:
     """x . vec one basis element at a time: the sum of x_i rho(e_i) vec."""
     out = zero_vector(v.vdim)
     for xi, m in zip(x, v.actions[which - 1]):
-        out = vec_add(out, vec_scale(xi, m.apply(vec)))
+        out = vec_add(out, vec_scale(xi, naive_apply(dense(m), vec)))
     return out
 
 
@@ -392,7 +420,7 @@ def naive_coboundary(dim: int, alpha: Matrix, bracket: Cochain, v, which: int, f
             for pj in range(pi + 1, n + 1):
                 first = bracket.column((X[pi], X[pj]))
                 rest = [alpha.col(X[k]) for k in range(n + 1) if k not in (pi, pj)]
-                term = f.evaluate([first] + rest)
+                term = naive_evaluate(f, [first] + rest)
                 total = vec_add(total, term) if (pi + pj) % 2 == 0 else vec_sub(total, term)
         columns.append(total)
     return Cochain(n + 1, dim, v.vdim, Matrix.from_columns(columns, v.vdim))
@@ -407,9 +435,10 @@ def naive_beta_fixed_basis(beta: Matrix):
 def naive_in_c0_compatible(c, v, vector) -> bool:
     """Membership in the degree-0 group of the two-bracket complex, one basis
     element at a time: beta fixes the vector and both actions agree on it."""
-    if v.beta.apply(vector) != vector:
+    if naive_apply(dense(v.beta), vector) != vector:
         return False
-    return all(v.actions[0][i].apply(vector) == v.actions[1][i].apply(vector)
+    return all(naive_apply(dense(v.actions[0][i]), vector)
+               == naive_apply(dense(v.actions[1][i]), vector)
                for i in range(c.dim))
 
 
@@ -500,8 +529,8 @@ def naive_representation_checks(v):
         for i in range(dim):
             for a in range(v.vdim):
                 va = basis_vector(v.vdim, a)
-                lhs = v.beta.apply(naive_act(v, b, basis_vector(dim, i), va))
-                rhs = naive_act(v, b, base.alpha.col(i), v.beta.apply(va))
+                lhs = naive_apply(dense(v.beta), naive_act(v, b, basis_vector(dim, i), va))
+                rhs = naive_act(v, b, base.alpha.col(i), naive_apply(dense(v.beta), va))
                 defect = vec_sub(lhs, rhs)
                 if not vec_is_zero(defect):
                     twist_witnesses.append(((i, a), defect))
@@ -510,7 +539,7 @@ def naive_representation_checks(v):
                 va = basis_vector(v.vdim, a)
                 ei = basis_vector(dim, i)
                 ej = basis_vector(dim, j)
-                lhs = naive_act(v, b, bracket_col(bracket, i, j), v.beta.apply(va))
+                lhs = naive_act(v, b, bracket_col(bracket, i, j), naive_apply(dense(v.beta), va))
                 rhs = vec_sub(
                     naive_act(v, b, base.alpha.col(i), naive_act(v, b, ej, va)),
                     naive_act(v, b, base.alpha.col(j), naive_act(v, b, ei, va)),
@@ -529,9 +558,10 @@ def naive_representation_checks(v):
                 ej = basis_vector(dim, j)
                 ai = base.alpha.col(i)
                 aj = base.alpha.col(j)
+                beta_va = naive_apply(dense(v.beta), va)
                 lhs = vec_add(
-                    naive_act(v, 2, bracket_col(base.bracket1, i, j), v.beta.apply(va)),
-                    naive_act(v, 1, bracket_col(base.bracket2, i, j), v.beta.apply(va)),
+                    naive_act(v, 2, bracket_col(base.bracket1, i, j), beta_va),
+                    naive_act(v, 1, bracket_col(base.bracket2, i, j), beta_va),
                 )
                 rhs = vec_sub(naive_act(v, 1, ai, naive_act(v, 2, ej, va)),
                               naive_act(v, 2, aj, naive_act(v, 1, ei, va)))
@@ -572,15 +602,17 @@ def naive_algebra_checks(s):
         # [[e_a, e_b]_inner, alpha e_c]_outer, summed cyclically
         total = zero_vector(d)
         for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-            total = vec_add(total, outer.bracket_of(inner.bracket_of(e(a), e(b)), alpha.col(c)))
+            total = vec_add(total, naive_bracket(outer, naive_bracket(inner, e(a), e(b)),
+                                                 alpha.col(c)))
         return total
 
     checks = []
     for label, part in zip(labels, parts):
         checks.append(_witness_check(
             f"multiplicativity{label}", increasing_tuples(d, 2),
-            lambda i, j, part=part: vec_sub(alpha.apply(part.bracket_of(e(i), e(j))),
-                                            part.bracket_of(alpha.col(i), alpha.col(j)))))
+            lambda i, j, part=part: vec_sub(
+                naive_apply(dense(alpha), naive_bracket(part, e(i), e(j))),
+                naive_bracket(part, alpha.col(i), alpha.col(j)))))
     for label, part in zip(labels, parts):
         checks.append(_witness_check(
             f"hom_jacobi{label}", increasing_tuples(d, 3),
@@ -604,10 +636,10 @@ def naive_induced_bracket(s, op):
         columns = []
         for (i, j) in increasing_tuples(d, 2):
             ei, ej = basis_vector(d, i), basis_vector(d, j)
-            col = vec_add(part.bracket_of(n.col(i), ej), part.bracket_of(ei, n.col(j)))
-            base = part.bracket_of(ei, ej)
+            col = vec_add(naive_bracket(part, n.col(i), ej), naive_bracket(part, ei, n.col(j)))
+            base = naive_bracket(part, ei, ej)
             if op.weight is None:
-                col = vec_sub(col, n.apply(base))
+                col = vec_sub(col, naive_apply(dense(n), base))
             else:
                 col = vec_add(col, vec_scale(op.weight, base))
             columns.append(col)
@@ -623,15 +655,17 @@ def naive_operator_checks(s, op, label=""):
     name = "rota_baxter_identity" if op.weight is not None else "nijenhuis_identity"
     checks = [_witness_check(
         f"twist_commutation{label}", increasing_tuples(d, 1),
-        lambda i: vec_sub(s.alpha.apply(n.col(i)), n.apply(s.alpha.col(i))))]
+        lambda i: vec_sub(naive_apply(dense(s.alpha), n.col(i)),
+                          naive_apply(dense(n), s.alpha.col(i))))]
     for blabel, bracket in zip(_labels(len(s.brackets)), s.brackets):
         part = HomLieAlgebra(d, s.alpha, bracket)
         induced = HomLieAlgebra(d, s.alpha, naive_induced_bracket(part, op)[0])
         checks.append(_witness_check(
             f"{name}{blabel}{label}", increasing_tuples(d, 2),
             lambda i, j, part=part, induced=induced: vec_sub(
-                part.bracket_of(n.col(i), n.col(j)),
-                n.apply(induced.bracket_of(basis_vector(d, i), basis_vector(d, j))))))
+                naive_bracket(part, n.col(i), n.col(j)),
+                naive_apply(dense(n), naive_bracket(induced, basis_vector(d, i),
+                                                    basis_vector(d, j))))))
     return checks
 
 
@@ -642,10 +676,13 @@ def naive_rb_pair_compatibility(l, r, s):
 
     def defect(i, j):
         ei, ej = basis_vector(d, i), basis_vector(d, j)
-        lhs = vec_add(l.bracket_of(rm.col(i), sm.col(j)), l.bracket_of(sm.col(i), rm.col(j)))
+        lhs = vec_add(naive_bracket(l, rm.col(i), sm.col(j)),
+                      naive_bracket(l, sm.col(i), rm.col(j)))
         rhs = vec_add(
-            rm.apply(vec_add(l.bracket_of(sm.col(i), ej), l.bracket_of(ei, sm.col(j)))),
-            sm.apply(vec_add(l.bracket_of(rm.col(i), ej), l.bracket_of(ei, rm.col(j)))),
+            naive_apply(dense(rm), vec_add(naive_bracket(l, sm.col(i), ej),
+                                           naive_bracket(l, ei, sm.col(j)))),
+            naive_apply(dense(sm), vec_add(naive_bracket(l, rm.col(i), ej),
+                                           naive_bracket(l, ei, rm.col(j)))),
         )
         return vec_sub(lhs, rhs)
 
@@ -663,22 +700,23 @@ def naive_linear_equivalence_checks(c, g, g_prime, n):
         omega_p = (g_prime.omega1, g_prime.omega2)[b - 1]
 
         def bracket(u, v, b=b):
-            return c.bracket_of(b, u, v)
+            return naive_bracket(c, b, u, v)
 
         def order1(i, j, omega=omega, omega_p=omega_p, bracket=bracket):
             ei, ej = basis_vector(d, i), basis_vector(d, j)
             shift = vec_sub(vec_add(bracket(ei, n.col(j)), bracket(n.col(i), ej)),
-                            n.apply(bracket(ei, ej)))
+                            naive_apply(dense(n), bracket(ei, ej)))
             return vec_sub(vec_sub(omega.column((i, j)), omega_p.column((i, j))), shift)
 
         def order2(i, j, omega=omega, omega_p=omega_p, bracket=bracket):
             ei, ej = basis_vector(d, i), basis_vector(d, j)
-            rhs = vec_add(vec_add(omega_p.evaluate([ei, n.col(j)]), omega_p.evaluate([n.col(i), ej])),
+            rhs = vec_add(vec_add(naive_evaluate(omega_p, [ei, n.col(j)]),
+                                  naive_evaluate(omega_p, [n.col(i), ej])),
                           bracket(n.col(i), n.col(j)))
-            return vec_sub(n.apply(omega.column((i, j))), rhs)
+            return vec_sub(naive_apply(dense(n), omega.column((i, j))), rhs)
 
         def order3(i, j, omega_p=omega_p):
-            return omega_p.evaluate([n.col(i), n.col(j)])
+            return naive_evaluate(omega_p, [n.col(i), n.col(j)])
 
         pairs = increasing_tuples(d, 2)
         checks.append(_witness_check(f"order1_identity[{b}]", pairs, order1))
@@ -720,13 +758,13 @@ def naive_extension_validation(base, fiber_dim, fiber_beta, total, inclusion, pr
         raise PreconditionError("projection does not intertwine the twists")
     for b in (1, 2):
         for (a, c) in increasing_tuples(v, 2):
-            if not vec_is_zero(total.bracket_of(b, i.col(a), i.col(c))):
+            if not vec_is_zero(naive_bracket(total, b, i.col(a), i.col(c))):
                 raise PreconditionError("fiber is not abelian inside the total algebra")
         for p in range(total.dim):
             for q in range(p + 1, total.dim):
-                lhs = j.apply(total.bracket_of(b, basis_vector(total.dim, p),
-                                               basis_vector(total.dim, q)))
-                if lhs != base.bracket_of(b, j.col(p), j.col(q)):
+                lhs = naive_apply(dense(j), naive_bracket(total, b, basis_vector(total.dim, p),
+                                                          basis_vector(total.dim, q)))
+                if lhs != naive_bracket(base, b, j.col(p), j.col(q)):
                     raise PreconditionError("projection is not a bracket morphism")
     if not verify_structure(total).passed:
         raise PreconditionError("total structure fails verification")
@@ -748,16 +786,17 @@ def naive_extract_cocycle(e):
     tables, cochains = [], []
     for b in (1, 2):
         tables.append(tuple(
-            Matrix.from_columns([fiber(e.total.bracket_of(b, e.splitting.col(p),
-                                                          e.inclusion.col(a)))
+            Matrix.from_columns([fiber(naive_bracket(e.total, b, e.splitting.col(p),
+                                                     e.inclusion.col(a)))
                                  for a in range(v)], v)
             for p in range(g)
         ))
         columns = []
         for (p, q) in increasing_tuples(g, 2):
             w = vec_sub(
-                e.total.bracket_of(b, e.splitting.col(p), e.splitting.col(q)),
-                e.splitting.apply(e.base.bracket_of(b, basis_vector(g, p), basis_vector(g, q))),
+                naive_bracket(e.total, b, e.splitting.col(p), e.splitting.col(q)),
+                naive_apply(dense(e.splitting),
+                            naive_bracket(e.base, b, basis_vector(g, p), basis_vector(g, q))),
             )
             columns.append(fiber(w))
         cochains.append(Cochain(2, g, v, Matrix.from_columns(columns, v)))

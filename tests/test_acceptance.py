@@ -48,13 +48,13 @@ from homlie import (
 from homlie import fixtures
 from homlie.cli import run
 from homlie.extensions import alternate_splitting
-from homlie.linalg import vec_is_zero
 
 from helpers import (
     c0_compatible_basis,
     naive_jacobiator_defects,
     rand_equivariant_cochain,
     rand_skew_bracket,
+    vec_is_zero,
 )
 
 ROOT = Path(__file__).resolve().parent.parent

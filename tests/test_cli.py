@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import resource
 import subprocess
@@ -8,9 +9,9 @@ import pytest
 
 from homlie import cli, cohomology
 from homlie.cli import main, run
-from homlie.documents import parse
+from homlie.documents import parse, serialize
 
-from helpers import basis_vector
+from helpers import basis_vector, dense, naive_apply
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -92,6 +93,24 @@ def test_exit_code_contract_on_fixture_corpus():
     for argv, expected in expectations:
         status, _ = run(absolutize(argv))
         assert status == expected, argv
+
+
+def test_degree1_cohomology_where_d1_d0_does_not_vanish_exits_1(tmp_path):
+    """A valid module whose twist moves the actions of its fixed vectors has
+    no degree-1 cohomology: a precondition failure (exit 1), not a library
+    fault (exit 3)."""
+    from test_maurer_cartan_oracle import yau_sl2
+
+    s = yau_sl2()
+    doc = dataclasses.replace(parse((FIXTURES / "h3.json").read_text(encoding="utf-8")),
+                              alpha=s.alpha, brackets=(s.bracket,))
+    path = tmp_path / "yau_sl2.json"
+    path.write_text(serialize(doc), encoding="utf-8")
+    assert run(["verify", str(path)])[0] == 0
+    status, report = run(["cohomology", str(path), "--degree", "1"])
+    assert status == 1 and report["exit_status"] == 1
+    assert "d1 . d0 is not zero" in report["results"]["error"]
+    assert run(["cohomology", str(path), "--degree", "2"])[0] == 0
 
 
 def test_cohomology_of_invalid_structure_exits_1():
@@ -265,7 +284,7 @@ def test_witnesses_reevaluate_from_machine_report():
     i, j = witness["indices"]
     doc = parse((FIXTURES / "g4a.json").read_text(encoding="utf-8"))
     alg = doc.algebra()
-    lhs = alg.alpha.apply(alg.bracket_of(basis_vector(4, i), basis_vector(4, j)))
+    lhs = naive_apply(dense(alg.alpha), alg.bracket_of(basis_vector(4, i), basis_vector(4, j)))
     rhs = alg.bracket_of(alg.alpha.col(i), alg.alpha.col(j))
     defect = tuple(str(a - b) for a, b in zip(lhs, rhs))
     assert list(defect) == witness["defect"]

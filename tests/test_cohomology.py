@@ -42,7 +42,7 @@ from homlie.cohomology import (
     _slots,
     coboundary_preimage,
 )
-from homlie.linalg import hstack, kernel_basis, kron, span_rank, vec_is_zero
+from homlie.linalg import hstack, kernel_basis, kron_sum, span_rank
 
 from helpers import (
     basis_vector,
@@ -57,6 +57,7 @@ from helpers import (
     rand_matrix,
     rand_skew_bracket,
     record_complex_builds,
+    vec_is_zero,
 )
 from test_maurer_cartan_oracle import yau_sl2
 
@@ -431,9 +432,9 @@ def test_the_images_are_the_differential_on_the_basis_in_every_slot():
     for c, rep in two_bracket_modules():
         kept = (rep or adjoint_representation(c))._complex
         for n in range(c.dim + 2):
-            basis = kept["basis", n]
-            assert kept["images", n] == kept["differential", n] @ kron(
-                Matrix.identity(_slots(c, n)), basis)
+            basis, slots = kept["basis", n], _slots(c, n)
+            assert kept["images", n] == kept["differential", n] @ kron_sum(
+                [(Matrix.identity(slots), basis)], slots * basis.rows, slots * basis.cols)
 
 
 def test_basis_matrix_is_the_flat_cochain_basis():
@@ -502,7 +503,7 @@ def test_pivot_representatives_match_greedy_choice():
         (h5_pair, trivial, COMPATIBLE, range(3)),
         (h5_pair, None, COMPATIBLE, range(3)),
         # Degree 1 of Yau-twisted sl2 is left out: its twist moves the module,
-        # d1 d0 does not vanish there, and the report raises ContractError.
+        # d1 d0 does not vanish there, and the report raises PreconditionError.
         (yau_sl2(), None, PLAIN, (0, 2, 3)),
     ]
     seen_classes = 0
@@ -524,15 +525,46 @@ def test_a_kept_coboundary_outside_the_cocycles_raises_contract_error(name):
     of passing for one."""
     s = getattr(fixtures, name)()
     v = adjoint_representation(s)
-    kept = v._complex
     assert cohomology_dimensions(s, v, 2).dim_coboundaries == 3
-    columns = kept["images", 2].transpose()
-    k = next(k for k in range(columns.rows) if columns.row_items(k))
-    unit = Matrix.from_entries(columns.rows, 1, {(k, 0): 1})
-    cochain = _in_slots(kept["basis", 2], unit, _slots(s, 2))  # d of it is column k
-    kept["coboundaries", 2] = hstack([kept["coboundaries", 2], cochain])
+    add_a_coboundary_that_is_no_cocycle(s, v._complex, 2)
     with pytest.raises(ContractError, match="coboundaries do not lie in the cocycle space"):
         cohomology_dimensions(s, v, 2)
+
+
+def add_a_coboundary_that_is_no_cocycle(s, kept, n: int):
+    """Append to the kept degree-n coboundaries a basis cochain whose image
+    is a nonzero column k of the degree-n images."""
+    columns = kept["images", n].transpose()
+    k = next(k for k in range(columns.rows) if columns.row_items(k))
+    unit = Matrix.from_entries(columns.rows, 1, {(k, 0): 1})
+    cochain = _in_slots(kept["basis", n], unit, _slots(s, n))  # d of it is column k
+    kept["coboundaries", n] = hstack([kept["coboundaries", n], cochain])
+
+
+@pytest.mark.parametrize("name, count", [("h3", 2), ("compatible_h3", 0)])
+def test_a_degree1_coboundary_outside_the_cocycles_stays_a_contract_error(name, count):
+    """Where d1 . d0 vanishes, a degree-1 coboundary that is no cocycle is
+    a library fault, as in every other degree."""
+    s = getattr(fixtures, name)()
+    v = adjoint_representation(s)
+    assert cohomology_dimensions(s, v, 1).dim_coboundaries == count
+    add_a_coboundary_that_is_no_cocycle(s, v._complex, 1)
+    assert (v._complex["differential", 1] @ v._complex["images", 0]).is_zero()
+    with pytest.raises(ContractError, match="coboundaries do not lie in the cocycle space"):
+        cohomology_dimensions(s, v, 1)
+
+
+def test_degree1_cohomology_is_a_precondition_error_where_d1_d0_does_not_vanish():
+    """Yau-twisted sl2 moves the adjoint action of its fixed vector h, so
+    d1 . d0 is not zero: its degree-1 report raises PreconditionError and
+    names the cause.  Its other degrees report."""
+    s = yau_sl2()
+    v = adjoint_representation(s)
+    with pytest.raises(PreconditionError, match="d1 . d0 is not zero"):
+        cohomology_dimensions(s, v, 1)
+    kept = v._complex
+    assert not (kept["differential", 1] @ kept["images", 0]).is_zero()
+    assert [cohomology_dimensions(s, v, n).degree for n in (0, 2, 3)] == [0, 2, 3]
 
 
 # ---------------------------------------------------------------------------

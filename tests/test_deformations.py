@@ -138,6 +138,21 @@ def test_nijenhuis_deformation_is_trivial():
         assert report.coboundary_shift
 
 
+def test_coboundary_shift_needs_the_order1_identity_of_both_brackets():
+    # w - w' = dN slot by slot: a generator moved off a trivial one in one
+    # bracket alone fails that bracket's order-1 identity, and the shift.
+    c, op = fixtures.compatible_h3(), fixtures.h3_nijenhuis()
+    g = trivial_deformation_from_nijenhuis(c, op)
+    extra, zero = Cochain.from_values(2, 3, 3, {(0, 1): [0, 0, 1]}), Cochain.zero(2, 3, 3)
+    for b in (1, 2):
+        moved = LinearGenerator(g.omega1 + (extra if b == 1 else zero),
+                                g.omega2 + (extra if b == 2 else zero))
+        report = check_linear_equivalence(c, moved, zero_generator(3), op.matrix)
+        failed = {k.name for k in report.checks if not k.passed}
+        assert f"order1_identity[{b}]" in failed and f"order1_identity[{3 - b}]" not in failed
+        assert not report.coboundary_shift
+
+
 def test_third_family_fails_for_identity_operator():
     d2 = fixtures.d2()
     g = LinearGenerator(d2.bracket_cochain(1), d2.bracket_cochain(2))
@@ -230,10 +245,26 @@ def test_non_cocycle_class_rejected():
             rand_equivariant_cochain(rng, c.alpha, c.alpha, 2),
         )
         if not check_linear_generator(c, g).is_cocycle:
-            with pytest.raises(PreconditionError):
+            with pytest.raises(PreconditionError, match="generator is not a 2-cocycle"):
                 infinitesimal_class(c, g)
             return
     pytest.fail("no non-cocycle pair found")
+
+
+def test_infinitesimal_class_refuses_non_equivariant_and_misshapen_generators():
+    # A generator off the equivariant cochains is no 2-cocycle of the
+    # complex; one on another carrier is a shape error, also where the
+    # report has no degree-2 cochains to solve over (compatible ab1).
+    c = fixtures.twisted_compatible_h3()
+    bad = Cochain.from_values(2, 3, 3, {(0, 2): [0, 0, 1]})
+    assert not is_equivariant(bad, c.alpha, c.alpha)
+    with pytest.raises(PreconditionError, match="generator is not a 2-cocycle"):
+        infinitesimal_class(c, LinearGenerator(bad, Cochain.zero(2, 3, 3)))
+    for base, dim in ((fixtures.compatible_h3(), 4), (fixtures.compatible_ab1(), 2)):
+        g = LinearGenerator(Cochain.zero(2, dim, dim),
+                            Cochain.from_values(2, dim, dim, {(0, 1): [1] * dim}))
+        with pytest.raises(UsageError, match="cochain shape does not match the report"):
+            infinitesimal_class(base, g)
 
 
 # ---------------------------------------------------------------------------

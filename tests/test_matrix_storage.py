@@ -34,13 +34,12 @@ from homlie.linalg import (
     _column_blocks,
     hsplit,
     hstack,
-    kron,
     kron_sum,
-    span_basis,
     vstack,
 )
 
 from helpers import (
+    dense,
     naive_add,
     naive_apply,
     naive_block_diag,
@@ -71,10 +70,6 @@ def stored_form(x) -> bool:
     """A stored value is an int when integral, else a Fraction with
     denominator > 1."""
     return type(x) is int or (type(x) is Fraction and x.denominator > 1)
-
-
-def dense(m: Matrix):
-    return [list(m.row(i)) for i in range(m.rows)]
 
 
 def agrees(m: Matrix, g, rows, cols):
@@ -153,8 +148,6 @@ def test_unary_operations_match_the_oracles():
         assert agrees(-m, naive_scale(-1, g), rows, cols)
         for c in (0, 3, F(-2, 3)):
             assert agrees(m.scale(c), naive_scale(c, g), rows, cols)
-        vec = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(cols)]
-        assert list(m.apply(vec)) == naive_apply(g, vec)
 
 
 def test_sums_match_the_oracles():
@@ -221,7 +214,8 @@ def test_kron_and_stacks_match_the_oracles():
         r2, c2 = rng.choice(SHAPES)
         h = grid(rng, r2, c2, rng.choice(DENSITIES))
         n = builds(h, r2, c2)[0]
-        assert agrees(kron(m, n), naive_kron(g, cols, h, c2), rows * r2, cols * c2)
+        assert agrees(kron_sum([(m, n)], rows * r2, cols * c2), naive_kron(g, cols, h, c2),
+                      rows * r2, cols * c2)
         assert agrees(m.block_diag(n), naive_block_diag(g, cols, h, c2), rows + r2, cols + c2)
         side = grid(rng, rows, c2, density)
         joined = hstack([m, builds(side, rows, c2)[0]])
@@ -260,8 +254,6 @@ def test_kron_sum_matches_the_sum_of_naive_krons():
             total = kron_sum(terms, *shape)
             assert agrees(total, naive_kron_sum(factors, *shape), *shape)
             assert canonical(total)
-            if count == 1:
-                assert total == kron(*terms[0])
 
 
 def test_kron_sum_cancels_and_turns_integral():
@@ -273,7 +265,7 @@ def test_kron_sum_cancels_and_turns_integral():
         assert cancelled.is_zero() and cancelled == Matrix.zero(*shape)
         half = m.scale(F(1, 2))
         doubled = kron_sum([(half, n), (half, n)], *shape)
-        assert doubled == kron(m, n) and canonical(doubled)
+        assert doubled == kron_sum([(m, n)], *shape) and canonical(doubled)
     half, two = Matrix(1, 2, (F(1, 2), F(1, 3))), Matrix(1, 1, (3,))
     total = kron_sum([(half, two), (Matrix(1, 2, (F(1, 2), F(2, 3))), two)], 1, 2)
     assert [x for _, x in total.row_items(0)] == [3, 3]
@@ -355,7 +347,8 @@ def test_every_operation_stores_the_canonical_form():
         same = builds(grid(rng, rows, cols, density), rows, cols)[0]
         right = builds(grid(rng, cols, 3, density), cols, 3)[0]
         column = builds(grid(rng, cols, 1, density), cols, 1)[0]
-        results = [m @ right, m @ column, kron(m, other), m + same, m - same, -m, m.transpose(),
+        results = [m @ right, m @ column, kron_sum([(m, other)], rows * r2, cols * c2),
+                   m + same, m - same, -m, m.transpose(),
                    m.scale(2), m.scale(F(3, 2)), m.block_diag(other), vstack([m, m]),
                    hstack([m, m]), *hsplit(hstack([m, m]), 2),
                    *[b for b, in _column_blocks(m, 1, rows, 1)], m.reshape(cols, rows),
@@ -367,7 +360,7 @@ def test_results_that_turn_integral_are_stored_as_ints():
     half, third = Matrix(1, 2, (F(1, 2), F(1, 3))), Matrix(1, 2, (2, F(2, 3)))
     results = {
         "product": Matrix(1, 1, (F(1, 2),)) @ Matrix(1, 1, (2,)),
-        "kron": kron(Matrix(1, 1, (F(1, 2),)), Matrix(1, 1, (2,))),
+        "kron": kron_sum([(Matrix(1, 1, (F(1, 2),)), Matrix(1, 1, (2,)))], 1, 1),
         "scale": Matrix(1, 2, (F(1, 2), F(-3, 2))).scale(2),
         "sum": Matrix(1, 1, (F(1, 3),)) + Matrix(1, 1, (F(2, 3),)),
         "difference": Matrix(1, 1, (F(4, 3),)) - Matrix(1, 1, (F(1, 3),)),
@@ -403,8 +396,7 @@ def test_public_views_and_results_give_fractions():
         assert all(fractions(m.col(j)) for j in range(cols))
         assert fractions(m.entry(i, j) for i in range(rows) for j in range(cols))
         assert all(fractions(v) for v in kernel_basis(m))
-        assert all(fractions(v) for v in span_basis(m.row(i) for i in range(rows)))
-        x = solve(m, m.apply([F(1)] * cols))
+        x = solve(m, naive_apply(g, [F(1)] * cols))
         assert x is not None and fractions(x)
         assert fractions(m.__reduce__()[1][2])
     # CheckResult defects, cochains and report bases

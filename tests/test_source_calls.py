@@ -2,12 +2,16 @@
 
 Every bracket identity in `src/homlie` is checked as one matrix product, so
 no module evaluates a bracket one pair at a time through `bracket_of`.
-Compounds are wedges of columns, so `determinant_of` serves only the
-alternating extension in `Cochain.evaluate`.  Both functions stay public
-for callers and tests.  A deformation's truncated brackets are products
-with one insertion matrix per coefficient, so in `deformations` only
-`check_linear_equivalence` calls `nr_bracket`, and nothing calls
-`is_mc_pair`.  The representation identities and the coboundary are block
+Minors are wedges of columns: compounds and the alternating extension in
+`Cochain.evaluate` alike are `_compound`, so no module calls
+`determinant_of`.  Both functions stay public for callers and tests, and
+the naive oracles of the tests evaluate with neither `_compound` nor the
+library's `evaluate` and `bracket_of`.  A deformation's truncated brackets
+are products with one insertion matrix per coefficient, and the order-1
+equivalence identity and the coboundary shift read the coboundary of N off
+the kept differential, so `deformations` calls no `nr_bracket` and no
+`is_mc_pair`; `infinitesimal_class` leaves the cocycle test to
+`class_coordinates` and calls no `check_linear_generator`.  The representation identities and the coboundary are block
 products over the action matrices of the basis, so no module forms the
 action of one vector at a time (`Representation.action` is gone).  Only
 `linalg` tells a zero entry from a nonzero one, so no other module imports
@@ -17,7 +21,11 @@ imports or names `linalg`'s shared Fraction `ONE` either.  The coboundary,
 the pair blocks, the equivariance constraints and the two-bracket layout
 (of the differential and of its images) are sums of Kronecker products,
 and each of their builders assembles its sum in one `kron_sum` call
-rather than adding the terms one at a time.  The two-bracket differential
+rather than adding the terms one at a time; a single Kronecker product
+(the twist of the coboundary and of the module identities, and the basis
+in every slot) is a `kron_sum` of one term, so no module defines a
+second kernel (`kron`).  The dense helpers that nothing in the library
+called are gone: `span_basis`, `vec_is_zero` and `Matrix.apply`.  The two-bracket differential
 is one kept matrix, so outside `cohomology` no module reads the
 per-bracket coboundary matrices of a kept complex, and inside it the parts
 of a kept complex are built by `_Complex.__missing__` alone: the bases,
@@ -91,8 +99,16 @@ def names(path: Path):
 
 def test_the_call_scanner_sees_attribute_and_name_calls():
     helpers = calls(ROOT / "tests" / "helpers.py")
-    assert ("naive_extension_validation", "bracket_of") in helpers
+    assert ("naive_bracket", "bracket_cochain") in helpers
     assert ("naive_exterior_power", "determinant_of") in helpers
+
+
+def test_the_naive_oracles_evaluate_without_the_wedge_compound():
+    helpers = calls(ROOT / "tests" / "helpers.py")
+    assert ("naive_evaluate", "determinant_of") in helpers
+    offenders = [(scope, name) for scope, name in helpers
+                 if name in ("_compound", "_wedges", "evaluate", "bracket_of")]
+    assert offenders == []
 
 
 def test_no_library_module_calls_bracket_of():
@@ -101,16 +117,31 @@ def test_no_library_module_calls_bracket_of():
     assert offenders == []
 
 
-def test_determinant_of_is_called_only_from_cochain_evaluate():
+def test_no_library_module_calls_determinant_of():
     callers = [(path.name, scope) for path in MODULES
                for scope, name in calls(path) if name == "determinant_of"]
-    assert callers == [("cochains.py", "Cochain.evaluate")]
+    assert callers == []
+    assert "_compound" in called_in("cochains.py", "Cochain.evaluate")
+
+
+def test_no_module_defines_the_removed_dense_helpers():
+    removed = {"kron", "span_basis", "vec_is_zero", "apply"}  # apply: Matrix.apply
+    defined = [(path.name, node.name) for path in MODULES
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef) and node.name in removed]
+    assert defined == []
 
 
 def test_deformations_take_brackets_through_the_insertion_matrices():
     found = calls(ROOT / "src" / "homlie" / "deformations.py")
-    assert [scope for scope, name in found if name == "nr_bracket"] == ["check_linear_equivalence"]
+    assert [scope for scope, name in found if name == "nr_bracket"] == []
     assert [scope for scope, name in found if name == "is_mc_pair"] == []
+    assert "compatible_coboundary" in called_in("deformations.py", "check_linear_equivalence")
+
+
+def test_infinitesimal_class_leaves_the_cocycle_test_to_class_coordinates():
+    called = called_in("deformations.py", "infinitesimal_class")
+    assert "class_coordinates" in called and "check_linear_generator" not in called
 
 
 def test_no_library_module_calls_action():
@@ -136,7 +167,9 @@ def test_only_linalg_names_the_shared_one():
 
 def test_the_kronecker_builders_call_kron_sum():
     builders = {("cohomology.py", "_coboundary_map"), ("cohomology.py", "_layout"),
-                ("algebra.py", "_pair_blocks"), ("cochains.py", "equivariance_constraints")}
+                ("cohomology.py", "_in_slots"), ("algebra.py", "_pair_blocks"),
+                ("algebra.py", "_representation_checks"),
+                ("cochains.py", "equivariance_constraints")}
     callers = {(path.name, scope) for path in MODULES
                for scope, name in calls(path) if name == "kron_sum"}
     assert callers == builders
