@@ -45,8 +45,9 @@ their elimination.  Every coboundary is one product with the differential.
 
 The complex also keeps, per degree, the cocycle matrix Z (B in every slot
 times the kernel matrix of the images) and the coboundaries (the reduced
-row basis of the images one degree down), so a dimension report asked for
-again eliminates no images matrix.  A report reads its representatives
+row basis of the images one degree down), each also cut into the cochains
+a report gives out, so a dimension report asked for again eliminates no
+images matrix and cuts no cochain.  A report reads its representatives
 off cocycle coordinates: each column of Z has an identity row, those rows
 of the coboundaries are their coordinates C, the exact product Z . C =
 coboundaries checks that the coboundaries are cocycles, and the
@@ -303,10 +304,12 @@ class _Complex(dict):
     ("coboundaries", n) their layout, the basis matrix, its images, their
     elimination, the cocycle matrix (the basis matrix in every slot times
     the kernel matrix of the images) and the canonical column basis of the
-    degree-(n-1) images.  The basis matrix holds the single-bracket basis
-    of degree-n cochains as columns on flat coordinates, the kernel matrix
-    of its constraints as it is; the two-bracket complex places it in every
-    slot."""
+    degree-(n-1) images; ("cut", "cocycles", n) and
+    ("cut", "coboundaries", n) are the columns of those two cut into the
+    cochains a report gives out (`_cochains`).  The basis matrix holds the
+    single-bracket basis of degree-n cochains as columns on flat
+    coordinates, the kernel matrix of its constraints as it is; the
+    two-bracket complex places it in every slot."""
 
     def __init__(self, v: Representation):
         self.module = v
@@ -329,9 +332,11 @@ class _Complex(dict):
             value = _elimination(self["images", n])
         elif part == "cocycles":
             value = _in_slots(self["basis", n], _kernel(self["images", n]), _slots(s, n))
-        else:  # the coboundaries: none in degree 0
+        elif part == "coboundaries":  # none in degree 0
             value = (_row_space(self["images", n - 1].transpose()).transpose() if n
                      else Matrix.zero(self["basis", 0].rows, 0))
+        else:  # the report cochains: the kept cocycles or coboundaries, cut
+            value = _cochains(self[key[1], n], s, v.vdim, n)
         self[key] = value
         return value
 
@@ -382,11 +387,14 @@ def cohomology_dimensions(struct, v: Representation, n: int) -> CohomologyReport
     HomLieAlgebra, two-bracket for a CompatibleHomLieAlgebra.  The
     cocycles (the basis matrix times the kernel basis of the degree-n
     images) and the coboundaries (the reduced row basis of the
-    degree-(n-1) images) are kept on v.  The cohomology representatives
-    are the cocycles that no combination of coboundaries ends on in
-    cocycle coordinates (`_representatives`), the cocycle pivot columns of
+    degree-(n-1) images) are kept on v, as matrices and as the report's
+    cochains.  The cohomology representatives are the cocycles that no
+    combination of coboundaries ends on in cocycle coordinates
+    (`_representatives`), the cocycle pivot columns of
     rref([coboundaries | cocycles]); the coordinates also assert that the
     coboundaries lie among the cocycles, and raise ContractError otherwise.
+    That check runs on every call, before the kept cochains are read, so a
+    refused report cuts none.
 
     d . d is zero from degree 1 on, but d1 . d0 is zero only where the
     twist keeps the actions seen by its fixed vectors:
@@ -400,7 +408,6 @@ def cohomology_dimensions(struct, v: Representation, n: int) -> CohomologyReport
     _validate_structures(struct, v)
     kept = v._complex
     cocycles, boundaries = kept["cocycles", n], kept["coboundaries", n]
-    cocycle_basis = _cochains(cocycles, struct, v.vdim, n)
     try:
         indices = _representatives(cocycles, boundaries)
     except ContractError:
@@ -409,6 +416,7 @@ def cohomology_dimensions(struct, v: Representation, n: int) -> CohomologyReport
                 "degree-1 cohomology is undefined for this module: d1 . d0 is not zero, "
                 "since the twist changes the actions seen by its fixed vectors") from None
         raise
+    cocycle_basis = kept["cut", "cocycles", n]
     representatives = tuple(cocycle_basis[k] for k in indices)
 
     return CohomologyReport(
@@ -419,7 +427,7 @@ def cohomology_dimensions(struct, v: Representation, n: int) -> CohomologyReport
         dim_coboundaries=boundaries.cols,
         dim_cohomology=len(representatives),
         cocycle_basis=cocycle_basis,
-        coboundary_basis=_cochains(boundaries, struct, v.vdim, n),
+        coboundary_basis=kept["cut", "coboundaries", n],
         cohomology_basis=representatives,
         source_dim=struct.dim,
         target_dim=v.vdim,

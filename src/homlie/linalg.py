@@ -16,7 +16,8 @@ otherwise, with no accumulator; any other left row sums its scaled right
 rows in one accumulator (`_row`).  `kron_sum` builds a sum of
 Kronecker products, the shape of every coboundary and constraint matrix
 of the library, in one pass, with no intermediate matrix per term; one
-Kronecker product is the sum of one term.
+Kronecker product is the sum of one term, whose rows come out in column
+order and need no accumulator.
 `Matrix(rows, cols, entries)` takes the dense row-major entries and
 coerces each one like `frac`; `entries`, `row`, `col` and `entry` are
 dense views that give Fractions, for the public API, documents and
@@ -133,17 +134,6 @@ def _combine(a: tuple, b: tuple, negate: bool) -> tuple:
     return _row(acc)
 
 
-_set = object.__setattr__
-
-
-def _fill(m: "Matrix", rows: int, cols: int, data: tuple) -> "Matrix":
-    """Set the fields of a new matrix, past the guard that keeps it immutable."""
-    _set(m, "rows", rows)
-    _set(m, "cols", cols)
-    _set(m, "_data", data)
-    return m
-
-
 class Matrix:
     """Immutable sparse matrix: row i is the tuple of its nonzero
     (column, value) pairs, in column order, each value an int when it is
@@ -155,13 +145,18 @@ class Matrix:
         entries = tuple(entries)
         if len(entries) != rows * cols:
             raise UsageError(f"entry count {len(entries)} != {rows}x{cols}")
-        _fill(self, rows, cols,
-              tuple(_pairs(entries[i * cols : (i + 1) * cols]) for i in range(rows)))
+        _set_rows(self, rows)
+        _set_cols(self, cols)
+        _set_data(self, tuple(_pairs(entries[i * cols : (i + 1) * cols]) for i in range(rows)))
 
     @classmethod
     def _of(cls, rows: int, cols: int, data: tuple) -> "Matrix":
         """The matrix with the given canonical sparse rows, unchecked."""
-        return _fill(object.__new__(cls), rows, cols, data)
+        m = _new(cls)
+        _set_rows(m, rows)
+        _set_cols(m, cols)
+        _set_data(m, data)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -362,6 +357,12 @@ class Matrix:
         return "[" + "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows)) + "]"
 
 
+# The fields of a new matrix are set through the slot descriptors, past the
+# guard that keeps it immutable.
+_new = object.__new__
+_set_rows, _set_cols, _set_data = (Matrix.__dict__[name].__set__ for name in Matrix.__slots__)
+
+
 def vstack(matrices) -> Matrix:
     matrices = list(matrices)
     if not matrices:
@@ -422,12 +423,17 @@ def kron_sum(terms, rows: int, cols: int) -> Matrix:
     `terms` (block (l, i) of one is a[l, i] b), built in one pass over the
     factors' nonzeros: each row of the sum gathers row l of every a times
     row k of its b (with l b.rows + k the row) in one accumulator.  An
-    entry of an a that is the int 1 costs no product."""
+    entry of an a that is the int 1 costs no product.  One term needs no
+    accumulator: its rows come out ordered (`_kron_row`)."""
     terms = tuple(terms)
     for a, b in terms:
         if (a.rows * b.rows, a.cols * b.cols) != (rows, cols):
             raise UsageError(f"kron of {a.rows}x{a.cols} and {b.rows}x{b.cols} "
                              f"is not {rows}x{cols}")
+    if len(terms) == 1:
+        (a, b), = terms
+        return Matrix._of(rows, cols, tuple(_kron_row(arow, brow, b.cols)
+                                            for arow in a._data for brow in b._data))
     data = []
     for r in range(rows):
         acc = {}
@@ -449,6 +455,25 @@ def kron_sum(terms, rows: int, cols: int) -> Matrix:
                         acc[j] = acc[j] + x if j in acc else x
         data.append(_row(acc))
     return Matrix._of(rows, cols, tuple(data))
+
+
+def _kron_row(arow: tuple, brow: tuple, width: int) -> tuple:
+    """The sparse row of a (x) b from row arow of a and row brow of b, whose
+    rows are `width` wide: brow scaled by each entry of arow and shifted by
+    its column times width.  It comes out in column order with no two
+    entries in one column, so it needs no accumulator and no sort."""
+    if not brow:
+        return ()
+    out = []
+    for i, c in arow:
+        shift = i * width
+        if type(c) is int and c == 1:
+            out += [(j + shift, x) for j, x in brow]
+            continue
+        for j, x in brow:
+            x = c * x
+            out.append((j + shift, x if type(x) is int or x.denominator != 1 else x.numerator))
+    return tuple(out)
 
 
 def _integer_row(pairs: tuple) -> tuple:

@@ -66,10 +66,12 @@ def record_complex_builds(monkeypatch) -> list:
     asked for, as its key: ("insertion", bracket, degree),
     ("coboundary", action, degree), ("differential", degree),
     ("basis", degree), ("images", degree), ("elimination", degree) for
-    the elimination record of the images, ("cocycles", degree) or
-    ("coboundaries", degree); and every run of the elimination loop as
-    ("echelon", nonzero rows, cols).  A part asked for while another is
-    built comes after it."""
+    the elimination record of the images, ("cocycles", degree),
+    ("coboundaries", degree), or ("cut", "cocycles", degree) and
+    ("cut", "coboundaries", degree) for the report cochains cut from those
+    two; and every run of the elimination loop as ("echelon", nonzero
+    rows, cols).  A part asked for while another is built comes after
+    it."""
     built = []
     monkeypatch.setattr(cohomology._Complex, "__missing__",
                         lambda kept, key, original=cohomology._Complex.__missing__:

@@ -213,12 +213,15 @@ def test_hom_cochain_basis_members_are_equivariant():
 
 def test_equivariance_means_twist_commutes_pointwise():
     # beta(f(v1, ..., vn)) == f(alpha v1, ..., alpha vn) as functions, checked
-    # on random arguments with non-symmetric twists on both sides.
+    # on random arguments with non-symmetric twists on both sides, whose
+    # equivariant bases are not empty in arities 1 and 2.
     rng = random.Random(15)
-    alpha = Matrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    alpha = Matrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, -1]])
     beta = Matrix.from_rows([[1, 1], [0, 1]])
     for n in (1, 2):
-        for f in hom_cochain_basis(alpha, beta, n):
+        basis = hom_cochain_basis(alpha, beta, n)
+        assert basis
+        for f in basis:
             for _ in range(5):
                 args = [rand_vector(rng, 3) for _ in range(n)]
                 lhs = naive_apply(dense(beta), f.evaluate(args))

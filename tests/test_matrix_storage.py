@@ -272,6 +272,17 @@ def test_kron_sum_cancels_and_turns_integral():
     assert all(type(x) is int for _, x in total.row_items(0))
 
 
+def test_one_term_kron_sum_stores_integral_products_as_ints():
+    # One term is built row by row with no accumulator; a product of two
+    # Fractions that turns integral is still stored as its int numerator.
+    a = [[F(1, 2), F(0), F(3, 2)], [F(1), F(-2, 3), F(0)]]
+    b = [[F(2), F(4, 3)], [F(0), F(3, 2)], [F(-6), F(0)]]
+    total = kron_sum([(Matrix.from_rows(a), Matrix.from_rows(b))], 6, 6)
+    assert agrees(total, naive_kron(a, 3, b, 2), 6, 6) and canonical(total)
+    assert total.row_items(0) == ((0, 1), (1, F(2, 3)), (4, 3), (5, 2))
+    assert total.row_items(4) == ((1, F(3, 2)), (3, -1))
+
+
 def test_kron_sum_refuses_a_term_of_another_shape():
     a, b = Matrix.zero(2, 3), Matrix.zero(3, 2)
     assert kron_sum([(a, b)], 6, 6) == Matrix.zero(6, 6)
@@ -317,7 +328,7 @@ def test_raw_constructor_refuses_floats():
 
 def test_matrices_are_immutable():
     m = Matrix.identity(2)
-    for name in ("rows", "cols", "entries"):
+    for name in ("rows", "cols", "_data", "entries"):
         with pytest.raises(AttributeError):
             setattr(m, name, 3)
     assert m == Matrix.identity(2)
