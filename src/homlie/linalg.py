@@ -16,8 +16,7 @@ otherwise, with no accumulator; any other left row sums its scaled right
 rows in one accumulator (`_row`).  `kron_sum` builds a sum of
 Kronecker products, the shape of every coboundary and constraint matrix
 of the library, in one pass, with no intermediate matrix per term; one
-Kronecker product is the sum of one term, whose rows come out in column
-order and need no accumulator.
+Kronecker product is the sum of one term.
 `Matrix(rows, cols, entries)` takes the dense row-major entries and
 coerces each one like `frac`; `entries`, `row`, `col` and `entry` are
 dense views that give Fractions, for the public API, documents and
@@ -360,7 +359,9 @@ class Matrix:
 # The fields of a new matrix are set through the slot descriptors, past the
 # guard that keeps it immutable.
 _new = object.__new__
-_set_rows, _set_cols, _set_data = (Matrix.__dict__[name].__set__ for name in Matrix.__slots__)
+_set_rows = Matrix.rows.__set__
+_set_cols = Matrix.cols.__set__
+_set_data = Matrix._data.__set__
 
 
 def vstack(matrices) -> Matrix:
@@ -423,17 +424,12 @@ def kron_sum(terms, rows: int, cols: int) -> Matrix:
     `terms` (block (l, i) of one is a[l, i] b), built in one pass over the
     factors' nonzeros: each row of the sum gathers row l of every a times
     row k of its b (with l b.rows + k the row) in one accumulator.  An
-    entry of an a that is the int 1 costs no product.  One term needs no
-    accumulator: its rows come out ordered (`_kron_row`)."""
+    entry of an a that is the int 1 costs no product."""
     terms = tuple(terms)
     for a, b in terms:
         if (a.rows * b.rows, a.cols * b.cols) != (rows, cols):
             raise UsageError(f"kron of {a.rows}x{a.cols} and {b.rows}x{b.cols} "
                              f"is not {rows}x{cols}")
-    if len(terms) == 1:
-        (a, b), = terms
-        return Matrix._of(rows, cols, tuple(_kron_row(arow, brow, b.cols)
-                                            for arow in a._data for brow in b._data))
     data = []
     for r in range(rows):
         acc = {}
@@ -455,25 +451,6 @@ def kron_sum(terms, rows: int, cols: int) -> Matrix:
                         acc[j] = acc[j] + x if j in acc else x
         data.append(_row(acc))
     return Matrix._of(rows, cols, tuple(data))
-
-
-def _kron_row(arow: tuple, brow: tuple, width: int) -> tuple:
-    """The sparse row of a (x) b from row arow of a and row brow of b, whose
-    rows are `width` wide: brow scaled by each entry of arow and shifted by
-    its column times width.  It comes out in column order with no two
-    entries in one column, so it needs no accumulator and no sort."""
-    if not brow:
-        return ()
-    out = []
-    for i, c in arow:
-        shift = i * width
-        if type(c) is int and c == 1:
-            out += [(j + shift, x) for j, x in brow]
-            continue
-        for j, x in brow:
-            x = c * x
-            out.append((j + shift, x if type(x) is int or x.denominator != 1 else x.numerator))
-    return tuple(out)
 
 
 def _integer_row(pairs: tuple) -> tuple:

@@ -273,8 +273,8 @@ def test_kron_sum_cancels_and_turns_integral():
 
 
 def test_one_term_kron_sum_stores_integral_products_as_ints():
-    # One term is built row by row with no accumulator; a product of two
-    # Fractions that turns integral is still stored as its int numerator.
+    # A single Kronecker product is a sum of one term; a product of two
+    # Fractions that turns integral is stored as its int numerator.
     a = [[F(1, 2), F(0), F(3, 2)], [F(1), F(-2, 3), F(0)]]
     b = [[F(2), F(4, 3)], [F(0), F(3, 2)], [F(-6), F(0)]]
     total = kron_sum([(Matrix.from_rows(a), Matrix.from_rows(b))], 6, 6)
