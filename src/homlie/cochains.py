@@ -57,6 +57,7 @@ from .errors import PreconditionError, UsageError
 from .linalg import (
     Matrix,
     _column_blocks,
+    _elimination,
     _kernel,
     kron_sum,
     vector,
@@ -240,7 +241,7 @@ def _equivariant_columns(alpha: Matrix, beta: Matrix, n: int) -> Matrix:
     the source dimension."""
     if comb(alpha.rows, n) == 0:
         return Matrix.zero(0, 0)
-    return _kernel(equivariance_constraints(alpha, beta, n))
+    return _kernel(_elimination(equivariance_constraints(alpha, beta, n)))
 
 
 def equivariance_constraints(alpha: Matrix, beta: Matrix, n: int) -> Matrix:

@@ -91,13 +91,13 @@ from .linalg import (
     _column_blocks,
     _elimination,
     _kernel,
+    _pivots,
     _replay,
     _row_space,
     _solve,
     hsplit,
     hstack,
     kron_sum,
-    rref,
     vstack,
 )
 
@@ -303,7 +303,8 @@ class _Complex(dict):
     ("basis", n), ("images", n), ("elimination", n), ("cocycles", n) and
     ("coboundaries", n) their layout, the basis matrix, its images, their
     elimination, the cocycle matrix (the basis matrix in every slot times
-    the kernel matrix of the images) and the canonical column basis of the
+    the kernel matrix of the images, read off that elimination, so each
+    images matrix is eliminated once) and the canonical column basis of the
     degree-(n-1) images; ("cut", "cocycles", n) and
     ("cut", "coboundaries", n) are the columns of those two cut into the
     cochains a report gives out (`_cochains`).  The basis matrix holds the
@@ -324,14 +325,14 @@ class _Complex(dict):
         elif part == "differential":
             value = _layout(s, n, lambda b: self["coboundary", b, n])
         elif part == "basis":  # in two-bracket degree 0: where the two actions agree
-            value = (_kernel(_c0_constraints(s, v)) if len(s.brackets) == 2 and not n
+            value = (_kernel(_elimination(_c0_constraints(s, v))) if len(s.brackets) == 2 and not n
                      else _equivariant_columns(s.alpha, v.beta, n))
         elif part == "images":
             value = _layout(s, n, lambda b: self["coboundary", b, n] @ self["basis", n])
         elif part == "elimination":
             value = _elimination(self["images", n])
         elif part == "cocycles":
-            value = _in_slots(self["basis", n], _kernel(self["images", n]), _slots(s, n))
+            value = _in_slots(self["basis", n], _kernel(self["elimination", n]), _slots(s, n))
         elif part == "coboundaries":  # none in degree 0
             value = (_row_space(self["images", n - 1].transpose()).transpose() if n
                      else Matrix.zero(self["basis", 0].rows, 0))
@@ -365,7 +366,7 @@ def _representatives(cocycles: Matrix, boundaries: Matrix) -> list:
     coordinate at k); such combinations end exactly on z - 1 - p for the
     pivots p of C^T with its columns reversed.  These are the cocycle
     pivot columns of rref([coboundaries | cocycles]), from one b x z
-    elimination."""
+    elimination whose pivot columns alone are read (`linalg._pivots`)."""
     z = cocycles.cols
     unit = {}
     for r in range(cocycles.rows):
@@ -375,8 +376,8 @@ def _representatives(cocycles: Matrix, boundaries: Matrix) -> list:
     coords = {(k, j): x for k, r in unit.items() for j, x in boundaries.row_items(r)}
     if cocycles @ Matrix.from_entries(z, boundaries.cols, coords) != boundaries:
         raise ContractError("coboundaries do not lie in the cocycle space")
-    ends = set(rref(Matrix.from_entries(boundaries.cols, z,
-                                        {(j, z - 1 - k): x for (k, j), x in coords.items()}))[1])
+    ends = set(_pivots(Matrix.from_entries(boundaries.cols, z,
+                                           {(j, z - 1 - k): x for (k, j), x in coords.items()})))
     return [k for k in range(z) if z - 1 - k not in ends]
 
 

@@ -216,15 +216,21 @@ class OrderPDeformation:
     base: CompatibleHomLieAlgebra
     coeffs1: tuple
     coeffs2: tuple
-    # The deformation this one extends, set by `extended`; its coefficients
-    # are the first ones of this deformation, already checked.
+    # The deformation this one extends by one order, set by `extended`; its
+    # base and coefficients must be this one's, and are already checked.
     _parent: "OrderPDeformation | None" = field(default=None, compare=False, repr=False,
                                                 kw_only=True)
 
     def __post_init__(self):
         if len(self.coeffs1) != len(self.coeffs2) or not self.coeffs1:
             raise UsageError("coefficient lists must be non-empty and of equal length")
-        known = len(self._parent.coeffs1) if self._parent else 0  # checked by the parent
+        parent = self._parent
+        known = len(parent.coeffs1) if parent else 0  # checked by the parent
+        if parent and (len(self.coeffs1) != known + 1 or
+                       (self.base, self.coeffs1[:known], self.coeffs2[:known]) !=
+                       (parent.base, parent.coeffs1, parent.coeffs2)):
+            raise UsageError("an extension keeps its parent's base and coefficients "
+                             "and adds one order")
         for f in self.coeffs1[known:] + self.coeffs2[known:]:
             if not isinstance(f, Cochain) or f.arity != 2 or f.source_dim != self.base.dim \
                     or f.target_dim != self.base.dim:

@@ -26,20 +26,19 @@ matrices with `Matrix.from_entries` and read the stored nonzeros of a row
 with `row_items`; `_column_blocks` cuts each column of flat coordinates
 into its row-major blocks in one pass, for the cochain code.
 
-Elimination is fraction-free: `rref` works on sparse integer rows
-(denominators cleared, content gcd divided out after every update) and
-`determinant_of` uses Bareiss's integer-preserving elimination; a Fraction
-appears again only where a result is not integral.  No module of the
+Elimination is fraction-free and takes one route: `_elimination` runs the
+pivot loop (`_echelon`) on sparse integer rows (denominators cleared,
+content gcd divided out after every update) and records its row steps and
+echelon rows; a Fraction appears again only where a result is not
+integral.  `rref`, `rank`, `_kernel`, `_row_space`, `_replay` (a solve)
+and `determinant_of` all read that record, so a kept record gives the
+kernel and solves again without eliminating m again.  No module of the
 library calls `determinant_of`: its minors are wedges of columns (see
 `cochains`).  The reduced row echelon form is unique, so `rref`,
 `kernel_basis` and `solve` return the same output bit for bit whichever
 rows supply the pivots, which the cohomology computations rely on.
 `_kernel`, `_solve` and `_row_space` give the same results as matrices in
-the stored form, for the cohomology code to keep cochains sparse.  Every solve takes one
-route: `_elimination` runs the pivot loop of `rref` on m and records its
-row steps, and `_replay` runs those steps on the right-hand side alone.
-`_solve` is the two in a row; a kept record solves again without
-eliminating m again.
+the stored form, for the cohomology code to keep cochains sparse.
 """
 
 from __future__ import annotations
@@ -47,12 +46,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import ContractError, UsageError
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def frac(value) -> Fraction:
@@ -453,20 +451,10 @@ def kron_sum(terms, rows: int, cols: int) -> Matrix:
     return Matrix._of(rows, cols, tuple(data))
 
 
-def _integer_row(pairs: tuple) -> tuple:
-    """A nonempty sparse rational row times den / g, for the lcm den of its
-    denominators and the content g of the result, as a primitive integer
-    row {col: int}, with g and den.  Elimination needs only its direction."""
-    den = lcm(*(a.denominator for _, a in pairs))
-    row = {j: a.numerator * (den // a.denominator) for j, a in pairs}
-    g = gcd(*row.values())
-    return (row if g == 1 else {j: a // g for j, a in row.items()}), g, den
-
-
-def _eliminate(row: dict, pivot_row: dict, c: int, steps, i: int, pivot: int) -> dict:
+def _eliminate(row: dict, pivot_row: dict, c: int, steps: list, i: int, pivot: int) -> dict:
     """The primitive integer row (p row - a pivot_row) / g, whose entry in
     column c is zero, for the content g; (i, pivot, p, a, g) is appended
-    to `steps` when it is a list."""
+    to `steps`."""
     a, p = row[c], pivot_row[c]
     g = gcd(a, p)
     a, p = a // g, p // g
@@ -480,19 +468,18 @@ def _eliminate(row: dict, pivot_row: dict, c: int, steps, i: int, pivot: int) ->
     g = gcd(*out.values()) or 1
     if g != 1:
         out = {j: x // g for j, x in out.items()}
-    if steps is not None:
-        steps.append((i, pivot, p, a, g))
+    steps.append((i, pivot, p, a, g))
     return out
 
 
-def _echelon(rows: list, cols: int, steps: list | None = None) -> list:
+def _echelon(rows: list, cols: int, steps: list) -> list:
     """The one pivot loop of elimination, on (row index, primitive integer
     row) pairs: the (pivot column, row index, row) of each reduced row, in
     column order.  Columns are taken left to right; the pivot of a column
     is the remaining row with the fewest nonzeros that has an entry there,
     the lowest row index on ties.  Forward elimination is followed by
     back-substitution, and a row that becomes zero vanishes.  Each update
-    of `_eliminate` is appended to `steps` when it is a list."""
+    of `_eliminate` is appended to `steps`."""
     echelon = []
     for c in range(cols):
         if not rows:
@@ -517,47 +504,75 @@ def _echelon(rows: list, cols: int, steps: list | None = None) -> list:
     return echelon
 
 
+def _elimination(m: Matrix) -> tuple:
+    """The record of the one elimination of m: (rows, cols, steps, echelon).
+    The steps (i, pivot, p, a, g) set row i to (p row_i - a row_pivot) / g,
+    first the scale (i, i, den, 0, g) of each nonzero row by the lcm den of
+    its denominators to a primitive integer row of content g; the echelon
+    is the (pivot column, row index, integer row) of each reduced row of
+    `_echelon`, in column order.  A row that is no pivot row vanished."""
+    rows, steps = [], []
+    for i, pairs in enumerate(m._data):
+        if pairs:
+            den = lcm(*(a.denominator for _, a in pairs))
+            row = {j: a.numerator * (den // a.denominator) for j, a in pairs}
+            g = gcd(*row.values())
+            rows.append((i, row if g == 1 else {j: a // g for j, a in row.items()}))
+            steps.append((i, i, den, 0, g))
+    echelon = _echelon(rows, m.cols, steps)
+    return m.rows, m.cols, tuple(steps), tuple(echelon)
+
+
+def _reduced(c: int, row: dict) -> tuple:
+    """An echelon row with pivot column c divided by its pivot, as a sparse
+    row in the stored form: an int where the pivot divides the entry, else
+    one Fraction.  It is a row of the RREF."""
+    p = row[c]
+    return tuple((j, Fraction(x, p) if x % p else x // p) for j, x in sorted(row.items()))
+
+
 def rref(m: Matrix):
     """Reduced row echelon form and pivot columns.
 
-    The elimination (`_echelon`) is fraction-free on sparse integer rows,
-    and each stored entry becomes its quotient by its row's pivot at the
-    end: an int where the pivot divides it, else one Fraction.  The RREF is
-    unique, so the result does not depend on the pivot rows chosen.
+    The echelon rows of `_elimination(m)`, fraction-free on sparse integer
+    rows, each divided by its pivot (`_reduced`), above the zero rows.  The
+    RREF is unique, so the result does not depend on the pivot rows chosen.
     """
-    echelon = _echelon([(i, _integer_row(row)[0]) for i, row in enumerate(m._data) if row], m.cols)
-    data = []
-    for c, _, row in echelon:
-        p = row[c]
-        data.append(tuple((j, Fraction(x, p) if x % p else x // p) for j, x in sorted(row.items())))
-    data += [()] * (m.rows - len(echelon))
-    return Matrix._of(m.rows, m.cols, tuple(data)), tuple(c for c, _, _ in echelon)
+    rows, cols, _, echelon = _elimination(m)
+    data = tuple(_reduced(c, row) for c, _, row in echelon) + ((),) * (rows - len(echelon))
+    return Matrix._of(rows, cols, data), tuple(c for c, _, _ in echelon)
+
+
+def _pivots(m: Matrix) -> tuple:
+    """The pivot columns of rref(m), read off the record of `_elimination(m)`
+    with no division by the pivots."""
+    return tuple(c for c, _, _ in _elimination(m)[3])
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    return len(_pivots(m))
 
 
-def _kernel(m: Matrix) -> Matrix:
-    """The right null space of m as the columns of one matrix, one column
-    per free column of m in column order: 1 at its free column and minus
-    that column of the RREF at the pivot columns, so that m @ K = 0 and K
-    has cols - rank columns."""
-    reduced, pivots = rref(m)
-    free = {c: k for k, c in enumerate(sorted(set(range(m.cols)) - set(pivots)))}
-    data = [((free[c], 1),) if c in free else () for c in range(m.cols)]
-    for r, pc in enumerate(pivots):
-        data[pc] = tuple((free[j], -x) for j, x in reduced._data[r] if j in free)
-    return Matrix._of(m.cols, len(free), tuple(data))
+def _kernel(record: tuple) -> Matrix:
+    """The right null space of the matrix m of an `_elimination` record as
+    the columns of one matrix, one column per free column of m in column
+    order: 1 at its free column and minus that column of the RREF at the
+    pivot columns, so that m @ K = 0 and K has cols - rank columns."""
+    _, cols, _, echelon = record
+    free = {c: k for k, c in enumerate(sorted(set(range(cols)) - {c for c, _, _ in echelon}))}
+    data = [((free[c], 1),) if c in free else () for c in range(cols)]
+    for c, _, row in echelon:
+        data[c] = tuple((free[j], -x) for j, x in _reduced(c, row) if j in free)
+    return Matrix._of(cols, len(free), tuple(data))
 
 
 def kernel_basis(m: Matrix):
     """Basis of the right null space, one vector per free column, in column order.
 
     Each returned vector v satisfies m @ v = 0 exactly; the basis size is
-    cols - rank.  The vectors are the columns of `_kernel(m)`.
+    cols - rank.  The vectors are the columns of `_kernel(_elimination(m))`.
     """
-    vectors = _kernel(m).transpose()
+    vectors = _kernel(_elimination(m)).transpose()
     return [vectors.row(k) for k in range(vectors.rows)]
 
 
@@ -576,50 +591,37 @@ def solve(m: Matrix, b) -> tuple | None:
     return None if x is None else x.col(0)
 
 
-def _elimination(m: Matrix) -> tuple:
-    """The record of one elimination of m for `_replay`: (rows, cols, the
-    steps (i, pivot, p, a, g) that set row i to (p row_i - a row_pivot) / g,
-    first the scale (i, i, den, 0, g) of each row to integers, the rows that
-    vanish, and the (pivot column, row, pivot entry) of each reduced row)."""
-    rows = [(i, _integer_row(pairs)) for i, pairs in enumerate(m._data) if pairs]
-    steps = [(i, i, den, 0, g) for i, (_, g, den) in rows]
-    echelon = _echelon([(i, row) for i, (row, _, _) in rows], m.cols, steps)
-    vanished = tuple(sorted(set(range(m.rows)) - {i for _, i, _ in echelon}))
-    return m.rows, m.cols, tuple(steps), vanished, tuple((c, i, row[c]) for c, i, row in echelon)
-
-
 def _replay(record: tuple, b: Matrix) -> Matrix | None:
     """One exact solution of m @ x = b from the record of `_elimination(m)`,
-    its steps run on the column b alone: None when a vanished row keeps a
-    nonzero entry, else the solution read off the RREF of [m | b], zero at
-    the free columns, which is unique whichever rows supplied the pivots."""
-    rows, cols, steps, vanished, pivots = record
+    its steps run on the column b alone: None when a row that took no pivot
+    keeps a nonzero entry, else the solution read off the RREF of [m | b],
+    zero at the free columns, which is unique whichever rows supplied the
+    pivots."""
+    rows, cols, steps, echelon = record
     if (b.rows, b.cols) != (rows, 1):
         raise UsageError(f"rhs is {b.rows}x{b.cols}, not {rows}x1")
     value = [pairs[0][1] if pairs else 0 for pairs in b._data]
     for i, pivot, p, a, g in steps:
         x = p * value[i] - a * value[pivot]
         value[i] = x if g == 1 else x // g if type(x) is int and not x % g else Fraction(x, g)
-    if any(value[i] for i in vanished):
-        return None
     data = [()] * cols
-    for c, i, p in pivots:
+    for c, i, row in echelon:
         if value[i]:
-            data[c] = ((0, _stored(Fraction(value[i], p))),)
+            data[c] = ((0, _stored(Fraction(value[i], row[c]))),)
+            value[i] = 0
+    if any(value):  # what is left sits on the rows that vanished
+        return None
     return Matrix._of(cols, 1, tuple(data))
 
 
 def span_rank(vectors) -> int:
-    vectors = list(vectors)
-    if not vectors:
-        return 0
     return rank(Matrix.from_rows(vectors))
 
 
 def _row_space(m: Matrix) -> Matrix:
     """The nonzero rows of rref(m): the canonical basis of m's row space."""
-    reduced, pivots = rref(m)
-    return Matrix._of(len(pivots), m.cols, reduced._data[: len(pivots)])
+    _, cols, _, echelon = _elimination(m)
+    return Matrix._of(len(echelon), cols, tuple(_reduced(c, row) for c, _, row in echelon))
 
 
 def quotient_dimension(span_big, span_small) -> int:
@@ -641,37 +643,20 @@ def quotient_dimension(span_big, span_small) -> int:
 
 
 def determinant_of(rows) -> Fraction:
-    """Determinant of a small square matrix given as nested lists of Fractions.
-
-    Each row is cleared to integers by the lcm of its denominators, and the
-    integer determinant is taken by Bareiss's fraction-free elimination,
-    whose divisions by the previous pivot are exact.
-    """
-    n = len(rows)
-    if n == 0:
-        return ONE
-    work = []
-    scale = 1
-    for row in rows:
-        row = [frac(a) for a in row]
-        den = lcm(*(a.denominator for a in row))
-        work.append([a.numerator * (den // a.denominator) for a in row])
-        scale *= den
-    sign = 1
-    previous = 1
-    for c in range(n - 1):
-        if not work[c][c]:
-            swap = next((r for r in range(c + 1, n) if work[r][c]), None)
-            if swap is None:
-                return ZERO
-            work[c], work[swap] = work[swap], work[c]
-            sign = -sign
-        pivot = work[c][c]
-        top = work[c]
-        for r in range(c + 1, n):
-            row = work[r]
-            lead = row[c]
-            for k in range(c + 1, n):
-                row[k] = (row[k] * pivot - lead * top[k]) // previous
-        previous = pivot
-    return Fraction(sign * work[n - 1][n - 1], scale)
+    """Determinant of a square matrix given as nested rows of exact
+    rationals, read off the record of `_elimination`: each step
+    (i, pivot, p, a, g) scales row i by p/g, and back-substitution leaves
+    one entry, its pivot, in each row of a matrix of full rank.  So det =
+    sign(pi) prod(pivots) / prod(p/g), for the pivot rows pi in column
+    order; with fewer pivots than rows it is 0.  A non-square or ragged
+    input raises UsageError."""
+    m = Matrix.from_rows(rows)
+    if not m.is_square():
+        raise UsageError(f"determinant of a non-square {m.rows}x{m.cols} matrix")
+    n, _, steps, echelon = _elimination(m)
+    if len(echelon) < n:
+        return ZERO
+    order = [i for _, i, _ in echelon]
+    sign = (-1) ** sum(a > b for k, a in enumerate(order) for b in order[k + 1 :])
+    num = sign * prod(row[c] for c, _, row in echelon) * prod(g for *_, g in steps)
+    return Fraction(num, prod(p for _, _, p, _, _ in steps))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from homlie import (
     Cochain,
@@ -32,8 +32,8 @@ from homlie.algebra import CheckResult
 from homlie.cochains import increasing_tuples, tuple_position
 from homlie.cohomology import _c0_constraints, _cochains, _flat
 from homlie.linalg import (
+    _elimination,
     _kernel,
-    determinant_of,
     hstack,
     kernel_basis,
     rank,
@@ -69,14 +69,14 @@ def record_complex_builds(monkeypatch) -> list:
     the elimination record of the images, ("cocycles", degree),
     ("coboundaries", degree), or ("cut", "cocycles", degree) and
     ("cut", "coboundaries", degree) for the report cochains cut from those
-    two; and every run of the elimination loop as ("echelon", nonzero
-    rows, cols).  A part asked for while another is built comes after
-    it."""
+    two; and every run of the one elimination loop, which only
+    `linalg._elimination` calls, as ("echelon", nonzero rows, cols).  A
+    part asked for while another is built comes after it."""
     built = []
     monkeypatch.setattr(cohomology._Complex, "__missing__",
                         lambda kept, key, original=cohomology._Complex.__missing__:
                         built.append(key) or original(kept, key))
-    monkeypatch.setattr(linalg, "_echelon", lambda rows, cols, steps=None, original=linalg._echelon:
+    monkeypatch.setattr(linalg, "_echelon", lambda rows, cols, steps, original=linalg._echelon:
                         built.append(("echelon", len(rows), cols)) or original(rows, cols, steps))
     return built
 
@@ -177,12 +177,50 @@ def dense(m: Matrix):
     return [list(m.row(i)) for i in range(m.rows)]
 
 
+def naive_determinant(rows) -> Fraction:
+    """Determinant of a square matrix given as nested lists of Fractions,
+    independent of the library's elimination record (`determinant_of`).
+
+    Each row is cleared to integers by the lcm of its denominators, and the
+    integer determinant is taken by Bareiss's fraction-free elimination,
+    whose divisions by the previous pivot are exact.
+    """
+    n = len(rows)
+    if n == 0:
+        return Fraction(1)
+    work = []
+    scale = 1
+    for row in rows:
+        row = [Fraction(a) for a in row]
+        den = lcm(*(a.denominator for a in row))
+        work.append([a.numerator * (den // a.denominator) for a in row])
+        scale *= den
+    sign = 1
+    previous = 1
+    for c in range(n - 1):
+        if not work[c][c]:
+            swap = next((r for r in range(c + 1, n) if work[r][c]), None)
+            if swap is None:
+                return Fraction(0)
+            work[c], work[swap] = work[swap], work[c]
+            sign = -sign
+        pivot = work[c][c]
+        top = work[c]
+        for r in range(c + 1, n):
+            row = work[r]
+            lead = row[c]
+            for k in range(c + 1, n):
+                row[k] = (row[k] * pivot - lead * top[k]) // previous
+        previous = pivot
+    return Fraction(sign * work[n - 1][n - 1], scale)
+
+
 def naive_evaluate(f: Cochain, args) -> tuple:
     """f on arbitrary arguments by alternating extension, one Bareiss
     determinant per increasing basis tuple: the minors of the argument rows
     at its positions, weighted by the coefficient columns."""
     assert len(args) == f.arity
-    minors = [determinant_of([[arg[i] for i in tup] for arg in args])
+    minors = [naive_determinant([[arg[i] for i in tup] for arg in args])
               for tup in increasing_tuples(f.source_dim, f.arity)]
     return naive_apply(dense(f.coeffs), minors)
 
@@ -215,7 +253,7 @@ def c0_compatible_basis(c, v):
     """Vectors fixed by beta on which the two actions of every basis element
     agree, as arity-0 cochains: the degree-0 group of the two-bracket
     complex, through the kernel of its constraints."""
-    return _cochains(_kernel(_c0_constraints(c, v)), c, v.vdim, 0)
+    return _cochains(_kernel(_elimination(_c0_constraints(c, v))), c, v.vdim, 0)
 
 
 def naive_basis_matrix(struct, v, n: int) -> Matrix:
@@ -732,7 +770,7 @@ def naive_exterior_power(alpha: Matrix, n: int) -> Matrix:
     determinant per pair of increasing n-tuples."""
     tuples = increasing_tuples(alpha.rows, n)
     return Matrix.from_rows([
-        [determinant_of([[alpha.entry(i, j) for j in J] for i in I]) for J in tuples]
+        [naive_determinant([[alpha.entry(i, j) for j in J] for i in I]) for J in tuples]
         for I in tuples
     ])
 

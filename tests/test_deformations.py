@@ -579,6 +579,48 @@ def test_a_kept_extension_does_not_admit_a_bad_pair():
     assert verify_order_p(d.extended(*pair)).passed
 
 
+def test_an_extension_must_keep_its_parents_coefficients():
+    """A deformation built with a parent trusts the parent's checked orders,
+    so it must have the parent's base and first coefficients and exactly
+    one order more; otherwise the parent's report would pass a pair that
+    fails on its own."""
+    c = fixtures.compatible_h3()
+    d = OrderPDeformation.from_generator(
+        c, trivial_deformation_from_nijenhuis(c, fixtures.h3_nijenhuis()))
+    mu1, mu2 = c.bracket_cochain(1), c.bracket_cochain(2)
+    m, zero = Cochain.from_values(2, 3, 3, {(0, 2): [1, 0, 0]}), Cochain.zero(2, 3, 3)
+    assert not verify_order_p(OrderPDeformation(c, (mu1, m), (mu2, zero))).passed
+    other = CompatibleHomLieAlgebra(c.dim, c.alpha, c.bracket1, c.bracket2.scale(2))
+    top1, top2 = is_extensible(d)
+    refused = [
+        (c, (mu1, m), (mu2, zero)),  # other first coefficients, no new order
+        (c, (mu1, m, top1), (mu2, zero, top2)),  # other first coefficients
+        (c, d.coeffs1, d.coeffs2),  # no new order
+        (c, d.coeffs1 + (top1, zero), d.coeffs2 + (top2, zero)),  # two new orders
+        (other, d.coeffs1 + (top1,), d.coeffs2 + (top2,)),  # another base
+    ]
+    for base, coeffs1, coeffs2 in refused:
+        with pytest.raises(UsageError, match="parent's base and coefficients"):
+            OrderPDeformation(base, coeffs1, coeffs2, _parent=d)
+    child = OrderPDeformation(c, d.coeffs1 + (top1,), d.coeffs2 + (top2,), _parent=d)
+    assert verify_order_p(child).passed and child == d.extended(top1, top2)
+
+
+def test_a_report_and_an_extension_eliminate_the_images_once(monkeypatch):
+    """The degree-2 report reads its cocycles off the kept elimination of the
+    degree-2 images, and `is_extensible` replays that same record for its
+    preimage: the 3 nonzero rows x 18 columns of the images go through the
+    pivot loop once."""
+    c = fixtures.compatible_h3()
+    d = OrderPDeformation.from_generator(
+        c, trivial_deformation_from_nijenhuis(c, fixtures.h3_nijenhuis()))
+    built = record_complex_builds(monkeypatch)
+    cohomology_dimensions(c, adjoint_representation(c), 2)
+    is_extensible(d)
+    assert built.count(("echelon", 3, 18)) == 1
+    assert built.count(("elimination", 2)) == 1
+
+
 def test_each_public_call_builds_the_adjoint_module_once(monkeypatch):
     g = trivial_deformation_from_nijenhuis(fixtures.compatible_h3(), fixtures.h3_nijenhuis())
     built = record_adjoint_builds(monkeypatch)

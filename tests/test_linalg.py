@@ -186,3 +186,14 @@ def test_determinant_matches_permutation_expansion():
     assert determinant_of([]) == 1
     assert determinant_of([[F(1), F(2)], [F(2), F(4)]]) == 0
 
+
+@pytest.mark.parametrize("rows", [
+    [[F(1), F(2)]],  # 1 x 2
+    [[F(1), F(2)], [F(3), F(4)], [F(5), F(6)]],  # 3 x 2
+    [[F(1), F(2)], [F(3)]],  # ragged
+], ids=["wide", "tall", "ragged"])
+def test_determinant_refuses_non_square_and_ragged_rows(rows):
+    from homlie.linalg import determinant_of
+
+    with pytest.raises(UsageError):
+        determinant_of(rows)

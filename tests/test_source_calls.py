@@ -16,9 +16,9 @@ products over the action matrices of the basis, so no module forms the
 action of one vector at a time (`Representation.action` is gone).  Only
 `linalg` tells a zero entry from a nonzero one, so no other module imports
 or names its shared `ZERO`.  A stored integral entry is a Python int, so
-the identity shortcuts of products test for the int 1, and no other module
-imports or names `linalg`'s shared Fraction `ONE` either.  The coboundary,
-the pair blocks, the equivariance constraints and the two-bracket layout
+the identity shortcuts of products test for the int 1, and no module names
+a shared Fraction `ONE`.  The coboundary, the pair blocks, the
+equivariance constraints and the two-bracket layout
 (of the differential and of its images) are sums of Kronecker products,
 and each of their builders assembles its sum in one `kron_sum` call
 rather than adding the terms one at a time; a single Kronecker product
@@ -51,6 +51,10 @@ the elimination record (`_elimination`, `_replay`) instead of eliminating
 [m | b] with `rref`; `bracket_of` evaluates the bracket cochain, so no
 module keeps a pair-wedge twin (`_bracket_apply`); and `exterior_square`
 takes its compound directly, not through `exterior_power_matrix`.
+Every row reduction reads one elimination record, so the pivot loop
+`_echelon` has one caller, `_elimination`, and neither it nor `_eliminate`
+has a `steps` option.  No library module other than `__init__` imports a
+name it never reads.
 """
 
 import ast
@@ -58,6 +62,7 @@ import inspect
 from pathlib import Path
 
 import homlie
+from homlie import linalg
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "homlie").glob("*.py"))
@@ -100,12 +105,12 @@ def names(path: Path):
 def test_the_call_scanner_sees_attribute_and_name_calls():
     helpers = calls(ROOT / "tests" / "helpers.py")
     assert ("naive_bracket", "bracket_cochain") in helpers
-    assert ("naive_exterior_power", "determinant_of") in helpers
+    assert ("naive_exterior_power", "naive_determinant") in helpers
 
 
 def test_the_naive_oracles_evaluate_without_the_wedge_compound():
     helpers = calls(ROOT / "tests" / "helpers.py")
-    assert ("naive_evaluate", "determinant_of") in helpers
+    assert ("naive_evaluate", "naive_determinant") in helpers
     offenders = [(scope, name) for scope, name in helpers
                  if name in ("_compound", "_wedges", "evaluate", "bracket_of")]
     assert offenders == []
@@ -158,10 +163,8 @@ def test_only_linalg_names_the_shared_zero():
     assert offenders == []
 
 
-def test_only_linalg_names_the_shared_one():
-    assert "ONE" in names(ROOT / "src" / "homlie" / "linalg.py")
-    offenders = [path.name for path in MODULES
-                 if path.name != "linalg.py" and "ONE" in names(path)]
+def test_no_module_names_a_shared_one():
+    offenders = [path.name for path in MODULES if "ONE" in names(path)]
     assert offenders == []
 
 
@@ -240,6 +243,39 @@ def test_is_mc_pair_reads_the_insertion_matrices():
 def test_solve_replays_the_elimination_record():
     called = called_in("linalg.py", "_solve")
     assert {"_elimination", "_replay"} <= called and "rref" not in called
+
+
+def test_the_pivot_loop_has_one_caller_and_no_steps_option():
+    callers = {(path.name, scope) for path in MODULES
+               for scope, name in calls(path) if name == "_echelon"}
+    assert callers == {("linalg.py", "_elimination")}
+    for function in (linalg._echelon, linalg._eliminate):
+        defaults = [p.name for p in inspect.signature(function).parameters.values()
+                    if p.default is not inspect.Parameter.empty]
+        assert defaults == []
+
+
+def unread_imports(source: str) -> set:
+    """The names a module's imports bind that it never reads; `__future__`
+    features are not names."""
+    tree = ast.parse(source)
+    bound = {(alias.asname or alias.name).split(".")[0]
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Import)
+             or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+             for alias in node.names}
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_the_import_scanner_sees_unread_names():
+    assert unread_imports("from __future__ import annotations\n"
+                          "import os.path\nfrom .linalg import rref, rank as r\nr(os)") == {"rref"}
+
+
+def test_no_library_module_imports_a_name_it_never_reads():
+    unread = {path.name: unread_imports(path.read_text()) for path in MODULES
+              if path.name != "__init__.py"}
+    assert {name: found for name, found in unread.items() if found} == {}
 
 
 def test_no_module_defines_a_bracket_apply_twin():
