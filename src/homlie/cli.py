@@ -24,7 +24,7 @@ from .algebra import (
 from .cochains import is_mc_pair
 from .cohomology import cohomology_dimensions, derivation_space
 from .deformations import OrderPDeformation, is_extensible, obstruction, verify_order_p
-from .documents import AlgebraDocument, ParseError, _table_json, parse
+from .documents import AlgebraDocument, ParseError, _rational_text, _table_json, parse
 from .errors import ContractError, PreconditionError, UsageError
 from .extensions import ExtensionCocycle, build_extension, ext_class
 
@@ -33,7 +33,7 @@ REPORT_VERSION = "1"
 
 def _witness_json(witness):
     indices, defect = witness
-    return {"indices": list(indices), "defect": [str(x) for x in defect]}
+    return {"indices": list(indices), "defect": [_rational_text(x) for x in defect]}
 
 
 def _checks_json(report):
@@ -187,7 +187,7 @@ def _cmd_extension_classify(doc: AlgebraDocument, args):
     algebra, rep, cocycle = _extension_input(doc)
     coords = ext_class(build_extension(algebra, rep, cocycle))
     return 0, {
-        "class_coordinates": [str(x) for x in coords],
+        "class_coordinates": [_rational_text(x) for x in coords],
         "class_is_zero": all(x == 0 for x in coords),
         "dim_cohomology": len(coords),  # one coordinate per class basis element
     }

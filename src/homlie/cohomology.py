@@ -46,28 +46,29 @@ their elimination.  Every coboundary is one product with the differential.
 The complex also keeps, per degree, the cocycle matrix Z (B in every slot
 times the kernel matrix of the images) and the coboundaries (the reduced
 row basis of the images one degree down), each also cut into the cochains
-a report gives out, so a dimension report asked for again eliminates no
-images matrix and cuts no cochain.  A report reads its representatives
-off cocycle coordinates: each column of Z has an identity row, those rows
-of the coboundaries are their coordinates C, the exact product Z . C =
-coboundaries checks that the coboundaries are cocycles, and the
-representatives are the cocycles that no combination of coboundaries ends
-on, from one elimination of C^T with its columns reversed
-(`_representatives`); they are the cocycle pivot columns of the reduced
-echelon form of [coboundaries | cocycles].  A cochain enters as the sparse
-column of its flat coordinates (`_flat`) and leaves through `_cochains`,
-which cuts each column into its slots' coefficient matrices in one pass;
-kernels, solutions and coboundary bases stay matrices in between, so no
-cochain goes through a dense tuple.  The derivation space is the
-degree-1 report of the two-bracket complex.  Whether a cochain is a
-coboundary is one exact solve over the same images
+a report gives out, and the class record built from the two: each column
+of Z has an identity row, those rows of the coboundaries are their
+coordinates C, the exact product Z . C = coboundaries checks once that
+the coboundaries are cocycles, and one elimination of C^T with its columns
+reversed gives the representatives, the cocycles that no combination of
+coboundaries ends on (the cocycle pivot columns of the reduced echelon
+form of [coboundaries | cocycles]), and the class map
+(`_coboundary_coordinates`, `_class_map`).  So a dimension report asked
+for again runs no elimination and cuts no cochain, and a class question
+(`class_coordinates`) reads the record the report carries with products
+alone.  A cochain enters as the sparse column of its flat coordinates
+(`_flat`) and leaves through `_cochains`, which cuts each column into its
+slots' coefficient matrices in one pass; kernels, solutions and coboundary
+bases stay matrices in between, so no cochain goes through a dense tuple.
+The derivation space is the degree-1 report of the two-bracket complex.
+Whether a cochain is a coboundary is one exact solve over the same images
 (`coboundary_preimage`); extension equivalence and deformation extension
 both ask it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
@@ -91,12 +92,9 @@ from .linalg import (
     _column_blocks,
     _elimination,
     _kernel,
-    _pivots,
     _replay,
     _row_space,
-    _solve,
     hsplit,
-    hstack,
     kron_sum,
     vstack,
 )
@@ -166,6 +164,9 @@ class CohomologyReport:
     cohomology_basis: tuple  # cocycle representatives completing the coboundaries
     source_dim: int
     target_dim: int
+    # The module's kept ("classes", degree) record, which `class_coordinates`
+    # reads; it takes no part in equality, hashing or repr.
+    _classes: tuple = field(default=None, compare=False, repr=False, kw_only=True)
 
 
 def _validate_structures(struct, rep: Representation):
@@ -305,7 +306,10 @@ class _Complex(dict):
     elimination, the cocycle matrix (the basis matrix in every slot times
     the kernel matrix of the images, read off that elimination, so each
     images matrix is eliminated once) and the canonical column basis of the
-    degree-(n-1) images; ("cut", "cocycles", n) and
+    degree-(n-1) images; ("classes", n) is the record (cocycles, S,
+    representatives, class map) of `_coboundary_coordinates` and
+    `_class_map` that reports and class questions read (a build that
+    raises keeps nothing); ("cut", "cocycles", n) and
     ("cut", "coboundaries", n) are the columns of those two cut into the
     cochains a report gives out (`_cochains`).  The basis matrix holds the
     single-bracket basis of degree-n cochains as columns on flat
@@ -336,6 +340,10 @@ class _Complex(dict):
         elif part == "coboundaries":  # none in degree 0
             value = (_row_space(self["images", n - 1].transpose()).transpose() if n
                      else Matrix.zero(self["basis", 0].rows, 0))
+        elif part == "classes":
+            cocycles = self["cocycles", n]
+            select, ends = _coboundary_coordinates(cocycles, self["coboundaries", n])
+            value = (cocycles, select, *_class_map(_row_space(ends)))
         else:  # the report cochains: the kept cocycles or coboundaries, cut
             value = _cochains(self[key[1], n], s, v.vdim, n)
         self[key] = value
@@ -352,33 +360,58 @@ def _in_slots(basis: Matrix, coords: Matrix, slots: int) -> Matrix:
                     slots * basis.rows, slots * basis.cols) @ coords
 
 
-def _representatives(cocycles: Matrix, boundaries: Matrix) -> list:
-    """The indices of the cocycle columns that complete the coboundary
-    columns to a basis of the cocycles, read off coordinates.
+def _coboundary_coordinates(cocycles: Matrix, boundaries: Matrix) -> tuple:
+    """The selection of cocycle coordinates, and the coordinates of the
+    coboundaries as rows with their columns reversed.
 
     The cocycle matrix Z is a kernel matrix in every slot, so for each
     column k it has an identity row, whose one entry is 1 in column k: that
-    row of any vector in the span of Z is its coordinate k.  The
-    coordinates C of the coboundaries are those rows of them, and the exact
-    identity Z . C = coboundaries asserts that the coboundaries lie among
-    the cocycles (ContractError otherwise).  Cocycle k is a representative
-    when no combination of coboundaries ends on it (has its last nonzero
-    coordinate at k); such combinations end exactly on z - 1 - p for the
-    pivots p of C^T with its columns reversed.  These are the cocycle
-    pivot columns of rref([coboundaries | cocycles]), from one b x z
-    elimination whose pivot columns alone are read (`linalg._pivots`)."""
+    row of any vector in the span of Z is its coordinate k.  The first such
+    row of each column makes the z x rows selection S (ContractError where
+    a column has none), S . w are the coordinates y of a cocycle w, and
+    w is a cocycle exactly when Z . y = w.  The coordinates C = S .
+    coboundaries pass that test, Z . C = coboundaries, or the coboundaries
+    are no cocycles (ContractError).  Returns S and C^T with column k moved
+    to z - 1 - k."""
     z = cocycles.cols
     unit = {}
     for r in range(cocycles.rows):
         items = cocycles.row_items(r)
         if len(items) == 1 and items[0][1] == 1:
             unit.setdefault(items[0][0], r)
-    coords = {(k, j): x for k, r in unit.items() for j, x in boundaries.row_items(r)}
-    if cocycles @ Matrix.from_entries(z, boundaries.cols, coords) != boundaries:
+    if len(unit) != z:
+        raise ContractError("a cocycle column has no identity row")
+    select = Matrix.from_entries(z, cocycles.rows, {(k, r): 1 for k, r in unit.items()})
+    coords = select @ boundaries
+    if cocycles @ coords != boundaries:
         raise ContractError("coboundaries do not lie in the cocycle space")
-    ends = set(_pivots(Matrix.from_entries(boundaries.cols, z,
-                                           {(j, z - 1 - k): x for (k, j), x in coords.items()})))
-    return [k for k in range(z) if z - 1 - k not in ends]
+    return select, Matrix.from_entries(boundaries.cols, z, {
+        (j, z - 1 - k): x for k in range(z) for j, x in coords.row_items(k)})
+
+
+def _class_map(reduced: Matrix) -> tuple:
+    """The representatives and the class map, from the reduced row basis of
+    the coboundary coordinates C^T with their columns reversed.
+
+    A reduced row with pivot p is, with its columns put back, the one
+    combination r_N of coboundaries that ends on N = z - 1 - p (its last
+    nonzero coordinate is r_N[N] = 1) and is zero at every other end.
+    Cocycle k is a representative when no combination of coboundaries ends
+    on it: these are the cocycle pivot columns of rref([coboundaries |
+    cocycles]).  A cocycle with coordinates y is its class plus the
+    coboundary u = sum_N y_N r_N, which agrees with y at every end, so its
+    class is y_k - sum_N y_N r_N[k] at the representatives k: the product
+    with the returned representatives x z matrix."""
+    z = reduced.cols
+    ends = {z - 1 - reduced.row_items(i)[0][0]: reduced.row_items(i)[1:]
+            for i in range(reduced.rows)}
+    representatives = tuple(k for k in range(z) if k not in ends)
+    position = {k: i for i, k in enumerate(representatives)}
+    entries = {(i, k): 1 for i, k in enumerate(representatives)}
+    for end, row in ends.items():
+        for q, x in row:
+            entries[position[z - 1 - q], end] = -x
+    return representatives, Matrix.from_entries(len(representatives), z, entries)
 
 
 def cohomology_dimensions(struct, v: Representation, n: int) -> CohomologyReport:
@@ -389,13 +422,12 @@ def cohomology_dimensions(struct, v: Representation, n: int) -> CohomologyReport
     cocycles (the basis matrix times the kernel basis of the degree-n
     images) and the coboundaries (the reduced row basis of the
     degree-(n-1) images) are kept on v, as matrices and as the report's
-    cochains.  The cohomology representatives are the cocycles that no
-    combination of coboundaries ends on in cocycle coordinates
-    (`_representatives`), the cocycle pivot columns of
-    rref([coboundaries | cocycles]); the coordinates also assert that the
-    coboundaries lie among the cocycles, and raise ContractError otherwise.
-    That check runs on every call, before the kept cochains are read, so a
-    refused report cuts none.
+    cochains.  The cohomology representatives, the cocycle pivot columns
+    of rref([coboundaries | cocycles]), are read off the ("classes", n)
+    record kept on v, whose build checks once per module and degree that
+    the coboundaries lie among the cocycles (ContractError otherwise); a
+    refused report cuts no cochain and keeps no record.  The report
+    carries the record for `class_coordinates`.
 
     d . d is zero from degree 1 on, but d1 . d0 is zero only where the
     twist keeps the actions seen by its fixed vectors:
@@ -408,9 +440,8 @@ def cohomology_dimensions(struct, v: Representation, n: int) -> CohomologyReport
         raise UsageError("negative degree")
     _validate_structures(struct, v)
     kept = v._complex
-    cocycles, boundaries = kept["cocycles", n], kept["coboundaries", n]
     try:
-        indices = _representatives(cocycles, boundaries)
+        classes = kept["classes", n]
     except ContractError:
         if n == 1 and not (kept["differential", 1] @ kept["images", 0]).is_zero():
             raise PreconditionError(
@@ -418,20 +449,21 @@ def cohomology_dimensions(struct, v: Representation, n: int) -> CohomologyReport
                 "since the twist changes the actions seen by its fixed vectors") from None
         raise
     cocycle_basis = kept["cut", "cocycles", n]
-    representatives = tuple(cocycle_basis[k] for k in indices)
+    representatives = tuple(cocycle_basis[k] for k in classes[2])
 
     return CohomologyReport(
         degree=n,
         flavor=COMPATIBLE if len(struct.brackets) == 2 else PLAIN,
         dim_cochains=kept["images", n].cols,
-        dim_cocycles=cocycles.cols,
-        dim_coboundaries=boundaries.cols,
+        dim_cocycles=len(cocycle_basis),
+        dim_coboundaries=kept["coboundaries", n].cols,
         dim_cohomology=len(representatives),
         cocycle_basis=cocycle_basis,
         coboundary_basis=kept["cut", "coboundaries", n],
         cohomology_basis=representatives,
         source_dim=struct.dim,
         target_dim=v.vdim,
+        _classes=classes,
     )
 
 
@@ -440,19 +472,24 @@ def class_coordinates(report: CohomologyReport, item) -> tuple:
 
     Cohomologous inputs give identical coordinates; inputs outside the
     cocycle space are rejected, and a cochain of another shape than the
-    report's is a UsageError.
+    report's is a UsageError.  The answer is read off the ("classes", n)
+    record the report carries, with no elimination: the cocycle
+    coordinates y = S . w of the flat cochain w, the cocycle test
+    Z . y = w, and the product of the class map with y (`_class_map`).
     """
     parts = item.components if isinstance(item, CompatibleCochain) else (item,)
     shape = (report.degree, report.source_dim, report.target_dim)
     slots = _two_bracket_slots(report.degree) if report.flavor == COMPATIBLE else 1
     if len(parts) != slots or any((f.arity, f.source_dim, f.target_dim) != shape for f in parts):
         raise UsageError("cochain shape does not match the report")
+    if report._classes is None:
+        raise UsageError("the report was not made by cohomology_dimensions")
+    cocycles, select, _, classes = report._classes
     w = _flat(item)
-    columns = [_flat(b) for b in report.coboundary_basis + report.cohomology_basis]
-    x = _solve(hstack([Matrix.zero(w.rows, 0), *columns]), w)
-    if x is None:
+    y = select @ w
+    if cocycles @ y != w:
         raise PreconditionError("not a cocycle for this report")
-    return x.col(0)[report.dim_coboundaries :]
+    return (classes @ y).col(0)
 
 
 def coboundary_preimage(c: CompatibleHomLieAlgebra, v: Representation,

@@ -281,13 +281,40 @@ def parse(text: str) -> AlgebraDocument:
     )
 
 
+# A power of ten whose digit count is under the interpreter's limit on
+# int-to-str conversion (4300 digits by default), which is not changed.
+_CHUNK_DIGITS = 1000
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _integer_text(n: int) -> str:
+    """The decimal text of an int of any length: an over-long one is split
+    into base-10**1000 chunks by divmod, each but the leading one written
+    zero-padded."""
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    head, chunks = abs(n), []
+    while head >= _CHUNK:
+        head, low = divmod(head, _CHUNK)
+        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
+    return ("-" if n < 0 else "") + str(head) + "".join(reversed(chunks))
+
+
+def _rational_text(x) -> str:
+    """The text "p" or "p/q" of an exact rational, as `str` writes a
+    Fraction, for numerators and denominators of any length."""
+    if x.denominator == 1:
+        return _integer_text(x.numerator)
+    return f"{_integer_text(x.numerator)}/{_integer_text(x.denominator)}"
+
+
 def _matrix_json(m: Matrix):
-    return [[str(m.entry(i, j)) for j in range(m.cols)] for i in range(m.rows)]
+    return [[_rational_text(m.entry(i, j)) for j in range(m.cols)] for i in range(m.rows)]
 
 
 def _table_json(coeffs: Matrix, dim: int):
     columns = coeffs.transpose()
-    return [{"i": i, "j": j, "coefficients": [str(x) for x in columns.row(k)]}
+    return [{"i": i, "j": j, "coefficients": [_rational_text(x) for x in columns.row(k)]}
             for k, (i, j) in enumerate(increasing_tuples(dim, 2)) if columns.row_items(k)]
 
 
@@ -311,7 +338,7 @@ def document_json(doc: AlgebraDocument) -> dict:
         for op in doc.operators:
             entry = {"name": op.name, "kind": op.kind, "matrix": _matrix_json(op.matrix)}
             if op.weight is not None:
-                entry["weight"] = str(op.weight)
+                entry["weight"] = _rational_text(op.weight)
             ops.append(entry)
         out["operators"] = ops
     if doc.deformation is not None:

@@ -37,8 +37,9 @@ library calls `determinant_of`: its minors are wedges of columns (see
 `cochains`).  The reduced row echelon form is unique, so `rref`,
 `kernel_basis` and `solve` return the same output bit for bit whichever
 rows supply the pivots, which the cohomology computations rely on.
-`_kernel`, `_solve` and `_row_space` give the same results as matrices in
-the stored form, for the cohomology code to keep cochains sparse.
+`_kernel` and `_row_space` give the same results as matrices in the
+stored form, for the cohomology code to keep cochains sparse, and `_solve`
+is `solve` on one-column matrices.
 """
 
 from __future__ import annotations
@@ -543,14 +544,10 @@ def rref(m: Matrix):
     return Matrix._of(rows, cols, data), tuple(c for c, _, _ in echelon)
 
 
-def _pivots(m: Matrix) -> tuple:
-    """The pivot columns of rref(m), read off the record of `_elimination(m)`
-    with no division by the pivots."""
-    return tuple(c for c, _, _ in _elimination(m)[3])
-
-
 def rank(m: Matrix) -> int:
-    return len(_pivots(m))
+    """The number of pivots in the record of `_elimination(m)`, read with
+    no division by the pivots."""
+    return len(_elimination(m)[3])
 
 
 def _kernel(record: tuple) -> Matrix:

@@ -23,6 +23,7 @@ from homlie import (
     Matrix,
     PreconditionError,
     Representation,
+    UsageError,
     adjoint_representation,
     hom_cochain_basis,
     verify_structure,
@@ -67,11 +68,13 @@ def record_complex_builds(monkeypatch) -> list:
     ("coboundary", action, degree), ("differential", degree),
     ("basis", degree), ("images", degree), ("elimination", degree) for
     the elimination record of the images, ("cocycles", degree),
-    ("coboundaries", degree), or ("cut", "cocycles", degree) and
-    ("cut", "coboundaries", degree) for the report cochains cut from those
-    two; and every run of the one elimination loop, which only
-    `linalg._elimination` calls, as ("echelon", nonzero rows, cols).  A
-    part asked for while another is built comes after it."""
+    ("coboundaries", degree), ("classes", degree) for the record that
+    reports and class questions read their representatives and classes
+    off, or ("cut", "cocycles", degree) and ("cut", "coboundaries", degree)
+    for the report cochains cut from the cocycles and coboundaries; and
+    every run of the one elimination loop, which only `linalg._elimination`
+    calls, as ("echelon", nonzero rows, cols).  A part asked for while
+    another is built comes after it."""
     built = []
     monkeypatch.setattr(cohomology._Complex, "__missing__",
                         lambda kept, key, original=cohomology._Complex.__missing__:
@@ -301,6 +304,30 @@ def naive_solve(m: Matrix, b: Matrix):
         return None
     return Matrix.from_entries(m.cols, 1, {(pc, 0): reduced.entry(r, m.cols)
                                            for r, pc in enumerate(pivots)})
+
+
+def naive_class_coordinates(report, item) -> tuple:
+    """The coordinates of a cocycle's class by the flat route: `naive_solve`
+    of [coboundaries | representatives] x = w on flat coordinates, with the
+    representative part of x as the coordinates.  A cochain of another shape
+    than the report's is a UsageError, and one outside the span of the
+    report's cocycles a PreconditionError."""
+    parts = item.components if isinstance(item, CompatibleCochain) else (item,)
+    shape = (report.degree, report.source_dim, report.target_dim)
+    slots = max(report.degree, 1) if report.flavor == "compatible" else 1
+    if len(parts) != slots or any((f.arity, f.source_dim, f.target_dim) != shape for f in parts):
+        raise UsageError("cochain shape does not match the report")
+
+    def flat(f):
+        return tuple(x for p in (f.components if isinstance(f, CompatibleCochain) else (f,))
+                     for x in p.flatten())
+
+    w = flat(item)
+    columns = [flat(b) for b in report.coboundary_basis + report.cohomology_basis]
+    x = naive_solve(Matrix.from_columns(columns, len(w)), Matrix.from_columns([w], len(w)))
+    if x is None:
+        raise PreconditionError("not a cocycle for this report")
+    return x.col(0)[report.dim_coboundaries :]
 
 
 def naive_kernel(m: Matrix):

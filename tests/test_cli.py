@@ -339,6 +339,32 @@ def test_a_deeply_nested_document_exits_2_with_a_report(tmp_path):
     assert report["results"]["error"].startswith("$: invalid JSON")
 
 
+def test_a_computed_rational_beyond_the_digit_limit_is_reported(tmp_path):
+    """alpha = diag(10^2999, 1, 1) and [e1, e2] = 10^2999 e3 parse under the
+    interpreter's 4300-digit limit, but the multiplicativity defect
+    10^2999 - 10^5998 has 5998 digits.  The check fails (exit 1) with a
+    machine report that writes the defect in full, not a traceback.  The
+    child process keeps the default digit limit, and the expected text is
+    built with no int-to-str conversion."""
+    big = "1" + "0" * 2999
+    doc = {"schema_version": "1", "dimension": 3, "basis_names": ["e1", "e2", "e3"],
+           "alpha": [[big, "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+           "brackets": [[{"i": 0, "j": 1, "coefficients": ["0", "0", big]}]]}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "homlie.cli", "verify", str(path), "--format", "machine"],
+        capture_output=True, text=True, timeout=60,
+        cwd=ROOT / "src",  # `-m` imports the package from the working directory
+    )
+    assert (result.returncode, result.stderr) == (1, "")
+    report = json.loads(result.stdout)
+    assert report["exit_status"] == 1
+    checks = {c["check"]: c for c in report["results"]["algebra"]}
+    assert checks["multiplicativity"]["witnesses"] == [
+        {"indices": [0, 1], "defect": ["0", "0", "-" + "9" * 2999 + "0" * 2999]}]
+
+
 def test_human_format_mentions_checks():
     argv = ["verify", str(ROOT / "fixtures/g4a.json")]
     result = subprocess.run(

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from math import comb
@@ -15,6 +16,7 @@ from homlie import (
     NIJENHUIS,
     PreconditionError,
     Representation,
+    UsageError,
     adjoint_representation,
     ce_coboundary,
     class_coordinates,
@@ -50,6 +52,7 @@ from helpers import (
     naive_basis_matrix,
     naive_compatible_coboundary,
     naive_coboundary,
+    naive_class_coordinates,
     naive_derivations,
     naive_rank,
     rand_equivariant_cochain,
@@ -519,13 +522,14 @@ def test_pivot_representatives_match_greedy_choice():
 
 @pytest.mark.parametrize("name", ["h3", "compatible_h3"])
 def test_a_kept_coboundary_outside_the_cocycles_raises_contract_error(name):
-    """A report reads the coordinates of its coboundaries off the identity
-    rows of the cocycle matrix and checks them by the exact product, so a
-    kept coboundary column that is no cocycle raises ContractError instead
-    of passing for one."""
+    """The ("classes", n) record reads the coordinates of the coboundaries
+    off the identity rows of the cocycle matrix and checks them by the
+    exact product when it is built, so a kept coboundary column that is no
+    cocycle raises ContractError from the first report instead of passing
+    for one."""
     s = getattr(fixtures, name)()
     v = adjoint_representation(s)
-    assert cohomology_dimensions(s, v, 2).dim_coboundaries == 3
+    assert v._complex["coboundaries", 2].cols == 3
     add_a_coboundary_that_is_no_cocycle(s, v._complex, 2)
     with pytest.raises(ContractError, match="coboundaries do not lie in the cocycle space"):
         cohomology_dimensions(s, v, 2)
@@ -547,7 +551,7 @@ def test_a_degree1_coboundary_outside_the_cocycles_stays_a_contract_error(name, 
     a library fault, as in every other degree."""
     s = getattr(fixtures, name)()
     v = adjoint_representation(s)
-    assert cohomology_dimensions(s, v, 1).dim_coboundaries == count
+    assert v._complex["coboundaries", 1].cols == count
     add_a_coboundary_that_is_no_cocycle(s, v._complex, 1)
     assert (v._complex["differential", 1] @ v._complex["images", 0]).is_zero()
     with pytest.raises(ContractError, match="coboundaries do not lie in the cocycle space"):
@@ -675,6 +679,117 @@ def test_class_coordinates_mod_coboundaries():
     if not compatible_coboundary(c, rep, non_cocycle).is_zero():
         with pytest.raises(PreconditionError):
             class_coordinates(report, non_cocycle)
+
+
+def class_cases():
+    """(structure, module, degrees) for every valid fixture on its adjoint
+    module (g4a with a = 0), d2 on its extension module, the h5 Nijenhuis
+    pair and Yau-twisted sl2 outside its refused degree 1."""
+    cases = [(s, None, range(s.dim + 2)) for s in (
+        fixtures.ab1(), fixtures.compatible_ab1(), fixtures.g4a(0), fixtures.d2(), fixtures.h3(),
+        fixtures.compatible_h3(), fixtures.twisted_h3(), fixtures.twisted_compatible_h3())]
+    cases += [(fixtures.d2(), fixtures.d2_extension_rep(), range(4)),
+              (h5_nijenhuis_pair(), None, range(3)), (yau_sl2(), None, (0, 2, 3))]
+    return [(s, v or adjoint_representation(s), degrees) for s, v, degrees in cases]
+
+
+def report_cochain(report, slots, values):
+    """The cochain of the report's shape, with `slots` slots, whose flat
+    coordinates are `values`."""
+    n, d, t = report.degree, report.source_dim, report.target_dim
+    size = t * comb(d, n)
+    parts = [Cochain.from_flat(n, d, t, values[k * size : (k + 1) * size]) for k in range(slots)]
+    return CompatibleCochain(n, tuple(parts)) if report.flavor == COMPATIBLE and n else parts[0]
+
+
+def outcome(function, *args):
+    """What a call returns, or the type of the input error it raises."""
+    try:
+        return function(*args)
+    except (PreconditionError, UsageError) as exc:
+        return type(exc)
+
+
+def test_class_coordinates_match_the_flat_solve_oracle():
+    """On every fixture module and degree, each class question equals the
+    flat solve over [coboundaries | representatives] in value and in type:
+    the first cocycles and representatives, random rational mixes of
+    cocycles and coboundaries, a random cochain (no cocycle where the
+    cocycles are not everything) and a cochain of one degree more
+    (UsageError)."""
+    rng = random.Random(26)
+    seen = {PreconditionError: 0, UsageError: 0, "classes": 0}
+    for s, v, degrees in class_cases():
+        for n in degrees:
+            report = cohomology_dimensions(s, v, n)
+            slots = _slots(s, n)
+            size = slots * v.vdim * comb(s.dim, n)
+            items = list(report.cocycle_basis[:3] + report.cohomology_basis[:3])
+            for _ in range(2):
+                values = [F(0)] * size
+                for b in report.cocycle_basis + report.coboundary_basis:
+                    c = rand_frac(rng)
+                    values = [x + c * y for x, y in zip(values, b.flatten())]
+                items.append(report_cochain(report, slots, values))
+            items.append(report_cochain(report, slots, [rand_frac(rng) for _ in range(size)]))
+            items.append(Cochain.zero(n + 1, s.dim, v.vdim))
+            for item in items:
+                want = outcome(naive_class_coordinates, report, item)
+                got = outcome(class_coordinates, report, item)
+                assert got == want
+                if isinstance(want, tuple):
+                    assert type(got) is tuple and all(type(x) is Fraction for x in got)
+                    assert len(got) == report.dim_cohomology
+                    seen["classes"] += any(got)
+                else:
+                    seen[want] += 1
+    assert all(seen.values())
+
+
+def test_class_questions_after_a_report_run_no_elimination(monkeypatch):
+    """A report carries its module's ("classes", n) record, so class
+    questions build no part of the complex and run no pivot loop."""
+    c = fixtures.compatible_h3()
+    v = adjoint_representation(c)
+    report = cohomology_dimensions(c, v, 2)
+    assert report.dim_cohomology and report.dim_coboundaries
+    rng = random.Random(5)
+    built = record_complex_builds(monkeypatch)
+    answers = []
+    for _ in range(10):
+        z = report.cohomology_basis[0].scale(rand_frac(rng))
+        answers.append(class_coordinates(report, z + report.coboundary_basis[0].scale(rand_frac(rng))))
+    assert built == []
+    assert len(answers) == 10 and any(any(a) for a in answers)
+
+
+def test_a_refused_report_keeps_no_class_record():
+    """Yau-twisted sl2 refuses its degree-1 report each time it is asked,
+    and the record whose build raised is not kept."""
+    s = yau_sl2()
+    v = adjoint_representation(s)
+    for _ in range(2):
+        with pytest.raises(PreconditionError):
+            cohomology_dimensions(s, v, 1)
+        assert ("classes", 1) not in v._complex
+    cohomology_dimensions(s, v, 2)
+    assert ("classes", 2) in v._complex
+
+
+def test_the_class_record_leaves_report_equality_and_repr_alone():
+    """The record a report carries takes no part in ==, hash or repr: a
+    report without it reads the same.  A class question needs the record,
+    so such a report is refused with UsageError."""
+    for name in ("h3", "compatible_h3"):
+        s = getattr(fixtures, name)()
+        report = cohomology_dimensions(s, adjoint_representation(s), 2)
+        bare = dataclasses.replace(report, _classes=None)
+        assert report._classes is not None
+        assert (bare, hash(bare), repr(bare)) == (report, hash(report), repr(report))
+        assert "_classes" not in repr(report)
+        assert repr(report).endswith("source_dim=3, target_dim=3)")
+        with pytest.raises(UsageError, match="not made by cohomology_dimensions"):
+            class_coordinates(bare, report.cocycle_basis[0])
 
 
 def test_dimension4_semidirect_pipeline():
@@ -821,9 +936,8 @@ def test_a_degree_loop_builds_each_degree_of_the_complex_once(monkeypatch, name)
     previous call kept, so each degree's basis, images, cocycles and
     coboundaries are built once.  The images are the layout of the
     products with the basis, so the table builds no differential.  A
-    second table builds nothing and eliminates no images matrix: each
-    report runs one pivot loop, on the coordinates of its coboundaries
-    (dim B^n rows, dim Z^n columns)."""
+    second table builds nothing and runs no pivot loop: each report reads
+    its representatives off the kept ("classes", n) record."""
     s = getattr(fixtures, name)()
     v = adjoint_representation(s)
     built = record_complex_builds(monkeypatch)
@@ -837,7 +951,7 @@ def test_a_degree_loop_builds_each_degree_of_the_complex_once(monkeypatch, name)
     assert [b for b in built if b[0] == "differential"] == []
     built.clear()
     assert [cohomology_dimensions(s, v, n) for n in range(4)] == first
-    assert built == [("echelon", r.dim_coboundaries, r.dim_cocycles) for r in first]
+    assert built == []
     assert any(r.dim_coboundaries for r in first)
 
 
@@ -871,7 +985,7 @@ def kept_parts(v, degrees):
     yet.  The kept report cochains come one by one, since the empty tuple
     is one shared object."""
     keys = [(part, n) for part in ("basis", "images", "elimination", "differential",
-                                   "cocycles", "coboundaries")
+                                   "cocycles", "coboundaries", "classes")
             for n in degrees]
     keys += [(part, b, n) for part in ("insertion", "coboundary") for n in degrees
              for b in range(1, len(v.actions) + 1)]

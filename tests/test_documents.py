@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from homlie.documents import ParseError, parse, serialize
+from homlie.documents import ParseError, _rational_text, parse, serialize
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -177,3 +177,33 @@ def test_parse_rejects_duplicate_basis_names():
         parse(json.dumps(raw))
     assert err.value.path == "$.basis_names[2]"
     assert str(err.value) == "$.basis_names[2]: duplicate basis name 'e1'"
+
+
+def read_decimal(text: str) -> int:
+    """The int of a decimal text of any length, read 500 digits at a time,
+    so no conversion meets the interpreter's digit limit."""
+    sign, digits = (-1, text[1:]) if text.startswith("-") else (1, text)
+    value = 0
+    for k in range(0, len(digits), 500):
+        chunk = digits[k : k + 500]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return sign * value
+
+
+def test_rational_text_writes_rationals_of_any_length():
+    """Within the digit limit the text is `str` of the Fraction; beyond it
+    the text reads back to the same numerator and denominator, with the
+    zero padding of every inner chunk kept."""
+    small = [Fraction(0), Fraction(-7, 3), Fraction(10**999), Fraction(-(10**1000)),
+             Fraction(10**1000 - 1, 10**1000 + 7), Fraction(3 * 10**4000 + 1)]
+    for x in small:
+        assert _rational_text(x) == str(x)
+        assert _rational_text(x.numerator) == str(x.numerator)
+    for n, d in [(10**5998 - 10**2999, 1), (-(7 * 10**9000 + 5), 1),
+                 (3, 10**4500 + 11), (-(10**4400 + 1), 10**4301 - 3)]:
+        x = Fraction(n, d)
+        text = _rational_text(x)
+        num, _, den = text.partition("/")
+        assert (read_decimal(num), read_decimal(den) if den else 1) == (x.numerator, x.denominator)
+        assert not num.lstrip("-").startswith("0")
+    assert _rational_text(Fraction(10**5998 - 10**2999)) == "9" * 2999 + "0" * 2999
