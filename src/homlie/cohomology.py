@@ -44,22 +44,22 @@ d2 below it), B, its images (the same layout of d1 . B and d2 . B) and
 their elimination.  Every coboundary is one product with the differential.
 
 The complex also keeps, per degree, the cocycle matrix Z (B in every slot
-times the kernel matrix of the images) and the coboundaries (the reduced
-row basis of the images one degree down), each also cut into the cochains
-a report gives out, and the class record built from the two: each column
-of Z has an identity row, those rows of the coboundaries are their
-coordinates C, the exact product Z . C = coboundaries checks once that
-the coboundaries are cocycles, and one elimination of C^T with its columns
-reversed gives the representatives, the cocycles that no combination of
-coboundaries ends on (the cocycle pivot columns of the reduced echelon
-form of [coboundaries | cocycles]), and the class map
-(`_coboundary_coordinates`, `_class_map`).  So a dimension report asked
-for again runs no elimination and cuts no cochain, and a class question
-(`class_coordinates`) reads the record the report carries with products
-alone.  A cochain enters as the sparse column of its flat coordinates
-(`_flat`) and leaves through `_cochains`, which cuts each column into its
-slots' coefficient matrices in one pass; kernels, solutions and coboundary
-bases stay matrices in between, so no cochain goes through a dense tuple.
+times the kernel matrix of the images), the coboundaries (the reduced row
+basis of the images one degree down) and the dimension report built from
+the two.  Its build checks once that the coboundaries are cocycles and
+records the classes: each column of Z has an identity row, those rows of
+the coboundaries are their coordinates C, the exact product
+Z . C = coboundaries is the check, and one elimination of C^T with its
+columns reversed gives the representatives, the cocycles that no
+combination of coboundaries ends on (the cocycle pivot columns of the
+reduced echelon form of [coboundaries | cocycles]), and the class map
+(`_coboundary_coordinates`, `_class_map`).  So a report asked for again is
+the kept one, and a class question (`class_coordinates`) reads the record
+the report carries with products alone.  A cochain enters as the sparse
+column of its flat coordinates (`_flat`) and leaves through `_cochains`,
+which cuts each column into its slots' coefficient matrices in one pass;
+kernels, solutions and coboundary bases stay matrices in between, so no
+cochain goes through a dense tuple.
 The derivation space is the degree-1 report of the two-bracket complex.
 Whether a cochain is a coboundary is one exact solve over the same images
 (`coboundary_preimage`); extension equivalence and deformation extension
@@ -164,8 +164,8 @@ class CohomologyReport:
     cohomology_basis: tuple  # cocycle representatives completing the coboundaries
     source_dim: int
     target_dim: int
-    # The module's kept ("classes", degree) record, which `class_coordinates`
-    # reads; it takes no part in equality, hashing or repr.
+    # The record (cocycles, S, class map) that `class_coordinates` reads;
+    # it takes no part in equality, hashing or repr.
     _classes: tuple = field(default=None, compare=False, repr=False, kw_only=True)
 
 
@@ -306,14 +306,10 @@ class _Complex(dict):
     elimination, the cocycle matrix (the basis matrix in every slot times
     the kernel matrix of the images, read off that elimination, so each
     images matrix is eliminated once) and the canonical column basis of the
-    degree-(n-1) images; ("classes", n) is the record (cocycles, S,
-    representatives, class map) of `_coboundary_coordinates` and
-    `_class_map` that reports and class questions read (a build that
-    raises keeps nothing); ("cut", "cocycles", n) and
-    ("cut", "coboundaries", n) are the columns of those two cut into the
-    cochains a report gives out (`_cochains`).  The basis matrix holds the
-    single-bracket basis of degree-n cochains as columns on flat
-    coordinates, the kernel matrix of its constraints as it is; the
+    degree-(n-1) images; ("report", n) is the report of
+    `cohomology_dimensions` (a build that raises keeps nothing).  The basis
+    matrix holds the single-bracket basis of degree-n cochains as columns
+    on flat coordinates, the kernel matrix of its constraints as it is; the
     two-bracket complex places it in every slot."""
 
     def __init__(self, v: Representation):
@@ -340,12 +336,32 @@ class _Complex(dict):
         elif part == "coboundaries":  # none in degree 0
             value = (_row_space(self["images", n - 1].transpose()).transpose() if n
                      else Matrix.zero(self["basis", 0].rows, 0))
-        elif part == "classes":
-            cocycles = self["cocycles", n]
-            select, ends = _coboundary_coordinates(cocycles, self["coboundaries", n])
-            value = (cocycles, select, *_class_map(_row_space(ends)))
-        else:  # the report cochains: the kept cocycles or coboundaries, cut
-            value = _cochains(self[key[1], n], s, v.vdim, n)
+        else:  # the report, read off the cocycles and the coboundaries
+            cocycles, boundaries = self["cocycles", n], self["coboundaries", n]
+            try:
+                select, ends = _coboundary_coordinates(cocycles, boundaries)
+            except ContractError:
+                if n == 1 and not (self["differential", 1] @ self["images", 0]).is_zero():
+                    raise PreconditionError(
+                        "degree-1 cohomology is undefined for this module: d1 . d0 is not zero, "
+                        "since the twist changes the actions seen by its fixed vectors") from None
+                raise
+            representatives, classes = _class_map(_row_space(ends))
+            cocycle_basis = _cochains(cocycles, s, v.vdim, n)
+            value = CohomologyReport(
+                degree=n,
+                flavor=COMPATIBLE if len(s.brackets) == 2 else PLAIN,
+                dim_cochains=self["images", n].cols,
+                dim_cocycles=cocycles.cols,
+                dim_coboundaries=boundaries.cols,
+                dim_cohomology=len(representatives),
+                cocycle_basis=cocycle_basis,
+                coboundary_basis=_cochains(boundaries, s, v.vdim, n),
+                cohomology_basis=tuple(cocycle_basis[k] for k in representatives),
+                source_dim=s.dim,
+                target_dim=v.vdim,
+                _classes=(cocycles, select, classes),
+            )
         self[key] = value
         return value
 
@@ -421,13 +437,13 @@ def cohomology_dimensions(struct, v: Representation, n: int) -> CohomologyReport
     HomLieAlgebra, two-bracket for a CompatibleHomLieAlgebra.  The
     cocycles (the basis matrix times the kernel basis of the degree-n
     images) and the coboundaries (the reduced row basis of the
-    degree-(n-1) images) are kept on v, as matrices and as the report's
-    cochains.  The cohomology representatives, the cocycle pivot columns
-    of rref([coboundaries | cocycles]), are read off the ("classes", n)
-    record kept on v, whose build checks once per module and degree that
-    the coboundaries lie among the cocycles (ContractError otherwise); a
-    refused report cuts no cochain and keeps no record.  The report
-    carries the record for `class_coordinates`.
+    degree-(n-1) images) are kept on v, and so is the report, built once
+    per module and degree: a report asked for again is the same object.
+    The cohomology representatives are the cocycle pivot columns of
+    rref([coboundaries | cocycles]).  The build checks that the
+    coboundaries lie among the cocycles (ContractError otherwise), and a
+    refused report keeps nothing.  The report carries the class record for
+    `class_coordinates`.
 
     d . d is zero from degree 1 on, but d1 . d0 is zero only where the
     twist keeps the actions seen by its fixed vectors:
@@ -439,32 +455,7 @@ def cohomology_dimensions(struct, v: Representation, n: int) -> CohomologyReport
     if n < 0:
         raise UsageError("negative degree")
     _validate_structures(struct, v)
-    kept = v._complex
-    try:
-        classes = kept["classes", n]
-    except ContractError:
-        if n == 1 and not (kept["differential", 1] @ kept["images", 0]).is_zero():
-            raise PreconditionError(
-                "degree-1 cohomology is undefined for this module: d1 . d0 is not zero, "
-                "since the twist changes the actions seen by its fixed vectors") from None
-        raise
-    cocycle_basis = kept["cut", "cocycles", n]
-    representatives = tuple(cocycle_basis[k] for k in classes[2])
-
-    return CohomologyReport(
-        degree=n,
-        flavor=COMPATIBLE if len(struct.brackets) == 2 else PLAIN,
-        dim_cochains=kept["images", n].cols,
-        dim_cocycles=len(cocycle_basis),
-        dim_coboundaries=kept["coboundaries", n].cols,
-        dim_cohomology=len(representatives),
-        cocycle_basis=cocycle_basis,
-        coboundary_basis=kept["cut", "coboundaries", n],
-        cohomology_basis=representatives,
-        source_dim=struct.dim,
-        target_dim=v.vdim,
-        _classes=classes,
-    )
+    return v._complex["report", n]
 
 
 def class_coordinates(report: CohomologyReport, item) -> tuple:
@@ -472,8 +463,8 @@ def class_coordinates(report: CohomologyReport, item) -> tuple:
 
     Cohomologous inputs give identical coordinates; inputs outside the
     cocycle space are rejected, and a cochain of another shape than the
-    report's is a UsageError.  The answer is read off the ("classes", n)
-    record the report carries, with no elimination: the cocycle
+    report's is a UsageError.  The answer is read off the class record
+    the report carries, with no elimination: the cocycle
     coordinates y = S . w of the flat cochain w, the cocycle test
     Z . y = w, and the product of the class map with y (`_class_map`).
     """
@@ -484,7 +475,7 @@ def class_coordinates(report: CohomologyReport, item) -> tuple:
         raise UsageError("cochain shape does not match the report")
     if report._classes is None:
         raise UsageError("the report was not made by cohomology_dimensions")
-    cocycles, select, _, classes = report._classes
+    cocycles, select, classes = report._classes
     w = _flat(item)
     y = select @ w
     if cocycles @ y != w:

@@ -38,8 +38,7 @@ library calls `determinant_of`: its minors are wedges of columns (see
 `kernel_basis` and `solve` return the same output bit for bit whichever
 rows supply the pivots, which the cohomology computations rely on.
 `_kernel` and `_row_space` give the same results as matrices in the
-stored form, for the cohomology code to keep cochains sparse, and `_solve`
-is `solve` on one-column matrices.
+stored form, for the cohomology code to keep cochains sparse.
 """
 
 from __future__ import annotations
@@ -573,18 +572,13 @@ def kernel_basis(m: Matrix):
     return [vectors.row(k) for k in range(vectors.rows)]
 
 
-def _solve(m: Matrix, b: Matrix) -> Matrix | None:
-    """One exact solution of m @ x = b for a one-column matrix b, as a
-    one-column matrix, or None when the system is inconsistent: the
-    elimination of m (`_elimination`) replayed on b (`_replay`)."""
-    return _replay(_elimination(m), b)
-
-
 def solve(m: Matrix, b) -> tuple | None:
-    """One exact solution of m @ x = b, or None when the system is inconsistent."""
+    """One exact solution of m @ x = b, or None when the system is
+    inconsistent: the elimination of m (`_elimination`) replayed on b
+    (`_replay`)."""
     if len(b) != m.rows:
         raise UsageError(f"rhs length {len(b)} != rows {m.rows}")
-    x = _solve(m, Matrix.from_columns([vector(b)], m.rows))
+    x = _replay(_elimination(m), Matrix.from_columns([vector(b)], m.rows))
     return None if x is None else x.col(0)
 
 

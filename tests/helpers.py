@@ -68,13 +68,10 @@ def record_complex_builds(monkeypatch) -> list:
     ("coboundary", action, degree), ("differential", degree),
     ("basis", degree), ("images", degree), ("elimination", degree) for
     the elimination record of the images, ("cocycles", degree),
-    ("coboundaries", degree), ("classes", degree) for the record that
-    reports and class questions read their representatives and classes
-    off, or ("cut", "cocycles", degree) and ("cut", "coboundaries", degree)
-    for the report cochains cut from the cocycles and coboundaries; and
-    every run of the one elimination loop, which only `linalg._elimination`
-    calls, as ("echelon", nonzero rows, cols).  A part asked for while
-    another is built comes after it."""
+    ("coboundaries", degree) or ("report", degree) for the report of
+    `cohomology_dimensions`; and every run of the one elimination loop,
+    which only `linalg._elimination` calls, as ("echelon", nonzero rows,
+    cols).  A part asked for while another is built comes after it."""
     built = []
     monkeypatch.setattr(cohomology._Complex, "__missing__",
                         lambda kept, key, original=cohomology._Complex.__missing__:

@@ -84,6 +84,8 @@ def test_g4a_multiplicativity_witness():
     assert not mult.passed
     assert mult.witnesses == (((0, 1), (F(2), F(2), F(0), F(0))),)
     assert report.check("hom_jacobi").passed
+    with pytest.raises(KeyError):
+        report.check("nope")
 
 
 def test_g4a_defect_scales_with_parameter():

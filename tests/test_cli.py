@@ -146,9 +146,10 @@ def test_bad_command_line_exit_2():
 
 
 def test_negative_degree_exit_2():
-    status, report = run(["cohomology", str(ROOT / "fixtures/d2.json"), "--degree", "-1"])
-    assert status == 2
-    assert "error" in report["results"]
+    for name in ("d2", "h3"):
+        status, report = run(["cohomology", str(ROOT / f"fixtures/{name}.json"), "--degree", "-1"])
+        assert status == 2
+        assert report["results"]["error"] == "negative degree"
 
 
 def test_parse_error_exit_2(tmp_path):
@@ -168,6 +169,16 @@ def test_duplicate_basis_names_exit_2(tmp_path):
     status, report = run(["verify", str(path)])
     assert status == 2
     assert report["results"]["error"] == "$.basis_names[1]: duplicate basis name 'e1'"
+
+
+def test_unsupported_schema_version_exit_2(tmp_path):
+    raw = json.loads((FIXTURES / "h3.json").read_text(encoding="utf-8"))
+    raw["schema_version"] = "2"
+    path = tmp_path / "version2.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    status, report = run(["verify", str(path)])
+    assert status == 2
+    assert report["results"]["error"] == "$.schema_version: unsupported version '2'"
 
 
 def test_mc_check_reports_precondition_failure(tmp_path):

@@ -172,6 +172,7 @@ def test_arity0_cochain_is_its_vector():
     assert v.column(()) == v.evaluate(()) == v.flatten() == (F(1), F(-1, 2))
     assert Cochain.from_values(0, 3, 2, {(): [1, F(-1, 2)]}) == v
     assert (v + v.scale(-1)).is_zero() and Cochain.zero(0, 3, 2).is_zero()
+    assert -v == v.scale(-1)
     with pytest.raises(UsageError):
         Cochain(-1, 3, 2, Matrix.zero(2, 1))
     with pytest.raises(UsageError):

@@ -522,11 +522,10 @@ def test_pivot_representatives_match_greedy_choice():
 
 @pytest.mark.parametrize("name", ["h3", "compatible_h3"])
 def test_a_kept_coboundary_outside_the_cocycles_raises_contract_error(name):
-    """The ("classes", n) record reads the coordinates of the coboundaries
-    off the identity rows of the cocycle matrix and checks them by the
-    exact product when it is built, so a kept coboundary column that is no
-    cocycle raises ContractError from the first report instead of passing
-    for one."""
+    """The report build reads the coordinates of the coboundaries off the
+    identity rows of the cocycle matrix and checks them by the exact
+    product, so a kept coboundary column that is no cocycle raises
+    ContractError from the first report instead of passing for one."""
     s = getattr(fixtures, name)()
     v = adjoint_representation(s)
     assert v._complex["coboundaries", 2].cols == 3
@@ -561,7 +560,7 @@ def test_a_degree1_coboundary_outside_the_cocycles_stays_a_contract_error(name, 
 def test_degree1_cohomology_is_a_precondition_error_where_d1_d0_does_not_vanish():
     """Yau-twisted sl2 moves the adjoint action of its fixed vector h, so
     d1 . d0 is not zero: its degree-1 report raises PreconditionError and
-    names the cause, when asked again too, and cuts no cochain.  Its other
+    names the cause, when asked again too, and is not kept.  Its other
     degrees report."""
     s = yau_sl2()
     v = adjoint_representation(s)
@@ -569,7 +568,7 @@ def test_degree1_cohomology_is_a_precondition_error_where_d1_d0_does_not_vanish(
         with pytest.raises(PreconditionError, match="d1 . d0 is not zero"):
             cohomology_dimensions(s, v, 1)
     kept = v._complex
-    assert not [key for key in kept if key[0] == "cut"]
+    assert ("report", 1) not in kept
     assert not (kept["differential", 1] @ kept["images", 0]).is_zero()
     assert [cohomology_dimensions(s, v, n).degree for n in (0, 2, 3)] == [0, 2, 3]
 
@@ -718,7 +717,7 @@ def test_class_coordinates_match_the_flat_solve_oracle():
     cocycles are not everything) and a cochain of one degree more
     (UsageError)."""
     rng = random.Random(26)
-    seen = {PreconditionError: 0, UsageError: 0, "classes": 0}
+    seen = {PreconditionError: 0, UsageError: 0, "nonzero": 0}
     for s, v, degrees in class_cases():
         for n in degrees:
             report = cohomology_dimensions(s, v, n)
@@ -740,15 +739,15 @@ def test_class_coordinates_match_the_flat_solve_oracle():
                 if isinstance(want, tuple):
                     assert type(got) is tuple and all(type(x) is Fraction for x in got)
                     assert len(got) == report.dim_cohomology
-                    seen["classes"] += any(got)
+                    seen["nonzero"] += any(got)
                 else:
                     seen[want] += 1
     assert all(seen.values())
 
 
 def test_class_questions_after_a_report_run_no_elimination(monkeypatch):
-    """A report carries its module's ("classes", n) record, so class
-    questions build no part of the complex and run no pivot loop."""
+    """A report carries its class record, so class questions build no part
+    of the complex and run no pivot loop."""
     c = fixtures.compatible_h3()
     v = adjoint_representation(c)
     report = cohomology_dimensions(c, v, 2)
@@ -765,15 +764,19 @@ def test_class_questions_after_a_report_run_no_elimination(monkeypatch):
 
 def test_a_refused_report_keeps_no_class_record():
     """Yau-twisted sl2 refuses its degree-1 report each time it is asked,
-    and the record whose build raised is not kept."""
+    and the report whose build raised is not kept; nor is a report of
+    negative degree."""
     s = yau_sl2()
     v = adjoint_representation(s)
     for _ in range(2):
         with pytest.raises(PreconditionError):
             cohomology_dimensions(s, v, 1)
-        assert ("classes", 1) not in v._complex
+        assert ("report", 1) not in v._complex
+    with pytest.raises(UsageError, match="negative degree"):
+        cohomology_dimensions(s, v, -1)
+    assert ("report", -1) not in v._complex
     cohomology_dimensions(s, v, 2)
-    assert ("classes", 2) in v._complex
+    assert ("report", 2) in v._complex
 
 
 def test_the_class_record_leaves_report_equality_and_repr_alone():
@@ -936,8 +939,8 @@ def test_a_degree_loop_builds_each_degree_of_the_complex_once(monkeypatch, name)
     previous call kept, so each degree's basis, images, cocycles and
     coboundaries are built once.  The images are the layout of the
     products with the basis, so the table builds no differential.  A
-    second table builds nothing and runs no pivot loop: each report reads
-    its representatives off the kept ("classes", n) record."""
+    second table builds nothing and runs no pivot loop: each report is the
+    kept ("report", n)."""
     s = getattr(fixtures, name)()
     v = adjoint_representation(s)
     built = record_complex_builds(monkeypatch)
@@ -957,23 +960,19 @@ def test_a_degree_loop_builds_each_degree_of_the_complex_once(monkeypatch, name)
 
 @pytest.mark.parametrize("name", ["h3", "compatible_h3", "twisted_compatible_h3"])
 def test_a_repeated_report_gives_the_kept_cochains(monkeypatch, name):
-    """A degree loop cuts each degree's cocycles and coboundaries into
-    cochains once, after the report's containment check.  A second loop
-    cuts nothing: its reports give the very same cochain objects, and equal
-    the reports of an equal module built separately."""
+    """A degree loop builds each degree's report once.  A second loop
+    builds nothing: each report is the first one, so it gives the very same
+    cochain objects, and the reports equal those of an equal module built
+    separately."""
     s = getattr(fixtures, name)()
     v = adjoint_representation(s)
     built = record_complex_builds(monkeypatch)
     first = [cohomology_dimensions(s, v, n) for n in range(4)]
-    assert [b for b in built if b[0] == "cut"] == [
-        ("cut", part, n) for n in range(4) for part in ("cocycles", "coboundaries")]
+    assert [b for b in built if b[0] == "report"] == [("report", n) for n in range(4)]
     built.clear()
     again = [cohomology_dimensions(s, v, n) for n in range(4)]
-    assert not [b for b in built if b[0] == "cut"]
-    for old, new in zip(first, again):
-        for field in ("cocycle_basis", "coboundary_basis", "cohomology_basis"):
-            mine, theirs = getattr(old, field), getattr(new, field)
-            assert len(mine) == len(theirs) and all(a is b for a, b in zip(mine, theirs))
+    assert built == []
+    assert len(again) == 4 and all(old is new for old, new in zip(first, again))
     assert any(r.coboundary_basis for r in first)
     t = getattr(fixtures, name)()
     w = adjoint_representation(t)
@@ -982,20 +981,21 @@ def test_a_repeated_report_gives_the_kept_cochains(monkeypatch, name):
 
 def kept_parts(v, degrees):
     """Every part of v's kept complex in the given degrees, built now if not
-    yet.  The kept report cochains come one by one, since the empty tuple
-    is one shared object."""
+    yet.  A kept report comes with its cochains one by one, since the empty
+    tuple is one shared object, and with the matrices of its class
+    record."""
     keys = [(part, n) for part in ("basis", "images", "elimination", "differential",
-                                   "cocycles", "coboundaries", "classes")
+                                   "cocycles", "coboundaries", "report")
             for n in degrees]
     keys += [(part, b, n) for part in ("insertion", "coboundary") for n in degrees
              for b in range(1, len(v.actions) + 1)]
-    keys += [("cut", part, n) for part in ("cocycles", "coboundaries") for n in degrees]
     parts = []
     for key in keys:
-        if key[0] == "cut":
-            parts.extend(v._complex[key])
-        else:
-            parts.append(v._complex[key])
+        part = v._complex[key]
+        parts.append(part)
+        if key[0] == "report":
+            parts.extend(part.cocycle_basis + part.coboundary_basis + part.cohomology_basis)
+            parts.extend(part._classes)
     return parts
 
 

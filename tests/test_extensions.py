@@ -288,6 +288,11 @@ def test_equivalence_requires_same_setting():
     )
     with pytest.raises(UsageError):
         check_equivalence(e, e_other)
+    zero = ExtensionCocycle(Cochain.zero(2, 3, 3), Cochain.zero(2, 3, 3))
+    e_h3, e_twisted = (build_extension(b, adjoint_representation(b), zero)
+                       for b in (fixtures.compatible_h3(), fixtures.twisted_compatible_h3()))
+    with pytest.raises(UsageError, match="extensions have different bases"):
+        check_equivalence(e_h3, e_twisted)
 
 
 # ---------------------------------------------------------------------------

@@ -127,9 +127,12 @@ def test_equality_is_dense_equality():
 
 
 def test_dense_views_match_the_input():
+    non_integral = 0
     for rng, rows, cols, density, g in cases(3):
         m = builds(g, rows, cols)[0]
         assert (m.rows, m.cols) == (rows, cols)
+        assert eval(repr(m), {"Matrix": Matrix, "Fraction": Fraction}) == m
+        non_integral += any(x.denominator != 1 for x in m.entries)
         assert m.entries == tuple(x for row in g for x in row)
         assert dense(m) == g
         assert [list(m.col(j)) for j in range(cols)] == naive_transpose(g, cols)
@@ -138,6 +141,7 @@ def test_dense_views_match_the_input():
             items = m.row_items(i)
             assert items == tuple((j, x) for j, x in enumerate(g[i]) if x != 0)
             assert all(stored_form(x) for _, x in items)
+    assert non_integral
 
 
 def test_unary_operations_match_the_oracles():

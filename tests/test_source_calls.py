@@ -46,10 +46,10 @@ fixes, and `deformations` keeps each deformation's K list on the object
 instead of private twins fed a K list (`_insertions`, `_verify`,
 `_obstruction`).
 Each computation takes one route.  `is_mc_pair` reads its residuals off
-the pair's two insertion matrices, with no `nr_bracket`; `_solve` replays
+the pair's two insertion matrices, with no `nr_bracket`; `solve` replays
 the elimination record (`_elimination`, `_replay`) instead of eliminating
-[m | b] with `rref`; `class_coordinates` reads the report's kept class
-record with products alone, so it calls no `_elimination`, `_solve`,
+[m | b] with `rref`; `class_coordinates` reads the class record its report
+carries with products alone, so it calls no `_elimination`, `solve`,
 `_replay` or `hstack`; `bracket_of` evaluates the bracket cochain, so no
 module keeps a pair-wedge twin (`_bracket_apply`); and `exterior_square`
 takes its compound directly, not through `exterior_power_matrix`.
@@ -243,14 +243,14 @@ def test_is_mc_pair_reads_the_insertion_matrices():
 
 
 def test_solve_replays_the_elimination_record():
-    called = called_in("linalg.py", "_solve")
+    called = called_in("linalg.py", "solve")
     assert {"_elimination", "_replay"} <= called and "rref" not in called
 
 
 def test_class_coordinates_runs_no_elimination():
     called = called_in("cohomology.py", "class_coordinates")
     assert "_flat" in called
-    assert called.isdisjoint({"_elimination", "_solve", "_replay", "hstack"})
+    assert called.isdisjoint({"_elimination", "solve", "_replay", "hstack"})
 
 
 def test_the_pivot_loop_has_one_caller_and_no_steps_option():
