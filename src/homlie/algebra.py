@@ -293,9 +293,15 @@ def verify_structure(s) -> ValidationReport:
     defect vector, in lexicographic tuple order.  Invalid structures yield
     failing reports, never exceptions.  Computed once per object and kept on it.
     """
-    if not isinstance(s, (HomLieAlgebra, CompatibleHomLieAlgebra, Representation)):
-        raise UsageError(f"cannot verify objects of type {type(s).__name__}")
+    _require_kind(s, (_Algebra, Representation), "verify")
     return s._report
+
+
+def _require_kind(s, kinds, action: str):
+    """UsageError unless s is one of `kinds`: the refusal of a wrong-type
+    input before any of its fields is read."""
+    if not isinstance(s, kinds):
+        raise UsageError(f"cannot {action} objects of type {type(s).__name__}")
 
 
 def require_valid(s, message: str):
@@ -382,6 +388,7 @@ def _adjoint_module(s) -> Representation:
 
 def sum_bracket(c: CompatibleHomLieAlgebra, lam, eta) -> HomLieAlgebra:
     """The single bracket lam*[.,.]_1 + eta*[.,.]_2 on the same carrier and twist."""
+    _require_kind(c, CompatibleHomLieAlgebra, "sum the brackets of")
     lam = frac(lam)
     eta = frac(eta)
     return HomLieAlgebra(c.dim, c.alpha, c.bracket1.scale(lam) + c.bracket2.scale(eta))
@@ -402,15 +409,11 @@ def sum_representation(v: Representation, lam=1, eta=1) -> Representation:
 
 def derived_structure(s, n: int):
     """Compose every bracket with the n-th twist power; the twist becomes alpha^(n+1)."""
+    _require_kind(s, _Algebra, "derive")
     if n < 0:
         raise UsageError("derived structure needs n >= 0")
     alpha_n = s.alpha.power(n)
-    new_twist = s.alpha.power(n + 1)
-    if isinstance(s, HomLieAlgebra):
-        return HomLieAlgebra(s.dim, new_twist, alpha_n @ s.bracket)
-    if isinstance(s, CompatibleHomLieAlgebra):
-        return CompatibleHomLieAlgebra(s.dim, new_twist, alpha_n @ s.bracket1, alpha_n @ s.bracket2)
-    raise UsageError(f"cannot derive objects of type {type(s).__name__}")
+    return type(s)(s.dim, s.alpha.power(n + 1), *(alpha_n @ b for b in s.brackets))
 
 
 def _semidirect_bracket(bracket: Matrix, action_table, g_dim: int, v_dim: int) -> Matrix:
@@ -453,6 +456,7 @@ def _operator_checks(s, op: LinearOperator, label: str = ""):
     """Twist commutation and the operator identity mu.L2(N) = N.(induced
     bracket), one defect matrix per bracket of the carrier; returned with
     the induced bracket matrices."""
+    _require_kind(s, _Algebra, "check an operator on")
     n = op.matrix
     if n.rows != s.dim:
         raise UsageError("operator dimension mismatch")
@@ -481,9 +485,7 @@ def induced_bracket(l, op: LinearOperator):
     report = ValidationReport(tuple(checks))
     if not report.passed:
         raise PreconditionError("operator fails its defining identity", report)
-    if isinstance(l, HomLieAlgebra):
-        return HomLieAlgebra(l.dim, l.alpha, mats[0])
-    return CompatibleHomLieAlgebra(l.dim, l.alpha, mats[0], mats[1])
+    return type(l)(l.dim, l.alpha, *mats)
 
 
 def _induced_matrix(s, bracket: Matrix, op: LinearOperator) -> Matrix:
@@ -503,6 +505,7 @@ def rb_pair(l: HomLieAlgebra, r: LinearOperator, s: LinearOperator):
 
     when everything passes, also the compatible algebra formed by the two
     induced brackets."""
+    _require_kind(l, HomLieAlgebra, "pair Rota-Baxter operators on")
     if r.kind != ROTA_BAXTER or s.kind != ROTA_BAXTER:
         raise UsageError("rb_pair needs two Rota-Baxter operators")
     if r.weight != s.weight:

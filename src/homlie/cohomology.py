@@ -48,16 +48,19 @@ times the kernel matrix of the images), the coboundaries (the reduced row
 basis of the images one degree down) and the dimension report built from
 the two.  Its build checks once that the coboundaries are cocycles and
 records the classes: each column of Z has an identity row, those rows of
-the coboundaries are their coordinates C, the exact product
-Z . C = coboundaries is the check, and one elimination of C^T with its
-columns reversed gives the representatives, the cocycles that no
-combination of coboundaries ends on (the cocycle pivot columns of the
-reduced echelon form of [coboundaries | cocycles]), and the class map
-(`_coboundary_coordinates`, `_class_map`).  So a report asked for again is
-the kept one, and a class question (`class_coordinates`) reads the record
-the report carries with products alone.  A cochain enters as the sparse
-column of its flat coordinates (`_flat`) and leaves through `_cochains`,
-which cuts each column into its slots' coefficient matrices in one pass;
+the coboundaries are their coordinates C, and the exact product
+Z . C = coboundaries is the check (`_coboundary_coordinates`).  The class
+map Q, which takes cocycle coordinates to classes, is the left kernel of
+C: the kernel matrix (`_kernel`) of one elimination of C^T with its
+columns reversed, transposed and put back in order.  So Q . C = 0, and Q
+is the identity on the representatives, the first column of each of its
+rows: the cocycles that no combination of coboundaries ends on (the
+cocycle pivot columns of the reduced echelon form of [coboundaries |
+cocycles]).  So a report asked for again is the kept one, and a class
+question (`class_coordinates`) reads the record the report carries with
+products alone.  A cochain enters as the sparse column of its flat
+coordinates (`_flat`) and leaves through `_cochains`, which cuts each
+column into its slots' coefficient matrices in one pass;
 kernels, solutions and coboundary bases stay matrices in between, so no
 cochain goes through a dense tuple.
 The derivation space is the degree-1 report of the two-bracket complex.
@@ -346,7 +349,12 @@ class _Complex(dict):
                         "degree-1 cohomology is undefined for this module: d1 . d0 is not zero, "
                         "since the twist changes the actions seen by its fixed vectors") from None
                 raise
-            representatives, classes = _class_map(_row_space(ends))
+            # The class map: the left kernel of C, its order put back.
+            kernel = _kernel(_elimination(ends)).transpose()
+            classes = Matrix.from_entries(kernel.rows, ends.cols, {
+                (kernel.rows - 1 - i, ends.cols - 1 - j): x
+                for i in range(kernel.rows) for j, x in kernel.row_items(i)})
+            representatives = tuple(classes.row_items(i)[0][0] for i in range(classes.rows))
             cocycle_basis = _cochains(cocycles, s, v.vdim, n)
             value = CohomologyReport(
                 degree=n,
@@ -388,7 +396,9 @@ def _coboundary_coordinates(cocycles: Matrix, boundaries: Matrix) -> tuple:
     w is a cocycle exactly when Z . y = w.  The coordinates C = S .
     coboundaries pass that test, Z . C = coboundaries, or the coboundaries
     are no cocycles (ContractError).  Returns S and C^T with column k moved
-    to z - 1 - k."""
+    to z - 1 - k, whose kernel is the class map with its rows and columns
+    reversed: its free columns are the cocycles no combination of
+    coboundaries ends on, last first."""
     z = cocycles.cols
     unit = {}
     for r in range(cocycles.rows):
@@ -405,31 +415,6 @@ def _coboundary_coordinates(cocycles: Matrix, boundaries: Matrix) -> tuple:
         (j, z - 1 - k): x for k in range(z) for j, x in coords.row_items(k)})
 
 
-def _class_map(reduced: Matrix) -> tuple:
-    """The representatives and the class map, from the reduced row basis of
-    the coboundary coordinates C^T with their columns reversed.
-
-    A reduced row with pivot p is, with its columns put back, the one
-    combination r_N of coboundaries that ends on N = z - 1 - p (its last
-    nonzero coordinate is r_N[N] = 1) and is zero at every other end.
-    Cocycle k is a representative when no combination of coboundaries ends
-    on it: these are the cocycle pivot columns of rref([coboundaries |
-    cocycles]).  A cocycle with coordinates y is its class plus the
-    coboundary u = sum_N y_N r_N, which agrees with y at every end, so its
-    class is y_k - sum_N y_N r_N[k] at the representatives k: the product
-    with the returned representatives x z matrix."""
-    z = reduced.cols
-    ends = {z - 1 - reduced.row_items(i)[0][0]: reduced.row_items(i)[1:]
-            for i in range(reduced.rows)}
-    representatives = tuple(k for k in range(z) if k not in ends)
-    position = {k: i for i, k in enumerate(representatives)}
-    entries = {(i, k): 1 for i, k in enumerate(representatives)}
-    for end, row in ends.items():
-        for q, x in row:
-            entries[position[z - 1 - q], end] = -x
-    return representatives, Matrix.from_entries(len(representatives), z, entries)
-
-
 def cohomology_dimensions(struct, v: Representation, n: int) -> CohomologyReport:
     """Cocycle, coboundary and cohomology dimensions at degree n, with exact bases.
 
@@ -440,10 +425,11 @@ def cohomology_dimensions(struct, v: Representation, n: int) -> CohomologyReport
     degree-(n-1) images) are kept on v, and so is the report, built once
     per module and degree: a report asked for again is the same object.
     The cohomology representatives are the cocycle pivot columns of
-    rref([coboundaries | cocycles]).  The build checks that the
-    coboundaries lie among the cocycles (ContractError otherwise), and a
-    refused report keeps nothing.  The report carries the class record for
-    `class_coordinates`.
+    rref([coboundaries | cocycles]), read off the class map, the left
+    kernel of the coboundaries' cocycle coordinates (`_kernel`).  The build
+    checks that the coboundaries lie among the cocycles (ContractError
+    otherwise), and a refused report keeps nothing.  The report carries the
+    class record for `class_coordinates`.
 
     d . d is zero from degree 1 on, but d1 . d0 is zero only where the
     twist keeps the actions seen by its fixed vectors:
@@ -466,7 +452,8 @@ def class_coordinates(report: CohomologyReport, item) -> tuple:
     report's is a UsageError.  The answer is read off the class record
     the report carries, with no elimination: the cocycle
     coordinates y = S . w of the flat cochain w, the cocycle test
-    Z . y = w, and the product of the class map with y (`_class_map`).
+    Z . y = w, and the product of the class map with y (the left kernel
+    of the coboundary coordinates, read with `_kernel`).
     """
     parts = item.components if isinstance(item, CompatibleCochain) else (item,)
     shape = (report.degree, report.source_dim, report.target_dim)

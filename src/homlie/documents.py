@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import comb
 
@@ -281,23 +282,10 @@ def parse(text: str) -> AlgebraDocument:
     )
 
 
-# A power of ten whose digit count is under the interpreter's limit on
-# int-to-str conversion (4300 digits by default), which is not changed.
-_CHUNK_DIGITS = 1000
-_CHUNK = 10**_CHUNK_DIGITS
-
-
 def _integer_text(n: int) -> str:
-    """The decimal text of an int of any length: an over-long one is split
-    into base-10**1000 chunks by divmod, each but the leading one written
-    zero-padded."""
-    if -_CHUNK < n < _CHUNK:
-        return str(n)
-    head, chunks = abs(n), []
-    while head >= _CHUNK:
-        head, low = divmod(head, _CHUNK)
-        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
-    return ("-" if n < 0 else "") + str(head) + "".join(reversed(chunks))
+    """The decimal text of an int of any length: `Decimal` writes it with
+    no limit on the digits, and no interpreter setting is changed."""
+    return str(Decimal(n))
 
 
 def _rational_text(x) -> str:

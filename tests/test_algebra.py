@@ -572,6 +572,62 @@ def test_rb_companion_cases():
         rb_companion(fixtures.g4a_nijenhuis())
 
 
+# Inputs refused with UsageError before any work, each with its message.
+REFUSALS = {
+    "verify": (lambda: verify_structure(fixtures.h3_nijenhuis()),
+               "cannot verify objects of type LinearOperator"),
+    "derive": (lambda: derived_structure(adjoint_representation(fixtures.h3()), 1),
+               "cannot derive objects of type Representation"),
+    "verify_operator": (lambda: verify_operator(adjoint_representation(fixtures.h3()),
+                                                fixtures.h3_nijenhuis()),
+                        "cannot check an operator on objects of type Representation"),
+    "induced_bracket": (lambda: induced_bracket(adjoint_representation(fixtures.d2()),
+                                                fixtures.d2_nijenhuis()),
+                        "cannot check an operator on objects of type Representation"),
+    "sum_bracket": (lambda: sum_bracket(fixtures.h3(), 1, 1),
+                    "cannot sum the brackets of objects of type HomLieAlgebra"),
+    "rb_pair": (lambda: rb_pair(fixtures.compatible_h3(),
+                                *[LinearOperator(Matrix.zero(3, 3), ROTA_BAXTER, F(0))] * 2),
+                "cannot pair Rota-Baxter operators on objects of type CompatibleHomLieAlgebra"),
+    "operator kind": (lambda: LinearOperator(Matrix.identity(2), "other"),
+                      "unknown operator kind 'other'"),
+    "operator without weight": (lambda: LinearOperator(Matrix.identity(2), ROTA_BAXTER),
+                                "a Rota-Baxter operator needs a weight"),
+    "operator with weight": (lambda: LinearOperator(Matrix.identity(2), NIJENHUIS, F(1)),
+                             "a Nijenhuis operator has no weight"),
+    "operator shape": (lambda: LinearOperator(Matrix.zero(2, 3), NIJENHUIS),
+                       "operator matrix must be square"),
+    "plain part": (lambda: adjoint_representation(fixtures.h3()).part(2),
+                   "plain representation has a single action"),
+    "bracket index": (lambda: fixtures.d2().bracket_of(3, (1, 0), (0, 1)),
+                      "bracket index must be 1 or 2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_a_refused_input_raises_usage_error_up_front(name):
+    call, message = REFUSALS[name]
+    with pytest.raises(UsageError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_a_plain_module_is_its_own_first_part():
+    rep = adjoint_representation(fixtures.h3())
+    assert rep.part(1) is rep
+
+
+@pytest.mark.parametrize("name", ["d2", "compatible_h3", "twisted_compatible_h3"])
+def test_two_bracket_bracket_of_reads_the_bracket_table(name):
+    c = getattr(fixtures, name)()
+    for which, table in ((1, c.bracket1), (2, c.bracket2)):
+        for k, (i, j) in enumerate(cochains.increasing_tuples(c.dim, 2)):
+            x, y = basis_vector(c.dim, i), basis_vector(c.dim, j)
+            assert c.bracket_of(which, x, y) == table.col(k)
+            assert c.bracket_of(which, y, x) == tuple(-a for a in table.col(k))
+            assert c.bracket_of(which, x, y) == c.part(which).bracket_of(x, y)
+
+
 def test_rb_pair_with_companion_passes_when_rb_does():
     for a in (0, 1, 2):
         g2 = fixtures.g2a(a)

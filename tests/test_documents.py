@@ -179,6 +179,50 @@ def test_parse_rejects_duplicate_basis_names():
     assert str(err.value) == "$.basis_names[2]: duplicate basis name 'e1'"
 
 
+def test_a_document_without_basis_names_gets_e1_to_ed():
+    raw = json.loads(load("h3.json"))
+    del raw["basis_names"]
+    doc = parse(json.dumps(raw))
+    assert doc.basis_names == ("e1", "e2", "e3")
+    assert doc == parse(load("h3.json"))  # which names its basis e1, e2, e3
+    assert parse(serialize(doc)) == doc
+
+
+def _operator(field, value):
+    """The d2 document with its operator's field set to value, or removed
+    for None, and a second operator when field is "twin"."""
+    raw = json.loads(load("d2.json"))
+    entry = raw["operators"][0]
+    if field == "twin":
+        raw["operators"].append(dict(entry, kind="rota_baxter", weight=value))
+    elif value is None:
+        del entry[field]
+    else:
+        entry[field] = value
+    return raw
+
+
+# Operator entries the parser refuses, with the field path and message.
+OPERATOR_REFUSALS = {
+    "empty name": (("name", ""), "$.operators[0].name", "expected a nonempty string"),
+    "unnamed": (("name", 7), "$.operators[0].name", "expected a nonempty string"),
+    "duplicate name": (("twin", "1"), "$.operators[1].name", "duplicate operator name 'N'"),
+    "unknown kind": (("kind", "lie"), "$.operators[0].kind",
+                     "expected 'nijenhuis' or 'rota_baxter', got 'lie'"),
+    "extra weight": (("weight", "1"), "$.operators[0]", "nijenhuis operators take no weight"),
+    "missing weight": (("kind", "rota_baxter"), "$.operators[0]",
+                       "rota_baxter operators need a weight"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPERATOR_REFUSALS))
+def test_parse_refuses_a_bad_operator_entry(name):
+    change, path, message = OPERATOR_REFUSALS[name]
+    with pytest.raises(ParseError) as err:
+        parse(json.dumps(_operator(*change)))
+    assert (err.value.path, str(err.value)) == (path, f"{path}: {message}")
+
+
 def read_decimal(text: str) -> int:
     """The int of a decimal text of any length, read 500 digits at a time,
     so no conversion meets the interpreter's digit limit."""
