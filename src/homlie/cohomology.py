@@ -350,10 +350,10 @@ class _Complex(dict):
                         "since the twist changes the actions seen by its fixed vectors") from None
                 raise
             # The class map: the left kernel of C, its order put back.
-            kernel = _kernel(_elimination(ends)).transpose()
-            classes = Matrix.from_entries(kernel.rows, ends.cols, {
-                (kernel.rows - 1 - i, ends.cols - 1 - j): x
-                for i in range(kernel.rows) for j, x in kernel.row_items(i)})
+            kernel = _kernel(_elimination(ends))
+            classes = Matrix.from_entries(kernel.cols, kernel.rows, {
+                (kernel.cols - 1 - k, kernel.rows - 1 - c): x
+                for c in range(kernel.rows) for k, x in kernel.row_items(c)})
             representatives = tuple(classes.row_items(i)[0][0] for i in range(classes.rows))
             cocycle_basis = _cochains(cocycles, s, v.vdim, n)
             value = CohomologyReport(

@@ -2,11 +2,11 @@
 
 Run from the repository root, with the test extras installed:
 
-    python tools/linecov.py [extra pytest arguments]
+    python tools/linecov.py
 
-The tier-1 suite runs in this process (`pytest.main`, the `ci` Hypothesis
-profile unless HYPOTHESIS_PROFILE says otherwise, no pytest cache) under a
-stdlib `sys.settrace` tracer that records the lines of src/homlie it runs.
+The tier-1 suite runs in this process (`pytest.main`, always the `ci`
+Hypothesis profile and the same arguments, no pytest cache) under a stdlib
+`sys.settrace` tracer that records the lines of src/homlie it runs.
 A statement inside a function body is reached when a line event fires on
 one of its own lines (for a compound statement, its header); docstrings
 and other bare constants run no code and are not counted.  Tests that run
@@ -64,7 +64,7 @@ def statements(path: Path) -> list:
     return out
 
 
-def run_tests(args) -> tuple:
+def run_tests() -> tuple:
     """The pytest exit status and the {file: lines run} of src/homlie."""
     prefix = str(SOURCE) + os.sep
     seen = {}
@@ -81,14 +81,14 @@ def run_tests(args) -> tuple:
         seen.setdefault(name, set())
         return local
 
-    os.environ.setdefault("HYPOTHESIS_PROFILE", "ci")
+    os.environ["HYPOTHESIS_PROFILE"] = "ci"
     sys.path.insert(0, str(ROOT / "src"))
     import pytest
 
     sys.settrace(tracer)
     try:
         status = pytest.main(["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors",
-                              "--rootdir", str(ROOT), str(ROOT / "tests"), *args])
+                              "--rootdir", str(ROOT), str(ROOT / "tests")])
     finally:
         sys.settrace(None)
     return status, {Path(name).name: lines for name, lines in seen.items()}
@@ -104,8 +104,8 @@ def unreached(seen: dict) -> Counter:
     return out
 
 
-def main(args) -> int:
-    status, seen = run_tests(args)
+def main() -> int:
+    status, seen = run_tests()
     if status != 0:
         print(f"linecov: the tests failed (pytest exit status {status})")
         return 1
@@ -124,4 +124,4 @@ def main(args) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
