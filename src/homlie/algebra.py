@@ -9,7 +9,8 @@ Validity is deliberately not a type invariant.  ``verify_structure`` and
 ``verify_operator`` report every defining identity with explicit
 witnesses, so that defective inputs are diagnosed rather than rejected.
 Objects are immutable, so each report is computed once per object and the
-adjoint module once per structure, both kept on the object.  The one gate,
+adjoint module, the twist compounds by arity and a compatible structure's
+order-0 deformation once per structure, all kept on the object.  The one gate,
 ``require_valid``, raises PreconditionError with a failing report.
 Each identity is one matrix identity in the Nijenhuis-Richardson graded
 Lie algebra of `cochains`, with mu the bracket cochain, L2(M) the compound
@@ -48,6 +49,7 @@ from math import comb
 
 from .cochains import (
     Cochain,
+    _Compounds,
     exterior_square,
     increasing_tuples,
     insertion_matrix,
@@ -67,8 +69,10 @@ from .linalg import (
 
 
 class _Algebra:
-    """The caches of `verify_structure` and `adjoint_representation`, kept on
-    the instance outside the fields."""
+    """The caches of `verify_structure` and `adjoint_representation`, and
+    the twist's compounds by arity that every equivariance check on the
+    structure reads (`cochains.require_equivariant`), kept on the instance
+    outside the fields."""
 
     @cached_property
     def _report(self) -> "ValidationReport":
@@ -77,6 +81,10 @@ class _Algebra:
     @cached_property
     def _adjoint(self) -> "Representation":
         return _adjoint_module(self)
+
+    @cached_property
+    def _compounds(self) -> _Compounds:
+        return _Compounds(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -137,6 +145,14 @@ class CompatibleHomLieAlgebra(_Algebra):
     @property
     def brackets(self):
         return (self.bracket1, self.bracket2)
+
+    @cached_property
+    def _order0(self):
+        """The order-0 deformation of the two brackets, which the
+        deformation of every linear generator extends."""
+        from .deformations import OrderPDeformation  # the module builds on this one
+
+        return OrderPDeformation(self, (self.bracket_cochain(1),), (self.bracket_cochain(2),))
 
     def _bracket(self, which: int) -> Matrix:
         if which == 1:
@@ -249,7 +265,7 @@ class CheckResult:
 class ValidationReport:
     checks: tuple
 
-    @property
+    @cached_property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
@@ -377,6 +393,7 @@ def adjoint_representation(s) -> Representation:
     """The algebra acting on itself by its own bracket(s):
     ad(e_i) = mu . E_i^T, with E_i the incidence of e_j -> e_i ^ e_j.
     Built once per structure, so every caller shares its report."""
+    _require_kind(s, _Algebra, "take the adjoint module of")
     return s._adjoint
 
 
@@ -457,6 +474,7 @@ def _operator_checks(s, op: LinearOperator, label: str = ""):
     bracket), one defect matrix per bracket of the carrier; returned with
     the induced bracket matrices."""
     _require_kind(s, _Algebra, "check an operator on")
+    _require_kind(op, LinearOperator, "read an operator from")
     n = op.matrix
     if n.rows != s.dim:
         raise UsageError("operator dimension mismatch")

@@ -16,7 +16,9 @@ matrix m is a wedge of its columns: column J is m e_(j1) ^ ... ^ m e_(jn)
 in the n-tuple basis, whose coefficients are the n x n minors of m.  Every
 minor of the library is taken this way, with no determinant.  The 0th
 compound is the 1 x 1 identity, so the equivariant arity-0 cochains are
-the beta-fixed vectors.
+the beta-fixed vectors.  The membership test (`require_equivariant`) reads
+the compounds from a table by arity; a structure keeps one for its twist,
+so the checks on it build each compound once.
 
 For endomorphism cochains (source = target) the shifted graded space of
 equivariant cochains carries a graded Lie bracket
@@ -38,7 +40,11 @@ where column X of the C(d, m+1) x C(d, m+n+1) matrix K is the sum over the
 shuffles s of sign(s) Q(e_(x_s(1)), ..., e_(x_s(n+1))) ^ alpha^n e_(x_s(n+2))
 ^ ... ^ alpha^n e_(x_s(m+n+1)), expanded in the (m+1)-tuple basis.  The
 coefficient of e_I in that wedge is the minor by which the alternating
-extension of P weighs its column I.  The bracket term of the coboundary
+extension of P weighs its column I.  The shuffles of each column X, their
+signs and the tuples they pick depend on d and the arities alone, so they
+are one table cached per (d, arity(Q), arity(P <> Q)) beside the tuple
+bases and the wedge incidences (`_insertion_plan`); a call builds only the
+wedges of Q's columns with the rest forms.  The bracket term of the coboundary
 in `cohomology` is -K for Q the bracket cochain, and the Maurer-Cartan
 test reads its residuals off the two insertion matrices of a pair: in
 arity 2, [P, Q] = P . K_Q + Q . K_P.  Relative to a base pair it tests the
@@ -192,27 +198,35 @@ def exterior_square(m: Matrix) -> Matrix:
     return _compound(m, 2)
 
 
-def require_equivariant(cochains, alpha: Matrix, beta: Matrix,
+class _Compounds(dict):
+    """compound_n(alpha) by arity n, each built on first use: the twist's
+    side of the equivariance test.  A structure keeps one for its twist."""
+
+    def __init__(self, alpha: Matrix):
+        super().__init__()
+        self.alpha = alpha
+
+    def __missing__(self, n):
+        value = self[n] = exterior_power_matrix(self.alpha, n)
+        return value
+
+
+def require_equivariant(cochains, compounds: _Compounds, beta: Matrix,
                         message: str = "cochain is not twist-equivariant"):
     """Raise PreconditionError(message) unless every cochain lies in the
     twist-equivariant space: beta . f = f . compound_n(alpha), which in
-    arity 0 says beta(v) = v.  One compound is built per arity."""
-    compounds = {}
+    arity 0 says beta(v) = v.  The compounds are those a structure keeps
+    (`_compounds`), or a fresh `_Compounds(alpha)` where the caller has no
+    structure, which builds one per arity."""
     for f in cochains:
-        if f.arity > f.source_dim:
-            holds = True
-        else:
-            if f.arity not in compounds:
-                compounds[f.arity] = exterior_power_matrix(alpha, f.arity)
-            holds = (beta @ f.coeffs) == (f.coeffs @ compounds[f.arity])
-        if not holds:
+        if f.arity <= f.source_dim and beta @ f.coeffs != f.coeffs @ compounds[f.arity]:
             raise PreconditionError(message)
 
 
 def is_equivariant(f, alpha: Matrix, beta: Matrix) -> bool:
     """Membership test for the twist-equivariant cochain space."""
     try:
-        require_equivariant((f,), alpha, beta)
+        require_equivariant((f,), _Compounds(alpha), beta)
     except PreconditionError:
         return False
     return True
@@ -317,6 +331,24 @@ def wedge_incidence(d: int, n: int) -> tuple:
     return tuple(Matrix.from_entries(comb(d, n), comb(d, n + 1), e) for e in entries)
 
 
+@lru_cache(maxsize=None)
+def _insertion_plan(d: int, q_arity: int, out_arity: int) -> tuple:
+    """The shuffle terms of `insertion_matrix` in its summation order: x, k,
+    negative, rest for the x-th out-tuple X and each shuffle S of X, with
+    k the position of the tuple X_S among the q_arity-tuples, negative the
+    parity of S and rest the other entries of X in order.  Cached like the
+    tuple bases it is made of; the four entries of each term are laid end
+    to end and each distinct rest is one tuple object, so that the kept
+    table holds no tuple per term."""
+    q_pos, rests, plan = tuple_position(d, q_arity), {}, []
+    for x, X in enumerate(increasing_tuples(d, out_arity)):
+        for S in itertools.combinations(range(out_arity), q_arity):
+            rest = tuple(X[t] for t in range(out_arity) if t not in S)
+            plan += (x, q_pos[tuple(X[s] for s in S)], _shuffle_sign(S) < 0,
+                     rests.setdefault(rest, rest))
+    return tuple(plan)
+
+
 def insertion_matrix(q: Cochain, alpha: Matrix, arity: int) -> Matrix:
     """The C(d, arity) x C(d, arity + deg Q) matrix K with P <> Q = P . K
     on coefficient matrices, for every arity-`arity` cochain P.
@@ -325,27 +357,24 @@ def insertion_matrix(q: Cochain, alpha: Matrix, arity: int) -> Matrix:
     the shuffles S of X, with k running over the other positions of X in
     order and n = deg Q, expanded in the arity-tuple basis.  The
     coefficient of e_I in that wedge is the minor by which the alternating
-    extension of P weighs its column I.
+    extension of P weighs its column I.  The shuffles, their signs and
+    the tuples they pick depend on d and the arities alone
+    (`_insertion_plan`).
     """
     d = q.source_dim
     out_arity = arity + q.arity - 1
-    rows, cols = comb(d, arity), comb(d, out_arity)
     rest_forms = _wedges(alpha.power(q.arity - 1), arity - 1)  # rest -> alpha^n e_(x_k) ^ ...
     q_cols = _columns(q.coeffs)
-    q_pos = tuple_position(d, q.arity)
     in_pos = tuple_position(d, arity)
     entries = {}  # (row, col) -> entry
-    for x, X in enumerate(increasing_tuples(d, out_arity)):
-        for S in itertools.combinations(range(out_arity), q.arity):
-            rest = tuple(X[t] for t in range(out_arity) if t not in S)
-            negative = _shuffle_sign(S) < 0
-            first = q_cols[q_pos[tuple(X[s] for s in S)]]
-            for I, value in _wedge_front(first, rest_forms[rest]).items():
-                if negative:
-                    value = -value
-                k = (in_pos[I], x)
-                entries[k] = entries[k] + value if k in entries else value
-    return Matrix.from_entries(rows, cols, entries)
+    plan = iter(_insertion_plan(d, q.arity, out_arity))
+    for x, k, negative, rest in zip(plan, plan, plan, plan):
+        for I, value in _wedge_front(q_cols[k], rest_forms[rest]).items():
+            if negative:
+                value = -value
+            key = (in_pos[I], x)
+            entries[key] = entries[key] + value if key in entries else value
+    return Matrix.from_entries(comb(d, arity), comb(d, out_arity), entries)
 
 
 def nr_diamond(p: Cochain, q: Cochain, alpha: Matrix) -> Cochain:
@@ -419,12 +448,13 @@ def is_mc_pair(mu1: Cochain, mu2: Cochain, alpha: Matrix, base=None) -> MaurerCa
     """
     if mu1.arity != 2 or mu2.arity != 2:
         raise UsageError("Maurer-Cartan test expects arity-2 cochains")
-    require_equivariant((mu1, mu2), alpha, alpha)
+    require_equivariant((mu1, mu2), _Compounds(alpha), alpha)
     if base is not None:
         theta1, theta2 = base
         if theta1.arity != 2 or theta2.arity != 2:
             raise UsageError("base must be a pair of arity-2 cochains")
-        require_equivariant(base, alpha, alpha, "base cochain is not twist-equivariant")
+        require_equivariant(base, _Compounds(alpha), alpha,
+                            "base cochain is not twist-equivariant")
         if not is_mc_pair(theta1, theta2, alpha).is_mc:
             raise PreconditionError("base pair is not Maurer-Cartan")
         mu1, mu2 = theta1 + mu1, theta2 + mu2

@@ -79,7 +79,9 @@ from .algebra import (
     CompatibleHomLieAlgebra,
     HomLieAlgebra,
     Representation,
+    _Algebra,
     _action_blocks,
+    _require_kind,
     require_valid,
 )
 from .cochains import (
@@ -173,6 +175,8 @@ class CohomologyReport:
 
 
 def _validate_structures(struct, rep: Representation):
+    _require_kind(struct, _Algebra, "take cochains on")
+    _require_kind(rep, Representation, "take coefficients in")
     require_valid(struct, "invalid algebra")
     require_valid(rep, "invalid representation")
     if rep.base != struct:
@@ -189,7 +193,7 @@ def ce_coboundary(l: HomLieAlgebra, v: Representation, f):
     if len(v.actions) != 1:
         raise UsageError("single-bracket coboundary needs a single-action representation")
     _validate_structures(l, v)
-    require_equivariant((f,), l.alpha, v.beta)
+    require_equivariant((f,), l._compounds, v.beta)
     _check_shape(f, l.dim, v.vdim)
     return _cochains(v._complex["differential", f.arity] @ _flat(f), l, v.vdim, f.arity + 1)[0]
 
@@ -276,7 +280,8 @@ def compatible_coboundary(c: CompatibleHomLieAlgebra, v: Representation,
                 "vector is not in the degree-0 group (twist-fixed with agreeing actions)"
             )
     else:
-        require_equivariant(f.components, c.alpha, v.beta, "component is not twist-equivariant")
+        require_equivariant(f.components, c._compounds, v.beta,
+                            "component is not twist-equivariant")
     _check_shape(f.components[0], c.dim, v.vdim)  # the components share their shape
     return _cochains(v._complex["differential", f.degree] @ _flat(f), c, v.vdim, f.degree + 1)[0]
 
@@ -438,6 +443,8 @@ def cohomology_dimensions(struct, v: Representation, n: int) -> CohomologyReport
     raises PreconditionError; the check runs only when the containment
     fails.
     """
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise UsageError(f"degree must be an int, got {type(n).__name__}")
     if n < 0:
         raise UsageError("negative degree")
     _validate_structures(struct, v)
@@ -455,6 +462,8 @@ def class_coordinates(report: CohomologyReport, item) -> tuple:
     Z . y = w, and the product of the class map with y (the left kernel
     of the coboundary coordinates, read with `_kernel`).
     """
+    _require_kind(report, CohomologyReport, "read classes off")
+    _require_kind(item, (Cochain, CompatibleCochain), "take the class of")
     parts = item.components if isinstance(item, CompatibleCochain) else (item,)
     shape = (report.degree, report.source_dim, report.target_dim)
     slots = _two_bracket_slots(report.degree) if report.flavor == COMPATIBLE else 1

@@ -27,7 +27,11 @@ order p + 1 with 8 products m_i . K_j (the end terms).  A chain order
 thus costs the 4p products of the obstruction, the 8 of the new order's
 end terms and 2 insertion matrices: `is_extensible` keeps the extension
 it verified, and `extended` returns it for an equal pair.  K_0 and the
-differentials are kept on the adjoint module.
+differentials are kept on the adjoint module.  The order-0 deformation is
+kept on the base, and a generator's deformation (`from_generator`) is its
+extension by the generator's pair, so order 0 is checked once per base.
+The equivariance checks of the new orders and of the obstruction's
+closedness read the twist compounds the base keeps.
 
 Coboundary questions go through that kept complex too.  Two linear
 generators are equivalent through id + tN when, among others, their
@@ -50,6 +54,7 @@ from .algebra import (
     CompatibleHomLieAlgebra,
     LinearOperator,
     NIJENHUIS,
+    _require_kind,
     adjoint_representation,
     induced_bracket,
     require_valid,
@@ -168,7 +173,7 @@ def check_linear_equivalence(c: CompatibleHomLieAlgebra, g: LinearGenerator,
     """
     require_valid(c, "base algebra is invalid")
     require_equivariant((g.omega1, g.omega2, g_prime.omega1, g_prime.omega2),
-                        c.alpha, c.alpha)
+                        c._compounds, c.alpha)
     if c.alpha @ n_matrix != n_matrix @ c.alpha:
         raise PreconditionError("operator does not commute with the twist")
     dim = c.dim
@@ -239,7 +244,7 @@ class OrderPDeformation:
                           self.coeffs2[0] != self.base.bracket_cochain(2)):
             raise UsageError("order-0 coefficients must equal the base brackets")
         first = max(known, 1)  # order 0 is the base
-        require_equivariant(self.coeffs1[first:] + self.coeffs2[first:], self.base.alpha,
+        require_equivariant(self.coeffs1[first:] + self.coeffs2[first:], self.base._compounds,
                             self.base.alpha, "deformation coefficient is not twist-equivariant")
 
     @property
@@ -282,7 +287,11 @@ class OrderPDeformation:
 
     @classmethod
     def from_generator(cls, c: CompatibleHomLieAlgebra, g: LinearGenerator) -> "OrderPDeformation":
-        return cls(c, (c.bracket_cochain(1), g.omega1), (c.bracket_cochain(2), g.omega2))
+        """The order-1 deformation (mu1 + t w1, mu2 + t w2): the extension of
+        the order-0 deformation kept on c by the generator's pair, so it
+        checks that pair alone and reads order 0 off the kept one."""
+        _require_kind(c, CompatibleHomLieAlgebra, "deform the brackets of")
+        return c._order0.extended(g.omega1, g.omega2)
 
     def truncate(self, p: int) -> "OrderPDeformation":
         """The first p + 1 coefficients as an order-p deformation: the one

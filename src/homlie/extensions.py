@@ -205,7 +205,7 @@ def alternate_splitting(e: AbelianExtension, tau: Cochain) -> AbelianExtension:
     """The same extension re-read through s + i o tau, for twist-equivariant tau."""
     if tau.arity != 1 or tau.source_dim != e.base.dim or tau.target_dim != e.fiber_dim:
         raise UsageError("splitting shift must be an arity-1 cochain from base to fiber")
-    require_equivariant((tau,), e.base.alpha, e.fiber_beta,
+    require_equivariant((tau,), e.base._compounds, e.fiber_beta,
                         "splitting shift is not twist-equivariant")
     new_splitting = e.splitting + (e.inclusion @ tau.coeffs)
     return AbelianExtension(

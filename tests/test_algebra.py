@@ -21,6 +21,7 @@ from homlie import (
     UsageError,
     adjoint_representation,
     ce_coboundary,
+    class_coordinates,
     cohomology_dimensions,
     compatible_coboundary,
     derived_structure,
@@ -29,6 +30,7 @@ from homlie import (
     rb_pair,
     semidirect_product,
     sum_bracket,
+    sum_representation,
     twisted_semidirect,
     verify_operator,
     verify_structure,
@@ -601,6 +603,51 @@ REFUSALS = {
                    "plain representation has a single action"),
     "bracket index": (lambda: fixtures.d2().bracket_of(3, (1, 0), (0, 1)),
                       "bracket index must be 1 or 2"),
+    "verify_operator operand": (lambda: verify_operator(fixtures.h3(), fixtures.h3().alpha),
+                                "cannot read an operator from objects of type Matrix"),
+    "cohomology coefficients": (lambda: cohomology_dimensions(fixtures.h3(), fixtures.h3(), 1),
+                                "cannot take coefficients in objects of type HomLieAlgebra"),
+    "cohomology structure": (lambda: cohomology_dimensions(
+        adjoint_representation(fixtures.h3()), adjoint_representation(fixtures.h3()), 1),
+        "cannot take cochains on objects of type Representation"),
+    "adjoint of a module": (lambda: adjoint_representation(adjoint_representation(fixtures.h3())),
+                            "cannot take the adjoint module of objects of type Representation"),
+    "class of a non-cochain": (lambda: class_coordinates(
+        cohomology_dimensions(fixtures.h3(), adjoint_representation(fixtures.h3()), 1), 1),
+        "cannot take the class of objects of type int"),
+    "classes of a non-report": (lambda: class_coordinates(
+        fixtures.h3().bracket_cochain(), fixtures.h3().bracket_cochain()),
+        "cannot read classes off objects of type Cochain"),
+    "module twist shape": (lambda: Representation(fixtures.h3(), 3, Matrix.identity(2), ()),
+                           "beta must be vdim x vdim"),
+    "module table count": (lambda: Representation(fixtures.h3(), 3, Matrix.identity(3), ()),
+                           "need 1 action table(s), got 0"),
+    "module table length": (lambda: Representation(fixtures.h3(), 3, Matrix.identity(3),
+                                                   ((Matrix.identity(3),),)),
+                            "action table must have one matrix per basis element"),
+    "module action shape": (lambda: Representation(fixtures.h3(), 3, Matrix.identity(3),
+                                                   ((Matrix.identity(2),) * 3,)),
+                            "action matrices must be vdim x vdim"),
+    "twist shape": (lambda: HomLieAlgebra(3, Matrix.identity(2), Matrix.zero(3, 3)),
+                    "twist must be dim x dim"),
+    "bracket shape": (lambda: HomLieAlgebra(3, Matrix.identity(3), Matrix.zero(3, 2)),
+                      "bracket matrix must be dim x C(dim, 2)"),
+    "operator dimension": (lambda: verify_operator(fixtures.h3(), fixtures.d2_nijenhuis()),
+                           "operator dimension mismatch"),
+    "negative derivation": (lambda: derived_structure(fixtures.h3(), -1),
+                            "derived structure needs n >= 0"),
+    "rb_pair kinds": (lambda: rb_pair(fixtures.g2a(), fixtures.g2a_rota_baxter(),
+                                      LinearOperator(Matrix.zero(2, 2), NIJENHUIS)),
+                      "rb_pair needs two Rota-Baxter operators"),
+    "semidirect base": (lambda: semidirect_product(fixtures.d2(),
+                                                   adjoint_representation(fixtures.compatible_ab1())),
+                        "representation is not over the given algebra"),
+    "sum of one action": (lambda: sum_representation(adjoint_representation(fixtures.h3())),
+                          "sum representation needs a two-action representation"),
+    "twisting cochain": (lambda: twisted_semidirect(fixtures.h3(),
+                                                    adjoint_representation(fixtures.h3()),
+                                                    Cochain.zero(1, 3, 3)),
+                         "twisting cochain must be arity 2 from the algebra into the module"),
 }
 
 
@@ -610,6 +657,12 @@ def test_a_refused_input_raises_usage_error_up_front(name):
     with pytest.raises(UsageError) as err:
         call()
     assert str(err.value) == message
+
+
+def test_summary_gives_one_status_line_per_check():
+    assert verify_structure(fixtures.g4a(0)).summary() == "multiplicativity: ok\nhom_jacobi: ok"
+    assert (verify_structure(fixtures.g4a(1)).summary()
+            == "multiplicativity: FAIL (1 witnesses)\nhom_jacobi: ok")
 
 
 def test_a_plain_module_is_its_own_first_part():

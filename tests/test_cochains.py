@@ -359,6 +359,21 @@ def test_diamond_against_permutation_oracle_in_every_arity(d):
             assert fast.flatten() == naive_nr_diamond(p, q, alpha).flatten()
 
 
+def test_the_insertion_plan_is_built_once_per_dimension_and_arities():
+    """The shuffle terms depend on (d, arity(Q), out arity) alone: the
+    insertion matrices of other cochains and twists of that shape share
+    one plan, and a new arity gets its own."""
+    rng = random.Random(5)
+    cochains._insertion_plan.cache_clear()
+    for arity in (2, 2, 3):
+        alpha = rand_matrix(rng, 4, 4)
+        q = Cochain(2, 4, 4, rand_matrix(rng, 4, comb(4, 2)))
+        p = Cochain(arity, 4, 4, rand_matrix(rng, 4, comb(4, arity)))
+        assert nr_diamond(p, q, alpha).flatten() == naive_nr_diamond(p, q, alpha).flatten()
+    info = cochains._insertion_plan.cache_info()
+    assert (info.misses, info.hits) == (2, 1)
+
+
 def test_graded_antisymmetry_on_random_equivariant_pairs():
     rng = random.Random(8)
     g4 = fixtures.g4a(1)

@@ -779,6 +779,18 @@ def test_a_refused_report_keeps_no_class_record():
     assert ("report", 2) in v._complex
 
 
+@pytest.mark.parametrize("degree", [1.0, True, "1"])
+def test_a_non_integer_degree_is_refused_on_a_fresh_and_a_warm_module(degree):
+    """A degree that is no int, or is a bool, is refused before the kept
+    reports are read: 1.0 and True would find the kept degree-1 report."""
+    s = fixtures.h3()
+    v = adjoint_representation(s)
+    for _ in range(2):
+        with pytest.raises(UsageError, match="degree must be an int"):
+            cohomology_dimensions(s, v, degree)
+        cohomology_dimensions(s, v, 1)
+
+
 def test_the_class_record_leaves_report_equality_and_repr_alone():
     """The record a report carries takes no part in ==, hash or repr: a
     report without it reads the same.  A class question needs the record,

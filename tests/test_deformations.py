@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -28,7 +30,7 @@ from homlie import (
     trivial_deformation_from_nijenhuis,
     verify_order_p,
 )
-from homlie import cohomology, deformations, fixtures
+from homlie import cochains, cohomology, deformations, fixtures
 from homlie.deformations import HALF
 
 from helpers import (
@@ -518,8 +520,10 @@ def test_a_chain_order_costs_its_obstruction_and_its_end_terms(monkeypatch):
 
 
 def test_check_linear_generator_reads_the_kept_sums(monkeypatch):
-    """The six conditions take the inner sums of orders 0 and 1 for the
-    report and those of order 2, the t^2 sums, once each."""
+    """The six conditions take the inner sums of orders 0 and 1 off the
+    base's kept order-0 deformation and those of order 2, the t^2 sums,
+    off the generator's, once each; a second call on the same base takes
+    only the t^2 sums of its new deformation."""
     c = fixtures.compatible_h3()
     g = trivial_deformation_from_nijenhuis(c, fixtures.h3_nijenhuis())
     taken = []
@@ -527,7 +531,71 @@ def test_check_linear_generator_reads_the_kept_sums(monkeypatch):
                         lambda e, n, original=deformations._bracket_sums:
                         taken.append((e.order, n)) or original(e, n))
     assert check_linear_generator(c, g).residuals == naive_generator_residuals(c, g)
-    assert taken == [(1, 0), (1, 1), (1, 2)]
+    assert taken == [(0, 0), (0, 1), (1, 2)]
+    taken.clear()
+    assert check_linear_generator(c, g).residuals == naive_generator_residuals(c, g)
+    assert taken == [(1, 2)]
+
+
+def test_a_base_computes_its_order0_row_once(monkeypatch):
+    """Every generator's deformation extends the order-0 deformation kept
+    on its base, so only the first one on a base computes the order-0 row;
+    each computes its own order-1 row, equal to a directly built twin's."""
+    c = fixtures.compatible_h3()
+    generators = (trivial_deformation_from_nijenhuis(c, fixtures.h3_nijenhuis()),
+                  zero_generator(c.dim))
+    rows = []
+    monkeypatch.setattr(deformations, "_row", lambda e, n, original=deformations._row:
+                        rows.append((e.order, n)) or original(e, n))
+    for want, g in zip(([(0, 0), (1, 1)], [(1, 1)]), generators):
+        rows.clear()
+        d = OrderPDeformation.from_generator(c, g)
+        assert d._parent is c._order0
+        twin = OrderPDeformation(c, d.coeffs1, d.coeffs2)
+        assert d == twin
+        assert verify_order_p(d).residuals == naive_order_residuals(d)
+        assert rows == want
+        rows.clear()
+        assert verify_order_p(twin) == verify_order_p(d)
+        assert rows == [(1, 0), (1, 1)]
+    rows.clear()
+    check_linear_generator(c, generators[0])
+    assert rows == [(1, 1)]
+
+
+def test_a_chain_builds_each_compound_once_per_structure(monkeypatch):
+    """The equivariance checks of a chain read the twist's compounds kept
+    on the base: each arity is built once per structure, for the new
+    orders (arity 2) and the obstruction closedness tests (arity 3)."""
+    built = []
+    monkeypatch.setattr(cochains._Compounds, "__missing__",
+                        lambda self, n, original=cochains._Compounds.__missing__:
+                        built.append((self, n)) or original(self, n))
+    for c in (fixtures.compatible_h3(), fixtures.compatible_h3()):
+        built.clear()
+        d = OrderPDeformation.from_generator(
+            c, trivial_deformation_from_nijenhuis(c, fixtures.h3_nijenhuis()))
+        while d.order < 4:
+            d = d.extended(*is_extensible(d))
+        assert verify_order_p(d).passed
+        assert [(kept is c._compounds, n) for kept, n in built] == [(True, 2), (True, 3)]
+
+
+def test_a_structure_is_freed_after_a_chain_and_a_report():
+    """The kept order-0 deformation, compounds, complex and report live on
+    the structure and its module, so dropping the structure frees them."""
+    base = fixtures.compatible_h3()
+    c = CompatibleHomLieAlgebra(base.dim, base.alpha, base.bracket1, base.bracket2)
+    d = OrderPDeformation.from_generator(
+        c, trivial_deformation_from_nijenhuis(c, fixtures.h3_nijenhuis()))
+    d = d.extended(*is_extensible(d))
+    assert verify_order_p(d).passed
+    assert check_linear_generator(c, zero_generator(c.dim)).generates
+    assert cohomology_dimensions(c, adjoint_representation(c), 2).dim_cohomology
+    ref = weakref.ref(c)
+    del c, d
+    gc.collect()  # the structure and what it keeps refer to each other
+    assert ref() is None
 
 
 @pytest.mark.parametrize("name", ["compatible_h3", "twisted_compatible_h3"])
@@ -633,6 +701,14 @@ def test_each_public_call_builds_the_adjoint_module_once(monkeypatch):
             built.clear()
             fn(*args)
             assert built == want and all(s is c for s in built), fn.__name__
+
+
+def test_a_single_bracket_base_is_refused():
+    g = trivial_deformation_from_nijenhuis(fixtures.compatible_h3(), fixtures.h3_nijenhuis())
+    for call in (OrderPDeformation.from_generator, check_linear_generator):
+        with pytest.raises(UsageError,
+                           match="cannot deform the brackets of objects of type HomLieAlgebra"):
+            call(fixtures.h3(), g)
 
 
 def test_order0_coefficients_must_match_base():
