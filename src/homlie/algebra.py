@@ -65,6 +65,7 @@ from .linalg import (
     frac,
     hstack,
     kron_sum,
+    product_sum,
 )
 
 
@@ -334,8 +335,8 @@ def _algebra_checks(s):
     labels = _labels(len(mus))
     square = exterior_square(alpha)
     checks = [
-        CheckResult.from_columns(f"multiplicativity{label}",
-                                 alpha @ mu.coeffs - mu.coeffs @ square, 2)
+        CheckResult.from_columns(f"multiplicativity{label}", product_sum(
+            [(alpha, mu.coeffs), (-mu.coeffs, square)], s.dim, square.cols), 2)
         for label, mu in zip(labels, mus)
     ]
     # One insertion matrix K_b per bracket: mu_b <> mu_b = mu_b . K_b, and
@@ -347,8 +348,8 @@ def _algebra_checks(s):
     ]
     if len(mus) == 2:
         (m1, m2), (k1, k2) = mus, ks
-        checks.append(CheckResult.from_columns("compatibility",
-                                               m1.coeffs @ k2 + m2.coeffs @ k1, 3))
+        checks.append(CheckResult.from_columns("compatibility", product_sum(
+            [(m1.coeffs, k2), (m2.coeffs, k1)], s.dim, k1.cols), 3))
     return checks
 
 
@@ -362,12 +363,13 @@ def _representation_checks(v: Representation):
     twist = kron_sum([(base.alpha, v.beta)], dim * vdim, dim * vdim)
     checks = []
     for label, a, n in zip(_labels(len(blocks)), blocks, pairs):
-        checks.append(CheckResult.from_blocks(f"action_twist{label}",
-                                              v.beta @ a - a @ twist, dim, 1, vdim))
+        checks.append(CheckResult.from_blocks(f"action_twist{label}", product_sum(
+            [(v.beta, a), (-a, twist)], vdim, dim * vdim), dim, 1, vdim))
         checks.append(CheckResult.from_blocks(f"action_module{label}", a @ n, dim, 2, vdim))
     if len(blocks) == 2:
         (a1, a2), (n1, n2) = blocks, pairs
-        checks.append(CheckResult.from_blocks("action_mixed", a1 @ n2 + a2 @ n1, dim, 2, vdim))
+        checks.append(CheckResult.from_blocks("action_mixed", product_sum(
+            [(a1, n2), (a2, n1)], vdim, n1.cols), dim, 2, vdim))
     return checks
 
 
@@ -479,12 +481,13 @@ def _operator_checks(s, op: LinearOperator, label: str = ""):
     if n.rows != s.dim:
         raise UsageError("operator dimension mismatch")
     name = "nijenhuis_identity" if op.kind == NIJENHUIS else "rota_baxter_identity"
-    checks = [CheckResult.from_columns(f"twist_commutation{label}", s.alpha @ n - n @ s.alpha, 1)]
+    checks = [CheckResult.from_columns(f"twist_commutation{label}", product_sum(
+        [(s.alpha, n), (-n, s.alpha)], s.dim, s.dim), 1)]
     square = exterior_square(n)
     induced = [_induced_matrix(s, bracket, op) for bracket in s.brackets]
     for blabel, bracket, mat in zip(_labels(len(s.brackets)), s.brackets, induced):
-        checks.append(CheckResult.from_columns(f"{name}{blabel}{label}",
-                                               bracket @ square - n @ mat, 2))
+        checks.append(CheckResult.from_columns(f"{name}{blabel}{label}", product_sum(
+            [(bracket, square), (-n, mat)], s.dim, bracket.cols), 2))
     return checks, induced
 
 
@@ -534,9 +537,10 @@ def rb_pair(l: HomLieAlgebra, r: LinearOperator, s: LinearOperator):
     mu = l.bracket_cochain()
     rm, sm = r.matrix, s.matrix
     mixed = exterior_square(rm + sm) - exterior_square(rm) - exterior_square(sm)
-    defect = (l.bracket @ mixed
-              - rm @ nr_diamond(mu, Cochain(1, l.dim, l.dim, sm), l.alpha).coeffs
-              - sm @ nr_diamond(mu, Cochain(1, l.dim, l.dim, rm), l.alpha).coeffs)
+    defect = product_sum([(l.bracket, mixed),
+                          (-rm, nr_diamond(mu, Cochain(1, l.dim, l.dim, sm), l.alpha).coeffs),
+                          (-sm, nr_diamond(mu, Cochain(1, l.dim, l.dim, rm), l.alpha).coeffs)],
+                         l.dim, l.bracket.cols)
     checks.append(CheckResult.from_columns("pair_compatibility", defect, 2))
     report = ValidationReport(tuple(checks))
     if not report.passed:

@@ -16,9 +16,10 @@ matrix m is a wedge of its columns: column J is m e_(j1) ^ ... ^ m e_(jn)
 in the n-tuple basis, whose coefficients are the n x n minors of m.  Every
 minor of the library is taken this way, with no determinant.  The 0th
 compound is the 1 x 1 identity, so the equivariant arity-0 cochains are
-the beta-fixed vectors.  The membership test (`require_equivariant`) reads
-the compounds from a table by arity; a structure keeps one for its twist,
-so the checks on it build each compound once.
+the beta-fixed vectors.  The membership test (`require_equivariant`) and
+the constraints of a basis (`equivariance_constraints`) read the compounds
+from a table by arity (`_Compounds`); a structure keeps one for its twist,
+so the checks and the bases on it build each compound once.
 
 For endomorphism cochains (source = target) the shifted graded space of
 equivariant cochains carries a graded Lie bracket
@@ -66,6 +67,7 @@ from .linalg import (
     _elimination,
     _kernel,
     kron_sum,
+    product_sum,
     vector,
     zero_vector,
 )
@@ -245,24 +247,26 @@ def hom_cochain_basis(alpha: Matrix, beta: Matrix, n: int):
     if n < 0:
         raise UsageError("negative arity")
     d, t = alpha.rows, beta.rows
-    return [Cochain(n, d, t, coeffs)
-            for coeffs, in _column_blocks(_equivariant_columns(alpha, beta, n), 1, t, comb(d, n))]
+    columns = _equivariant_columns(_Compounds(alpha), beta, n)
+    return [Cochain(n, d, t, coeffs) for coeffs, in _column_blocks(columns, 1, t, comb(d, n))]
 
 
-def _equivariant_columns(alpha: Matrix, beta: Matrix, n: int) -> Matrix:
+def _equivariant_columns(compounds: _Compounds, beta: Matrix, n: int) -> Matrix:
     """The basis of `hom_cochain_basis` as the columns of one matrix on the
     row-major coefficient entries, the kernel matrix as it is; 0 x 0 above
-    the source dimension."""
-    if comb(alpha.rows, n) == 0:
+    the source dimension.  The compound comes from the table, as in
+    `require_equivariant`."""
+    if comb(compounds.alpha.rows, n) == 0:
         return Matrix.zero(0, 0)
-    return _kernel(_elimination(equivariance_constraints(alpha, beta, n)))
+    return _kernel(_elimination(equivariance_constraints(compounds, beta, n)))
 
 
-def equivariance_constraints(alpha: Matrix, beta: Matrix, n: int) -> Matrix:
+def equivariance_constraints(compounds: _Compounds, beta: Matrix, n: int) -> Matrix:
     """kron(beta, 1) - kron(1, compound_n(alpha)^T): row r C(d,n) + c is
     entry (r, c) of beta . M - M . compound_n(alpha), as a linear form in
-    the row-major entries of M."""
-    compound = exterior_power_matrix(alpha, n)
+    the row-major entries of M, with compound_n(alpha) read from the
+    twist's table of compounds."""
+    compound = compounds[n]
     size = beta.rows * compound.rows
     return kron_sum([(beta, Matrix.identity(compound.rows)),
                      (Matrix.identity(beta.rows), -compound.transpose())], size, size)
@@ -446,6 +450,10 @@ def is_mc_pair(mu1: Cochain, mu2: Cochain, alpha: Matrix, base=None) -> MaurerCa
     those of the sum (t1 + m1, t2 + m2), since [t1,t1], [t2,t2] and
     [t1,t2] vanish.
     """
+    from .algebra import _require_kind  # the module builds on this one
+
+    for f in (mu1, mu2, *(base or ())):
+        _require_kind(f, Cochain, "test the Maurer-Cartan equation on")
     if mu1.arity != 2 or mu2.arity != 2:
         raise UsageError("Maurer-Cartan test expects arity-2 cochains")
     require_equivariant((mu1, mu2), _Compounds(alpha), alpha)
@@ -460,5 +468,6 @@ def is_mc_pair(mu1: Cochain, mu2: Cochain, alpha: Matrix, base=None) -> MaurerCa
         mu1, mu2 = theta1 + mu1, theta2 + mu2
     k1, k2 = (insertion_matrix(m, alpha, 2) for m in (mu1, mu2))
     m1, m2, d = mu1.coeffs, mu2.coeffs, alpha.rows
+    mixed = product_sum([(m1, k2), (m2, k1)], d, k1.cols)
     return MaurerCartanCheck(*(Cochain(3, d, d, r) for r in
-                               ((m1 @ k1).scale(2), (m2 @ k2).scale(2), m1 @ k2 + m2 @ k1)))
+                               ((m1 @ k1).scale(2), (m2 @ k2).scale(2), mixed)))

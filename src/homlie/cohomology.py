@@ -101,6 +101,7 @@ from .linalg import (
     _row_space,
     hsplit,
     kron_sum,
+    vsplit,
     vstack,
 )
 
@@ -271,6 +272,8 @@ def compatible_coboundary(c: CompatibleHomLieAlgebra, v: Representation,
     """Interleaved coboundary of the two-bracket complex.  Every call
     enforces the preconditions: validity of c and v, and f in the
     degree-0 group or twist-equivariant."""
+    _require_kind(v, Representation, "take coefficients in")
+    _require_kind(f, CompatibleCochain, "take the two-bracket coboundary of")
     if len(v.actions) != 2:
         raise UsageError("compatible coboundary needs a two-action representation")
     _validate_structures(c, v)
@@ -334,7 +337,7 @@ class _Complex(dict):
             value = _layout(s, n, lambda b: self["coboundary", b, n])
         elif part == "basis":  # in two-bracket degree 0: where the two actions agree
             value = (_kernel(_elimination(_c0_constraints(s, v))) if len(s.brackets) == 2 and not n
-                     else _equivariant_columns(s.alpha, v.beta, n))
+                     else _equivariant_columns(s._compounds, v.beta, n))
         elif part == "images":
             value = _layout(s, n, lambda b: self["coboundary", b, n] @ self["basis", n])
         elif part == "elimination":
@@ -381,12 +384,13 @@ class _Complex(dict):
 
 def _in_slots(basis: Matrix, coords: Matrix, slots: int) -> Matrix:
     """The flat cochains whose coordinates over `slots` slots of the basis
-    matrix are the columns of coords, kron(1, basis) . coords: slot s is
-    basis times the s-th block of coords.  No unknowns give zeros."""
+    matrix are the columns of coords, kron(1, basis) . coords with no
+    Kronecker matrix: slot s is basis times row block s of coords, and the
+    result is those products stacked.  No unknowns give zeros, with no
+    block per slot, since the slots are as many as the degree."""
     if not basis.cols:
         return Matrix.zero(slots * basis.rows, coords.cols)
-    return kron_sum([(Matrix.identity(slots), basis)],
-                    slots * basis.rows, slots * basis.cols) @ coords
+    return vstack([basis @ block for block in vsplit(coords, slots)])
 
 
 def _coboundary_coordinates(cocycles: Matrix, boundaries: Matrix) -> tuple:
@@ -517,6 +521,7 @@ def derivation_space(c: CompatibleHomLieAlgebra, v: Representation) -> Derivatio
     degree-1 cohomology.  The inner basis is the reduced row basis of the
     inner derivations.
     """
+    _require_kind(v, Representation, "take coefficients in")
     if len(v.actions) != 2:
         raise UsageError("derivation space needs a two-action representation")
     h1 = cohomology_dimensions(c, v, 1)

@@ -19,19 +19,23 @@ degree-3 cochain; the deformation extends one order further exactly when
 it is a coboundary, and the extension coefficients are one coboundary
 preimage of it in the two-bracket complex.
 
-Each deformation keeps its K list, its report, its next-order inner sums
-and its obstruction.  The identities at order n involve only m_0..m_n, so
-an extension built by `extended` checks its top pair alone, takes its
-parent's K lists, verified orders 0..p and next-order sums, and checks
-order p + 1 with 8 products m_i . K_j (the end terms).  A chain order
-thus costs the 4p products of the obstruction, the 8 of the new order's
-end terms and 2 insertion matrices: `is_extensible` keeps the extension
-it verified, and `extended` returns it for an equal pair.  K_0 and the
-differentials are kept on the adjoint module.  The order-0 deformation is
-kept on the base, and a generator's deformation (`from_generator`) is its
-extension by the generator's pair, so order 0 is checked once per base.
-The equivariance checks of the new orders and of the obstruction's
-closedness read the twist compounds the base keeps.
+Each of the three sums (two half-sums and the mixed sum) is one
+`linalg.product_sum` pass over its terms m_i . K_j, with no matrix per
+term.  Each deformation keeps its K list, its report, its next-order
+inner sums and its obstruction.  The identities at order n involve only
+m_0..m_n, so an extension built by `extended` checks its top pair alone,
+takes its parent's K lists, verified orders 0..p and next-order sums,
+and checks order p + 1 with its 8 terms m_i . K_j (the end terms).  A
+chain order thus costs three `product_sum` passes over the obstruction's
+4p terms, three over the new order's 8 end terms, 2 insertion matrices
+and the closedness test of the obstruction, one product with the
+degree-3 differential: `is_extensible` keeps the extension it verified,
+and `extended` returns it for an equal pair.  K_0 and the differentials
+are kept on the adjoint module.  The order-0 deformation is kept on the
+base, and a generator's deformation (`from_generator`) is its extension
+by the generator's pair, so order 0 is checked once per base.  The
+equivariance checks of the new orders read the twist compounds the base
+keeps, and so does the equivariant basis of its complex.
 
 Coboundary questions go through that kept complex too.  Two linear
 generators are equivalent through id + tN when, among others, their
@@ -63,7 +67,6 @@ from .cochains import (
     Cochain,
     exterior_square,
     insertion_matrix,
-    nr_diamond,
     require_equivariant,
 )
 from .cohomology import (
@@ -76,7 +79,7 @@ from .cohomology import (
     compatible_coboundary,
 )
 from .errors import ContractError, PreconditionError, UsageError
-from .linalg import Matrix
+from .linalg import Matrix, product_sum
 
 HALF = Fraction(1, 2)
 
@@ -124,6 +127,7 @@ def check_linear_generator(c: CompatibleHomLieAlgebra, g: LinearGenerator) -> Ge
     negated order-1 residuals, and the t^2 sums are its kept next-order
     sums.
     """
+    _require_kind(g, LinearGenerator, "read a generator from")
     require_valid(c, "base algebra is invalid")
     d = OrderPDeformation.from_generator(c, g)  # checks the twist-equivariance of g
     order1 = verify_order_p(d).residuals[1]
@@ -137,6 +141,7 @@ def trivial_deformation_from_nijenhuis(c: CompatibleHomLieAlgebra,
     """The generator w_i(x,y) = [Nx,y]_i + [x,Ny]_i - N[x,y]_i of a Nijenhuis
     operator; it always generates, and the deformation it generates is
     equivalent to the undeformed structure through id + tN."""
+    _require_kind(n_op, LinearOperator, "read an operator from")
     if n_op.kind != NIJENHUIS:
         raise UsageError("a Nijenhuis operator is required")
     deformed = induced_bracket(c, n_op)  # enforces the operator identity
@@ -185,8 +190,9 @@ def check_linear_equivalence(c: CompatibleHomLieAlgebra, g: LinearGenerator,
     for b, omega, omega_p in ((1, g.omega1, g_prime.omega1), (2, g.omega2, g_prime.omega2)):
         mu = c.bracket_cochain(b)
         order1 = omega.coeffs - omega_p.coeffs - delta_n[b - 1].coeffs
-        order2 = (n_matrix @ omega.coeffs - nr_diamond(omega_p, n_cochain, c.alpha).coeffs
-                  - mu.coeffs @ square)
+        order2 = product_sum([(n_matrix, omega.coeffs),
+                              (-omega_p.coeffs, insertion_matrix(n_cochain, c.alpha, 2)),
+                              (-mu.coeffs, square)], dim, comb(dim, 2))
         checks.append(CheckResult.from_columns(f"order1_identity[{b}]", order1, 2))
         checks.append(CheckResult.from_columns(f"order2_identity[{b}]", order2, 2))
         checks.append(CheckResult.from_columns(f"order3_identity[{b}]", omega_p.coeffs @ square, 2))
@@ -276,12 +282,18 @@ class OrderPDeformation:
 
     @cached_property
     def _obstruction_cochain(self) -> "ObstructionCochain":
+        """The next-order sums as a degree-3 compatible cochain, for a
+        verified deformation of a valid base.  Its closedness is one
+        product with the degree-3 differential kept on the adjoint module,
+        as `_row` reads its residuals off the degree-2 one; a nonzero
+        image raises ContractError."""
         if not self._report.passed:
             raise PreconditionError("not a valid order-p deformation")
+        require_valid(self.base, "invalid algebra")
         o11, o22, o12 = self._next_sums
         cochain = CompatibleCochain(3, (o11, o12, o22))
-        closed = compatible_coboundary(self.base, adjoint_representation(self.base), cochain)
-        if not closed.is_zero():
+        differential = adjoint_representation(self.base)._complex["differential", 3]
+        if not (differential @ _flat(cochain)).is_zero():
             raise ContractError("obstruction cochain is not closed")
         return ObstructionCochain(cochain)
 
@@ -358,7 +370,7 @@ def verify_order_p(d: OrderPDeformation) -> OrderReport:
     deformation.  An extension built by `extended` takes orders 0..p from
     its parent's report and the inner sums of order p + 1 from its
     parent's obstruction, so its new order costs that product and the
-    8 end-term products m_i . K_j.
+    `product_sum` passes over its 8 end terms m_i . K_j.
     """
     return d._report
 
@@ -393,16 +405,18 @@ def _end_terms(d: OrderPDeformation, n: int) -> tuple:
 
 
 def _products(d: OrderPDeformation, n: int, indices) -> tuple:
-    """The terms i in `indices` of the three sums at order n.  As
-    [P, Q] = P <> Q + Q <> P in arity 2, a half-sum is sum m_i . K_(n-i)."""
+    """The terms i in `indices` of the three sums at order n, one
+    `product_sum` each.  As [P, Q] = P <> Q + Q <> P in arity 2, a half-sum
+    is sum m_i . K_(n-i), and the mixed sum is sum m1_i . K2_(n-i) +
+    m2_i . K1_(n-i)."""
     dim = d.base.dim
     (m1, m2), (k1, k2) = (d.coeffs1, d.coeffs2), d._k_lists
-    zero = Matrix.zero(dim, comb(dim, 3))
 
-    def total(m, k):
-        return Cochain(3, dim, dim, sum((m[i].coeffs @ k[n - i] for i in indices), zero))
+    def total(*pairs):
+        terms = [(m[i].coeffs, k[n - i]) for m, k in pairs for i in indices]
+        return Cochain(3, dim, dim, product_sum(terms, dim, comb(dim, 3)))
 
-    return total(m1, k1), total(m2, k2), total(m1, k2) + total(m2, k1)
+    return total((m1, k1)), total((m2, k2)), total((m1, k2), (m2, k1))
 
 
 @dataclass(frozen=True)
@@ -415,9 +429,10 @@ class ObstructionCochain:
 
 def obstruction(d: OrderPDeformation) -> ObstructionCochain:
     """The degree-3 cochain whose class must vanish for the deformation to
-    extend one order, the inner sums of `verify_order_p` at n = p + 1 (4p
-    products m_i . K_j, kept for the extension's new order); closedness is
-    asserted exactly.  It is kept on the deformation."""
+    extend one order, the inner sums of `verify_order_p` at n = p + 1 (one
+    `product_sum` pass per sum over its 4p terms m_i . K_j, kept for the
+    extension's new order); closedness is asserted exactly.  It is kept on
+    the deformation."""
     return d._obstruction_cochain
 
 
@@ -431,7 +446,7 @@ def is_extensible(d: OrderPDeformation):
     obstruction class is nonzero.  A returned pair is re-verified:
     appending it yields a deformation of order p+1 passing verify_order_p.
     That check verifies order p + 1 alone, on d's kept orders and
-    obstruction sums, with 2 insertion matrices and 8 products.  The
+    obstruction sums, with 2 insertion matrices and its 8 end terms.  The
     verified extension is kept on d, and the caller's own
     `d.extended(*pair)` returns it with no further work.
     """

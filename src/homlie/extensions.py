@@ -56,7 +56,7 @@ from .cohomology import (
     compatible_coboundary,
 )
 from .errors import ContractError, PreconditionError, UsageError
-from .linalg import Matrix, hstack, rank, rref, vstack
+from .linalg import Matrix, hstack, product_sum, rank, rref, vstack
 
 
 @dataclass(frozen=True)
@@ -240,9 +240,9 @@ def check_equivalence(e: AbelianExtension, e2: AbelianExtension):
         return None
     tau = shift.components[0]
     # phi = s2 o j + i2 o (fiber part + tau o j)
-    phi = (e2.splitting @ e.projection) + (
-        e2.inclusion @ (e.fiber_readout() + (tau.coeffs @ e.projection))
-    )
+    phi = product_sum([(e2.splitting, e.projection),
+                       (e2.inclusion, e.fiber_readout() + tau.coeffs @ e.projection)],
+                      e.total.dim, e.total.dim)
     _verify_morphism(e, e2, phi)
     return phi
 

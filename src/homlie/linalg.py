@@ -16,7 +16,10 @@ otherwise, with no accumulator; any other left row sums its scaled right
 rows in one accumulator (`_row`).  `kron_sum` builds a sum of
 Kronecker products, the shape of every coboundary and constraint matrix
 of the library, in one pass, with no intermediate matrix per term; one
-Kronecker product is the sum of one term.
+Kronecker product is the sum of one term.  `product_sum` is its product
+analogue, a sum of products a @ b with each row gathered over all terms
+in one accumulator and no matrix per term; every sum or difference of
+products in the library is one call (a subtracted term negates a factor).
 `Matrix(rows, cols, entries)` takes the dense row-major entries and
 coerces each one like `frac`; `entries`, `row`, `col` and `entry` are
 dense views that give Fractions, for the public API, documents and
@@ -398,6 +401,16 @@ def hsplit(m: Matrix, count: int) -> list:
             for b in range(count)]
 
 
+def vsplit(m: Matrix, count: int) -> list:
+    """m cut into `count` blocks of equal height, top to bottom: the
+    inverse of vstack."""
+    if count <= 0 or m.rows % count:
+        raise UsageError(f"cannot split {m.rows} rows into {count} equal blocks")
+    height = m.rows // count
+    return [Matrix._of(height, m.cols, m._data[b * height : (b + 1) * height])
+            for b in range(count)]
+
+
 def _column_blocks(m: Matrix, count: int, rows: int, cols: int) -> list:
     """Each column of m cut into `count` rows x cols matrices, top to
     bottom, each read off its row-major entries: the inverse of stacking
@@ -446,6 +459,34 @@ def kron_sum(terms, rows: int, cols: int) -> Matrix:
                     for j, x in brow:
                         x = c * x
                         j += shift
+                        acc[j] = acc[j] + x if j in acc else x
+        data.append(_row(acc))
+    return Matrix._of(rows, cols, tuple(data))
+
+
+def product_sum(terms, rows: int, cols: int) -> Matrix:
+    """The rows x cols sum of the products a @ b of the (a, b) pairs of
+    `terms`, built in one pass over the factors' nonzeros: row i of the
+    sum gathers row i of every a times the rows of its b in one
+    accumulator, with no matrix per term.  An entry of an a that is the
+    int 1 costs no product; no terms give the zero matrix."""
+    terms = tuple(terms)
+    for a, b in terms:
+        if (a.rows, a.cols, b.cols) != (rows, b.rows, cols):
+            raise UsageError(f"product of {a.rows}x{a.cols} and {b.rows}x{b.cols} "
+                             f"is not {rows}x{cols}")
+    data = []
+    for i in range(rows):
+        acc = {}
+        for a, b in terms:
+            right = b._data
+            for k, c in a._data[i]:
+                if type(c) is int and c == 1:
+                    for j, x in right[k]:
+                        acc[j] = acc[j] + x if j in acc else x
+                else:
+                    for j, x in right[k]:
+                        x = c * x
                         acc[j] = acc[j] + x if j in acc else x
         data.append(_row(acc))
     return Matrix._of(rows, cols, tuple(data))

@@ -23,14 +23,18 @@ from homlie import (
     ce_coboundary,
     class_coordinates,
     cohomology_dimensions,
+    check_linear_generator,
     compatible_coboundary,
+    derivation_space,
     derived_structure,
     induced_bracket,
+    is_mc_pair,
     rb_companion,
     rb_pair,
     semidirect_product,
     sum_bracket,
     sum_representation,
+    trivial_deformation_from_nijenhuis,
     twisted_semidirect,
     verify_operator,
     verify_structure,
@@ -648,6 +652,43 @@ REFUSALS = {
                                                     adjoint_representation(fixtures.h3()),
                                                     Cochain.zero(1, 3, 3)),
                          "twisting cochain must be arity 2 from the algebra into the module"),
+    "derivations in a structure": (lambda: derivation_space(fixtures.compatible_h3(),
+                                                            fixtures.compatible_h3()),
+                                   "cannot take coefficients in objects of type "
+                                   "CompatibleHomLieAlgebra"),
+    "derivations of one action": (lambda: derivation_space(fixtures.h3(),
+                                                           adjoint_representation(fixtures.h3())),
+                                  "derivation space needs a two-action representation"),
+    "generator of a non-generator": (lambda: check_linear_generator(fixtures.compatible_h3(), 1),
+                                     "cannot read a generator from objects of type int"),
+    "Nijenhuis generator of a matrix": (lambda: trivial_deformation_from_nijenhuis(
+        fixtures.compatible_h3(), fixtures.compatible_h3().alpha),
+        "cannot read an operator from objects of type Matrix"),
+    "Nijenhuis generator of a Rota-Baxter operator": (lambda: trivial_deformation_from_nijenhuis(
+        fixtures.compatible_h3(), LinearOperator(Matrix.zero(3, 3), ROTA_BAXTER, F(0))),
+        "a Nijenhuis operator is required"),
+    "coboundary of a non-cochain": (lambda: compatible_coboundary(
+        fixtures.compatible_h3(), adjoint_representation(fixtures.compatible_h3()), 1),
+        "cannot take the two-bracket coboundary of objects of type int"),
+    "coboundary in a structure": (lambda: compatible_coboundary(
+        fixtures.compatible_h3(), fixtures.compatible_h3(), CompatibleCochain.zero(1, 3, 3)),
+        "cannot take coefficients in objects of type CompatibleHomLieAlgebra"),
+    "coboundary of one action": (lambda: compatible_coboundary(
+        fixtures.h3(), adjoint_representation(fixtures.h3()), CompatibleCochain.zero(1, 3, 3)),
+        "compatible coboundary needs a two-action representation"),
+    "Maurer-Cartan of non-cochains": (lambda: is_mc_pair(1, 1, fixtures.h3().alpha),
+                                      "cannot test the Maurer-Cartan equation on objects of "
+                                      "type int"),
+    "Maurer-Cartan base of non-cochains": (lambda: is_mc_pair(
+        Cochain.zero(2, 3, 3), Cochain.zero(2, 3, 3), fixtures.h3().alpha, (1, 1)),
+        "cannot test the Maurer-Cartan equation on objects of type int"),
+    "Maurer-Cartan arity": (lambda: is_mc_pair(Cochain.zero(1, 3, 3), Cochain.zero(2, 3, 3),
+                                               fixtures.h3().alpha),
+                            "Maurer-Cartan test expects arity-2 cochains"),
+    "Maurer-Cartan base arity": (lambda: is_mc_pair(
+        Cochain.zero(2, 3, 3), Cochain.zero(2, 3, 3), fixtures.h3().alpha,
+        (Cochain.zero(2, 3, 3), Cochain.zero(1, 3, 3))),
+        "base must be a pair of arity-2 cochains"),
 }
 
 

@@ -21,7 +21,7 @@ from homlie import (
 )
 from homlie import fixtures
 from homlie import cochains
-from homlie.cochains import _compound, equivariance_constraints
+from homlie.cochains import _Compounds, _compound, equivariance_constraints
 
 from helpers import (
     basis_vector,
@@ -602,5 +602,5 @@ def test_equivariance_constraints_are_the_entrywise_linear_forms():
         for t in range(4):
             alpha, beta = rand_matrix(rng, d, d), rand_matrix(rng, t, t)
             for n in range(d + 1):
-                assert equivariance_constraints(alpha, beta, n) == \
+                assert equivariance_constraints(_Compounds(alpha), beta, n) == \
                     naive_equivariance_constraints(alpha, beta, n), (d, t, n)

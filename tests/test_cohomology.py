@@ -49,11 +49,14 @@ from homlie.linalg import hstack, kernel_basis, kron_sum, span_rank
 from helpers import (
     basis_vector,
     c0_compatible_basis,
+    dense,
     naive_basis_matrix,
     naive_compatible_coboundary,
     naive_coboundary,
     naive_class_coordinates,
     naive_derivations,
+    naive_kron,
+    naive_matmul,
     naive_rank,
     rand_equivariant_cochain,
     rand_frac,
@@ -343,6 +346,27 @@ def test_compatible_coboundary_matches_naive_oracle():
                 f = random_compatible_cochain(rng, c, rep, n)
                 got = compatible_coboundary(c, rep, f)
                 assert got.flatten() == naive_compatible_coboundary(c, rep, f).flatten()
+
+
+def test_in_slots_is_the_basis_in_every_slot_times_the_coordinates():
+    """`_in_slots` against the naive kron(1, basis) times the coordinates,
+    on random bases and coordinates, among them bases with no unknowns and
+    one-column coordinates."""
+    rng = random.Random(31)
+
+    def rand(rows, cols):
+        return Matrix(rows, cols, tuple(rand_frac(rng) for _ in range(rows * cols)))
+
+    for slots in (1, 2, 3):
+        for rows, unknowns in ((0, 0), (4, 0), (1, 1), (5, 2), (6, 3)):
+            for width in (0, 1, 3):
+                basis, coords = rand(rows, unknowns), rand(slots * unknowns, width)
+                identity = [[F(int(i == j)) for j in range(slots)] for i in range(slots)]
+                spread = naive_kron(identity, slots, dense(basis), unknowns)
+                want = naive_matmul(spread, dense(coords), width)
+                got = _in_slots(basis, coords, slots)
+                assert (got.rows, got.cols) == (slots * rows, width)
+                assert dense(got) == want
 
 
 def test_assembled_images_match_naive_oracle():

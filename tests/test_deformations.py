@@ -485,7 +485,8 @@ def test_an_extension_checks_its_new_order_on_both_routes(monkeypatch):
 
 def test_a_chain_order_costs_its_obstruction_and_its_end_terms(monkeypatch):
     """From order 2 on, a chain order takes one inner-sum call, the
-    obstruction's 4p products m_i . K_j, plus the 8 of the new order's end
+    obstruction's one `product_sum` pass per sum over its 4p terms
+    m_i . K_j, plus the passes over the 8 terms of the new order's end
     terms and the 2 insertion matrices of its top pair, all inside
     `is_extensible`; the caller's `d.extended(*pair)` and its verification
     take no matrix product at all."""
@@ -564,21 +565,72 @@ def test_a_base_computes_its_order0_row_once(monkeypatch):
 
 
 def test_a_chain_builds_each_compound_once_per_structure(monkeypatch):
-    """The equivariance checks of a chain read the twist's compounds kept
-    on the base: each arity is built once per structure, for the new
-    orders (arity 2) and the obstruction closedness tests (arity 3)."""
-    built = []
+    """The equivariance checks of a chain and the equivariant bases of its
+    complex read the twist's compounds kept on the base: a chain builds
+    the arity-2 compound once per structure, for the new orders and the
+    degree-2 basis alike, and its obstruction's closedness test, one
+    product with the degree-3 differential, needs none.  A report and a
+    generator check after it build each further arity once, on the same
+    table."""
+    kept, built = [], []
     monkeypatch.setattr(cochains._Compounds, "__missing__",
                         lambda self, n, original=cochains._Compounds.__missing__:
-                        built.append((self, n)) or original(self, n))
+                        kept.append((self, n)) or original(self, n))
+    monkeypatch.setattr(cochains, "exterior_power_matrix",
+                        lambda alpha, n, original=cochains.exterior_power_matrix:
+                        built.append(n) or original(alpha, n))
     for c in (fixtures.compatible_h3(), fixtures.compatible_h3()):
+        kept.clear()
         built.clear()
-        d = OrderPDeformation.from_generator(
-            c, trivial_deformation_from_nijenhuis(c, fixtures.h3_nijenhuis()))
+        g = trivial_deformation_from_nijenhuis(c, fixtures.h3_nijenhuis())
+        d = OrderPDeformation.from_generator(c, g)
         while d.order < 4:
             d = d.extended(*is_extensible(d))
         assert verify_order_p(d).passed
-        assert [(kept is c._compounds, n) for kept, n in built] == [(True, 2), (True, 3)]
+        assert [(table is c._compounds, n) for table, n in kept] == [(True, 2)]
+        assert built == [2]
+        for n in range(4):
+            cohomology_dimensions(c, adjoint_representation(c), n)
+        assert check_linear_generator(c, g).generates
+        assert not any(infinitesimal_class(c, g))
+        assert [(table is c._compounds, n) for table, n in kept] == [(True, 2), (True, 1),
+                                                                     (True, 3)]
+        assert built == [2, 1, 3]
+
+
+def test_an_obstruction_that_is_not_closed_breaks_the_contract(monkeypatch):
+    """The closedness self-check of the obstruction is one product with
+    the degree-3 differential kept on the adjoint module: next-order sums
+    that are not closed raise ContractError.  The base has dimension 4,
+    since in dimension 3 every degree-3 cochain is closed."""
+    c = CompatibleHomLieAlgebra.from_brackets(
+        4, Matrix.identity(4), {(0, 1): [0, 1, 0, 0], (0, 2): [0, 0, 1, 0],
+                                (0, 3): [0, 0, 0, 1]}, {})
+    off = Cochain.from_values(3, 4, 4, {(1, 2, 3): [1, 0, 0, 0]})
+    real = deformations._bracket_sums
+
+    def perturbed(e, n):
+        sums = real(e, n)
+        return (sums[0] + off,) + sums[1:] if n > e.order else sums
+
+    assert obstruction(c._order0).cochain.is_zero()
+    monkeypatch.setattr(deformations, "_bracket_sums", perturbed)
+    d = OrderPDeformation(c, (c.bracket_cochain(1),), (c.bracket_cochain(2),))
+    assert verify_order_p(d).passed
+    with pytest.raises(ContractError, match="obstruction cochain is not closed"):
+        obstruction(d)
+
+
+def test_an_obstruction_on_an_invalid_base_is_refused():
+    """A base that fails multiplicativity alone passes the order-0
+    identities; its obstruction is refused by the kept validity gate."""
+    h3 = fixtures.compatible_h3()
+    c = CompatibleHomLieAlgebra(3, Matrix.diagonal([2, 1, 1]), h3.bracket1, h3.bracket2)
+    d = OrderPDeformation(c, (c.bracket_cochain(1),), (c.bracket_cochain(2),))
+    assert verify_order_p(d).passed
+    with pytest.raises(PreconditionError) as err:
+        obstruction(d)
+    assert str(err.value) == "invalid algebra" and not err.value.report.passed
 
 
 def test_a_structure_is_freed_after_a_chain_and_a_report():

@@ -1,6 +1,6 @@
 """The sparse Matrix store against dense list-of-lists oracles.
 
-Every operation, `kron_sum` included, is checked on seeded random
+Every operation, `kron_sum` and `product_sum` included, is checked on seeded random
 matrices of density 0, 0.05, 0.5 and 1, in shapes that include 0 x n,
 n x 0 and 0 x 0.  The dense inputs carry explicit zeros of every kind
 (the int 0, a fresh Fraction(0) and the shared zero), and each matrix is
@@ -35,6 +35,8 @@ from homlie.linalg import (
     hsplit,
     hstack,
     kron_sum,
+    product_sum,
+    vsplit,
     vstack,
 )
 
@@ -291,6 +293,67 @@ def test_kron_sum_refuses_a_term_of_another_shape():
             kron_sum(terms, *shape)
 
 
+def test_product_sum_matches_the_sum_of_naive_products():
+    """Sums of zero to three products a @ b against naive_matmul summed
+    with naive_add from a zero, with right factors of zero, one and four
+    columns; the first left factor is the case's own matrix, the others
+    have inner widths of their own.  One term is `==` a @ b."""
+    for rng, rows, cols, density, g in cases(18):
+        for width in (0, 1, 4):
+            terms, want = [], [[F(0)] * width for _ in range(rows)]
+            for count in range(rng.randint(0, 3)):
+                inner = cols if count == 0 else rng.randint(0, 5)
+                a = g if count == 0 else grid(rng, rows, inner, rng.choice(DENSITIES))
+                b = grid(rng, inner, width, rng.choice(DENSITIES))
+                terms.append((builds(a, rows, inner)[0], builds(b, inner, width)[0]))
+                want = naive_add(want, naive_matmul(a, b, width))
+            total = product_sum(terms, rows, width)
+            assert agrees(total, want, rows, width) and canonical(total)
+            if len(terms) == 1:
+                (a, b), = terms
+                assert total == a @ b
+                assert [total.row_items(i) for i in range(rows)] == \
+                    [(a @ b).row_items(i) for i in range(rows)]
+
+
+def test_product_sum_cancels_and_turns_integral():
+    for rng, rows, cols, density, g in cases(19):
+        m = builds(g, rows, cols)[0]
+        n = builds(grid(rng, cols, 3, density), cols, 3)[0]
+        cancelled = product_sum([(m, n), (-m, n), (m, -n), (m, n)], rows, 3)
+        assert cancelled.is_zero() and cancelled == Matrix.zero(rows, 3)
+        half = m.scale(F(1, 2))
+        doubled = product_sum([(half, n), (half, n)], rows, 3)
+        assert doubled == m @ n and canonical(doubled)
+    thirds = Matrix(1, 2, (F(1, 3), F(2, 3)))
+    total = product_sum([(thirds, Matrix(2, 2, (3, F(1, 2), 0, F(1, 2)))),
+                         (Matrix(1, 1, (F(1, 2),)), Matrix(1, 2, (4, 1)))], 1, 2)
+    assert total.row_items(0) == ((0, 3), (1, 1))
+    assert all(type(x) is int for _, x in total.row_items(0))
+    assert product_sum([], 2, 3) == Matrix.zero(2, 3)
+    assert product_sum([], 0, 0) == Matrix.zero(0, 0)
+
+
+def test_product_sum_refuses_a_term_of_another_shape():
+    a, b = Matrix.zero(2, 3), Matrix.zero(3, 4)
+    for terms, shape, message in (
+            ([(a, b)], (2, 5), "product of 2x3 and 3x4 is not 2x5"),
+            ([(a, b)], (3, 4), "product of 2x3 and 3x4 is not 3x4"),
+            ([(a, b), (a, Matrix.zero(2, 4))], (2, 4), "product of 2x3 and 2x4 is not 2x4")):
+        with pytest.raises(UsageError) as err:
+            product_sum(terms, *shape)
+        assert str(err.value) == message
+
+
+def test_vsplit_inverts_vstack():
+    for rng, rows, cols, density, g in cases(20):
+        blocks = [builds(grid(rng, rows, cols, density), rows, cols)[0] for _ in range(3)]
+        assert vsplit(vstack(blocks), 3) == blocks
+    for m, count in ((Matrix.zero(5, 2), 2), (Matrix.zero(2, 1), 0)):
+        with pytest.raises(UsageError):
+            vsplit(m, count)
+
+
 def test_hsplit_inverts_hstack():
     for rng, rows, cols, density, g in cases(8):
         blocks = [builds(grid(rng, rows, cols, density), rows, cols)[0] for _ in range(3)]
@@ -357,6 +420,7 @@ def test_every_operation_stores_the_canonical_form():
         right = builds(grid(rng, cols, 3, density), cols, 3)[0]
         column = builds(grid(rng, cols, 1, density), cols, 1)[0]
         results = [m @ right, m @ column, kron_sum([(m, other)], rows * r2, cols * c2),
+                   product_sum([(m, right), (m.scale(F(1, 2)), right)], rows, 3),
                    m + same, m - same, -m, m.transpose(),
                    m.scale(2), m.scale(F(3, 2)), m.block_diag(other), vstack([m, m]),
                    hstack([m, m]), *hsplit(hstack([m, m]), 2),

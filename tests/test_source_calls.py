@@ -22,11 +22,15 @@ equivariance constraints and the two-bracket layout
 (of the differential and of its images) are sums of Kronecker products,
 and each of their builders assembles its sum in one `kron_sum` call
 rather than adding the terms one at a time; a single Kronecker product
-(the twist of the coboundary and of the module identities, and the basis
-in every slot) is a `kron_sum` of one term, so no module defines a
-second kernel (`kron`).  The dense helpers that nothing in the library
-called are gone: `span_basis`, `vec_is_zero` and `Matrix.apply`.  The two-bracket differential
-is one kept matrix, so outside `cohomology` no module reads the
+(the twist of the coboundary and of the module identities) is a
+`kron_sum` of one term, so no module defines a second kernel (`kron`).
+The basis in every slot times coordinates is one product per slot, with
+no Kronecker matrix.  Likewise every sum or difference of matrix
+products is one `product_sum` call: no `+` or `-` takes two `@` products
+as its operands, and no `sum()` runs over a generator of products.  The
+dense helpers that nothing in the library called are gone: `span_basis`,
+`vec_is_zero` and `Matrix.apply`.  The two-bracket differential is one
+kept matrix, so outside `cohomology` no module reads the
 per-bracket coboundary matrices of a kept complex, and inside it the parts
 of a kept complex are built by `_Complex.__missing__` alone: the bases,
 the images and their elimination, the cocycles (`_kernel`) and the
@@ -52,7 +56,8 @@ the elimination record (`_elimination`, `_replay`) instead of eliminating
 carries with products alone, so it calls no `_elimination`, `solve`,
 `_replay` or `hstack`; `bracket_of` evaluates the bracket cochain, so no
 module keeps a pair-wedge twin (`_bracket_apply`); and `exterior_square`
-takes its compound directly, not through `exterior_power_matrix`.
+takes its compound directly, not through `exterior_power_matrix`, which
+only the table of a twist's compounds (`_Compounds`) calls.
 Every row reduction reads one elimination record, so the pivot loop
 `_echelon` has one caller, `_elimination`, and neither it nor `_eliminate`
 has a `steps` option.  No library module other than `__init__` imports a
@@ -172,12 +177,44 @@ def test_no_module_names_a_shared_one():
 
 def test_the_kronecker_builders_call_kron_sum():
     builders = {("cohomology.py", "_coboundary_map"), ("cohomology.py", "_layout"),
-                ("cohomology.py", "_in_slots"), ("algebra.py", "_pair_blocks"),
+                ("algebra.py", "_pair_blocks"),
                 ("algebra.py", "_representation_checks"),
                 ("cochains.py", "equivariance_constraints")}
     callers = {(path.name, scope) for path in MODULES
                for scope, name in calls(path) if name == "kron_sum"}
     assert callers == builders
+
+
+def summed_products(source: str) -> list:
+    """The line of every `+` or `-` whose two operands are `@` products,
+    and of every `sum()` over a generator or list of `@` products."""
+    def product(node):
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)) \
+                and product(node.left) and product(node.right):
+            found.append(node.lineno)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sum" \
+                and node.args and isinstance(node.args[0], (ast.GeneratorExp, ast.ListComp)) \
+                and product(node.args[0].elt):
+            found.append(node.lineno)
+    return found
+
+
+def test_the_product_scanner_sees_sums_and_differences_of_products():
+    source = ("a @ b + c @ d\n(a @ b) - (c @ d)\na @ b + c\na - b @ c - d @ e\n"
+              "sum((x @ y for x, y in z), w)\nsum([x @ y for x, y in z])\nsum(x for x in z)\n")
+    assert summed_products(source) == [1, 2, 5, 6]
+
+
+def test_every_sum_of_products_is_one_product_sum():
+    offenders = {path.name: summed_products(path.read_text()) for path in MODULES}
+    assert {name: lines for name, lines in offenders.items() if lines} == {}
+    for module, scope in (("deformations.py", "_products.total"), ("algebra.py", "_algebra_checks"),
+                          ("algebra.py", "_representation_checks"), ("cochains.py", "is_mc_pair")):
+        assert "product_sum" in called_in(module, scope)
 
 
 def kept_keys(path: Path):
@@ -291,6 +328,12 @@ def test_no_module_defines_a_bracket_apply_twin():
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.FunctionDef) and node.name == "_bracket_apply"]
     assert defined == []
+
+
+def test_only_the_compound_table_calls_exterior_power_matrix():
+    callers = {(path.name, scope) for path in MODULES
+               for scope, name in calls(path) if name == "exterior_power_matrix"}
+    assert callers == {("cochains.py", "_Compounds.__missing__")}
 
 
 def test_exterior_square_takes_the_compound_directly():
