@@ -54,12 +54,11 @@ from .cochains import (
     increasing_tuples,
     insertion_matrix,
     lift_to_product,
-    nr_bracket,
-    nr_diamond,
+    transposed_incidence,
     tuple_position,
     wedge_incidence,
 )
-from .errors import PreconditionError, UsageError
+from .errors import PreconditionError, UsageError, _require_kind
 from .linalg import (
     Matrix,
     frac,
@@ -314,13 +313,6 @@ def verify_structure(s) -> ValidationReport:
     return s._report
 
 
-def _require_kind(s, kinds, action: str):
-    """UsageError unless s is one of `kinds`: the refusal of a wrong-type
-    input before any of its fields is read."""
-    if not isinstance(s, kinds):
-        raise UsageError(f"cannot {action} objects of type {type(s).__name__}")
-
-
 def require_valid(s, message: str):
     """Raise PreconditionError(message, report) unless s passes
     `verify_structure`: the gate of every result stated for valid inputs."""
@@ -341,7 +333,7 @@ def _algebra_checks(s):
     ]
     # One insertion matrix K_b per bracket: mu_b <> mu_b = mu_b . K_b, and
     # in arity 2 [mu_1, mu_2] = mu_1 . K_2 + mu_2 . K_1.
-    ks = [insertion_matrix(mu, alpha, 2) for mu in mus]
+    ks = [insertion_matrix(mu, s._compounds, 2) for mu in mus]
     checks += [
         CheckResult.from_columns(f"hom_jacobi{label}", mu.coeffs @ k, 3)
         for label, mu, k in zip(labels, mus, ks)
@@ -400,8 +392,8 @@ def adjoint_representation(s) -> Representation:
 
 
 def _adjoint_module(s) -> Representation:
-    incidences = wedge_incidence(s.dim, 1)
-    tables = tuple(tuple(bracket @ e.transpose() for e in incidences) for bracket in s.brackets)
+    incidences = transposed_incidence(s.dim, 1)
+    tables = tuple(tuple(bracket @ e for e in incidences) for bracket in s.brackets)
     return Representation(s, s.dim, s.alpha, tables)
 
 
@@ -510,12 +502,14 @@ def induced_bracket(l, op: LinearOperator):
 
 
 def _induced_matrix(s, bracket: Matrix, op: LinearOperator) -> Matrix:
-    # [x,y]_N is the NR bracket [mu, N]; [x,y]_R is mu <> R + weight * mu.
-    mu = Cochain(2, s.dim, s.dim, bracket)
-    n = Cochain(1, s.dim, s.dim, op.matrix)
+    # [x,y]_N is the NR bracket [mu, N] = mu <> N - N <> mu, where N <> mu
+    # is N . mu; [x,y]_R is mu <> R + weight * mu.  mu <> N is mu . K_N,
+    # with K_N read off the structure's table.
+    n = op.matrix
+    k = insertion_matrix(Cochain(1, s.dim, s.dim, n), s._compounds, 2)
     if op.kind == NIJENHUIS:
-        return nr_bracket(mu, n, s.alpha).coeffs
-    return nr_diamond(mu, n, s.alpha).coeffs + bracket.scale(op.weight)
+        return product_sum([(bracket, k), (-n, bracket)], s.dim, bracket.cols)
+    return bracket @ k + bracket.scale(op.weight)
 
 
 def rb_pair(l: HomLieAlgebra, r: LinearOperator, s: LinearOperator):
@@ -534,12 +528,10 @@ def rb_pair(l: HomLieAlgebra, r: LinearOperator, s: LinearOperator):
     r_checks, (r_induced,) = _operator_checks(l, r, label="[R]")
     s_checks, (s_induced,) = _operator_checks(l, s, label="[S]")
     checks = r_checks + s_checks
-    mu = l.bracket_cochain()
     rm, sm = r.matrix, s.matrix
     mixed = exterior_square(rm + sm) - exterior_square(rm) - exterior_square(sm)
-    defect = product_sum([(l.bracket, mixed),
-                          (-rm, nr_diamond(mu, Cochain(1, l.dim, l.dim, sm), l.alpha).coeffs),
-                          (-sm, nr_diamond(mu, Cochain(1, l.dim, l.dim, rm), l.alpha).coeffs)],
+    kr, ks = (insertion_matrix(Cochain(1, l.dim, l.dim, m), l._compounds, 2) for m in (rm, sm))
+    defect = product_sum([(l.bracket, mixed), (-rm, l.bracket @ ks), (-sm, l.bracket @ kr)],
                          l.dim, l.bracket.cols)
     checks.append(CheckResult.from_columns("pair_compatibility", defect, 2))
     report = ValidationReport(tuple(checks))

@@ -19,7 +19,9 @@ compound is the 1 x 1 identity, so the equivariant arity-0 cochains are
 the beta-fixed vectors.  The membership test (`require_equivariant`) and
 the constraints of a basis (`equivariance_constraints`) read the compounds
 from a table by arity (`_Compounds`); a structure keeps one for its twist,
-so the checks and the bases on it build each compound once.
+so the checks and the bases on it build each compound once.  The calls
+that take a bare twist (`is_equivariant`, `hom_cochain_basis`,
+`nr_diamond`, `nr_bracket`, `is_mc_pair`) build a table of their own.
 
 For endomorphism cochains (source = target) the shifted graded space of
 equivariant cochains carries a graded Lie bracket
@@ -35,7 +37,7 @@ brackets on the space.
 
 On coefficient matrices the insertion product is one exact product,
 
-    coeffs(P <> Q) = coeffs(P) . K,    K = insertion_matrix(Q, alpha, arity(P)),
+    coeffs(P <> Q) = coeffs(P) . K,    K = insertion_matrix(Q, compounds, arity(P)),
 
 where column X of the C(d, m+1) x C(d, m+n+1) matrix K is the sum over the
 shuffles s of sign(s) Q(e_(x_s(1)), ..., e_(x_s(n+1))) ^ alpha^n e_(x_s(n+2))
@@ -44,9 +46,15 @@ coefficient of e_I in that wedge is the minor by which the alternating
 extension of P weighs its column I.  The shuffles of each column X, their
 signs and the tuples they pick depend on d and the arities alone, so they
 are one table cached per (d, arity(Q), arity(P <> Q)) beside the tuple
-bases and the wedge incidences (`_insertion_plan`); a call builds only the
-wedges of Q's columns with the rest forms.  The bracket term of the coboundary
-in `cohomology` is -K for Q the bracket cochain, and the Maurer-Cartan
+bases and the wedge incidences (`_insertion_plan`), grouped by the column
+k of Q each shuffle reads.  Everything else but Q's entries depends on
+the twist and the arities alone: K is linear in Q, and each wedge is a
+sum of columns of B = [E_0^T C | ... | E_(d-1)^T C], with
+C = compound_(arity(P)-1)(alpha)^n and E_r from `wedge_incidence`.  B is
+kept per (arity(Q), arity(P)) in the twist's table beside its compounds
+(`_Compounds`), so a call is one pass over Q's nonzeros Q[r, k] and the
+terms of group k.  The bracket term of the coboundary in `cohomology` is
+-K for Q the bracket cochain, and the Maurer-Cartan
 test reads its residuals off the two insertion matrices of a pair: in
 arity 2, [P, Q] = P . K_Q + Q . K_P.  Relative to a base pair it tests the
 sum with the base, so there is one Maurer-Cartan equation.
@@ -60,12 +68,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .errors import PreconditionError, UsageError
+from .errors import PreconditionError, UsageError, _require_kind
 from .linalg import (
     Matrix,
     _column_blocks,
     _elimination,
     _kernel,
+    _row,
     kron_sum,
     product_sum,
     vector,
@@ -201,15 +210,18 @@ def exterior_square(m: Matrix) -> Matrix:
 
 
 class _Compounds(dict):
-    """compound_n(alpha) by arity n, each built on first use: the twist's
-    side of the equivariance test.  A structure keeps one for its twist."""
+    """compound_n(alpha) by arity n, and the wedge table of
+    `insertion_matrix` by (arity(Q), arity(P)), each built on first use:
+    the twist's side of the equivariance test and of the insertion
+    product.  A structure keeps one for its twist."""
 
     def __init__(self, alpha: Matrix):
         super().__init__()
         self.alpha = alpha
 
-    def __missing__(self, n):
-        value = self[n] = exterior_power_matrix(self.alpha, n)
+    def __missing__(self, key):
+        value = self[key] = (_insertion_wedges(self, *key) if isinstance(key, tuple)
+                             else exterior_power_matrix(self.alpha, key))
         return value
 
 
@@ -227,6 +239,7 @@ def require_equivariant(cochains, compounds: _Compounds, beta: Matrix,
 
 def is_equivariant(f, alpha: Matrix, beta: Matrix) -> bool:
     """Membership test for the twist-equivariant cochain space."""
+    _require_kind(f, Cochain, "test the equivariance of")
     try:
         require_equivariant((f,), _Compounds(alpha), beta)
     except PreconditionError:
@@ -244,6 +257,8 @@ def hom_cochain_basis(alpha: Matrix, beta: Matrix, n: int):
     `equivariance_constraints`.  Arities above the source dimension give
     the empty basis.
     """
+    for twist in (alpha, beta):
+        _require_kind(twist, Matrix, "read a twist from")
     if n < 0:
         raise UsageError("negative arity")
     d, t = alpha.rows, beta.rows
@@ -336,69 +351,108 @@ def wedge_incidence(d: int, n: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def transposed_incidence(d: int, n: int) -> tuple:
+    """(E_0^T, ..., E_(d-1)^T) for the incidences of `wedge_incidence`:
+    E_j^T takes the coordinates of an n-form to those of e_j ^ it.
+    Cached beside them, as they do not depend on the twist either."""
+    return tuple(e.transpose() for e in wedge_incidence(d, n))
+
+
+@lru_cache(maxsize=None)
 def _insertion_plan(d: int, q_arity: int, out_arity: int) -> tuple:
-    """The shuffle terms of `insertion_matrix` in its summation order: x, k,
-    negative, rest for the x-th out-tuple X and each shuffle S of X, with
-    k the position of the tuple X_S among the q_arity-tuples, negative the
-    parity of S and rest the other entries of X in order.  Cached like the
-    tuple bases it is made of; the four entries of each term are laid end
-    to end and each distinct rest is one tuple object, so that the kept
-    table holds no tuple per term."""
-    q_pos, rests, plan = tuple_position(d, q_arity), {}, []
+    """The shuffle terms of `insertion_matrix`, grouped by the column k of
+    Q they read: group k lays end to end x, negative, p for the x-th
+    out-tuple X and each shuffle S of X whose tuple X_S is the k-th
+    q_arity-tuple, with negative the parity of S and p the position of
+    the rest (the other entries of X in order) among the
+    (out_arity - q_arity)-tuples.  Empty when there are no terms: in
+    arity(P) = 0, and above the source dimension.  Cached like the tuple
+    bases it is made of; each group is one flat tuple of ints and bools,
+    so that the kept table holds no tuple per term."""
+    if out_arity < q_arity:  # arity(P) = 0: no shuffles
+        return ()
+    q_pos, rest_pos = tuple_position(d, q_arity), tuple_position(d, out_arity - q_arity)
+    groups = [[] for _ in q_pos]
     for x, X in enumerate(increasing_tuples(d, out_arity)):
         for S in itertools.combinations(range(out_arity), q_arity):
             rest = tuple(X[t] for t in range(out_arity) if t not in S)
-            plan += (x, q_pos[tuple(X[s] for s in S)], _shuffle_sign(S) < 0,
-                     rests.setdefault(rest, rest))
-    return tuple(plan)
+            groups[q_pos[tuple(X[s] for s in S)]] += (x, _shuffle_sign(S) < 0, rest_pos[rest])
+    return tuple(map(tuple, groups)) if any(groups) else ()
 
 
-def insertion_matrix(q: Cochain, alpha: Matrix, arity: int) -> Matrix:
+def _insertion_wedges(compounds: _Compounds, q_arity: int, arity: int) -> tuple:
+    """The columns of B = [E_0^T C | ... | E_(d-1)^T C], with E_r from
+    `wedge_incidence` and C = compound_(arity-1)(alpha^n), n = q_arity - 1:
+    entry [r][p] holds the (row, value) pairs of column p of E_r^T C, the
+    wedge e_r ^ alpha^n e_(j1) ^ ... ^ alpha^n e_(j(arity-1)) for the p-th
+    (arity-1)-tuple J, in the arity-tuple basis.  By Cauchy-Binet C is
+    compound_(arity-1)(alpha) to the n-th power, read from the same
+    table, and column p of E_r^T C is row p of C^T E_r.  Kept in that
+    table (`_Compounds`) per (q_arity, arity)."""
+    c = compounds[arity - 1].power(q_arity - 1).transpose()
+    wedges = []
+    for e in wedge_incidence(compounds.alpha.rows, arity - 1):
+        b = c @ e
+        wedges.append(tuple(b.row_items(p) for p in range(b.rows)))
+    return tuple(wedges)
+
+
+def insertion_matrix(q: Cochain, compounds: _Compounds, arity: int) -> Matrix:
     """The C(d, arity) x C(d, arity + deg Q) matrix K with P <> Q = P . K
-    on coefficient matrices, for every arity-`arity` cochain P.
+    on coefficient matrices, for every arity-`arity` cochain P, with the
+    twist's tables read from `compounds` (`_Compounds`).
 
     Column X of K is sum_S sign(S) Q(e_(X_S)) ^ alpha^n e_(x_k) ^ ... over
     the shuffles S of X, with k running over the other positions of X in
     order and n = deg Q, expanded in the arity-tuple basis.  The
     coefficient of e_I in that wedge is the minor by which the alternating
-    extension of P weighs its column I.  The shuffles, their signs and
-    the tuples they pick depend on d and the arities alone
-    (`_insertion_plan`).
+    extension of P weighs its column I.  K is linear in Q: with Q's
+    columns Q e_k = sum_r Q[r, k] e_r, each term adds sign(S) Q[r, k]
+    times column (r, rest) of the wedge table B (`_insertion_wedges`).
+    So one pass over Q's nonzeros Q[r, k] and the plan terms of group k
+    (`_insertion_plan`) builds K; the plan depends on d and the arities
+    alone, and B on the twist and the arities.
     """
     d = q.source_dim
     out_arity = arity + q.arity - 1
-    rest_forms = _wedges(alpha.power(q.arity - 1), arity - 1)  # rest -> alpha^n e_(x_k) ^ ...
-    q_cols = _columns(q.coeffs)
-    in_pos = tuple_position(d, arity)
-    entries = {}  # (row, col) -> entry
-    plan = iter(_insertion_plan(d, q.arity, out_arity))
-    for x, k, negative, rest in zip(plan, plan, plan, plan):
-        for I, value in _wedge_front(q_cols[k], rest_forms[rest]).items():
-            if negative:
-                value = -value
-            key = (in_pos[I], x)
-            entries[key] = entries[key] + value if key in entries else value
-    return Matrix.from_entries(comb(d, arity), comb(d, out_arity), entries)
+    plan = _insertion_plan(d, q.arity, out_arity)
+    rows = [{} for _ in range(comb(d, arity))]  # row I of K: {column x: entry}
+    if plan:
+        for r, columns in enumerate(compounds[q.arity, arity]):
+            for k, c in q.coeffs.row_items(r):
+                terms = iter(plan[k])
+                for x, negative, p in zip(terms, terms, terms):
+                    v = -c if negative else c
+                    for i, b in columns[p]:
+                        row = rows[i]
+                        row[x] = row[x] + v * b if x in row else v * b
+    return Matrix._of(len(rows), comb(d, out_arity), tuple(map(_row, rows)))
 
 
 def nr_diamond(p: Cochain, q: Cochain, alpha: Matrix) -> Cochain:
     """The insertion product P <> Q over all (arity(Q), deg P)-shuffles, as
-    the one exact product P . insertion_matrix(Q, alpha, arity(P))."""
+    the one exact product P . insertion_matrix(Q, compounds, arity(P)),
+    with a table of alpha's own.  Q of arity 0 would need alpha^(-1), and
+    is refused."""
+    for f in (p, q):
+        _require_kind(f, Cochain, "take the insertion product of")
     d = p.source_dim
     if p.target_dim != d or q.source_dim != d or q.target_dim != d:
         raise UsageError("insertion product needs endomorphism cochains on one space")
     if alpha.rows != d or alpha.cols != d:
         raise UsageError("twist dimension mismatch")
+    if q.arity == 0:
+        raise UsageError("negative matrix power")
     out_arity = p.arity + q.arity - 1
-    return Cochain(out_arity, d, d, p.coeffs @ insertion_matrix(q, alpha, p.arity))
+    return Cochain(out_arity, d, d, p.coeffs @ insertion_matrix(q, _Compounds(alpha), p.arity))
 
 
 def nr_bracket(p: Cochain, q: Cochain, alpha: Matrix) -> Cochain:
     """Graded Lie bracket [P, Q] = P <> Q - (-1)^(mn) Q <> P on shifted degrees."""
-    m = p.arity - 1
-    n = q.arity - 1
     first = nr_diamond(p, q, alpha)
     second = nr_diamond(q, p, alpha)
+    m = p.arity - 1
+    n = q.arity - 1
     if (m * n) % 2:
         return first + second
     return first - second
@@ -448,25 +502,24 @@ def is_mc_pair(mu1: Cochain, mu2: Cochain, alpha: Matrix, base=None) -> MaurerCa
     structure with differentials [t1,-] and [t2,-]; its residuals
     2[t1,m1]+[m1,m1],  2[t2,m2]+[m2,m2]  and  [t1,m2]+[t2,m1]+[m1,m2] are
     those of the sum (t1 + m1, t2 + m2), since [t1,t1], [t2,t2] and
-    [t1,t2] vanish.
+    [t1,t2] vanish.  The pair and its base share one table of the twist
+    (`_Compounds`).
     """
-    from .algebra import _require_kind  # the module builds on this one
-
     for f in (mu1, mu2, *(base or ())):
         _require_kind(f, Cochain, "test the Maurer-Cartan equation on")
     if mu1.arity != 2 or mu2.arity != 2:
         raise UsageError("Maurer-Cartan test expects arity-2 cochains")
-    require_equivariant((mu1, mu2), _Compounds(alpha), alpha)
+    compounds = _Compounds(alpha)
+    require_equivariant((mu1, mu2), compounds, alpha)
     if base is not None:
         theta1, theta2 = base
         if theta1.arity != 2 or theta2.arity != 2:
             raise UsageError("base must be a pair of arity-2 cochains")
-        require_equivariant(base, _Compounds(alpha), alpha,
-                            "base cochain is not twist-equivariant")
+        require_equivariant(base, compounds, alpha, "base cochain is not twist-equivariant")
         if not is_mc_pair(theta1, theta2, alpha).is_mc:
             raise PreconditionError("base pair is not Maurer-Cartan")
         mu1, mu2 = theta1 + mu1, theta2 + mu2
-    k1, k2 = (insertion_matrix(m, alpha, 2) for m in (mu1, mu2))
+    k1, k2 = (insertion_matrix(m, compounds, 2) for m in (mu1, mu2))
     m1, m2, d = mu1.coeffs, mu2.coeffs, alpha.rows
     mixed = product_sum([(m1, k2), (m2, k1)], d, k1.cols)
     return MaurerCartanCheck(*(Cochain(3, d, d, r) for r in

@@ -30,8 +30,9 @@ matrix, built as its formula
 
 The action term puts F -> a_j F E_j, where E_j (C(d,n) x C(d,n+1)) is the
 signed incidence e_I -> e_j ^ e_I.  The bracket term is F -> -F . K, where
-K = insertion_matrix(bracket, alpha, n) is the C(d,n) x C(d,n+1) matrix of
-the insertion product F -> F <> [ , ] (see `cochains`); the d + 1 terms
+K = insertion_matrix(bracket, compounds, n), with the twist's table kept
+on the structure, is the C(d,n) x C(d,n+1) matrix of the insertion
+product F -> F <> [ , ] (see `cochains`); the d + 1 terms
 are summed by one `kron_sum`.  A cochain space is a basis matrix B whose
 columns are the equivariant basis cochains: B is the kernel matrix of the
 equivariance constraints (`cochains.equivariance_constraints`, and in
@@ -81,7 +82,6 @@ from .algebra import (
     Representation,
     _Algebra,
     _action_blocks,
-    _require_kind,
     require_valid,
 )
 from .cochains import (
@@ -89,9 +89,9 @@ from .cochains import (
     _equivariant_columns,
     insertion_matrix,
     require_equivariant,
-    wedge_incidence,
+    transposed_incidence,
 )
-from .errors import ContractError, PreconditionError, UsageError
+from .errors import ContractError, PreconditionError, UsageError, _require_kind
 from .linalg import (
     Matrix,
     _column_blocks,
@@ -191,6 +191,8 @@ def ce_coboundary(l: HomLieAlgebra, v: Representation, f):
     is the arity-1 cochain x -> x . v.  Every call enforces the
     preconditions: validity of l and v, and equivariance of f.
     """
+    _require_kind(v, Representation, "take coefficients in")
+    _require_kind(f, Cochain, "take the single-bracket coboundary of")
     if len(v.actions) != 1:
         raise UsageError("single-bracket coboundary needs a single-action representation")
     _validate_structures(l, v)
@@ -242,10 +244,11 @@ def _coboundary_map(struct, v: Representation, which: int, n: int) -> Matrix:
 
         sum_j kron(a_j, E_j^T) - kron(1, K^T),   a_j = rho(alpha^(n-1) e_j),
 
-    with E_j from `wedge_incidence` and K the insertion matrix of the
-    bracket cochain, kept on v.  The blocks a_j are the d blocks of one
-    product A . kron(alpha^(n-1), 1), A = [rho(e_0) | ... | rho(e_(d-1))];
-    in degree 0 they are the plain action matrices.
+    with the E_j^T cached by `transposed_incidence` and K the insertion
+    matrix of the bracket cochain, kept on v.  The blocks a_j are the d
+    blocks of one product A . kron(alpha^(n-1), 1),
+    A = [rho(e_0) | ... | rho(e_(d-1))]; in degree 0 they are the plain
+    action matrices.
     """
     dim, vdim = struct.dim, v.vdim
     if comb(dim, n + 1) == 0:  # no (n+1)-tuples: nothing to build
@@ -254,7 +257,7 @@ def _coboundary_map(struct, v: Representation, which: int, n: int) -> Matrix:
                      dim * vdim, dim * vdim)
     blocks = hsplit(_action_blocks(v.actions[which - 1], vdim) @ twist, dim)
     terms = [(Matrix.identity(vdim), -v._complex["insertion", which, n].transpose())]
-    terms += [(a, e.transpose()) for a, e in zip(blocks, wedge_incidence(dim, n))]
+    terms += list(zip(blocks, transposed_incidence(dim, n)))
     return kron_sum(terms, vdim * comb(dim, n + 1), vdim * comb(dim, n))
 
 
@@ -330,7 +333,8 @@ class _Complex(dict):
         v, part, n = self.module, key[0], key[-1]
         s = v.base
         if part == "insertion":
-            value = insertion_matrix(Cochain(2, s.dim, s.dim, s.brackets[key[1] - 1]), s.alpha, n)
+            value = insertion_matrix(Cochain(2, s.dim, s.dim, s.brackets[key[1] - 1]),
+                                     s._compounds, n)
         elif part == "coboundary":
             value = _coboundary_map(s, v, key[1], n)
         elif part == "differential":

@@ -10,9 +10,10 @@ An order-p deformation keeps both brackets as degree-p polynomials in t with
 equivariant arity-2 coefficients m_k and constant terms equal to the base.
 Its truncated brackets vanish coefficient by coefficient, and the t^n
 coefficient is a sum of products m_i . K_j over i + j = n, with one
-insertion matrix K_j = insertion_matrix(m_j, alpha, 2) per coefficient (the
-K list).  The residuals of order n take the inner terms 1 <= i <= n - 1
-(`_bracket_sums`); the truncated-bracket cross-check takes the end terms
+insertion matrix K_j = insertion_matrix(m_j, compounds, 2) per coefficient
+(the K list), read off the twist's table kept on the base.  The residuals
+of order n take the inner terms 1 <= i <= n - 1 (`_bracket_sums`); the
+truncated-bracket cross-check takes the end terms
 i = 0 and i = n alone (`_end_terms`), since the inner terms are common to
 both routes.  The inner sums at n = p + 1 are the obstruction, a closed
 degree-3 cochain; the deformation extends one order further exactly when
@@ -28,8 +29,10 @@ takes its parent's K lists, verified orders 0..p and next-order sums,
 and checks order p + 1 with its 8 terms m_i . K_j (the end terms).  A
 chain order thus costs three `product_sum` passes over the obstruction's
 4p terms, three over the new order's 8 end terms, 2 insertion matrices
-and the closedness test of the obstruction, one product with the
-degree-3 differential: `is_extensible` keeps the extension it verified,
+(each one pass over the nonzeros of its coefficient, with the wedge
+table of the arity-2 insertions kept in the base's twist table) and the
+closedness test of the obstruction, one product with the degree-3
+differential: `is_extensible` keeps the extension it verified,
 and `extended` returns it for an equal pair.  K_0 and the differentials
 are kept on the adjoint module.  The order-0 deformation is kept on the
 base, and a generator's deformation (`from_generator`) is its extension
@@ -58,7 +61,6 @@ from .algebra import (
     CompatibleHomLieAlgebra,
     LinearOperator,
     NIJENHUIS,
-    _require_kind,
     adjoint_representation,
     induced_bracket,
     require_valid,
@@ -78,7 +80,7 @@ from .cohomology import (
     cohomology_dimensions,
     compatible_coboundary,
 )
-from .errors import ContractError, PreconditionError, UsageError
+from .errors import ContractError, PreconditionError, UsageError, _require_kind
 from .linalg import Matrix, product_sum
 
 HALF = Fraction(1, 2)
@@ -176,6 +178,8 @@ def check_linear_equivalence(c: CompatibleHomLieAlgebra, g: LinearGenerator,
     (w' <> N)(x,y) = w'(Nx,y) + w'(x,Ny).  The coboundary shift
     w - w' = dN holds exactly when both order-1 identities do.
     """
+    for generator in (g, g_prime):
+        _require_kind(generator, LinearGenerator, "read a generator from")
     require_valid(c, "base algebra is invalid")
     require_equivariant((g.omega1, g.omega2, g_prime.omega1, g_prime.omega2),
                         c._compounds, c.alpha)
@@ -191,7 +195,7 @@ def check_linear_equivalence(c: CompatibleHomLieAlgebra, g: LinearGenerator,
         mu = c.bracket_cochain(b)
         order1 = omega.coeffs - omega_p.coeffs - delta_n[b - 1].coeffs
         order2 = product_sum([(n_matrix, omega.coeffs),
-                              (-omega_p.coeffs, insertion_matrix(n_cochain, c.alpha, 2)),
+                              (-omega_p.coeffs, insertion_matrix(n_cochain, c._compounds, 2)),
                               (-mu.coeffs, square)], dim, comb(dim, 2))
         checks.append(CheckResult.from_columns(f"order1_identity[{b}]", order1, 2))
         checks.append(CheckResult.from_columns(f"order2_identity[{b}]", order2, 2))
@@ -206,6 +210,7 @@ def infinitesimal_class(c: CompatibleHomLieAlgebra, g: LinearGenerator) -> tuple
     twist-commuting operator receive identical coordinates.  A generator
     outside the degree-2 cocycles of the report, and so one that is not
     twist-equivariant, raises PreconditionError."""
+    _require_kind(g, LinearGenerator, "read a generator from")
     h2 = cohomology_dimensions(c, adjoint_representation(c), 2)
     try:
         return class_coordinates(h2, CompatibleCochain(2, (g.omega1, g.omega2)))
@@ -266,7 +271,8 @@ class OrderPDeformation:
         extension appends its top pair's matrices to its parent's lists."""
         known = self._parent._k_lists if self._parent else tuple(
             (adjoint_representation(self.base)._complex["insertion", b, 2],) for b in (1, 2))
-        return tuple(ks + tuple(insertion_matrix(f, self.base.alpha, 2) for f in coeffs[len(ks):])
+        return tuple(ks + tuple(insertion_matrix(f, self.base._compounds, 2)
+                                for f in coeffs[len(ks):])
                      for ks, coeffs in zip(known, (self.coeffs1, self.coeffs2)))
 
     @cached_property
@@ -372,6 +378,7 @@ def verify_order_p(d: OrderPDeformation) -> OrderReport:
     parent's obstruction, so its new order costs that product and the
     `product_sum` passes over its 8 end terms m_i . K_j.
     """
+    _require_kind(d, OrderPDeformation, "read a deformation from")
     return d._report
 
 
@@ -433,6 +440,7 @@ def obstruction(d: OrderPDeformation) -> ObstructionCochain:
     `product_sum` pass per sum over its 4p terms m_i . K_j, kept for the
     extension's new order); closedness is asserted exactly.  It is kept on
     the deformation."""
+    _require_kind(d, OrderPDeformation, "read a deformation from")
     return d._obstruction_cochain
 
 
@@ -450,6 +458,7 @@ def is_extensible(d: OrderPDeformation):
     verified extension is kept on d, and the caller's own
     `d.extended(*pair)` returns it with no further work.
     """
+    _require_kind(d, OrderPDeformation, "read a deformation from")
     c = d.base
     x = coboundary_preimage(c, adjoint_representation(c), obstruction(d).cochain)
     if x is None:

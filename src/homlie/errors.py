@@ -1,4 +1,4 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the kind check that raises one."""
 
 
 class UsageError(ValueError):
@@ -19,3 +19,10 @@ class PreconditionError(ValueError):
 
 class ContractError(RuntimeError):
     """An internal guarantee failed.  This signals a bug, not bad input."""
+
+
+def _require_kind(s, kinds, action: str):
+    """UsageError unless s is one of `kinds`: the refusal of a wrong-type
+    input before any of its fields is read."""
+    if not isinstance(s, kinds):
+        raise UsageError(f"cannot {action} objects of type {type(s).__name__}")

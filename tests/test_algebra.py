@@ -23,12 +23,21 @@ from homlie import (
     ce_coboundary,
     class_coordinates,
     cohomology_dimensions,
+    check_linear_equivalence,
     check_linear_generator,
     compatible_coboundary,
     derivation_space,
     derived_structure,
+    exterior_power_matrix,
+    hom_cochain_basis,
     induced_bracket,
+    infinitesimal_class,
+    is_equivariant,
+    is_extensible,
     is_mc_pair,
+    nr_bracket,
+    nr_diamond,
+    obstruction,
     rb_companion,
     rb_pair,
     semidirect_product,
@@ -37,6 +46,7 @@ from homlie import (
     trivial_deformation_from_nijenhuis,
     twisted_semidirect,
     verify_operator,
+    verify_order_p,
     verify_structure,
 )
 from homlie import algebra, cochains, fixtures
@@ -159,8 +169,8 @@ def test_verify_structure_builds_each_insertion_matrix_once(monkeypatch):
     built = []
     for module in (algebra, cochains):
         monkeypatch.setattr(module, "insertion_matrix",
-                            lambda q, alpha, arity, original=module.insertion_matrix:
-                            built.append(q) or original(q, alpha, arity))
+                            lambda q, table, arity, original=module.insertion_matrix:
+                            built.append(q) or original(q, table, arity))
     for alg in _all_fixture_algebras():
         built.clear()
         verify_structure(alg)  # valid or not, each identity is read off the K_b
@@ -689,6 +699,46 @@ REFUSALS = {
         Cochain.zero(2, 3, 3), Cochain.zero(2, 3, 3), fixtures.h3().alpha,
         (Cochain.zero(2, 3, 3), Cochain.zero(1, 3, 3))),
         "base must be a pair of arity-2 cochains"),
+    "single-bracket coboundary in a structure": (lambda: ce_coboundary(
+        fixtures.h3(), fixtures.h3(), Cochain.zero(1, 3, 3)),
+        "cannot take coefficients in objects of type HomLieAlgebra"),
+    "single-bracket coboundary of a non-cochain": (lambda: ce_coboundary(
+        fixtures.h3(), adjoint_representation(fixtures.h3()), 1),
+        "cannot take the single-bracket coboundary of objects of type int"),
+    "equivariance of a non-cochain": (lambda: is_equivariant(1, fixtures.h3().alpha,
+                                                             fixtures.h3().alpha),
+                                      "cannot test the equivariance of objects of type int"),
+    "NR bracket of non-cochains": (lambda: nr_bracket(1, 1, fixtures.h3().alpha),
+                                   "cannot take the insertion product of objects of type int"),
+    "insertion product of non-cochains": (lambda: nr_diamond(1, 1, fixtures.h3().alpha),
+                                          "cannot take the insertion product of objects of "
+                                          "type int"),
+    "insertion product into another space": (lambda: nr_diamond(
+        Cochain.zero(1, 3, 2), Cochain.zero(2, 3, 3), fixtures.h3().alpha),
+        "insertion product needs endomorphism cochains on one space"),
+    "insertion product under another twist": (lambda: nr_diamond(
+        Cochain.zero(1, 3, 3), Cochain.zero(2, 3, 3), Matrix.identity(2)),
+        "twist dimension mismatch"),
+    "insertion of an arity-0 cochain": (lambda: nr_diamond(
+        Cochain.zero(0, 3, 3), Cochain.zero(0, 3, 3), Matrix.identity(3)),
+        "negative matrix power"),
+    "cochain basis of a non-twist": (lambda: hom_cochain_basis(1, fixtures.h3().alpha, 2),
+                                     "cannot read a twist from objects of type int"),
+    "cochain basis in a negative arity": (lambda: hom_cochain_basis(
+        fixtures.h3().alpha, fixtures.h3().alpha, -1), "negative arity"),
+    "compound of a non-square twist": (lambda: exterior_power_matrix(Matrix.zero(2, 3), 1),
+                                       "twist must be square"),
+    "class of a non-generator": (lambda: infinitesimal_class(fixtures.compatible_h3(), 1),
+                                 "cannot read a generator from objects of type int"),
+    "equivalence of non-generators": (lambda: check_linear_equivalence(
+        fixtures.compatible_h3(), 1, 1, fixtures.compatible_h3().alpha),
+        "cannot read a generator from objects of type int"),
+    "obstruction of a non-deformation": (lambda: obstruction(1),
+                                         "cannot read a deformation from objects of type int"),
+    "orders of a non-deformation": (lambda: verify_order_p(1),
+                                    "cannot read a deformation from objects of type int"),
+    "extension of a non-deformation": (lambda: is_extensible(1),
+                                       "cannot read a deformation from objects of type int"),
 }
 
 

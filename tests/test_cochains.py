@@ -345,24 +345,33 @@ def test_bracket_against_permutation_oracle():
 def test_diamond_against_permutation_oracle_in_every_arity(d):
     # The insertion matrix against factorial brute force, for every arity
     # pair up to d, on random (not equivariant) cochains and a twist with
-    # nonzero off-diagonal rational entries.
+    # nonzero off-diagonal rational entries, so that the wedge table's
+    # compound power alpha^(arity Q - 1) is no identity from arity(Q) = 2
+    # on.  In arity(P) = 0 there are no shuffles and K is zero.
     rng = random.Random(100 + d)
     alpha = rand_matrix(rng, d, d)
     while all(alpha.entry(i, j) == 0 for i in range(d) for j in range(d) if i != j):
         alpha = rand_matrix(rng, d, d)
-    for ap in range(1, d + 1):
+    for ap in range(0, d + 1):
         for aq in range(1, d + 1):
             p = Cochain(ap, d, d, rand_matrix(rng, d, comb(d, ap)))
             q = Cochain(aq, d, d, rand_matrix(rng, d, comb(d, aq)))
             fast = nr_diamond(p, q, alpha)
             assert fast.arity == ap + aq - 1
-            assert fast.flatten() == naive_nr_diamond(p, q, alpha).flatten()
+            if ap == 0:
+                assert cochains.insertion_matrix(q, _Compounds(alpha), 0).is_zero()
+                assert fast == Cochain.zero(aq - 1, d, d)
+            else:
+                assert fast.flatten() == naive_nr_diamond(p, q, alpha).flatten()
 
 
 def test_the_insertion_plan_is_built_once_per_dimension_and_arities():
     """The shuffle terms depend on (d, arity(Q), out arity) alone: the
     insertion matrices of other cochains and twists of that shape share
-    one plan, and a new arity gets its own."""
+    one plan, and a new arity gets its own.  The plan is grouped by the
+    column k of Q a term reads, three flat entries (x, parity, rest
+    position) per term, every shuffle of every out-tuple once; arity(P) =
+    0 and out-tuples above d give the empty plan."""
     rng = random.Random(5)
     cochains._insertion_plan.cache_clear()
     for arity in (2, 2, 3):
@@ -372,6 +381,39 @@ def test_the_insertion_plan_is_built_once_per_dimension_and_arities():
         assert nr_diamond(p, q, alpha).flatten() == naive_nr_diamond(p, q, alpha).flatten()
     info = cochains._insertion_plan.cache_info()
     assert (info.misses, info.hits) == (2, 1)
+    for out_arity in (3, 4):
+        plan = cochains._insertion_plan(4, 2, out_arity)
+        assert len(plan) == comb(4, 2)
+        assert all(len(group) % 3 == 0 for group in plan)
+        terms = [group[t:t + 3] for group in plan for t in range(0, len(group), 3)]
+        assert len(terms) == comb(4, out_arity) * comb(out_arity, 2)
+        assert {x for x, _, _ in terms} == set(range(comb(4, out_arity)))
+        assert all(type(x) is int and type(p) is int and type(neg) is bool
+                   for x, neg, p in terms)
+    assert cochains._insertion_plan(4, 2, 1) == ()  # arity(P) = 0
+    assert cochains._insertion_plan(4, 3, 5) == ()  # no 5-tuples in dimension 4
+
+
+def test_the_wedge_table_is_kept_per_arities_and_reads_the_kept_compound():
+    """The wedge table of `insertion_matrix` lives in the twist's table of
+    compounds, one per (arity Q, arity P), built on first use and read
+    again after; its columns are those of E_r^T compound_(a-1)(alpha)^n,
+    and for arity(Q) = 2 the compound is the one the table holds."""
+    rng = random.Random(9)
+    d = 4
+    alpha = rand_matrix(rng, d, d)
+    table = _Compounds(alpha)
+    for aq, ap in ((1, 2), (2, 2), (2, 3), (3, 2)):
+        q = Cochain(aq, d, d, rand_matrix(rng, d, comb(d, aq)))
+        k = cochains.insertion_matrix(q, table, ap)
+        wedges = table[aq, ap]
+        assert cochains.insertion_matrix(q, table, ap) == k and table[aq, ap] is wedges
+        c = _compound(alpha.power(aq - 1), ap - 1)
+        for r, e in enumerate(cochains.transposed_incidence(d, ap - 1)):
+            b = e @ c
+            assert [dict(column) for column in wedges[r]] == [
+                {i: x for i, x in enumerate(b.col(p)) if x} for p in range(b.cols)]
+    assert set(table) == {1, 2, (1, 2), (2, 2), (2, 3), (3, 2)}
 
 
 def test_graded_antisymmetry_on_random_equivariant_pairs():
@@ -470,8 +512,10 @@ def test_mc_pair_zero_with_base():
 
 
 def test_mc_pair_builds_one_compound_per_cochain_pair(monkeypatch):
-    # One compound for (mu1, mu2), one for the base pair and one for the
-    # base pair's own Maurer-Cartan test.
+    # One compound for (mu1, mu2) and the base pair, which share one table
+    # of the twist, and one for the base pair's own Maurer-Cartan test.  In
+    # dimension 2 there are no 3-tuples, so no insertion wedge table and no
+    # compound for one.
     c = fixtures.d2()
     mus = (c.bracket_cochain(1), c.bracket_cochain(2))
     built = []
@@ -481,7 +525,7 @@ def test_mc_pair_builds_one_compound_per_cochain_pair(monkeypatch):
     is_mc_pair(*mus, c.alpha)
     assert built == [2]
     is_mc_pair(*mus, c.alpha, base=mus)
-    assert built == [2] * 4
+    assert built == [2] * 3
 
 
 def test_mc_pair_builds_one_insertion_matrix_per_cochain(monkeypatch):
@@ -492,7 +536,7 @@ def test_mc_pair_builds_one_insertion_matrix_per_cochain(monkeypatch):
     built, brackets = [], []
     original = cochains.insertion_matrix
     monkeypatch.setattr(cochains, "insertion_matrix",
-                        lambda q, alpha, arity: built.append(q) or original(q, alpha, arity))
+                        lambda q, table, arity: built.append(q) or original(q, table, arity))
     monkeypatch.setattr(cochains, "nr_bracket", lambda *args: brackets.append(args))
     zero = Cochain.zero(2, 3, 3)
     assert is_mc_pair(*mus, c.alpha).is_mc

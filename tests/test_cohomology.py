@@ -185,7 +185,7 @@ def test_compatible_coboundary_zero_and_degree1_shape():
 
 def test_compatible_coboundary_checks_equivariance_with_one_compound(monkeypatch):
     # The three arity-3 components share one compound of the twist; the
-    # structure checks build only arity-2 compounds.
+    # structure checks build compounds of lower arities only.
     c = fixtures.twisted_compatible_h3()
     rep = adjoint_representation(c)
     built = []

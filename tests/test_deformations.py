@@ -29,6 +29,7 @@ from homlie import (
     obstruction,
     trivial_deformation_from_nijenhuis,
     verify_order_p,
+    verify_structure,
 )
 from homlie import cochains, cohomology, deformations, fixtures
 from homlie.deformations import HALF
@@ -382,8 +383,8 @@ def test_verify_order_p_builds_each_insertion_matrix_once(monkeypatch):
     built = []
     for module in (deformations, cohomology):
         monkeypatch.setattr(module, "insertion_matrix",
-                            lambda q, alpha, arity, original=module.insertion_matrix:
-                            built.append(q) or original(q, alpha, arity))
+                            lambda q, table, arity, original=module.insertion_matrix:
+                            built.append(q) or original(q, table, arity))
     assert verify_order_p(d).passed
     assert built == [c.bracket_cochain(1), c.bracket_cochain(2), d.coeffs1[1], d.coeffs2[1]]
     for p in (1, 2, 3):
@@ -502,8 +503,8 @@ def test_a_chain_order_costs_its_obstruction_and_its_end_terms(monkeypatch):
                         lambda e, n, indices, original=deformations._products:
                         terms.append(list(indices)) or original(e, n, indices))
     monkeypatch.setattr(deformations, "insertion_matrix",
-                        lambda q, alpha, arity, original=deformations.insertion_matrix:
-                        built.append(q) or original(q, alpha, arity))
+                        lambda q, table, arity, original=deformations.insertion_matrix:
+                        built.append(q) or original(q, table, arity))
     monkeypatch.setattr(Matrix, "__matmul__", lambda a, b, original=Matrix.__matmul__:
                         products.append(b) or original(a, b))
     for p in (2, 3, 4, 5):
@@ -565,13 +566,16 @@ def test_a_base_computes_its_order0_row_once(monkeypatch):
 
 
 def test_a_chain_builds_each_compound_once_per_structure(monkeypatch):
-    """The equivariance checks of a chain and the equivariant bases of its
-    complex read the twist's compounds kept on the base: a chain builds
-    the arity-2 compound once per structure, for the new orders and the
-    degree-2 basis alike, and its obstruction's closedness test, one
-    product with the degree-3 differential, needs none.  A report and a
-    generator check after it build each further arity once, on the same
-    table."""
+    """The equivariance checks of a chain, the equivariant bases of its
+    complex and its insertion matrices read the twist's table kept on the
+    base: each compound and each insertion wedge table (keyed by the
+    arities of Q and P) is built once per structure.  The Nijenhuis
+    generator's induced bracket takes the wedge table of arity-1 cochains
+    and compound 1 for it; the chain adds compound 2 for its equivariance
+    checks and the wedge table of the arity-2 brackets, and its
+    obstruction's closedness test, one product with the degree-3
+    differential, needs none.  A report and a generator check after it
+    build each further table once, on the same table."""
     kept, built = [], []
     monkeypatch.setattr(cochains._Compounds, "__missing__",
                         lambda self, n, original=cochains._Compounds.__missing__:
@@ -587,15 +591,42 @@ def test_a_chain_builds_each_compound_once_per_structure(monkeypatch):
         while d.order < 4:
             d = d.extended(*is_extensible(d))
         assert verify_order_p(d).passed
-        assert [(table is c._compounds, n) for table, n in kept] == [(True, 2)]
-        assert built == [2]
+        chain = [(True, (1, 2)), (True, 1), (True, 2), (True, (2, 2))]
+        assert [(table is c._compounds, n) for table, n in kept] == chain
+        assert built == [1, 2]
         for n in range(4):
             cohomology_dimensions(c, adjoint_representation(c), n)
         assert check_linear_generator(c, g).generates
         assert not any(infinitesimal_class(c, g))
-        assert [(table is c._compounds, n) for table, n in kept] == [(True, 2), (True, 1),
-                                                                     (True, 3)]
-        assert built == [2, 1, 3]
+        assert [(table is c._compounds, n) for table, n in kept] == chain + [
+            (True, (2, 1)), (True, 0), (True, 3)]
+        assert built == [1, 2, 0, 3]
+
+
+def test_one_insertion_wedge_table_per_structure_and_arities(monkeypatch):
+    """Every insertion matrix on a structure reads the wedge table kept in
+    its twist's table (`_Compounds`), built once per (arity Q, arity P)
+    across the structure checks, the reports of degrees 0 to 3, a chain
+    to order 4 and an equivalence check; an equal structure builds its
+    own.  Degree 0 (arity P = 0) and degree 3 (no 4-tuples in dimension
+    3) take none."""
+    built = []
+    monkeypatch.setattr(cochains, "_insertion_wedges",
+                        lambda table, q_arity, arity, original=cochains._insertion_wedges:
+                        built.append((table, q_arity, arity)) or original(table, q_arity, arity))
+    for c in (fixtures.compatible_h3(), fixtures.compatible_h3()):
+        built.clear()
+        assert verify_structure(c).passed
+        for n in range(4):
+            cohomology_dimensions(c, adjoint_representation(c), n)
+        g = trivial_deformation_from_nijenhuis(c, fixtures.h3_nijenhuis())
+        d = OrderPDeformation.from_generator(c, g)
+        while d.order < 4:
+            d = d.extended(*is_extensible(d))
+        assert verify_order_p(d).passed
+        assert check_linear_equivalence(c, g, g, Matrix.zero(3, 3)).equivalent
+        assert [(table is c._compounds, q, a) for table, q, a in built] == [
+            (True, 2, 2), (True, 2, 1), (True, 1, 2)]
 
 
 def test_an_obstruction_that_is_not_closed_breaks_the_contract(monkeypatch):

@@ -57,7 +57,10 @@ carries with products alone, so it calls no `_elimination`, `solve`,
 `_replay` or `hstack`; `bracket_of` evaluates the bracket cochain, so no
 module keeps a pair-wedge twin (`_bracket_apply`); and `exterior_square`
 takes its compound directly, not through `exterior_power_matrix`, which
-only the table of a twist's compounds (`_Compounds`) calls.
+only the table of a twist's compounds (`_Compounds`) calls.  That table
+alone builds the wedge tables of the insertion matrices
+(`_insertion_wedges`), and `insertion_matrix` reads them in one pass over
+Q's nonzeros, with no wedge of its own (`_wedges`, `_wedge_front`).
 Every row reduction reads one elimination record, so the pivot loop
 `_echelon` has one caller, `_elimination`, and neither it nor `_eliminate`
 has a `steps` option.  No library module other than `__init__` imports a
@@ -339,3 +342,13 @@ def test_only_the_compound_table_calls_exterior_power_matrix():
 def test_exterior_square_takes_the_compound_directly():
     called = called_in("cochains.py", "exterior_square")
     assert "_compound" in called and "exterior_power_matrix" not in called
+
+
+def test_only_the_compound_table_builds_the_insertion_wedges():
+    callers = {(path.name, scope) for path in MODULES
+               for scope, name in calls(path) if name == "_insertion_wedges"}
+    assert callers == {("cochains.py", "_Compounds.__missing__")}
+    called = called_in("cochains.py", "insertion_matrix")
+    assert "_insertion_plan" in called
+    assert called.isdisjoint({"_wedges", "_wedge_front", "_insertion_wedges",
+                              "exterior_power_matrix", "_compound"})
