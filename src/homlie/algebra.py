@@ -349,7 +349,8 @@ def _representation_checks(v: Representation):
     # One block product per identity, as in the module docstring.
     base, vdim = v.base, v.vdim
     dim = base.dim
-    blocks = [_action_blocks(table, vdim) for table in v.actions]
+    # A_b = [rho_b(e_0) | ... | rho_b(e_(d-1))], vdim x d vdim.
+    blocks = [hstack(table) if table else Matrix.zero(vdim, 0) for table in v.actions]
     pairs = [_pair_blocks(base.alpha, bracket, table, v.beta)
              for bracket, table in zip(base.brackets, v.actions)]
     twist = kron_sum([(base.alpha, v.beta)], dim * vdim, dim * vdim)
@@ -363,11 +364,6 @@ def _representation_checks(v: Representation):
         checks.append(CheckResult.from_blocks("action_mixed", product_sum(
             [(a1, n2), (a2, n1)], vdim, n1.cols), dim, 2, vdim))
     return checks
-
-
-def _action_blocks(table, vdim: int) -> Matrix:
-    """A = [rho(e_0) | ... | rho(e_(d-1))], vdim x d vdim."""
-    return hstack(table) if table else Matrix.zero(vdim, 0)
 
 
 def _pair_blocks(alpha: Matrix, bracket: Matrix, table, beta: Matrix) -> Matrix:
@@ -407,6 +403,7 @@ def sum_bracket(c: CompatibleHomLieAlgebra, lam, eta) -> HomLieAlgebra:
 
 def sum_representation(v: Representation, lam=1, eta=1) -> Representation:
     """The action lam*act_1 + eta*act_2, a representation of the sum-bracket algebra."""
+    _require_kind(v, Representation, "sum the actions of")
     if len(v.actions) != 2:
         raise UsageError("sum representation needs a two-action representation")
     lam = frac(lam)
@@ -454,6 +451,9 @@ def twisted_semidirect(l: HomLieAlgebra, v: Representation, f: Cochain) -> HomLi
     [(x,u),(y,w)] = ([x,y], x.w - y.u + f(x,y))."""
     from .cohomology import ce_coboundary
 
+    _require_kind(l, HomLieAlgebra, "twist the semidirect product of")
+    _require_kind(v, Representation, "take coefficients in")
+    _require_kind(f, Cochain, "twist a semidirect product by")
     if f.arity != 2 or f.source_dim != l.dim or f.target_dim != v.vdim:
         raise UsageError("twisting cochain must be arity 2 from the algebra into the module")
     if not ce_coboundary(l, v, f).is_zero():
@@ -542,6 +542,7 @@ def rb_pair(l: HomLieAlgebra, r: LinearOperator, s: LinearOperator):
 
 def rb_companion(r: LinearOperator) -> LinearOperator:
     """-weight*id - R, a Rota-Baxter operator of the same weight whenever R is."""
+    _require_kind(r, LinearOperator, "take the Rota-Baxter companion of")
     if r.kind != ROTA_BAXTER:
         raise UsageError("companion is defined for Rota-Baxter operators")
     n = r.matrix.rows

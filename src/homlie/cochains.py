@@ -194,6 +194,7 @@ def exterior_power_matrix(alpha: Matrix, n: int) -> Matrix:
     """Compound matrix of n x n minors: the action induced on the n-th
     exterior power, in the lexicographic increasing-tuple basis.  The 0th
     compound is the 1 x 1 identity."""
+    _require_kind(alpha, Matrix, "read a twist from")
     if not alpha.is_square():
         raise UsageError("twist must be square")
     d = alpha.rows
@@ -240,6 +241,8 @@ def require_equivariant(cochains, compounds: _Compounds, beta: Matrix,
 def is_equivariant(f, alpha: Matrix, beta: Matrix) -> bool:
     """Membership test for the twist-equivariant cochain space."""
     _require_kind(f, Cochain, "test the equivariance of")
+    for twist in (alpha, beta):
+        _require_kind(twist, Matrix, "read a twist from")
     try:
         require_equivariant((f,), _Compounds(alpha), beta)
     except PreconditionError:
@@ -436,6 +439,7 @@ def nr_diamond(p: Cochain, q: Cochain, alpha: Matrix) -> Cochain:
     is refused."""
     for f in (p, q):
         _require_kind(f, Cochain, "take the insertion product of")
+    _require_kind(alpha, Matrix, "read a twist from")
     d = p.source_dim
     if p.target_dim != d or q.source_dim != d or q.target_dim != d:
         raise UsageError("insertion product needs endomorphism cochains on one space")
@@ -462,6 +466,7 @@ def lift_to_product(f: Cochain, g_dim: int, v_dim: int) -> Cochain:
     """Lift a cochain on the g-factor with values in the v-factor to an
     endomorphism cochain on the direct sum: it vanishes whenever an argument
     lies in the v-slot and lands entirely in the v-slot."""
+    _require_kind(f, Cochain, "lift")
     if f.source_dim != g_dim or f.target_dim != v_dim:
         raise UsageError("cochain shape does not match the product factors")
     total, n = g_dim + v_dim, f.arity
@@ -502,11 +507,12 @@ def is_mc_pair(mu1: Cochain, mu2: Cochain, alpha: Matrix, base=None) -> MaurerCa
     structure with differentials [t1,-] and [t2,-]; its residuals
     2[t1,m1]+[m1,m1],  2[t2,m2]+[m2,m2]  and  [t1,m2]+[t2,m1]+[m1,m2] are
     those of the sum (t1 + m1, t2 + m2), since [t1,t1], [t2,t2] and
-    [t1,t2] vanish.  The pair and its base share one table of the twist
-    (`_Compounds`).
+    [t1,t2] vanish.  The pair, its base and the base's own test share one
+    table of the twist (`_Compounds`).
     """
     for f in (mu1, mu2, *(base or ())):
         _require_kind(f, Cochain, "test the Maurer-Cartan equation on")
+    _require_kind(alpha, Matrix, "read a twist from")
     if mu1.arity != 2 or mu2.arity != 2:
         raise UsageError("Maurer-Cartan test expects arity-2 cochains")
     compounds = _Compounds(alpha)
@@ -516,11 +522,17 @@ def is_mc_pair(mu1: Cochain, mu2: Cochain, alpha: Matrix, base=None) -> MaurerCa
         if theta1.arity != 2 or theta2.arity != 2:
             raise UsageError("base must be a pair of arity-2 cochains")
         require_equivariant(base, compounds, alpha, "base cochain is not twist-equivariant")
-        if not is_mc_pair(theta1, theta2, alpha).is_mc:
+        if not _mc_residuals(theta1, theta2, compounds).is_mc:
             raise PreconditionError("base pair is not Maurer-Cartan")
         mu1, mu2 = theta1 + mu1, theta2 + mu2
+    return _mc_residuals(mu1, mu2, compounds)
+
+
+def _mc_residuals(mu1: Cochain, mu2: Cochain, compounds: _Compounds) -> MaurerCartanCheck:
+    """The residuals 2 m1 . K1, 2 m2 . K2 and m1 . K2 + m2 . K1 of an
+    arity-2 pair, with its insertion matrices K read off `compounds`."""
     k1, k2 = (insertion_matrix(m, compounds, 2) for m in (mu1, mu2))
-    m1, m2, d = mu1.coeffs, mu2.coeffs, alpha.rows
+    m1, m2, d = mu1.coeffs, mu2.coeffs, compounds.alpha.rows
     mixed = product_sum([(m1, k2), (m2, k1)], d, k1.cols)
     return MaurerCartanCheck(*(Cochain(3, d, d, r) for r in
                                ((m1 @ k1).scale(2), (m2 @ k2).scale(2), mixed)))

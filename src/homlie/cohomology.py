@@ -81,7 +81,6 @@ from .algebra import (
     HomLieAlgebra,
     Representation,
     _Algebra,
-    _action_blocks,
     require_valid,
 )
 from .cochains import (
@@ -99,7 +98,6 @@ from .linalg import (
     _kernel,
     _replay,
     _row_space,
-    hsplit,
     kron_sum,
     vsplit,
     vstack,
@@ -245,19 +243,19 @@ def _coboundary_map(struct, v: Representation, which: int, n: int) -> Matrix:
         sum_j kron(a_j, E_j^T) - kron(1, K^T),   a_j = rho(alpha^(n-1) e_j),
 
     with the E_j^T cached by `transposed_incidence` and K the insertion
-    matrix of the bracket cochain, kept on v.  The blocks a_j are the d
-    blocks of one product A . kron(alpha^(n-1), 1),
-    A = [rho(e_0) | ... | rho(e_(d-1))]; in degree 0 they are the plain
-    action matrices.
+    matrix of the bracket cochain, kept on v.  Each block a_j is the
+    combination sum_i alpha^(n-1)[i, j] rho(e_i) of the action table, read
+    off the nonzeros of column j of the twist power; in degrees 0 and 1 it
+    is the action matrix rho(e_j) itself.
     """
     dim, vdim = struct.dim, v.vdim
     if comb(dim, n + 1) == 0:  # no (n+1)-tuples: nothing to build
         return Matrix.zero(0, vdim * comb(dim, n))
-    twist = kron_sum([(struct.alpha.power(max(n - 1, 0)), Matrix.identity(vdim))],
-                     dim * vdim, dim * vdim)
-    blocks = hsplit(_action_blocks(v.actions[which - 1], vdim) @ twist, dim)
+    table, columns = v.actions[which - 1], struct.alpha.power(max(n - 1, 0)).transpose()
+    blocks = (sum((table[i].scale(c) for i, c in columns.row_items(j)), Matrix.zero(vdim, vdim))
+              for j in range(dim))
     terms = [(Matrix.identity(vdim), -v._complex["insertion", which, n].transpose())]
-    terms += list(zip(blocks, transposed_incidence(dim, n)))
+    terms += zip(blocks, transposed_incidence(dim, n))
     return kron_sum(terms, vdim * comb(dim, n + 1), vdim * comb(dim, n))
 
 
@@ -539,6 +537,7 @@ def derivation_space(c: CompatibleHomLieAlgebra, v: Representation) -> Derivatio
 def comparison_map(f: CompatibleCochain):
     """Collapse a two-bracket cochain into the sum-bracket complex:
     half the vector in degree 0, the sum of the components otherwise."""
+    _require_kind(f, CompatibleCochain, "collapse")
     if f.degree == 0:
         return f.components[0].scale(Fraction(1, 2))
     out = f.components[0]

@@ -180,6 +180,7 @@ def check_linear_equivalence(c: CompatibleHomLieAlgebra, g: LinearGenerator,
     """
     for generator in (g, g_prime):
         _require_kind(generator, LinearGenerator, "read a generator from")
+    _require_kind(n_matrix, Matrix, "read an operator matrix from")
     require_valid(c, "base algebra is invalid")
     require_equivariant((g.omega1, g.omega2, g_prime.omega1, g_prime.omega2),
                         c._compounds, c.alpha)

@@ -13,7 +13,8 @@ routes: with a one-column right factor, one dot product per left row
 against that column; a left row with one nonzero is the right row itself
 when the nonzero is the int 1, and that row scaled entry by entry
 otherwise, with no accumulator; any other left row sums its scaled right
-rows in one accumulator (`_row`).  `kron_sum` builds a sum of
+rows in one accumulator (`_row`); `scale` by 1 is the matrix itself,
+since a matrix is immutable.  `kron_sum` builds a sum of
 Kronecker products, the shape of every coboundary and constraint matrix
 of the library, in one pass, with no intermediate matrix per term; one
 Kronecker product is the sum of one term.  `product_sum` is its product
@@ -51,7 +52,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm, prod
 
-from .errors import ContractError, UsageError
+from .errors import ContractError, UsageError, _require_kind
 
 ZERO = Fraction(0)
 
@@ -266,6 +267,8 @@ class Matrix:
 
     def scale(self, c) -> "Matrix":
         c = _stored(c)
+        if c == 1:
+            return self
         if not c:
             return Matrix.zero(self.rows, self.cols)
         return Matrix._of(self.rows, self.cols,
@@ -389,16 +392,6 @@ def hstack(matrices) -> Matrix:
         for i in range(rows)
     )
     return Matrix._of(rows, shifts[-1], data)
-
-
-def hsplit(m: Matrix, count: int) -> list:
-    """m cut into `count` blocks of equal width, left to right: the inverse
-    of hstack."""
-    if count < 0 or (m.cols % count if count else m.cols):
-        raise UsageError(f"cannot split {m.cols} columns into {count} equal blocks")
-    width, columns = m.cols // max(count, 1), m.transpose()._data
-    return [Matrix._of(width, m.rows, columns[b * width : (b + 1) * width]).transpose()
-            for b in range(count)]
 
 
 def vsplit(m: Matrix, count: int) -> list:
@@ -579,6 +572,7 @@ def rref(m: Matrix):
     rows, each divided by its pivot (`_reduced`), above the zero rows.  The
     RREF is unique, so the result does not depend on the pivot rows chosen.
     """
+    _require_kind(m, Matrix, "row-reduce")
     rows, cols, _, echelon = _elimination(m)
     data = tuple(_reduced(c, row) for c, _, row in echelon) + ((),) * (rows - len(echelon))
     return Matrix._of(rows, cols, data), tuple(c for c, _, _ in echelon)
@@ -609,6 +603,7 @@ def kernel_basis(m: Matrix):
     Each returned vector v satisfies m @ v = 0 exactly; the basis size is
     cols - rank.  The vectors are the columns of `_kernel(_elimination(m))`.
     """
+    _require_kind(m, Matrix, "take the kernel of")
     vectors = _kernel(_elimination(m)).transpose()
     return [vectors.row(k) for k in range(vectors.rows)]
 
@@ -617,6 +612,7 @@ def solve(m: Matrix, b) -> tuple | None:
     """One exact solution of m @ x = b, or None when the system is
     inconsistent: the elimination of m (`_elimination`) replayed on b
     (`_replay`)."""
+    _require_kind(m, Matrix, "solve a system with")
     if len(b) != m.rows:
         raise UsageError(f"rhs length {len(b)} != rows {m.rows}")
     x = _replay(_elimination(m), Matrix.from_columns([vector(b)], m.rows))

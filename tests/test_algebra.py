@@ -8,10 +8,13 @@ from fractions import Fraction
 import pytest
 
 from homlie import (
+    AbelianExtension,
     Cochain,
     CompatibleCochain,
     CompatibleHomLieAlgebra,
+    ExtensionCocycle,
     HomLieAlgebra,
+    LinearGenerator,
     LinearOperator,
     Matrix,
     NIJENHUIS,
@@ -25,6 +28,7 @@ from homlie import (
     cohomology_dimensions,
     check_linear_equivalence,
     check_linear_generator,
+    comparison_map,
     compatible_coboundary,
     derivation_space,
     derived_structure,
@@ -35,12 +39,17 @@ from homlie import (
     is_equivariant,
     is_extensible,
     is_mc_pair,
+    kernel_basis,
+    lift_to_product,
     nr_bracket,
     nr_diamond,
     obstruction,
+    quotient_dimension,
     rb_companion,
     rb_pair,
+    rref,
     semidirect_product,
+    solve,
     sum_bracket,
     sum_representation,
     trivial_deformation_from_nijenhuis,
@@ -739,7 +748,113 @@ REFUSALS = {
                                     "cannot read a deformation from objects of type int"),
     "extension of a non-deformation": (lambda: is_extensible(1),
                                        "cannot read a deformation from objects of type int"),
+    "rref of a non-matrix": (lambda: rref(1), "cannot row-reduce objects of type int"),
+    "kernel of a non-matrix": (lambda: kernel_basis(1),
+                               "cannot take the kernel of objects of type int"),
+    "solve with a non-matrix": (lambda: solve(1, (0,)),
+                                "cannot solve a system with objects of type int"),
+    "compound of a non-matrix": (lambda: exterior_power_matrix(1, 2),
+                                 "cannot read a twist from objects of type int"),
+    "insertion product under a non-twist": (lambda: nr_diamond(
+        Cochain.zero(1, 3, 3), Cochain.zero(2, 3, 3), 1),
+        "cannot read a twist from objects of type int"),
+    "NR bracket under a non-twist": (lambda: nr_bracket(
+        Cochain.zero(1, 3, 3), Cochain.zero(2, 3, 3), 1),
+        "cannot read a twist from objects of type int"),
+    "Maurer-Cartan under a non-twist": (lambda: is_mc_pair(
+        Cochain.zero(2, 3, 3), Cochain.zero(2, 3, 3), 1),
+        "cannot read a twist from objects of type int"),
+    "equivariance under a non-twist": (lambda: is_equivariant(
+        Cochain.zero(1, 3, 3), 1, fixtures.h3().alpha),
+        "cannot read a twist from objects of type int"),
+    "equivariance into a non-twist": (lambda: is_equivariant(
+        Cochain.zero(1, 3, 3), fixtures.h3().alpha, 1),
+        "cannot read a twist from objects of type int"),
+    "equivalence by a non-matrix": (lambda: check_linear_equivalence(
+        fixtures.compatible_h3(), *[LinearGenerator(Cochain.zero(2, 3, 3),
+                                                    Cochain.zero(2, 3, 3))] * 2, 1),
+        "cannot read an operator matrix from objects of type int"),
+    "collapse of a non-cochain": (lambda: comparison_map(1),
+                                  "cannot collapse objects of type int"),
+    "lift of a non-cochain": (lambda: lift_to_product(1, 3, 2), "cannot lift objects of type int"),
+    "companion of a non-operator": (lambda: rb_companion(1), "cannot take the Rota-Baxter "
+                                    "companion of objects of type int"),
+    "sum of a non-module": (lambda: sum_representation(1),
+                            "cannot sum the actions of objects of type int"),
+    "twisted semidirect of a non-algebra": (lambda: twisted_semidirect(
+        1, adjoint_representation(fixtures.h3()), Cochain.zero(2, 3, 3)),
+        "cannot twist the semidirect product of objects of type int"),
+    "twisted semidirect in a non-module": (lambda: twisted_semidirect(
+        fixtures.h3(), 1, Cochain.zero(2, 3, 3)),
+        "cannot take coefficients in objects of type int"),
+    "twisted semidirect by a non-cochain": (lambda: twisted_semidirect(
+        fixtures.h3(), adjoint_representation(fixtures.h3()), 1),
+        "cannot twist a semidirect product by objects of type int"),
 }
+
+
+def _extension(fiber_dim=1, **shapes):
+    """An extension of d2 by a line inside compatible h3, with the given
+    maps in place of maps of the right shapes."""
+    maps = {"fiber_beta": Matrix.identity(1), "inclusion": Matrix.zero(3, 1),
+            "projection": Matrix.zero(2, 3), "splitting": Matrix.zero(3, 2), **shapes}
+    return AbelianExtension(fixtures.d2(), fiber_dim, total=fixtures.compatible_h3(), **maps)
+
+
+# Values of the right kind but the wrong shape, refused where they are built.
+REFUSALS.update({
+    "two-bracket cochain of negative degree": (lambda: CompatibleCochain(-1, ()),
+                                               "negative degree"),
+    "two-bracket cochain slot count": (lambda: CompatibleCochain(2, (Cochain.zero(2, 3, 3),)),
+                                       "degree 2 needs 2 components"),
+    "two-bracket cochain arity": (lambda: CompatibleCochain(1, (Cochain.zero(2, 3, 3),)),
+                                  "components must be cochains of arity equal to the degree"),
+    "two-bracket cochain spaces": (lambda: CompatibleCochain(
+        2, (Cochain.zero(2, 3, 3), Cochain.zero(2, 3, 2))),
+        "components must share source and target dimensions"),
+    "two-bracket cochains of two degrees": (lambda: CompatibleCochain.zero(1, 3, 3)
+                                            + CompatibleCochain.zero(2, 3, 3), "degree mismatch"),
+    "extension cocycle arity": (lambda: ExtensionCocycle(Cochain.zero(1, 3, 3),
+                                                         Cochain.zero(2, 3, 3)),
+                                "extension cocycle components must have arity 2"),
+    "extension cocycle spaces": (lambda: ExtensionCocycle(Cochain.zero(2, 3, 3),
+                                                          Cochain.zero(2, 3, 2)),
+                                 "cocycle components must share source and target"),
+    "generator into another space": (lambda: LinearGenerator(Cochain.zero(2, 3, 2),
+                                                             Cochain.zero(2, 3, 3)),
+                                     "generator components must be arity-2 endomorphism "
+                                     "cochains"),
+    "generator on two carriers": (lambda: LinearGenerator(Cochain.zero(2, 3, 3),
+                                                          Cochain.zero(2, 2, 2)),
+                                  "generator components must share the carrier"),
+    "extension dimension": (lambda: _extension(fiber_dim=2),
+                            "total dimension must be base + fiber"),
+    "extension inclusion": (lambda: _extension(inclusion=Matrix.zero(3, 2)),
+                            "inclusion must be (g+v) x v"),
+    "extension projection": (lambda: _extension(projection=Matrix.zero(3, 3)),
+                             "projection must be g x (g+v)"),
+    "extension splitting": (lambda: _extension(splitting=Matrix.zero(2, 3)),
+                            "splitting must be (g+v) x g"),
+    "extension fiber twist": (lambda: _extension(fiber_beta=Matrix.identity(2)),
+                              "fiber twist must be v x v"),
+    "lift of a cochain on another space": (lambda: lift_to_product(Cochain.zero(2, 3, 3), 3, 2),
+                                           "cochain shape does not match the product factors"),
+    "cochain coefficient shape": (lambda: Cochain(1, 3, 3, Matrix.zero(2, 3)),
+                                  "coefficient matrix must be 3x3, got 2x3"),
+    "sum of cochains on two spaces": (lambda: Cochain.zero(1, 3, 3) + Cochain.zero(1, 3, 2),
+                                      "cochain shape mismatch"),
+    "cochain at a decreasing tuple": (lambda: Cochain.from_values(2, 3, 3, {(1, 0): (1, 0, 0)}),
+                                      "not a strictly increasing tuple in range: (1, 0)"),
+    "sum of matrices of two shapes": (lambda: Matrix.zero(1, 2) + Matrix.zero(2, 1),
+                                      "shape mismatch: 1x2 vs 2x1"),
+    "matrix of short columns": (lambda: Matrix.from_columns([(1, 2)], 3),
+                                "column length mismatch"),
+    "quotient of vectors of two lengths": (lambda: quotient_dimension([(1, 2)], [(1, 2, 3)]),
+                                           "mixed vector lengths"),
+    "single-bracket coboundary in a two-action module": (lambda: ce_coboundary(
+        fixtures.d2(), adjoint_representation(fixtures.d2()), Cochain.zero(1, 2, 2)),
+        "single-bracket coboundary needs a single-action representation"),
+})
 
 
 @pytest.mark.parametrize("name", sorted(REFUSALS))
@@ -748,6 +863,11 @@ def test_a_refused_input_raises_usage_error_up_front(name):
     with pytest.raises(UsageError) as err:
         call()
     assert str(err.value) == message
+
+
+def test_a_matrix_prints_its_rows_in_brackets():
+    # The first demo prints the companion operator's matrix this way.
+    assert str(rb_companion(fixtures.g2a_rota_baxter()).matrix) == "[1 -1; -1 1]"
 
 
 def test_summary_gives_one_status_line_per_check():

@@ -512,10 +512,10 @@ def test_mc_pair_zero_with_base():
 
 
 def test_mc_pair_builds_one_compound_per_cochain_pair(monkeypatch):
-    # One compound for (mu1, mu2) and the base pair, which share one table
-    # of the twist, and one for the base pair's own Maurer-Cartan test.  In
-    # dimension 2 there are no 3-tuples, so no insertion wedge table and no
-    # compound for one.
+    # One compound per call: (mu1, mu2), the base pair and the base pair's
+    # own Maurer-Cartan test share one table of the twist.  In dimension 2
+    # there are no 3-tuples, so no insertion wedge table and no compound for
+    # one.
     c = fixtures.d2()
     mus = (c.bracket_cochain(1), c.bracket_cochain(2))
     built = []
@@ -525,7 +525,7 @@ def test_mc_pair_builds_one_compound_per_cochain_pair(monkeypatch):
     is_mc_pair(*mus, c.alpha)
     assert built == [2]
     is_mc_pair(*mus, c.alpha, base=mus)
-    assert built == [2] * 3
+    assert built == [2] * 2
 
 
 def test_mc_pair_builds_one_insertion_matrix_per_cochain(monkeypatch):

@@ -96,6 +96,36 @@ def test_parse_error_carries_path():
     assert err.value.path == "$.alpha[1][0]"
 
 
+def _set(field, value):
+    return lambda raw: raw.__setitem__(field, value)
+
+
+# A field of the wrong shape is refused at its path, before anything is built.
+MALFORMED = {
+    "negative dimension": (_set("dimension", -1), "$.dimension",
+                           "expected an integer >= 0, got -1"),
+    "twist not a list": (_set("alpha", "1"), "$.alpha", "expected a list, got str"),
+    "twist row count": (lambda raw: raw["alpha"].pop(), "$.alpha", "expected 2 entries, got 1"),
+    "module not an object": (_set("representation", []), "$.representation",
+                             "expected an object, got list"),
+    "twist missing": (lambda raw: raw.pop("alpha"), "$", "missing fields: ['alpha']"),
+    "no bracket table": (_set("brackets", []), "$.brackets",
+                         "expected 1 or 2 bracket tables, got 0"),
+    "empty basis name": (lambda raw: raw["basis_names"].__setitem__(0, ""), "$.basis_names[0]",
+                         "expected a nonempty string"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_a_malformed_field_is_refused_at_its_path(name):
+    change, path, message = MALFORMED[name]
+    raw = json.loads(load("d2_ext.json"))
+    change(raw)
+    with pytest.raises(ParseError) as err:
+        parse(json.dumps(raw))
+    assert (err.value.path, str(err.value)) == (path, f"{path}: {message}")
+
+
 def test_rationals_parse_exactly():
     raw = json.loads(load("ab1.json"))
     raw["alpha"][0][0] = "-2/6"

@@ -32,7 +32,6 @@ from homlie import (
 from homlie.linalg import (
     ZERO,
     _column_blocks,
-    hsplit,
     hstack,
     kron_sum,
     product_sum,
@@ -354,17 +353,6 @@ def test_vsplit_inverts_vstack():
             vsplit(m, count)
 
 
-def test_hsplit_inverts_hstack():
-    for rng, rows, cols, density, g in cases(8):
-        blocks = [builds(grid(rng, rows, cols, density), rows, cols)[0] for _ in range(3)]
-        assert hsplit(hstack(blocks), 3) == blocks
-    assert hsplit(Matrix.zero(2, 0), 0) == []
-    with pytest.raises(UsageError):
-        hsplit(Matrix.zero(2, 5), 2)
-    with pytest.raises(UsageError):
-        hsplit(Matrix.zero(2, 1), 0)
-
-
 def test_rref_matches_the_dense_oracle_at_every_density():
     for rng, rows, cols, density, g in cases(9):
         m = builds(g, rows, cols)[0]
@@ -423,7 +411,7 @@ def test_every_operation_stores_the_canonical_form():
                    product_sum([(m, right), (m.scale(F(1, 2)), right)], rows, 3),
                    m + same, m - same, -m, m.transpose(),
                    m.scale(2), m.scale(F(3, 2)), m.block_diag(other), vstack([m, m]),
-                   hstack([m, m]), *hsplit(hstack([m, m]), 2),
+                   hstack([m, m]),
                    *[b for b, in _column_blocks(m, 1, rows, 1)], m.reshape(cols, rows),
                    rref(m)[0], *builds(g, rows, cols)]
         assert all(canonical(r) for r in results)

@@ -22,10 +22,13 @@ equivariance constraints and the two-bracket layout
 (of the differential and of its images) are sums of Kronecker products,
 and each of their builders assembles its sum in one `kron_sum` call
 rather than adding the terms one at a time; a single Kronecker product
-(the twist of the coboundary and of the module identities) is a
-`kron_sum` of one term, so no module defines a second kernel (`kron`).
-The basis in every slot times coordinates is one product per slot, with
-no Kronecker matrix.  Likewise every sum or difference of matrix
+(the twist of the module identities) is a `kron_sum` of one term, so no
+module defines a second kernel (`kron`).  The coboundary takes each action
+block rho(alpha^(n-1) e_j) straight from the action table, as a
+combination of its matrices: it stacks no table (`hstack`,
+`_action_blocks`) and forms no product, and `hsplit`, which cut that
+product apart, is gone.  The basis in every slot times coordinates is
+one product per slot, with no Kronecker matrix.  Likewise every sum or difference of matrix
 products is one `product_sum` call: no `+` or `-` takes two `@` products
 as its operands, and no `sum()` runs over a generator of products.  The
 dense helpers that nothing in the library called are gone: `span_basis`,
@@ -50,7 +53,8 @@ fixes, and `deformations` keeps each deformation's K list on the object
 instead of private twins fed a K list (`_insertions`, `_verify`,
 `_obstruction`).
 Each computation takes one route.  `is_mc_pair` reads its residuals off
-the pair's two insertion matrices, with no `nr_bracket`; `solve` replays
+the pair's two insertion matrices (`_mc_residuals`, also for its base), with
+no `nr_bracket`; `solve` replays
 the elimination record (`_elimination`, `_replay`) instead of eliminating
 [m | b] with `rref`; `class_coordinates` reads the class record its report
 carries with products alone, so it calls no `_elimination`, `solve`,
@@ -140,7 +144,7 @@ def test_no_library_module_calls_determinant_of():
 
 
 def test_no_module_defines_the_removed_dense_helpers():
-    removed = {"kron", "span_basis", "vec_is_zero", "apply"}  # apply: Matrix.apply
+    removed = {"kron", "span_basis", "vec_is_zero", "apply", "hsplit"}  # apply: Matrix.apply
     defined = [(path.name, node.name) for path in MODULES
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.FunctionDef) and node.name in removed]
@@ -188,6 +192,17 @@ def test_the_kronecker_builders_call_kron_sum():
     assert callers == builders
 
 
+def test_the_coboundary_reads_its_action_blocks_off_the_table():
+    called = called_in("cohomology.py", "_coboundary_map")
+    assert {"kron_sum", "transposed_incidence"} <= called
+    assert called.isdisjoint({"hstack", "_action_blocks"})
+    source = ast.parse((ROOT / "src" / "homlie" / "cohomology.py").read_text())
+    function, = [node for node in source.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_coboundary_map"]
+    assert not [node for node in ast.walk(function)
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)]
+
+
 def summed_products(source: str) -> list:
     """The line of every `+` or `-` whose two operands are `@` products,
     and of every `sum()` over a generator or list of `@` products."""
@@ -216,7 +231,8 @@ def test_every_sum_of_products_is_one_product_sum():
     offenders = {path.name: summed_products(path.read_text()) for path in MODULES}
     assert {name: lines for name, lines in offenders.items() if lines} == {}
     for module, scope in (("deformations.py", "_products.total"), ("algebra.py", "_algebra_checks"),
-                          ("algebra.py", "_representation_checks"), ("cochains.py", "is_mc_pair")):
+                          ("algebra.py", "_representation_checks"),
+                          ("cochains.py", "_mc_residuals")):
         assert "product_sum" in called_in(module, scope)
 
 
@@ -278,8 +294,9 @@ def called_in(module: str, scope: str) -> set:
 
 
 def test_is_mc_pair_reads_the_insertion_matrices():
-    called = called_in("cochains.py", "is_mc_pair")
+    called = called_in("cochains.py", "_mc_residuals")
     assert "insertion_matrix" in called and "nr_bracket" not in called
+    assert "_mc_residuals" in called_in("cochains.py", "is_mc_pair")
 
 
 def test_solve_replays_the_elimination_record():
