@@ -194,8 +194,8 @@ def ce_coboundary(l: HomLieAlgebra, v: Representation, f):
     if len(v.actions) != 1:
         raise UsageError("single-bracket coboundary needs a single-action representation")
     _validate_structures(l, v)
-    require_equivariant((f,), l._compounds, v.beta)
     _check_shape(f, l.dim, v.vdim)
+    require_equivariant((f,), l._compounds, v.beta)
     return _cochains(v._complex["differential", f.arity] @ _flat(f), l, v.vdim, f.arity + 1)[0]
 
 
@@ -245,15 +245,22 @@ def _coboundary_map(struct, v: Representation, which: int, n: int) -> Matrix:
     with the E_j^T cached by `transposed_incidence` and K the insertion
     matrix of the bracket cochain, kept on v.  Each block a_j is the
     combination sum_i alpha^(n-1)[i, j] rho(e_i) of the action table, read
-    off the nonzeros of column j of the twist power; in degrees 0 and 1 it
-    is the action matrix rho(e_j) itself.
+    off the nonzeros of column j of the twist power as one `kron_sum` of
+    the 1 x 1 coefficients with the action matrices; a column that is one
+    entry 1 (in degrees 0 and 1, every column) gives the action matrix
+    rho(e_i) itself.
     """
     dim, vdim = struct.dim, v.vdim
     if comb(dim, n + 1) == 0:  # no (n+1)-tuples: nothing to build
         return Matrix.zero(0, vdim * comb(dim, n))
     table, columns = v.actions[which - 1], struct.alpha.power(max(n - 1, 0)).transpose()
-    blocks = (sum((table[i].scale(c) for i, c in columns.row_items(j)), Matrix.zero(vdim, vdim))
-              for j in range(dim))
+    blocks = []
+    for column in map(columns.row_items, range(dim)):
+        if len(column) == 1 and column[0][1] == 1:
+            blocks.append(table[column[0][0]])
+        else:  # one pass, with no matrix per term
+            blocks.append(kron_sum([(Matrix.from_entries(1, 1, {(0, 0): c}), table[i])
+                                    for i, c in column], vdim, vdim))
     terms = [(Matrix.identity(vdim), -v._complex["insertion", which, n].transpose())]
     terms += zip(blocks, transposed_incidence(dim, n))
     return kron_sum(terms, vdim * comb(dim, n + 1), vdim * comb(dim, n))
@@ -278,6 +285,7 @@ def compatible_coboundary(c: CompatibleHomLieAlgebra, v: Representation,
     if len(v.actions) != 2:
         raise UsageError("compatible coboundary needs a two-action representation")
     _validate_structures(c, v)
+    _check_shape(f.components[0], c.dim, v.vdim)  # the components share their shape
     if f.degree == 0:
         if not (_c0_constraints(c, v) @ f.components[0].coeffs).is_zero():
             raise PreconditionError(
@@ -286,7 +294,6 @@ def compatible_coboundary(c: CompatibleHomLieAlgebra, v: Representation,
     else:
         require_equivariant(f.components, c._compounds, v.beta,
                             "component is not twist-equivariant")
-    _check_shape(f.components[0], c.dim, v.vdim)  # the components share their shape
     return _cochains(v._complex["differential", f.degree] @ _flat(f), c, v.vdim, f.degree + 1)[0]
 
 

@@ -34,9 +34,14 @@ Elimination is fraction-free and takes one route: `_elimination` runs the
 pivot loop (`_echelon`) on sparse integer rows (denominators cleared,
 content gcd divided out after every update) and records its row steps and
 echelon rows; a Fraction appears again only where a result is not
-integral.  `rref`, `rank`, `_kernel`, `_row_space`, `_replay` (a solve)
-and `determinant_of` all read that record, so a kept record gives the
-kernel and solves again without eliminating m again.  No module of the
+integral.  The loop takes the rows one at a time, sparsest first,
+against the reduced echelon form of the rows taken so far, at the pivot
+columns of each row's own support: a row that vanishes takes at most one
+update per nonzero, and one that survives is eliminated from the pivot
+rows that have an entry at its leading column, which it then pivots.
+`rref`, `rank`, `_kernel`, `_row_space`, `_replay` (a solve) and
+`determinant_of` all read that record, so a kept record gives the kernel
+and solves again without eliminating m again.  No module of the
 library calls `determinant_of`: its minors are wedges of columns (see
 `cochains`).  The reduced row echelon form is unique, so `rref`,
 `kernel_basis` and `solve` return the same output bit for bit whichever
@@ -485,57 +490,49 @@ def product_sum(terms, rows: int, cols: int) -> Matrix:
     return Matrix._of(rows, cols, tuple(data))
 
 
-def _eliminate(row: dict, pivot_row: dict, c: int, steps: list, i: int, pivot: int) -> dict:
-    """The primitive integer row (p row - a pivot_row) / g, whose entry in
-    column c is zero, for the content g; (i, pivot, p, a, g) is appended
-    to `steps`."""
+def _eliminate(row: dict, pivot_row: dict, c: int, steps: list, i: int, pivot: int):
+    """Set the integer row, in place, to the primitive (p row - a pivot_row)
+    / g, whose entry in column c is zero, for the content g; (i, pivot, p,
+    a, g) is appended to `steps`."""
     a, p = row[c], pivot_row[c]
     g = gcd(a, p)
     a, p = a // g, p // g
-    out = {j: p * x for j, x in row.items()}
+    if p != 1:
+        for j in row:
+            row[j] *= p
     for j, x in pivot_row.items():
-        value = out.get(j, 0) - a * x
+        value = row.get(j, 0) - a * x
         if value:
-            out[j] = value
+            row[j] = value
         else:
-            out.pop(j, None)
-    g = gcd(*out.values()) or 1
+            del row[j]
+    g = gcd(*row.values()) or 1
     if g != 1:
-        out = {j: x // g for j, x in out.items()}
+        for j in row:
+            row[j] //= g
     steps.append((i, pivot, p, a, g))
-    return out
 
 
 def _echelon(rows: list, cols: int, steps: list) -> list:
     """The one pivot loop of elimination, on (row index, primitive integer
     row) pairs: the (pivot column, row index, row) of each reduced row, in
-    column order.  Columns are taken left to right; the pivot of a column
-    is the remaining row with the fewest nonzeros that has an entry there,
-    the lowest row index on ties.  Forward elimination is followed by
-    back-substitution, and a row that becomes zero vanishes.  Each update
-    of `_eliminate` is appended to `steps`."""
-    echelon = []
-    for c in range(cols):
-        if not rows:
-            break
-        best = None
-        for k, (_, row) in enumerate(rows):
-            if c in row and (best is None or len(row) < len(rows[best][1])):
-                best = k
-        if best is None:
-            continue
-        pivot, pivot_row = rows.pop(best)
-        rows = [(i, _eliminate(row, pivot_row, c, steps, i, pivot) if c in row else row)
-                for i, row in rows]
-        rows = [(i, row) for i, row in rows if row]
-        echelon.append((c, pivot, pivot_row))
-    for k in range(len(echelon) - 1, 0, -1):
-        c, pivot, pivot_row = echelon[k]
-        for e in range(k):
-            ce, i, row = echelon[e]
-            if c in row:
-                echelon[e] = (ce, i, _eliminate(row, pivot_row, c, steps, i, pivot))
-    return echelon
+    column order.  The rows, sparsest first (lowest index on ties), are
+    reduced in place against the pivot rows kept so far, which stay the
+    reduced echelon form of the rows taken: a row that becomes zero
+    vanishes, and a row that survives is eliminated from the pivot rows
+    with an entry at its leading column and becomes that column's pivot
+    row.  Each update of `_eliminate` is appended to `steps`."""
+    pivots = {}
+    for i, row in sorted(rows, key=lambda item: len(item[1])):
+        for c in [c for c in row if c in pivots]:
+            _eliminate(row, pivots[c][1], c, steps, i, pivots[c][0])
+        if row:
+            c = min(row)
+            for k, pivot_row in pivots.values():
+                if c in pivot_row:
+                    _eliminate(pivot_row, row, c, steps, k, i)
+            pivots[c] = (i, row)
+    return [(c, *pivots[c]) for c in range(cols) if c in pivots]
 
 
 def _elimination(m: Matrix) -> tuple:

@@ -18,14 +18,17 @@ from homlie import (
     LinearOperator,
     Matrix,
     NIJENHUIS,
+    OrderPDeformation,
     PreconditionError,
     ROTA_BAXTER,
     Representation,
     UsageError,
     adjoint_representation,
+    build_extension,
     ce_coboundary,
     class_coordinates,
     cohomology_dimensions,
+    check_equivalence,
     check_linear_equivalence,
     check_linear_generator,
     comparison_map,
@@ -60,6 +63,7 @@ from homlie import (
 )
 from homlie import algebra, cochains, fixtures
 from homlie.cohomology import coboundary_preimage
+from homlie.extensions import alternate_splitting
 
 from helpers import (
     basis_vector,
@@ -854,6 +858,68 @@ REFUSALS.update({
     "single-bracket coboundary in a two-action module": (lambda: ce_coboundary(
         fixtures.d2(), adjoint_representation(fixtures.d2()), Cochain.zero(1, 2, 2)),
         "single-bracket coboundary needs a single-action representation"),
+})
+
+
+def _d2_extension(vdim=2):
+    """The split extension of d2 by d2_extension_rep (vdim 2), or by the
+    trivial line (vdim 1)."""
+    rep = fixtures.d2_extension_rep()
+    if vdim == 1:
+        zero = (Matrix.zero(1, 1),) * 2
+        rep = Representation(fixtures.d2(), 1, Matrix.identity(1), (zero, zero))
+    return build_extension(fixtures.d2(), rep, ExtensionCocycle(Cochain.zero(2, 2, vdim),
+                                                                Cochain.zero(2, 2, vdim)))
+
+
+def _order_0(c):
+    return OrderPDeformation(c, (c.bracket_cochain(1),), (c.bracket_cochain(2),))
+
+
+# Arguments that do not fit together, refused before any work on them.
+REFUSALS.update({
+    "cohomology in a module over another structure": (lambda: cohomology_dimensions(
+        fixtures.h3(), adjoint_representation(fixtures.twisted_h3()), 1),
+        "representation is not over the given structure"),
+    "single-bracket coboundary into another module": (lambda: ce_coboundary(
+        fixtures.h3(), adjoint_representation(fixtures.h3()), Cochain.zero(1, 3, 2)),
+        "cochain shape does not match the algebra and module"),
+    "two-bracket coboundary into another module": (lambda: compatible_coboundary(
+        fixtures.compatible_h3(), adjoint_representation(fixtures.compatible_h3()),
+        CompatibleCochain.zero(1, 3, 2)),
+        "cochain shape does not match the algebra and module"),
+    "two-bracket degree-0 coboundary into another module": (lambda: compatible_coboundary(
+        fixtures.compatible_h3(), adjoint_representation(fixtures.compatible_h3()),
+        CompatibleCochain.zero(0, 3, 2)),
+        "cochain shape does not match the algebra and module"),
+    "extension in a module over another base": (lambda: build_extension(
+        fixtures.compatible_h3(), fixtures.d2_extension_rep(),
+        ExtensionCocycle(Cochain.zero(2, 3, 2), Cochain.zero(2, 3, 2))),
+        "representation is not over the given base"),
+    "extension in a single-action module": (lambda: build_extension(
+        fixtures.h3(), adjoint_representation(fixtures.h3()),
+        ExtensionCocycle(Cochain.zero(2, 3, 3), Cochain.zero(2, 3, 3))),
+        "extension needs a two-action representation"),
+    "extension by a cocycle into another fiber": (lambda: build_extension(
+        fixtures.d2(), fixtures.d2_extension_rep(),
+        ExtensionCocycle(Cochain.zero(2, 2, 1), Cochain.zero(2, 2, 1))),
+        "cocycle shape does not match base and fiber"),
+    "splitting shifted by an arity-2 cochain": (lambda: alternate_splitting(
+        _d2_extension(), Cochain.zero(2, 2, 2)),
+        "splitting shift must be an arity-1 cochain from base to fiber"),
+    "equivalence of extensions by two fibers": (lambda: check_equivalence(
+        _d2_extension(2), _d2_extension(1)), "extensions have different fibers"),
+    "deformation with no coefficients": (lambda: OrderPDeformation(
+        fixtures.compatible_h3(), (), ()),
+        "coefficient lists must be non-empty and of equal length"),
+    "deformation with unequal coefficient lists": (lambda: OrderPDeformation(
+        fixtures.compatible_h3(), (fixtures.compatible_h3().bracket_cochain(1),) * 2,
+        (fixtures.compatible_h3().bracket_cochain(2),)),
+        "coefficient lists must be non-empty and of equal length"),
+    "truncation above the order": (lambda: _order_0(fixtures.compatible_h3()).truncate(1),
+                                   "truncation order out of range"),
+    "truncation below order 0": (lambda: _order_0(fixtures.compatible_h3()).truncate(-1),
+                                 "truncation order out of range"),
 })
 
 
